@@ -5,12 +5,17 @@ The paper's figures reuse one expensive sweep (Experiment 1 feeds Figs.
 suite honest *and* fast.  Each figure's ``benchmark`` fixture then times a
 representative unit of its own work, while the printed tables come from
 the shared sweep.
+
+Result tables and rows go to a pytest tmp dir, so running the suite
+leaves the tracked files under ``benchmarks/results/`` alone; pass
+``--record-results`` to regenerate them in place.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import bench_common
 from bench_common import (
     ADVOGATO_FRACTION,
     MAX_N,
@@ -28,6 +33,25 @@ from repro.bench.experiments import (
 )
 from repro.datasets.rmat import rmat_n
 from repro.datasets.standins import load_standin
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-results",
+        action="store_true",
+        default=False,
+        help="write result tables under benchmarks/results/ (default: a tmp dir)",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_dir(request, tmp_path_factory):
+    """Where :func:`bench_common.emit` / ``record_rows`` write this session."""
+    tracked = bench_common.RESULTS_DIR
+    if not request.config.getoption("--record-results", default=False):
+        bench_common.RESULTS_DIR = tmp_path_factory.mktemp("bench-results")
+    yield bench_common.RESULTS_DIR
+    bench_common.RESULTS_DIR = tracked
 
 
 @pytest.fixture(scope="session")

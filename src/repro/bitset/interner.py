@@ -18,8 +18,42 @@ persist:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import compress
 
-__all__ = ["VertexInterner"]
+__all__ = ["VertexInterner", "bit_indexes"]
+
+#: A mask whose span is at most this many bits per set bit is decoded by
+#: one C-level scan of its binary digits (cost follows ``bit_length``);
+#: sparser masks peel set bits one at a time (cost follows
+#: ``bit_count``).  Measured crossover on CPython 3.11: ~16 bits per set
+#: bit at 256-bit masks, ~80 at 8192-bit masks.
+_DENSE_SPAN = 64
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _is_dense(mask: int) -> bool:
+    return mask.bit_length() <= _DENSE_SPAN * mask.bit_count()
+
+
+def _bit_flags(mask: int) -> bytes:
+    """One 0/1 byte per bit of ``mask``, lowest bit first."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
+
+def bit_indexes(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending.
+
+    >>> bit_indexes(0b100101)
+    [0, 2, 5]
+    """
+    if _is_dense(mask):
+        return list(compress(range(mask.bit_length()), _bit_flags(mask)))
+    indexes = []
+    while mask:
+        low = mask & -mask
+        indexes.append(low.bit_length() - 1)
+        mask ^= low
+    return indexes
 
 
 class VertexInterner:
@@ -56,6 +90,19 @@ class VertexInterner:
     def vertex_of(self, vertex_id: int) -> object:
         """The vertex an id denotes (raises ``IndexError`` when unknown)."""
         return self._vertices[vertex_id]
+
+    def vertices_of(self, mask: int) -> tuple:
+        """The vertices whose ids are set in ``mask``, in id order.
+
+        The inverse of :meth:`mask_of`, and the one place bitmaps turn
+        back into vertices (raises ``IndexError`` on an unknown id).
+        """
+        vertices = self._vertices
+        if mask.bit_length() > len(vertices):
+            raise IndexError("bitmap names a vertex id this interner never assigned")
+        if _is_dense(mask):
+            return tuple(compress(vertices, _bit_flags(mask)))
+        return tuple(map(vertices.__getitem__, bit_indexes(mask)))
 
     def vertices(self) -> list:
         """All interned vertices in id order (a copy; snapshot format)."""

@@ -25,6 +25,7 @@ from repro.graph.transitive_closure import iter_bits
 
 __all__ = [
     "alphabet_reachable_mask",
+    "bfs_mask",
     "eval_label_sequence_bits",
     "eval_rpq_bits",
     "eval_rpq_dfa_bits",
@@ -52,17 +53,18 @@ def sweep(rows: dict[int, int], mask: int) -> int:
     return reached
 
 
-def _bfs_mask(graph, delta, accepts, start_states, start_id: int) -> int:
-    """Product BFS from one start id; returns the accepted-vertex bitmap.
+def bfs_mask(graph, delta, accepts, start_states, starts: int) -> int:
+    """Product BFS from a start bitmap; returns the accepted-vertex bitmap.
 
     The frontier is one bitmap per automaton state; each level ORs the
     adjacency rows of the frontier's vertices, per transition label,
     into the successor states' bitmaps.  ``visited`` masks give the
     same duplicate-avoidance as the set evaluator's per-start visited
-    set (paper Example 2).
+    set (paper Example 2).  With several bits set in ``starts`` the
+    result is the union of the per-start answers (the image of the
+    whole set), found in one traversal.
     """
-    bit = 1 << start_id
-    frontier = {state: bit for state in start_states}
+    frontier = {state: starts for state in start_states}
     visited = dict(frontier)
     result = 0
     bit_rows = graph.bit_rows
@@ -127,7 +129,7 @@ def eval_rpq_bits(
     accepts = nfa.accepts
     vertex_of = interner.vertex_of
     for start_id in start_ids:
-        mask = _bfs_mask(graph, delta, accepts, nfa.start, start_id)
+        mask = bfs_mask(graph, delta, accepts, nfa.start, 1 << start_id)
         if not mask:
             continue
         start = vertex_of(start_id)
@@ -167,7 +169,7 @@ def eval_rpq_dfa_bits(
         results.add((vertex, vertex))
     vertex_of = interner.vertex_of
     for start_id in start_ids:
-        mask = _bfs_mask(graph, delta, accepts, (dfa.start,), start_id)
+        mask = bfs_mask(graph, delta, accepts, (dfa.start,), 1 << start_id)
         if not mask:
             continue
         start = vertex_of(start_id)
@@ -213,23 +215,26 @@ def eval_label_sequence_bits(
     graph,
     labels: Sequence[str],
     order: str = "rare-first",
-) -> set[tuple[object, object]]:
+) -> PairBitmap:
     """Bit-parallel :func:`repro.rpq.label_join.eval_label_sequence`.
 
     Same join-order strategies (``left-right`` folds, ``rare-first``
     anchors at the rarest label and grows toward the cheaper side); the
     per-step relation is a :class:`PairBitmap` and each extension is a
-    row AND/OR sweep instead of a tuple join.
+    row AND/OR sweep instead of a tuple join.  The answer stays a
+    bitmap over the graph's interner -- callers that need tuples decode
+    it once with :meth:`PairBitmap.to_pairs`.
     """
+    interner = graph.interner
     if not labels:
-        return {(vertex, vertex) for vertex in graph.vertices()}
+        return PairBitmap.identity(map(interner.id_of, graph.vertices()), interner)
     if order == "left-right":
         bitmap = label_rows_bitmap(graph, labels[0])
         for label in labels[1:]:
             if not bitmap:
-                return set()
+                break
             bitmap = _extend_right_bits(graph, bitmap, label)
-        return bitmap.to_pairs(graph.interner)
+        return bitmap
     if order != "rare-first":
         raise ValueError(f"unknown join order {order!r}")
 
@@ -251,9 +256,7 @@ def eval_label_sequence_bits(
         else:
             bitmap = _extend_right_bits(graph, bitmap, labels[right])
             right += 1
-    if left >= 0 or right < len(labels):
-        return set()
-    return bitmap.to_pairs(graph.interner)
+    return bitmap
 
 
 def alphabet_reachable_mask(
@@ -289,34 +292,7 @@ def alphabet_reachable_mask(
 def expand_rtc_bits(rtc, interner=None) -> PairBitmap:
     """Theorem 1 as bitmaps: ``R+_G`` from an RTC, one row per member.
 
-    Every closed SCC pair contributes its member Cartesian product by
-    ORing the target SCC's member bitmap into each source member's row
-    -- the product is never enumerated pair by pair.  Builds a private
-    interner over ``V_R`` unless one is supplied.
+    Function spelling of
+    :meth:`~repro.core.rtc.ReducedTransitiveClosure.expand_bits`.
     """
-    members = rtc.condensation.members
-    if interner is None:
-        from repro.bitset.interner import VertexInterner
-
-        interner = VertexInterner()
-    member_masks: dict[int, int] = {}
-    for scc_id in sorted(members):
-        mask = 0
-        for vertex in members[scc_id]:
-            mask |= 1 << interner.intern(vertex)
-        member_masks[scc_id] = mask
-    result = PairBitmap(interner=interner)
-    rows = result.rows
-    for source_id, targets in rtc.closure.items():
-        target_mask = 0
-        for target_id in targets:
-            target_mask |= member_masks[target_id]
-        if not target_mask:
-            continue
-        source_mask = member_masks[source_id]
-        while source_mask:
-            low = source_mask & -source_mask
-            member = low.bit_length() - 1
-            rows[member] = rows.get(member, 0) | target_mask
-            source_mask ^= low
-    return result
+    return rtc.expand_bits(interner)

@@ -17,6 +17,7 @@ built only when someone actually iterates the result.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain, product
 
 from repro.bitset.interner import VertexInterner
 
@@ -59,7 +60,7 @@ class PairBitmap:
 
     def update_pairs(self, pairs: Iterable[tuple]) -> None:
         """OR vertex tuples in through the attached interner."""
-        intern = self._require_interner().intern
+        intern = self.require_interner().intern
         rows = self.rows
         for source, target in pairs:
             source_id = intern(source)
@@ -67,7 +68,7 @@ class PairBitmap:
 
     def add_pair(self, source: object, target: object) -> None:
         """Insert one vertex pair through the attached interner."""
-        intern = self._require_interner().intern
+        intern = self.require_interner().intern
         self.add(intern(source), intern(target))
 
     @classmethod
@@ -82,6 +83,11 @@ class PairBitmap:
             source_id = intern(source)
             rows[source_id] = rows.get(source_id, 0) | (1 << intern(target))
         return bitmap
+
+    @classmethod
+    def identity(cls, ids: Iterable[int], interner: VertexInterner) -> "PairBitmap":
+        """The reflexive pairs ``(i, i)`` of the given ids."""
+        return cls({i: 1 << i for i in ids}, interner=interner)
 
     # -- algebra -----------------------------------------------------------
     def union_update(self, other: "PairBitmap") -> None:
@@ -124,7 +130,7 @@ class PairBitmap:
 
     def contains(self, source: object, target: object) -> bool:
         """Membership by vertex (requires an attached interner)."""
-        interner = self._require_interner()
+        interner = self.require_interner()
         source_id = interner.id_of(source)
         target_id = interner.id_of(target)
         if source_id is None or target_id is None:
@@ -144,26 +150,33 @@ class PairBitmap:
         return self.rows.get(source_id, 0)
 
     # -- materialisation ---------------------------------------------------
-    def _require_interner(self) -> VertexInterner:
+    def require_interner(self) -> VertexInterner:
+        """The attached interner; ``ValueError`` when there is none."""
         if self.interner is None:
             raise ValueError(
                 "this PairBitmap carries no interner; pass one to to_pairs()"
             )
         return self.interner
 
+    def _row_products(self, interner: VertexInterner) -> Iterator:
+        """One C-level ``(source, target)`` iterator per row.
+
+        Each distinct row mask is decoded once: batch results repeat the
+        same dst bitmap for every source behind one SCC.
+        """
+        vertex_of = interner.vertex_of
+        vertices_of = interner.vertices_of
+        decoded: dict[int, tuple] = {}
+        for source_id, mask in self.rows.items():
+            targets = decoded.get(mask)
+            if targets is None:
+                targets = decoded[mask] = vertices_of(mask)
+            yield product((vertex_of(source_id),), targets)
+
     def to_pairs(self, interner: VertexInterner | None = None) -> set:
         """Materialise the vertex-tuple set (the lazy, expensive step)."""
-        interner = interner if interner is not None else self._require_interner()
-        vertex_of = interner.vertex_of
-        pairs: set = set()
-        add = pairs.add
-        for source_id, mask in self.rows.items():
-            source = vertex_of(source_id)
-            while mask:
-                low = mask & -mask
-                add((source, vertex_of(low.bit_length() - 1)))
-                mask ^= low
-        return pairs
+        interner = interner if interner is not None else self.require_interner()
+        return set(chain.from_iterable(self._row_products(interner)))
 
     @property
     def pairs(self) -> set:
@@ -176,9 +189,7 @@ class PairBitmap:
     # all behave as the materialised pair set would, so engine results
     # can stay packed until a consumer genuinely needs tuples.
     def __iter__(self) -> Iterator[tuple]:
-        vertex_of = self._require_interner().vertex_of
-        for source_id, target_id in self.id_pairs():
-            yield (vertex_of(source_id), vertex_of(target_id))
+        return chain.from_iterable(self._row_products(self.require_interner()))
 
     def __contains__(self, pair: object) -> bool:
         if not isinstance(pair, tuple) or len(pair) != 2:

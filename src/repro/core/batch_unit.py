@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from repro.bitset.interner import VertexInterner
 from repro.bitset.pairbitmap import PairBitmap
 from repro.core.rtc import ReducedTransitiveClosure
 from repro.graph.multigraph import LabeledMultigraph
@@ -131,55 +130,41 @@ def join_pre_with_rtc(
 
 
 def join_pre_with_rtc_bits(
-    pre_pairs: Iterable[tuple[object, object]],
+    pre: PairBitmap,
     rtc: ReducedTransitiveClosure,
-    interner: VertexInterner,
-    seed: Iterable[tuple[object, object]] = (),
 ) -> PairBitmap:
-    """Bit-parallel Eq. (7)-(9): the RTC join as row ORs.
+    """Bit-parallel Eq. (7)-(9): ``(Pre . R+)_G`` as row ORs.
 
-    Identical relation to :func:`join_pre_with_rtc`, but every SCC's
-    member set and every ``closure[s_j]`` union is a memoised bitmap, so
-    one ``Pre_G`` pair contributes a single row-OR instead of a member
-    Cartesian walk.  All four of Algorithm 2's waste eliminations are
-    inherent (the per-``s_j`` mask *is* the deduped Eq. (8) union), which
-    is why this variant takes no :class:`BatchUnitOptions` or counters --
-    the instrumented ablations stay on the set join.  ``interner`` should
-    be the graph's so rows compose with its adjacency bitmaps.
+    Identical relation to :func:`join_pre_with_rtc`, but ``Pre_G``
+    arrives as a bitmap over the graph's interner and is joined row by
+    row against the per-SCC reach rows shared on the RTC
+    (:meth:`ReducedTransitiveClosure.masks`).  One source SCC ``s_j``
+    contributes one row-OR, after which every other ``Pre_G`` end inside
+    ``s_j`` or inside anything ``s_j`` reaches is dropped unvisited --
+    its closure row is a subset of the one just added.  So all four of
+    Algorithm 2's waste eliminations are structural, which is why this
+    variant takes no :class:`BatchUnitOptions` or counters -- the
+    instrumented ablations stay on the set join.  The ``R*`` seed is not
+    mixed in here: :func:`apply_post_bits` takes it separately.
     """
-    scc_of = rtc.condensation.scc_of
-    members = rtc.condensation.members
-    closure = rtc.closure
-    intern = interner.intern
-
-    member_masks: dict[int, int] = {}
-    reach_masks: dict[int, int] = {}
-    if isinstance(seed, PairBitmap) and seed.interner is interner:
-        result = PairBitmap(dict(seed.rows), interner=interner)
-    else:
-        result = PairBitmap.from_pairs(seed, interner)
-    rows = result.rows
-    for vi, vj in pre_pairs:
-        sj = scc_of.get(vj)
-        if sj is None:
-            # vj is not in V_R: no path satisfying R starts at it.
-            continue
-        mask = reach_masks.get(sj)
-        if mask is None:
-            mask = 0
-            for sk in closure[sj]:
-                member_mask = member_masks.get(sk)
-                if member_mask is None:
-                    member_mask = 0
-                    for vk in members[sk]:
-                        member_mask |= 1 << intern(vk)
-                    member_masks[sk] = member_mask
-                mask |= member_mask
-            reach_masks[sj] = mask
-        if mask:
-            vi_id = intern(vi)
-            rows[vi_id] = rows.get(vi_id, 0) | mask
-    return result
+    masks = rtc.masks(pre.require_interner())
+    scc_of_id = masks.scc_of_id
+    members = masks.members
+    reach = masks.reach
+    in_vr = masks.vertices
+    rows: dict[int, int] = {}
+    for start_id, ends in pre.rows.items():
+        # An end outside V_R starts no path satisfying R.
+        ends &= in_vr
+        joined = 0
+        while ends:
+            scc_id = scc_of_id[(ends & -ends).bit_length() - 1]
+            row = reach(scc_id)
+            joined |= row
+            ends &= ~(members[scc_id] | row)
+        if joined:
+            rows[start_id] = joined
+    return PairBitmap(rows, interner=pre.interner)
 
 
 def apply_post(
@@ -223,41 +208,37 @@ def apply_post_bits(
     graph: LabeledMultigraph,
     joined: PairBitmap,
     post: RestrictedEvaluator | None,
+    seed: PairBitmap | None = None,
 ) -> PairBitmap:
-    """Bit-parallel lines 13-16: the Post join as per-row mask ORs.
+    """Bit-parallel lines 13-16: ``Post`` applied to whole closure rows.
 
-    Identical relation to :func:`apply_post`, but the memoised per-middle
-    -vertex expansion is a dst *bitmap* instead of a vertex set, so each
-    ``(v_i, v_k)`` pair costs one OR into ``v_i``'s result row rather
-    than ``|ends(v_k)|`` tuple insertions -- and with no postfix the
-    input bitmap passes through untouched (no materialisation at all).
-    Uncounted like :func:`join_pre_with_rtc_bits`; instrumented ablation
-    runs stay on the set join.
+    Identical relation to :func:`apply_post`, but ``Post`` is evaluated
+    from a *row* at a time (:meth:`RestrictedEvaluator.ends_mask`) and
+    once per distinct row: every start whose ends sit behind the same
+    SCCs joined the same closure row and shares one image.  ``seed`` is
+    ``Pre_G`` for ``R*`` (the zero-iteration answers, lines 2-3): its
+    rows differ per start where closure rows mostly do not, so it goes
+    through ``Post`` on its own and is unioned in, instead of making
+    every joined row distinct.  With no postfix and no seed the input
+    bitmap passes through untouched (no materialisation at all).
+    Uncounted like :func:`join_pre_with_rtc_bits`.
     """
     if post is None or post.is_epsilon:
-        return joined
-    interner = graph.interner
-    vertex_of = interner.vertex_of
-    intern = interner.intern
-    ends_masks: dict[int, int] = {}
-    result = PairBitmap(interner=interner)
-    rows = result.rows
-    for vi_id, mask in joined.rows.items():
-        out = 0
-        while mask:
-            low = mask & -mask
-            vk_id = low.bit_length() - 1
-            mask ^= low
-            ends_mask = ends_masks.get(vk_id)
-            if ends_mask is None:
-                ends_mask = 0
-                for vl in post.ends_from(graph, vertex_of(vk_id), None):
-                    ends_mask |= 1 << intern(vl)
-                ends_masks[vk_id] = ends_mask
-            out |= ends_mask
-        if out:
-            rows[vi_id] = out
-    return result
+        if seed is None:
+            return joined
+        result = PairBitmap(dict(joined.rows), interner=joined.interner)
+        result |= seed
+        return result
+    images: dict[int, int] = {}
+    rows: dict[int, int] = {}
+    for bitmap in (joined,) if seed is None else (joined, seed):
+        for start_id, row in bitmap.rows.items():
+            image = images.get(row)
+            if image is None:
+                image = images[row] = post.ends_mask(graph, row)
+            if image:
+                rows[start_id] = rows.get(start_id, 0) | image
+    return PairBitmap(rows, interner=joined.interner)
 
 
 def eval_batch_unit(
@@ -280,10 +261,12 @@ def eval_batch_unit(
     """
     if closure_type not in ("+", "*"):
         raise ValueError(f"closure type must be '+' or '*', got {closure_type!r}")
-    seed = pre_pairs if closure_type == "*" else ()
     if pick_kernel(kernel, counters):
-        joined = join_pre_with_rtc_bits(pre_pairs, rtc, graph.interner, seed=seed)
-        return apply_post_bits(graph, joined, post).pairs
+        pre = PairBitmap.from_pairs(pre_pairs, graph.interner)
+        joined = join_pre_with_rtc_bits(pre, rtc)
+        seed = pre if closure_type == "*" else None
+        return apply_post_bits(graph, joined, post, seed).to_pairs()
+    seed = pre_pairs if closure_type == "*" else ()
     res_eq9 = join_pre_with_rtc(
         pre_pairs, rtc, seed=seed, options=options, counters=counters
     )

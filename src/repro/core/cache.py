@@ -44,6 +44,20 @@ afterwards, so callers that mutate the graph must drain evaluations first
 -- exactly what :class:`~repro.db.GraphDB`'s session lock and the
 server's exclusive drain-then-apply updates guarantee.  Cached values are
 treated as immutable by all engines.
+
+One exception, and its rule: a cached
+:class:`~repro.core.rtc.ReducedTransitiveClosure` carries derived
+bitmaps (:meth:`~repro.core.rtc.ReducedTransitiveClosure.masks` -- the
+per-SCC member and reach rows the bit-parallel join reads) that are
+filled in lazily and **without a lock** by whichever worker needs them
+first.  That race is benign by construction and must stay so: every
+derived value is a pure function of the immutable RTC and the graph's
+append-only interner, each publication is a single reference or
+dict-item store, and a reader either sees a finished value or computes
+an equal one itself.  Two workers may therefore do the same small piece
+of work once each; neither can observe a partial or different result.
+Anything derived that does not meet those three conditions belongs
+under the cache lock instead.
 """
 
 from __future__ import annotations

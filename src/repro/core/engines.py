@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from collections import deque
 
+from repro.bitset.kernel import eval_label_sequence_bits
 from repro.bitset.pairbitmap import PairBitmap
 from repro.core.batch_unit import (
     BatchUnitOptions,
@@ -211,6 +212,10 @@ class _SharingEngine(RPQEngine):
             if use_join and not isinstance(post, Epsilon):
                 sequence = as_label_sequence(post)
                 if sequence:
+                    if self.counters is None:
+                        # Stays a bitmap: Pre_G and R_G feed the id-space
+                        # join and Compute_RTC without becoming tuples.
+                        return eval_label_sequence_bits(self.graph, sequence)
                     return eval_label_sequence(
                         self.graph, sequence, counters=self.counters
                     )
@@ -238,8 +243,13 @@ class _SharingEngine(RPQEngine):
         sharing methods apply symmetrically.
         """
         if unit.type == "*":
-            return {(vertex, vertex) for vertex in self.graph.vertices()}
-        return {(vertex, vertex) for vertex in self._closure_vertices(unit.r)}
+            vertices = self.graph.vertices()
+        else:
+            vertices = self._closure_vertices(unit.r)
+        if self.counters is None:
+            interner = self.graph.interner
+            return PairBitmap.identity(map(interner.id_of, vertices), interner)
+        return {(vertex, vertex) for vertex in vertices}
 
     def _post_evaluator(self, unit: BatchUnit) -> RestrictedEvaluator | None:
         if not unit.post_labels:
@@ -312,11 +322,12 @@ class RTCSharingEngine(_SharingEngine):
         node = parse(r)
 
         def build() -> ReducedTransitiveClosure:
-            # Line 10: R_G by recursive evaluation (time -> Remainder).
-            rg_pairs = self._evaluate_node(node)
+            # Line 10: R_G by recursive evaluation (time -> Remainder);
+            # a PairBitmap on the bit-parallel path, reduced in id space.
+            rg = self._evaluate_node(node)
             # Line 11: Compute_RTC (time -> Shared_Data).
             with self.timer.measure(PHASE_SHARED_DATA):
-                return compute_rtc(rg_pairs)
+                return compute_rtc(rg)
 
         _key, rtc = self.rtc_cache.get_or_compute(node, build)
         return rtc
@@ -348,16 +359,19 @@ class RTCSharingEngine(_SharingEngine):
         rtc = self.rtc_for(unit.r)
         pre_pairs = self._eval_pre(unit)
         post = self._post_evaluator(unit)
-        seed = pre_pairs if unit.type == "*" else ()
         if self.counters is None:
             # Bit-parallel pipeline: the waste eliminations are structural,
             # so ablation runs (counters attached) keep the set pipeline.
+            if not isinstance(pre_pairs, PairBitmap):
+                # A set-valued Pre clause (epsilon, or a union that mixed
+                # kernels) enters id space here.
+                pre_pairs = PairBitmap.from_pairs(pre_pairs, self.graph.interner)
             with self.timer.measure(PHASE_PRE_JOIN):
-                joined = join_pre_with_rtc_bits(
-                    pre_pairs, rtc, self.graph.interner, seed=seed
-                )
+                joined = join_pre_with_rtc_bits(pre_pairs, rtc)
             with self.timer.measure(PHASE_REMAINDER):
-                return apply_post_bits(self.graph, joined, post)
+                seed = pre_pairs if unit.type == "*" else None
+                return apply_post_bits(self.graph, joined, post, seed)
+        seed = pre_pairs if unit.type == "*" else ()
         with self.timer.measure(PHASE_PRE_JOIN):
             joined_set = join_pre_with_rtc(
                 pre_pairs,

@@ -17,18 +17,69 @@ suite checks it against four independent closure algorithms.
 :func:`compute_rtc` is ``Compute_RTC`` of Algorithm 1 (line 11): build
 ``G_R`` from the evaluation result ``R_G`` (which *is* the edge set
 ``E_R``), run Tarjan, and close the condensation with the bitset DP.
+Handed ``R_G`` as a :class:`~repro.bitset.PairBitmap` it does all three
+on interned ids and bitmasks and only names vertices in its output.
+
+:class:`RTCMasks` is the same structure as bitmaps over a graph's
+interner -- what the bit-parallel Algorithm 2 joins against.  It is
+derived lazily and kept on the RTC, so it is shared exactly as widely
+as the RTC itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
+from repro.bitset.interner import VertexInterner, bit_indexes
+from repro.bitset.pairbitmap import PairBitmap
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condense
 from repro.graph.transitive_closure import dag_closure_bitsets, iter_bits
 
-__all__ = ["ReducedTransitiveClosure", "compute_rtc"]
+__all__ = ["RTCMasks", "ReducedTransitiveClosure", "compute_rtc"]
+
+
+class RTCMasks:
+    """One RTC's SCC structure as bitmaps over an interner's id space.
+
+    ``scc_of_id`` is ``SCC(V, S)`` keyed by vertex id, ``vertices`` the
+    bitmap of ``V_R``, ``members[s]`` the member bitmap of ``s`` and
+    :meth:`reach` the closure row every vertex of ``s`` shares: the
+    union of the member bitmaps of ``closure[s]`` (Theorem 1, one row
+    per SCC instead of one per vertex).  Reach rows are built on first
+    use, so SCCs no query starts from cost nothing.
+    """
+
+    __slots__ = ("interner", "scc_of_id", "vertices", "members", "_closure", "_reach")
+
+    def __init__(self, rtc: "ReducedTransitiveClosure", interner: VertexInterner) -> None:
+        self.interner = interner
+        self.scc_of_id: dict[int, int] = {}
+        self.members: dict[int, int] = {}
+        self.vertices = 0
+        intern = interner.intern
+        for scc_id, vertices in rtc.condensation.members.items():
+            mask = 0
+            for vertex in vertices:
+                vertex_id = intern(vertex)
+                mask |= 1 << vertex_id
+                self.scc_of_id[vertex_id] = scc_id
+            self.members[scc_id] = mask
+            self.vertices |= mask
+        self._closure = rtc.closure
+        self._reach: dict[int, int] = {}
+
+    def reach(self, scc_id: int) -> int:
+        """Bitmap of every vertex ``R+``-reachable from the SCC ``scc_id``."""
+        mask = self._reach.get(scc_id)
+        if mask is None:
+            mask = 0
+            members = self.members
+            for target_id in self._closure[scc_id]:
+                mask |= members[target_id]
+            self._reach[scc_id] = mask
+        return mask
 
 
 @dataclass(frozen=True)
@@ -51,6 +102,22 @@ class ReducedTransitiveClosure:
     closure: dict[int, frozenset[int]]
     num_gr_vertices: int
     num_gr_edges: int
+    _masks: RTCMasks | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def masks(self, interner: VertexInterner) -> RTCMasks:
+        """This RTC as bitmaps over ``interner`` (built once, then shared).
+
+        Every engine that reads the RTC from a shared cache gets the
+        same object.  Unsynchronised on purpose: see the benign-race
+        rule in :mod:`repro.core.cache`.
+        """
+        masks = self._masks
+        if masks is None or masks.interner is not interner:
+            masks = RTCMasks(self, interner)
+            object.__setattr__(self, "_masks", masks)
+        return masks
 
     # ------------------------------------------------------------------
     # structure accessors
@@ -125,19 +192,26 @@ class ReducedTransitiveClosure:
                         result.add((source, target))
         return result
 
-    def expand_bits(self, interner=None):
+    def expand_bits(self, interner: VertexInterner | None = None) -> PairBitmap:
         """Theorem 1 as a :class:`~repro.bitset.PairBitmap`.
 
-        Same relation as :meth:`expand` but the member Cartesian
-        products are ORed row-wise, never enumerated pair by pair --
+        Same relation as :meth:`expand` but every member of an SCC gets
+        the SCC's shared reach row, never a pair-by-pair product --
         tuples materialise only if someone iterates the bitmap (the
         lazy path :class:`repro.db.ResultSet` rides).  ``interner``
         defaults to a private id space over ``V_R``; pass the graph's
         to keep the rows composable with its adjacency bitmaps.
         """
-        from repro.bitset.kernel import expand_rtc_bits
-
-        return expand_rtc_bits(self, interner=interner)
+        if interner is None:
+            masks = RTCMasks(self, VertexInterner())
+        else:
+            masks = self.masks(interner)
+        rows: dict[int, int] = {}
+        for vertex_id, scc_id in masks.scc_of_id.items():
+            row = masks.reach(scc_id)
+            if row:
+                rows[vertex_id] = row
+        return PairBitmap(rows, interner=masks.interner)
 
     @property
     def num_expanded_pairs(self) -> int:
@@ -151,14 +225,19 @@ class ReducedTransitiveClosure:
         return total
 
 
-def compute_rtc(rg: Iterable[tuple[object, object]] | DiGraph) -> ReducedTransitiveClosure:
+def compute_rtc(
+    rg: Iterable[tuple[object, object]] | DiGraph | PairBitmap,
+) -> ReducedTransitiveClosure:
     """``Compute_RTC(R_G)`` of Algorithm 1: ``R_G -> G_R -> Ḡ_R -> TC(Ḡ_R)``.
 
     ``rg`` is the evaluation result of ``R`` on ``G`` -- by definition the
     edge set of the edge-level reduced graph ``G_R`` (Lemma 1's setup) --
-    either as an iterable of vertex pairs or as an already-built
-    :class:`DiGraph`.
+    as an iterable of vertex pairs, an already-built :class:`DiGraph`, or
+    a :class:`~repro.bitset.PairBitmap` carrying its interner (the
+    bit-parallel engine's ``R_G``, reduced without leaving id space).
     """
+    if isinstance(rg, PairBitmap):
+        return _compute_rtc_from_rows(rg.rows, rg.require_interner())
     if isinstance(rg, DiGraph):
         graph = rg
     else:
@@ -173,4 +252,116 @@ def compute_rtc(rg: Iterable[tuple[object, object]] | DiGraph) -> ReducedTransit
         closure=closure,
         num_gr_vertices=graph.num_vertices,
         num_gr_edges=graph.num_edges,
+    )
+
+
+def _compute_rtc_from_rows(
+    rows: dict[int, int], interner: VertexInterner
+) -> ReducedTransitiveClosure:
+    """``Compute_RTC`` over ``source_id -> target bitmap`` rows of ``G_R``.
+
+    Tarjan on int ids with the closure DP interleaved (Nuutila): a
+    component is emitted after everything it reaches, so its closure row
+    is the OR of its successors' finished rows.  Successor components
+    are found by peeling whole member bitmaps off the component's
+    out-neighbourhood -- one step per condensation edge, not per edge of
+    ``G_R``.  SCC ids follow emission order like
+    :func:`~repro.graph.scc.condense`; vertices are named only when the
+    result is assembled.
+    """
+    vertex_mask = 0
+    successors: dict[int, list[int]] = {}
+    for source_id, row in rows.items():
+        if row:
+            vertex_mask |= row | (1 << source_id)
+            successors[source_id] = bit_indexes(row)
+    size = vertex_mask.bit_length()
+    index_of = [0] * size  # 0 = unvisited; discovery indexes start at 1
+    lowlink = [0] * size
+    scc_of = [-1] * size  # -1 while on the Tarjan stack
+    member_masks: list[int] = []
+    closure_masks: list[int] = []  # scc id -> bitmap of reachable scc ids
+    components: list[list[int]] = []
+    dag = DiGraph()
+    stack: list[int] = []
+    counter = 0
+
+    for root in bit_indexes(vertex_mask):
+        if index_of[root]:
+            continue
+        counter += 1
+        index_of[root] = lowlink[root] = counter
+        stack.append(root)
+        work = [(root, iter(successors.get(root, ())))]
+        while work:
+            vertex, pending = work[-1]
+            advanced = False
+            for successor in pending:
+                if not index_of[successor]:
+                    counter += 1
+                    index_of[successor] = lowlink[successor] = counter
+                    stack.append(successor)
+                    work.append((successor, iter(successors.get(successor, ()))))
+                    advanced = True
+                    break
+                if scc_of[successor] < 0 and index_of[successor] < lowlink[vertex]:
+                    lowlink[vertex] = index_of[successor]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if lowlink[vertex] < lowlink[parent]:
+                    lowlink[parent] = lowlink[vertex]
+            if lowlink[vertex] != index_of[vertex]:
+                continue
+            scc_id = len(components)
+            component: list[int] = []
+            members = neighbours = 0
+            while True:
+                member = stack.pop()
+                scc_of[member] = scc_id
+                component.append(member)
+                members |= 1 << member
+                neighbours |= rows.get(member, 0)
+                if member == vertex:
+                    break
+            dag.add_vertex(scc_id)
+            reached = 0
+            if neighbours & members:
+                # An edge inside the component: it is cyclic (more than
+                # one member, or a self-loop in G_R) and reaches itself.
+                reached = 1 << scc_id
+                dag.add_edge(scc_id, scc_id)
+            outside = neighbours & ~members
+            while outside:
+                target_id = scc_of[(outside & -outside).bit_length() - 1]
+                dag.add_edge(scc_id, target_id)
+                reached |= (1 << target_id) | closure_masks[target_id]
+                outside &= ~member_masks[target_id]
+            components.append(component)
+            member_masks.append(members)
+            closure_masks.append(reached)
+
+    vertex_of = interner.vertex_of
+    scc_of_vertex: dict = {}
+    members_of: dict = {}
+    for scc_id, component in enumerate(components):
+        vertices = [vertex_of(vertex_id) for vertex_id in component]
+        if len(vertices) > 1:
+            try:
+                vertices.sort()
+            except TypeError:  # mixed/unorderable vertex types
+                pass
+        members_of[scc_id] = tuple(vertices)
+        for vertex in vertices:
+            scc_of_vertex[vertex] = scc_id
+    return ReducedTransitiveClosure(
+        condensation=Condensation(scc_of=scc_of_vertex, members=members_of, dag=dag),
+        closure={
+            scc_id: frozenset(bit_indexes(mask))
+            for scc_id, mask in enumerate(closure_masks)
+        },
+        num_gr_vertices=vertex_mask.bit_count(),
+        num_gr_edges=sum(map(len, successors.values())),
     )

@@ -22,14 +22,22 @@ first touch, while :attr:`count` and ``len`` answer straight from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Iterator
 
 from repro.bitset.pairbitmap import PairBitmap
+from repro.obs import get_registry
 
 __all__ = ["ExecutionStats", "ResultSet"]
 
 Pair = tuple  # (start, end)
+
+_phase_seconds = get_registry().counter(
+    "repro_phase_seconds_total",
+    "Wall seconds spent per engine/storage phase.",
+    labels=("phase",),
+)
 
 
 @dataclass(frozen=True)
@@ -37,8 +45,10 @@ class ExecutionStats:
     """Measurements of one query execution.
 
     ``phase_times`` holds the engine's per-phase deltas for this query
-    (the paper's Shared_Data / PreG_join_RTC / Remainder breakdown);
-    ``shared_pairs`` is the shared-structure size after the run.
+    (the paper's Shared_Data / PreG_join_RTC / Remainder breakdown) plus,
+    once a packed result has been decoded, the ``materialise`` phase --
+    which ``total_time`` then includes; ``shared_pairs`` is the
+    shared-structure size after the run.
     """
 
     total_time: float = 0.0
@@ -92,14 +102,25 @@ class ResultSet:
 
     def _materialise(self) -> frozenset:
         if self._pairs is None:
-            if self._bitmap is not None:
-                self._pairs = frozenset(self._bitmap.pairs)
-            else:
+            if self._bitmap is None:
                 pairs, self._stats = self._fetch()
-                if isinstance(pairs, PairBitmap):
-                    pairs = pairs.pairs
-                self._pairs = frozenset(pairs)
                 self._fetch = None
+                if isinstance(pairs, PairBitmap):
+                    self._bitmap = pairs
+                else:
+                    self._pairs = frozenset(pairs)
+                    return self._pairs
+            # The one decode of the id-space pipeline: tuples first exist
+            # here, built straight into the frozenset.
+            started = time.perf_counter()
+            self._pairs = frozenset(self._bitmap)
+            elapsed = time.perf_counter() - started
+            _phase_seconds.inc(elapsed, phase="materialise")
+            self._stats = replace(
+                self._stats,
+                total_time=self._stats.total_time + elapsed,
+                phase_times={**self._stats.phase_times, "materialise": elapsed},
+            )
         return self._pairs
 
     # -- set-like surface ------------------------------------------------

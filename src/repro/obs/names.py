@@ -77,6 +77,8 @@ PHASE_KEYS = frozenset(
         "pre_join",
         "remainder",
         "evaluate",
+        # db/resultset.py -- bitmap -> vertex-tuple decode of a result.
+        "materialise",
         "update_apply",
         "join",
         "wal",

@@ -79,9 +79,12 @@ def eval_label_sequence(
     yields the reflexive pairs of all vertices.  ``kernel`` routes
     between tuple joins and bitmap row sweeps
     (:func:`repro.rpq.evaluate.pick_kernel`); both honour ``order``.
+    The bitmap join's answer is decoded to tuples here, once; callers
+    that can stay in id space (the RTC engine) call
+    :func:`~repro.bitset.kernel.eval_label_sequence_bits` themselves.
     """
     if pick_kernel(kernel, counters):
-        return eval_label_sequence_bits(graph, labels, order=order)
+        return eval_label_sequence_bits(graph, labels, order=order).to_pairs()
     if not labels:
         return {(vertex, vertex) for vertex in graph.vertices()}  # repro: noqa[RPR801] -- set-kernel reflexive pairs; the bits path returned above
     if order == "left-right":

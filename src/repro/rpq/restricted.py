@@ -17,6 +17,7 @@ per vertex.
 
 from __future__ import annotations
 
+from repro.bitset.kernel import bfs_mask, sweep
 from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.ast import Concat, Epsilon, Label, RegexNode, contains_closure
 from repro.regex.nfa import compile_nfa
@@ -102,3 +103,22 @@ class RestrictedEvaluator:
                 ends = set(ends)
                 ends.add(start)
         return ends
+
+    def ends_mask(self, graph: LabeledMultigraph, starts: int) -> int:
+        """Bit-parallel :meth:`ends_from` for a whole set of starts.
+
+        ``starts`` and the result are bitmaps over the graph's interner;
+        the result is the union of ``ends_from(v)`` over the set bits --
+        ``Post`` applied to a closure row in one traversal (label-row
+        sweeps for a label sequence, one product BFS otherwise).
+        """
+        if self._labels is not None:
+            ends = starts
+            for label in self._labels:
+                if not ends:
+                    break
+                ends = sweep(graph.bit_rows(label), ends)
+            return ends
+        nfa = self._nfa
+        ends = bfs_mask(graph, nfa.delta, nfa.accepts, nfa.start, starts)
+        return ends | starts if self._nullable else ends

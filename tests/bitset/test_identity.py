@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.bitset import expand_rtc_bits
+from repro.bitset import PairBitmap, VertexInterner, expand_rtc_bits
+from repro.bitset.interner import bit_indexes
 from repro.core.rtc import compute_rtc
 from repro.datasets.rmat import rmat_graph
 from repro.graph.multigraph import LabeledMultigraph
@@ -139,3 +140,199 @@ class TestRTCExpansion:
         graph = rmat(10)
         rtc = compute_rtc(graph.edges_with_label("l1"))
         assert rtc.expand_bits().pairs == rtc.expand()
+
+
+def naive_pairs(bitmap, interner):
+    """Reference decode: one Python step per set bit, no shortcuts."""
+    pairs = set()
+    for source_id, mask in bitmap.rows.items():
+        target_id = 0
+        while mask:
+            if mask & 1:
+                pairs.add((interner.vertex_of(source_id), interner.vertex_of(target_id)))
+            mask >>= 1
+            target_id += 1
+    return pairs
+
+
+class TestDecode:
+    """``to_pairs`` picks its decode per row; every choice must agree."""
+
+    def decoded_matches_naive(self, bitmap, interner):
+        reference = naive_pairs(bitmap, interner)
+        assert bitmap.to_pairs(interner) == reference
+        assert set(bitmap) == reference
+        assert frozenset(bitmap) == reference
+        assert bitmap.count() == len(reference)
+
+    def test_empty_relation_and_empty_rows(self):
+        interner = VertexInterner(range(8))
+        self.decoded_matches_naive(PairBitmap(interner=interner), interner)
+        # A zero row can reach to_pairs when a caller builds rows by hand.
+        self.decoded_matches_naive(PairBitmap({3: 0, 5: 0b101}, interner=interner), interner)
+
+    def test_sparse_rows_with_large_ids(self):
+        interner = VertexInterner(f"v{i}" for i in range(6000))
+        rows = {
+            4096: (1 << 4096) | (1 << 5999) | 1,  # 3 bits over a 6000-bit span
+            5000: 1 << 4500,
+            7: (1 << 4097) | (1 << 4098),
+        }
+        self.decoded_matches_naive(PairBitmap(rows, interner=interner), interner)
+
+    def test_dense_rows(self):
+        rng = random.Random(11)
+        interner = VertexInterner(range(300))
+        rows = {
+            source: rng.getrandbits(300) | (1 << 299) for source in range(0, 300, 7)
+        }
+        rows[1] = (1 << 300) - 1  # every bit set
+        rows[2] = rows[1]  # a repeated row decodes once, emits for both sources
+        self.decoded_matches_naive(PairBitmap(rows, interner=interner), interner)
+
+    def test_density_boundary(self):
+        # One row either side of the dense/sparse switch, same answer.
+        interner = VertexInterner(range(1024))
+        for set_bits in (1, 2, 15, 16, 17, 64):
+            mask = sum(1 << (position * (1023 // set_bits)) for position in range(set_bits))
+            mask |= 1 << 1023
+            self.decoded_matches_naive(PairBitmap({0: mask}, interner=interner), interner)
+
+    def test_unsortable_mixed_type_vertices(self):
+        vertices = [1, "1", (1, 2), None, 2.5, frozenset({3}), b"x"]
+        interner = VertexInterner(vertices)
+        pairs = {(a, b) for a in vertices for b in vertices if a is not b}
+        bitmap = PairBitmap.from_pairs(pairs, interner)
+        assert bitmap.to_pairs() == pairs
+        self.decoded_matches_naive(bitmap, interner)
+
+    def test_unknown_id_is_an_error_not_a_dropped_pair(self):
+        interner = VertexInterner(range(4))
+        with pytest.raises(IndexError):
+            PairBitmap({0: 1 << 9}, interner=interner).to_pairs()
+        with pytest.raises(IndexError):
+            PairBitmap({0: (1 << 9) | 0b1111}, interner=interner).to_pairs()
+
+
+class TestBitIndexes:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_bit_loop(self, seed):
+        rng = random.Random(seed)
+        for width in (1, 7, 64, 65, 500, 9000):
+            for density in (0.001, 0.05, 0.5, 1.0):
+                mask = sum(
+                    1 << position
+                    for position in range(width)
+                    if rng.random() < density
+                )
+                expected = [p for p in range(mask.bit_length()) if mask >> p & 1]
+                assert bit_indexes(mask) == expected
+        assert bit_indexes(0) == []
+
+
+class TestMasksSharedThroughTheCache:
+    """The per-SCC bitmaps live on the cached RTC: every worker engine
+    that hits the cache reads (and lazily fills) the same object."""
+
+    QUERIES = [
+        "l1.(l0)+.l2",
+        "l2.(l0)+",
+        "(l0)+.l1.l2",
+        "l1.(l0)*.(l1|l2)",
+        "(l0)*",
+        "l2.(l0.l1)+.l0",
+    ]
+
+    def test_two_worker_engines_share_one_rtcs_masks(self):
+        from repro.db import GraphDB
+        from repro.server.scheduler import make_worker_engines
+
+        graph = rmat(12, num_edges=160)
+        with GraphDB.open(graph, engine="rtc") as db:
+            first, second = make_worker_engines(db, 2)
+            assert first.rtc_cache is second.rtc_cache
+            for query in self.QUERIES:
+                expected = eval_rpq(graph, query, kernel="sets")
+                assert first.evaluate(query) == expected
+                assert second.evaluate(query) == expected
+            rtc_first = first.rtc_for("l0")
+            assert second.rtc_for("l0") is rtc_first
+            assert rtc_first.masks(graph.interner) is rtc_first.masks(graph.interner)
+            # One build per body: l0 and l0.l1.
+            assert first.rtc_cache.snapshot_stats().misses == 2
+
+    def test_concurrent_workers_fill_the_masks_without_a_lock(self):
+        """Benign race (core/cache.py): more threads than cores, a tiny
+        switch interval, every answer still exact."""
+        import sys
+        import threading
+
+        from repro.db import GraphDB
+        from repro.server.scheduler import make_worker_engines
+
+        graph = rmat(13, num_edges=200)
+        expected = {q: eval_rpq(graph, q, kernel="sets") for q in self.QUERIES}
+        failures: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with GraphDB.open(graph, engine="rtc") as db:
+                engines = make_worker_engines(db, 6)
+                barrier = threading.Barrier(len(engines))
+
+                def work(engine, offset):
+                    barrier.wait(timeout=30)
+                    for round_number in range(4):
+                        for index in range(len(self.QUERIES)):
+                            query = self.QUERIES[(index + offset) % len(self.QUERIES)]
+                            if engine.evaluate(query) != expected[query]:
+                                failures.append((offset, round_number, query))
+
+                threads = [
+                    threading.Thread(target=work, args=(engine, offset))
+                    for offset, engine in enumerate(engines)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert db.engine.rtc_cache.snapshot_stats().misses == 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+    def test_update_that_grows_the_interner(self):
+        from repro.db import GraphDB
+
+        graph = rmat(14, num_edges=160)
+        query = "l1.(l0)+.l2"
+        with GraphDB.open(graph, engine="rtc") as db:
+            before = db.execute(query)
+            assert before == eval_rpq(graph, query, kernel="sets")
+            stale_rtc = db.engine.rtc_for("l0")
+            known = len(graph.interner)
+            hub = max(graph.vertices(), key=graph.out_degree)
+            # Two brand-new vertices on a new l0 cycle through the hub,
+            # then out along l2: new ids, new SCC, new result pairs.
+            db.update(
+                add=[
+                    (hub, "l0", "fresh-a"),
+                    ("fresh-a", "l0", "fresh-b"),
+                    ("fresh-b", "l0", hub),
+                    ("fresh-b", "l2", "fresh-c"),
+                ]
+            )
+            assert len(graph.interner) == known + 3
+            after = db.execute(query)
+            assert after == eval_rpq(graph, query, kernel="sets")
+            assert any("fresh-c" in pair for pair in after)
+            fresh_rtc = db.engine.rtc_for("l0")
+            assert fresh_rtc is not stale_rtc  # the cache was reset
+            masks = fresh_rtc.masks(graph.interner)
+            assert masks.vertices >> known  # bits beyond the old id space
+            assert masks.scc_of_id[graph.interner.id_of("fresh-a")] == (
+                masks.scc_of_id[graph.interner.id_of(hub)]
+            )
+            db.update(remove=[("fresh-b", "l0", hub)])
+            assert db.execute(query) == eval_rpq(graph, query, kernel="sets")

@@ -4,13 +4,17 @@ import itertools
 
 import pytest
 
+from repro.bitset import PairBitmap
 from repro.core.batch_unit import (
     BatchUnitOptions,
     apply_post,
+    apply_post_bits,
     eval_batch_unit,
     join_pre_with_rtc,
+    join_pre_with_rtc_bits,
 )
 from repro.core.rtc import compute_rtc
+from repro.datasets.rmat import rmat_graph
 from repro.rpq.counters import OpCounters
 from repro.rpq.evaluate import eval_rpq
 from repro.rpq.restricted import RestrictedEvaluator
@@ -155,4 +159,106 @@ class TestEvalBatchUnit:
                 fig1, pre, bc_rtc, "+", RestrictedEvaluator("c"), options=options
             )
             == reference
+        )
+
+
+def identity_pairs(graph):
+    return {(vertex, vertex) for vertex in graph.vertices()}
+
+
+class TestBitsPipelineMatchesSetKernel:
+    """The id-space Algorithm 2 against the counter-instrumented set one.
+
+    ``Post`` is applied to whole closure rows on the bits path and per
+    middle vertex on the set path; over random graphs every combination
+    of Post shape, closure type and Pre must give the same relation.
+    """
+
+    POSTS = {
+        "none": None,
+        "epsilon": "()",
+        "single-label": "l1",
+        "label-sequence": "l1.l2.l0",
+        "union": "l0.(l1|l2)",
+        "nullable-union": "(l1|())",
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("post_name", sorted(POSTS))
+    @pytest.mark.parametrize("closure_type", ["+", "*"])
+    @pytest.mark.parametrize("pre_query", [None, "l2", "l1.l0"])
+    def test_random_graphs(self, seed, post_name, closure_type, pre_query):
+        graph = rmat_graph(5, 110, 3, seed=seed)
+        rtc_pairs = eval_rpq(graph, "l0.l1" if seed % 2 else "l0", kernel="sets")
+        if pre_query is None:
+            pre = identity_pairs(graph)
+        else:
+            pre = eval_rpq(graph, pre_query, kernel="sets")
+        post_text = self.POSTS[post_name]
+        post = None if post_text is None else RestrictedEvaluator(post_text)
+        seed_pairs = pre if closure_type == "*" else ()
+        expected = apply_post(
+            graph,
+            join_pre_with_rtc(pre, compute_rtc(rtc_pairs), seed=seed_pairs),
+            post,
+        )
+
+        # The engine's shapes: Pre_G a bitmap, the RTC built from bitmap rows.
+        interner = graph.interner
+        rtc = compute_rtc(PairBitmap.from_pairs(rtc_pairs, interner))
+        pre_bitmap = PairBitmap.from_pairs(pre, interner)
+        joined = join_pre_with_rtc_bits(pre_bitmap, rtc)
+        star_seed = pre_bitmap if closure_type == "*" else None
+        assert apply_post_bits(graph, joined, post, star_seed).to_pairs() == expected
+        # ...and the public Algorithm-2 entry point on either kernel.
+        for kernel in ("bits", "sets"):
+            assert (
+                eval_batch_unit(graph, pre, rtc, closure_type, post, kernel=kernel)
+                == expected
+            )
+
+    def test_epsilon_post_passes_the_bitmap_through(self, fig1, bc_rtc):
+        joined = join_pre_with_rtc_bits(
+            PairBitmap.from_pairs({(7, 4)}, fig1.interner), bc_rtc
+        )
+        assert apply_post_bits(fig1, joined, None) is joined
+        assert apply_post_bits(fig1, joined, RestrictedEvaluator("()")) is joined
+        assert joined.to_pairs() == {(7, 2), (7, 4), (7, 6)}
+
+    def test_pre_end_outside_vr_and_star_seed(self, fig1, bc_rtc):
+        pre = PairBitmap.from_pairs({(7, 4), (0, 8)}, fig1.interner)
+        assert join_pre_with_rtc_bits(pre, bc_rtc).to_pairs() == {
+            (7, 2), (7, 4), (7, 6)
+        }
+        joined = join_pre_with_rtc_bits(pre, bc_rtc)
+        seeded = apply_post_bits(fig1, joined, None, seed=pre)
+        assert seeded.to_pairs() == {(7, 2), (7, 4), (7, 6), (7, 4), (0, 8)}
+        assert joined.to_pairs() == {(7, 2), (7, 4), (7, 6)}  # input not mutated
+
+    def test_post_image_once_per_distinct_row(self, fig1, bc_rtc):
+        # Starts 7 and 100 both end in the SCC {2, 4}: they join the same
+        # closure row, so Post runs from that row once, not once per start
+        # (and not once per (start, middle) pair as the old bits loop did).
+        calls = []
+
+        class CountingPost(RestrictedEvaluator):
+            def ends_mask(self, graph, starts):
+                calls.append(starts)
+                return super().ends_mask(graph, starts)
+
+        pre = PairBitmap.from_pairs({(7, 4), (100, 2), (100, 4)}, fig1.interner)
+        joined = join_pre_with_rtc_bits(pre, bc_rtc)
+        result = apply_post_bits(fig1, joined, CountingPost("c"))
+        assert len(calls) == 1
+        assert result.to_pairs() == {(7, 3), (7, 5), (100, 3), (100, 5)}
+        # R*: the seed rows ({4} and {2, 4}) differ per start; they go
+        # through Post on their own, so the shared closure row is still
+        # imaged once instead of once per start.
+        calls.clear()
+        starred = apply_post_bits(fig1, joined, CountingPost("c"), seed=pre)
+        assert len(calls) == 3
+        assert starred.to_pairs() == apply_post(
+            fig1,
+            join_pre_with_rtc(set(pre), bc_rtc, seed=set(pre)),
+            RestrictedEvaluator("c"),
         )
