@@ -58,19 +58,6 @@ class PairBitmap:
         if mask:
             self.rows[source_id] = self.rows.get(source_id, 0) | mask
 
-    def update_pairs(self, pairs: Iterable[tuple]) -> None:
-        """OR vertex tuples in through the attached interner."""
-        intern = self.require_interner().intern
-        rows = self.rows
-        for source, target in pairs:
-            source_id = intern(source)
-            rows[source_id] = rows.get(source_id, 0) | (1 << intern(target))
-
-    def add_pair(self, source: object, target: object) -> None:
-        """Insert one vertex pair through the attached interner."""
-        intern = self.require_interner().intern
-        self.add(intern(source), intern(target))
-
     @classmethod
     def from_pairs(
         cls, pairs: Iterable[tuple], interner: VertexInterner

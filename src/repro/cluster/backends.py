@@ -3,8 +3,8 @@
 The cluster's router (:class:`~repro.cluster.GraphCluster`) does not talk
 to sessions or sockets directly any more -- it talks to one
 :class:`ShardBackend` per shard, a small transport-agnostic surface
-(``query`` / ``update`` / ``stats`` / ``drain`` / ``close``) with two
-implementations:
+(``query`` / ``summary`` / ``update`` / ``stats`` / ``drain`` /
+``close``) with two implementations:
 
 :class:`InProcessBackend`
     The PR-4 deployment, behaviour-preserving: R replicated
@@ -41,9 +41,11 @@ import threading
 import time
 import zlib
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.cluster.boundary import summary_from_wire
 from repro.core.cache import make_key_function
 from repro.db.session import GraphDB
 from repro.errors import AdmissionError, ClusterError, ServerError
@@ -264,25 +266,24 @@ class ShardBackend:
         """
         raise NotImplementedError
 
-    def partial_query(
+    def summary(
         self,
         text: str,
         node: RegexNode | None = None,
         *,
         boundary,
-        frontier=None,
+        entries=(),
         timeout: float | None = None,
         trace: tuple | None = None,
     ) -> Future:
-        """Admit one shard-local partial evaluation (edge-cut path).
+        """Admit one shard summary (edge-cut path).
 
-        Future of ``(accepts, boundary_rows, elapsed)``: the locally
-        complete ``(start, end)`` pairs, the ``(start, vertex, state)``
-        boundary triples for the router's cut-edge join, and the shard's
-        evaluation time.  ``frontier=None`` is the initial round (the
-        shard traverses from its own candidate starts); otherwise the
-        triples are continuations arriving over cut edges.  See
-        :func:`repro.rpq.partial.eval_partial_rpq`.
+        Future of ``(summary, elapsed)``: the
+        :class:`~repro.rpq.partial.ShardSummary` of the shard's own
+        candidate starts plus the router-planned ``entries`` it owns --
+        which exits on ``boundary`` and which accepted ends each reaches
+        locally -- and the shard's evaluation time.  One call per shard
+        per join; see :func:`repro.rpq.partial.summarise_shard`.
         """
         raise NotImplementedError
 
@@ -430,7 +431,7 @@ class InProcessBackend(ShardBackend):
         self._update_lock = threading.Lock()
         self._key_memo: dict[str, str] = {}
         self._nfa_memo: dict[str, object] = {}
-        self._partial_executor: ThreadPoolExecutor | None = None
+        self._summary_executor: ThreadPoolExecutor | None = None
         self._started = False
         self._closed = False
         if start:
@@ -454,10 +455,10 @@ class InProcessBackend(ShardBackend):
             return
         self._closed = True
         # Swap the executor out under the lock (its lazy creation in
-        # _run_partial races with close), but shut it down outside --
-        # in-flight partials take self._lock for their NFA memo.
+        # ``summary`` races with close), but shut it down outside --
+        # in-flight summaries take self._lock for their NFA memo.
         with self._lock:
-            executor, self._partial_executor = self._partial_executor, None
+            executor, self._summary_executor = self._summary_executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
         for replica in self.replicas:
@@ -545,48 +546,41 @@ class InProcessBackend(ShardBackend):
             self._nfa_memo[text] = nfa
         return nfa
 
-    def partial_query(
+    def summary(
         self,
         text: str,
         node: RegexNode | None = None,
         *,
         boundary,
-        frontier=None,
+        entries=(),
         timeout: float | None = None,
         trace: tuple | None = None,
     ) -> Future:
-        # Partial evaluations bypass the scheduler (it batches whole
-        # RegexNode queries, not automaton fragments) and run on a small
+        # Summaries bypass the scheduler (it batches whole RegexNode
+        # queries, not tagged automaton traversals) and run on a small
         # backend executor instead; the session lock inside
-        # ``evaluate_partial`` still serialises them against updates.
+        # ``GraphDB.summarise`` still serialises them against updates.
         if self._closed:
             raise ProcessBackend._closed_error()
         nfa = self._compiled_nfa(text, node)
         boundary = frozenset(boundary)
-        frontier = None if frontier is None else tuple(frontier)
+        entries = tuple(entries)
         with self._lock:
-            if self._partial_executor is None:
-                self._partial_executor = ThreadPoolExecutor(
+            if self._summary_executor is None:
+                self._summary_executor = ThreadPoolExecutor(
                     max_workers=max(2, len(self.replicas)),
-                    thread_name_prefix=f"repro-partial{self.shard_id}",
+                    thread_name_prefix=f"repro-summary{self.shard_id}",
                 )
-            executor = self._partial_executor
+            executor = self._summary_executor
         replica = self._pick_replica("")
 
         def evaluate():
             started = time.perf_counter()
-            if trace is not None:
-                # The session's ``partial`` ambient span records into
-                # the router's tracer under the join-round span.
-                with activate(*trace):
-                    accepts, rows = replica.db.evaluate_partial(
-                        nfa, boundary, frontier
-                    )
-            else:
-                accepts, rows = replica.db.evaluate_partial(
-                    nfa, boundary, frontier
-                )
-            return accepts, rows, time.perf_counter() - started
+            # The session's ``partial`` ambient span records into the
+            # router's tracer under the join-round span.
+            with activate(*trace) if trace is not None else nullcontext():
+                summary = replica.db.summarise(nfa, boundary, entries)
+            return summary, time.perf_counter() - started
 
         future = executor.submit(evaluate)
         with self._lock:
@@ -971,6 +965,10 @@ class ProcessBackend(ShardBackend):
         # ``node`` and ``key`` are router-side artifacts; the worker
         # re-derives both from the text (its own memo makes that O(1)
         # in the serving steady state).
+        return self._admit(self._remote_query, text, timeout, want_pairs, trace)
+
+    def _admit(self, call, *args) -> Future:
+        """Run one remote read on the pool, under the local admission bound."""
         self._ensure_ready()
         with self._lock:
             if self._pending >= self._max_pending:
@@ -978,9 +976,7 @@ class ProcessBackend(ShardBackend):
                 raise AdmissionError(queue_depth=self._pending)
             self._pending += 1
         try:
-            future = self._executor.submit(
-                self._remote_query, text, timeout, want_pairs, trace
-            )
+            future = self._executor.submit(call, *args)
         except BaseException:
             with self._lock:
                 self._pending -= 1
@@ -1034,72 +1030,37 @@ class ProcessBackend(ShardBackend):
         payload = result.pairs if want_pairs else result.count
         return payload, result.time
 
-    def partial_query(
+    def summary(
         self,
         text: str,
         node: RegexNode | None = None,
         *,
         boundary,
-        frontier=None,
+        entries=(),
         timeout: float | None = None,
         trace: tuple | None = None,
     ) -> Future:
-        # Same local admission as ``query``: partial rounds compete for
-        # the same worker capacity.
-        self._ensure_ready()
-        boundary = sorted(boundary, key=str)
-        frontier = (
-            None
-            if frontier is None
-            else [list(triple) for triple in frontier]
-        )
-        with self._lock:
-            if self._pending >= self._max_pending:
-                self._rejected += 1
-                raise AdmissionError(queue_depth=self._pending)
-            self._pending += 1
-        try:
-            future = self._executor.submit(
-                self._remote_partial, text, boundary, frontier, timeout, trace
-            )
-        except BaseException:
-            with self._lock:
-                self._pending -= 1
-            raise
-        future.add_done_callback(self._release_pending)
-        return future
-
-    def _remote_partial(self, text, boundary, frontier, timeout, trace=None):
-        from repro.server import protocol
-
         payload = {
             "query": text,
-            "mode": "partial",
-            "boundary": boundary,
-            # Ask the worker for packed rows; round answers on closure
-            # bodies are exactly the payloads the encoding collapses.
-            "enc": "packed",
+            "mode": "summary",
+            "boundary": sorted(boundary, key=str),
+            "entries": [list(entry) for entry in entries],
         }
-        if frontier is not None:
-            # Ship the dispatch frontier packed too (same hex-row form
-            # the worker answers with).
-            payload["frontier"] = protocol.rows_to_wire(
-                [tuple(triple) for triple in frontier], enc="packed"
-            )
         if timeout is not None:
             payload["timeout"] = timeout
+        # Same local admission as ``query``: summaries compete for the
+        # same worker capacity.
+        return self._admit(self._remote_summary, payload, trace)
+
+    def _remote_summary(self, payload: dict, trace: tuple | None = None):
         wire_trace = self._wire_trace(trace)
         if wire_trace is not None:
             payload["trace"] = wire_trace
         with self._pool.lease() as client:
             response = client.call("query", **payload)
         self._absorb_trace(trace, response)
-        partial = response["partial"]
-        return (
-            protocol.wire_to_pairs(partial["accepts"]),
-            protocol.wire_to_rows(partial["boundary"]),
-            partial["time"],
-        )
+        wire = response["summary"]
+        return summary_from_wire(wire), wire["time"]
 
     def update(self, add=(), remove=(), trace: tuple | None = None) -> Future:
         """One edge change through the single-connection update lane.

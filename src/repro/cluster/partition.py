@@ -18,10 +18,10 @@ Two strategies coexist:
     BFS-contiguous ranges, same-shard edges land in the shard
     subgraphs, and edges whose endpoints live on two shards are recorded
     in the partition's explicit ``cut_edges`` relation instead of any
-    subgraph.  The router compensates by joining per-shard partial paths
+    subgraph.  The router compensates by closing per-shard summaries
     over the cut relation (see :mod:`repro.rpq.partial` and
-    :class:`repro.relalg.BoundaryJoin`); when the cut relation is empty
-    the union merge applies unchanged.
+    :mod:`repro.cluster.boundary`); when the cut relation is empty the
+    union merge applies unchanged.
 
 ``auto``
     ``component`` unless one component dominates (the heaviest shard

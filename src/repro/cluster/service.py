@@ -32,16 +32,17 @@ Routing
 * **Edge-cut partitions activate the boundary join.**  When the
   partition's cut relation holds an edge whose label occurs in the
   query, the union is no longer the answer: satisfying paths may cross
-  shards.  The router then runs a semi-naive join-until-fixpoint --
-  each shard answers *partial* paths as ``(start, vertex, state)``
-  triples at its boundary vertices
-  (:func:`repro.rpq.partial.eval_partial_rpq`), the router advances
-  them over the cut-edge relation with
-  :class:`repro.relalg.BoundaryJoin`, and re-dispatches the arrivals to
-  the owning shards until no new traversal state appears.  Queries
-  whose alphabet misses every cut label keep the plain union path: no
-  satisfying path can traverse a cut edge, so per-shard answers stay
-  disjoint and complete.
+  shards.  The cut edges and the query automaton then fix the *entry
+  nodes* ``(cut target, state)`` up front; each contributing shard is
+  asked **once** for a start-independent summary -- which exit nodes
+  ``(cut source, state)`` and which accepted ends its own candidate
+  starts and its entry nodes reach locally
+  (:func:`repro.rpq.partial.summarise_shard`) -- and the router closes
+  the resulting entry -> entry relation over the cut edges and reads
+  every start's row off that one shared closure
+  (:mod:`repro.cluster.boundary`).  Queries whose alphabet misses every
+  cut label keep the plain union path: no satisfying path can traverse
+  a cut edge, so per-shard answers stay disjoint and complete.
 * **Replica picking is body-affine** and happens *inside* the backend:
   a query's canonical closure-body key hashes to one replica per shard,
   so each replica's RTC cache serves a stable subset of closure bodies
@@ -80,7 +81,8 @@ from repro.cluster.backends import (
     aggregate_scheduler_stats,
     merge_futures,
 )
-from repro.bitset import PairBitmap, VertexInterner, alphabet_reachable_mask
+from repro.bitset import PairBitmap, alphabet_reachable_mask
+from repro.cluster import boundary
 from repro.cluster.partition import GraphPartition, partition_graph
 from repro.core.cache import make_key_function
 from repro.errors import (
@@ -97,8 +99,6 @@ from repro.obs import get_registry
 from repro.regex.ast import RegexNode
 from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse
-from repro.relalg import BoundaryJoin, Relation, Scan
-from repro.rpq.partial import CUT_COLUMNS, PARTIAL_COLUMNS
 from repro.server import protocol
 from repro.server.scheduler import closure_group_key
 from repro.server.service import QueryServer, ServerConfig
@@ -119,7 +119,7 @@ BACKENDS = ("thread", "process")
 # from the worker's process), so its metrics live here.
 _join_rounds_total = get_registry().counter(
     "repro_join_rounds_total",
-    "Boundary-join shard rounds run at the router.",
+    "Boundary joins executed at the router (one shard round each).",
 )
 _join_cache_hits_total = get_registry().counter(
     "repro_join_cache_hits_total",
@@ -280,12 +280,17 @@ class GraphCluster:
         # served traffic never disappears from the books.
         self._answered_without_fanout = 0
         # Boundary-join machinery (edge-cut partitions only): the join
-        # loop blocks on shard rounds, so it runs on its own small
+        # blocks on its shard round, so it runs on its own small
         # executor; results are cached by query text and invalidated by
         # the graph version counter every update bumps.
         self._join_executor: ThreadPoolExecutor | None = None
-        self._join_cache: dict[str, tuple[int, set, float]] = {}
+        self._join_cache: dict[str, tuple[int, PairBitmap, float]] = {}
         self._graph_version = 0
+        # Updates routed but not yet applied by every owning shard.
+        # Shard summaries bypass the schedulers' drain barrier, so a
+        # join overlapping one may read a pre-update shard graph; such
+        # a result is returned but never cached.
+        self._updates_in_flight = 0
         self._started = False
         self._stopped = False
         if start:
@@ -486,8 +491,8 @@ class GraphCluster:
         """``(closure_key, labels, nullable, nfa)`` of a query, memoised.
 
         The compiled automaton rides along for the boundary-join path
-        (the router advances shard-reported states over cut edges with
-        the *same* state numbering the shards use --
+        (the router plans entry nodes and hops in the *same* state
+        numbering the shards summarise in --
         :func:`~repro.regex.nfa.compile_nfa` is deterministic per text).
         """
         with self._lock:
@@ -563,17 +568,13 @@ class GraphCluster:
             node = parse(text)
         key, labels, nullable, nfa = self._route_info(text, node)
 
-        if self.partition.has_cuts:
-            relevant = [
-                edge
-                for edge in self.partition.cut_relation()
-                if edge[1] in labels
-            ]
-            if relevant:
-                return self._submit_boundary_join(
-                    text, node, nfa, labels, nullable, relevant,
-                    timeout=timeout, want_pairs=want_pairs, trace=trace,
-                )
+        if self.partition.has_cuts and any(
+            edge[1] in labels for edge in self.partition.cut_relation()
+        ):
+            return self._submit_boundary_join(
+                text, node, nfa, labels, nullable,
+                timeout=timeout, want_pairs=want_pairs, trace=trace,
+            )
 
         targets = self._target_shards(labels, nullable)
 
@@ -670,7 +671,6 @@ class GraphCluster:
         nfa,
         labels: frozenset,
         nullable: bool,
-        cuts: list[tuple],
         timeout: float | None,
         want_pairs: bool,
         trace: tuple | None = None,
@@ -703,16 +703,18 @@ class GraphCluster:
                     max_workers=8, thread_name_prefix="repro-join"
                 )
             executor = self._join_executor
+            quiet = self._updates_in_flight == 0
 
         def run():
             pairs, elapsed = self._run_boundary_join(
-                text, node, nfa, labels, nullable, cuts, timeout, version,
-                trace=trace,
+                text, node, nfa, labels, nullable, timeout, trace=trace
             )
             with self._lock:
-                # Cache only results still describing the live graph: an
-                # update that landed mid-join bumped the version.
-                if self._graph_version == version:
+                # Cache only results that describe the live graph: an
+                # update routed mid-join bumped the version, and one
+                # still being applied when the join began may not have
+                # reached the shard graphs the summaries read.
+                if quiet and self._graph_version == version:
                     self._join_cache[text] = (version, pairs, elapsed)
             # Materialise a fresh tuple set -- the cached bitmap stays
             # pristine, and counts-only callers never build tuples.
@@ -727,31 +729,20 @@ class GraphCluster:
         nfa,
         labels: frozenset,
         nullable: bool,
-        cuts: list[tuple],
         timeout: float | None,
-        version: int,
         trace: tuple | None = None,
     ) -> tuple[PairBitmap, float]:
-        """The semi-naive join-until-fixpoint over the cut-edge relation.
+        """One shard round, then a closure over the boundary graph.
 
-        Round 0 asks every contributing shard for its *initial* partial
-        paths (local traversals from its own candidate starts); the
-        router then alternates two phases until nothing new appears:
-
-        * **expand** (router-local): advance every not-yet-expanded
-          boundary triple over the cut relation with
-          :class:`~repro.relalg.BoundaryJoin`, recording ``(start,
-          end)`` whenever an accepting state is entered, and re-expand
-          arrivals that land on another cut source (cut-cut chains)
-          within the same phase;
-        * **dispatch** (shard rounds): send arrivals the owning shard
-          has not continued yet back as *frontier* triples; the shard
-          traverses them locally and reports any new boundary touches.
-
-        Triples live in a finite ``starts x vertices x states`` space
-        and both the ``expanded`` and ``dispatched`` sets only grow, so
-        the fixpoint terminates.  ``elapsed`` sums the slowest shard of
-        each round (the critical path a real deployment would wait on).
+        The cut edges and the automaton fix the entry nodes up front
+        (:func:`repro.cluster.boundary.plan`), so every contributing
+        shard is asked once -- all calls in flight together -- for the
+        start-independent summary of its own candidate starts and the
+        entries it owns; :func:`repro.cluster.boundary.close` turns the
+        summaries into the answer without asking again.  Shards sharing
+        no label with a non-nullable query are not called: no local
+        segment can run there, and what their entries contribute needs
+        no shard.  ``elapsed`` is the slowest shard's evaluation time.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
 
@@ -766,144 +757,56 @@ class GraphCluster:
                 )
             return left
 
-        cut_scan = Scan(Relation(CUT_COLUMNS, cuts), "Cuts")
-        cut_sources = {edge[0] for edge in cuts}
-        accepting = nfa.accepts
-        shard_of = self.partition.shard_of
-        # Boundary set per shard: the cut sources it owns -- the only
-        # vertices whose visited triples the router can extend.
-        boundary_by_shard: dict[int, set] = {}
-        for source, _label, _target in cuts:
-            shard = shard_of(source)
-            if shard is not None:
-                boundary_by_shard.setdefault(shard, set()).add(source)
-
-        # Accepted pairs accumulate as bitmap rows over a router-local
-        # interner: round unions are per-row ORs, and the join cache
-        # stores the bitmap (counts answer via bit_count, tuple sets
-        # materialise per caller).
-        pairs = PairBitmap(interner=VertexInterner())
-        rounds_elapsed = 0.0
-        round_number = 0
-        expanded: set = set()    # cut expansion ran for this triple
-        dispatched: set = set()  # a shard locally continued this triple
-
-        def run_round(frontiers: dict) -> set:
-            """One shard round; unions accepts into ``pairs``, returns
-            the reported boundary triples."""
-            nonlocal rounds_elapsed, round_number
-            budget = remaining()
-            round_span = None
-            if trace is not None:
-                round_span = trace[0].begin(
-                    "join_round",
-                    parent=trace[1],
-                    round=round_number,
-                    shards=len(frontiers),
-                    frontier=sum(
-                        len(frontier) if frontier else 0
-                        for frontier in frontiers.values()
-                    ),
-                )
-            round_number += 1
-            round_started = time.monotonic()
-            try:
-                children = {
-                    shard: self._backends[shard].partial_query(
-                        text,
-                        node,
-                        boundary=boundary_by_shard.get(shard, ()),
-                        frontier=frontier,
-                        timeout=budget,
-                        trace=(
-                            (trace[0], round_span.span_id)
-                            if round_span is not None
-                            else None
-                        ),
-                    )
-                    for shard, frontier in frontiers.items()
-                }
-                rows: set = set()
-                round_elapsed = 0.0
-                for shard, child in sorted(children.items()):
-                    accepts, shard_rows, elapsed = child.result(timeout=budget)
-                    pairs.update_pairs(accepts)
-                    rows.update(shard_rows)
-                    round_elapsed = max(round_elapsed, elapsed)
-                rounds_elapsed += round_elapsed
-            except BaseException as error:
-                if round_span is not None:
-                    trace[0].finish(round_span, error=type(error).__name__)
-                raise
-            finally:
-                _join_rounds_total.inc()
-                _phase_seconds.inc(
-                    time.monotonic() - round_started, phase="join"
-                )
-            if round_span is not None:
-                trace[0].finish(round_span, rows=len(rows))
-            return rows
-
-        def absorb(rows: set) -> set:
-            """Shard-reported rows: locally continued already, so mark
-            dispatched; queue the ones at cut sources for expansion."""
-            fresh = set()
-            for triple in rows:
-                dispatched.add(triple)
-                if triple[1] in cut_sources and triple not in expanded:
-                    fresh.add(triple)
-            return fresh
-
-        # A path may *begin* at a cut source: seed (u, u, s0) for every
-        # start state.  Expansion-only -- the local continuation from a
-        # start state is exactly what round 0 covers (or is provably
-        # empty when the shard has no matching first-label edge).
-        to_expand: set = set()
-        for source in cut_sources:
-            for state in nfa.start:
-                triple = (source, source, state)
-                dispatched.add(triple)
-                to_expand.add(triple)
-
+        # The cut relation is read here, after the caller sampled the
+        # graph version: a cut edge routed in between fails the version
+        # check instead of being cached under a version it predates.
+        cuts = [
+            edge for edge in self.partition.cut_relation() if edge[1] in labels
+        ]
+        join_plan = boundary.plan(nfa, cuts, self.partition.shard_of)
         targets = self._target_shards(labels, nullable)
-        if targets:
-            to_expand |= absorb(
-                run_round({shard: None for shard in targets})
+        budget = remaining()
+        round_span = None
+        child_trace = None
+        if trace is not None:
+            round_span = trace[0].begin(
+                "join_round",
+                parent=trace[1],
+                round=0,
+                shards=len(targets),
+                frontier=len(join_plan.entries),
             )
-
-        with self._lock:
-            shard_labels = [set(label_set) for label_set in self._labels]
-
-        while True:
-            frontier_by_shard: dict[int, set] = {}
-            while to_expand:
-                expanded |= to_expand
-                arrivals = BoundaryJoin(
-                    Scan(Relation(PARTIAL_COLUMNS, to_expand), "P"),
-                    cut_scan,
-                    nfa,
-                ).evaluate()
-                to_expand = set()
-                for triple in arrivals.rows:
-                    start, vertex, state = triple
-                    if state in accepting:
-                        pairs.add_pair(start, vertex)
-                    if vertex in cut_sources and triple not in expanded:
-                        to_expand.add(triple)
-                    if triple in dispatched:
-                        continue
-                    dispatched.add(triple)
-                    shard = shard_of(vertex)
-                    if shard is None:
-                        continue  # cut targets are always owned; safety
-                    if not nullable and shard_labels[shard].isdisjoint(labels):
-                        continue  # local continuation provably empty
-                    frontier_by_shard.setdefault(shard, set()).add(triple)
-            if not frontier_by_shard:
-                break
-            to_expand = absorb(run_round(frontier_by_shard))
-
-        return pairs, rounds_elapsed
+            child_trace = (trace[0], round_span.span_id)
+        started = time.monotonic()
+        try:
+            children = {
+                shard: self._backends[shard].summary(
+                    text,
+                    node,
+                    boundary=join_plan.boundary_of.get(shard, ()),
+                    entries=join_plan.shard_entries(shard),
+                    timeout=budget,
+                    trace=child_trace,
+                )
+                for shard in targets
+            }
+            summaries = {}
+            elapsed = 0.0
+            for shard, child in children.items():
+                summaries[shard], shard_elapsed = child.result(timeout=budget)
+                elapsed = max(elapsed, shard_elapsed)
+            remaining()  # an overrun shard round must not buy a closure
+            pairs = boundary.close(join_plan, summaries)
+        except BaseException as error:
+            if round_span is not None:
+                trace[0].finish(round_span, error=type(error).__name__)
+            raise
+        finally:
+            _join_rounds_total.inc()
+            _phase_seconds.inc(time.monotonic() - started, phase="join")
+        if round_span is not None:
+            trace[0].finish(round_span, rows=len(pairs.rows))
+        return pairs, elapsed
 
     # -- updates ---------------------------------------------------------
     def submit_update(self, add=(), remove=(), trace: tuple | None = None) -> Future:
@@ -1053,51 +956,67 @@ class GraphCluster:
                 for shard, labels in pending_labels.items():
                     self._labels[shard] |= labels
                 self._graph_version += 1
+                self._updates_in_flight += 1
                 self._join_cache.clear()
-            if self._router_wal is not None and (
-                new_assigns or pending_labels or cut_adds or cut_removes
-            ):
-                # Logged after the in-memory commit but before any shard
-                # sees (and shard-logs) its slice, so a crash can lose
-                # an unacked batch but never leaves a shard-logged edge
-                # without its routing record.
-                self._router_wal.append(
-                    {
-                        "op": "route",
-                        "assign": new_assigns,
-                        "labels": [
-                            [shard, sorted(labels, key=str)]
-                            for shard, labels in sorted(pending_labels.items())
-                        ],
-                        "cut_add": [list(edge) for edge in cut_adds],
-                        "cut_discard": [list(edge) for edge in cut_removes],
-                    }
-                )
-            children = []
-            for shard, (adds, removes) in sorted(by_shard.items()):
-                child_trace = None
-                if trace is not None:
-                    tracer, parent_id = trace
-                    shard_span = tracer.begin(
-                        "shard_update",
-                        parent=parent_id,
-                        shard=shard,
-                        add=len(adds),
-                        remove=len(removes),
+            children: list[Future] = []
+            try:
+                if self._router_wal is not None and (
+                    new_assigns or pending_labels or cut_adds or cut_removes
+                ):
+                    # Logged after the in-memory commit but before any shard
+                    # sees (and shard-logs) its slice, so a crash can lose
+                    # an unacked batch but never leaves a shard-logged edge
+                    # without its routing record.
+                    self._router_wal.append(
+                        {
+                            "op": "route",
+                            "assign": new_assigns,
+                            "labels": [
+                                [shard, sorted(labels, key=str)]
+                                for shard, labels in sorted(pending_labels.items())
+                            ],
+                            "cut_add": [list(edge) for edge in cut_adds],
+                            "cut_discard": [list(edge) for edge in cut_removes],
+                        }
                     )
-                    child_trace = (tracer, shard_span.span_id)
-                child = self._backends[shard].update(
-                    add=adds, remove=removes, trace=child_trace
-                )
-                if trace is not None:
-                    child.add_done_callback(
-                        lambda _future, tracer=tracer, span=shard_span: (
-                            tracer.finish(span)
+                for shard, (adds, removes) in sorted(by_shard.items()):
+                    child_trace = None
+                    if trace is not None:
+                        tracer, parent_id = trace
+                        shard_span = tracer.begin(
+                            "shard_update",
+                            parent=parent_id,
+                            shard=shard,
+                            add=len(adds),
+                            remove=len(removes),
                         )
+                        child_trace = (tracer, shard_span.span_id)
+                    child = self._backends[shard].update(
+                        add=adds, remove=removes, trace=child_trace
                     )
-                children.append(child)
+                    if trace is not None:
+                        child.add_done_callback(
+                            lambda _future, tracer=tracer, span=shard_span: (
+                                tracer.finish(span)
+                            )
+                        )
+                    children.append(child)
+            finally:
+                # Whatever was admitted settles the in-flight count when
+                # it finishes, through a merge of its own: the caller
+                # may cancel the future it is handed (a disconnecting
+                # client does) while shards are still applying.
+                # Registered first, so the count drops before the
+                # caller's future resolves.
+                merge_futures(children).add_done_callback(
+                    self._update_settled
+                )
 
         return merge_futures(children)
+
+    def _update_settled(self, _future: Future) -> None:
+        with self._lock:
+            self._updates_in_flight -= 1
 
     def _smallest_shard(self) -> int:
         sizes = [backend.edge_count() for backend in self._backends]

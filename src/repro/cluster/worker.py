@@ -25,11 +25,12 @@ plus two extensions: ``{"op": "stats", "shard": true}`` adds the
 structured per-replica shard document the router's stats aggregation
 pools (raw latency reservoirs included, so cluster-wide percentiles
 stay percentiles of the pooled values, not averages of averages); and
-``{"op": "query", "query": ..., "mode": "partial", "boundary": [...],
-"frontier": [[start, vertex, state], ...]}`` answers one shard-local
-partial evaluation for the router's boundary join (see
-:func:`repro.rpq.partial.eval_partial_rpq`) with a ``partial``
-response object instead of ``results``.
+``{"op": "query", "query": ..., "mode": "summary", "boundary": [...],
+"entries": [[vertex, state], ...]}`` answers the shard's one call of a
+boundary join (see :func:`repro.rpq.partial.summarise_shard`) with a
+``summary`` response object instead of ``results``: vertices verbatim,
+tag masks as hex strings
+(:func:`repro.cluster.boundary.summary_to_wire`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cluster.backends import InProcessBackend, aggregate_scheduler_stats
+from repro.cluster.boundary import summary_to_wire
 from repro.errors import ReproError
 from repro.server import protocol
 from repro.server.service import QueryServer, ServerConfig
@@ -100,8 +102,8 @@ class ShardWorkerServer(QueryServer):
         # needed.
 
     async def _op_query(self, request_id, request) -> dict:
-        if request.get("mode") == "partial":
-            return await self._op_partial_query(request_id, request)
+        if request.get("mode") == "summary":
+            return await self._op_summary(request_id, request)
         # Warm the backend's closure-key memo off the loop: first
         # contact with a query text walks its DNF, which must not stall
         # the socket multiplexer.
@@ -131,32 +133,27 @@ class ShardWorkerServer(QueryServer):
                 await self._in_executor(warm)
         return await super()._op_query(request_id, request)
 
-    async def _op_partial_query(self, request_id, request) -> dict:
-        """The ``mode: "partial"`` query extension (boundary-join path)."""
+    async def _op_summary(self, request_id, request) -> dict:
+        """The ``mode: "summary"`` query extension (boundary-join path)."""
         text = request.get("query")
         if not isinstance(text, str):
             raise protocol.ProtocolError(
-                "partial-mode 'query' op needs a single 'query' string"
+                "summary-mode 'query' op needs a single 'query' string"
             )
         boundary = request.get("boundary", [])
         if not isinstance(boundary, list):
             raise protocol.ProtocolError("'boundary' must be a vertex list")
-        frontier = request.get("frontier")
-        if isinstance(frontier, dict):
-            # Packed frontier: the router ships its dispatch rows as hex
-            # bitmaps too; the decoder is the ordinary polymorphic one.
-            frontier = protocol.wire_to_rows(frontier)
-        elif frontier is not None:
-            if not isinstance(frontier, list) or not all(
-                isinstance(triple, list) and len(triple) == 3
-                for triple in frontier
-            ):
-                raise protocol.ProtocolError(
-                    "'frontier' must be a list of [start, vertex, state] triples"
-                )
-            frontier = [tuple(triple) for triple in frontier]
-        enc = request.get("enc")
-        timeout = request.get("timeout")
+        entries = request.get("entries", [])
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[1], int)
+            for entry in entries
+        ):
+            raise protocol.ProtocolError(
+                "'entries' must be a list of [vertex, state] pairs"
+            )
+        entries = [tuple(entry) for entry in entries]
         # A propagated router trace joins here: the backend activates it
         # around the evaluation, the session records its ``partial``
         # span into it, and the subtree ships back for the router's
@@ -166,28 +163,25 @@ class ShardWorkerServer(QueryServer):
         # Admission + NFA compilation happen off the loop (first contact
         # with a text compiles its automaton), like the key warm-up.
         future = await self._in_executor(
-            lambda: self.backend.partial_query(
+            lambda: self.backend.summary(
                 text,
                 boundary=boundary,
-                frontier=frontier,
-                timeout=timeout,
+                entries=entries,
+                timeout=request.get("timeout"),
                 trace=trace,
             )
         )
-        accepts, rows, elapsed = await asyncio.wrap_future(future)
-        payload = {
-            "accepts": protocol.pairs_to_wire(accepts, enc=enc),
-            "boundary": protocol.rows_to_wire(rows, enc=enc),
-            "time": elapsed,
-        }
+        summary, elapsed = await asyncio.wrap_future(future)
+        payload = summary_to_wire(summary)
+        payload["time"] = elapsed
         if tracer is None:
-            return protocol.ok_response(request_id, partial=payload)
+            return protocol.ok_response(request_id, summary=payload)
         if root_span is not None:
             tracer.finish(root_span)
         if not echo:
-            return protocol.ok_response(request_id, partial=payload)
+            return protocol.ok_response(request_id, summary=payload)
         return protocol.ok_response(
-            request_id, partial=payload, trace=tracer.to_wire()
+            request_id, summary=payload, trace=tracer.to_wire()
         )
 
     async def _op_update(self, request_id, request) -> dict:

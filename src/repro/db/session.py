@@ -304,24 +304,24 @@ class GraphDB:
             total_time=elapsed, phase_times=phases, shared_pairs=shared_size
         )
 
-    def evaluate_partial(self, nfa, boundary, frontier=None) -> tuple[set, set]:
-        """Shard-local partial RPQ evaluation *under the session lock*.
+    def summarise(self, nfa, boundary, entries=()):
+        """Shard-local boundary-join summary *under the session lock*.
 
-        Runs :func:`repro.rpq.partial.eval_partial_rpq` against this
+        Runs :func:`repro.rpq.partial.summarise_shard` against this
         session's graph while holding the same lock :meth:`update` takes,
-        so a partial traversal never observes a half-applied edge batch.
+        so the traversal never observes a half-applied edge batch.
         Used by the cluster's boundary-join path; see
         :mod:`repro.cluster.backends`.
         """
-        from repro.rpq.partial import eval_partial_rpq
+        from repro.rpq.partial import summarise_shard
 
         with self._lock:
             self._check_open()
             with ambient_span("partial") as span:
                 if span is not None:
                     span.attrs["boundary"] = len(boundary)
-                    span.attrs["frontier"] = len(frontier) if frontier else 0
-                return eval_partial_rpq(self.graph, nfa, boundary, frontier)
+                    span.attrs["entries"] = len(entries)
+                return summarise_shard(self.graph, nfa, boundary, entries)
 
     # -- updates ---------------------------------------------------------
     def watch(self, body: str | RegexNode) -> IncrementalRTC:

@@ -5,8 +5,7 @@ Public surface:
 * :class:`Relation` -- set-semantics relations with select / project /
   join / rename / union;
 * expression nodes (:class:`Scan`, :class:`Select`, :class:`Project`,
-  :class:`Rename`, :class:`Join`, :class:`Union`, :class:`BoundaryJoin`
-  -- the cluster's cut-edge expansion step);
+  :class:`Rename`, :class:`Join`, :class:`Union`);
 * builders for the paper's formal expressions
   (:func:`concat_expression` for Lemma 4, :func:`theorem2_expression` for
   Theorem 2, :func:`batch_unit_expression` for Eq. (6)-(10)).
@@ -21,7 +20,6 @@ from repro.relalg.builders import (
     theorem2_expression,
 )
 from repro.relalg.expression import (
-    BoundaryJoin,
     Join,
     Project,
     RelExpr,
@@ -41,7 +39,6 @@ __all__ = [
     "Rename",
     "Join",
     "Union",
-    "BoundaryJoin",
     "pairs_relation",
     "scc_relation",
     "rtc_relation",

@@ -28,7 +28,6 @@ __all__ = [
     "Rename",
     "Join",
     "Union",
-    "BoundaryJoin",
 ]
 
 
@@ -138,54 +137,3 @@ class Union(RelExpr):
 
     def to_algebra(self) -> str:
         return f"({self.left.to_algebra()} ∪ {self.right.to_algebra()})"
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryJoin(RelExpr):
-    """One cut-edge expansion step of the cluster's boundary join.
-
-    Joins a partial-path relation ``P(START_V, END_V, STATE)`` (see
-    :data:`repro.rpq.partial.PARTIAL_COLUMNS`) with the cut-edge
-    relation ``C(SRC, LABEL, DST)`` on ``END_V = SRC`` and advances the
-    query automaton over the crossed edge's label::
-
-        π[START_V, DST, δ(STATE, LABEL)](P ⋈[END_V=SRC] C)
-
-    producing the next partial-path relation -- the traversal state after
-    following exactly one cut edge.  Rows whose ``(STATE, LABEL)`` has no
-    automaton transition are dropped (the crossed edge cannot extend any
-    accepted word).  The router iterates this node to a fixpoint; see
-    :meth:`repro.cluster.service.GraphCluster.submit`.
-
-    ``eq=False`` keeps identity hashing: the automaton's transition
-    table is a dict and has no value hash.
-    """
-
-    partials: RelExpr
-    cuts: RelExpr
-    nfa: object  # a repro.regex.nfa.LabelNFA
-
-    def evaluate(self) -> Relation:
-        joined = self.partials.evaluate().join(
-            self.cuts.evaluate(), "END_V", "SRC"
-        )
-        columns = joined.columns
-        start_i = columns.index("START_V")
-        state_i = columns.index("STATE")
-        label_i = columns.index("LABEL")
-        dst_i = columns.index("DST")
-        delta = self.nfa.delta
-        advanced = set()
-        for row in joined.rows:
-            transitions = delta.get(row[state_i])
-            if not transitions:
-                continue
-            for next_state in transitions.get(row[label_i], ()):
-                advanced.add((row[start_i], row[dst_i], next_state))
-        return Relation(("START_V", "END_V", "STATE"), advanced)
-
-    def to_algebra(self) -> str:
-        return (
-            f"π[START_V, DST, δ(STATE, LABEL)]({self.partials.to_algebra()} "
-            f"⋈[END_V=SRC] {self.cuts.to_algebra()})"
-        )

@@ -6,8 +6,8 @@ Public surface:
   (Section II-B / Example 2 semantics), used by the NoSharing baseline and
   for closure-free clauses;
 * :func:`eval_rpq_from` -- one traversal from a fixed start vertex;
-* :func:`eval_partial_rpq` -- shard-local partial-path evaluation for
-  the cluster's boundary join over edge-cut partitions;
+* :func:`summarise_shard` -- the start-independent shard summary the
+  cluster's boundary join closes over edge-cut partitions;
 * :func:`eval_label_sequence` / :func:`eval_labels_from` -- join-based
   evaluation of closure-free label sequences (rare-label-first option);
 * :class:`RestrictedEvaluator` -- ``EvalRestrictedRPQ(Post, v_k)``;
@@ -18,7 +18,7 @@ from repro.rpq.counters import OpCounters
 from repro.rpq.dfa_eval import eval_dfa_from, eval_rpq_dfa
 from repro.rpq.evaluate import candidate_starts, check_alphabet, eval_rpq, eval_rpq_from
 from repro.rpq.label_join import eval_label_sequence, eval_labels_from
-from repro.rpq.partial import CUT_COLUMNS, PARTIAL_COLUMNS, eval_partial_rpq
+from repro.rpq.partial import ShardSummary, summarise_shard
 from repro.rpq.restricted import RestrictedEvaluator, as_label_sequence
 from repro.rpq.witness import Witness, eval_rpq_with_witness
 
@@ -32,9 +32,8 @@ __all__ = [
     "check_alphabet",
     "eval_label_sequence",
     "eval_labels_from",
-    "eval_partial_rpq",
-    "PARTIAL_COLUMNS",
-    "CUT_COLUMNS",
+    "summarise_shard",
+    "ShardSummary",
     "RestrictedEvaluator",
     "as_label_sequence",
     "eval_rpq_with_witness",

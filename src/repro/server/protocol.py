@@ -17,27 +17,27 @@ Verbs
     response carries one entry per query, each either a result
     (``count``/``pairs``/``time``) or a per-query ``error``.
 
-    Shard workers additionally accept ``mode: "partial"`` with a
-    ``boundary`` vertex list and an optional ``frontier`` of
-    ``[start, vertex, state]`` triples: the worker evaluates the query
-    restricted to its shard subgraph and responds with a ``partial``
-    object (``accepts`` pairs, ``boundary`` triples, ``time``) instead
-    of ``results``.  Router-facing servers do not expose this mode.
+    Shard workers additionally accept ``mode: "summary"`` with a
+    ``boundary`` vertex list and the ``entries`` (``[vertex, state]``
+    pairs) the router planned for them: the worker summarises its shard
+    subgraph for the boundary join and responds with a ``summary``
+    object (``starts``, ``exits``, ``ends``, ``reflexive``, ``time``;
+    tag masks as hex strings, see :mod:`repro.cluster.boundary`)
+    instead of ``results``.  Router-facing servers do not expose this
+    mode.
 
     Requests may opt into the **packed-rows encoding** with
-    ``"enc": "packed"``: pair and triple payloads in the response are
-    then JSON objects ``{"enc": "packed", "vertices": [...],
-    "rows": {...}}`` instead of lists.  ``vertices`` is a local
-    interner table (vertex of index ``i`` at position ``i``); each
-    ``rows`` entry maps a source index (pairs) or
-    ``"<start index>:<state>"`` (partial triples) to a hex-encoded
-    bitmap over target/vertex indexes.  Decoders
-    (:func:`wire_to_pairs` / :func:`wire_to_rows`) are polymorphic, so
-    packed payloads are transparent to callers; servers that predate
-    the encoding simply keep answering with lists.  Packing shrinks
-    closure-heavy responses by an order of magnitude (one hex digit
-    carries four pairs) and is what the cluster router requests from
-    its shard workers for partial answers and counts-only fan-out.
+    ``"enc": "packed"``: pair payloads in the response are then JSON
+    objects ``{"enc": "packed", "vertices": [...], "rows": {...}}``
+    instead of lists.  ``vertices`` is a local interner table (vertex
+    of index ``i`` at position ``i``); each ``rows`` entry maps a
+    source index to a hex-encoded bitmap over target indexes.  The
+    decoder (:func:`wire_to_pairs`) is polymorphic, so packed payloads
+    are transparent to callers; servers that predate the encoding
+    simply keep answering with lists.  Packing shrinks closure-heavy
+    responses by an order of magnitude (one hex digit carries four
+    pairs) and is what the cluster router requests from its shard
+    workers for counts-only fan-out.
 ``stats``
     Live server metrics (QPS, latency percentiles, batch sizes, queue
     depth, shared-cache hits) merged with the session's graph/engine
@@ -113,8 +113,6 @@ __all__ = [
     "error_payload",
     "pairs_to_wire",
     "wire_to_pairs",
-    "rows_to_wire",
-    "wire_to_rows",
     "exception_from_payload",
 ]
 
@@ -295,42 +293,3 @@ def wire_to_pairs(wire: list | dict) -> set:
                 pairs.add((source, vertices[index]))
         return pairs
     return {(source, target) for source, target in wire}
-
-
-def rows_to_wire(rows, enc: str | None = None) -> list | dict:
-    """Partial-path triples for the wire; ``enc="packed"`` packs them.
-
-    Used for the ``[start, vertex, state]`` triples of the
-    ``mode: "partial"`` query extension -- same string-form ordering
-    contract as :func:`pairs_to_wire`.  Packed rows are keyed
-    ``"<start index>:<state>"`` with a hex bitmap over vertex indexes
-    (states are small automaton ints, kept verbatim in the key).
-    """
-    ordered = sorted(rows, key=lambda r: (str(r[0]), str(r[1]), str(r[2])))
-    if enc != "packed":
-        return [list(row) for row in ordered]
-    table = VertexInterner()
-    packed: dict[str, int] = {}
-    for start, vertex, state in ordered:
-        key = f"{table.intern(start)}:{int(state)}"
-        packed[key] = packed.get(key, 0) | (1 << table.intern(vertex))
-    return {
-        "enc": "packed",
-        "vertices": table.vertices(),
-        "rows": {key: format(mask, "x") for key, mask in packed.items()},
-    }
-
-
-def wire_to_rows(wire: list | dict) -> set:
-    """The client-side inverse of :func:`rows_to_wire` (both encodings)."""
-    if isinstance(wire, dict):
-        vertices = wire["vertices"]
-        rows = set()
-        for key, hex_mask in wire["rows"].items():
-            start_index, _, state = key.partition(":")
-            start = vertices[int(start_index)]
-            state = int(state)
-            for index in _unpack_mask(hex_mask):
-                rows.add((start, vertices[index], state))
-        return rows
-    return {(first, second, third) for first, second, third in wire}

@@ -25,12 +25,6 @@ class TestConstruction:
         bitmap.add(0, 5)
         assert bitmap.count() == 1
 
-    def test_update_pairs_and_add_pair(self):
-        bitmap = PairBitmap(interner=VertexInterner())
-        bitmap.update_pairs([("x", "y"), ("y", "z")])
-        bitmap.add_pair("x", "z")
-        assert bitmap.pairs == {("x", "y"), ("y", "z"), ("x", "z")}
-
     def test_add_row_drops_empty_masks(self):
         bitmap = PairBitmap()
         bitmap.add_row(3, 0)

@@ -1,4 +1,4 @@
-"""Packed wire encoding: hex bitmaps round-trip to exact pair/row sets."""
+"""Packed wire encoding: hex bitmaps round-trip to exact pair sets."""
 
 import json
 
@@ -12,14 +12,6 @@ PAIRS = {
     ("bob", 0),
     ("1", 1),  # int/str lookalikes must stay distinct
 }
-
-ROWS = {
-    (0, 3, 0),
-    (0, 5, 2),
-    ("ann", "bob", 1),
-    ("1", 1, 0),
-}
-
 
 class TestPairsRoundTrip:
     def test_list_encoding_is_unchanged(self):
@@ -50,26 +42,6 @@ class TestPairsRoundTrip:
         as_list = len(json.dumps(protocol.pairs_to_wire(pairs)))
         as_packed = len(json.dumps(protocol.pairs_to_wire(pairs, enc="packed")))
         assert as_packed * 5 < as_list
-
-
-class TestRowsRoundTrip:
-    def test_list_encoding_is_unchanged(self):
-        wire = protocol.rows_to_wire(ROWS)
-        assert isinstance(wire, list)
-        assert set(protocol.wire_to_rows(wire)) == ROWS
-
-    def test_packed_encoding_round_trips(self):
-        wire = protocol.rows_to_wire(ROWS, enc="packed")
-        assert wire["enc"] == "packed"
-        assert set(protocol.wire_to_rows(wire)) == ROWS
-
-    def test_packed_survives_json(self):
-        wire = json.loads(json.dumps(protocol.rows_to_wire(ROWS, enc="packed")))
-        assert set(protocol.wire_to_rows(wire)) == ROWS
-
-    def test_packed_empty(self):
-        wire = protocol.rows_to_wire([], enc="packed")
-        assert set(protocol.wire_to_rows(wire)) == set()
 
 
 class TestInternerTable:

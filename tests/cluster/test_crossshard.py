@@ -5,10 +5,16 @@ component -- the shape component-disjoint partitioning cannot shard at
 all -- is edge-cut partitioned across 2 and 4 shards, on both the
 thread and the process backend, and must answer the full query workload
 *identically* to a single ``GraphDB`` session, including after a
-cross-shard edge lands mid-workload.  The boundary join is the only
-path that can make this pass; any stitching bug shows up as a pair-set
-diff against ground truth.
+cross-shard edge lands -- and later leaves -- mid-workload.  The
+boundary join is the only path that can make this pass; any stitching
+bug shows up as a pair-set diff against ground truth.  (The join's pure
+half -- summaries and closure without a cluster -- is covered in
+``test_boundary.py``.)
 """
+
+import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -19,12 +25,9 @@ from repro.cluster import (
     partition_graph,
     weakly_connected_components,
 )
-from repro.datasets.rmat import rmat_connected_graph, rmat_graph
+from repro.datasets.rmat import rmat_connected_graph
 from repro.db import GraphDB
-from repro.regex.nfa import compile_nfa
-from repro.regex.parser import parse
-from repro.relalg import BoundaryJoin, Relation, Scan
-from repro.rpq import CUT_COLUMNS, PARTIAL_COLUMNS, eval_partial_rpq, eval_rpq
+from repro.errors import DeadlineExpiredError
 from repro.server import Client, ServerConfig, ServerThread
 
 #: The full workload over the R-MAT alphabet (l0..l2): concatenations,
@@ -64,15 +67,19 @@ def pick_cross_shard_edge(graph, partition, label="l1"):
     raise AssertionError("no cross-shard edge candidate found")
 
 
-def run_workload(answer, update):
-    """Half the queries, the update, the rest plus a re-ask of the first."""
+def run_workload(answer, add, remove):
+    """Half the queries, the add, the rest plus a re-ask of the first,
+    the remove, then the closures once more."""
     half = len(QUERIES) // 2
     results = {}
     for query in QUERIES[:half]:
         results[query] = answer(query)
-    update()
+    add()
     for query in QUERIES[half:] + QUERIES[:1]:
         results[f"post:{query}"] = answer(query)
+    remove()
+    for query in QUERIES[2:8]:
+        results[f"removed:{query}"] = answer(query)
     return results
 
 
@@ -81,6 +88,7 @@ def session_reference(graph, update_edge):
     return run_workload(
         lambda query: set(db.execute(query)),
         lambda: db.update(add=[update_edge]),
+        lambda: db.update(remove=[update_edge]),
     )
 
 
@@ -108,13 +116,17 @@ class TestEdgeCutIdentity:
                 pairs, _elapsed = cluster.submit(query).result(timeout=120)
                 return pairs
 
-            def update():
+            def add():
                 cluster.submit_update(add=[update_edge]).result(timeout=120)
+                assert cluster.partition.has_cut(*update_edge)
 
-            results = run_workload(answer, update)
+            def remove():
+                cluster.submit_update(remove=[update_edge]).result(timeout=120)
+
+            results = run_workload(answer, add, remove)
             for key in expected:
                 assert results[key] == expected[key], key
-            assert cluster.partition.has_cut(*update_edge)
+            assert not cluster.partition.has_cut(*update_edge)
         finally:
             cluster.stop()
 
@@ -134,11 +146,12 @@ class TestEdgeCutIdentity:
                 results = run_workload(
                     lambda query: client.query(query).pairs,
                     lambda: client.update(add=[list(update_edge)]),
+                    lambda: client.update(remove=[list(update_edge)]),
                 )
                 # Counts-only answers go through the same join path.
                 for query in QUERIES[5:8]:
                     counted = client.query(query, pairs=False)
-                    assert counted.count == len(results[f"post:{query}"])
+                    assert counted.count == len(results[f"removed:{query}"])
         for key in expected:
             assert results[key] == expected[key], key
 
@@ -182,68 +195,83 @@ class TestEdgeCutIdentity:
             cluster.stop()
 
 
-class TestPartialEvaluation:
-    """Unit coverage of the shard-local half of the boundary join."""
 
-    def test_empty_boundary_equals_full_evaluation(self):
-        graph = rmat_graph(4, 40, 2, seed=3)
-        for text in ["l0", "(l0)+", "(l0.l1)+", "(l1)*"]:
-            nfa = compile_nfa(parse(text))
-            accepts, boundary_rows = eval_partial_rpq(graph, nfa, frozenset())
-            assert accepts == eval_rpq(graph, text), text
-            assert boundary_rows == set()
 
-    def test_boundary_rows_cover_every_boundary_touch(self):
+    def test_expired_deadline_raises(self):
         graph = single_component_rmat()
-        partition = partition_graph(graph, 2, strategy="edge-cut")
-        shard = partition.shards[0]
-        boundary = partition.boundary_vertices(0)
-        nfa = compile_nfa(parse("(l0)+"))
-        _accepts, rows = eval_partial_rpq(shard, nfa, boundary)
-        assert rows, "shard 0 must touch its boundary on (l0)+"
-        for _start, vertex, state in rows:
-            assert vertex in boundary
-            assert state in nfa.delta  # delta is total on reachable states
-
-    def test_frontier_continuation_records_accepts(self):
-        """A frontier triple already in an accepting state yields its pair."""
-        graph = rmat_graph(4, 40, 2, seed=3)
-        nfa = compile_nfa(parse("(l0)+"))
-        accept_state = next(iter(nfa.accepts))
-        vertex = next(iter(sorted(graph.vertices(), key=str)))
-        accepts, _rows = eval_partial_rpq(
-            graph, nfa, frozenset(), frontier=[("origin", vertex, accept_state)]
+        cluster = GraphCluster(
+            partition_graph(graph.copy(), 2, strategy="edge-cut"),
+            config=ClusterConfig(shards=2, workers=1),
         )
-        assert ("origin", vertex) in accepts
+        try:
+            with pytest.raises(DeadlineExpiredError):
+                cluster.submit("(l0)+", timeout=1e-9).result(timeout=120)
+            # The budget is per request: the next one is served.
+            pairs, _ = cluster.submit("(l0)+", timeout=60).result(timeout=120)
+            assert pairs == set(GraphDB.open(graph.copy()).execute("(l0)+"))
+        finally:
+            cluster.stop()
 
 
-class TestBoundaryJoinExpression:
-    def test_join_advances_states_over_cuts(self):
-        nfa = compile_nfa(parse("(l0)+"))
-        start = next(s for s in sorted(nfa.start) if nfa.delta[s].get("l0"))
-        targets = nfa.delta[start]["l0"]
-        partials = Scan(
-            Relation(PARTIAL_COLUMNS, {("s", "u", start)}), "P"
+class TestJoinCacheFreshness:
+    def test_join_overlapping_an_update_is_not_cached(self):
+        """A read that overlaps an acked-later update must not pin its
+        (possibly pre-update) answer under the post-update version."""
+        graph = single_component_rmat()
+        cluster = GraphCluster(
+            partition_graph(graph.copy(), 2, strategy="edge-cut"),
+            config=ClusterConfig(shards=2, workers=1),
         )
-        cuts = Scan(Relation(CUT_COLUMNS, {("u", "l0", "v")}), "C")
-        advanced = BoundaryJoin(partials, cuts, nfa).evaluate()
-        assert set(advanced.rows) == {("s", "v", t) for t in targets}
+        try:
+            partition = cluster.partition
+            # An edge to a brand-new vertex: it is assigned to the
+            # source's shard, so a shard applies it (the router's cut
+            # relation is not involved) and the answer must grow.
+            source = min(graph.vertices())
+            edge = (source, "l0", max(graph.vertices()) + 1)
+            reference = GraphDB.open(graph.copy())
+            before = set(reference.execute("(l0)+"))
+            reference.update(add=[edge])
+            after = set(reference.execute("(l0)+"))
+            assert before != after, "the injected edge must change the answer"
 
-    def test_label_mismatch_yields_nothing(self):
-        nfa = compile_nfa(parse("(l0)+"))
-        start = next(iter(nfa.start))
-        partials = Scan(
-            Relation(PARTIAL_COLUMNS, {("s", "u", start)}), "P"
-        )
-        cuts = Scan(Relation(CUT_COLUMNS, {("u", "l9", "v")}), "C")
-        advanced = BoundaryJoin(partials, cuts, nfa).evaluate()
-        assert set(advanced.rows) == set()
+            # Hold the owning shard's apply back: the update is routed
+            # (version bumped, cache cleared) but not yet on the shard.
+            backend = cluster.backend(partition.shard_of(edge[0]))
+            apply_now = threading.Event()
+            real_update = backend.update
 
-    def test_to_algebra_renders(self):
-        nfa = compile_nfa(parse("l0"))
-        expr = BoundaryJoin(
-            Scan(Relation(PARTIAL_COLUMNS, set()), "P"),
-            Scan(Relation(CUT_COLUMNS, set()), "C"),
-            nfa,
-        )
-        assert "END_V" in expr.to_algebra()
+            def delayed_update(add=(), remove=(), trace=None):
+                outcome: Future = Future()
+
+                def run():
+                    apply_now.wait(timeout=60)
+                    try:
+                        real_update(add=add, remove=remove, trace=trace).result(
+                            timeout=60
+                        )
+                    except Exception as error:  # delivered through the future
+                        outcome.set_exception(error)
+                    else:
+                        outcome.set_result(None)
+
+                threading.Thread(target=run, daemon=True).start()
+                return outcome
+
+            backend.update = delayed_update
+            acked = cluster.submit_update(add=[edge])
+            in_window, _ = cluster.submit("(l0)+").result(timeout=120)
+            assert in_window == before  # not acked yet: the old answer is legal
+            apply_now.set()
+            acked.result(timeout=120)
+
+            served, _ = cluster.submit("(l0)+").result(timeout=120)
+            assert served == after
+            # With the cluster quiet again, results are cached as before.
+            deadline = time.monotonic() + 5
+            while cluster._updates_in_flight and time.monotonic() < deadline:
+                time.sleep(0.01)
+            cluster.submit("(l0)+").result(timeout=120)
+            assert "(l0)+" in cluster._join_cache
+        finally:
+            cluster.stop()

@@ -142,19 +142,3 @@ class TestClusterErrorWire:
         assert isinstance(back, ClusterError)
         assert back.shards == ()
         assert back.detail is None
-
-
-class TestRowWire:
-    def test_rows_sort_deterministically(self):
-        rows = {("s", 2, 1), ("a", "x", 0), ("s", 1, 3)}
-        wire = protocol.rows_to_wire(rows)
-        assert wire == [["a", "x", 0], ["s", 1, 3], ["s", 2, 1]]
-
-    def test_roundtrip_preserves_set(self):
-        rows = {("s", "v", 4), ("t", "w", 0)}
-        wire = json.loads(json.dumps(protocol.rows_to_wire(rows)))
-        assert protocol.wire_to_rows(wire) == rows
-
-    def test_empty(self):
-        assert protocol.rows_to_wire(set()) == []
-        assert protocol.wire_to_rows([]) == set()
