@@ -41,7 +41,6 @@ from repro.core.engines import (
     FullSharingEngine,
     NoSharingEngine,
     RTCSharingEngine,
-    make_engine,
 )
 from repro.core.reduction import edge_level_reduce, reduce_graph, vertex_level_reduce
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
@@ -61,6 +60,7 @@ from repro.errors import (
     GraphError,
     ProtocolError,
     ReproError,
+    ResultTooLargeError,
     RPQSyntaxError,
     ServerError,
     UnknownEngineError,
@@ -71,7 +71,7 @@ from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.parser import parse
 from repro.rpq.evaluate import eval_rpq
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "GraphDB",
@@ -87,7 +87,6 @@ __all__ = [
     "RTCSharingEngine",
     "FullSharingEngine",
     "NoSharingEngine",
-    "make_engine",
     "BatchUnitOptions",
     "ReducedTransitiveClosure",
     "compute_rtc",
@@ -105,5 +104,6 @@ __all__ = [
     "AdmissionError",
     "DeadlineExpiredError",
     "ProtocolError",
+    "ResultTooLargeError",
     "__version__",
 ]

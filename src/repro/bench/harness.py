@@ -121,6 +121,9 @@ def run_rpq_set(
                 engine.counters.as_dict() if engine.counters is not None else {}
             ),
         )
+        # Only the reference answers outlive a method: the next one must
+        # not be timed while this one's session and tuples fill the heap.
+        del db, engine, result_sets, results
     return SetMeasurement(queries=tuple(queries), per_method=per_method)
 
 

@@ -1,10 +1,10 @@
 """Kernel microbenches: set vs bitmap evaluation, list vs packed wire.
 
 The PR-10 before/after instruments.  ``run_kernel_comparison`` times
-the same queries through both kernel routes of
-:func:`repro.rpq.eval_rpq` (``kernel="sets"`` is the pre-PR-10 tuple
-BFS, ``kernel="bits"`` the interned-bitmap product BFS) and asserts the
-answers identical -- a benchmark run is also an identity check.
+the same queries through both sides of :func:`repro.rpq.eval_rpq`
+(with an :class:`~repro.rpq.OpCounters` attached it is the counted
+tuple-set BFS, without one the interned-bitmap product BFS) and asserts
+the answers identical -- a benchmark run is also an identity check.
 ``run_wire_comparison`` measures the JSON byte footprint of the same
 pair relation under the list and ``packed`` encodings of
 :mod:`repro.server.protocol`.
@@ -22,7 +22,7 @@ import time
 from collections.abc import Sequence
 
 from repro.graph.multigraph import LabeledMultigraph
-from repro.rpq import eval_rpq
+from repro.rpq import OpCounters, eval_rpq
 from repro.server import protocol
 
 __all__ = [
@@ -56,8 +56,9 @@ def run_kernel_comparison(
         for kernel in ("sets", "bits"):
             best = float("inf")
             for _ in range(repeats):
+                counters = OpCounters() if kernel == "sets" else None
                 started = time.perf_counter()
-                answers[kernel] = eval_rpq(graph, query, kernel=kernel)
+                answers[kernel] = eval_rpq(graph, query, counters=counters)
                 best = min(best, time.perf_counter() - started)
             timings[kernel] = best
         if answers["sets"] != answers["bits"]:

@@ -1,19 +1,18 @@
 """Bit-parallel evaluation primitives over interned adjacency rows.
 
-The kernels here mirror the set-based evaluators of :mod:`repro.rpq`
-one-to-one -- same semantics, same pruning -- but carry their frontiers
-as Python big-int bitmaps and advance them with OR-sweeps of the
-graph's label-indexed adjacency rows
-(:meth:`~repro.graph.multigraph.LabeledMultigraph.bit_rows`).  One
-traversal step per automaton state ORs whole target rows instead of
-inserting ``(vertex, state)`` tuples one at a time, so the per-edge
-cost collapses to a fraction of a word operation.
+This is the evaluation pipeline: frontiers are Python big-int bitmaps
+advanced by OR-sweeps of the graph's label-indexed adjacency rows
+(:meth:`~repro.graph.multigraph.LabeledMultigraph.bit_rows`), one
+traversal step per automaton state ORing whole target rows, and every
+answer is a :class:`PairBitmap` that is decoded to vertex tuples once,
+by whoever needs tuples.
 
-The set evaluators remain the oracle: they carry the paper's
-:class:`~repro.rpq.counters.OpCounters` instrumentation, and the
-``tests/bitset`` identity suite asserts both kernels return identical
-answers on randomized graphs, the benchmark workloads, and mid-run
-updates.
+The tuple-set evaluators of :mod:`repro.rpq` are the counted reference,
+not an alternative: they run exactly when a
+:class:`~repro.rpq.counters.OpCounters` is attached (the tallies count
+per-edge work a word-parallel sweep never performs), and the
+``tests/bitset`` identity suite holds this module to their answers on
+randomized graphs, the benchmark workloads and mid-run updates.
 """
 
 from __future__ import annotations
@@ -21,16 +20,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.bitset.pairbitmap import PairBitmap
-from repro.graph.transitive_closure import iter_bits
 
 __all__ = [
     "alphabet_reachable_mask",
     "bfs_mask",
     "eval_label_sequence_bits",
     "eval_rpq_bits",
-    "eval_rpq_dfa_bits",
-    "expand_rtc_bits",
-    "iter_bits",
     "sweep",
 ]
 
@@ -53,21 +48,22 @@ def sweep(rows: dict[int, int], mask: int) -> int:
     return reached
 
 
-def bfs_mask(graph, delta, accepts, start_states, starts: int) -> int:
+def bfs_mask(rows_of, delta, accepts, start_states, starts: int) -> int:
     """Product BFS from a start bitmap; returns the accepted-vertex bitmap.
 
-    The frontier is one bitmap per automaton state; each level ORs the
-    adjacency rows of the frontier's vertices, per transition label,
-    into the successor states' bitmaps.  ``visited`` masks give the
-    same duplicate-avoidance as the set evaluator's per-start visited
-    set (paper Example 2).  With several bits set in ``starts`` the
-    result is the union of the per-start answers (the image of the
-    whole set), found in one traversal.
+    ``rows_of`` maps a label to its adjacency rows: ``graph.bit_rows``
+    walks edges forward, ``graph.rev_bit_rows`` backward (with ``delta``
+    the reversed automaton).  The frontier is one bitmap per automaton
+    state; each level ORs the adjacency rows of the frontier's vertices,
+    per transition label, into the successor states' bitmaps.
+    ``visited`` masks give the duplicate-avoidance of the paper's
+    Example 2.  With several bits set in ``starts`` the result is the
+    union of the per-start answers (the image of the whole set), found
+    in one traversal.  Zero-length matches are not included.
     """
     frontier = {state: starts for state in start_states}
     visited = dict(frontier)
     result = 0
-    bit_rows = graph.bit_rows
     while frontier:
         next_frontier: dict[int, int] = {}
         for state, mask in frontier.items():
@@ -75,7 +71,7 @@ def bfs_mask(graph, delta, accepts, start_states, starts: int) -> int:
             if not row:
                 continue
             for label, next_states in row.items():
-                reached = sweep(bit_rows(label), mask)
+                reached = sweep(rows_of(label), mask)
                 if not reached:
                     continue
                 for next_state in next_states:
@@ -92,90 +88,35 @@ def bfs_mask(graph, delta, accepts, start_states, starts: int) -> int:
     return result
 
 
-def _candidate_start_ids(graph, first_labels) -> set[int]:
-    """Ids of vertices with an out-edge that can begin a match."""
-    starts: set[int] = set()
-    for label in first_labels:
-        starts.update(graph.bit_rows(label))
-    return starts
+def eval_rpq_bits(graph, nfa, starts: Iterable | None = None) -> PairBitmap:
+    """All ``(start, end)`` pairs of paths the automaton accepts.
 
-
-def eval_rpq_bits(
-    graph,
-    nfa,
-    starts: Iterable | None = None,
-) -> set[tuple[object, object]]:
-    """Bit-parallel :func:`repro.rpq.evaluate.eval_rpq` (same contract).
-
-    ``nfa`` is a compiled :class:`~repro.regex.nfa.LabelNFA`; the
-    nullable language contributes reflexive pairs exactly as the set
-    kernel does.
+    ``nfa`` is a compiled :class:`~repro.regex.nfa.LabelNFA`.  One
+    product BFS per candidate start (a vertex with an out-edge that can
+    begin a match, or the given ``starts`` that the graph holds); a
+    nullable language contributes ``(v, v)`` for every vertex of the
+    graph (or of ``starts``), following Definition 2 with the
+    zero-length path.
     """
     interner = graph.interner
     if starts is None:
-        start_ids = _candidate_start_ids(graph, nfa.first_labels)
+        start_ids: set[int] = set()
+        for label in nfa.first_labels:
+            start_ids.update(graph.bit_rows(label))
         reflexive: Iterable = graph.vertices() if nfa.nullable else ()
     else:
         kept = [vertex for vertex in starts if graph.has_vertex(vertex)]
-        start_ids = {interner.id_of(vertex) for vertex in kept}
-        start_ids.discard(None)
+        start_ids = set(map(interner.id_of, kept))
         reflexive = kept if nfa.nullable else ()
 
-    results: set[tuple[object, object]] = set()
-    for vertex in reflexive:
-        results.add((vertex, vertex))
-
-    delta = nfa.delta
-    accepts = nfa.accepts
-    vertex_of = interner.vertex_of
+    result = PairBitmap.identity(map(interner.id_of, reflexive), interner)
+    rows_of = graph.bit_rows
     for start_id in start_ids:
-        mask = bfs_mask(graph, delta, accepts, nfa.start, 1 << start_id)
-        if not mask:
-            continue
-        start = vertex_of(start_id)
-        for target_id in iter_bits(mask):
-            results.add((start, vertex_of(target_id)))
-    return results
-
-
-def eval_rpq_dfa_bits(
-    graph,
-    dfa,
-    starts: Iterable | None = None,
-) -> set[tuple[object, object]]:
-    """Bit-parallel :func:`repro.rpq.dfa_eval.eval_rpq_dfa` (same contract)."""
-    interner = graph.interner
-    first_labels = set(dfa.delta[dfa.start])
-    if starts is None:
-        start_ids = _candidate_start_ids(graph, first_labels)
-        reflexive: Iterable = (
-            graph.vertices() if dfa.start in dfa.accepts else ()
+        result.add_row(
+            start_id,
+            bfs_mask(rows_of, nfa.delta, nfa.accepts, nfa.start, 1 << start_id),
         )
-    else:
-        kept = [vertex for vertex in starts if graph.has_vertex(vertex)]
-        start_ids = {interner.id_of(vertex) for vertex in kept}
-        start_ids.discard(None)
-        reflexive = kept if dfa.start in dfa.accepts else ()
-
-    # The DFA's delta is a tuple of label -> one-state rows; wrap the
-    # targets in tuples so the product BFS sees the NFA shape.
-    delta = {
-        state: {label: (target,) for label, target in row.items()}
-        for state, row in enumerate(dfa.delta)
-    }
-    accepts = dfa.accepts
-    results: set[tuple[object, object]] = set()
-    for vertex in reflexive:
-        results.add((vertex, vertex))
-    vertex_of = interner.vertex_of
-    for start_id in start_ids:
-        mask = bfs_mask(graph, delta, accepts, (dfa.start,), 1 << start_id)
-        if not mask:
-            continue
-        start = vertex_of(start_id)
-        for target_id in iter_bits(mask):
-            results.add((start, vertex_of(target_id)))
-    return results
+    return result
 
 
 def _extend_right_bits(graph, bitmap: PairBitmap, label: str) -> PairBitmap:
@@ -287,12 +228,3 @@ def alphabet_reachable_mask(
         frontier = reached & ~seen
         seen |= frontier
     return seen
-
-
-def expand_rtc_bits(rtc, interner=None) -> PairBitmap:
-    """Theorem 1 as bitmaps: ``R+_G`` from an RTC, one row per member.
-
-    Function spelling of
-    :meth:`~repro.core.rtc.ReducedTransitiveClosure.expand_bits`.
-    """
-    return rtc.expand_bits(interner)

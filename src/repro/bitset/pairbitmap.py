@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain, product
 
-from repro.bitset.interner import VertexInterner
+from repro.bitset.interner import VertexInterner, bit_indexes
 
 __all__ = ["PairBitmap"]
 
@@ -127,10 +127,8 @@ class PairBitmap:
     def id_pairs(self) -> Iterator[tuple[int, int]]:
         """Iterate ``(source_id, target_id)`` pairs."""
         for source_id, mask in self.rows.items():
-            while mask:
-                low = mask & -mask
-                yield (source_id, low.bit_length() - 1)
-                mask ^= low
+            for target_id in bit_indexes(mask):
+                yield (source_id, target_id)
 
     def row(self, source_id: int) -> int:
         """The dst bitmap of one source id (0 when absent)."""

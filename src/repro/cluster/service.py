@@ -65,7 +65,6 @@ query text, so a serving workload's repeated queries route in O(1).
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -89,7 +88,6 @@ from repro.errors import (
     ClusterError,
     DeadlineExpiredError,
     GraphError,
-    ReproError,
     ServerError,
     StorageError,
 )
@@ -1278,9 +1276,13 @@ class ClusterRouter(QueryServer):
     scheduler is a whole :class:`GraphCluster`.
 
     The wire protocol, the :class:`~repro.server.Client`, admission
-    errors and per-request deadlines are all inherited unchanged; only
-    ``stats`` (cluster-wide aggregation plus topology), ``watch``
-    (broadcast) and ``reaches`` (shard-routed) are specialised.
+    errors, per-request deadlines and the whole request path are
+    inherited unchanged.  What differs: ``stats`` (cluster-wide
+    aggregation plus topology), the routing memo warmed before a query
+    is admitted, pairs-or-counts forwarded at admission, and update
+    admission taken off the event loop.  ``watch`` (broadcast) and
+    ``reaches`` (shard-routed) are the cluster's own methods behind the
+    base handlers.
     """
 
     def __init__(
@@ -1292,38 +1294,16 @@ class ClusterRouter(QueryServer):
         # ``watch`` / ``reaches`` handlers drive through ``self.db``.
         super().__init__(db=cluster, config=config, scheduler=cluster)
 
-    async def _op_query(self, request_id, request) -> dict:
-        # Warm the routing memo off the event loop: _route_info walks
-        # the query's DNF and compiles its NFA, which is exactly the
-        # work the single-node scheduler defers to its dispatcher
-        # thread.  The base handler then routes from the memo in O(1).
-        queries = request.get("queries")
-        if queries is None and isinstance(request.get("query"), str):
-            queries = [request["query"]]
-        if isinstance(queries, list) and queries and all(
-            isinstance(query, str) for query in queries
-        ):
-            # Dict membership is GIL-atomic, so peeking without the
-            # cluster lock is safe; a concurrent memo clear only costs
-            # one on-loop recompute.  Already-memoised texts (the steady
-            # state of a serving workload) skip the executor hop.
-            missing = [
-                text
-                for text in queries
-                if text not in self.cluster._route_memo
-            ]
-            if missing:
-                def warm() -> None:
-                    for text in missing:
-                        try:
-                            self.cluster._route_info(text, parse(text))
-                        except ReproError:
-                            # Warm-up only: the base handler re-routes
-                            # and reports the real error to the client.
-                            # Genuine bugs propagate.
-                            return
-                await self._in_executor(warm)
-        return await super()._op_query(request_id, request)
+    async def _warm(self, queries) -> None:
+        # _route_info walks the query's DNF and compiles its NFA --
+        # exactly the work the single-node scheduler defers to its
+        # dispatcher thread.  The base handler then routes from the
+        # memo in O(1).
+        await self._warm_off_loop(
+            queries,
+            self.cluster._route_memo,
+            lambda text: self.cluster._route_info(text, parse(text)),
+        )
 
     def _submit_query(self, text, node, timeout, include_pairs, trace=None):
         # Forward the client's pairs/counts intent: counts-only requests
@@ -1334,44 +1314,12 @@ class ClusterRouter(QueryServer):
             text, node, timeout=timeout, want_pairs=include_pairs, trace=trace
         )
 
-    async def _op_update(self, request_id, request) -> dict:
-        add = self._edge_list(request.get("add", ()), "add")
-        remove = self._edge_list(request.get("remove", ()), "remove")
-        if not add and not remove:
-            raise protocol.ProtocolError(
-                "'update' op needs 'add' and/or 'remove' edges"
-            )
-        tracer, parent, root_span, echo = self._begin_trace(request)
-        started = time.monotonic()
-        trace = (tracer, parent) if tracer is not None else None
+    async def _submit_update(self, add, remove, trace):
         # submit_update admits to every replica with blocking semantics
         # (so the copies never diverge on a full queue) -- keep that
         # potential wait off the event loop.
-        future = await self._in_executor(
-            lambda: self.cluster.submit_update(
-                add=add, remove=remove, trace=trace
-            )
-        )
-        await asyncio.wrap_future(future)
-        if tracer is None:
-            return protocol.ok_response(
-                request_id, added=len(add), removed=len(remove)
-            )
-        await self._finish_trace(
-            tracer,
-            root_span,
-            [f"update(+{len(add)},-{len(remove)})"],
-            started,
-        )
-        if not echo:
-            return protocol.ok_response(
-                request_id, added=len(add), removed=len(remove)
-            )
-        return protocol.ok_response(
-            request_id,
-            added=len(add),
-            removed=len(remove),
-            trace=tracer.to_wire(),
+        return await self._in_executor(
+            lambda: self.cluster.submit_update(add=add, remove=remove, trace=trace)
         )
 
     async def _op_stats(self, request_id, request) -> dict:
@@ -1386,11 +1334,7 @@ class ClusterRouter(QueryServer):
             }
 
         stats = await self._in_executor(collect)
-        stats["server"] = {
-            "address": list(self.address),
-            "connections": self._connections,
-            "version": protocol.PROTOCOL_VERSION,
-        }
+        stats["server"] = self._server_stats()
         return protocol.ok_response(request_id, stats=stats)
 
     # ``watch`` and ``reaches`` are inherited: the base handlers call

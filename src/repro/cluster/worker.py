@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 from repro.cluster.backends import InProcessBackend, aggregate_scheduler_stats
 from repro.cluster.boundary import summary_to_wire
-from repro.errors import ReproError
 from repro.server import protocol
 from repro.server.service import QueryServer, ServerConfig
 
@@ -86,10 +85,10 @@ class ShardWorkerServer(QueryServer):
     one :class:`~repro.cluster.backends.InProcessBackend`.
 
     The base handlers drive the backend directly (``submit`` /
-    ``submit_update`` / ``watch`` / ``reaches``); only ``stats`` is
-    specialised (shard-document extension) and ``query``/``update`` keep
-    their blocking steps off the event loop, mirroring
-    :class:`~repro.cluster.ClusterRouter`.
+    ``watch`` / ``reaches`` / ``checkpoint``).  What differs: ``stats``
+    (shard-document extension), the ``mode: "summary"`` query, the
+    closure-key memo warmed before a query is admitted, and update
+    admission taken off the event loop.
     """
 
     def __init__(
@@ -104,34 +103,14 @@ class ShardWorkerServer(QueryServer):
     async def _op_query(self, request_id, request) -> dict:
         if request.get("mode") == "summary":
             return await self._op_summary(request_id, request)
-        # Warm the backend's closure-key memo off the loop: first
-        # contact with a query text walks its DNF, which must not stall
-        # the socket multiplexer.
-        queries = request.get("queries")
-        if queries is None and isinstance(request.get("query"), str):
-            queries = [request["query"]]
-        if isinstance(queries, list) and queries and all(
-            isinstance(query, str) for query in queries
-        ):
-            missing = [
-                text
-                for text in queries
-                if text not in self.backend._key_memo
-            ]
-            if missing:
-
-                def warm() -> None:
-                    for text in missing:
-                        try:
-                            self.backend.route_key(text)
-                        except ReproError:
-                            # Warm-up only: the base handler re-parses
-                            # and reports the real error to the client.
-                            # Genuine bugs propagate.
-                            return
-
-                await self._in_executor(warm)
         return await super()._op_query(request_id, request)
+
+    async def _warm(self, queries) -> None:
+        # First contact with a query text walks its DNF for the
+        # closure key, which must not stall the socket multiplexer.
+        await self._warm_off_loop(
+            queries, self.backend._key_memo, self.backend.route_key
+        )
 
     async def _op_summary(self, request_id, request) -> dict:
         """The ``mode: "summary"`` query extension (boundary-join path)."""
@@ -159,6 +138,7 @@ class ShardWorkerServer(QueryServer):
         # span into it, and the subtree ships back for the router's
         # join-round span to adopt.
         tracer, parent, root_span, echo = self._begin_trace(request)
+        started = time.monotonic()
         trace = (tracer, parent) if tracer is not None else None
         # Admission + NFA compilation happen off the loop (first contact
         # with a text compiles its automaton), like the key warm-up.
@@ -174,50 +154,14 @@ class ShardWorkerServer(QueryServer):
         summary, elapsed = await asyncio.wrap_future(future)
         payload = summary_to_wire(summary)
         payload["time"] = elapsed
-        if tracer is None:
-            return protocol.ok_response(request_id, summary=payload)
-        if root_span is not None:
-            tracer.finish(root_span)
-        if not echo:
-            return protocol.ok_response(request_id, summary=payload)
-        return protocol.ok_response(
-            request_id, summary=payload, trace=tracer.to_wire()
+        return await self._reply(
+            request_id, (tracer, root_span, echo), [text], started, summary=payload
         )
 
-    async def _op_update(self, request_id, request) -> dict:
-        add = self._edge_list(request.get("add", ()), "add")
-        remove = self._edge_list(request.get("remove", ()), "remove")
-        if not add and not remove:
-            raise protocol.ProtocolError(
-                "'update' op needs 'add' and/or 'remove' edges"
-            )
-        tracer, parent, root_span, echo = self._begin_trace(request)
-        started = time.monotonic()
-        trace = (tracer, parent) if tracer is not None else None
+    async def _submit_update(self, add, remove, trace):
         # Blocking admission to every replica queue -- off the loop.
-        future = await self._in_executor(
+        return await self._in_executor(
             lambda: self.backend.update(add=add, remove=remove, trace=trace)
-        )
-        await asyncio.wrap_future(future)
-        if tracer is None:
-            return protocol.ok_response(
-                request_id, added=len(add), removed=len(remove)
-            )
-        await self._finish_trace(
-            tracer,
-            root_span,
-            [f"update(+{len(add)},-{len(remove)})"],
-            started,
-        )
-        if not echo:
-            return protocol.ok_response(
-                request_id, added=len(add), removed=len(remove)
-            )
-        return protocol.ok_response(
-            request_id,
-            added=len(add),
-            removed=len(remove),
-            trace=tracer.to_wire(),
         )
 
     async def _op_stats(self, request_id, request) -> dict:
@@ -231,11 +175,7 @@ class ShardWorkerServer(QueryServer):
 
         document, scheduler = await self._in_executor(collect)
         stats = {
-            "server": {
-                "address": list(self.address),
-                "connections": self._connections,
-                "version": protocol.PROTOCOL_VERSION,
-            },
+            "server": self._server_stats(),
             "scheduler": scheduler,
             "session": document["replicas"][0]["session"],
         }

@@ -9,7 +9,7 @@ Public surface:
   :func:`clause_to_regex`, :func:`decompose_clause`, :class:`BatchUnit`;
 * Algorithm 2: :func:`eval_batch_unit`, :class:`BatchUnitOptions`;
 * engines: :class:`RTCSharingEngine`, :class:`FullSharingEngine`,
-  :class:`NoSharingEngine`, :func:`make_engine`;
+  :class:`NoSharingEngine` (built by name through :mod:`repro.db`);
 * caches (:class:`RTCCache`, :class:`ClosureCache`), phase timing, the
   batch planner and reduction statistics.
 """
@@ -30,7 +30,6 @@ from repro.core.engines import (
     NoSharingEngine,
     RPQEngine,
     RTCSharingEngine,
-    make_engine,
 )
 from repro.core.planner import PlannedUnit, estimate_cost, plan_order
 from repro.core.reduction import (
@@ -79,7 +78,6 @@ __all__ = [
     "NoSharingEngine",
     "FullSharingEngine",
     "RTCSharingEngine",
-    "make_engine",
     "RTCCache",
     "ClosureCache",
     "SharedDataCache",

@@ -32,7 +32,6 @@ from repro.bitset.pairbitmap import PairBitmap
 from repro.core.rtc import ReducedTransitiveClosure
 from repro.graph.multigraph import LabeledMultigraph
 from repro.rpq.counters import OpCounters
-from repro.rpq.evaluate import pick_kernel
 from repro.rpq.restricted import RestrictedEvaluator
 
 __all__ = [
@@ -169,7 +168,7 @@ def join_pre_with_rtc_bits(
 
 def apply_post(
     graph: LabeledMultigraph,
-    pairs: Iterable[tuple[object, object]] | PairBitmap,
+    pairs: Iterable[tuple[object, object]],
     post: RestrictedEvaluator | None,
     counters: OpCounters | None = None,
 ) -> set[tuple[object, object]]:
@@ -180,12 +179,7 @@ def apply_post(
     memoised per distinct middle vertex: ``EvalRestrictedRPQ(Post, v_k)``
     is evaluated once per ``v_k``, which both engines (Full and RTC) share
     so that the paper's "Remainder" phase is method-independent.
-
-    ``pairs`` may be a :class:`PairBitmap` (the bit-parallel join's
-    output); it materialises here, at the last step that needs tuples.
     """
-    if isinstance(pairs, PairBitmap):
-        pairs = pairs.pairs
     if post is None or post.is_epsilon:
         return set(pairs)
     ends_cache: dict[object, set] = {}
@@ -249,19 +243,18 @@ def eval_batch_unit(
     post: RestrictedEvaluator | None,
     options: BatchUnitOptions = DEFAULT_OPTIONS,
     counters: OpCounters | None = None,
-    kernel: str = "auto",
 ) -> set[tuple[object, object]]:
     """Algorithm 2 end to end: ``(Pre . R{+,*} . Post)_G``.
 
     Parameters mirror the paper's signature ``EvalBatchUnit(Pre_G, R̄+_G,
     SCC, Type, Post)``; the RTC object carries both ``R̄+_G`` and ``SCC``.
-    ``kernel`` picks the join implementation
-    (:func:`repro.rpq.evaluate.pick_kernel`): the bitmap join ignores
-    ``options`` because its eliminations are structural.
+    Without ``counters`` the join runs on bitmaps (which ignore
+    ``options``: their eliminations are structural); with them, the
+    counted set join the ablations measure.
     """
     if closure_type not in ("+", "*"):
         raise ValueError(f"closure type must be '+' or '*', got {closure_type!r}")
-    if pick_kernel(kernel, counters):
+    if counters is None:
         pre = PairBitmap.from_pairs(pre_pairs, graph.interner)
         joined = join_pre_with_rtc_bits(pre, rtc)
         seed = pre if closure_type == "*" else None

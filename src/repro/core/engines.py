@@ -16,6 +16,12 @@ expose the same metrics surface:
 * ``counters``-- optional operation tallies (:mod:`repro.rpq.counters`);
 * ``shared_data_size()`` -- pairs held in the shared structure (Fig. 12).
 
+One engine run has one result type.  RTCSharing and NoSharing evaluate
+in id space and return a :class:`~repro.bitset.PairBitmap` from every
+clause; with counters attached they run the counted tuple-set reference
+and return ``set``.  FullSharing, the baseline defined by its pair-by-
+pair join, always returns ``set``.
+
 Engines are bound to one graph; caches persist across ``evaluate`` calls,
 which is what "sharing among multiple RPQs" means operationally.
 """
@@ -25,7 +31,7 @@ from __future__ import annotations
 import time
 from collections import deque
 
-from repro.bitset.kernel import eval_label_sequence_bits
+from repro.bitset.kernel import eval_label_sequence_bits, eval_rpq_bits
 from repro.bitset.pairbitmap import PairBitmap
 from repro.core.batch_unit import (
     BatchUnitOptions,
@@ -48,9 +54,10 @@ from repro.core.timing import (
 from repro.graph.digraph import DiGraph
 from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.ast import Epsilon, RegexNode
+from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse
 from repro.rpq.counters import OpCounters
-from repro.rpq.evaluate import eval_rpq
+from repro.rpq.evaluate import check_alphabet, eval_rpq
 from repro.rpq.label_join import eval_label_sequence
 from repro.rpq.restricted import RestrictedEvaluator, as_label_sequence
 
@@ -59,10 +66,9 @@ __all__ = [
     "NoSharingEngine",
     "FullSharingEngine",
     "RTCSharingEngine",
-    "make_engine",
 ]
 
-Pairs = set  # set[tuple[vertex, vertex]]
+Pairs = set | PairBitmap  # one of the two per engine run, never mixed
 
 
 class RPQEngine:
@@ -97,7 +103,12 @@ class RPQEngine:
 
     # -- public API ----------------------------------------------------
     def evaluate(self, query: str | RegexNode) -> Pairs:
-        """Evaluate one RPQ; returns the set of ``(start, end)`` pairs."""
+        """Evaluate one RPQ; returns its ``(start, end)`` pairs.
+
+        A :class:`PairBitmap` (which iterates, compares and tests
+        membership like the pair set) or a ``set`` -- see the module
+        docstring for which; the type never varies within one run.
+        """
         node = parse(query)
         if self.simplify_queries:
             from repro.regex.simplify import simplify
@@ -132,6 +143,21 @@ class RPQEngine:
     def _evaluate_node(self, node: RegexNode) -> Pairs:
         raise NotImplementedError
 
+    # -- shared leaf -----------------------------------------------------
+    @property
+    def _packed(self) -> bool:
+        """Bits unless counters are attached: results are PairBitmaps."""
+        return self.counters is None
+
+    def _eval_automaton(self, node: RegexNode) -> Pairs:
+        """Product-automaton evaluation of a whole expression."""
+        nfa = compile_nfa(node)
+        if self.strict_labels:
+            check_alphabet(self.graph, nfa)
+        if self._packed:
+            return eval_rpq_bits(self.graph, nfa)
+        return eval_rpq(self.graph, nfa, counters=self.counters)
+
 
 class NoSharingEngine(RPQEngine):
     """Evaluate every RPQ independently with the automaton evaluator [5].
@@ -144,12 +170,7 @@ class NoSharingEngine(RPQEngine):
 
     def _evaluate_node(self, node: RegexNode) -> Pairs:
         with self.timer.measure(PHASE_REMAINDER):
-            return eval_rpq(
-                self.graph,
-                node,
-                counters=self.counters,
-                strict_labels=self.strict_labels,
-            )
+            return self._eval_automaton(node)
 
 
 class _SharingEngine(RPQEngine):
@@ -178,13 +199,10 @@ class _SharingEngine(RPQEngine):
 
     # -- shared skeleton (Algorithm 1) -----------------------------------
     def _evaluate_node(self, node: RegexNode) -> Pairs:
-        # A single-clause result passes through unchanged, so a batch
-        # unit's PairBitmap stays packed all the way to the caller (the
-        # common case: most queries are one DNF clause).  Unions across
-        # clauses stay bitmap-wise while both sides are bitmaps (same
-        # graph interner, same id space) and only materialise when a
-        # set-valued clause forces it.
-        result: Pairs | PairBitmap | None = None
+        # Every clause of one run has the same type (all bitmaps over
+        # the graph's interner, or all sets), so the union is one ``|=``;
+        # a DNF has at least one clause.
+        result: Pairs | None = None
         for clause in to_dnf(node, self.max_clauses):
             unit = decompose_clause(clause)
             if unit.type is None:
@@ -193,15 +211,9 @@ class _SharingEngine(RPQEngine):
                 part = self._eval_batch_unit(unit)
             if result is None:
                 result = part
-            elif isinstance(result, PairBitmap) and isinstance(part, PairBitmap):
-                result |= part
             else:
-                if isinstance(result, PairBitmap):
-                    result = result.pairs
-                if isinstance(part, PairBitmap):
-                    part = part.pairs
                 result |= part
-        return set() if result is None else result
+        return result
 
     def _eval_without_closure(self, post: RegexNode, labels: tuple) -> Pairs:
         """``EvalRPQwithoutKC`` (Algorithm 1 line 6)."""
@@ -212,19 +224,14 @@ class _SharingEngine(RPQEngine):
             if use_join and not isinstance(post, Epsilon):
                 sequence = as_label_sequence(post)
                 if sequence:
-                    if self.counters is None:
+                    if self._packed:
                         # Stays a bitmap: Pre_G and R_G feed the id-space
                         # join and Compute_RTC without becoming tuples.
                         return eval_label_sequence_bits(self.graph, sequence)
                     return eval_label_sequence(
                         self.graph, sequence, counters=self.counters
                     )
-            return eval_rpq(
-                self.graph,
-                post,
-                counters=self.counters,
-                strict_labels=self.strict_labels,
-            )
+            return self._eval_automaton(post)
 
     def _eval_pre(self, unit: BatchUnit) -> Pairs:
         """``Pre_G`` -- recursive engine call (Algorithm 1 line 8)."""
@@ -246,7 +253,7 @@ class _SharingEngine(RPQEngine):
             vertices = self.graph.vertices()
         else:
             vertices = self._closure_vertices(unit.r)
-        if self.counters is None:
+        if self._packed:
             interner = self.graph.interner
             return PairBitmap.identity(map(interner.id_of, vertices), interner)
         return {(vertex, vertex) for vertex in vertices}
@@ -359,13 +366,9 @@ class RTCSharingEngine(_SharingEngine):
         rtc = self.rtc_for(unit.r)
         pre_pairs = self._eval_pre(unit)
         post = self._post_evaluator(unit)
-        if self.counters is None:
+        if self._packed:
             # Bit-parallel pipeline: the waste eliminations are structural,
             # so ablation runs (counters attached) keep the set pipeline.
-            if not isinstance(pre_pairs, PairBitmap):
-                # A set-valued Pre clause (epsilon, or a union that mixed
-                # kernels) enters id space here.
-                pre_pairs = PairBitmap.from_pairs(pre_pairs, self.graph.interner)
             with self.timer.measure(PHASE_PRE_JOIN):
                 joined = join_pre_with_rtc_bits(pre_pairs, rtc)
             with self.timer.measure(PHASE_REMAINDER):
@@ -401,6 +404,8 @@ class FullSharingEngine(_SharingEngine):
     """
 
     name = "Full"
+    #: The method is defined by its pair-by-pair join: always tuple sets.
+    _packed = False
 
     def __init__(
         self,
@@ -495,31 +500,3 @@ class FullSharingEngine(_SharingEngine):
 
     def reset_cache(self) -> None:
         self.closure_cache.clear()
-
-
-_ENGINES = {
-    "no": NoSharingEngine,
-    "full": FullSharingEngine,
-    "rtc": RTCSharingEngine,
-}
-
-
-def make_engine(name: str, graph: LabeledMultigraph, **kwargs) -> RPQEngine:
-    """Deprecated engine factory; use :mod:`repro.db` instead.
-
-    Thin shim over the :mod:`repro.db.registry` (so engines registered
-    there resolve here too).  Unknown names raise
-    :class:`~repro.errors.UnknownEngineError`, which still ``isinstance``-
-    checks as the ``ValueError`` this function used to raise.
-    """
-    import warnings
-
-    warnings.warn(
-        "make_engine() is deprecated; use repro.db.GraphDB.open(..., "
-        "engine=name) or repro.db.create_engine() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.db.registry import create_engine
-
-    return create_engine(name, graph, **kwargs)

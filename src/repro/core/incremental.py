@@ -26,9 +26,11 @@ re-evaluation, pair for pair.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
+from functools import cache
+from itertools import product
 
+from repro.bitset.kernel import bfs_mask, eval_rpq_bits
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
@@ -37,7 +39,6 @@ from repro.graph.scc import Condensation
 from repro.regex.ast import RegexNode
 from repro.regex.nfa import LabelNFA, compile_nfa
 from repro.regex.parser import parse
-from repro.rpq.evaluate import eval_rpq, eval_rpq_from
 
 __all__ = ["IncrementalRTC"]
 
@@ -70,14 +71,8 @@ class IncrementalRTC:
         self.body = parse(body)
         self._nfa = compile_nfa(self.body)
         self._reverse_nfa = _reverse_delta(self._nfa)
-        self._gr = DiGraph.from_pairs(eval_rpq(graph, self._nfa))
-        if self._nfa.nullable:
-            for vertex in graph.vertices():
-                self._gr.add_edge(vertex, vertex)
-        # Mutable RTC state.
-        self._scc_of: dict = {}
-        self._members: dict[int, set] = {}
-        self._closure: dict[int, set[int]] = {}
+        # Mutable state: G_R and the RTC's three maps.
+        self._gr = self._evaluate_gr()
         self._rebuild()
         #: how many insertions were handled by full recomputation
         self.full_rebuilds = 0
@@ -97,14 +92,7 @@ class IncrementalRTC:
 
     def plus_pairs(self) -> set[tuple[object, object]]:
         """Materialise ``(R+)_G`` (Theorem 1 expansion of current state)."""
-        result: set[tuple[object, object]] = set()
-        for source_id, targets in self._closure.items():
-            source_members = self._members[source_id]
-            for target_id in targets:
-                for source in source_members:
-                    for target in self._members[target_id]:
-                        result.add((source, target))
-        return result
+        return self.snapshot().expand()
 
     def snapshot(self) -> ReducedTransitiveClosure:
         """A frozen :class:`ReducedTransitiveClosure` of the current state."""
@@ -166,14 +154,7 @@ class IncrementalRTC:
         watcher._gr = DiGraph()
         for source, target in gr_edges:
             watcher._gr.add_edge(source, target)
-        watcher._scc_of = dict(rtc.condensation.scc_of)
-        watcher._members = {
-            scc_id: set(members)
-            for scc_id, members in rtc.condensation.members.items()
-        }
-        watcher._closure = {
-            scc_id: set(targets) for scc_id, targets in rtc.closure.items()
-        }
+        watcher._load(rtc)
         watcher.full_rebuilds = 0
         watcher.incremental_updates = 0
         return watcher
@@ -235,107 +216,62 @@ class IncrementalRTC:
         Used after deletions or arbitrary external graph surgery; counted
         as a full rebuild.
         """
-        self._gr = DiGraph.from_pairs(eval_rpq(self.graph, self._nfa))
-        if self._nfa.nullable:
-            for vertex in self.graph.vertices():
-                self._gr.add_edge(vertex, vertex)
+        self._gr = self._evaluate_gr()
         self._rebuild()
         self.full_rebuilds += 1
+
+    def _evaluate_gr(self) -> DiGraph:
+        """``G_R`` from scratch: ``R_G`` as edges (reflexive if nullable)."""
+        return DiGraph.from_pairs(eval_rpq_bits(self.graph, self._nfa))
 
     def _rg_delta(
         self, source: object, label: str, target: object
     ) -> set[tuple[object, object]]:
-        """New ``R_G`` pairs created by the inserted graph edge."""
+        """New ``R_G`` pairs created by the inserted graph edge.
+
+        For every transition ``q -label-> q'``: the vertices whose
+        traversal can sit at ``(source, q)`` (a backward product BFS
+        over the reverse rows and the reversed automaton) times the
+        vertices where ``(target, q')`` reaches acceptance (a forward
+        one), each including its own end in zero steps.
+        """
+        nfa = self._nfa
+        graph = self.graph
+        interner = graph.interner
+
+        def reached(rows_of, automaton, accepts, state, vertex) -> tuple:
+            bit = 1 << interner.id_of(vertex)
+            mask = bfs_mask(rows_of, automaton, accepts, (state,), bit)
+            if state in accepts:
+                mask |= bit
+            return interner.vertices_of(mask)
+
+        # Several transitions share a source or a target state.
+        ends_of = cache(
+            lambda state: reached(graph.bit_rows, nfa.delta, nfa.accepts, state, target)
+        )
+        starts_of = cache(
+            lambda state: reached(
+                graph.rev_bit_rows, self._reverse_nfa, nfa.start, state, source
+            )
+        )
         delta: set[tuple[object, object]] = set()
-        transitions = [
-            (state, next_state)
-            for state, row in self._nfa.delta.items()
-            if label in row
-            for next_state in row[label]
-        ]
-        if not transitions:
-            return delta
-        ends_cache: dict[int, set] = {}
-        starts_cache: dict[int, set] = {}
-        for state, next_state in transitions:
-            ends = ends_cache.get(next_state)
-            if ends is None:
-                ends = self._forward_ends(target, next_state)
-                ends_cache[next_state] = ends
-            if not ends:
-                continue
-            starts = starts_cache.get(state)
-            if starts is None:
-                starts = self._backward_starts(source, state)
-                starts_cache[state] = starts
-            for start_vertex in starts:
-                for end_vertex in ends:
-                    delta.add((start_vertex, end_vertex))
+        for state, row in nfa.delta.items():
+            for next_state in row.get(label, ()):
+                ends = ends_of(next_state)
+                if ends:
+                    delta.update(product(starts_of(state), ends))
         return delta
-
-    def _forward_ends(self, vertex: object, state: int) -> set:
-        """Vertices where acceptance is reached from ``(vertex, state)``."""
-        ends: set = set()
-        if state in self._nfa.accepts:
-            ends.add(vertex)
-        visited = {(vertex, state)}
-        queue: deque = deque([(vertex, state)])
-        delta = self._nfa.delta
-        accepts = self._nfa.accepts
-        while queue:
-            current_vertex, current_state = queue.popleft()
-            row = delta[current_state]
-            if not row:
-                continue
-            out_map = self.graph.out_map(current_vertex)
-            if not out_map:
-                continue
-            for edge_label in row.keys() & out_map.keys():
-                for next_state in row[edge_label]:
-                    for next_vertex in out_map[edge_label]:
-                        pair = (next_vertex, next_state)
-                        if pair in visited:
-                            continue
-                        visited.add(pair)
-                        queue.append(pair)
-                        if next_state in accepts:
-                            ends.add(next_vertex)
-        return ends
-
-    def _backward_starts(self, vertex: object, state: int) -> set:
-        """Start vertices whose traversal can sit at ``(vertex, state)``."""
-        starts: set = set()
-        start_states = self._nfa.start
-        if state in start_states:
-            starts.add(vertex)
-        visited = {(vertex, state)}
-        queue: deque = deque([(vertex, state)])
-        reverse_nfa = self._reverse_nfa
-        while queue:
-            current_vertex, current_state = queue.popleft()
-            rows = reverse_nfa.get(current_state)
-            if not rows:
-                continue
-            for edge_label, previous_states in rows.items():
-                for previous_vertex in self.graph.sources(
-                    current_vertex, edge_label
-                ):
-                    for previous_state in previous_states:
-                        pair = (previous_vertex, previous_state)
-                        if pair in visited:
-                            continue
-                        visited.add(pair)
-                        queue.append(pair)
-                        if previous_state in start_states:
-                            starts.add(previous_vertex)
-        return starts
 
     # ------------------------------------------------------------------
     # reduced-graph / RTC repair
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         """Full Compute_RTC from the current ``G_R`` (the fallback path)."""
-        rtc = compute_rtc(self._gr)
+        self._load(compute_rtc(self._gr))
+
+    def _load(self, rtc: ReducedTransitiveClosure) -> None:
+        """Adopt a frozen RTC as the mutable state."""
         self._scc_of = dict(rtc.condensation.scc_of)
         self._members = {
             scc_id: set(members)
@@ -367,9 +303,7 @@ class IncrementalRTC:
             # cyclic, so it must reach itself.
             if source_id not in self._closure[source_id]:
                 self._add_reach(source_id, source_id)
-                self.incremental_updates += 1
-            else:
-                self.incremental_updates += 1
+            self.incremental_updates += 1
             return
 
         if source_id in self._closure[target_id]:

@@ -35,7 +35,7 @@ from repro.bitset.interner import VertexInterner, bit_indexes
 from repro.bitset.pairbitmap import PairBitmap
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condense
-from repro.graph.transitive_closure import dag_closure_bitsets, iter_bits
+from repro.graph.transitive_closure import scc_closure
 
 __all__ = ["RTCMasks", "ReducedTransitiveClosure", "compute_rtc"]
 
@@ -243,13 +243,9 @@ def compute_rtc(
     else:
         graph = DiGraph.from_pairs(rg)
     condensation = condense(graph)
-    bitsets = dag_closure_bitsets(condensation)
-    closure = {
-        scc_id: frozenset(iter_bits(mask)) for scc_id, mask in bitsets.items()
-    }
     return ReducedTransitiveClosure(
         condensation=condensation,
-        closure=closure,
+        closure=scc_closure(condensation),
         num_gr_vertices=graph.num_vertices,
         num_gr_edges=graph.num_edges,
     )

@@ -1,9 +1,8 @@
 """The pluggable engine registry behind :class:`~repro.db.GraphDB`.
 
-A flat ``name -> engine class`` mapping that replaces the hardcoded
-dispatch table the old ``repro.core.engines.make_engine`` carried.  The
-three paper engines are pre-registered; third-party code adds its own
-without touching :mod:`repro.core.engines`::
+A flat ``name -> engine class`` mapping.  The three paper engines are
+pre-registered; third-party code adds its own without touching
+:mod:`repro.core.engines`::
 
     from repro.db import register_engine
     from repro.core.engines import RPQEngine
@@ -109,11 +108,7 @@ def available_engines() -> tuple[str, ...]:
 
 
 def create_engine(name: str, graph: LabeledMultigraph, **kwargs):
-    """Instantiate the engine registered under ``name`` on ``graph``.
-
-    The registry-backed replacement for the old
-    ``repro.core.engines.make_engine`` dispatch.
-    """
+    """Instantiate the engine registered under ``name`` on ``graph``."""
     return get_engine_class(name)(graph, **kwargs)
 
 

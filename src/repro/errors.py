@@ -29,6 +29,7 @@ ERROR_CODES = {
     "closed": "the server/scheduler/backend is shut down",
     "poisoned": "the client connection is in an unrecoverable state",
     "bad_request": "the wire message violated the protocol (ProtocolError)",
+    "too_large": "the response would not fit one protocol line (ResultTooLargeError)",
     # cluster routing (any `cluster`-prefixed code rehydrates to
     # ClusterError, preserving the sub-code)
     "cluster": "unclassified cluster routing failure (ClusterError base)",
@@ -106,10 +107,10 @@ class EvaluationError(ReproError):
 class UnknownEngineError(ReproError, ValueError):
     """An engine name is not present in the engine registry.
 
-    Also derives from :class:`ValueError` so code written against the old
-    ``make_engine`` contract (which raised a bare ``ValueError``) keeps
-    working.  Carries the offending ``name`` and the ``available`` engine
-    names at raise time.
+    Also derives from :class:`ValueError` (a bad argument value is what
+    it is, and callers catching ``ValueError`` keep working).  Carries
+    the offending ``name`` and the ``available`` engine names at raise
+    time.
     """
 
     def __init__(self, name: object, available: tuple = ()) -> None:
@@ -217,6 +218,24 @@ class ClusterError(ServerError):
             self.code = code
         self.shards = tuple(shards)
         self.detail = detail
+
+
+class ResultTooLargeError(ServerError):
+    """A response would not fit in one protocol line.
+
+    Sent in place of a response whose encoding passes
+    ``protocol.MAX_LINE_BYTES`` -- in practice a list-encoded pair
+    result.  ``counts`` holds each query's pair count in request order
+    (``None`` for one that failed on its own); the connection stays
+    usable, and the same request with ``enc="packed"`` or
+    ``pairs=False`` fits.
+    """
+
+    code = "too_large"
+
+    def __init__(self, message: str, counts=()) -> None:
+        super().__init__(message)
+        self.counts = list(counts)
 
 
 class ProtocolError(ServerError):

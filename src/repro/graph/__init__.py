@@ -32,7 +32,6 @@ from repro.graph.reachability import OnlineBfsOracle, SccIntervalOracle
 from repro.graph.scc import Condensation, condense, kosaraju_scc, tarjan_scc
 from repro.graph.transitive_closure import (
     dag_closure_bitsets,
-    iter_bits,
     scc_closure,
     tc_bfs,
     tc_nuutila,
@@ -55,7 +54,6 @@ __all__ = [
     "transitive_closure_pairs",
     "scc_closure",
     "dag_closure_bitsets",
-    "iter_bits",
     "OnlineBfsOracle",
     "SccIntervalOracle",
     "load_edge_list",

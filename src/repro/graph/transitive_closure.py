@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 
+from repro.bitset.interner import bit_indexes
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condense
 
@@ -39,7 +40,6 @@ __all__ = [
     "tc_purdom",
     "tc_nuutila",
     "transitive_closure_pairs",
-    "iter_bits",
 ]
 
 
@@ -88,17 +88,9 @@ def tc_warshall(graph: DiGraph) -> set[tuple[object, object]]:
     for i in range(n):
         row = reach[i]
         source = vertices[i]
-        for j in iter_bits(row):
+        for j in bit_indexes(row):
             closure.add((source, vertices[j]))
     return closure
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indexes of the set bits of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def dag_closure_bitsets(condensation: Condensation) -> dict[int, int]:
@@ -128,7 +120,7 @@ def scc_closure(condensation: Condensation) -> dict[int, frozenset[int]]:
     """Closure of the condensation as ``scc_id -> frozenset of ids``."""
     bitsets = dag_closure_bitsets(condensation)
     return {
-        scc_id: frozenset(iter_bits(mask)) for scc_id, mask in bitsets.items()
+        scc_id: frozenset(bit_indexes(mask)) for scc_id, mask in bitsets.items()
     }
 
 
@@ -140,7 +132,7 @@ def _expand_scc_pairs(
     members = condensation.members
     for source_id, mask in bitsets.items():
         source_members = members[source_id]
-        for target_id in iter_bits(mask):
+        for target_id in bit_indexes(mask):
             for source in source_members:
                 for target in members[target_id]:
                     closure.add((source, target))
@@ -239,7 +231,7 @@ def tc_nuutila(graph: DiGraph) -> set[tuple[object, object]]:
 
     closure: set[tuple[object, object]] = set()
     for source_id, mask in enumerate(reach):
-        for target_id in iter_bits(mask):
+        for target_id in bit_indexes(mask):
             for source in members[source_id]:
                 for target in members[target_id]:
                     closure.add((source, target))

@@ -11,7 +11,8 @@ queries with tiny NFAs do not.  The ablation benchmark
 paper's workloads.
 
 Semantics are identical to :func:`repro.rpq.evaluate.eval_rpq` and the
-test suite asserts equality on random graph/query pairs.
+test suite asserts equality on random graph/query pairs.  This is an
+ablation evaluator: it always walks tuple sets, counted or not.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
-from repro.bitset.kernel import eval_rpq_dfa_bits
 from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.ast import RegexNode
 from repro.regex.dfa import DFA, determinize
 from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse
 from repro.rpq.counters import OpCounters
-from repro.rpq.evaluate import pick_kernel
 
 __all__ = ["eval_rpq_dfa", "eval_dfa_from"]
 
@@ -81,21 +80,17 @@ def eval_rpq_dfa(
     query: str | RegexNode | DFA,
     starts: Iterable | None = None,
     counters: OpCounters | None = None,
-    kernel: str = "auto",
 ) -> set[tuple[object, object]]:
     """Evaluate an RPQ with a determinised automaton.
 
     Same contract as :func:`repro.rpq.evaluate.eval_rpq`: returns all
     ``(start, end)`` pairs, including reflexive pairs when the language
-    contains the empty word.  ``kernel`` routes between the set and
-    bitmap traversals (:func:`repro.rpq.evaluate.pick_kernel`).
+    contains the empty word.
     """
     if isinstance(query, DFA):
         dfa = query
     else:
         dfa = determinize(compile_nfa(parse(query)))
-    if pick_kernel(kernel, counters):
-        return eval_rpq_dfa_bits(graph, dfa, starts=starts)
 
     first_labels = set(dfa.delta[dfa.start])
     if starts is None:

@@ -16,9 +16,11 @@ compares against, are applied:
 * per (vertex, state) pair, only the labels present in both the automaton's
   transition row and the vertex's out-edges are followed.
 
-This module is the workhorse behind ``EvalRPQwithoutKC`` (closure-free
-clauses), ``EvalRestrictedRPQ`` (``Post`` from a single vertex) and the
-NoSharing baseline (whole queries, closures included).
+This module is the *counted reference*: the tuple-set traversal runs
+when an :class:`OpCounters` is attached (the ablation figures tally its
+per-edge work) and is what the identity suites hold the bitmap kernel
+to.  Without counters :func:`eval_rpq` is
+:func:`repro.bitset.kernel.eval_rpq_bits`, decoded to tuples once.
 """
 
 from __future__ import annotations
@@ -39,27 +41,7 @@ __all__ = [
     "eval_rpq_from",
     "candidate_starts",
     "check_alphabet",
-    "pick_kernel",
 ]
-
-
-def pick_kernel(kernel: str, counters: OpCounters | None) -> bool:
-    """Resolve a ``kernel`` argument to "use the bitmap kernel?".
-
-    ``"auto"`` routes to the bit-parallel kernel exactly when no
-    :class:`OpCounters` is attached: the counters tally per-edge
-    traversal work that a word-parallel sweep never performs, so
-    instrumented runs (the paper's ablation figures) stay on the set
-    kernel while production paths get the fast one.  ``"bits"`` and
-    ``"sets"`` force a side, for identity tests and benchmarks.
-    """
-    if kernel == "auto":
-        return counters is None
-    if kernel == "bits":
-        return True
-    if kernel == "sets":
-        return False
-    raise ValueError(f"unknown kernel {kernel!r}; expected auto, bits, or sets")
 
 
 def check_alphabet(graph: LabeledMultigraph, nfa: LabelNFA) -> None:
@@ -149,7 +131,6 @@ def eval_rpq(
     starts: Iterable | None = None,
     counters: OpCounters | None = None,
     strict_labels: bool = False,
-    kernel: str = "auto",
 ) -> set[tuple[object, object]]:
     """Evaluate an RPQ: all ``(start, end)`` pairs of satisfying paths.
 
@@ -163,13 +144,11 @@ def eval_rpq(
         Restrict traversal to these start vertices (used by
         ``EvalRestrictedRPQ``); ``None`` evaluates from every candidate.
     counters:
-        Optional :class:`OpCounters` to tally traversal work.
+        Optional :class:`OpCounters` to tally traversal work; attaching
+        one selects the tuple-set traversal the tallies describe.
     strict_labels:
         When true, raise :class:`UnknownLabelError` if the query uses a
         label missing from the graph.
-    kernel:
-        ``"auto"`` (bitmaps unless counters are attached), ``"bits"``,
-        or ``"sets"`` -- see :func:`pick_kernel`.
 
     Notes
     -----
@@ -183,15 +162,15 @@ def eval_rpq(
         nfa = compile_nfa(parse(query))
     if strict_labels:
         check_alphabet(graph, nfa)
-    if pick_kernel(kernel, counters):
-        return eval_rpq_bits(graph, nfa, starts=starts)
+    if counters is None:
+        return eval_rpq_bits(graph, nfa, starts=starts).to_pairs()
 
     if starts is None:
         traversal_starts: Iterable = candidate_starts(graph, nfa)
     else:
         traversal_starts = [vertex for vertex in starts if graph.has_vertex(vertex)]
 
-    results: set[tuple[object, object]] = set()  # repro: noqa[RPR801] -- set-kernel ablation baseline; counter-instrumented runs stay on tuples
+    results: set[tuple[object, object]] = set()  # repro: noqa[RPR801] -- counted reference: counter-instrumented runs stay on tuples
     if nfa.nullable:
         reflexive = graph.vertices() if starts is None else traversal_starts
         for vertex in reflexive:

@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from repro.bitset.kernel import eval_label_sequence_bits
 from repro.graph.multigraph import LabeledMultigraph
 from repro.rpq.counters import OpCounters
-from repro.rpq.evaluate import pick_kernel
 
 __all__ = ["eval_label_sequence", "eval_labels_from"]
 
@@ -36,7 +35,7 @@ def _extend_right(
     counters: OpCounters | None,
 ) -> set[tuple[object, object]]:
     """Join on the right: ``{(s, t') | (s, t) in pairs, t -label-> t'}``."""
-    result: set[tuple[object, object]] = set()  # repro: noqa[RPR801] -- set-kernel ablation baseline; counter-instrumented runs stay on tuples
+    result: set[tuple[object, object]] = set()  # repro: noqa[RPR801] -- counted reference: counter-instrumented runs stay on tuples
     for source, middle in pairs:
         if counters is not None:
             counters.join_probes += 1
@@ -54,7 +53,7 @@ def _extend_left(
     counters: OpCounters | None,
 ) -> set[tuple[object, object]]:
     """Join on the left: ``{(s', t) | (s, t) in pairs, s' -label-> s}``."""
-    result: set[tuple[object, object]] = set()  # repro: noqa[RPR801] -- set-kernel ablation baseline; counter-instrumented runs stay on tuples
+    result: set[tuple[object, object]] = set()  # repro: noqa[RPR801] -- counted reference: counter-instrumented runs stay on tuples
     for middle, target in pairs:
         if counters is not None:
             counters.join_probes += 1
@@ -70,23 +69,21 @@ def eval_label_sequence(
     labels: Sequence[str],
     order: str = "rare-first",
     counters: OpCounters | None = None,
-    kernel: str = "auto",
 ) -> set[tuple[object, object]]:
     """All ``(start, end)`` pairs connected by the label sequence.
 
     ``order`` chooses the join strategy: ``"left-right"`` or
     ``"rare-first"`` (default).  An empty sequence denotes epsilon and
-    yields the reflexive pairs of all vertices.  ``kernel`` routes
-    between tuple joins and bitmap row sweeps
-    (:func:`repro.rpq.evaluate.pick_kernel`); both honour ``order``.
-    The bitmap join's answer is decoded to tuples here, once; callers
-    that can stay in id space (the RTC engine) call
-    :func:`~repro.bitset.kernel.eval_label_sequence_bits` themselves.
+    yields the reflexive pairs of all vertices.  Without ``counters``
+    the joins are bitmap row sweeps, decoded to tuples here, once
+    (callers that can stay in id space call
+    :func:`~repro.bitset.kernel.eval_label_sequence_bits` themselves);
+    with them, the counted tuple joins below.  Both honour ``order``.
     """
-    if pick_kernel(kernel, counters):
+    if counters is None:
         return eval_label_sequence_bits(graph, labels, order=order).to_pairs()
     if not labels:
-        return {(vertex, vertex) for vertex in graph.vertices()}  # repro: noqa[RPR801] -- set-kernel reflexive pairs; the bits path returned above
+        return {(vertex, vertex) for vertex in graph.vertices()}  # repro: noqa[RPR801] -- counted reference; the bits path returned above
     if order == "left-right":
         pairs = set(graph.edges_with_label(labels[0]))
         if counters is not None:

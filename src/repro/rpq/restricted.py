@@ -120,5 +120,5 @@ class RestrictedEvaluator:
                 ends = sweep(graph.bit_rows(label), ends)
             return ends
         nfa = self._nfa
-        ends = bfs_mask(graph, nfa.delta, nfa.accepts, nfa.start, starts)
+        ends = bfs_mask(graph.bit_rows, nfa.delta, nfa.accepts, nfa.start, starts)
         return ends | starts if self._nullable else ends

@@ -72,9 +72,23 @@ the cluster's processes).  Requests without a ``trace`` field are
 served exactly as before -- no span objects are allocated and the
 response is unchanged.
 
+Line limit
+----------
+No line in either direction exceeds :data:`MAX_LINE_BYTES`.  A request
+over the limit is answered with ``bad_request`` and the connection is
+closed (the rest of the line cannot be skipped reliably).  The server
+enforces the limit on its own responses *before* sending: a response
+whose encoding would pass it -- in practice a list-encoded answer of a
+few hundred thousand pairs -- is replaced by a ``too_large`` error
+whose payload carries ``counts``, each query's pair count in request
+order (:func:`too_large_response`).  The connection stays usable; the
+same query fits with ``"enc": "packed"`` (an order of magnitude
+smaller) or ``"pairs": false``.
+
 Error codes
 -----------
 ``bad_request`` (malformed JSON / unknown verb / bad fields),
+``too_large`` (the response would pass the line limit, see above),
 ``syntax`` (RPQ parse error), ``rejected`` (admission control: queue
 full), ``deadline`` (request expired before evaluation), ``cluster``
 and its namespaced sub-codes (``cluster.topology``,
@@ -89,7 +103,7 @@ from __future__ import annotations
 
 import json
 
-from repro.bitset.interner import VertexInterner
+from repro.bitset.interner import VertexInterner, bit_indexes
 from repro.bitset.pairbitmap import PairBitmap
 from repro.errors import (
     AdmissionError,
@@ -97,6 +111,7 @@ from repro.errors import (
     DeadlineExpiredError,
     ProtocolError,
     ReproError,
+    ResultTooLargeError,
     RPQSyntaxError,
     ServerError,
     StorageError,
@@ -111,6 +126,7 @@ __all__ = [
     "ok_response",
     "error_response",
     "error_payload",
+    "too_large_response",
     "pairs_to_wire",
     "wire_to_pairs",
     "exception_from_payload",
@@ -207,6 +223,8 @@ def error_payload(error: BaseException) -> dict:
             payload["shards"] = list(error.shards)
         if error.detail is not None:
             payload["detail"] = error.detail
+    elif isinstance(error, ResultTooLargeError):
+        payload["counts"] = error.counts
     return payload
 
 
@@ -218,6 +236,16 @@ def error_response(request_id: object, error: BaseException | dict) -> dict:
     if request_id is not None:
         response["id"] = request_id
     return response
+
+
+def too_large_response(response: dict, size: int) -> dict:
+    """What the server sends instead of a ``size``-byte response line."""
+    error = ResultTooLargeError(
+        f"response line of {size} bytes exceeds {MAX_LINE_BYTES}; "
+        'ask for "enc": "packed" or "pairs": false',
+        counts=[entry.get("count") for entry in response.get("results", ())],
+    )
+    return error_response(response.get("id"), error)
 
 
 def exception_from_payload(payload: dict) -> ServerError | RPQSyntaxError:
@@ -236,6 +264,8 @@ def exception_from_payload(payload: dict) -> ServerError | RPQSyntaxError:
             shards=tuple(payload.get("shards", ())),
             detail=payload.get("detail"),
         )
+    if code == ResultTooLargeError.code:
+        return ResultTooLargeError(message, counts=payload.get("counts", ()))
     error_class = _CODE_TO_ERROR.get(code)
     if error_class is RPQSyntaxError:
         return RPQSyntaxError(message)
@@ -274,14 +304,6 @@ def pairs_to_wire(pairs, enc: str | None = None) -> list | dict:
     }
 
 
-def _unpack_mask(hex_mask: str):
-    mask = int(hex_mask, 16)
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def wire_to_pairs(wire: list | dict) -> set:
     """The client-side inverse of :func:`pairs_to_wire` (both encodings)."""
     if isinstance(wire, dict):
@@ -289,7 +311,7 @@ def wire_to_pairs(wire: list | dict) -> set:
         pairs = set()
         for key, hex_mask in wire["rows"].items():
             source = vertices[int(key)]
-            for index in _unpack_mask(hex_mask):
+            for index in bit_indexes(int(hex_mask, 16)):
                 pairs.add((source, vertices[index]))
         return pairs
     return {(source, target) for source, target in wire}

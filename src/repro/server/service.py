@@ -73,6 +73,9 @@ class QueryServer:
     ``stop`` / ``submit`` / ``submit_update`` / ``stats``) re-targets the
     same protocol front end -- that is how
     :class:`~repro.cluster.ClusterRouter` serves a sharded deployment.
+    There is one request path; front ends differ only in the three
+    admission hooks :meth:`_warm`, :meth:`_submit_query` and
+    :meth:`_submit_update`.
     """
 
     def __init__(
@@ -222,10 +225,22 @@ class QueryServer:
                     writer.write(protocol.encode(response))
                     await writer.drain()
                     break
+                except asyncio.CancelledError:
+                    # Only loop teardown cancels a handler, and only
+                    # while it idles here between requests: a stop with
+                    # the client still connected is a normal close, not
+                    # an error for the stream callback to log.
+                    break
                 if not line:
                     break
                 response = await self._handle_line(line)
-                writer.write(protocol.encode(response))
+                data = protocol.encode(response)
+                if len(data) > protocol.MAX_LINE_BYTES:
+                    # The peer would reject the line and lose the stream.
+                    data = protocol.encode(
+                        protocol.too_large_response(response, len(data))
+                    )
+                writer.write(data)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -341,6 +356,7 @@ class QueryServer:
         if enc is not None and enc != "packed":
             raise ProtocolError("'enc' must be \"packed\" when present")
 
+        await self._warm(queries)
         # Parse everything before admitting anything: a syntax error
         # rejects the request without consuming queue slots.
         try:
@@ -390,14 +406,57 @@ class QueryServer:
                 if include_pairs:
                     entry["pairs"] = protocol.pairs_to_wire(payload, enc=enc)
             results.append(entry)
-        if tracer is None:
-            return protocol.ok_response(request_id, results=results)
-        await self._finish_trace(tracer, root_span, queries, started)
-        if not echo:
-            return protocol.ok_response(request_id, results=results)
-        return protocol.ok_response(
-            request_id, results=results, trace=tracer.to_wire()
+        return await self._reply(
+            request_id, (tracer, root_span, echo), queries, started, results=results
         )
+
+    async def _reply(self, request_id, trace, queries, started, **payload) -> dict:
+        """The success response of a traceable verb.
+
+        ``trace`` is ``(tracer, root_span, echo)`` from
+        :meth:`_begin_trace`: untraced requests answer with the payload
+        alone, server-side-only traces (slow-query log) finish silently,
+        and echoing ones append the span list.
+        """
+        tracer, root_span, echo = trace
+        if tracer is not None:
+            await self._finish_trace(tracer, root_span, queries, started)
+            if echo:
+                payload["trace"] = tracer.to_wire()
+        return protocol.ok_response(request_id, **payload)
+
+    async def _warm(self, queries: list[str]) -> None:
+        """Hook run before a query request is parsed and admitted.
+
+        Front ends whose admission memoises per-text routing work
+        (:meth:`_warm_off_loop`) do it here so it never runs on the
+        event loop; the single-node scheduler defers the same work to
+        its dispatcher thread and needs nothing.
+        """
+
+    async def _warm_off_loop(self, queries, memo, warm_one) -> None:
+        """Run ``warm_one(text)`` in the executor for texts not in ``memo``.
+
+        Dict membership is GIL-atomic, so peeking at the memo without
+        its owner's lock is safe; a concurrent clear only costs one
+        on-loop recompute.  Already-memoised texts (the steady state of
+        a serving workload) skip the executor hop.
+        """
+        missing = [text for text in queries if text not in memo]
+        if not missing:
+            return
+
+        def warm() -> None:
+            for text in missing:
+                try:
+                    warm_one(text)
+                except ReproError:
+                    # Warm-up only: admission redoes the step and
+                    # reports the real error to the client.  Genuine
+                    # bugs propagate.
+                    return
+
+        await self._in_executor(warm)
 
     def _submit_query(self, text, node, timeout, include_pairs, trace=None):
         """Admission hook; subclasses may forward the pairs/counts intent.
@@ -415,15 +474,19 @@ class QueryServer:
         # db.stats() takes the session lock; keep the wait off the loop.
         session_stats = await self._in_executor(self.db.stats)
         stats = {
-            "server": {
-                "address": list(self.address),
-                "connections": self._connections,
-                "version": protocol.PROTOCOL_VERSION,
-            },
+            "server": self._server_stats(),
             "scheduler": self.scheduler.stats(),
             "session": session_stats,
         }
         return protocol.ok_response(request_id, stats=stats)
+
+    def _server_stats(self) -> dict:
+        """The ``server`` section every front end's ``stats`` carries."""
+        return {
+            "address": list(self.address),
+            "connections": self._connections,
+            "version": protocol.PROTOCOL_VERSION,
+        }
 
     @staticmethod
     async def _in_executor(function, *args):
@@ -446,28 +509,25 @@ class QueryServer:
         tracer, parent, root_span, echo = self._begin_trace(request)
         started = time.monotonic()
         trace = (tracer, parent) if tracer is not None else None
-        future = self.scheduler.submit_update(add=add, remove=remove, trace=trace)
+        future = await self._submit_update(add, remove, trace)
         await asyncio.wrap_future(future)
-        if tracer is None:
-            return protocol.ok_response(
-                request_id, added=len(add), removed=len(remove)
-            )
-        await self._finish_trace(
-            tracer,
-            root_span,
+        return await self._reply(
+            request_id,
+            (tracer, root_span, echo),
             [f"update(+{len(add)},-{len(remove)})"],
             started,
-        )
-        if not echo:
-            return protocol.ok_response(
-                request_id, added=len(add), removed=len(remove)
-            )
-        return protocol.ok_response(
-            request_id,
             added=len(add),
             removed=len(remove),
-            trace=tracer.to_wire(),
         )
+
+    async def _submit_update(self, add, remove, trace):
+        """Admission hook for updates; returns the apply future.
+
+        The single-node scheduler admits without blocking; front ends
+        whose admission can wait (a full replica queue) override this
+        to take that wait off the event loop.
+        """
+        return self.scheduler.submit_update(add=add, remove=remove, trace=trace)
 
     @staticmethod
     def _edge_list(raw, which: str) -> list[tuple]:

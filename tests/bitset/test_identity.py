@@ -1,23 +1,23 @@
-"""The kernel identity gate: bitmap evaluation == set evaluation.
+"""The kernel identity gate: bitmap evaluation == the counted reference.
 
-Every hot path PR 10 rewired (NFA product BFS, DFA product BFS, label
-joins, the RTC expansion) must answer *identically* on the forced
-``kernel="bits"`` and ``kernel="sets"`` routes -- over randomized R-MAT
-graphs, the paper's generated 10-query workloads, restricted start
-sets, and mid-run edge updates.  Any divergence is a kernel bug by
-definition; there is no tolerance.
+The evaluators run on bitmaps unless an ``OpCounters`` is attached, in
+which case they run the tuple-set reference the paper's operation
+counts describe.  Every hot path (NFA product BFS, label joins, the RTC
+expansion) must answer *identically* on both sides -- over randomized
+R-MAT graphs, the paper's generated 10-query workloads, restricted
+start sets, and mid-run edge updates.  Any divergence is a kernel bug
+by definition; there is no tolerance.
 """
 
 import random
 
 import pytest
 
-from repro.bitset import PairBitmap, VertexInterner, expand_rtc_bits
-from repro.bitset.interner import bit_indexes
+from repro.bitset import PairBitmap, VertexInterner, bit_indexes
 from repro.core.rtc import compute_rtc
 from repro.datasets.rmat import rmat_graph
-from repro.graph.multigraph import LabeledMultigraph
-from repro.rpq import eval_rpq
+from repro.graph.digraph import DiGraph
+from repro.rpq import OpCounters, eval_rpq
 from repro.rpq.dfa_eval import eval_rpq_dfa
 from repro.rpq.label_join import eval_label_sequence
 from repro.workloads import generate_workload
@@ -41,11 +41,14 @@ def rmat(seed, scale=5, num_edges=120, num_labels=3):
 
 
 def both_kernels(evaluate):
-    """Run ``evaluate(kernel)`` on both routes and assert identity."""
-    bits = evaluate("bits")
-    sets = evaluate("sets")
-    assert bits == sets
+    """Run ``evaluate(counters)`` on both sides and assert identity."""
+    bits = evaluate(None)
+    assert bits == evaluate(OpCounters())
     return bits
+
+
+def reference(graph, query):
+    return eval_rpq(graph, query, counters=OpCounters())
 
 
 class TestQueryIdentity:
@@ -53,8 +56,8 @@ class TestQueryIdentity:
     @pytest.mark.parametrize("query", QUERIES)
     def test_nfa_and_dfa_match_sets(self, seed, query):
         graph = rmat(seed)
-        both_kernels(lambda kernel: eval_rpq(graph, query, kernel=kernel))
-        both_kernels(lambda kernel: eval_rpq_dfa(graph, query, kernel=kernel))
+        bits = both_kernels(lambda counters: eval_rpq(graph, query, counters=counters))
+        assert eval_rpq_dfa(graph, query) == bits
 
     @pytest.mark.parametrize("query", ["(l0)+", "l0.l1", "(l0|l1)+", "l0?"])
     def test_restricted_starts_match_sets(self, query):
@@ -63,14 +66,10 @@ class TestQueryIdentity:
         starts = rng.sample(sorted(graph.vertices(), key=str), 10) + [
             "not-a-vertex"
         ]
-        both_kernels(
-            lambda kernel: eval_rpq(graph, query, starts=starts, kernel=kernel)
+        bits = both_kernels(
+            lambda counters: eval_rpq(graph, query, starts=starts, counters=counters)
         )
-        both_kernels(
-            lambda kernel: eval_rpq_dfa(
-                graph, query, starts=starts, kernel=kernel
-            )
-        )
+        assert eval_rpq_dfa(graph, query, starts=starts) == bits
 
     @pytest.mark.parametrize("order", ["left-right", "rare-first"])
     @pytest.mark.parametrize(
@@ -79,22 +78,16 @@ class TestQueryIdentity:
     def test_label_sequences_match_sets(self, order, labels):
         graph = rmat(4)
         both_kernels(
-            lambda kernel: eval_label_sequence(
-                graph, labels, order=order, kernel=kernel
+            lambda counters: eval_label_sequence(
+                graph, labels, order=order, counters=counters
             )
         )
 
-    def test_auto_kernel_matches_forced_sets(self):
+    def test_counters_select_the_counted_reference(self):
         graph = rmat(5)
-        for query in QUERIES[:4]:
-            assert eval_rpq(graph, query) == eval_rpq(
-                graph, query, kernel="sets"
-            )
-
-    def test_unknown_kernel_is_rejected(self):
-        graph = rmat(5)
-        with pytest.raises(ValueError):
-            eval_rpq(graph, "l0", kernel="simd")
+        counters = OpCounters()
+        eval_rpq(graph, "(l0)+", counters=counters)
+        assert counters.edges_scanned > 0 and counters.traversal_starts > 0
 
 
 class TestWorkloadIdentity:
@@ -104,7 +97,7 @@ class TestWorkloadIdentity:
         for rpq_set in generate_workload(graph, num_sets=3, seed=6):
             for query in rpq_set.queries:
                 both_kernels(
-                    lambda kernel: eval_rpq(graph, query, kernel=kernel)
+                    lambda counters: eval_rpq(graph, query, counters=counters)
                 )
 
 
@@ -124,7 +117,7 @@ class TestUpdateIdentity:
                     graph.add_edge(source, label, target)
             for query in QUERIES[: 5 + round_number]:
                 both_kernels(
-                    lambda kernel: eval_rpq(graph, query, kernel=kernel)
+                    lambda counters: eval_rpq(graph, query, counters=counters)
                 )
 
 
@@ -133,13 +126,41 @@ class TestRTCExpansion:
     def test_expand_bits_matches_expand(self, seed):
         graph = rmat(seed, num_edges=200)
         rtc = compute_rtc(graph.edges_with_label("l0"))
-        expanded = expand_rtc_bits(rtc)
-        assert expanded.to_pairs(expanded.interner) == rtc.expand()
+        expanded = rtc.expand_bits(graph.interner)
+        assert expanded.interner is graph.interner
+        assert expanded.to_pairs() == rtc.expand()
 
     def test_expand_bits_via_method(self):
         graph = rmat(10)
         rtc = compute_rtc(graph.edges_with_label("l1"))
         assert rtc.expand_bits().pairs == rtc.expand()
+
+    @pytest.mark.parametrize("seed", [8, 9, 10])
+    @pytest.mark.parametrize("body", ["l0", "l0.l1", "(l0|l1).l2"])
+    def test_compute_rtc_inputs_agree(self, seed, body):
+        """DiGraph, pair iterable and PairBitmap: one reduction, three doors."""
+        from repro.bitset import eval_rpq_bits
+        from repro.regex.nfa import compile_nfa
+        from repro.regex.parser import parse
+
+        graph = rmat(seed, num_edges=200)
+        bitmap = eval_rpq_bits(graph, compile_nfa(parse(body)))
+        pairs = bitmap.to_pairs()
+        rtcs = [
+            compute_rtc(DiGraph.from_pairs(pairs)),
+            compute_rtc(iter(pairs)),
+            compute_rtc(bitmap),
+        ]
+        first = rtcs[0]
+        for rtc in rtcs[1:]:
+            assert rtc.expand() == first.expand()
+            assert (
+                rtc.num_sccs, rtc.num_pairs, rtc.num_gr_vertices, rtc.num_gr_edges
+            ) == (
+                first.num_sccs, first.num_pairs,
+                first.num_gr_vertices, first.num_gr_edges,
+            )
+        assert first.num_gr_edges == len(pairs)
 
 
 def naive_pairs(bitmap, interner):
@@ -252,7 +273,7 @@ class TestMasksSharedThroughTheCache:
             first, second = make_worker_engines(db, 2)
             assert first.rtc_cache is second.rtc_cache
             for query in self.QUERIES:
-                expected = eval_rpq(graph, query, kernel="sets")
+                expected = reference(graph, query)
                 assert first.evaluate(query) == expected
                 assert second.evaluate(query) == expected
             rtc_first = first.rtc_for("l0")
@@ -271,7 +292,7 @@ class TestMasksSharedThroughTheCache:
         from repro.server.scheduler import make_worker_engines
 
         graph = rmat(13, num_edges=200)
-        expected = {q: eval_rpq(graph, q, kernel="sets") for q in self.QUERIES}
+        expected = {q: reference(graph, q) for q in self.QUERIES}
         failures: list = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -309,7 +330,7 @@ class TestMasksSharedThroughTheCache:
         query = "l1.(l0)+.l2"
         with GraphDB.open(graph, engine="rtc") as db:
             before = db.execute(query)
-            assert before == eval_rpq(graph, query, kernel="sets")
+            assert before == reference(graph, query)
             stale_rtc = db.engine.rtc_for("l0")
             known = len(graph.interner)
             hub = max(graph.vertices(), key=graph.out_degree)
@@ -325,7 +346,7 @@ class TestMasksSharedThroughTheCache:
             )
             assert len(graph.interner) == known + 3
             after = db.execute(query)
-            assert after == eval_rpq(graph, query, kernel="sets")
+            assert after == reference(graph, query)
             assert any("fresh-c" in pair for pair in after)
             fresh_rtc = db.engine.rtc_for("l0")
             assert fresh_rtc is not stale_rtc  # the cache was reset
@@ -335,4 +356,4 @@ class TestMasksSharedThroughTheCache:
                 masks.scc_of_id[graph.interner.id_of(hub)]
             )
             db.update(remove=[("fresh-b", "l0", hub)])
-            assert db.execute(query) == eval_rpq(graph, query, kernel="sets")
+            assert db.execute(query) == reference(graph, query)

@@ -189,11 +189,13 @@ class TestBitsPipelineMatchesSetKernel:
     @pytest.mark.parametrize("pre_query", [None, "l2", "l1.l0"])
     def test_random_graphs(self, seed, post_name, closure_type, pre_query):
         graph = rmat_graph(5, 110, 3, seed=seed)
-        rtc_pairs = eval_rpq(graph, "l0.l1" if seed % 2 else "l0", kernel="sets")
+        rtc_pairs = eval_rpq(
+            graph, "l0.l1" if seed % 2 else "l0", counters=OpCounters()
+        )
         if pre_query is None:
             pre = identity_pairs(graph)
         else:
-            pre = eval_rpq(graph, pre_query, kernel="sets")
+            pre = eval_rpq(graph, pre_query, counters=OpCounters())
         post_text = self.POSTS[post_name]
         post = None if post_text is None else RestrictedEvaluator(post_text)
         seed_pairs = pre if closure_type == "*" else ()
@@ -210,10 +212,12 @@ class TestBitsPipelineMatchesSetKernel:
         joined = join_pre_with_rtc_bits(pre_bitmap, rtc)
         star_seed = pre_bitmap if closure_type == "*" else None
         assert apply_post_bits(graph, joined, post, star_seed).to_pairs() == expected
-        # ...and the public Algorithm-2 entry point on either kernel.
-        for kernel in ("bits", "sets"):
+        # ...and the public Algorithm-2 entry point, bits and counted.
+        for counters in (None, OpCounters()):
             assert (
-                eval_batch_unit(graph, pre, rtc, closure_type, post, kernel=kernel)
+                eval_batch_unit(
+                    graph, pre, rtc, closure_type, post, counters=counters
+                )
                 == expected
             )
 

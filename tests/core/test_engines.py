@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.bitset import PairBitmap
 from repro.core.engines import (
     FullSharingEngine,
     NoSharingEngine,
     RTCSharingEngine,
-    make_engine,
 )
+from repro.db import create_engine
 from repro.errors import RPQSyntaxError, UnknownLabelError
 from repro.graph.builders import labeled_cycle
 from repro.rpq.evaluate import eval_rpq
@@ -166,25 +167,47 @@ class TestMetricsAndErrors:
         with pytest.raises(RPQSyntaxError):
             RTCSharingEngine(fig1).evaluate("a..b")
 
-    def test_make_engine_factory(self, fig1):
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            assert isinstance(make_engine("no", fig1), NoSharingEngine)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_engine("FULL", fig1), FullSharingEngine)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_engine("rtc", fig1), RTCSharingEngine)
+    def test_create_engine_factory(self, fig1):
+        assert isinstance(create_engine("no", fig1), NoSharingEngine)
+        assert isinstance(create_engine("FULL", fig1), FullSharingEngine)
+        assert isinstance(create_engine("rtc", fig1), RTCSharingEngine)
 
-    def test_make_engine_unknown_name(self, fig1):
+    def test_create_engine_unknown_name(self, fig1):
         from repro.errors import ReproError, UnknownEngineError
 
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(UnknownEngineError) as info:
-                make_engine("quantum", fig1)
+        with pytest.raises(UnknownEngineError) as info:
+            create_engine("quantum", fig1)
         assert isinstance(info.value, ReproError)
-        # Old callers caught ValueError; the new error still is one.
+        # Callers that catch ValueError keep working.
         assert isinstance(info.value, ValueError)
         assert info.value.name == "quantum"
         assert "rtc" in info.value.available
+
+    @pytest.mark.parametrize(
+        "name, counted, expected",
+        [
+            ("rtc", False, PairBitmap),
+            ("no", False, PairBitmap),
+            ("full", False, set),
+            ("rtc", True, set),
+            ("no", True, set),
+            ("full", True, set),
+        ],
+    )
+    def test_one_result_type_per_run(self, fig1, name, counted, expected):
+        """Closure, label-sequence, automaton and epsilon-Pre clauses mixed."""
+        engine = create_engine(name, fig1, collect_counters=counted)
+        queries = [
+            "d.(b.c)+.c|b.c|(b|c).c",
+            "(b.c)*|d",
+            "b.c",
+            "(b|c)",
+            "d.(b.c)+",
+        ]
+        for query in queries:
+            result = engine.evaluate(query)
+            assert type(result) is expected, query
+            assert result == eval_rpq(fig1, query)
 
     def test_invalid_clause_evaluator(self, fig1):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Engine-registry tests: registration, override, errors, shims."""
+"""Engine-registry tests: registration, override, errors."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.engines import (
     NoSharingEngine,
     RPQEngine,
     RTCSharingEngine,
-    make_engine,
 )
 from repro.db import GraphDB
 from repro.db.registry import (
@@ -115,23 +114,16 @@ class TestUnknownEngine:
             GraphDB.open(fig1, engine="warp")
 
 
-class TestMakeEngineShim:
-    def test_deprecated_but_working(self, fig1):
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            engine = make_engine("no", fig1)
-        assert isinstance(engine, NoSharingEngine)
+class TestThirdPartyEngines:
+    def test_create_engine_resolves_builtins(self, fig1):
+        assert isinstance(create_engine("no", fig1), NoSharingEngine)
 
-    def test_resolves_registry_additions(self, fig1):
+    def test_create_engine_resolves_registry_additions(self, fig1):
         register_engine("reverse", ReverseEngine)
-        with pytest.warns(DeprecationWarning):
-            engine = make_engine("reverse", fig1)
-        assert isinstance(engine, ReverseEngine)
+        assert isinstance(create_engine("reverse", fig1), ReverseEngine)
 
     def test_third_party_usable_from_graphdb_without_touching_core(self, fig1):
         register_engine("reverse", ReverseEngine)
-        import repro.core.engines as core_engines
-
-        assert "reverse" not in core_engines._ENGINES  # core untouched
         db = GraphDB.open(fig1, engine="reverse")
         assert isinstance(db.engine, ReverseEngine)
         assert isinstance(db.engine, RPQEngine)

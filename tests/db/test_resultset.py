@@ -130,7 +130,8 @@ class TestStatistics:
         assert "materialise" in result.to_dict()["timings"]["phases"]
 
     def test_set_valued_results_have_no_materialise_phase(self, fig1):
-        result = GraphDB.open(fig1, engine="no").execute("d.(b.c)+.c")
+        # The Full baseline joins tuple sets; nothing is left to decode.
+        result = GraphDB.open(fig1, engine="full").execute("d.(b.c)+.c")
         assert "materialise" not in result.phase_times
 
     def test_no_sharing_engine_reports_zero_shared(self, fig1):

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.bitset import bit_indexes
 from repro.graph.builders import digraph_cycle, digraph_path
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import condense
 from repro.graph.transitive_closure import (
     dag_closure_bitsets,
-    iter_bits,
     scc_closure,
     tc_bfs,
     tc_nuutila,
@@ -82,10 +82,10 @@ class TestClosureAlgorithms:
 
 
 class TestBitsetHelpers:
-    def test_iter_bits(self):
-        assert list(iter_bits(0)) == []
-        assert list(iter_bits(0b1011)) == [0, 1, 3]
-        assert list(iter_bits(1 << 70)) == [70]
+    def test_bit_indexes(self):
+        assert bit_indexes(0) == []
+        assert bit_indexes(0b1011) == [0, 1, 3]
+        assert bit_indexes(1 << 70) == [70]
 
     def test_dag_closure_bitsets_cyclic_self(self):
         graph = DiGraph.from_pairs([(0, 1), (1, 0), (1, 2)])
@@ -103,7 +103,7 @@ class TestBitsetHelpers:
         bitsets = dag_closure_bitsets(condensation)
         closure = scc_closure(condensation)
         for scc_id, mask in bitsets.items():
-            assert closure[scc_id] == frozenset(iter_bits(mask))
+            assert closure[scc_id] == frozenset(bit_indexes(mask))
 
 
 class TestCrossAlgorithmAgreement:

@@ -1,14 +1,24 @@
 """End-to-end tests: QueryServer + Client over a real TCP socket."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.db import GraphDB
-from repro.errors import ProtocolError, RPQSyntaxError, ServerError
-from repro.server import Client, ServerConfig, ServerThread
+from repro.errors import (
+    ProtocolError,
+    ResultTooLargeError,
+    RPQSyntaxError,
+    ServerError,
+)
+from repro.graph.builders import labeled_cycle
+from repro.server import Client, ServerConfig, ServerThread, protocol
 
 
 @pytest.fixture
@@ -64,6 +74,25 @@ class TestQueryVerb:
         _, _, client = served
         with pytest.raises(ProtocolError):
             client.query_many([])
+
+
+class TestLineLimit:
+    def test_oversized_answer_is_refused_by_the_sender(self, monkeypatch):
+        db = GraphDB.open(labeled_cycle(30, "a"))  # (a)+ = 900 pairs
+        with ServerThread(db) as handle, Client(*handle.address) as client:
+            # Above every request line and the packed answer, below the
+            # 900-pair list encoding.
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 2000)
+            with pytest.raises(ResultTooLargeError) as info:
+                client.query_many(["a+", "a"])
+            assert info.value.code == "too_large"
+            assert info.value.counts == [900, 30]
+            # The stream is still framed: same client, same query.
+            assert not client.broken
+            assert client.query("a+", pairs=False).count == 900
+            results, _ = client.query_call(["a+"], enc="packed")
+            assert results[0].count == len(results[0].pairs) == 900
+            assert client.query("a").pairs == {(i, (i + 1) % 30) for i in range(30)}
 
 
 class TestOtherVerbs:
@@ -228,6 +257,28 @@ class TestServerThreadLifecycle:
         handle = ServerThread(GraphDB.open(fig1)).start()
         handle.stop()
         handle.stop()
+
+    def test_stop_with_a_live_client_is_silent(self):
+        """A handler cancelled while idle is a close, not a logged error."""
+        script = (
+            "from repro import GraphDB\n"
+            "from repro.graph import paper_figure1_graph\n"
+            "from repro.server import Client, ServerThread\n"
+            "handle = ServerThread(GraphDB.open(paper_figure1_graph())).start()\n"
+            "client = Client(*handle.address)\n"
+            "assert client.query('d.(b.c)+').count == 3\n"
+            "handle.stop()\n"
+            "print('stopped')\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "stopped\n"
+        assert done.stderr == ""
 
     def test_custom_config(self, fig1):
         config = ServerConfig(workers=1, max_queue=8, batch_window=0.001)
