@@ -71,7 +71,7 @@ from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.parser import parse
 from repro.rpq.evaluate import eval_rpq
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "GraphDB",

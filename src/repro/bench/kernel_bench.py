@@ -84,10 +84,8 @@ def run_wire_comparison(relations: dict[str, set]) -> list[dict]:
     """JSON byte footprint of each relation, list vs packed encoding."""
     rows: list[dict] = []
     for name, pairs in relations.items():
-        as_list = len(json.dumps(protocol.pairs_to_wire(pairs)))
-        as_packed = len(
-            json.dumps(protocol.pairs_to_wire(pairs, enc="packed"))
-        )
+        as_list = len(json.dumps(protocol.pairs_to_wire(pairs, enc="list")))
+        as_packed = len(json.dumps(protocol.pairs_to_wire(pairs, enc="packed")))
         rows.append(
             {
                 "relation": name,

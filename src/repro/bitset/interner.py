@@ -74,6 +74,28 @@ class VertexInterner:
         for vertex in vertices:
             self.intern(vertex)
 
+    @classmethod
+    def from_support(cls, support: int, vertices: list) -> "VertexInterner":
+        """The table of a packed wire payload: ``vertices[k]`` gets the
+        id of the ``k``-th set bit of ``support``.
+
+        Ids whose bit is clear are holes (``None`` in :meth:`vertices`)
+        no bitmap over ``support`` ever names.  ``ValueError`` when the
+        two disagree in length or a vertex repeats.
+        """
+        ids = bit_indexes(support)
+        table = cls()
+        table._ids = dict(zip(vertices, ids))
+        if not len(ids) == len(vertices) == len(table._ids):
+            raise ValueError(
+                f"support names {len(ids)} ids for {len(vertices)} vertices "
+                f"({len(table._ids)} distinct)"
+            )
+        table._vertices = [None] * support.bit_length()
+        for vertex_id, vertex in zip(ids, vertices):
+            table._vertices[vertex_id] = vertex
+        return table
+
     def intern(self, vertex: object) -> int:
         """The id of ``vertex``, assigning the next dense id if new."""
         vertex_id = self._ids.get(vertex)

@@ -134,6 +134,19 @@ class PairBitmap:
         """The dst bitmap of one source id (0 when absent)."""
         return self.rows.get(source_id, 0)
 
+    def ends_of(self, vertex: object) -> tuple:
+        """The ends paired with start ``vertex`` -- decodes that one row."""
+        interner = self.require_interner()
+        source_id = interner.id_of(vertex)
+        if source_id is None:
+            return ()
+        return interner.vertices_of(self.rows.get(source_id, 0))
+
+    def starts(self) -> list:
+        """The vertices with at least one end, without decoding a row."""
+        vertex_of = self.require_interner().vertex_of
+        return [vertex_of(source_id) for source_id, mask in self.rows.items() if mask]
+
     # -- materialisation ---------------------------------------------------
     def require_interner(self) -> VertexInterner:
         """The attached interner; ``ValueError`` when there is none."""

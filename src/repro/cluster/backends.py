@@ -1021,7 +1021,6 @@ class ProcessBackend(ShardBackend):
                 timeout=timeout,
                 pairs=want_pairs,
                 trace=self._wire_trace(trace),
-                enc="packed",
             )
         self._absorb_trace(trace, response)
         result = results[0]

@@ -550,9 +550,11 @@ class GraphCluster:
         When the partition's cut relation holds an edge whose label is
         in the query alphabet, the union is not the answer and the
         boundary-join path runs instead (see the module docstring); it
-        materialises the full pair union at the router, so counts-only
-        requests are answered as ``len`` of that union -- per-shard
-        counts may overlap across a cut and must not be summed.
+        builds the full answer at the router as a
+        :class:`~repro.bitset.PairBitmap` and resolves to that bitmap --
+        the join cache's own object, which callers must not mutate --
+        so counts-only requests are answered as its ``count()``:
+        per-shard counts may overlap across a cut and must not be summed.
 
         ``trace`` is the ``(tracer, parent_span_id)`` of this query's
         span when the request is traced: the router opens one ``shard``
@@ -692,9 +694,7 @@ class GraphCluster:
                     )
                 parent: Future = Future()
                 parent.set_running_or_notify_cancel()
-                parent.set_result(
-                    (pairs.to_pairs() if want_pairs else pairs.count(), elapsed)
-                )
+                parent.set_result((pairs if want_pairs else pairs.count(), elapsed))
                 return parent
             if self._join_executor is None:
                 self._join_executor = ThreadPoolExecutor(
@@ -714,9 +714,9 @@ class GraphCluster:
                 # reached the shard graphs the summaries read.
                 if quiet and self._graph_version == version:
                     self._join_cache[text] = (version, pairs, elapsed)
-            # Materialise a fresh tuple set -- the cached bitmap stays
-            # pristine, and counts-only callers never build tuples.
-            return (pairs.to_pairs() if want_pairs else pairs.count(), elapsed)
+            # The cached bitmap itself goes to the reply path: consumers
+            # read it (count, membership, wire rows) and never write.
+            return (pairs if want_pairs else pairs.count(), elapsed)
 
         return executor.submit(run)
 

@@ -133,6 +133,19 @@ class ResultSet:
         """Pairs in deterministic (string) order -- what the CLI prints."""
         return sorted(self._materialise(), key=_pair_sort_key)
 
+    def ends_of(self, vertex: object) -> tuple:
+        """The ends paired with start ``vertex`` -- one row off the
+        bitmap when the engine produced one, no other tuple built."""
+        if self._bitmap is not None:
+            return self._bitmap.ends_of(vertex)
+        return tuple(end for start, end in self.pairs if start == vertex)
+
+    def starts(self) -> list:
+        """The vertices that start at least one pair."""
+        if self._bitmap is not None:
+            return self._bitmap.starts()
+        return list({start for start, _end in self.pairs})
+
     def __iter__(self) -> Iterator[Pair]:
         return iter(self.sorted_pairs())
 

@@ -24,6 +24,7 @@ SPAN_NAMES = frozenset(
         # server/service.py -- one request, its per-query children.
         "request",
         "query",
+        "encode",
         # server/scheduler.py -- queue waits + evaluation.
         "admission_wait",
         "batch_wait",

@@ -13,38 +13,76 @@ talking to a server::
         print(result.count, result.time, sorted(result.pairs))
         client.update(add=[("ann", "follows", "bob")])
         print(client.stats()["scheduler"]["qps"])
+
+Answers stay packed: a :class:`QueryResult` holds the decoded
+:class:`~repro.bitset.PairBitmap` and reads ``count`` / ``len`` / ``in``
+/ ``ends_of`` / ``starts`` off it; tuples are built only for the caller
+who touches ``.pairs`` or iterates.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from dataclasses import dataclass
 
+from repro.bitset.pairbitmap import PairBitmap
 from repro.errors import ProtocolError, ServerError
 from repro.server import protocol
 
 __all__ = ["Client", "QueryResult"]
 
 
-@dataclass
 class QueryResult:
-    """One query's answer as it came over the wire."""
+    """One query's answer as it came over the wire.
 
-    query: str
-    count: int
-    time: float
-    pairs: set | None  # None when the request asked for counts only
+    ``pairs`` (the tuple set, built on first touch and kept) and
+    iteration are the explicit "decode everything" calls; the rest
+    reads the bitmap.  A result fetched with ``pairs=False`` knows only
+    its ``count``: ``pairs`` is ``None`` and row access raises.
+    """
 
-    def __iter__(self):
-        if self.pairs is None:
+    def __init__(
+        self, query: str, count: int, time: float, bitmap: PairBitmap | None = None
+    ) -> None:
+        self.query = query
+        self.count = count
+        self.time = time
+        self._bitmap = bitmap
+        self._pairs: set | None = None
+
+    def _rows(self) -> PairBitmap:
+        if self._bitmap is None:
             raise ServerError(
                 "this result was fetched with pairs=False; only .count is known"
             )
-        return iter(sorted(self.pairs, key=lambda p: (str(p[0]), str(p[1]))))
+        return self._bitmap
+
+    @property
+    def pairs(self) -> set | None:
+        """The ``(start, end)`` tuples; ``None`` for a counts-only result."""
+        if self._pairs is None and self._bitmap is not None:
+            self._pairs = self._bitmap.to_pairs()
+        return self._pairs
+
+    def ends_of(self, vertex: object) -> tuple:
+        """The ends paired with start ``vertex`` (decodes one row)."""
+        return self._rows().ends_of(vertex)
+
+    def starts(self) -> list:
+        """The vertices that start at least one pair."""
+        return self._rows().starts()
+
+    def __iter__(self):
+        return iter(sorted(self._rows(), key=lambda p: (str(p[0]), str(p[1]))))
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in self._rows()
 
     def __len__(self) -> int:
         return self.count
+
+    def __repr__(self) -> str:
+        return f"QueryResult(query={self.query!r}, count={self.count})"
 
 
 class Client:
@@ -253,9 +291,11 @@ class Client:
         ``True`` to originate a trace, an ``{"id", "parent"}`` dict to
         join one (how the cluster router propagates to shard workers).
         The caller reads the assembled span tree off
-        ``response.get("trace")``.  ``enc="packed"`` asks for the
-        packed-rows pair encoding; decoding is transparent, so callers
-        see ordinary pair sets either way.
+        ``response.get("trace")``.  ``enc="list"`` / ``"packed"`` force
+        one pair encoding (unset, the server picks the smaller).  A
+        pairs payload that does not parse, or
+        disagrees with its ``count``, is a
+        :class:`~repro.errors.ProtocolError` here, never a lazy one.
         """
         payload: dict = {"op": "query", "queries": list(queries), "pairs": pairs}
         if timeout is not None:
@@ -269,16 +309,17 @@ class Client:
         for entry in response["results"]:
             if "error" in entry:
                 raise protocol.exception_from_payload(entry["error"])
+            bitmap = None
+            if "pairs" in entry:
+                bitmap = protocol.wire_to_pairs(entry["pairs"])
+                if bitmap.count() != entry["count"]:
+                    raise ProtocolError(
+                        f"pairs payload of {entry['query']!r} holds "
+                        f"{bitmap.count()} pairs, its count says {entry['count']}"
+                    )
             results.append(
                 QueryResult(
-                    query=entry["query"],
-                    count=entry["count"],
-                    time=entry.get("time", 0.0),
-                    pairs=(
-                        protocol.wire_to_pairs(entry["pairs"])
-                        if "pairs" in entry
-                        else None
-                    ),
+                    entry["query"], entry["count"], entry.get("time", 0.0), bitmap
                 )
             )
         return results, response

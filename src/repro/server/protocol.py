@@ -26,18 +26,21 @@ Verbs
     instead of ``results``.  Router-facing servers do not expose this
     mode.
 
-    Requests may opt into the **packed-rows encoding** with
-    ``"enc": "packed"``: pair payloads in the response are then JSON
-    objects ``{"enc": "packed", "vertices": [...], "rows": {...}}``
-    instead of lists.  ``vertices`` is a local interner table (vertex
-    of index ``i`` at position ``i``); each ``rows`` entry maps a
-    source index to a hex-encoded bitmap over target indexes.  The
-    decoder (:func:`wire_to_pairs`) is polymorphic, so packed payloads
-    are transparent to callers; servers that predate the encoding
-    simply keep answering with lists.  Packing shrinks closure-heavy
-    responses by an order of magnitude (one hex digit carries four
-    pairs) and is what the cluster router requests from its shard
-    workers for counts-only fan-out.
+    Pair payloads travel as **packed rows** (protocol version 2):
+    ``{"enc": "packed", "support": "<hex>", "vertices": [...], "rows":
+    {"<id>": "<hex>", ...}}`` -- the answer's bitmap as it is, in the
+    *server's* id space, never decoded to tuples.  ``rows`` maps a
+    source id to the bitmap of its target ids; ``support`` is the
+    bitmap of every id named (row keys and set bits) and ``vertices``
+    their vertices in ascending id order, so the table covers what the
+    answer touches, not the graph.  One hex digit carries four pairs,
+    but a row costs a quarter of its highest target id in bytes however
+    few bits it sets; so a relation that is sparse over a big id space
+    -- its pairs listed (sorted 2-lists, about 6 bytes each) would be
+    smaller than its rows -- travels as that list instead.  The server
+    decides per answer from the bitmap; ``"enc": "list"`` (the debug
+    form) or ``"enc": "packed"`` in the request forces one encoding.
+    :func:`wire_to_pairs` decodes both and validates what it parses.
 ``stats``
     Live server metrics (QPS, latency percentiles, batch sizes, queue
     depth, shared-cache hits) merged with the session's graph/engine
@@ -78,12 +81,14 @@ No line in either direction exceeds :data:`MAX_LINE_BYTES`.  A request
 over the limit is answered with ``bad_request`` and the connection is
 closed (the rest of the line cannot be skipped reliably).  The server
 enforces the limit on its own responses *before* sending: a response
-whose encoding would pass it -- in practice a list-encoded answer of a
-few hundred thousand pairs -- is replaced by a ``too_large`` error
-whose payload carries ``counts``, each query's pair count in request
-order (:func:`too_large_response`).  The connection stays usable; the
-same query fits with ``"enc": "packed"`` (an order of magnitude
-smaller) or ``"pairs": false``.
+whose encoding would pass it is replaced by a ``too_large`` error whose
+payload carries ``counts``, each query's pair count in request order
+(:func:`too_large_response`).  The decision is made from a lower bound
+read off the bitmaps (:func:`wire_floor`) before any payload is built,
+and again, exactly, on the encoded line.  The connection stays usable;
+the same query fits with ``"pairs": false``.  With ``enc`` unset the
+bound is the smaller of the two encodings'; a forced ``enc`` is held to
+its own.
 
 Error codes
 -----------
@@ -102,8 +107,9 @@ carry ``shards`` and ``detail`` fields alongside ``code``/``message``.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
-from repro.bitset.interner import VertexInterner, bit_indexes
+from repro.bitset.interner import VertexInterner
 from repro.bitset.pairbitmap import PairBitmap
 from repro.errors import (
     AdmissionError,
@@ -127,13 +133,14 @@ __all__ = [
     "error_response",
     "error_payload",
     "too_large_response",
+    "wire_floor",
     "pairs_to_wire",
     "wire_to_pairs",
     "exception_from_payload",
 ]
 
 #: Bumped on incompatible wire changes; echoed by ``ping``.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one request/response line (also the asyncio read limit).
 MAX_LINE_BYTES = 4 * 1024 * 1024
@@ -239,10 +246,13 @@ def error_response(request_id: object, error: BaseException | dict) -> dict:
 
 
 def too_large_response(response: dict, size: int) -> dict:
-    """What the server sends instead of a ``size``-byte response line."""
+    """What the server sends instead of a response line of ``size`` bytes
+    or more (``response`` needs only its ``id`` and the ``count`` of
+    each ``results`` entry)."""
     error = ResultTooLargeError(
-        f"response line of {size} bytes exceeds {MAX_LINE_BYTES}; "
-        'ask for "enc": "packed" or "pairs": false',
+        f"response line of at least {size} bytes exceeds {MAX_LINE_BYTES}; "
+        'ask for "pairs": false (an unset "enc" already gets the smaller '
+        "encoding)",
         counts=[entry.get("count") for entry in response.get("results", ())],
     )
     return error_response(response.get("id"), error)
@@ -276,42 +286,92 @@ def exception_from_payload(payload: dict) -> ServerError | RPQSyntaxError:
     return error
 
 
-def pairs_to_wire(pairs, enc: str | None = None) -> list | dict:
-    """Result pairs for the wire; ``enc="packed"`` emits bitmap rows.
+def _vertex_order(vertex: object) -> tuple[str, str]:
+    return (str(vertex), type(vertex).__name__)
 
-    The default (list) encoding is 2-lists in deterministic string
-    order.  The packed encoding is self-describing: a local ``vertices``
-    interner table plus hex dst bitmaps keyed by source index -- no
-    shared id space with the peer is assumed.  Vertices may be ints or
-    strings; ordering is by string form purely for wire determinism
-    (clients compare as sets).  ``pairs`` may be a set of tuples or a
-    :class:`~repro.bitset.PairBitmap`.
-    """
+
+def _intern_pairs(pairs) -> PairBitmap:
+    """A tuple set as a bitmap over a fresh table (sorted, hence
+    deterministic, vertex order) -- one dict lookup and one OR per pair."""
+    interner = VertexInterner(
+        sorted(set(chain.from_iterable(pairs)), key=_vertex_order)
+    )
+    bit = {vertex: 1 << index for index, vertex in enumerate(interner)}
+    masks: dict = {}
+    for source, target in pairs:
+        masks[source] = masks.get(source, 0) | bit[target]
+    id_of = interner.id_of
+    return PairBitmap({id_of(s): mask for s, mask in masks.items()}, interner)
+
+
+def wire_floor(pairs, enc: str | None = None) -> int:
+    """A cheap lower bound on the bytes ``pairs_to_wire(pairs, enc)``
+    puts on the line: the rows' hex digits (packed), 6 bytes
+    (``[0,1],``) per pair (list), the smaller of the two when ``enc`` is
+    left to the server.  What ``too_large`` is decided from before any
+    payload is built."""
+    listed = 6 * len(pairs)
+    if enc == "list":
+        return listed
     if isinstance(pairs, PairBitmap):
-        pairs = pairs.pairs
+        packed = sum((mask.bit_length() + 3) // 4 for mask in pairs.rows.values())
+    else:
+        packed = len(pairs) // 4  # one hex digit carries at most four pairs
+    return packed if enc == "packed" else min(packed, listed)
+
+
+def pairs_to_wire(pairs, enc: str | None = None) -> dict | list:
+    """Result pairs for the wire: packed rows, or sorted 2-lists.
+
+    A :class:`~repro.bitset.PairBitmap` is shipped as it is -- one
+    ``format(mask, "x")`` per row plus the vertices of the support: no
+    tuple, no sort of pairs, no re-interning.  A tuple set is interned
+    once and takes the same path.  Rows go out in ascending id order,
+    so one relation over one table is one byte string.  A row costs its
+    highest target id / 4 bytes however few bits it sets, so with
+    ``enc`` unset a relation whose rows would outweigh its pairs listed
+    (6 bytes each: sparse, over a big id space) goes out as the list
+    instead; ``enc="packed"`` / ``"list"`` force one form.
+    """
+    if enc != "list":
+        bitmap = pairs if isinstance(pairs, PairBitmap) else _intern_pairs(pairs)
+        if enc == "packed" or wire_floor(bitmap, "packed") <= 6 * len(bitmap):
+            rows = sorted(row for row in bitmap.rows.items() if row[1])
+            support = 0
+            for source_id, mask in rows:
+                support |= mask | 1 << source_id
+            return {
+                "enc": "packed",
+                "support": format(support, "x"),
+                "vertices": list(bitmap.require_interner().vertices_of(support)),
+                "rows": {str(source_id): format(mask, "x") for source_id, mask in rows},
+            }
     ordered = sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))
-    if enc != "packed":
-        return [list(pair) for pair in ordered]
-    table = VertexInterner()
-    rows: dict[str, int] = {}
-    for source, target in ordered:
-        key = str(table.intern(source))
-        rows[key] = rows.get(key, 0) | (1 << table.intern(target))
-    return {
-        "enc": "packed",
-        "vertices": table.vertices(),
-        "rows": {key: format(mask, "x") for key, mask in rows.items()},
-    }
+    return [list(pair) for pair in ordered]
 
 
-def wire_to_pairs(wire: list | dict) -> set:
-    """The client-side inverse of :func:`pairs_to_wire` (both encodings)."""
-    if isinstance(wire, dict):
-        vertices = wire["vertices"]
-        pairs = set()
-        for key, hex_mask in wire["rows"].items():
-            source = vertices[int(key)]
-            for index in bit_indexes(int(hex_mask, 16)):
-                pairs.add((source, vertices[index]))
-        return pairs
-    return {(source, target) for source, target in wire}
+def wire_to_pairs(wire: dict | list) -> PairBitmap:
+    """The client-side inverse of :func:`pairs_to_wire` (both encodings).
+
+    A :class:`~repro.bitset.PairBitmap` over the payload's vertex table
+    (one ``int(hex, 16)`` per row, no tuple); it compares equal to the
+    tuple set it denotes.  Validated here in full, so nothing read off
+    it later can fail: :class:`~repro.errors.ProtocolError` for a
+    missing field, a row key or mask bit outside the support, a non-hex
+    mask, or a table that does not match the support's bit count.
+    """
+    try:
+        if isinstance(wire, list):
+            return PairBitmap.from_pairs(map(tuple, wire), VertexInterner())
+        support = int(wire["support"], 16)
+        rows = {int(key): int(mask, 16) for key, mask in wire["rows"].items()}
+        if support < 0:
+            raise ValueError("negative support")
+        interner = VertexInterner.from_support(support, wire["vertices"])
+        for source_id, mask in rows.items():
+            # A negative key fails the shift, a negative mask the AND.
+            if mask & ~support or not support >> source_id & 1:
+                raise ValueError(f"row {source_id} leaves the vertex table")
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ProtocolError(f"malformed pairs payload: {error!r}") from None
+    return PairBitmap(rows, interner)

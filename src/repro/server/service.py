@@ -353,8 +353,8 @@ class QueryServer:
             raise ProtocolError("'timeout' must be a number of seconds")
         include_pairs = bool(request.get("pairs", True))
         enc = request.get("enc")
-        if enc is not None and enc != "packed":
-            raise ProtocolError("'enc' must be \"packed\" when present")
+        if enc not in (None, "packed", "list"):
+            raise ProtocolError("'enc' must be \"list\" or \"packed\" when present")
 
         await self._warm(queries)
         # Parse everything before admitting anything: a syntax error
@@ -389,6 +389,7 @@ class QueryServer:
             return protocol.error_response(request_id, error)
 
         results = []
+        answers = []  # (entry, pairs) still to be encoded
         for text, future in zip(queries, futures):
             entry: dict = {"query": text}
             try:
@@ -404,8 +405,24 @@ class QueryServer:
                 )
                 entry["time"] = elapsed
                 if include_pairs:
-                    entry["pairs"] = protocol.pairs_to_wire(payload, enc=enc)
+                    answers.append((entry, payload))
             results.append(entry)
+        if answers:
+            # Refuse an answer that cannot fit before paying for it.
+            floor = sum(protocol.wire_floor(pairs, enc) for _, pairs in answers)
+            if floor > protocol.MAX_LINE_BYTES:
+                if tracer is not None:  # oversized reads belong in the slow log
+                    await self._finish_trace(tracer, root_span, queries, started)
+                return protocol.too_large_response(
+                    {"id": request_id, "results": results}, floor
+                )
+            span = None if tracer is None else tracer.begin("encode", parent=parent)
+            for entry, pairs in answers:
+                entry["pairs"] = protocol.pairs_to_wire(pairs, enc=enc)
+            if span is not None:
+                wires = [entry["pairs"] for entry, _ in answers]
+                rows = sum(len(w if isinstance(w, list) else w["rows"]) for w in wires)
+                tracer.finish(span, floor_bytes=floor, rows=rows)
         return await self._reply(
             request_id, (tracer, root_span, echo), queries, started, results=results
         )

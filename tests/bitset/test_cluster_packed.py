@@ -1,7 +1,7 @@
 """Cluster identity over the packed wire: thread and process backends.
 
-The backends always negotiate ``enc: "packed"`` (PR 10), so these are
-end-to-end identity gates for the packed encoding: an edge-cut cluster
+Packed rows are the wire's only production encoding, so these are
+end-to-end identity gates for it: an edge-cut cluster
 must answer the workload exactly like one session -- boundary-join
 queries included -- and the cut-relevant ``reaches`` fast path must
 agree with the single-session watcher, before and after updates.
@@ -11,9 +11,16 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterConfig, GraphCluster, partition_graph
+from repro.cluster import (
+    ClusterConfig,
+    ClusterRouter,
+    GraphCluster,
+    partition_graph,
+)
 from repro.datasets.rmat import rmat_connected_graph
 from repro.db import GraphDB
+from repro.graph.multigraph import LabeledMultigraph
+from repro.server import Client, ServerConfig, ServerThread
 
 QUERIES = ["l0", "(l0)+", "l0.l1", "(l0|l1)+", "(l0.l1)+", "(l2)*"]
 
@@ -78,3 +85,44 @@ class TestPackedClusterIdentity:
                 assert cluster.reaches("l1", source, target) == db.reaches(
                     "l1", source, target
                 ), (source, target)
+
+
+def two_component_graph() -> LabeledMultigraph:
+    graph = LabeledMultigraph()
+    for copy, seed in enumerate((3, 5)):
+        for source, label, target in rmat_connected_graph(4, 40, 3, seed=seed).edges():
+            graph.add_edge(f"{copy}:{source}", label, f"{copy}:{target}")
+    return graph
+
+
+class TestServedPairsIdentity:
+    """``pairs=True`` reads through a router equal ``execute_many`` on
+    one session -- whichever hop carried bitmaps instead of tuples."""
+
+    @staticmethod
+    def served_twice(cluster, queries):
+        router = ClusterRouter(cluster, ServerConfig(batch_window=0.002))
+        with ServerThread(router) as handle, Client(*handle.address) as client:
+            # The second read of an edge-cut query is the join cache's
+            # own bitmap again: it must have survived the first reply.
+            return [
+                [result.pairs for result in client.query_many(queries)]
+                for _ in range(2)
+            ]
+
+    def test_edge_cut_read_matches_execute_many(self, cluster):
+        expected = [set(r) for r in GraphDB.open(build_graph()).execute_many(QUERIES)]
+        first, second = self.served_twice(cluster, QUERIES)
+        assert first == expected
+        assert second == expected
+
+    def test_router_to_worker_read_matches_execute_many(self):
+        graph = two_component_graph()
+        expected = [set(r) for r in GraphDB.open(graph).execute_many(QUERIES)]
+        cluster = GraphCluster.open(
+            graph, config=ClusterConfig(shards=2, workers=1, backend="process")
+        )
+        assert not cluster.partition.has_cuts
+        first, second = self.served_twice(cluster, QUERIES)
+        assert first == expected
+        assert second == expected

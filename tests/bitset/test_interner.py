@@ -1,5 +1,7 @@
 """VertexInterner units: dense ids, stability, graph integration."""
 
+import pytest
+
 from repro.bitset import VertexInterner
 from repro.graph.multigraph import LabeledMultigraph
 
@@ -23,6 +25,16 @@ class TestVertexInterner:
     def test_int_and_str_lookalikes_are_distinct(self):
         interner = VertexInterner()
         assert interner.intern(1) != interner.intern("1")
+
+    def test_from_support_keeps_the_ids_of_the_set_bits(self):
+        interner = VertexInterner.from_support(0b101001, ["a", "b", "c"])
+        assert [interner.id_of(v) for v in "abc"] == [0, 3, 5]
+        assert interner.vertices_of(0b101000) == ("b", "c")
+        assert interner.vertices() == ["a", None, None, "b", None, "c"]
+        assert VertexInterner.from_support(0, []).vertices() == []
+        for vertices in (["a", "b"], ["a", "b", "c", "d"], ["a", "b", "a"]):
+            with pytest.raises(ValueError):
+                VertexInterner.from_support(0b101001, vertices)
 
     def test_mask_of(self):
         interner = VertexInterner()

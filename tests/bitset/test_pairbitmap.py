@@ -66,6 +66,14 @@ class TestMembership:
         bitmap.add(1, 2)
         assert bitmap and len(bitmap) == 1
 
+    def test_row_access_decodes_one_row(self):
+        interner = VertexInterner()
+        bitmap = PairBitmap.from_pairs({("s", "t"), ("s", "u"), ("t", "s")}, interner)
+        bitmap.rows[interner.intern("empty")] = 0  # a zero row starts nothing
+        assert sorted(bitmap.ends_of("s")) == ["t", "u"]
+        assert bitmap.ends_of("u") == () == bitmap.ends_of("unknown")
+        assert sorted(bitmap.starts()) == ["s", "t"]
+
     def test_id_pairs_enumerates_set_bits(self):
         bitmap = PairBitmap({2: (1 << 0) | (1 << 63)})
         assert sorted(bitmap.id_pairs()) == [(2, 0), (2, 63)]

@@ -15,9 +15,15 @@ PAIRS = {
 
 class TestPairsRoundTrip:
     def test_list_encoding_is_unchanged(self):
-        wire = protocol.pairs_to_wire(PAIRS)
+        wire = protocol.pairs_to_wire(PAIRS, enc="list")
         assert isinstance(wire, list)
+        assert sorted(map(str, wire)) == sorted(str(list(pair)) for pair in PAIRS)
         assert protocol.wire_to_pairs(wire) == PAIRS
+
+    def test_packed_is_the_default(self):
+        assert protocol.pairs_to_wire(PAIRS) == protocol.pairs_to_wire(
+            PAIRS, enc="packed"
+        )
 
     def test_packed_encoding_round_trips(self):
         wire = protocol.pairs_to_wire(PAIRS, enc="packed")
@@ -39,7 +45,7 @@ class TestPairsRoundTrip:
 
     def test_packed_is_smaller_on_dense_relations(self):
         pairs = {(s, t) for s in range(40) for t in range(40) if (s + t) % 2}
-        as_list = len(json.dumps(protocol.pairs_to_wire(pairs)))
+        as_list = len(json.dumps(protocol.pairs_to_wire(pairs, enc="list")))
         as_packed = len(json.dumps(protocol.pairs_to_wire(pairs, enc="packed")))
         assert as_packed * 5 < as_list
 

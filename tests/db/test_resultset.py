@@ -71,6 +71,18 @@ class TestSetLikeness:
         assert bool(result)
         assert list(result) == [(7, 3), (7, 5)]  # deterministic order
 
+    @pytest.mark.parametrize("engine", sorted(ENGINES))  # bitmap- and set-valued
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_row_access(self, fig1, engine, lazy):
+        result = GraphDB.open(fig1, engine=engine).execute("(b.c)+", lazy=lazy)
+        pairs = set(GraphDB.open(fig1).execute("(b.c)+"))
+        assert sorted(result.starts()) == sorted({start for start, _ in pairs})
+        for start in result.starts():
+            assert sorted(result.ends_of(start)) == sorted(
+                end for source, end in pairs if source == start
+            )
+        assert result.ends_of(7) == () == result.ends_of("unknown")
+
     def test_count_property(self, result):
         assert result.count == 2
 

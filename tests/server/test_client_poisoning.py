@@ -146,3 +146,73 @@ class TestServerReportedErrorsDoNotPoison:
             client.close()
             with pytest.raises(ServerError, match="closed"):
                 client.ping()
+
+
+GOOD = {"enc": "packed", "support": "7", "vertices": ["a", "b", "c"], "rows": {"0": "6"}}
+
+MALFORMED = {
+    "row key not an int": {**GOOD, "rows": {"a": "6"}},
+    "row key outside the table": {**GOOD, "rows": {"3": "6"}},
+    "negative row key": {**GOOD, "rows": {"-1": "6"}},
+    "non-hex mask": {**GOOD, "rows": {"0": "zz"}},
+    "truncated to nothing": {**GOOD, "rows": {"0": ""}},
+    "mask is not a string": {**GOOD, "rows": {"0": 6}},
+    "bit outside the support": {**GOOD, "rows": {"0": "e"}},
+    "negative mask": {**GOOD, "rows": {"0": "-6"}},
+    "table shorter than the support": {**GOOD, "vertices": ["a", "b"]},
+    "table longer than the support": {**GOOD, "vertices": ["a", "b", "c", "d"]},
+    "repeated vertex": {**GOOD, "vertices": ["a", "b", "a"]},
+    "unhashable vertex": {**GOOD, "vertices": ["a", ["b"], "c"]},
+    "non-hex support": {**GOOD, "support": "0xg"},
+    "negative support": {**GOOD, "support": "-7"},
+    "missing support": {"enc": "packed", "vertices": [], "rows": {}},
+    "rows is a list": {**GOOD, "rows": [["0", "6"]]},
+    "no payload at all": None,
+    "list entry is not a pair": [[1, 2], [3]],
+    "list entry is a scalar": [1, 2],
+}
+
+
+class TestMalformedPairsPayload:
+    """A lazy result never fails at decode time: a bad payload is a
+    ``ProtocolError`` when parsed, and the framed stream stays usable."""
+
+    def test_the_template_is_well_formed(self):
+        from repro.server import protocol
+
+        assert protocol.wire_to_pairs(GOOD) == {("a", "b"), ("a", "c")}
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_payload_is_a_protocol_error(self, name):
+        from repro.server import protocol
+
+        with pytest.raises(ProtocolError, match="malformed pairs payload"):
+            protocol.wire_to_pairs(MALFORMED[name])
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"count": 2, "pairs": MALFORMED["non-hex mask"]}, "malformed"),
+            ({"count": 2, "pairs": MALFORMED["bit outside the support"]}, "malformed"),
+            # A mask cut short is still hex; the count gives it away.
+            ({"count": 2, "pairs": {**GOOD, "rows": {"0": "2"}}}, "count says 2"),
+        ],
+    )
+    def test_client_raises_at_parse_time_and_stays_usable(self, entry, message):
+        def answer(connection):
+            for _ in range(2):
+                request = json.loads(read_line(connection))
+                response = {"ok": True, "id": request["id"], "results": [
+                    {"query": "q", "time": 0.0, **entry}
+                ]}
+                connection.sendall(json.dumps(response).encode() + b"\n")
+
+        server = FakeServer(answer)
+        try:
+            client = Client(*server.address)
+            for _ in range(2):
+                with pytest.raises(ProtocolError, match=message):
+                    client.query("q")
+                assert not client.broken
+        finally:
+            server.close()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bitset import PairBitmap, VertexInterner
 from repro.errors import (
     AdmissionError,
     DeadlineExpiredError,
@@ -99,16 +100,33 @@ class TestResponses:
 class TestPairs:
     def test_wire_order_is_deterministic(self):
         pairs = {(3, 1), (1, 2), (10, 0)}
-        assert protocol.pairs_to_wire(pairs) == [[1, 2], [10, 0], [3, 1]]
+        assert protocol.pairs_to_wire(pairs, enc="list") == [[1, 2], [10, 0], [3, 1]]
 
     def test_roundtrip_preserves_set(self):
         pairs = {(3, 1), ("a", "b"), (1, 2)}
-        wire = json.loads(json.dumps(protocol.pairs_to_wire(pairs)))
-        assert protocol.wire_to_pairs(wire) == pairs
+        for enc in (None, "list"):
+            wire = json.loads(json.dumps(protocol.pairs_to_wire(pairs, enc=enc)))
+            assert protocol.wire_to_pairs(wire) == pairs
 
     def test_empty(self):
-        assert protocol.pairs_to_wire(set()) == []
+        assert protocol.pairs_to_wire(set(), enc="list") == []
         assert protocol.wire_to_pairs([]) == set()
+
+    def test_the_smaller_encoding_is_picked_from_the_bitmap(self):
+        table = VertexInterner(range(4001))
+        sparse = PairBitmap({0: 1 << 4000, 9: 1 << 3999}, table)  # 1001 + 1000 digits
+        dense = PairBitmap({0: (1 << 400) - 1, 9: (1 << 400) - 1}, table)
+        assert protocol.wire_floor(sparse, "packed") == 2001
+        assert protocol.wire_floor(sparse, "list") == protocol.wire_floor(sparse) == 12
+        assert protocol.wire_floor(dense) == protocol.wire_floor(dense, "packed") == 200
+        assert protocol.wire_floor(dense, "list") == 4800
+        assert protocol.pairs_to_wire(sparse) == [[0, 4000], [9, 3999]]
+        assert protocol.pairs_to_wire(sparse, enc="packed")["rows"].keys() == {"0", "9"}
+        assert protocol.pairs_to_wire(dense)["enc"] == "packed"
+        for bitmap in (sparse, dense):
+            for enc in (None, "packed", "list"):
+                wire = json.loads(json.dumps(protocol.pairs_to_wire(bitmap, enc=enc)))
+                assert protocol.wire_to_pairs(wire) == bitmap.to_pairs()
 
 
 class TestClusterErrorWire:

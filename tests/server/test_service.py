@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import repro
+from repro.bitset import PairBitmap
 from repro.cli import main
 from repro.db import GraphDB
 from repro.errors import (
@@ -18,6 +19,8 @@ from repro.errors import (
     ServerError,
 )
 from repro.graph.builders import labeled_cycle
+from repro.graph.multigraph import LabeledMultigraph
+from repro.obs import SlowQueryLog, get_registry
 from repro.server import Client, ServerConfig, ServerThread, protocol
 
 
@@ -84,21 +87,87 @@ class TestLineLimit:
             # 900-pair list encoding.
             monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 2000)
             with pytest.raises(ResultTooLargeError) as info:
-                client.query_many(["a+", "a"])
+                client.query_call(["a+", "a"], enc="list")
             assert info.value.code == "too_large"
             assert info.value.counts == [900, 30]
             # The stream is still framed: same client, same query.
             assert not client.broken
             assert client.query("a+", pairs=False).count == 900
-            results, _ = client.query_call(["a+"], enc="packed")
-            assert results[0].count == len(results[0].pairs) == 900
+            for enc in (None, "packed"):
+                results, _ = client.query_call(["a+"], enc=enc)
+                assert results[0].count == len(results[0].pairs) == 900
             assert client.query("a").pairs == {(i, (i + 1) % 30) for i in range(30)}
+
+    @pytest.mark.parametrize("enc", [None, "list", "packed"])
+    def test_too_large_is_decided_before_a_payload_is_built(
+        self, monkeypatch, tmp_path, enc
+    ):
+        db = GraphDB.open(labeled_cycle(100, "a"))  # 100 rows x 25 hex digits
+        log_path = tmp_path / "slow.jsonl"
+        config = ServerConfig(slow_query_log=str(log_path), slow_query_threshold=0.0)
+        with ServerThread(db, config) as handle, Client(*handle.address) as client:
+            assert client.query("a+").count == 10_000
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 2000)
+
+            def refuse(*_args, **_kwargs):  # would surface as an "internal" error
+                raise AssertionError("a payload was built")
+
+            monkeypatch.setattr(protocol, "pairs_to_wire", refuse)
+            dumped = []
+            real_dumps = json.dumps
+            monkeypatch.setattr(
+                json, "dumps", lambda obj, **kw: dumped.append(obj) or real_dumps(obj, **kw)
+            )
+            with pytest.raises(ResultTooLargeError) as info:
+                client.query_call(["a+", "a"], enc=enc)
+            assert info.value.counts == [10_000, 100]
+            # Only the request and the refusal ever went on the wire.
+            assert [
+                message.get("op", message.get("ok"))
+                for message in dumped
+                if "op" in message or "ok" in message
+            ] == ["query", False]
+            assert client.query("a+", pairs=False).count == 10_000
+        # The refused read still closed its trace into the slow-query log.
+        refused = [
+            entry
+            for entry in SlowQueryLog.read(str(log_path))
+            if entry["queries"] == ["a+", "a"]
+        ]
+        assert len(refused) == 1
+        assert "request" in {span["name"] for span in refused[0]["trace"]["spans"]}
+
+    def test_a_sparse_answer_over_a_big_id_space_is_listed(self):
+        # 6000 one-bit rows: ~4.5 MB of hex digits, 36 KB as 2-lists.
+        db = GraphDB.open(labeled_cycle(6000, "a"))
+        expected = {(i, (i + 1) % 6000) for i in range(6000)}
+        with ServerThread(db) as handle, Client(*handle.address) as client:
+            results, response = client.query_call(["a"])
+            assert isinstance(response["results"][0]["pairs"], list)
+            assert results[0].count == 6000 and results[0].pairs == expected
+            assert results[0].ends_of(5999) == (0,)
+            # Forced, the packed form is held to its own floor.
+            with pytest.raises(ResultTooLargeError, match='"pairs": false') as info:
+                client.query_call(["a"], enc="packed")
+            assert info.value.counts == [6000]
+
+    def test_backstop_still_catches_what_the_floor_lets_through(self, monkeypatch):
+        db = GraphDB.open(LabeledMultigraph.from_edges(
+            [("v" * 40 + str(i), "a", "w" * 40 + str(i)) for i in range(30)]
+        ))
+        with ServerThread(db) as handle, Client(*handle.address) as client:
+            # 30 short rows pass the floor; the vertex table does not fit.
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 2000)
+            with pytest.raises(ResultTooLargeError) as info:
+                client.query("a")
+            assert info.value.counts == [30]
+            assert client.query("a", pairs=False).count == 30
 
 
 class TestOtherVerbs:
     def test_ping(self, served):
         _, _, client = served
-        assert client.ping() == 1
+        assert client.ping() == protocol.PROTOCOL_VERSION == 2
 
     def test_stats_document(self, served):
         _, _, client = served
@@ -183,7 +252,7 @@ class TestClientLifecycle:
         _, handle, _ = served
         host, port = handle.address
         with Client.connect(f"{host}:{port}") as client:
-            assert client.ping() == 1
+            assert client.ping() == protocol.PROTOCOL_VERSION == 2
 
     def test_connect_rejects_bad_address(self):
         with pytest.raises(ServerError, match="host:port"):
@@ -285,3 +354,61 @@ class TestServerThreadLifecycle:
         with ServerThread(GraphDB.open(fig1), config) as handle:
             with Client(*handle.address) as client:
                 assert client.stats()["scheduler"]["workers"] == 1
+
+
+def materialise_seconds() -> float:
+    series = get_registry().snapshot().get("repro_phase_seconds_total", {})
+    return series.get(("materialise",), 0.0)
+
+
+class TestTuplesOnlyOnDemand:
+    def test_served_read_builds_no_tuple_until_pairs_is_touched(
+        self, served, monkeypatch
+    ):
+        db, _, client = served
+        expected = set(db.execute("(b.c)+"))
+        before = materialise_seconds()
+
+        def no_tuples(*_args, **_kwargs):
+            raise AssertionError("a served read decoded its bitmap")
+
+        with monkeypatch.context() as patched:  # server and client share the class
+            patched.setattr(PairBitmap, "to_pairs", no_tuples)
+            patched.setattr(PairBitmap, "_row_products", no_tuples)
+            result = client.query("(b.c)+")
+            traced, trace = client.query_traced("(b.c)+")
+            assert result.count == len(result) == traced.count == len(expected)
+            assert bool(result) and (2, 6) in result and (6, 2) not in result
+            assert sorted(result.ends_of(2)) == sorted(
+                end for start, end in expected if start == 2
+            )
+            assert set(result.starts()) == {start for start, _end in expected}
+        assert materialise_seconds() == before
+        assert result.pairs == expected == traced.pairs
+        assert list(result) == db.execute("(b.c)+").sorted_pairs()
+
+        (encode,) = [span for span in trace["spans"] if span["name"] == "encode"]
+        (request,) = [span for span in trace["spans"] if span["name"] == "request"]
+        assert encode["parent"] == request["id"]
+        assert encode["attrs"]["rows"] == len(result.starts())
+        assert encode["attrs"]["floor_bytes"] > 0 and encode["dur"] > 0
+
+    def test_counts_only_result_has_no_rows_to_read(self, served):
+        _, _, client = served
+        result = client.query("(b.c)+", pairs=False)
+        assert result.pairs is None and result.count == len(result) > 0
+        for read in (result.starts, lambda: result.ends_of(2), lambda: list(result)):
+            with pytest.raises(ServerError, match="pairs=False"):
+                read()
+
+    def test_an_810_000_pair_answer_fits_the_default_encoding(self):
+        db = GraphDB.open(labeled_cycle(900, "a"))
+        with ServerThread(db) as handle, Client(*handle.address) as client:
+            result = client.query("a+")
+            assert result.count == 810_000
+            assert sorted(result.ends_of(17)) == list(range(900))
+            assert len(result.starts()) == 900 and (899, 0) in result
+            # As 2-lists it cannot: refused from the count alone.
+            with pytest.raises(ResultTooLargeError) as info:
+                client.query_call(["a+"], enc="list")
+            assert info.value.counts == [810_000]

@@ -48,7 +48,7 @@ class TestExports:
             assert hasattr(package, name), f"{package_name}.{name}"
 
     def test_version(self):
-        assert repro.__version__ == "1.12.0"
+        assert repro.__version__ == "1.13.0"
 
     def test_top_level_quickstart_names(self):
         for name in (

@@ -9,6 +9,12 @@ i.e. as a spectacular win.  So the names are pinned from this side: one
 traced edge-cut read on a tiny thread cluster must produce every span
 and move every counter the ledger reads, and the ledger may not start
 reading a cluster name this test does not cover.
+
+The wire rows (``server.encode_ms`` / ``decode_ms`` / ``response_bytes*``)
+come from ``wire_probes`` calling :mod:`repro.server.protocol` directly
+on a tuple set, so the calls it makes are pinned here too -- together
+with the ``encode`` span a traced read carries, which is what a later
+``[benchmark]`` PR re-points those rows at.
 """
 
 import re
@@ -17,7 +23,7 @@ from pathlib import Path
 from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster, partition_graph
 from repro.graph.multigraph import LabeledMultigraph
 from repro.obs import get_registry
-from repro.server import Client, ServerConfig, ServerThread
+from repro.server import Client, ServerConfig, ServerThread, protocol
 
 LAYERS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
 
@@ -68,6 +74,10 @@ def test_traced_edge_cut_read_feeds_every_cluster_ledger_row():
     assert result.count == 16
 
     spans = trace["spans"]
+    (request,) = [span for span in spans if span["name"] == "request"]
+    (encode,) = [span for span in spans if span["name"] == "encode"]
+    assert encode["parent"] == request["id"] and encode["dur"] > 0
+    assert encode["attrs"] == {"rows": 4, "floor_bytes": 4}  # four one-digit rows
     rounds = [span for span in spans if span["name"] == "join_round"]
     assert len(rounds) == 1  # one shard round per executed join
     assert rounds[0]["attrs"]["round"] == 0
@@ -87,3 +97,14 @@ def test_traced_edge_cut_read_feeds_every_cluster_ledger_row():
     # The identical second read is served from the join cache.
     assert moved("repro_join_cache_hits_total", cold, warm) == 1
     assert moved("repro_join_rounds_total", cold, warm) == 0
+
+
+def test_wire_probe_calls_keep_their_shape():
+    """What ``perf/layers.py::wire_probes`` does, on the default encoding."""
+    pairs = frozenset({(0, 1), (1, "b"), ("b", 0)})
+    entry = {"query": "q", "count": len(pairs), "time": 0.0}
+    entry["pairs"] = protocol.pairs_to_wire(pairs, enc=None)
+    assert entry["pairs"] == protocol.pairs_to_wire(pairs, enc="packed")
+    line = protocol.encode(protocol.ok_response(1, results=[entry]))
+    decoded = protocol.decode_line(line)["results"][0]
+    assert protocol.wire_to_pairs(decoded["pairs"]) == pairs
