@@ -251,13 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.005,
         metavar="SECONDS",
-        help="micro-batch collection window (default: 0.005)",
+        help="longest a batch keeps collecting while every worker is busy; "
+        "an idle worker is handed a read at once (default: 0.005)",
     )
     serve.add_argument(
         "--max-batch",
         type=int,
         default=64,
-        help="largest micro-batch per dispatch (default: 64)",
+        help="most jobs collected into one batch while every worker is busy "
+        "(default: 64)",
     )
     serve.add_argument(
         "--timeout",

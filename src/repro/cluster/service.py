@@ -139,6 +139,8 @@ class ClusterConfig:
     #: Worker threads *per replica scheduler*.
     workers: int = 2
     max_queue: int = 256
+    #: Per replica scheduler, while all its workers are busy: seconds /
+    #: jobs collected into one batch; unused when a worker is free.
     batch_window: float = 0.005
     max_batch: int = 64
     engine_kwargs: dict = field(default_factory=dict)
@@ -812,9 +814,10 @@ class GraphCluster:
 
         Each edge routes to the shard owning its endpoints; the owning
         backend then applies the change through **every** replica
-        (drain-then-apply on each, caches dropped on each), so all
-        copies converge before the future resolves.  Unaffected shards
-        keep serving with hot caches.  Edges with brand-new endpoints
+        (drain-then-apply on each; each drops the cached closures whose
+        body reads a label the change carried and keeps the rest), so
+        all copies converge before the future resolves.  Unaffected
+        shards keep serving with hot caches.  Edges with brand-new endpoints
         are assigned to the currently smallest shard.  Edges whose
         endpoints live on two *different* shards belong to no shard
         subgraph: an add records the edge in the partition's cut

@@ -66,6 +66,8 @@ class WorkerSpec:
     replicas: int = 1
     workers: int = 2
     max_queue: int = 256
+    #: Collection bounds of each replica scheduler while all its workers
+    #: are busy (seconds / jobs); unused when a worker is free.
     batch_window: float = 0.005
     max_batch: int = 64
     engine_kwargs: dict = field(default_factory=dict)

@@ -38,12 +38,28 @@ sequence is still available and still not atomic -- two threads using it
 may both compute the value and store it twice; that legacy race is benign
 (both compute equal values for the same immutable graph; the second
 ``store`` overwrites with an equivalent entry) but it double-counts
-misses, which is why the engines moved off it.  ``clear`` only drops
-stored entries: a compute already in flight stores its (pre-clear) value
-afterwards, so callers that mutate the graph must drain evaluations first
--- exactly what :class:`~repro.db.GraphDB`'s session lock and the
-server's exclusive drain-then-apply updates guarantee.  Cached values are
+misses, which is why the engines moved off it.  Cached values are
 treated as immutable by all engines.
+
+Invalidation
+------------
+``R_G``, ``G_R`` and hence the shared data of a body ``R`` depend only on
+the edges whose label occurs in ``R`` -- plus, when ``R`` is nullable,
+on the vertex set (``R_G`` then holds the identity pair of every
+vertex).  :meth:`SharedDataCache.invalidate` applies exactly that rule
+(:func:`update_touches`, the one place it is written down; the session
+applies the same function to its watchers): after
+``invalidate(labels, vertex_added)`` no entry remains whose body's
+alphabet meets ``labels``, nor -- when ``vertex_added`` -- any entry
+whose body is nullable, and every *other* entry is still the same
+object, derived :class:`~repro.core.rtc.RTCMasks` included.  An entry
+whose body the cache cannot name (stored by key alone under a
+non-textual key, e.g. a ``semantic``-mode store reload) is dropped by
+every update.  ``clear`` drops everything.  Both only drop *stored*
+entries: a compute already in flight stores its (pre-update) value
+afterwards, so callers that mutate the graph must still drain
+evaluations first -- exactly what :class:`~repro.db.GraphDB`'s session
+lock and the server's exclusive drain-then-apply updates guarantee.
 
 One exception, and its rule: a cached
 :class:`~repro.core.rtc.ReducedTransitiveClosure` carries derived
@@ -67,10 +83,21 @@ from dataclasses import dataclass, field
 from typing import Generic, TypeVar
 
 from repro.core.rtc import ReducedTransitiveClosure
-from repro.regex.ast import RegexNode
+from repro.errors import ReproError
+from repro.regex.ast import RegexNode, iter_labels
 from repro.regex.dfa import canonical_key
+from repro.regex.parser import parse
+from repro.regex.simplify import is_nullable_ast
 
-__all__ = ["CacheStats", "SharedDataCache", "RTCCache", "ClosureCache", "make_key_function"]
+__all__ = [
+    "CacheStats",
+    "SharedDataCache",
+    "RTCCache",
+    "ClosureCache",
+    "body_footprint",
+    "make_key_function",
+    "update_touches",
+]
 
 Value = TypeVar("Value")
 
@@ -82,6 +109,27 @@ def make_key_function(mode: str):
     if mode == "semantic":
         return canonical_key
     raise ValueError(f"unknown cache mode {mode!r}; use 'syntactic' or 'semantic'")
+
+
+def body_footprint(body: RegexNode) -> tuple[frozenset[str], bool]:
+    """``(alphabet, nullable)`` of a closure body -- all an update can hit.
+
+    The alphabet is that of the *whole* body, nested closures included:
+    the shared data of ``(a.(b)+)+`` moves with ``a`` and with ``b``.
+    """
+    return frozenset(iter_labels(body)), is_nullable_ast(body)
+
+
+def update_touches(
+    alphabet: frozenset[str], nullable: bool, labels, vertex_added: bool
+) -> bool:
+    """Can an update change the shared data of a body with this footprint?
+
+    ``labels`` are the labels of the edges the update applied (added or
+    removed), ``vertex_added`` whether it created a vertex.  Removal
+    never deletes a vertex, so only insertions set it.
+    """
+    return (nullable and vertex_added) or not alphabet.isdisjoint(labels)
 
 
 @dataclass
@@ -116,6 +164,9 @@ class SharedDataCache(Generic[Value]):
     def __post_init__(self) -> None:
         self._key_function = make_key_function(self.mode)
         self._entries: dict[str, Value] = {}
+        # key -> the closure body it stands for, noted on the miss path
+        # (never on a hit) and read only by invalidate().
+        self._bodies: dict[str, RegexNode] = {}
         self._lock = threading.RLock()
         # Per-key in-flight latches for get_or_compute: key -> (Event set
         # when the owning thread finished (or failed) computing the value,
@@ -138,6 +189,7 @@ class SharedDataCache(Generic[Value]):
             value = self._entries.get(key)
             if value is None:
                 self.stats.misses += 1
+                self._bodies[key] = node
             else:
                 self.stats.hits += 1
         return key, value
@@ -178,6 +230,7 @@ class SharedDataCache(Generic[Value]):
                     latch = threading.Event()
                     self._inflight[key] = (latch, current)
                     self.stats.misses += 1
+                    self._bodies[key] = node
                     owner = True
                     break
                 latch, owner_thread = entry
@@ -219,7 +272,44 @@ class SharedDataCache(Generic[Value]):
         """Drop all entries (stats are kept)."""
         with self._lock:
             self._entries.clear()
+            self._bodies.clear()
             self.stats.entries = 0
+
+    def invalidate(self, labels, vertex_added: bool = False) -> int:
+        """Drop the entries an applied update can have changed.
+
+        ``labels`` are the labels of the edges added or removed and
+        ``vertex_added`` says whether an insertion created a vertex; see
+        the module docstring for the guarantee.  Every surviving entry
+        is the same object as before.  Returns the number dropped.
+        """
+        labels = frozenset(labels)
+        with self._lock:
+            dropped = [
+                key
+                for key in self._entries
+                if self._touched(key, labels, vertex_added)
+            ]
+            for key in dropped:
+                del self._entries[key]
+                self._bodies.pop(key, None)
+            self.stats.entries = len(self._entries)
+        return len(dropped)
+
+    def _touched(self, key: str, labels: frozenset, vertex_added: bool) -> bool:
+        """The rule for one entry; an unnameable body counts as touched."""
+        body = self._bodies.get(key)
+        if body is None:
+            # Stored by key alone (a store reload).  A syntactic key is
+            # the body text; anything else cannot be read back.
+            if self.mode != "syntactic":
+                return True
+            try:
+                body = parse(key)
+            except ReproError:
+                return True
+            self._bodies[key] = body
+        return update_touches(*body_footprint(body), labels, vertex_added)
 
     def snapshot_stats(self) -> CacheStats:
         """A point-in-time copy of the stats, taken under the lock."""

@@ -139,6 +139,17 @@ class RPQEngine:
     def reset_cache(self) -> None:
         """Drop shared data so the next query recomputes it."""
 
+    def invalidate_cache(self, labels, vertex_added: bool = False) -> None:
+        """Drop the shared data an applied graph update can have changed.
+
+        ``labels`` are the labels of the edges added or removed,
+        ``vertex_added`` whether the update created a vertex.  The
+        default drops everything; the sharing engines keep what the
+        update cannot have touched
+        (:meth:`~repro.core.cache.SharedDataCache.invalidate`).
+        """
+        self.reset_cache()
+
     # -- to implement ----------------------------------------------------
     def _evaluate_node(self, node: RegexNode) -> Pairs:
         raise NotImplementedError
@@ -392,6 +403,9 @@ class RTCSharingEngine(_SharingEngine):
     def reset_cache(self) -> None:
         self.rtc_cache.clear()
 
+    def invalidate_cache(self, labels, vertex_added: bool = False) -> None:
+        self.rtc_cache.invalidate(labels, vertex_added)
+
 
 class FullSharingEngine(_SharingEngine):
     """Abul-Basher's method [8]: share the materialised ``R+_G``.
@@ -500,3 +514,6 @@ class FullSharingEngine(_SharingEngine):
 
     def reset_cache(self) -> None:
         self.closure_cache.clear()
+
+    def invalidate_cache(self, labels, vertex_added: bool = False) -> None:
+        self.closure_cache.invalidate(labels, vertex_added)

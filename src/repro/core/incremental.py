@@ -31,6 +31,7 @@ from functools import cache
 from itertools import product
 
 from repro.bitset.kernel import bfs_mask, eval_rpq_bits
+from repro.core.cache import body_footprint
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
@@ -67,13 +68,21 @@ class IncrementalRTC:
     """
 
     def __init__(self, graph: LabeledMultigraph, body: str | RegexNode) -> None:
+        self._bind(graph, body)
+        # Mutable state: G_R and the RTC's three maps.
+        self._gr = self._evaluate_gr()
+        self._rebuild()
+
+    def _bind(self, graph: LabeledMultigraph, body: str | RegexNode) -> None:
+        """Everything fixed for the watcher's life; counters start at zero."""
         self.graph = graph
         self.body = parse(body)
         self._nfa = compile_nfa(self.body)
         self._reverse_nfa = _reverse_delta(self._nfa)
-        # Mutable state: G_R and the RTC's three maps.
-        self._gr = self._evaluate_gr()
-        self._rebuild()
+        #: labels of the body, and whether it matches the empty word: an
+        #: update the two do not name (:func:`~repro.core.cache.update_touches`)
+        #: cannot change this watcher's state, so nobody need notify it.
+        self.alphabet, self.nullable = body_footprint(self.body)
         #: how many insertions were handled by full recomputation
         self.full_rebuilds = 0
         #: how many insertions were handled incrementally
@@ -147,16 +156,11 @@ class IncrementalRTC:
         the NFA is recompiled.
         """
         watcher = cls.__new__(cls)
-        watcher.graph = graph
-        watcher.body = parse(body)
-        watcher._nfa = compile_nfa(watcher.body)
-        watcher._reverse_nfa = _reverse_delta(watcher._nfa)
+        watcher._bind(graph, body)
         watcher._gr = DiGraph()
         for source, target in gr_edges:
             watcher._gr.add_edge(source, target)
         watcher._load(rtc)
-        watcher.full_rebuilds = 0
-        watcher.incremental_updates = 0
         return watcher
 
     # ------------------------------------------------------------------
@@ -186,7 +190,7 @@ class IncrementalRTC:
         is nullable).
         """
         delta = self._rg_delta(source, label, target)
-        if self._nfa.nullable:
+        if self.nullable:
             for vertex in new_vertices:
                 delta.add((vertex, vertex))
 

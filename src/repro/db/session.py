@@ -76,6 +76,7 @@ from os import PathLike
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 
+from repro.core.cache import update_touches
 from repro.core.incremental import IncrementalRTC
 from repro.db.prepared import PreparedQuery
 from repro.db.registry import create_engine
@@ -223,6 +224,14 @@ class GraphDB:
         if reset is not None:
             reset()
 
+    def _invalidate_engine_cache(self, labels: set, vertex_added: bool) -> None:
+        # A duck-typed engine knows at most how to drop everything.
+        invalidate = getattr(self.engine, "invalidate_cache", None)
+        if invalidate is None:
+            self._reset_engine_cache()
+        else:
+            invalidate(labels, vertex_added)
+
     def __enter__(self) -> "GraphDB":
         return self
 
@@ -364,16 +373,22 @@ class GraphDB:
     ) -> None:
         """Apply streaming edge changes to the graph.
 
-        Inserted edges are repaired incrementally in every watcher
-        (:mod:`repro.core.incremental`); removals recompute the watchers
-        from the updated graph.  The engine's shared caches are dropped
-        either way -- they describe the pre-update graph.
+        The shared data of a closure body ``R`` depends only on edges
+        whose label occurs in ``R`` (and, for a nullable ``R``, on the
+        vertex set), so an update reaches only what it can have changed
+        (:func:`~repro.core.cache.update_touches`): watchers whose body
+        reads an inserted edge's label are repaired incrementally
+        (:mod:`repro.core.incremental`), watchers whose body reads a
+        removed edge's label are recomputed from the updated graph, and
+        the engine drops the cached closures of such bodies.  Every
+        other watcher is left alone and every other cache entry survives
+        as the same object, so the next query on it is a hit.
 
         A failing edge (duplicate insertion, removal of an absent edge)
         raises after the earlier edges of the batch were applied; the
-        session stays consistent with the partially-updated graph -- the
-        watchers are rebuilt from it and the engine caches dropped before
-        the error propagates.
+        session stays consistent with the partially-updated graph --
+        *all* watchers are rebuilt from it and the *whole* engine cache
+        dropped before the error propagates.
 
         With storage attached the applied edges are write-ahead logged
         (fsync'd) before this method returns -- including the applied
@@ -393,6 +408,7 @@ class GraphDB:
         watchers = list(self._watchers.values())
         applied_add: list[tuple] = []
         applied_remove: list[tuple] = []
+        vertex_added = False
         try:
             for source, label, target in add:
                 new_vertices = [
@@ -402,13 +418,19 @@ class GraphDB:
                 ]
                 self.graph.add_edge(source, label, target)
                 applied_add.append((source, label, target))
+                vertex_added = vertex_added or bool(new_vertices)
                 for watcher in watchers:
-                    watcher.notify_edge_added(source, label, target, new_vertices)
+                    if update_touches(
+                        watcher.alphabet, watcher.nullable, (label,), bool(new_vertices)
+                    ):
+                        watcher.notify_edge_added(source, label, target, new_vertices)
             for source, label, target in remove:
                 self.graph.remove_edge(source, label, target)
                 applied_remove.append((source, label, target))
-            if applied_remove:
-                for watcher in watchers:
+            # Removal keeps the endpoints, so only the labels matter.
+            removed_labels = {label for _source, label, _target in applied_remove}
+            for watcher in watchers:
+                if update_touches(watcher.alphabet, watcher.nullable, removed_labels, False):
                     watcher.notify_graph_replaced()
         except BaseException:
             if applied_add or applied_remove:
@@ -419,7 +441,10 @@ class GraphDB:
             # partially-updated graph the live session keeps serving.
             self._log_applied(applied_add, applied_remove)
             raise
-        self._reset_engine_cache()
+        self._invalidate_engine_cache(
+            {label for _source, label, _target in applied_add} | removed_labels,
+            vertex_added,
+        )
         self._log_applied(applied_add, applied_remove)
         self._maybe_auto_checkpoint()
 

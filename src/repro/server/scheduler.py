@@ -9,29 +9,37 @@ scheduler does exactly that:
     it contains (:func:`closure_group_key`, the same canonical keys the
     engine caches use, so ``"syntactic"``/``"semantic"`` cache modes
     group identically to how they share).
-2.  A dispatcher thread collects requests for one *batch window*
-    (or until ``max_batch``), partitions them by group key
-    (:func:`group_jobs`), and hands each group to the worker pool as
-    one micro-batch.
+2.  A dispatcher thread is *work-conserving*: it takes the head job
+    plus whatever is already queued, partitions that by group key
+    (:func:`group_jobs`) and hands each group to the worker pool as one
+    micro-batch **at once** whenever fewer than ``workers`` micro-batches
+    are in flight -- an idle server adds no wait.  Only while every
+    worker is busy does it keep collecting, woken by an arrival or by a
+    worker finishing, for at most ``batch_window`` seconds and
+    ``max_batch`` jobs; so batches form under saturation, where a read
+    would have queued anyway, and nowhere else.
 3.  Workers are plain threads, each holding its own engine handle
     (engines keep per-thread timers/counters) over the **shared,
-    lock-protected RTC cache** of the session's primary engine -- so the
-    first query of a group computes the RTC and every other query in
-    that group (and every later group with the same body) hits the
-    cache.  Concurrent first-contact misses on one body across workers
-    are collapsed by the cache's ``get_or_compute`` in-flight latch
-    (see :mod:`repro.core.cache`); grouping keeps even the latch wait
-    rare by landing a body's queries on one worker back to back.
+    lock-protected RTC cache** of the session's primary engine.  That
+    cache, not the window, is the sharing mechanism: the first query on
+    a body computes the RTC and every later one -- same batch or not,
+    same worker or not -- hits the cache.  Concurrent first-contact
+    misses on one body across workers are collapsed by the cache's
+    ``get_or_compute`` in-flight latch (see :mod:`repro.core.cache`);
+    grouping a saturated queue by body keeps even the latch wait rare
+    by landing a body's queries on one worker back to back.
 
-Admission control is a bounded queue (``queue.Full`` surfaces as
+Admission control is a bounded queue (a full one surfaces as
 :class:`~repro.errors.AdmissionError` *before* any work happens) plus a
 per-request deadline: workers drop expired jobs with
 :class:`~repro.errors.DeadlineExpiredError` instead of evaluating them.
 
-Graph updates are exclusive: the dispatcher stops batching, drains every
-in-flight micro-batch, applies the update through the (thread-safe)
-:class:`~repro.db.GraphDB` session -- which repairs watchers and resets
-the shared caches -- and only then resumes query dispatch.
+Graph updates are exclusive: the dispatcher stops collecting, dispatches
+what it holds, drains every in-flight micro-batch, applies the update
+through the (thread-safe) :class:`~repro.db.GraphDB` session -- which
+repairs the watchers and drops the cached RTCs whose body reads a label
+the update carried, leaving every other entry in place for the next
+read to hit -- and only then resumes query dispatch.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.cache import make_key_function
@@ -183,10 +192,11 @@ class SharingScheduler:
         Admission bound: jobs waiting for dispatch beyond the in-flight
         batches.  Full queue -> :class:`~repro.errors.AdmissionError`.
     batch_window:
-        Seconds the dispatcher keeps collecting after the first job of a
-        batch -- the sharing/latency trade-off knob.
+        While every worker is busy: the longest the dispatcher keeps
+        collecting after the first job of a batch (seconds).  With a
+        worker free a batch leaves at once and the window is not used.
     max_batch:
-        Upper bound on one drain, regardless of the window.
+        Upper bound on the jobs of one collection, window or not.
     engine_kwargs:
         Forwarded to the per-worker engine constructors (must mirror the
         session's engine options, e.g. ``cache_mode``).
@@ -226,15 +236,24 @@ class SharingScheduler:
         self._key_function = make_key_function(
             cache.mode if cache is not None else "syntactic"
         )
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
+        self.max_queue = max_queue
+        # Admitted jobs awaiting dispatch and the micro-batches in flight
+        # share one condition: an arrival and a worker finishing are the
+        # two events the dispatcher (and drain) wait for.  A finishing
+        # worker notifies only while someone waits *for a worker*
+        # (`_awaiting_worker`): waking a dispatcher that is idle for
+        # want of jobs costs two thread switches per read and buys
+        # nothing.
+        self._jobs: deque = deque()
+        self._inflight: set[Future] = set()
+        self._wake = threading.Condition()
+        self._awaiting_worker = 0
         self._engines: queue.SimpleQueue = queue.SimpleQueue()
         for engine in make_worker_engines(db, workers, engine_kwargs):
             self._engines.put(engine)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-worker"
         )
-        self._inflight: set[Future] = set()
-        self._inflight_lock = threading.Lock()
         # Serialises admission against shutdown: once stop() flips
         # _stopped under this lock, no submit can slip a job past the
         # shutdown drain (which would leave its future forever pending).
@@ -265,16 +284,16 @@ class SharingScheduler:
         was_running = self._running
         self._running = False
         if was_running and self._dispatcher is not None:
-            self._queue.put(_STOP)
+            with self._wake:
+                self._jobs.append(_STOP)
+                self._wake.notify_all()
             self._dispatcher.join()
         self._pool.shutdown(wait=True)
         # Jobs still queued (submitted before _stopped flipped but never
         # dispatched) are failed loudly rather than silently dropped.
-        while True:
-            try:
-                job = self._queue.get_nowait()
-            except queue.Empty:
-                break
+        # Nothing else touches the queue any more.
+        while self._jobs:
+            job = self._jobs.popleft()
             if job is _STOP:
                 continue
             if job.future.set_running_or_notify_cancel():
@@ -288,9 +307,9 @@ class SharingScheduler:
 
         Waits on the metrics conservation law (admitted == completed +
         expired + failed + cancelled + updates) rather than the queue
-        size -- a job the dispatcher has popped but is still batch-window
-        collecting lives in neither the queue nor the in-flight set, and
-        must not slip through.  A quiescence point, not a barrier against
+        size -- a job the dispatcher has popped but not yet handed to the
+        pool lives in neither the queue nor the in-flight set, and must
+        not slip through.  A quiescence point, not a barrier against
         new work: jobs admitted *while* draining extend the wait.  Used
         by the cluster backends for graceful close and by tests.
         """
@@ -377,49 +396,22 @@ class SharingScheduler:
             with self._admission_lock:
                 if self._stopped:
                     raise self._closed_error()
-                try:
-                    self._queue.put_nowait(job)
-                except queue.Full:
-                    if not block:
-                        self.metrics.record_rejected()
-                        raise AdmissionError(
-                            queue_depth=self._queue.qsize()
-                        ) from None
-                else:
-                    self.metrics.record_admitted()
-                    return
+                with self._wake:
+                    depth = len(self._jobs)
+                    if depth < self.max_queue:
+                        self._jobs.append(job)
+                        self._wake.notify_all()
+                        self.metrics.record_admitted()
+                        return
+                if not block:
+                    self.metrics.record_rejected()
+                    raise AdmissionError(queue_depth=depth)
             time.sleep(0.001)
 
     # -- dispatch --------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        stopping = False
-        while not stopping:
-            head = self._queue.get()
-            if head is _STOP:
-                break
-            if isinstance(head, UpdateJob):
-                self._execute_update(head)
-                continue
-            head.dequeued_at = time.monotonic()
-            batch = [head]
-            update_job = None
-            window_end = time.monotonic() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = window_end - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if item is _STOP:
-                    stopping = True
-                    break
-                if isinstance(item, UpdateJob):
-                    update_job = item
-                    break
-                item.dequeued_at = time.monotonic()
-                batch.append(item)
+        while True:
+            batch, then = self._collect()
             # Key extraction (DNF walk) runs here, on the dispatcher --
             # admission threads only parse.
             for job in batch:
@@ -430,23 +422,65 @@ class SharingScheduler:
             for group in group_jobs(batch):
                 self.metrics.record_batch(len(group))
                 future = self._pool.submit(self._run_batch, group)
-                with self._inflight_lock:
+                with self._wake:
                     self._inflight.add(future)
                 future.add_done_callback(self._forget_inflight)
-            if update_job is not None:
-                self._execute_update(update_job)
+            if then is _STOP:
+                return
+            if then is not None:
+                self._execute_update(then)
+
+    def _collect(self) -> tuple[list[QueryJob], object]:
+        """The next queries to dispatch and what follows them.
+
+        Blocks for a first item, then takes what is already queued.  With
+        a worker free that is the batch; only while all ``workers`` are
+        busy does it wait -- for an arrival or a worker finishing, at
+        most ``batch_window`` seconds and ``max_batch`` jobs.  An update
+        or the stop sentinel ends the collection and is returned as the
+        second element (``None`` otherwise) for the caller to act on
+        *after* dispatching the batch.
+        """
+        batch: list[QueryJob] = []
+        window_end = None
+        with self._wake:
+            while True:
+                while self._jobs and len(batch) < self.max_batch:
+                    item = self._jobs.popleft()
+                    if item is _STOP or isinstance(item, UpdateJob):
+                        return batch, item
+                    item.dequeued_at = time.monotonic()
+                    batch.append(item)
+                if not batch:
+                    self._wake.wait()
+                    continue
+                if len(batch) >= self.max_batch or len(self._inflight) < self.workers:
+                    return batch, None
+                if window_end is None:
+                    window_end = batch[0].dequeued_at + self.batch_window
+                remaining = window_end - time.monotonic()
+                if remaining <= 0:
+                    return batch, None
+                self._await_worker(remaining)
+
+    def _await_worker(self, timeout: float | None = None) -> None:
+        """Wait on ``_wake`` (held) as one a finishing worker must notify."""
+        self._awaiting_worker += 1
+        try:
+            self._wake.wait(timeout)
+        finally:
+            self._awaiting_worker -= 1
 
     def _forget_inflight(self, future: Future) -> None:
-        with self._inflight_lock:
+        with self._wake:
             self._inflight.discard(future)
+            if self._awaiting_worker:
+                self._wake.notify_all()
 
     def _drain_inflight(self) -> None:
-        while True:
-            with self._inflight_lock:
-                pending = list(self._inflight)
-            if not pending:
-                return
-            wait(pending)
+        with self._wake:
+            while self._inflight:
+                self._await_worker()
 
     #: Engine-timer phases -> the public span/metric phase names.
     _PHASE_NAMES = {
@@ -622,7 +656,7 @@ class SharingScheduler:
     def stats(self) -> dict:
         """Scheduler metrics merged with queue and shared-cache state."""
         stats = self.metrics.snapshot()
-        stats["queue_depth"] = self._queue.qsize()
+        stats["queue_depth"] = len(self._jobs)
         stats["workers"] = self.workers
         cache = self.shared_cache
         if cache is not None:

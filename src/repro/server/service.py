@@ -51,6 +51,10 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral; the bound port is in server.address
     workers: int = 4
     max_queue: int = 256
+    #: While every worker is busy: how long (seconds) and how many jobs
+    #: the dispatcher collects into one batch.  With a worker free a
+    #: read is dispatched on arrival and neither is consulted
+    #: (:mod:`repro.server.scheduler`).
     batch_window: float = 0.005
     max_batch: int = 64
     #: Per-request deadline in seconds when the client sends none.

@@ -15,8 +15,14 @@ serialises, per shard:
 
 each **version-stamped with the LSN it was valid at**.  On load, an entry
 is installed only when its stamp equals the recovered LSN -- any update
-after the checkpoint invalidates it, exactly mirroring the engine's
-cache-reset-on-update semantics.  Stale entries are counted, not loaded.
+after the checkpoint invalidates it.  That is coarser than the live
+engine, which drops only the entries whose body reads a label the
+update carried (:meth:`~repro.core.cache.SharedDataCache.invalidate`),
+and safe: a stamp names a log position, not the labels logged since.
+Stale entries are counted, not loaded.  Installed entries reach the
+cache by key alone; the live rule then reads their body back from the
+key (``syntactic`` mode) or, failing that, drops them at the first
+update.
 
 Engines other than ``rtc`` (``full``'s materialised closures, ``none``)
 have no RTC-valued cache; for them only watchers are persisted.

@@ -148,6 +148,75 @@ class TestWarmRestart:
         finally:
             restarted.stop()
 
+    def test_restarted_replicas_invalidate_by_label(self, multi_fig1, data_dir):
+        """Both replicas of a restarted shard see one update stream and
+        keep / drop the same store-installed closures: by label, on the
+        owning shard only -- and every answer equals one session's."""
+        config = ClusterConfig(shards=2, replicas=2, workers=1, data_dir=data_dir)
+        queries = [CLOSURE_QUERY, "a.(b.c)+", "(e.f)+.e"]
+        cluster = GraphCluster(
+            partition_graph(multi_fig1.copy(), 2), config=config
+        )
+        try:
+            for query in queries:
+                cluster.submit(query).result(timeout=120)
+            cluster.checkpoint()
+        finally:
+            cluster.stop()
+
+        restarted = GraphCluster(
+            partition_graph(multi_fig1.copy(), 2), config=config
+        )
+        reference = GraphDB.open(multi_fig1.copy())
+        try:
+            sessions = {
+                (shard, replica): restarted.replica(shard, replica).db
+                for shard in range(2)
+                for replica in range(2)
+            }
+            assert all(len(db.engine.rtc_cache) >= 2 for db in sessions.values())
+            warm = {
+                where: {body: db.engine.rtc_for(body) for body in ("b.c", "e.f")}
+                for where, db in sessions.items()
+            }
+            misses = {
+                where: db.engine.rtc_cache.stats.misses
+                for where, db in sessions.items()
+            }
+            assert set(misses.values()) == {0}  # all from the store
+
+            def kept(where, body) -> bool:
+                return sessions[where].engine.rtc_for(body) is warm[where][body]
+
+            def check_answers() -> None:
+                for query in queries * 2:  # round-robin reaches both replicas
+                    pairs, _elapsed = restarted.submit(query).result(timeout=120)
+                    assert set(pairs) == set(reference.execute(query)), query
+
+            # A label neither body reads: nothing moves anywhere.
+            foreign = ("0:0", "d", "0:1")
+            restarted.submit_update(add=[foreign]).result(timeout=120)
+            reference.update(add=[foreign])
+            assert all(kept(where, body) for where in sessions for body in ("b.c", "e.f"))
+            check_answers()
+
+            # ``f`` on a copy-0 vertex: ``e.f`` goes on both replicas of
+            # the owning shard and nowhere else; ``b.c`` stays everywhere.
+            touching = ("0:9", "f", "0:7")
+            owner = restarted.partition.shard_of("0:9")
+            restarted.submit_update(add=[touching]).result(timeout=120)
+            reference.update(add=[touching])
+            for where in sessions:
+                assert kept(where, "b.c")
+                assert kept(where, "e.f") == (where[0] != owner)
+            check_answers()
+            assert {
+                where: db.engine.rtc_cache.stats.misses
+                for where, db in sessions.items()
+            } == {where: int(where[0] == owner) for where in sessions}
+        finally:
+            restarted.stop()
+
     def test_checkpoint_without_data_dir_is_unsupported(self, multi_fig1):
         cluster = GraphCluster(
             partition_graph(multi_fig1.copy(), 2),

@@ -2,11 +2,14 @@
 
 import pytest
 
+import repro.core.cache as cache_module
 from repro.core.cache import (
     CacheStats,
     ClosureCache,
     RTCCache,
+    body_footprint,
     make_key_function,
+    update_touches,
 )
 from repro.core.rtc import compute_rtc
 from repro.regex.parser import parse
@@ -281,3 +284,100 @@ class TestThreadSafety:
         assert stats.entries == 1
         _key, value = cache.lookup(node)
         assert value is rtc
+
+
+class TestInvalidate:
+    """`invalidate(labels, vertex_added)`: drop what the update can have
+    changed, keep everything else as the same object."""
+
+    @staticmethod
+    def fill(cache, *bodies):
+        values = {}
+        for body in bodies:
+            _key, values[body] = cache.get_or_compute(parse(body), object)
+        return values
+
+    @pytest.mark.parametrize("cache_class", [RTCCache, ClosureCache])
+    @pytest.mark.parametrize("mode", ["syntactic", "semantic"])
+    def test_drops_only_bodies_reading_an_applied_label(self, cache_class, mode):
+        cache = cache_class(mode=mode)
+        values = self.fill(cache, "a", "b.c", "a|c")
+        assert cache.invalidate({"c"}) == 2
+        assert parse("a") in cache
+        assert parse("b.c") not in cache and parse("a|c") not in cache
+        assert cache.stats.entries == len(cache) == 1
+        misses = cache.stats.misses
+        assert cache.get_or_compute(parse("a"), object)[1] is values["a"]
+        assert cache.stats.misses == misses
+
+    def test_nested_closure_uses_the_whole_body_alphabet(self):
+        cache = RTCCache()
+        self.fill(cache, "a.(b)+", "a")
+        cache.invalidate({"b"})
+        assert parse("a.(b)+") not in cache
+        assert parse("a") in cache
+
+    @pytest.mark.parametrize("body", ["a?", "a*", "(a?)+", "a*|b"])
+    def test_nullable_body_goes_with_a_new_vertex_only(self, body):
+        cache = RTCCache()
+        self.fill(cache, body, "a")
+        assert cache.invalidate({"z"}, vertex_added=False) == 0
+        assert cache.invalidate({"z"}, vertex_added=True) == 1
+        assert parse(body) not in cache
+        assert parse("a") in cache
+
+    def test_entry_stored_by_textual_key_is_read_back_from_the_key(self):
+        cache = RTCCache(mode="syntactic")
+        cache.store("a.b", "ab")
+        cache.store("c*", "c-star")
+        assert cache.invalidate({"z"}) == 0
+        assert cache.invalidate({"z"}, vertex_added=True) == 1
+        assert cache.invalidate({"b"}) == 1
+        assert len(cache) == 0
+
+    def test_entry_with_an_unreadable_key_goes_with_every_update(self):
+        semantic = RTCCache(mode="semantic")
+        semantic.store(make_key_function("semantic")(parse("a")), "rtc")
+        assert semantic.invalidate({"z"}) == 1
+        syntactic = RTCCache(mode="syntactic")
+        syntactic.store("((not a regex", "rtc")
+        assert syntactic.invalidate({"z"}) == 1
+
+    def test_legacy_lookup_then_store_knows_its_body(self):
+        cache = RTCCache(mode="semantic")
+        key, value = cache.lookup(parse("a.b"))
+        assert value is None
+        cache.store(key, "rtc")
+        assert cache.invalidate({"c"}) == 0
+        assert cache.invalidate({"a"}) == 1
+
+    def test_clear_forgets_the_bodies_too(self):
+        cache = RTCCache(mode="semantic")
+        self.fill(cache, "a")
+        cache.clear()
+        cache.store(cache.key_for(parse("a")), "reloaded")
+        assert cache.invalidate({"z"}) == 1
+
+    def test_hit_path_does_no_alphabet_work(self, monkeypatch):
+        cache = RTCCache()
+        self.fill(cache, "a.b")
+
+        def boom(*_args):
+            raise AssertionError("footprint computed on the hit path")
+
+        monkeypatch.setattr(cache_module, "body_footprint", boom)
+        cache.get_or_compute(parse("a.b"), object)
+        cache.get_or_compute(parse("c"), object)  # a miss computes none either
+
+
+class TestFootprint:
+    def test_body_footprint(self):
+        assert body_footprint(parse("a.(b|c)+")) == (frozenset("abc"), False)
+        assert body_footprint(parse("(a*)+")) == (frozenset("a"), True)
+
+    def test_update_touches(self):
+        assert update_touches(frozenset("ab"), False, {"b", "z"}, False)
+        assert not update_touches(frozenset("ab"), False, {"z"}, True)
+        assert update_touches(frozenset("a"), True, {"z"}, True)
+        assert not update_touches(frozenset("a"), True, {"z"}, False)
+        assert not update_touches(frozenset("a"), True, (), False)

@@ -113,6 +113,117 @@ class TestUpdate:
         assert db.engine.shared_data_size() == 0  # cache dropped anyway
 
 
+class TestSelectiveInvalidation:
+    """An update reaches only the cached RTCs / watchers whose body reads
+    a label it carried (or is nullable, when it created a vertex)."""
+
+    EDGES = [(0, "a", 1), (1, "a", 2), (1, "b", 2), (2, "c", 0)]
+
+    @pytest.mark.parametrize("mode", ["syntactic", "semantic"])
+    def test_foreign_label_update_keeps_the_same_rtc_object(self, mode):
+        db = GraphDB.open(self.EDGES, cache_mode=mode)
+        rtc = db.engine.rtc_for("a")
+        masks = rtc.masks(db.graph.interner)
+        misses = db.engine.rtc_cache.stats.misses
+        db.update(add=[(2, "b", 0)])
+        db.update(remove=[(2, "b", 0)])
+        assert db.engine.rtc_for("a") is rtc
+        assert rtc.masks(db.graph.interner) is masks
+        assert db.engine.rtc_cache.stats.misses == misses
+        db.update(add=[(2, "a", 0)])
+        assert db.engine.rtc_for("a") is not rtc
+        assert db.execute("a+") == eval_rpq(db.graph, "a+")
+
+    def test_full_engine_keeps_untouched_closures(self):
+        db = GraphDB.open(self.EDGES, engine="full")
+        entry = db.engine.closure_for("a")
+        db.update(add=[(2, "b", 0)])
+        assert db.engine.closure_for("a") is entry
+        db.update(remove=[(0, "a", 1)])
+        assert db.engine.closure_for("a") is not entry
+        assert db.execute("a+") == eval_rpq(db.graph, "a+")
+
+    def test_one_batch_drops_exactly_the_bodies_it_names(self):
+        db = GraphDB.open(self.EDGES)
+        kept = db.engine.rtc_for("c")
+        dropped = [db.engine.rtc_for(body) for body in ("a", "a.b", "b|c")]
+        db.update(add=[(0, "a", 2)], remove=[(1, "b", 2)])
+        assert db.engine.rtc_for("c") is kept
+        for body, rtc in zip(("a", "a.b", "b|c"), dropped):
+            assert db.engine.rtc_for(body) is not rtc
+            assert db.execute(f"({body})+") == eval_rpq(db.graph, f"({body})+")
+
+    def test_nested_closure_goes_with_its_inner_label(self):
+        db = GraphDB.open(self.EDGES)
+        outer = db.engine.rtc_for("a.(b)+")
+        db.update(add=[(2, "c", 1)])
+        assert db.engine.rtc_for("a.(b)+") is outer
+        db.update(add=[(2, "b", 1)])
+        assert db.engine.rtc_for("a.(b)+") is not outer
+        assert db.execute("(a.(b)+)+") == eval_rpq(db.graph, "(a.(b)+)+")
+
+    @pytest.mark.parametrize("body", ["a?", "a*"])
+    def test_nullable_body_goes_with_a_new_vertex_under_any_label(self, body):
+        db = GraphDB.open(self.EDGES)
+        rtc = db.engine.rtc_for(body)
+        watcher = db.watch(body)
+        db.update(add=[(0, "c", 2)])  # foreign label, both ends exist
+        assert db.engine.rtc_for(body) is rtc
+        db.update(remove=[(0, "c", 2)])  # removal keeps its vertices
+        assert db.engine.rtc_for(body) is rtc
+        db.update(add=[(2, "c", 9)])  # foreign label, vertex 9 is new
+        assert db.engine.rtc_for(body) is not rtc
+        assert db.execute(f"({body})+") == eval_rpq(db.graph, f"({body})+")
+        assert (9, 9) in db.execute(f"({body})+")
+        assert watcher.reaches(9, 9)
+        assert watcher.full_rebuilds == 0
+
+    def test_watchers_are_notified_by_label(self):
+        db = GraphDB.open(self.EDGES)
+        on_a, on_b = db.watch("a"), db.watch("b")
+        db.update(remove=[(1, "b", 2)])
+        assert (on_a.full_rebuilds, on_b.full_rebuilds) == (0, 1)
+        db.update(add=[(1, "b", 2), (2, "a", 0)])
+        assert on_a.incremental_updates + on_a.full_rebuilds > 0
+        for watcher, body in ((on_a, "a"), (on_b, "b")):
+            expected = compute_rtc(eval_rpq(db.graph, body))
+            assert watcher.snapshot().expand() == expected.expand()
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            {"add": [(2, "b", 0), (0, "a", 1)]},  # duplicate insertion
+            {"add": [(2, "b", 0)], "remove": [(7, "b", 8)]},  # absent removal
+        ],
+    )
+    def test_failing_batch_rebuilds_and_drops_everything(self, batch):
+        db = GraphDB.open(self.EDGES)
+        db.engine.rtc_for("c")  # foreign to the batch -- dropped all the same
+        watcher = db.watch("c")
+        with pytest.raises(GraphError):
+            db.update(**batch)
+        assert len(db.engine.rtc_cache) == 0
+        assert watcher.full_rebuilds == 1
+        assert db.graph.has_edge(2, "b", 0)  # the applied prefix stays
+
+    def test_engine_without_selective_invalidation_is_reset(self):
+        from repro.core.engines import RPQEngine
+
+        class Mine(RPQEngine):
+            resets = 0
+
+            def _evaluate_node(self, node):
+                return set()
+
+            def reset_cache(self):
+                self.resets += 1
+
+        db = GraphDB.open(self.EDGES, engine="no")
+        db.engine = Mine(db.graph)
+        db.update(add=[(2, "b", 0)])
+        assert db.engine.resets == 1
+
+
 class TestWatchers:
     def test_watch_is_idempotent_per_body(self):
         db = GraphDB.open([("a", "f", "b")])

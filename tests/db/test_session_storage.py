@@ -93,3 +93,99 @@ class TestClose:
         assert recovered.graph.has_edge("c", "x", "d")
         assert recovered.warm_stats["entries"] == 0  # warmth was not promised
         recovered.close()
+
+
+class TestInvalidationAfterWarmReopen:
+    """Entries the RTC store installs arrive by key, without an AST, and
+    still follow the label rule -- or, when the key cannot be read back
+    (``semantic`` mode), go with the first update.  Never stale."""
+
+    GRAPH = [(0, "a", 1), (1, "a", 2), (1, "b", 2), (2, "c", 0), (2, "b", 3)]
+    QUERIES = ["a+", "c.(a)+", "(b|c)+", "(a?)+.b", "(a.(b)+)+", "(c*)+"]
+    UPDATES = [
+        {"add": [(3, "z", 0)]},  # foreign to every body, no new vertex
+        {"add": [(3, "z", 9)]},  # foreign, but vertex 9 is new: nullables go
+        {"add": [(3, "a", 0)]},  # touches the bodies reading ``a``
+        {"remove": [(1, "b", 2)]},  # touches the bodies reading ``b``
+    ]
+
+    @staticmethod
+    def answers(db, queries):
+        return [set(result) for result in db.execute_many(queries)]
+
+    @pytest.mark.parametrize("mode", ["syntactic", "semantic"])
+    @pytest.mark.parametrize("engine", ["rtc", "full"])
+    def test_reopened_session_answers_like_a_cold_one(self, tmp_path, engine, mode):
+        options = {"engine": engine, "cache_mode": mode}
+        first = GraphDB.open(list(self.GRAPH), storage=tmp_path / "data", **options)
+        first.execute_many(self.QUERIES)
+        first.watch("a")
+        first.watch("c*")
+        first.checkpoint()
+        first.close()
+
+        warm = GraphDB.open(None, storage=tmp_path / "data", **options)
+        cold = GraphDB.open(list(self.GRAPH), **options)
+        cold.watch("a")
+        cold.watch("c*")
+        # Only the rtc engine's cache is RTC-valued, hence persisted.
+        entries = len(warm.engine.rtc_cache) if engine == "rtc" else 0
+        assert (entries > 0) == (engine == "rtc")
+        assert warm.warm_stats == {"entries": entries, "watchers": 2, "stale": 0}
+        assert cold.warm_stats == {"entries": 0, "watchers": 0, "stale": 0}
+
+        for batch in self.UPDATES:
+            warm.update(**batch)
+            cold.update(**batch)
+            oracle = GraphDB.open(cold.graph.copy(), engine="no")
+            expected = self.answers(oracle, self.QUERIES)
+            assert self.answers(warm, self.QUERIES) == expected, batch
+            assert self.answers(cold, self.QUERIES) == expected, batch
+            for body in ("a", "c*"):
+                assert (
+                    warm.watchers[body].plus_pairs()
+                    == cold.watchers[body].plus_pairs()
+                )
+        warm.close()
+
+        # No checkpoint since: the store's stamps are behind the log, so
+        # nothing it holds may be installed -- and the answers stand.
+        again = GraphDB.open(None, storage=tmp_path / "data", **options)
+        assert again.warm_stats == {"entries": 0, "watchers": 0, "stale": entries + 2}
+        assert self.answers(again, self.QUERIES) == self.answers(cold, self.QUERIES)
+        again.close()
+
+    def test_installed_entries_survive_a_foreign_update_by_their_key(self, tmp_path):
+        first = GraphDB.open(list(self.GRAPH), storage=tmp_path / "data")
+        first.execute_many(self.QUERIES)
+        first.checkpoint()
+        first.close()
+
+        warm = GraphDB.open(None, storage=tmp_path / "data")
+        cache = warm.engine.rtc_cache
+        installed = {body: warm.engine.rtc_for(body) for body in ("a", "b|c", "a?")}
+        misses = cache.stats.misses
+        assert misses == 0  # all three came from the store
+        warm.update(add=[(3, "z", 0)])
+        assert all(warm.engine.rtc_for(body) is rtc for body, rtc in installed.items())
+        warm.update(add=[(3, "z", 9)])
+        assert warm.engine.rtc_for("a") is installed["a"]
+        assert warm.engine.rtc_for("a?") is not installed["a?"]
+        warm.update(remove=[(1, "b", 2)])
+        assert warm.engine.rtc_for("a") is installed["a"]
+        assert warm.engine.rtc_for("b|c") is not installed["b|c"]
+        assert cache.stats.misses == misses + 2
+        warm.close()
+
+    def test_semantic_store_reload_is_dropped_by_the_first_update(self, tmp_path):
+        options = {"cache_mode": "semantic", "storage": tmp_path / "data"}
+        first = GraphDB.open(list(self.GRAPH), **options)
+        first.execute_many(self.QUERIES)
+        first.checkpoint()
+        first.close()
+
+        warm = GraphDB.open(None, **options)
+        assert warm.warm_stats["entries"] == len(warm.engine.rtc_cache) > 0
+        warm.update(add=[(3, "z", 0)])  # names no body, and still:
+        assert len(warm.engine.rtc_cache) == 0
+        warm.close()

@@ -1,5 +1,7 @@
 """Scheduler unit tests: grouping, admission, deadlines, updates."""
 
+import sys
+import threading
 import time
 from concurrent.futures import Future
 
@@ -266,3 +268,324 @@ class TestUpdates:
         )
         scheduler.stop()
         assert watcher.reaches(5, 2)
+
+
+class Gate:
+    """Holds the scheduler's workers inside ``evaluate`` until released.
+
+    Wraps every worker engine of a (not yet started) scheduler: the first
+    ``hold`` evaluations block on the gate, every evaluation is logged.
+    """
+
+    def __init__(self, scheduler: SharingScheduler, hold: int = 1) -> None:
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.log: list[tuple] = []
+        self._hold = hold
+        self._lock = threading.Lock()
+        engines = [scheduler._engines.get() for _ in range(scheduler.workers)]
+        for engine in engines:
+            engine.evaluate = self._wrap(engine.evaluate)
+            scheduler._engines.put(engine)
+
+    def _wrap(self, evaluate):
+        def gated(node):
+            with self._lock:
+                held = self._hold > 0
+                self._hold -= 1
+            if held:
+                self.entered.release()
+                assert self.release.wait(timeout=10)
+            self.log.append(("start", node.to_string()))
+            result = evaluate(node)
+            self.log.append(("end", node.to_string()))
+            return result
+
+        return gated
+
+
+def busy_scheduler(graph, workers: int = 1, **options):
+    """A started scheduler whose every worker is held inside a query."""
+    scheduler = SharingScheduler(
+        GraphDB.open(graph), workers=workers, start=False, **options
+    )
+    gate = Gate(scheduler, hold=workers)
+    scheduler.start()
+    blockers = []
+    for _ in range(workers):  # one at a time: each must get its own worker
+        blockers.append(scheduler.submit("b.c"))
+        assert gate.entered.acquire(timeout=5)
+    return scheduler, gate, blockers
+
+
+def wait_until(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.001)
+    return False
+
+
+def resolved(stats: dict) -> int:
+    return (
+        stats["completed"]
+        + stats["expired"]
+        + stats["failed"]
+        + stats["cancelled"]
+        + stats["updates"]
+    )
+
+
+class TestWorkConservingDispatch:
+    """The window is spent only while every worker is busy."""
+
+    WINDOW = 0.5
+
+    def test_idle_scheduler_adds_no_window(self, fig1):
+        scheduler = SharingScheduler(
+            GraphDB.open(fig1), workers=2, batch_window=self.WINDOW
+        )
+        scheduler.submit("a.(b.c)+").result(timeout=5)  # warm the cache
+        started = time.monotonic()
+        scheduler.submit("a.(b.c)+").result(timeout=5)
+        elapsed = time.monotonic() - started
+        scheduler.stop()
+        assert elapsed < self.WINDOW / 5
+
+    def test_a_finishing_worker_leaves_an_idle_dispatcher_asleep(self, fig1):
+        scheduler = SharingScheduler(GraphDB.open(fig1), workers=2)
+        notify_all = scheduler._wake.notify_all
+        notified = []  # who was waiting for a worker at each notify
+
+        def counting_notify_all():
+            notified.append(scheduler._awaiting_worker)
+            notify_all()
+
+        scheduler._wake.notify_all = counting_notify_all
+        scheduler.submit("a.(b.c)+").result(timeout=5)
+        assert wait_until(lambda: not scheduler._inflight)
+        # The arrival woke the dispatcher; the worker finishing, with
+        # nobody waiting for a worker, woke no one.
+        assert notified == [0]
+        scheduler.drain()
+        scheduler.stop()
+
+    def test_second_worker_is_used_while_the_first_is_busy(self, fig1):
+        scheduler = SharingScheduler(
+            GraphDB.open(fig1), workers=2, batch_window=self.WINDOW, start=False
+        )
+        gate = Gate(scheduler, hold=1)
+        scheduler.start()
+        blocker = scheduler.submit("b.c")
+        assert gate.entered.acquire(timeout=5)
+        started = time.monotonic()
+        scheduler.submit("a.(b.c)+").result(timeout=5)
+        elapsed = time.monotonic() - started
+        gate.release.set()
+        blocker.result(timeout=5)
+        scheduler.stop()
+        assert elapsed < self.WINDOW / 5
+
+    def test_already_queued_jobs_leave_together(self, fig1):
+        scheduler = SharingScheduler(
+            GraphDB.open(fig1), workers=2, batch_window=self.WINDOW, start=False
+        )
+        futures = [
+            scheduler.submit(query)
+            for query in ["a.(b.c)+", "d.(b.c)+.c", "(b.c)+.c", "(a.b)+"]
+        ]
+        started = time.monotonic()
+        scheduler.start()
+        for future in futures:
+            future.result(timeout=5)
+        elapsed = time.monotonic() - started
+        scheduler.stop()
+        assert scheduler.metrics.batches == 2
+        assert scheduler.metrics.max_batch_size == 3
+        assert elapsed < self.WINDOW / 5
+
+    def test_saturated_worker_still_forms_one_micro_batch(self, fig1):
+        scheduler, gate, blockers = busy_scheduler(fig1, batch_window=5.0)
+        futures = []
+        for query in ["a.(b.c)+", "d.(b.c)+.c", "(b.c)+.c"]:
+            futures.append(scheduler.submit(query))
+            time.sleep(0.005)  # separate arrivals, one collection
+        assert wait_until(lambda: scheduler.stats()["queue_depth"] == 0)
+        assert not any(future.done() for future in futures)
+        started = time.monotonic()
+        gate.release.set()  # the worker finishing ends the collection
+        for future in blockers + futures:
+            future.result(timeout=5)
+        elapsed = time.monotonic() - started
+        scheduler.stop()
+        assert scheduler.metrics.batches == 2  # the blocker, then all three
+        assert scheduler.metrics.max_batch_size == 3
+        assert elapsed < 1.0  # woken by the worker, not by the 5 s window
+
+    def test_window_bounds_the_wait_while_saturated(self, fig1):
+        scheduler, gate, blockers = busy_scheduler(fig1, batch_window=0.05)
+        future = scheduler.submit("a.(b.c)+")
+        # The window runs out with the worker still held: the batch goes
+        # to the pool's own queue and in-flight rises to two.
+        assert wait_until(lambda: len(scheduler._inflight) == 2)
+        assert not future.done()
+        gate.release.set()
+        future.result(timeout=5)
+        scheduler.stop()
+
+    def test_max_batch_bounds_a_saturated_collection(self, fig1):
+        scheduler, gate, blockers = busy_scheduler(
+            fig1, batch_window=5.0, max_batch=2
+        )
+        futures = [scheduler.submit("a.(b.c)+") for _ in range(4)]
+        # Two full collections leave without waiting for the window.
+        assert wait_until(lambda: len(scheduler._inflight) == 3)
+        gate.release.set()
+        for future in blockers + futures:
+            future.result(timeout=5)
+        scheduler.stop()
+        assert scheduler.metrics.max_batch_size == 2
+
+    def test_update_waits_for_the_batch_collected_before_it(self, fig1):
+        expected_stale = set(GraphDB.open(fig1).execute("(b.c)+"))
+        scheduler, gate, blockers = busy_scheduler(fig1, batch_window=5.0)
+        db = scheduler.db
+        apply_update = db.update
+
+        def logged_update(**changes):
+            gate.log.append(("update", None))
+            apply_update(**changes)
+
+        db.update = logged_update
+        before = scheduler.submit("(b.c)+")
+        assert wait_until(lambda: scheduler.stats()["queue_depth"] == 0)
+        update = scheduler.submit_update(add=[(8, "b", 1)])
+        after = scheduler.submit("(b.c)+")
+        time.sleep(0.02)
+        assert not db.graph.has_edge(8, "b", 1)  # a worker is still busy
+        gate.release.set()
+        update.result(timeout=5)
+        stale, fresh = before.result(timeout=5)[0], after.result(timeout=5)[0]
+        scheduler.stop()
+        assert gate.log == [
+            ("start", "b.c"),
+            ("end", "b.c"),
+            ("start", "(b.c)+"),
+            ("end", "(b.c)+"),
+            ("update", None),
+            ("start", "(b.c)+"),
+            ("end", "(b.c)+"),
+        ]
+        assert stale == expected_stale
+        assert fresh == set(GraphDB.open(db.graph).execute("(b.c)+"))
+        assert stale != fresh
+
+    def test_drain_sees_a_popped_but_undispatched_job(self, fig1):
+        scheduler, gate, blockers = busy_scheduler(fig1, batch_window=5.0)
+        collected = scheduler.submit("a.(b.c)+")
+        assert wait_until(lambda: scheduler.stats()["queue_depth"] == 0)
+        drained = threading.Event()
+
+        def drain() -> None:
+            scheduler.drain()
+            drained.set()
+
+        thread = threading.Thread(target=drain)
+        thread.start()
+        assert not drained.wait(timeout=0.05)
+        gate.release.set()
+        assert drained.wait(timeout=5)
+        thread.join()
+        assert collected.done()
+        scheduler.stop()
+
+    def test_ledger_balances_after_a_mixed_burst(self, fig1):
+        db = GraphDB.open(fig1, engine="rtc", max_clauses=2)
+        scheduler = SharingScheduler(
+            db,
+            workers=2,
+            batch_window=0.002,
+            engine_kwargs={"max_clauses": 2},
+            start=False,
+        )
+        futures = [scheduler.submit("a.(b.c)+") for _ in range(6)]
+        futures.append(scheduler.submit("(b.c)+", timeout=0.0))  # expires
+        futures.append(scheduler.submit("a|b|c"))  # fails: 3 clauses
+        cancelled = scheduler.submit("b.c")
+        assert cancelled.cancel()
+        futures.append(scheduler.submit_update(add=[(8, "b", 1)]))
+        futures.append(scheduler.submit_update(remove=[("no", "b", "edge")]))
+        futures.extend(scheduler.submit("d.(b.c)+.c") for _ in range(6))
+        time.sleep(0.005)
+        scheduler.start()
+        scheduler.drain()
+        assert all(future.done() for future in futures)
+        stats = scheduler.metrics.snapshot()
+        scheduler.stop()
+        assert stats["admitted"] == 17 == resolved(stats)
+        assert (stats["completed"], stats["expired"], stats["cancelled"]) == (12, 1, 1)
+        assert (stats["failed"], stats["updates"]) == (2, 1)
+        assert stats["in_flight"] == 0
+
+    def test_stop_during_a_saturated_collection(self, fig1):
+        scheduler, gate, blockers = busy_scheduler(fig1, batch_window=5.0)
+        collected = scheduler.submit("a.(b.c)+")
+        assert wait_until(lambda: scheduler.stats()["queue_depth"] == 0)
+        stopper = threading.Thread(target=scheduler.stop)
+        stopper.start()
+        time.sleep(0.02)
+        gate.release.set()  # a worker wake-up lands on a stopping dispatcher
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        assert collected.result(timeout=1)[0] == set(
+            GraphDB.open(fig1).execute("a.(b.c)+")
+        )
+        stats = scheduler.metrics.snapshot()
+        assert stats["failed"] == 0
+        assert stats["admitted"] == 2 == stats["completed"]
+        with pytest.raises(ServerError, match="shutting down"):
+            scheduler.submit("a")
+
+    def test_ledger_survives_a_contended_burst(self, fig1):
+        """More submitters than cores, a 10 us switch interval, updates
+        mixed in: a lost wake-up would hang a future, a lost in-flight
+        entry would let an update overlap a read or unbalance the ledger."""
+        db = GraphDB.open(fig1)
+        scheduler = SharingScheduler(
+            db, workers=3, max_queue=4096, batch_window=0.001, max_batch=4
+        )
+        queries = ["a.(b.c)+", "d.(b.c)+.c", "(b.c)+.c", "(a|b)+", "b.c"]
+        futures: list[Future] = []
+        lock = threading.Lock()
+
+        def submitter(index: int) -> None:
+            for step in range(40):
+                if step % 10 == 9:
+                    edge = (100 + index, "b", 200 + step)
+                    future = scheduler.submit_update(add=[edge])
+                else:
+                    future = scheduler.submit(queries[(index + step) % len(queries)])
+                with lock:
+                    futures.append(future)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submitter, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = scheduler.metrics.snapshot()
+        served = scheduler.submit("(b.c)+").result(timeout=10)[0]
+        scheduler.stop()
+        assert stats["admitted"] == 320 == resolved(stats)
+        assert (stats["completed"], stats["updates"], stats["failed"]) == (288, 32, 0)
+        assert db.graph.num_edges == fig1.num_edges  # same object: 16 + 32
+        assert served == set(GraphDB.open(db.graph, engine="no").execute("(b.c)+"))

@@ -1,4 +1,4 @@
-"""Every test or benchmark path the CI workflow names must exist.
+"""Every test, benchmark or perf path the CI workflow names must exist.
 
 pytest exits 4 ("file or directory not found") before running anything
 when one argument is missing, so a renamed file silently turns a CI job
@@ -11,9 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
-#: ``tests/...`` / ``benchmarks/...`` tokens, up to whitespace, a quote or
-#: the ``::`` of a pytest node id.
-_PATH = re.compile(r"""(?<![\w/.-])((?:tests|benchmarks)/[^\s"':]*)""")
+#: ``tests/...`` / ``benchmarks/...`` / ``perf/...`` tokens, up to
+#: whitespace, a quote or the ``::`` of a pytest node id.
+_PATH = re.compile(r"""(?<![\w/.-])((?:tests|benchmarks|perf)/[^\s"':]*)""")
 
 
 def _named_paths() -> set[str]:
@@ -27,6 +27,7 @@ def test_workflow_names_test_and_benchmark_paths():
     # The scan sees both spellings: bare arguments and quoted node ids.
     assert "tests/bitset" in paths
     assert "benchmarks/test_fig10_response_time.py" in paths
+    assert "perf/run.py" in paths
 
 
 def test_every_named_path_exists():
