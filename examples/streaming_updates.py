@@ -2,24 +2,25 @@
 
 The paper's pipeline is batch: any change to the graph invalidates the
 shared RTC.  The library's streaming extension keeps it alive instead:
-``db.watch(body)`` attaches an incremental maintainer
-(:class:`repro.core.incremental.IncrementalRTC`) and ``db.update(...)``
-feeds edge changes to the graph, repairing ``R_G``, ``G_R`` and the RTC
-per inserted edge and falling back to a full ``Compute_RTC`` only when
-an insertion merges SCCs (removals always rebuild).
+``db.watch(body)`` pins the body's cached RTC -- the very object queries
+on the body join against -- and returns a handle
+(:class:`repro.core.incremental.IncrementalRTC`), and ``db.update(...)``
+repairs that RTC in place: only the rows of ``G_R`` an edge can have
+changed are recomputed, for insertions and removals alike, and ``R_G``
+is re-evaluated whole only when that would be cheaper.
 
 This example simulates a growing follower network: edges stream in
 through ``db.update``, and after every batch the application asks
 reachability questions through ``follows+`` that are answered from the
-incrementally maintained RTC.  At the end, the incremental state is
-checked against a from-scratch batch evaluation, a few edges are
-*removed* (the rebuild path), and the maintenance counters are printed.
+maintained RTC.  At the end, the maintained state is checked against a
+from-scratch batch evaluation, a few edges are *removed* (repaired the
+same way), and the maintenance counters are printed.
 
 The second part replays the same pattern *through a live server*
 (:mod:`repro.server`): a producer client streams edge updates over TCP
 while a separate consumer client watches the closure body and asks
 ``reaches``/``query`` questions -- two connections, one shared session,
-same incremental maintenance underneath.
+the same repair underneath.
 
 Run:  python examples/streaming_updates.py
 """
@@ -69,7 +70,7 @@ def main() -> None:
                   f"user0 reaches {reachable_of_user0:3d} accounts")
 
     print(f"\nmaintenance profile: {incremental.incremental_updates} "
-          f"incremental updates, {incremental.full_rebuilds} full rebuilds")
+          f"row repairs, {incremental.full_rebuilds} whole re-evaluations")
 
     # Validate against the batch pipeline.
     started = time.perf_counter()
@@ -81,14 +82,15 @@ def main() -> None:
           f"{batch_time * 1000:.1f}ms -- the incremental path amortises "
           f"this across the stream)")
 
-    # Removals take the rebuild path but keep the session consistent.
+    # Removals are repaired row by row too.
     removable = list(graph.edges())[:3]
     db.update(remove=removable)
     assert incremental.plus_pairs() == compute_rtc(
         eval_rpq(graph, "follows")
     ).expand()
     print(f"after removing {len(removable)} edges: still consistent "
-          f"({incremental.full_rebuilds} full rebuilds total)")
+          f"({incremental.incremental_updates} row repairs, "
+          f"{incremental.full_rebuilds} whole re-evaluations total)")
 
     # The maintained RTC answers queries instantly; ordinary RPQs keep
     # flowing through the same session.
@@ -116,7 +118,7 @@ def live_server_demo() -> None:
         host, port = handle.address
         print(f"server listening on {host}:{port}")
         with Client(host, port) as producer, Client(host, port) as watcher:
-            # The watcher attaches the incremental maintainer server-side.
+            # The watcher pins the body's RTC server-side.
             watcher.watch("follows")
             streamed = 0
             while streamed < 120:

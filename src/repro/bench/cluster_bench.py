@@ -7,13 +7,11 @@ closure-sharing workload, optionally interleaved with streaming edge
 updates (every ``update_every``-th request per client toggles an edge).
 
 The update mix is the scenario sharding is *for* on a single machine.
-The mixed workload attaches incremental watchers
-(:meth:`~repro.db.GraphDB.watch`) for the workload's closure bodies --
-the paper's streaming extension -- and every update then pays the
-maintenance bill: an edge insertion repairs each watcher incrementally,
-an edge removal rebuilds each watcher *from scratch over the whole
-session graph*, and either way the session's shared RTC caches drop and
-the scheduler drains.  On a 1-shard deployment that bill is priced on
+The mixed workload watches (:meth:`~repro.db.GraphDB.watch`) the
+workload's closure bodies -- the paper's streaming extension -- and
+every update then pays the maintenance bill: the session's cached RTCs
+of the bodies it touches are repaired *over the whole session graph*,
+and the scheduler drains.  On a 1-shard deployment that bill is priced on
 the full graph and stalls the entire service; with N shards only the
 owning shard pays, on 1/N of the data, while the other shards keep
 serving from hot caches.  The benchmark's gate is therefore: sharded

@@ -300,7 +300,7 @@ class ShardBackend:
         raise NotImplementedError
 
     def watch(self, body: str) -> None:
-        """Attach an incremental watcher for ``body`` on every replica."""
+        """Watch (pin the maintained RTC of) ``body`` on every replica."""
         raise NotImplementedError
 
     def reaches(self, body: str, source: object, target: object) -> bool:

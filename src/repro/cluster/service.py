@@ -1031,7 +1031,7 @@ class GraphCluster:
 
     # -- watchers / reachability -----------------------------------------
     def watch(self, body: str) -> str:
-        """Attach an incremental watcher for ``body`` on every replica."""
+        """Watch (pin the maintained RTC of) ``body`` on every replica."""
         normalised = parse(body).to_string()
         for backend in self._backends:
             backend.watch(body)

@@ -24,11 +24,11 @@ Hit/miss statistics feed the Experiment-2 analysis (amortisation of
 Concurrency contract
 --------------------
 Caches are shared between the per-worker engines of
-:mod:`repro.server`, so every public operation (``lookup`` / ``store`` /
-``get_or_compute`` / ``clear`` / ``total_shared_pairs`` / ``len`` /
-``in``) is individually atomic: an internal :class:`threading.RLock`
-serialises them, and the hit/miss statistics are updated under the same
-lock.
+:mod:`repro.server`, so every public operation (``lookup`` / ``peek`` /
+``store`` / ``discard`` / ``get_or_compute`` / ``clear`` / ``items`` /
+``total_shared_pairs`` / ``len`` / ``in``) is individually atomic: an
+internal :class:`threading.RLock` serialises them, and the hit/miss
+statistics are updated under the same lock.
 
 Engines populate the cache through :meth:`SharedDataCache.get_or_compute`,
 which holds a per-key in-flight latch: concurrent misses on one key
@@ -41,25 +41,40 @@ may both compute the value and store it twice; that legacy race is benign
 misses, which is why the engines moved off it.  Cached values are
 treated as immutable by all engines.
 
-Invalidation
-------------
+Updates: repair or drop
+-----------------------
 ``R_G``, ``G_R`` and hence the shared data of a body ``R`` depend only on
 the edges whose label occurs in ``R`` -- plus, when ``R`` is nullable,
 on the vertex set (``R_G`` then holds the identity pair of every
-vertex).  :meth:`SharedDataCache.invalidate` applies exactly that rule
-(:func:`update_touches`, the one place it is written down; the session
-applies the same function to its watchers): after
-``invalidate(labels, vertex_added)`` no entry remains whose body's
-alphabet meets ``labels``, nor -- when ``vertex_added`` -- any entry
-whose body is nullable, and every *other* entry is still the same
-object, derived :class:`~repro.core.rtc.RTCMasks` included.  An entry
-whose body the cache cannot name (stored by key alone under a
-non-textual key, e.g. a ``semantic``-mode store reload) is dropped by
-every update.  ``clear`` drops everything.  Both only drop *stored*
-entries: a compute already in flight stores its (pre-update) value
-afterwards, so callers that mutate the graph must still drain
-evaluations first -- exactly what :class:`~repro.db.GraphDB`'s session
-lock and the server's exclusive drain-then-apply updates guarantee.
+vertex).  :func:`update_touches` is the one place that rule is written
+down, and an update applies it in one of two ways:
+
+* an :class:`RTCCache` is **repaired** (:mod:`repro.core.incremental`):
+  a touched entry has the rows of ``G_R`` the update can have changed
+  recomputed and is replaced under its key by a new RTC when a row
+  changed -- or kept as the very same object when none did;
+* a :class:`ClosureCache` is **dropped** from
+  (:meth:`SharedDataCache.invalidate`): after ``invalidate(labels,
+  vertex_added)`` no entry remains whose body's alphabet meets
+  ``labels``, nor -- when ``vertex_added`` -- any entry whose body is
+  nullable.
+
+Either way every entry the rule does not name is still the same object,
+derived :class:`~repro.core.rtc.RTCMasks` included.  An entry whose body
+the cache cannot name (stored by key alone under a non-textual key, e.g.
+a ``semantic``-mode reload of a store that kept no body text) cannot be
+repaired and is dropped by every update.  ``clear`` drops everything --
+the path of an update batch that fails part-way.
+
+Repair is **copy-on-write**: cached values are never mutated, a
+repaired RTC is a new object published with one :meth:`store`, so a
+reader still holding the old object keeps a consistent snapshot of the
+pre-update graph (and the benign-race rule below keeps holding).  Both
+repair and drop touch only *stored* entries: a compute already in flight
+stores its (pre-update) value afterwards, so callers that mutate the
+graph must still drain evaluations first -- exactly what
+:class:`~repro.db.GraphDB`'s session lock and the server's exclusive
+drain-then-apply updates guarantee.
 
 One exception, and its rule: a cached
 :class:`~repro.core.rtc.ReducedTransitiveClosure` carries derived
@@ -139,6 +154,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     entries: int = 0
+    #: update-repair outcome -> count (:mod:`repro.core.incremental`)
+    repairs: dict[str, int] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -262,10 +279,29 @@ class SharedDataCache(Generic[Value]):
         latch.set()
         return key, value
 
-    def store(self, key: str, value: Value) -> None:
-        """Insert a freshly computed entry (last writer wins)."""
+    def peek(self, key: str) -> Value | None:
+        """The entry under ``key``, or ``None``; records no hit or miss."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def items(self) -> list[tuple[str, Value]]:
+        """A point-in-time copy of the ``(key, value)`` pairs."""
+        with self._lock:
+            return list(self._entries.items())
+
+    def store(self, key: str, value: Value, body: RegexNode | None = None) -> None:
+        """Insert an entry (last writer wins), naming its body when given."""
         with self._lock:
             self._entries[key] = value
+            if body is not None:
+                self._bodies[key] = body
+            self.stats.entries = len(self._entries)
+
+    def discard(self, key: str) -> None:
+        """Drop one entry, if present."""
+        with self._lock:
+            self._entries.pop(key, None)
+            self._bodies.pop(key, None)
             self.stats.entries = len(self._entries)
 
     def clear(self) -> None:
@@ -298,18 +334,28 @@ class SharedDataCache(Generic[Value]):
 
     def _touched(self, key: str, labels: frozenset, vertex_added: bool) -> bool:
         """The rule for one entry; an unnameable body counts as touched."""
-        body = self._bodies.get(key)
+        body = self.body_of(key)
         if body is None:
-            # Stored by key alone (a store reload).  A syntactic key is
-            # the body text; anything else cannot be read back.
-            if self.mode != "syntactic":
-                return True
+            return True
+        return update_touches(*body_footprint(body), labels, vertex_added)
+
+    def body_of(self, key: str) -> RegexNode | None:
+        """The closure body ``key`` stands for, or ``None`` if unnameable.
+
+        Noted on the miss path or by :meth:`store`;
+        for an entry stored by key alone, a syntactic key is read back as
+        the body text and anything else cannot be named.
+        """
+        with self._lock:
+            body = self._bodies.get(key)
+            if body is not None or self.mode != "syntactic":
+                return body
             try:
                 body = parse(key)
             except ReproError:
-                return True
+                return None
             self._bodies[key] = body
-        return update_touches(*body_footprint(body), labels, vertex_added)
+            return body
 
     def snapshot_stats(self) -> CacheStats:
         """A point-in-time copy of the stats, taken under the lock."""
@@ -318,6 +364,7 @@ class SharedDataCache(Generic[Value]):
                 hits=self.stats.hits,
                 misses=self.stats.misses,
                 entries=self.stats.entries,
+                repairs=dict(self.stats.repairs),
             )
 
     def __len__(self) -> int:
@@ -334,8 +381,23 @@ class RTCCache(SharedDataCache[ReducedTransitiveClosure]):
     """RTCSharing's cache: closure body -> reduced transitive closure.
 
     The shared-data *size* of an entry is ``rtc.num_pairs`` -- the number
-    of SCC pairs in ``TC(Ḡ_R)`` (Fig. 12's RTC series).
+    of SCC pairs in ``TC(Ḡ_R)`` (Fig. 12's RTC series).  Entries are kept
+    exact across graph updates by :class:`repro.core.incremental.RTCRepair`;
+    ``automata`` is that repair's per-key state (the body's footprint and
+    automata, built on the first update that meets the key; a key always
+    names the same language, so it never goes stale).
     """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.automata: dict[str, object] = {}
+
+    def record_repairs(self, outcomes) -> None:
+        """Count the outcomes of one repair pass into ``stats.repairs``."""
+        with self._lock:
+            repairs = self.stats.repairs
+            for outcome in outcomes:
+                repairs[outcome] = repairs.get(outcome, 0) + 1
 
     def total_shared_pairs(self) -> int:
         """Sum of ``num_pairs`` over all cached RTCs."""

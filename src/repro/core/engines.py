@@ -144,9 +144,12 @@ class RPQEngine:
 
         ``labels`` are the labels of the edges added or removed,
         ``vertex_added`` whether the update created a vertex.  The
-        default drops everything; the sharing engines keep what the
-        update cannot have touched
-        (:meth:`~repro.core.cache.SharedDataCache.invalidate`).
+        default drops everything; FullSharing keeps what the update
+        cannot have touched
+        (:meth:`~repro.core.cache.SharedDataCache.invalidate`).  An
+        engine with ``rtc_cache`` and ``build_rtc`` (RTCSharing) is not
+        asked: the session repairs its RTCs instead
+        (:mod:`repro.core.incremental`).
         """
         self.reset_cache()
 
@@ -335,20 +338,29 @@ class RTCSharingEngine(_SharingEngine):
         Goes through the cache's atomic
         :meth:`~repro.core.cache.SharedDataCache.get_or_compute`, so
         concurrent engines (the server's worker pool) missing on the same
-        body build the RTC once and count one miss.
+        body build the RTC once and count one miss.  Graph updates repair
+        the entry in place (:mod:`repro.core.incremental`).
         """
         node = parse(r)
-
-        def build() -> ReducedTransitiveClosure:
-            # Line 10: R_G by recursive evaluation (time -> Remainder);
-            # a PairBitmap on the bit-parallel path, reduced in id space.
-            rg = self._evaluate_node(node)
-            # Line 11: Compute_RTC (time -> Shared_Data).
-            with self.timer.measure(PHASE_SHARED_DATA):
-                return compute_rtc(rg)
-
-        _key, rtc = self.rtc_cache.get_or_compute(node, build)
+        _key, rtc = self.rtc_cache.get_or_compute(node, lambda: self.build_rtc(node))
         return rtc
+
+    def build_rtc(self, r: str | RegexNode) -> ReducedTransitiveClosure:
+        """Lines 10-11 of Algorithm 1 for closure body ``R``, past the cache.
+
+        What :meth:`rtc_for` caches, and what the update repair falls
+        back to when re-evaluating ``R_G`` is cheaper than repairing it.
+        The RTC keeps ``G_R``'s rows.
+        """
+        node = parse(r)
+        # Line 10: R_G by recursive evaluation (time -> Remainder); a
+        # PairBitmap unless counters are attached.
+        rg = self._evaluate_node(node)
+        # Line 11: Compute_RTC (time -> Shared_Data), reduced in id space.
+        with self.timer.measure(PHASE_SHARED_DATA):
+            if not isinstance(rg, PairBitmap):
+                rg = PairBitmap.from_pairs(rg, self.graph.interner)
+            return compute_rtc(rg)
 
     def explain(self, query: str | RegexNode):
         """Static evaluation plan of ``query`` against this engine's cache.
@@ -402,9 +414,6 @@ class RTCSharingEngine(_SharingEngine):
 
     def reset_cache(self) -> None:
         self.rtc_cache.clear()
-
-    def invalidate_cache(self, labels, vertex_added: bool = False) -> None:
-        self.rtc_cache.invalidate(labels, vertex_added)
 
 
 class FullSharingEngine(_SharingEngine):

@@ -1,61 +1,266 @@
-"""Incremental RTC maintenance under edge insertions (streaming extension).
+"""Cached RTCs kept exact under edge updates, repaired where they live.
 
-The paper's related work points at RPQ evaluation over *streaming* graphs
-(Pacaci et al. [29]); its own pipeline is batch: any change to ``G``
-invalidates ``R_G``, ``G_R`` and the RTC.  This module maintains all
-three **incrementally** for a fixed closure body ``R`` while labeled
-edges are inserted into ``G``:
+The paper's pipeline is batch: any change to ``G`` invalidates ``R_G``,
+``G_R`` and the RTC.  This module keeps the cached RTC of a closure body
+exact across labeled edge insertions *and* removals instead, looking only
+at the automaton transitions that read an updated label -- the
+streaming-RPQ approach of Pacaci et al. (the paper's ref. [29]).
 
-1. **Delta of ``R_G``** -- a new edge ``(u, l, v)`` creates exactly the
-   pairs ``starts(q) x ends(q')`` for every NFA transition ``q -l-> q'``,
-   where ``ends(q')`` is a forward product-BFS from ``(v, q')`` and
-   ``starts(q)`` a *backward* product-BFS from ``(u, q)`` over the
-   reversed graph and reversed automaton.
-2. **Delta of ``G_R``** -- insert the new pairs into the reduced graph.
-3. **RTC update** -- for a pair that keeps the condensation acyclic, run
-   the classic Italiano-style DAG closure insertion (every SCC reaching
-   the source side absorbs the target side's closure).  A pair that
-   closes a cycle merges SCCs; that (rare) case falls back to a full
-   ``Compute_RTC``, and the fallback count is exposed so tests and
-   benchmarks can see how often it happens.
+What is maintained, and where
+-----------------------------
+One object per body: its entry in an :class:`~repro.core.cache.RTCCache`
+-- the ``rtc`` engine's own cache, which every query and server worker
+reads, or, for engines that keep none, a cache the session owns for its
+watched bodies.  The entry is the immutable
+:class:`~repro.core.rtc.ReducedTransitiveClosure`, which also carries
+``G_R`` as id-space rows (``gr_rows``: the ``R_G`` that ``rtc_for``
+evaluated anyway); the cache keeps each body's NFA and reversed NFA
+(:class:`BodyAutomaton`, compiled on the first update that meets the
+key, never per update).  :class:`RTCRepair` is the one repair pass, for
+cache entries and watched bodies alike; :class:`IncrementalRTC` -- what
+``GraphDB.watch`` returns -- is a handle that reads the current entry.
 
-Correctness contract (property-tested): after any insertion sequence,
-:meth:`IncrementalRTC.snapshot` equals ``compute_rtc`` of a from-scratch
-re-evaluation, pair for pair.
+One update batch
+----------------
+1. *Start set.*  For every applied edge ``(u, l, v)`` and every entry
+   the edge can touch (:func:`~repro.core.cache.update_touches`), collect
+   ``S``: the vertices an accepted path can start from and run through
+   the edge.  For every transition ``q -l-> q'`` whose ``(v, q')`` can
+   still reach acceptance, that is a backward product BFS from
+   ``(u, q)`` over the reverse adjacency rows and the reversed automaton
+   (``u`` itself when ``q`` is a start state).  A nullable body also adds
+   each vertex the edge created -- its identity pair is new.  The BFS
+   runs on the graph that *contains* the edge: right after an insertion,
+   right before a removal.
+2. *Rows.*  After the batch, every row of ``G_R`` in ``S`` is recomputed
+   by one forward product BFS on the final graph; all others are reused.
+3. *Publish.*  If no row changed, the entry stays the same object,
+   derived masks included.  Otherwise a new RTC is computed from the rows
+   and published under the same key -- copy-on-write, so a reader still
+   holding the old object keeps a consistent snapshot.
+4. *Large S.*  Re-evaluating ``R_G`` runs at least one traversal per
+   source row of ``G_R``, the repair one per vertex of ``S``.  When ``S``
+   holds more vertices than ``G_R`` has source rows (or the entry carries
+   no rows, e.g. a store reload of an older format), the entry is
+   re-evaluated by the evaluator that built it.
+
+Why a row outside ``S`` is unchanged
+------------------------------------
+Let ``G_0`` be the graph before the batch and ``G_1`` after it; a batch
+applies its insertions, then its removals.  A row ``r`` of ``R_G`` can
+change only if an accepted path from ``r`` in ``G_1`` uses an inserted
+edge or one in ``G_0`` uses a removed edge: a path using neither is in
+both graphs.  In the first case take the path's inserted edge that was
+inserted last: right after that insertion every other edge of the path
+is present (insertions before it are in, and no removal has run yet), so
+step 1 finds ``r`` from that edge.  In the second take the path's removed
+edge that was removed first: right before that removal every other edge
+of the path is still present, and step 1 finds ``r`` again.  An edge
+added and removed in one batch falls under the same two cases.  So every
+row that changed is in ``S``, and recomputing exactly those rows on
+``G_1`` yields ``G_1``'s ``R_G`` -- property-tested against
+``Compute_RTC`` from scratch in ``tests/properties``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from functools import cache
-from itertools import product
+from functools import partial
 
+from repro.bitset.interner import bit_indexes
 from repro.bitset.kernel import bfs_mask, eval_rpq_bits
-from repro.core.cache import body_footprint
-from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
-from repro.errors import GraphError
-from repro.graph.digraph import DiGraph
+from repro.core.cache import RTCCache, body_footprint, update_touches
+from repro.core.rtc import ReducedTransitiveClosure, _compute_rtc_from_rows, compute_rtc
 from repro.graph.multigraph import LabeledMultigraph
-from repro.graph.scc import Condensation
+from repro.obs import get_registry
 from repro.regex.ast import RegexNode
-from repro.regex.nfa import LabelNFA, compile_nfa
+from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse
 
-__all__ = ["IncrementalRTC"]
+__all__ = ["BodyAutomaton", "IncrementalRTC", "RTCRepair", "build_rtc"]
+
+_repairs_total = get_registry().counter(
+    "repro_rtc_repairs_total",
+    "Cached RTCs an update touched, by what the repair did with them.",
+    labels=("outcome",),
+)
 
 
-def _reverse_delta(nfa: LabelNFA) -> dict[int, dict[str, set[int]]]:
-    """``state -> label -> predecessor states`` of the automaton."""
-    reverse: dict[int, dict[str, set[int]]] = {state: {} for state in nfa.delta}
-    for state, row in nfa.delta.items():
-        for label, targets in row.items():
-            for target in targets:
-                reverse.setdefault(target, {}).setdefault(label, set()).add(state)
-    return reverse
+def build_rtc(graph: LabeledMultigraph, body: str | RegexNode) -> ReducedTransitiveClosure:
+    """``Compute_RTC`` of ``body`` over ``R_G`` from the automaton evaluator.
+
+    The builder of the RTCs a session keeps for engines that cache none.
+    """
+    return compute_rtc(eval_rpq_bits(graph, compile_nfa(parse(body))))
+
+
+class BodyAutomaton:
+    """What the repair needs of one closure body, built once per cache key."""
+
+    __slots__ = ("alphabet", "nullable", "nfa", "reverse", "reading")
+
+    def __init__(self, body: RegexNode) -> None:
+        self.alphabet, self.nullable = body_footprint(body)
+        self.nfa = nfa = compile_nfa(body)
+        #: ``state -> label -> predecessor states``
+        self.reverse: dict[int, dict[str, set[int]]] = {state: {} for state in nfa.delta}
+        #: ``label -> [(state, successor states)]``: the transitions reading it
+        self.reading: dict[str, list[tuple[int, frozenset[int]]]] = {}
+        for state, row in nfa.delta.items():
+            for label, targets in row.items():
+                self.reading.setdefault(label, []).append((state, targets))
+                for target in targets:
+                    self.reverse[target].setdefault(label, set()).add(state)
+
+    def starts_through(self, graph: LabeledMultigraph, source, label: str, target) -> int:
+        """Bitmap of the vertices an accepted path can start from and run
+        through the edge ``(source, label, target)`` of ``graph``."""
+        nfa = self.nfa
+        interner = graph.interner
+        source_bit = 1 << interner.id_of(source)
+        target_bit = 1 << interner.id_of(target)
+        accepting: dict[int, bool] = {}  # successor state -> reaches acceptance
+
+        def finishes(state: int) -> bool:
+            if state not in accepting:
+                accepting[state] = state in nfa.accepts or bool(
+                    bfs_mask(graph.bit_rows, nfa.delta, nfa.accepts, (state,), target_bit)
+                )
+            return accepting[state]
+
+        starts = 0
+        for state, targets in self.reading.get(label, ()):
+            if not any(map(finishes, targets)):
+                continue
+            starts |= bfs_mask(graph.rev_bit_rows, self.reverse, nfa.start, (state,), source_bit)
+            if state in nfa.start:
+                starts |= source_bit
+        return starts
+
+
+class RTCRepair:
+    """One update batch's repair of one :class:`RTCCache`.
+
+    Feed it every applied edge -- :meth:`edge_added` right after an
+    insertion, :meth:`edge_removing` right before a removal -- then call
+    :meth:`finish` once on the final graph.  ``build(body)`` is the
+    evaluator that built the cache's entries (``rtc_for``'s), used for
+    re-evaluation.  See the module docstring for the rule and why it is
+    exact.
+    """
+
+    def __init__(self, cache: RTCCache, graph: LabeledMultigraph, build) -> None:
+        self.cache = cache
+        self.graph = graph
+        self.build = build
+        self._entries = dict(cache.items())
+        self._starts: dict[str, int] = {}  # touched key -> start bitmap S
+        self._reevaluate: set[str] = set()
+        self._dropped: set[str] = set()
+
+    def edge_added(self, source, label: str, target, new_vertices=()) -> None:
+        """Collect for an edge just inserted; ``new_vertices`` it created."""
+        self._collect(source, label, target, self.graph.interner.mask_of(new_vertices))
+
+    def edge_removing(self, source, label: str, target) -> None:
+        """Collect for an edge about to be removed (an absent one changes nothing)."""
+        if self.graph.has_edge(source, label, target):
+            self._collect(source, label, target, 0)
+
+    def _collect(self, source, label: str, target, fresh: int) -> None:
+        for key, rtc in self._entries.items():
+            if key in self._dropped or key in self._reevaluate:
+                continue
+            automaton = self._automaton(key)
+            if automaton is None:
+                self._dropped.add(key)
+                continue
+            if not update_touches(automaton.alphabet, automaton.nullable, (label,), bool(fresh)):
+                continue
+            starts = self._starts.get(key, 0)
+            starts |= automaton.starts_through(self.graph, source, label, target)
+            if automaton.nullable:
+                starts |= fresh
+            if rtc.gr_rows is None or starts.bit_count() > len(rtc.gr_rows):
+                self._reevaluate.add(key)
+                self._starts.pop(key, None)
+            else:
+                self._starts[key] = starts
+
+    def _automaton(self, key: str) -> BodyAutomaton | None:
+        automaton = self.cache.automata.get(key)
+        if automaton is None:
+            body = self.cache.body_of(key)
+            if body is None:
+                return None
+            automaton = self.cache.automata[key] = BodyAutomaton(body)
+        return automaton
+
+    def finish(self) -> dict[str, str]:
+        """Publish every touched entry; returns ``key -> outcome``.
+
+        Outcomes: ``kept`` (no row changed: same object), ``republished``
+        (rows repaired, new RTC), ``reevaluated`` (whole ``R_G``; the old
+        object stays if nothing changed) and ``dropped`` (unnameable body).
+        """
+        cache = self.cache
+        outcomes: dict[str, str] = {}
+        for key in self._dropped:
+            cache.discard(key)
+            outcomes[key] = "dropped"
+        for key, starts in self._starts.items():
+            rows = self._repaired_rows(key, self._entries[key].gr_rows, starts)
+            if rows is None:
+                outcomes[key] = "kept"
+            else:
+                cache.store(key, _compute_rtc_from_rows(rows, self.graph.interner))
+                outcomes[key] = "republished"
+        # A re-evaluation reads nested closure bodies through the cache:
+        # none may read a stale entry (in semantic mode a nested body can
+        # share its enclosing body's key), and shorter bodies -- the
+        # nested ones -- are rebuilt first.
+        bodies = {key: cache.body_of(key) for key in self._reevaluate}
+        for key in bodies:
+            cache.discard(key)
+        for key in sorted(bodies, key=lambda key: len(bodies[key].to_string())):
+            old, rtc = self._entries[key], self.build(bodies[key])
+            unchanged = rtc.gr_rows is not None and rtc.gr_rows == old.gr_rows
+            cache.store(key, old if unchanged else rtc, body=bodies[key])
+            outcomes[key] = "reevaluated"
+        cache.record_repairs(outcomes.values())
+        for outcome in outcomes.values():
+            _repairs_total.inc(outcome=outcome)
+        return outcomes
+
+    def _repaired_rows(self, key: str, rows: dict[int, int], starts: int) -> dict | None:
+        """``rows`` with the rows of ``starts`` recomputed; ``None`` if equal."""
+        nfa = self.cache.automata[key].nfa
+        rows_of = self.graph.bit_rows
+        repaired = None
+        for start in bit_indexes(starts):
+            bit = 1 << start
+            row = bfs_mask(rows_of, nfa.delta, nfa.accepts, nfa.start, bit)
+            if nfa.nullable:
+                row |= bit
+            if row == rows.get(start, 0):
+                continue
+            if repaired is None:
+                repaired = dict(rows)
+            if row:
+                repaired[start] = row
+            else:
+                del repaired[start]
+        return repaired
 
 
 class IncrementalRTC:
-    """Maintain ``R_G``, ``G_R`` and the RTC of one ``R`` under insertions.
+    """The maintained RTC of one closure body: a handle on its cache entry.
+
+    ``GraphDB.watch`` returns one bound to the session's RTC cache, which
+    the session repairs on every update.  Built standalone (no ``cache``)
+    it owns a private cache, and :meth:`add_edge` / :meth:`remove_edge`
+    run the same :class:`RTCRepair`.  Either way the handle holds no
+    closure of its own: :meth:`snapshot` is the cache's current entry,
+    rebuilt (one cache miss) if the entry was dropped.
 
     >>> from repro.graph import LabeledMultigraph
     >>> g = LabeledMultigraph.from_edges([(0, "a", 1)])
@@ -67,266 +272,66 @@ class IncrementalRTC:
     True
     """
 
-    def __init__(self, graph: LabeledMultigraph, body: str | RegexNode) -> None:
-        self._bind(graph, body)
-        # Mutable state: G_R and the RTC's three maps.
-        self._gr = self._evaluate_gr()
-        self._rebuild()
-
-    def _bind(self, graph: LabeledMultigraph, body: str | RegexNode) -> None:
-        """Everything fixed for the watcher's life; counters start at zero."""
+    def __init__(
+        self,
+        graph: LabeledMultigraph,
+        body: str | RegexNode,
+        cache: RTCCache | None = None,
+        build=None,
+    ) -> None:
         self.graph = graph
         self.body = parse(body)
-        self._nfa = compile_nfa(self.body)
-        self._reverse_nfa = _reverse_delta(self._nfa)
-        #: labels of the body, and whether it matches the empty word: an
-        #: update the two do not name (:func:`~repro.core.cache.update_touches`)
-        #: cannot change this watcher's state, so nobody need notify it.
-        self.alphabet, self.nullable = body_footprint(self.body)
-        #: how many insertions were handled by full recomputation
+        self._cache = RTCCache() if cache is None else cache
+        self._build = partial(build_rtc, graph) if build is None else build
+        #: the entry's key in the cache
+        self.key = self._cache.key_for(self.body)
+        #: updates that re-evaluated this body's whole ``R_G``
         self.full_rebuilds = 0
-        #: how many insertions were handled incrementally
+        #: updates that repaired this body's entry row by row
         self.incremental_updates = 0
+        self.snapshot()
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def snapshot(self) -> ReducedTransitiveClosure:
+        """The current RTC -- immutable; an update publishes a new one."""
+        rtc = self._cache.peek(self.key)
+        if rtc is None:
+            _key, rtc = self._cache.get_or_compute(
+                self.body, lambda: self._build(self.body)
+            )
+        return rtc
+
     def reaches(self, source: object, target: object) -> bool:
         """Membership test ``(source, target) in (R+)_G``."""
-        source_id = self._scc_of.get(source)
-        target_id = self._scc_of.get(target)
-        if source_id is None or target_id is None:
-            return False
-        return target_id in self._closure[source_id]
+        return self.snapshot().reaches(source, target)
 
     def plus_pairs(self) -> set[tuple[object, object]]:
-        """Materialise ``(R+)_G`` (Theorem 1 expansion of current state)."""
+        """Materialise ``(R+)_G`` (Theorem 1 expansion of the current RTC)."""
         return self.snapshot().expand()
 
-    def snapshot(self) -> ReducedTransitiveClosure:
-        """A frozen :class:`ReducedTransitiveClosure` of the current state."""
-        members = {
-            scc_id: tuple(sorted(vertices, key=str))
-            for scc_id, vertices in self._members.items()
-        }
-        dag = DiGraph()
-        for scc_id in members:
-            dag.add_vertex(scc_id)
-        for scc_id, targets in self._closure.items():
-            for target in targets:
-                dag.add_edge(scc_id, target)
-        condensation = Condensation(
-            scc_of=dict(self._scc_of), members=members, dag=dag
-        )
-        return ReducedTransitiveClosure(
-            condensation=condensation,
-            closure={k: frozenset(v) for k, v in self._closure.items()},
-            num_gr_vertices=self._gr.num_vertices,
-            num_gr_edges=self._gr.num_edges,
-        )
+    def record(self, outcome: str | None) -> None:
+        """Count one update's repair outcome for this body (``None``: untouched)."""
+        if outcome == "reevaluated":
+            self.full_rebuilds += 1
+        elif outcome in ("kept", "republished"):
+            self.incremental_updates += 1
 
     # ------------------------------------------------------------------
-    # persistence (repro.storage)
-    # ------------------------------------------------------------------
-    def export_state(self) -> tuple[list[tuple[object, object]], ReducedTransitiveClosure]:
-        """``(G_R edges, frozen RTC)`` -- everything a restart needs.
-
-        Together with the graph and the body, this is the watcher's full
-        state: :meth:`from_state` rebuilds an equivalent watcher without
-        re-running ``eval_rpq``.  The update counters are *not* exported
-        (a restored watcher starts its statistics at zero).
-        """
-        edges = sorted(self._gr.edges(), key=lambda pair: (str(pair[0]), str(pair[1])))
-        return edges, self.snapshot()
-
-    @classmethod
-    def from_state(
-        cls,
-        graph: LabeledMultigraph,
-        body: str | RegexNode,
-        gr_edges: Iterable[tuple[object, object]],
-        rtc: ReducedTransitiveClosure,
-    ) -> "IncrementalRTC":
-        """Rebuild a watcher from :meth:`export_state` output.
-
-        ``graph`` must be the same graph the state was exported against
-        (the caller -- :mod:`repro.storage.recovery` -- guarantees this by
-        stamping the export with the WAL position it was valid at).  The
-        expensive ``eval_rpq`` of ``__init__`` is skipped entirely; only
-        the NFA is recompiled.
-        """
-        watcher = cls.__new__(cls)
-        watcher._bind(graph, body)
-        watcher._gr = DiGraph()
-        for source, target in gr_edges:
-            watcher._gr.add_edge(source, target)
-        watcher._load(rtc)
-        return watcher
-
-    # ------------------------------------------------------------------
-    # updates
+    # standalone updates (a session applies them through GraphDB.update)
     # ------------------------------------------------------------------
     def add_edge(self, source: object, label: str, target: object) -> None:
-        """Insert ``e(source, label, target)`` into ``G`` and repair state."""
-        new_vertices = [
-            v for v in (source, target) if not self.graph.has_vertex(v)
-        ]
+        """Insert ``e(source, label, target)`` into ``G`` and repair."""
+        new_vertices = [v for v in (source, target) if not self.graph.has_vertex(v)]
+        repair = RTCRepair(self._cache, self.graph, self._build)
         self.graph.add_edge(source, label, target)
-        self.notify_edge_added(source, label, target, new_vertices)
-
-    def notify_edge_added(
-        self,
-        source: object,
-        label: str,
-        target: object,
-        new_vertices: Iterable[object] = (),
-    ) -> None:
-        """Repair state for an edge *already inserted* into the bound graph.
-
-        The entry point for multi-watcher setups (``GraphDB.update``):
-        the session mutates the shared graph once, then notifies every
-        watcher.  ``new_vertices`` are the edge endpoints that did not
-        exist before the insertion (they seed identity pairs when ``R``
-        is nullable).
-        """
-        delta = self._rg_delta(source, label, target)
-        if self.nullable:
-            for vertex in new_vertices:
-                delta.add((vertex, vertex))
-
-        for pair in delta:
-            if self._gr.add_edge(*pair):
-                self._insert_reduced_edge(*pair)
+        repair.edge_added(source, label, target, new_vertices)
+        self.record(repair.finish().get(self.key))
 
     def remove_edge(self, source: object, label: str, target: object) -> None:
-        """Delete ``e(source, label, target)`` from ``G`` and repair state.
-
-        Deletion is fundamentally harder than insertion (a removed edge
-        can invalidate arbitrarily many ``R_G`` pairs and split SCCs), so
-        this path recomputes ``R_G``, ``G_R`` and the RTC from scratch --
-        correct and simple; the rebuild is counted in
-        :attr:`full_rebuilds`.  Insertion-heavy streams stay incremental.
-        """
-        if not self.graph.has_edge(source, label, target):
-            raise GraphError(
-                f"edge ({source!r}, {label!r}, {target!r}) is not in the graph"
-            )
+        """Delete ``e(source, label, target)`` from ``G`` and repair."""
+        repair = RTCRepair(self._cache, self.graph, self._build)
+        repair.edge_removing(source, label, target)
         self.graph.remove_edge(source, label, target)
-        self.notify_graph_replaced()
-
-    def notify_graph_replaced(self) -> None:
-        """Recompute ``R_G``, ``G_R`` and the RTC from the current graph.
-
-        Used after deletions or arbitrary external graph surgery; counted
-        as a full rebuild.
-        """
-        self._gr = self._evaluate_gr()
-        self._rebuild()
-        self.full_rebuilds += 1
-
-    def _evaluate_gr(self) -> DiGraph:
-        """``G_R`` from scratch: ``R_G`` as edges (reflexive if nullable)."""
-        return DiGraph.from_pairs(eval_rpq_bits(self.graph, self._nfa))
-
-    def _rg_delta(
-        self, source: object, label: str, target: object
-    ) -> set[tuple[object, object]]:
-        """New ``R_G`` pairs created by the inserted graph edge.
-
-        For every transition ``q -label-> q'``: the vertices whose
-        traversal can sit at ``(source, q)`` (a backward product BFS
-        over the reverse rows and the reversed automaton) times the
-        vertices where ``(target, q')`` reaches acceptance (a forward
-        one), each including its own end in zero steps.
-        """
-        nfa = self._nfa
-        graph = self.graph
-        interner = graph.interner
-
-        def reached(rows_of, automaton, accepts, state, vertex) -> tuple:
-            bit = 1 << interner.id_of(vertex)
-            mask = bfs_mask(rows_of, automaton, accepts, (state,), bit)
-            if state in accepts:
-                mask |= bit
-            return interner.vertices_of(mask)
-
-        # Several transitions share a source or a target state.
-        ends_of = cache(
-            lambda state: reached(graph.bit_rows, nfa.delta, nfa.accepts, state, target)
-        )
-        starts_of = cache(
-            lambda state: reached(
-                graph.rev_bit_rows, self._reverse_nfa, nfa.start, state, source
-            )
-        )
-        delta: set[tuple[object, object]] = set()
-        for state, row in nfa.delta.items():
-            for next_state in row.get(label, ()):
-                ends = ends_of(next_state)
-                if ends:
-                    delta.update(product(starts_of(state), ends))
-        return delta
-
-    # ------------------------------------------------------------------
-    # reduced-graph / RTC repair
-    # ------------------------------------------------------------------
-    def _rebuild(self) -> None:
-        """Full Compute_RTC from the current ``G_R`` (the fallback path)."""
-        self._load(compute_rtc(self._gr))
-
-    def _load(self, rtc: ReducedTransitiveClosure) -> None:
-        """Adopt a frozen RTC as the mutable state."""
-        self._scc_of = dict(rtc.condensation.scc_of)
-        self._members = {
-            scc_id: set(members)
-            for scc_id, members in rtc.condensation.members.items()
-        }
-        self._closure = {
-            scc_id: set(targets) for scc_id, targets in rtc.closure.items()
-        }
-
-    def _ensure_scc(self, vertex: object) -> int:
-        scc_id = self._scc_of.get(vertex)
-        if scc_id is not None:
-            return scc_id
-        scc_id = len(self._members)
-        while scc_id in self._members:  # ids are dense, but stay safe
-            scc_id += 1
-        self._members[scc_id] = {vertex}
-        self._closure[scc_id] = set()
-        self._scc_of[vertex] = scc_id
-        return scc_id
-
-    def _insert_reduced_edge(self, source: object, target: object) -> None:
-        """Repair the RTC for one new ``G_R`` edge."""
-        source_id = self._ensure_scc(source)
-        target_id = self._ensure_scc(target)
-
-        if source_id == target_id:
-            # Edge inside an SCC (or a self-loop): the SCC becomes/stays
-            # cyclic, so it must reach itself.
-            if source_id not in self._closure[source_id]:
-                self._add_reach(source_id, source_id)
-            self.incremental_updates += 1
-            return
-
-        if source_id in self._closure[target_id]:
-            # target side already reaches source side: this edge closes a
-            # cycle and merges SCCs -- recompute (rare path).
-            self._rebuild()
-            self.full_rebuilds += 1
-            return
-
-        self._add_reach(source_id, target_id)
-        self.incremental_updates += 1
-
-    def _add_reach(self, source_id: int, target_id: int) -> None:
-        """Italiano-style DAG closure insertion for ``source -> target``."""
-        new_targets = {target_id} | self._closure[target_id]
-        affected = [
-            scc_id
-            for scc_id, targets in self._closure.items()
-            if scc_id == source_id or source_id in targets
-        ]
-        for scc_id in affected:
-            self._closure[scc_id] |= new_targets
+        self.record(repair.finish().get(self.key))

@@ -18,7 +18,8 @@ suite checks it against four independent closure algorithms.
 ``G_R`` from the evaluation result ``R_G`` (which *is* the edge set
 ``E_R``), run Tarjan, and close the condensation with the bitset DP.
 Handed ``R_G`` as a :class:`~repro.bitset.PairBitmap` it does all three
-on interned ids and bitmasks and only names vertices in its output.
+on interned ids and bitmasks, only names vertices in its output, and
+keeps the rows on the result (``gr_rows``) for the update repair.
 
 :class:`RTCMasks` is the same structure as bitmaps over a graph's
 interner -- what the bit-parallel Algorithm 2 joins against.  It is
@@ -96,12 +97,18 @@ class ReducedTransitiveClosure:
     num_gr_vertices / num_gr_edges:
         ``|V_R|`` and ``|E_R|`` of the edge-level reduced graph, kept for
         the statistics of Figs. 12-13 and Table III.
+    gr_rows:
+        ``G_R`` itself as ``source id -> target bitmap`` rows over the
+        graph's interner, when the RTC was computed from rows (``None``
+        otherwise).  Never mutated: the update repair of
+        :mod:`repro.core.incremental` reads them and publishes a new RTC.
     """
 
     condensation: Condensation
     closure: dict[int, frozenset[int]]
     num_gr_vertices: int
     num_gr_edges: int
+    gr_rows: dict[int, int] | None = field(default=None, repr=False, compare=False)
     _masks: RTCMasks | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -234,7 +241,8 @@ def compute_rtc(
     edge set of the edge-level reduced graph ``G_R`` (Lemma 1's setup) --
     as an iterable of vertex pairs, an already-built :class:`DiGraph`, or
     a :class:`~repro.bitset.PairBitmap` carrying its interner (the
-    bit-parallel engine's ``R_G``, reduced without leaving id space).
+    bit-parallel engine's ``R_G``, reduced without leaving id space; the
+    result keeps its rows as ``gr_rows``, so the caller hands them over).
     """
     if isinstance(rg, PairBitmap):
         return _compute_rtc_from_rows(rg.rows, rg.require_interner())
@@ -360,4 +368,5 @@ def _compute_rtc_from_rows(
         },
         num_gr_vertices=vertex_mask.bit_count(),
         num_gr_edges=sum(map(len, successors.values())),
+        gr_rows=rows,
     )

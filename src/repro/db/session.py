@@ -1,9 +1,9 @@
 """The :class:`GraphDB` session -- the library's database-style facade.
 
 One session owns one graph, one engine instance (chosen by name from the
-:mod:`repro.db.registry`), that engine's shared caches, and any number of
-incremental watchers.  The lifecycle mirrors a classical database
-driver::
+:mod:`repro.db.registry`), that engine's shared caches -- which every
+update repairs rather than drops -- and any number of watched closure
+bodies.  The lifecycle mirrors a classical database driver::
 
     with GraphDB.open("graph.txt", engine="rtc") as db:
         plan = db.prepare("d.(b.c)+.c")
@@ -37,11 +37,12 @@ attached:
   prefix was logged -- replay reproduces the same partially-updated
   graph the live session kept serving.
 * **After ``checkpoint()`` returns**, the full graph snapshot, the warm
-  RTC store (every cached closure and watcher, LSN-stamped) and the
-  manifest naming them are committed, and the now-covered WAL has been
-  compacted.  Recovery cost is proportional to updates since the last
-  checkpoint; warm-start coverage is "whatever was cached at the last
-  checkpoint, if no update followed it".
+  RTC store (every cached closure once, watched ones marked,
+  LSN-stamped) and the manifest naming them are committed, and the
+  now-covered WAL has been compacted.  Recovery cost is proportional to
+  updates since the last checkpoint; warm-start coverage is "whatever
+  was cached at the last checkpoint, if no update followed it" -- and
+  installed entries are repaired by later updates like any other.
 * **Between the two**, the graph is always recoverable (snapshot + WAL
   replay); only the RTC warmth degrades -- entries stamped with an older
   LSN than the recovered log position are discarded, never served
@@ -75,9 +76,10 @@ import time
 from os import PathLike
 from pathlib import Path
 from collections.abc import Iterable, Sequence
+from functools import partial
 
-from repro.core.cache import update_touches
-from repro.core.incremental import IncrementalRTC
+from repro.core.cache import RTCCache
+from repro.core.incremental import IncrementalRTC, RTCRepair, build_rtc
 from repro.db.prepared import PreparedQuery
 from repro.db.registry import create_engine
 from repro.db.resultset import ExecutionStats, ResultSet
@@ -125,6 +127,15 @@ class GraphDB:
         self.graph = graph
         self.engine_name = engine.lower()
         self.engine = create_engine(self.engine_name, graph, **engine_kwargs)
+        # The RTC cache every update repairs: the engine's when it keeps
+        # one, else a session-owned one for the watched bodies.
+        cache = getattr(self.engine, "rtc_cache", None)
+        build = getattr(self.engine, "build_rtc", None)
+        self._repairs_engine = cache is not None and build is not None
+        if not self._repairs_engine:
+            cache, build = RTCCache(), partial(build_rtc, graph)
+        self._rtc_cache: RTCCache = cache
+        self._build_rtc = build
         self._watchers: dict[str, IncrementalRTC] = {}
         self._closed = False
         # Serialises execute/update/watch/stats/close across threads --
@@ -214,6 +225,7 @@ class GraphDB:
             if self._storage is not None:
                 self._storage.sync()
                 self._storage.close()
+            self._rtc_cache.clear()
             self._reset_engine_cache()
             self._watchers.clear()
             self._closed = True
@@ -334,33 +346,46 @@ class GraphDB:
 
     # -- updates ---------------------------------------------------------
     def watch(self, body: str | RegexNode) -> IncrementalRTC:
-        """Maintain the RTC of closure body ``body`` across :meth:`update`.
+        """Build and pin the RTC of closure body ``body``; return its handle.
 
-        Returns the (idempotently created) incremental maintainer; its
-        ``reaches``/``snapshot`` answer streaming reachability without
-        re-running the batch pipeline.
+        The RTC is the entry of :attr:`rtc_cache` -- the very object
+        queries on the body join against -- which every :meth:`update`
+        repairs; the handle's ``reaches`` / ``snapshot`` / ``plus_pairs``
+        read that current entry.  Pinned bodies are rebuilt after a
+        failing batch and persisted by :meth:`checkpoint` as watched.
+        Idempotent per normalised body.
         """
-        key = parse(body).to_string()
+        node = parse(body)
         with self._lock:
             self._check_open()
-            watcher = self._watchers.get(key)
-            if watcher is None:
-                watcher = IncrementalRTC(self.graph, key)
-                self._watchers[key] = watcher
+            return self._watch_locked(node)
+
+    def _watch_locked(self, node: RegexNode) -> IncrementalRTC:
+        name = node.to_string()
+        watcher = self._watchers.get(name)
+        if watcher is None:
+            watcher = IncrementalRTC(self.graph, node, self._rtc_cache, self._build_rtc)
+            self._watchers[name] = watcher
         return watcher
 
     @property
     def watchers(self) -> dict[str, IncrementalRTC]:
-        """Active incremental watchers, keyed by normalised closure body."""
+        """Watch handles, keyed by normalised closure body."""
         with self._lock:
             return dict(self._watchers)
+
+    @property
+    def rtc_cache(self) -> RTCCache:
+        """The RTC cache :meth:`update` keeps exact: the engine's own, or,
+        for engines that keep none, the session's cache of watched bodies."""
+        return self._rtc_cache
 
     def reaches(self, body: str | RegexNode, source: object, target: object) -> bool:
         """Streaming reachability: ``(source, target) in (body+)_G``.
 
-        Answered from the (idempotently created) incremental watcher of
-        ``body`` *under the session lock*, so a probe never observes the
-        torn intermediate state of a concurrent :meth:`update` rebuild.
+        Read off the current cached RTC of ``body`` (watched on first
+        use) *under the session lock*, so a probe never observes a
+        half-applied :meth:`update`.
         """
         watcher = self.watch(body)
         with self._lock:
@@ -376,19 +401,20 @@ class GraphDB:
         The shared data of a closure body ``R`` depends only on edges
         whose label occurs in ``R`` (and, for a nullable ``R``, on the
         vertex set), so an update reaches only what it can have changed
-        (:func:`~repro.core.cache.update_touches`): watchers whose body
-        reads an inserted edge's label are repaired incrementally
-        (:mod:`repro.core.incremental`), watchers whose body reads a
-        removed edge's label are recomputed from the updated graph, and
-        the engine drops the cached closures of such bodies.  Every
-        other watcher is left alone and every other cache entry survives
-        as the same object, so the next query on it is a hit.
+        (:func:`~repro.core.cache.update_touches`).  Each cached RTC it
+        can have changed -- watched or not -- is repaired where it lives
+        (:mod:`repro.core.incremental`): the rows of ``G_R`` the batch
+        can have moved are recomputed and, if one did, a new RTC is
+        published under the same key; otherwise the entry stays the same
+        object.  ``full``'s materialised closures of such bodies are
+        dropped instead.  Every other entry survives as the same object,
+        so the next query on it is a hit.
 
         A failing edge (duplicate insertion, removal of an absent edge)
         raises after the earlier edges of the batch were applied; the
         session stays consistent with the partially-updated graph --
-        *all* watchers are rebuilt from it and the *whole* engine cache
-        dropped before the error propagates.
+        *every* cache entry is dropped and every watched body rebuilt
+        from it before the error propagates.
 
         With storage attached the applied edges are write-ahead logged
         (fsync'd) before this method returns -- including the applied
@@ -405,7 +431,7 @@ class GraphDB:
         remove = [tuple(edge) for edge in remove]
         if self._storage is not None:
             self._storage.validate_edges(add + remove)
-        watchers = list(self._watchers.values())
+        repair = RTCRepair(self._rtc_cache, self.graph, self._build_rtc)
         applied_add: list[tuple] = []
         applied_remove: list[tuple] = []
         vertex_added = False
@@ -419,32 +445,29 @@ class GraphDB:
                 self.graph.add_edge(source, label, target)
                 applied_add.append((source, label, target))
                 vertex_added = vertex_added or bool(new_vertices)
-                for watcher in watchers:
-                    if update_touches(
-                        watcher.alphabet, watcher.nullable, (label,), bool(new_vertices)
-                    ):
-                        watcher.notify_edge_added(source, label, target, new_vertices)
+                repair.edge_added(source, label, target, new_vertices)
             for source, label, target in remove:
+                repair.edge_removing(source, label, target)
                 self.graph.remove_edge(source, label, target)
                 applied_remove.append((source, label, target))
-            # Removal keeps the endpoints, so only the labels matter.
-            removed_labels = {label for _source, label, _target in applied_remove}
-            for watcher in watchers:
-                if update_touches(watcher.alphabet, watcher.nullable, removed_labels, False):
-                    watcher.notify_graph_replaced()
+            outcomes = repair.finish()
         except BaseException:
-            if applied_add or applied_remove:
-                for watcher in watchers:
-                    watcher.notify_graph_replaced()
+            self._rtc_cache.clear()
             self._reset_engine_cache()
+            for watcher in self._watchers.values():
+                watcher.snapshot()
+                watcher.record("reevaluated")
             # Log exactly the applied prefix: replay must reproduce the
             # partially-updated graph the live session keeps serving.
             self._log_applied(applied_add, applied_remove)
             raise
-        self._invalidate_engine_cache(
-            {label for _source, label, _target in applied_add} | removed_labels,
-            vertex_added,
-        )
+        for watcher in self._watchers.values():
+            watcher.record(outcomes.get(watcher.key))
+        if not self._repairs_engine:
+            self._invalidate_engine_cache(
+                {label for _source, label, _target in applied_add + applied_remove},
+                vertex_added,
+            )
         self._log_applied(applied_add, applied_remove)
         self._maybe_auto_checkpoint()
 
@@ -472,11 +495,11 @@ class GraphDB:
     def warm_stats(self) -> dict:
         """What the RTC store installed at open time.
 
-        ``{"entries": n, "watchers": n, "stale": n}`` -- cached closures
-        installed, watchers restored without recomputation, and store
-        entries skipped because their LSN stamp (or cache mode) no
-        longer matched.  All zeros for cold starts and storage-less
-        sessions.
+        ``{"entries": n, "watchers": n, "stale": n}`` -- closures
+        installed into the engine's RTC cache, watched bodies restored
+        without recomputation, and store entries skipped because their
+        LSN stamp (or cache mode) no longer matched.  All zeros for cold
+        starts and storage-less sessions.
         """
         return dict(self._warm)
 
@@ -501,22 +524,23 @@ class GraphDB:
             self._updates_since_checkpoint = 0
             return info
 
-    def restore_watcher(
-        self, body: str | RegexNode, gr_edges: Iterable[tuple], rtc
-    ) -> IncrementalRTC:
-        """Install a persisted watcher without re-running ``eval_rpq``.
+    def install_rtc(
+        self, key: str, rtc, body: str | None = None, watched: Iterable[str] = ()
+    ) -> None:
+        """Install a persisted RTC under ``key`` of :attr:`rtc_cache`.
 
-        The warm-start entry point used by :mod:`repro.storage.rtc_store`;
-        ``gr_edges``/``rtc`` come from a store entry whose LSN stamp
-        matches the recovered log position, so the state is exact for the
-        current graph.
+        The warm-start entry point used by :mod:`repro.storage.rtc_store`:
+        ``rtc`` comes from a store entry whose LSN stamp matches the
+        recovered log position, so it is exact for the current graph.
+        ``body`` names the closure body (so updates can repair the entry
+        whatever the cache mode); each of ``watched`` is then watched --
+        a handle on the installed entry, nothing recomputed.
         """
-        key = parse(body).to_string()
         with self._lock:
             self._check_open()
-            watcher = IncrementalRTC.from_state(self.graph, key, gr_edges, rtc)
-            self._watchers[key] = watcher
-        return watcher
+            self._rtc_cache.store(key, rtc, body=None if body is None else parse(body))
+            for name in watched:
+                self._watch_locked(parse(name))
 
     # -- introspection ---------------------------------------------------
     def stats(self) -> dict:

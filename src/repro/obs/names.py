@@ -65,6 +65,8 @@ METRIC_NAMES = frozenset(
         "repro_wal_appends_total",
         "repro_wal_last_lsn",
         "repro_checkpoints_total",
+        # core/incremental.py -- cached RTCs an update touched, by outcome
+        "repro_rtc_repairs_total",
         # cluster/service.py (router-side boundary joins)
         "repro_join_rounds_total",
         "repro_join_cache_hits_total",

@@ -344,11 +344,11 @@ class Client:
         return self._call(payload)
 
     def watch(self, body: str) -> str:
-        """Attach an incremental watcher; returns the normalised body."""
+        """Pin a closure body's maintained RTC; returns the normalised body."""
         return self._call({"op": "watch", "body": body})["body"]
 
     def reaches(self, body: str, source, target) -> bool:
-        """One reachability probe against the watcher of ``body``."""
+        """One reachability probe against the maintained RTC of ``body``."""
         return self._call(
             {"op": "reaches", "body": body, "source": source, "target": target}
         )["reaches"]

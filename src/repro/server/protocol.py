@@ -56,8 +56,8 @@ Verbs
     "remove": [...]}`` -- streaming edge changes, applied exclusively
     (the scheduler drains in-flight batches first).
 ``watch`` / ``reaches``
-    Attach an incremental watcher to a closure body / answer one
-    reachability probe from it.
+    Pin a closure body's cached RTC (repaired by every update) / answer
+    one reachability probe from it.
 ``ping``
     Liveness check; echoes the protocol version.
 

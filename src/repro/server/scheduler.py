@@ -37,9 +37,9 @@ per-request deadline: workers drop expired jobs with
 Graph updates are exclusive: the dispatcher stops collecting, dispatches
 what it holds, drains every in-flight micro-batch, applies the update
 through the (thread-safe) :class:`~repro.db.GraphDB` session -- which
-repairs the watchers and drops the cached RTCs whose body reads a label
-the update carried, leaving every other entry in place for the next
-read to hit -- and only then resumes query dispatch.
+repairs, in place, the cached RTCs whose body reads a label the update
+carried, leaving every other entry as it was for the next read to hit --
+and only then resumes query dispatch.
 """
 
 from __future__ import annotations
@@ -667,5 +667,7 @@ class SharingScheduler:
                 "misses": cache_stats.misses,
                 "entries": cache_stats.entries,
                 "hit_rate": cache_stats.hit_rate,
+                # update-repair outcome -> count (RTC caches only)
+                "repairs": cache_stats.repairs,
             }
         return stats

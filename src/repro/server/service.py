@@ -593,7 +593,7 @@ class QueryServer:
 
         def probe() -> bool:
             # db.reaches holds the session lock, so the probe cannot see
-            # a concurrent update's half-rebuilt watcher state.
+            # a concurrent update half applied.
             return self.db.reaches(body, request["source"], request["target"])
 
         return protocol.ok_response(

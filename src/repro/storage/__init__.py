@@ -15,9 +15,9 @@ session) are in-memory structures; this package makes them *restartable*:
     The atomically written ``manifest.json`` naming the live snapshot and
     the WAL position it covers, so crash-during-snapshot is safe.
 :mod:`repro.storage.rtc_store`
-    Persistence for the expensive shared structures: every cached RTC and
-    every incremental watcher, version-stamped with the LSN it was valid
-    at, so a restarted replica comes back *hot*.
+    Persistence for the expensive shared structures: every cached RTC
+    once, with its ``G_R`` rows and whether it is watched, stamped with
+    the LSN it was valid at, so a restarted replica comes back *hot*.
 :mod:`repro.storage.recovery`
     The :class:`ShardStorage` orchestrator tying the four together:
     ``recover()`` replays snapshot + WAL, ``bind()`` attaches logging to a

@@ -1,40 +1,53 @@
-"""Persistence for the shared RTC state: cache entries and watchers.
+"""Persistence for the shared RTC state: one record per cached body.
 
 The whole value of the paper's pipeline is the *shared data* -- the RTC
 built once per closure body and reused across queries.  Losing it on
 restart means every body pays its construction cost again, which is the
 difference between a warm replica and a cold one.  This module
-serialises, per shard:
+serialises, per shard, every entry of the session's RTC cache
+(:attr:`GraphDB.rtc_cache <repro.db.GraphDB.rtc_cache>`: the ``rtc``
+engine's cache, or the session's cache of watched bodies), keyed by the
+cache's canonical body key.
 
-* every entry of the ``rtc`` engine's :class:`~repro.core.cache.RTCCache`
-  (keyed by the cache's canonical body key, encoded with the existing
-  :mod:`repro.core.serialize` codec), and
-* every incremental watcher (``G_R`` edges + frozen RTC, restored via
-  :meth:`~repro.core.incremental.IncrementalRTC.from_state` without
-  re-running ``eval_rpq``),
+Layout (``version`` 2)::
 
-each **version-stamped with the LSN it was valid at**.  On load, an entry
-is installed only when its stamp equals the recovered LSN -- any update
-after the checkpoint invalidates it.  That is coarser than the live
-engine, which drops only the entries whose body reads a label the
-update carried (:meth:`~repro.core.cache.SharedDataCache.invalidate`),
-and safe: a stamp names a log position, not the labels logged since.
-Stale entries are counted, not loaded.  Installed entries reach the
-cache by key alone; the live rule then reads their body back from the
-key (``syntactic`` mode) or, failing that, drops them at the first
-update.
+    {"format": "repro-rtc-store", "version": 2, "lsn": 7,
+     "cache_mode": "syntactic", "skipped": 0,
+     "entries": {"b.c": {"lsn": 7,
+                         "body": "b.c",
+                         "watched": ["b.c"],
+                         "rtc": {...},          # repro.core.serialize
+                         "rows": [[1, [3, 5]], [3, [5]]]}}}
 
-Engines other than ``rtc`` (``full``'s materialised closures, ``none``)
-have no RTC-valued cache; for them only watchers are persisted.
+``body`` is the body text, so an entry can be repaired by later updates
+(and re-keyed for another cache mode) however it was keyed; ``watched``
+lists the watch handles on it (pinned when non-empty); ``rows`` is
+``G_R`` as ``[source, [targets]]`` in vertices, not ids -- replica
+sessions of one shard intern in different orders -- or ``null`` for an
+entry that carries none.  Each body is stored once.
+
+Every entry is **stamped with the LSN it was valid at**, and is
+installed only when its stamp equals the recovered LSN: any update after
+the checkpoint makes it stale (counted, not loaded).  That is coarser
+than the live session, which repairs entries update by update, and safe:
+a stamp names a log position, not the edges logged since.
+
+Version 1 (entries by key alone, plus ``watchers`` carrying ``gr_edges``
+and an RTC) still loads: its entries install as bare RTCs -- no rows, so
+the first update that touches one re-evaluates it, and one whose body a
+``semantic`` key cannot name is dropped -- and its watchers become
+watched entries with rows.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.serialize import RtcFormatError, rtc_from_dict, rtc_to_dict
-from repro.errors import StorageError
+from repro.errors import ReproError, StorageError
+from repro.regex.parser import parse
 from repro.storage.manifest import atomic_write_text
 
 __all__ = [
@@ -45,12 +58,35 @@ __all__ = [
 ]
 
 _FORMAT = "repro-rtc-store"
-_VERSION = 1
+_VERSION = 2
+_READABLE = (1, 2)
 
 
-def _cache_of(db) -> object | None:
-    """The session engine's RTC-valued cache, when it has one."""
-    return getattr(db.engine, "rtc_cache", None)
+def _body_text(cache, key: str) -> str | None:
+    if cache.mode == "syntactic":
+        return key  # the key is the body text
+    body = cache.body_of(key)
+    return None if body is None else body.to_string()
+
+
+def _rows_to_json(rows, interner) -> list | None:
+    if rows is None:
+        return None
+    vertex_of, vertices_of = interner.vertex_of, interner.vertices_of
+    return [[vertex_of(source), list(vertices_of(mask))] for source, mask in rows.items()]
+
+
+def _rows_from_pairs(pairs, interner) -> dict[int, int]:
+    """``G_R`` rows over ``interner`` from ``(source, targets)`` pairs."""
+    rows: dict[int, int] = {}
+    for source, targets in pairs:
+        source_id = interner.id_of(source)
+        mask = interner.mask_of(targets)
+        if source_id is None or mask.bit_count() != len(targets):
+            raise StorageError(f"G_R row of {source!r} names a vertex the graph lacks")
+        if mask:
+            rows[source_id] = rows.get(source_id, 0) | mask
+    return rows
 
 
 def collect_rtc_state(db, lsn: int, extra_sessions: tuple = ()) -> dict:
@@ -58,44 +94,41 @@ def collect_rtc_state(db, lsn: int, extra_sessions: tuple = ()) -> dict:
 
     ``extra_sessions`` are sibling replicas of the same shard: they saw
     the same ordered update stream, so their caches hold entries for the
-    same graph state and can be merged (last writer wins on equal
-    values).  Non-serialisable entries (exotic vertex types) are skipped
-    rather than failing the checkpoint.
+    same graph state and can be merged (first writer wins on equal
+    values; the watch lists are united).  Non-serialisable entries
+    (exotic vertex types) are skipped rather than failing the checkpoint.
     """
     entries: dict[str, dict] = {}
-    watchers: dict[str, dict] = {}
     skipped = 0
     mode = None
     for session in (db, *extra_sessions):
-        cache = _cache_of(session)
-        if cache is not None:
-            mode = cache.mode if mode is None else mode
-            with cache._lock:
-                cached = dict(cache._entries)
-            for key, rtc in cached.items():
+        cache = session.rtc_cache
+        mode = cache.mode if mode is None else mode
+        watched: dict[str, list[str]] = {}
+        for name, watcher in session.watchers.items():
+            watched.setdefault(watcher.key, []).append(name)
+        for key, rtc in cache.items():
+            record = entries.get(key)
+            if record is None:
                 try:
-                    entries[key] = {"lsn": int(lsn), "rtc": rtc_to_dict(rtc)}
+                    record = {
+                        "lsn": int(lsn),
+                        "body": _body_text(cache, key),
+                        "watched": [],
+                        "rtc": rtc_to_dict(rtc),
+                        "rows": _rows_to_json(rtc.gr_rows, session.graph.interner),
+                    }
                 except RtcFormatError:
                     skipped += 1
-        for body, watcher in session.watchers.items():
-            if body in watchers:
-                continue
-            gr_edges, rtc = watcher.export_state()
-            try:
-                watchers[body] = {
-                    "lsn": int(lsn),
-                    "gr_edges": [list(pair) for pair in gr_edges],
-                    "rtc": rtc_to_dict(rtc),
-                }
-            except RtcFormatError:
-                skipped += 1
+                    continue
+                entries[key] = record
+            record["watched"] = sorted({*record["watched"], *watched.get(key, ())})
     return {
         "format": _FORMAT,
         "version": _VERSION,
         "lsn": int(lsn),
         "cache_mode": mode,
         "entries": entries,
-        "watchers": watchers,
         "skipped": skipped,
     }
 
@@ -103,11 +136,11 @@ def collect_rtc_state(db, lsn: int, extra_sessions: tuple = ()) -> dict:
 def write_rtc_store(db, directory: str | Path, lsn: int, extra_sessions: tuple = ()) -> str | None:
     """Write the RTC store file for ``lsn``; returns its name, or ``None``.
 
-    Nothing is written when there is nothing warm to keep (empty cache,
-    no watchers) -- the manifest then records ``rtc_store: null``.
+    Nothing is written when there is nothing warm to keep (empty cache)
+    -- the manifest then records ``rtc_store: null``.
     """
     payload = collect_rtc_state(db, lsn, extra_sessions)
-    if not payload["entries"] and not payload["watchers"]:
+    if not payload["entries"]:
         return None
     name = f"rtc-{int(lsn)}.json"
     atomic_write_text(Path(directory) / name, json.dumps(payload))
@@ -125,41 +158,66 @@ def load_rtc_store(directory: str | Path, name: str) -> dict:
         raise StorageError(f"corrupt RTC store {path}: {error}") from error
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise StorageError(f"{path} is not a {_FORMAT} payload")
-    if payload.get("version") != _VERSION:
+    if payload.get("version") not in _READABLE:
         raise StorageError(f"unsupported RTC store version {payload.get('version')!r}")
     return payload
+
+
+def _records(payload: dict):
+    """``(key, record)`` in the version-2 shape, whatever the version."""
+    yield from payload.get("entries", {}).items()
+    if payload.get("version") == 1:
+        # Watchers carried the rows as G_R edges and were keyed by body;
+        # later records win, so a watched body keeps its rows.
+        for body, entry in payload.get("watchers", {}).items():
+            record = dict(entry, body=body, watched=[body])
+            try:
+                by_source: dict = {}
+                for source, target in entry["gr_edges"]:
+                    by_source.setdefault(source, []).append(target)
+            except (KeyError, TypeError, ValueError) as error:
+                raise StorageError(f"corrupt watcher entry {body!r}: {error}") from error
+            record["rows"] = list(by_source.items())
+            yield None, record
 
 
 def install_rtc_state(db, payload: dict, lsn: int) -> dict:
     """Warm one session from a store payload; returns install statistics.
 
-    Cache entries land only when (a) the session's engine has an RTC
-    cache in the same ``cache_mode`` the payload was keyed with, and
-    (b) the entry's LSN stamp equals the recovered ``lsn``.  Watchers are
-    restored through :meth:`GraphDB.restore_watcher`, bound to *this*
-    session's graph.
+    An entry lands only when its LSN stamp equals the recovered ``lsn``.
+    It goes into the session's :attr:`~repro.db.GraphDB.rtc_cache`:
+    under its stored key when the payload's cache mode is the cache's,
+    else -- watched entries only -- under the key of its body text.  An
+    unwatched entry the engine's own cache cannot take (another mode, or
+    an engine that keeps no RTC cache) is stale.  Rows are interned into
+    *this* session's graph.
     """
     stats = {"entries": 0, "watchers": 0, "stale": 0}
-    cache = _cache_of(db)
-    mode_matches = cache is not None and payload.get("cache_mode") == cache.mode
-    for key, entry in payload.get("entries", {}).items():
-        if entry.get("lsn") != int(lsn) or not mode_matches:
+    installed: set[str] = set()
+    cache = db.rtc_cache
+    engine_owned = cache is getattr(db.engine, "rtc_cache", None)
+    mode_matches = payload.get("cache_mode") == cache.mode
+    for key, record in _records(payload):
+        watched = record.get("watched") or []
+        body = record.get("body")
+        if record.get("lsn") != int(lsn) or not (
+            watched or (engine_owned and mode_matches and key is not None)
+        ):
             stats["stale"] += 1
             continue
         try:
-            cache.store(key, rtc_from_dict(entry["rtc"]))
-        except (KeyError, RtcFormatError) as error:
+            if key is None or not mode_matches:
+                key = cache.key_for(parse(body))
+            rtc = rtc_from_dict(record["rtc"])
+            if record.get("rows") is not None:
+                rtc = replace(rtc, gr_rows=_rows_from_pairs(record["rows"], db.graph.interner))
+        except StorageError:
+            raise
+        except (KeyError, TypeError, ValueError, ReproError) as error:
             raise StorageError(f"corrupt RTC store entry {key!r}: {error}") from error
-        stats["entries"] += 1
-    for body, entry in payload.get("watchers", {}).items():
-        if entry.get("lsn") != int(lsn):
-            stats["stale"] += 1
-            continue
-        try:
-            gr_edges = [tuple(pair) for pair in entry["gr_edges"]]
-            rtc = rtc_from_dict(entry["rtc"])
-        except (KeyError, TypeError, RtcFormatError) as error:
-            raise StorageError(f"corrupt watcher entry {body!r}: {error}") from error
-        db.restore_watcher(body, gr_edges, rtc)
-        stats["watchers"] += 1
+        db.install_rtc(key, rtc, body=body, watched=watched)
+        installed.add(key)
+        stats["watchers"] += len(watched)
+    if engine_owned:
+        stats["entries"] = len(installed)
     return stats

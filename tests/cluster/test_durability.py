@@ -148,10 +148,11 @@ class TestWarmRestart:
         finally:
             restarted.stop()
 
-    def test_restarted_replicas_invalidate_by_label(self, multi_fig1, data_dir):
+    def test_restarted_replicas_repair_by_label(self, multi_fig1, data_dir):
         """Both replicas of a restarted shard see one update stream and
-        keep / drop the same store-installed closures: by label, on the
-        owning shard only -- and every answer equals one session's."""
+        repair the same store-installed closures in place: by label, on
+        the owning shard only, with no cache miss anywhere -- and every
+        answer equals one session's."""
         config = ClusterConfig(shards=2, replicas=2, workers=1, data_dir=data_dir)
         queries = [CLOSURE_QUERY, "a.(b.c)+", "(e.f)+.e"]
         cluster = GraphCluster(
@@ -179,11 +180,11 @@ class TestWarmRestart:
                 where: {body: db.engine.rtc_for(body) for body in ("b.c", "e.f")}
                 for where, db in sessions.items()
             }
-            misses = {
-                where: db.engine.rtc_cache.stats.misses
-                for where, db in sessions.items()
-            }
-            assert set(misses.values()) == {0}  # all from the store
+
+            def misses() -> set:
+                return {db.engine.rtc_cache.stats.misses for db in sessions.values()}
+
+            assert misses() == {0}  # all from the store
 
             def kept(where, body) -> bool:
                 return sessions[where].engine.rtc_for(body) is warm[where][body]
@@ -193,27 +194,30 @@ class TestWarmRestart:
                     pairs, _elapsed = restarted.submit(query).result(timeout=120)
                     assert set(pairs) == set(reference.execute(query)), query
 
+            def apply(**batch) -> None:
+                restarted.submit_update(**batch).result(timeout=120)
+                reference.update(**batch)
+
             # A label neither body reads: nothing moves anywhere.
-            foreign = ("0:0", "d", "0:1")
-            restarted.submit_update(add=[foreign]).result(timeout=120)
-            reference.update(add=[foreign])
+            apply(add=[("0:0", "d", "0:1")])
             assert all(kept(where, body) for where in sessions for body in ("b.c", "e.f"))
             check_answers()
 
-            # ``f`` on a copy-0 vertex: ``e.f`` goes on both replicas of
-            # the owning shard and nowhere else; ``b.c`` stays everywhere.
-            touching = ("0:9", "f", "0:7")
+            # ``f`` on a copy-0 vertex adds the e.f pair (8, 7): ``e.f`` is
+            # republished on both replicas of the owning shard only.
             owner = restarted.partition.shard_of("0:9")
-            restarted.submit_update(add=[touching]).result(timeout=120)
-            reference.update(add=[touching])
+            apply(add=[("0:9", "f", "0:7")])
             for where in sessions:
                 assert kept(where, "b.c")
                 assert kept(where, "e.f") == (where[0] != owner)
             check_answers()
-            assert {
-                where: db.engine.rtc_cache.stats.misses
-                for where, db in sessions.items()
-            } == {where: int(where[0] == owner) for where in sessions}
+
+            # Removing ``b`` edge 2 -> 5 takes (2, 4) and (2, 6) out of b.c.
+            apply(remove=[("0:2", "b", "0:5")])
+            for where in sessions:
+                assert kept(where, "b.c") == (where[0] != owner)
+            check_answers()
+            assert misses() == {0}  # repaired in place, never rebuilt
         finally:
             restarted.stop()
 

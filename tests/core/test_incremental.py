@@ -1,4 +1,4 @@
-"""Tests for incremental RTC maintenance under edge insertions."""
+"""Tests for the RTC repair under edge insertions (standalone handles)."""
 
 import random
 
@@ -46,12 +46,14 @@ class TestBasics:
         assert incremental.full_rebuilds == 0
         assert incremental.incremental_updates > 0
 
-    def test_cycle_insertion_falls_back(self):
+    def test_cycle_insertion_is_a_row_repair(self):
+        # Merging SCCs needs no fallback: the rows are repaired and the
+        # condensation is recomputed from them.
         graph = LabeledMultigraph.from_edges([(0, "a", 1), (1, "a", 2)])
         incremental = IncrementalRTC(graph, "a")
         incremental.add_edge(2, "a", 0)  # closes the 3-cycle
         assert incremental.reaches(0, 0)
-        assert incremental.full_rebuilds == 1
+        assert (incremental.full_rebuilds, incremental.incremental_updates) == (0, 1)
         assert_equal_state(incremental, "a")
 
     def test_self_loop_insertion(self):
@@ -131,17 +133,19 @@ class TestRandomisedAgainstBatch:
             incremental.add_edge(source, label, target)
             assert_equal_state(incremental, body)
 
-    def test_mostly_incremental_on_dags(self):
-        # Forward-only edges never merge SCCs: zero full rebuilds.
+    def test_one_label_body_is_always_row_repaired(self):
+        # A one-label body's start set is the edge's source alone, which
+        # never outnumbers a non-empty G_R: no whole re-evaluation.
         rng = random.Random(4)
-        graph = LabeledMultigraph()
+        graph = LabeledMultigraph.from_edges([(0, "a", 1)])
         for vertex in range(12):
             graph.add_vertex(vertex)
         incremental = IncrementalRTC(graph, "a")
+        steps = 0
         for _step in range(25):
-            source = rng.randrange(11)
-            target = rng.randrange(source + 1, 12)
+            source, target = rng.randrange(12), rng.randrange(12)
             if not graph.has_edge(source, "a", target):
                 incremental.add_edge(source, "a", target)
-        assert incremental.full_rebuilds == 0
+                steps += 1
+        assert (incremental.full_rebuilds, incremental.incremental_updates) == (0, steps)
         assert_equal_state(incremental, "a")

@@ -184,14 +184,19 @@ class TestBitmapNativeBuild:
         assert native.expand() == tc_bfs(DiGraph.from_pairs(pairs))
 
     def test_serialisation_and_watcher_restore_accept_it(self, fig1):
+        from repro.core.cache import RTCCache
         from repro.core.incremental import IncrementalRTC
         from repro.core.serialize import rtc_from_dict, rtc_to_dict
 
-        rg = eval_rpq(fig1, "b.c")
-        native = compute_rtc(PairBitmap.from_pairs(rg, fig1.interner))
+        rg = PairBitmap.from_pairs(eval_rpq(fig1, "b.c"), fig1.interner)
+        native = compute_rtc(rg)
+        assert native.gr_rows == rg.rows
         assert rtc_from_dict(rtc_to_dict(native)).expand() == native.expand()
-        watcher = IncrementalRTC.from_state(fig1, "b.c", rg, native)
-        assert watcher.plus_pairs() == native.expand()
+        cache = RTCCache()
+        cache.store("b.c", native)
+        watcher = IncrementalRTC(fig1, "b.c", cache)
+        assert watcher.snapshot() is native  # installed, not recomputed
+        assert cache.stats.misses == 0
 
 
 class TestMasks:

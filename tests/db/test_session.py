@@ -72,12 +72,17 @@ class TestUpdate:
         db.update(add=[("b", "f", "c")])
         assert ("a", "c") in db.execute("f+")
 
-    def test_update_invalidates_engine_cache(self):
+    def test_update_repairs_the_engine_cache(self):
         db = GraphDB.open([("a", "f", "b")])
         db.execute("f+")
-        assert db.engine.shared_data_size() > 0
+        before = db.engine.rtc_for("f")
+        misses = db.engine.rtc_cache.stats.misses
         db.update(add=[("b", "f", "c")])
-        assert db.engine.shared_data_size() == 0  # stale RTC dropped
+        after = db.engine.rtc_for("f")
+        assert after is not before  # a repaired RTC, published anew
+        assert db.engine.rtc_cache.stats.misses == misses  # not rebuilt
+        assert after.expand() == eval_rpq(db.graph, "f+")
+        assert before.expand() == {("a", "b")}  # the old object is untouched
 
     def test_remove_edge(self):
         db = GraphDB.open([("a", "f", "b"), ("b", "f", "c")])
@@ -178,11 +183,13 @@ class TestSelectiveInvalidation:
         assert watcher.reaches(9, 9)
         assert watcher.full_rebuilds == 0
 
-    def test_watchers_are_notified_by_label(self):
+    def test_watchers_are_repaired_by_label(self):
         db = GraphDB.open(self.EDGES)
         on_a, on_b = db.watch("a"), db.watch("b")
         db.update(remove=[(1, "b", 2)])
-        assert (on_a.full_rebuilds, on_b.full_rebuilds) == (0, 1)
+        # Removal is a row repair too: nothing is re-evaluated.
+        assert (on_a.incremental_updates, on_b.incremental_updates) == (0, 1)
+        assert (on_a.full_rebuilds, on_b.full_rebuilds) == (0, 0)
         db.update(add=[(1, "b", 2), (2, "a", 0)])
         assert on_a.incremental_updates + on_a.full_rebuilds > 0
         for watcher, body in ((on_a, "a"), (on_b, "b")):
@@ -198,11 +205,15 @@ class TestSelectiveInvalidation:
     )
     def test_failing_batch_rebuilds_and_drops_everything(self, batch):
         db = GraphDB.open(self.EDGES)
-        db.engine.rtc_for("c")  # foreign to the batch -- dropped all the same
+        db.engine.rtc_for("a")  # foreign to the batch -- dropped all the same
+        watched = db.engine.rtc_for("c")
         watcher = db.watch("c")
+        assert watcher.snapshot() is watched  # the watch is the cache entry
         with pytest.raises(GraphError):
             db.update(**batch)
-        assert len(db.engine.rtc_cache) == 0
+        # Only the watched body is back, rebuilt: a new object.
+        assert [key for key, _rtc in db.engine.rtc_cache.items()] == ["c"]
+        assert db.engine.rtc_for("c") is watcher.snapshot() is not watched
         assert watcher.full_rebuilds == 1
         assert db.graph.has_edge(2, "b", 0)  # the applied prefix stays
 

@@ -1,23 +1,26 @@
-"""Differential tests for label-aware invalidation (`GraphDB.update`).
+"""Differential tests for the in-place RTC repair (`GraphDB.update`).
 
-An update drops only the cached closures, and notifies only the
-watchers, whose body reads a label it carried -- or is nullable, when it
-created a vertex.  Two halves:
+An update repairs the cached RTCs, and hence the watch handles, whose
+body reads a label it carried -- or is nullable, when it created a
+vertex -- and leaves every other entry alone.  Two halves:
 
-* *answers*: under random interleavings of add / remove / query (new
-  vertices, nullable and nested bodies included) every sharing engine in
-  every cache mode keeps answering like a fresh ``engine="no"`` session
-  over the same graph, and every watcher keeps equalling ``compute_rtc``
+* *answers*: under random mixed batches of insertions and removals (new
+  vertices, nullable and nested bodies, an edge added and removed in one
+  batch included) and after every batch, every query of every engine in
+  every cache mode equals a fresh ``engine="no"`` session's answer, every
+  cache entry equals ``rtc_for`` of a fresh session -- ``G_R``, SCC
+  partition and closure -- and every watch handle equals ``compute_rtc``
   from scratch;
 * *identity*: across an update that cannot touch a body, the cached
-  shared data is the same object, no miss is recorded and the watcher
-  does no rebuild -- and across one that can, it is gone.
+  shared data is the same object, no miss is recorded and the handle
+  records no repair -- and across one that can, it moves.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strategies import LABELS, labeled_graphs, regexes
+from repro.bitset.interner import bit_indexes
 from repro.core.rtc import compute_rtc
 from repro.db import GraphDB
 from repro.regex.ast import Label, Plus, Star, concat, iter_labels
@@ -35,18 +38,18 @@ CONFIGS = [
 #: one label each, so foreign-label updates always exist.
 FIXED_BODIES = ["a", "b.c", "(a?)+", "a.(b)+", "(a*)+|c"]
 
-operations = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("add"),
-            st.integers(0, 10),  # ids past the graph's create vertices
-            st.sampled_from(LABELS),
-            st.integers(0, 10),
+#: One update batch: insertions (ids past the graph's create vertices),
+#: then removals picked from the edges present -- this batch's included.
+batches = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 10), st.sampled_from(LABELS), st.integers(0, 10)),
+            max_size=3,
         ),
-        st.tuples(st.just("remove"), st.integers(0, 1000)),
+        st.lists(st.integers(0, 1000), max_size=3),
     ),
     min_size=1,
-    max_size=6,
+    max_size=5,
 )
 
 
@@ -62,53 +65,86 @@ def scc_partition(rtc) -> set:
     return {frozenset(members) for members in rtc.condensation.members.values()}
 
 
+def closure_pairs(rtc) -> set:
+    """``TC(Ḡ_R)`` with every SCC named by its members, not its id."""
+    members = rtc.condensation.members
+    return {(frozenset(members[s]), frozenset(members[t])) for s, t in rtc.pairs()}
+
+
+def gr_pairs(rtc, graph) -> set:
+    """The entry's ``G_R`` rows as vertex pairs."""
+    vertex_of = graph.interner.vertex_of
+    return {
+        (vertex_of(source), vertex_of(target))
+        for source, mask in rtc.gr_rows.items()
+        for target in bit_indexes(mask)
+    }
+
+
+def same_rtc(mine, mine_graph, theirs, their_graph) -> bool:
+    return (
+        gr_pairs(mine, mine_graph) == gr_pairs(theirs, their_graph)
+        and scc_partition(mine) == scc_partition(theirs)
+        and closure_pairs(mine) == closure_pairs(theirs)
+    )
+
+
 def same_closure(watcher, graph, body) -> bool:
-    """Watcher state == Compute_RTC from scratch, up to SCC numbering."""
+    """Handle state == Compute_RTC from scratch, up to SCC numbering."""
     snapshot = watcher.snapshot()
     scratch = compute_rtc(eval_rpq(graph, body))
     return (
         snapshot.expand() == scratch.expand()
         and scc_partition(snapshot) == scc_partition(scratch)
+        and closure_pairs(snapshot) == closure_pairs(scratch)
     )
 
 
-def apply(db, operation) -> bool:
-    """Apply one drawn operation; False when it is a no-op on this graph."""
-    if operation[0] == "add":
-        _kind, source, label, target = operation
-        if db.graph.has_edge(source, label, target):
-            return False
-        db.update(add=[(source, label, target)])
-        return True
-    edges = sorted(db.graph.edges(), key=repr)
-    if not edges:
-        return False
-    db.update(remove=[edges[operation[1] % len(edges)]])
-    return True
+def batch_for(graph, batch) -> tuple[list, list]:
+    """The drawn batch made valid for ``graph`` (possibly empty)."""
+    drawn_adds, picks = batch
+    add = []
+    for edge in drawn_adds:
+        if not graph.has_edge(*edge) and edge not in add:
+            add.append(edge)
+    pool = sorted({*graph.edges(), *add}, key=repr)
+    remove = [pool.pop(pick % len(pool)) for pick in picks if pool]
+    return add, remove
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     labeled_graphs(max_vertices=5, max_edges=10),
     st.lists(regexes(), min_size=1, max_size=2),
-    operations,
+    batches,
 )
-def test_interleaved_updates_answer_like_a_fresh_session(graph, drawn, ops):
+def test_mixed_batches_answer_like_a_fresh_session(graph, drawn, drawn_batches):
     bodies = [parse(text) for text in FIXED_BODIES] + drawn
     queries = queries_over(bodies)
     for engine, mode in CONFIGS:
         db = GraphDB.open(graph.copy(), engine=engine, cache_mode=mode)
         watchers = {body: db.watch(body) for body in bodies[::2]}
-        db.execute_many(queries)  # warm: what follows must invalidate it
-        for operation in ops:
-            if not apply(db, operation):
+        db.execute_many(queries)  # warm: what follows must repair it
+        for batch in drawn_batches:
+            add, remove = batch_for(db.graph, batch)
+            if not add and not remove:
                 continue
+            db.update(add=add, remove=remove)
             fresh = GraphDB.open(db.graph.copy(), engine="no")
             for query in queries:
                 assert db.execute(query) == fresh.execute(query), (
                     engine,
                     mode,
                     query.to_string(),
+                )
+            rebuilt = GraphDB.open(db.graph.copy(), engine="rtc", cache_mode=mode)
+            for key, rtc in db.rtc_cache.items():
+                body = db.rtc_cache.body_of(key)
+                expected = rebuilt.engine.rtc_for(body)
+                assert same_rtc(rtc, db.graph, expected, rebuilt.graph), (
+                    engine,
+                    mode,
+                    body.to_string(),
                 )
             for body, watcher in watchers.items():
                 assert same_closure(watcher, db.graph, body), body.to_string()
@@ -142,6 +178,7 @@ def test_foreign_label_update_keeps_the_object(graph, body, label, source, targe
     assert shared_data(body) is entry
     assert cache.stats.misses == misses
     assert (watcher.full_rebuilds, watcher.incremental_updates) == (0, 0)
+    assert not db.rtc_cache.stats.repairs
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +187,7 @@ def test_foreign_label_update_keeps_the_object(graph, body, label, source, targe
     regexes(),
     st.sampled_from(CONFIGS),
 )
-def test_new_vertex_under_a_foreign_label_drops_exactly_the_nullable(graph, body, config):
+def test_new_vertex_under_a_foreign_label_moves_exactly_the_nullable(graph, body, config):
     engine, mode = config
     db = GraphDB.open(graph, engine=engine, cache_mode=mode)
     shared_data = db.engine.rtc_for if engine == "rtc" else db.engine.closure_for

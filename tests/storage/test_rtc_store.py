@@ -1,5 +1,11 @@
 """Warm-start RTC persistence: cached closures and watchers survive restart."""
 
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
 from repro.db import GraphDB
 from repro.storage import ShardStorage
 
@@ -120,3 +126,115 @@ class TestReplicaMerge:
         assert sibling.engine.rtc_cache.stats.misses == misses
         primary.close()
         sibling.close()
+
+
+# A graph and workload where every closure body is touched by the two
+# updates below, nullable and nested bodies included.
+GRAPH = [(0, "a", 1), (1, "a", 2), (1, "b", 2), (2, "c", 0), (2, "b", 3), (3, "c", 4)]
+QUERIES = ["a+", "c.(a)+", "(b|c)+", "(a?)+.b", "(a.(b)+)+", "(c*)+", "(b.c)+"]
+TOUCHING = [{"add": [(4, "a", 0), (4, "b", 9)]}, {"remove": [(1, "b", 2)]}]
+FIXTURE_V1 = Path(__file__).parent / "fixtures" / "rtc_store_v1"
+
+
+def answers(db):
+    return [set(result) for result in db.execute_many(QUERIES)]
+
+
+class TestVersion2:
+    def test_store_keeps_each_body_once_with_rows_and_text(self, tmp_path):
+        db = GraphDB.open(list(GRAPH), storage=tmp_path / "data", cache_mode="semantic")
+        db.execute_many(QUERIES)
+        db.watch("b.c")
+        name = db.checkpoint()["rtc_store"]
+        payload = json.loads((tmp_path / "data" / name).read_text())
+        assert payload["version"] == 2 and "watchers" not in payload
+        assert len(payload["entries"]) == len(db.engine.rtc_cache)
+        for key, record in payload["entries"].items():
+            body = db.engine.rtc_cache.body_of(key)
+            assert record["body"] == body.to_string()
+            assert record["watched"] == (["b.c"] if record["body"] == "b.c" else [])
+            assert record["rows"] is not None
+        db.close()
+
+    @pytest.mark.parametrize("mode", ["syntactic", "semantic"])
+    def test_installed_entries_are_repaired_without_a_miss(self, tmp_path, mode):
+        options = {"cache_mode": mode, "storage": tmp_path / "data"}
+        first = GraphDB.open(list(GRAPH), **options)
+        first.execute_many(QUERIES)
+        first.watch("b.c")
+        first.checkpoint()
+        first.close()
+
+        warm = GraphDB.open(None, **options)
+        cache = warm.engine.rtc_cache
+        assert warm.warm_stats == {"entries": len(cache), "watchers": 1, "stale": 0}
+        installed = dict(cache.items())
+        cold = GraphDB.open(list(GRAPH), cache_mode=mode)
+        for batch in TOUCHING:
+            warm.update(**batch)
+            cold.update(**batch)
+            assert answers(warm) == answers(cold), batch
+        assert cache.stats.misses == 0
+        assert set(cache.stats.repairs) <= {"kept", "republished"}
+        assert cache.stats.repairs["republished"] > 0
+        assert any(cache.peek(key) is not rtc for key, rtc in installed.items())
+        assert warm.watchers["b.c"].plus_pairs() == cold.watch("b.c").plus_pairs()
+        warm.close()
+
+
+class TestVersion1Fixture:
+    """A data directory written by the previous format: entries by key
+    alone plus watchers carrying their G_R edges (syntactic mode)."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        target = tmp_path / "data"
+        shutil.copytree(FIXTURE_V1, target)
+        return target
+
+    def test_fixture_is_the_old_format(self):
+        payload = json.loads((FIXTURE_V1 / "rtc-0.json").read_text())
+        assert payload["version"] == 1
+        assert set(payload["watchers"]) == {"a", "b.c", "c*"}
+        assert all("gr_edges" in entry for entry in payload["watchers"].values())
+
+    def test_watchers_become_repairable_entries(self, data):
+        db = GraphDB.open(None, storage=data)
+        cache = db.engine.rtc_cache
+        assert db.warm_stats == {"entries": 8, "watchers": 3, "stale": 0}
+        assert sorted(db.watchers) == ["a", "b.c", "c*"]
+        for name in db.watchers:
+            assert cache.peek(name).gr_rows is not None  # rows from gr_edges
+        assert cache.peek("b|c").gr_rows is None  # a bare entry, as before
+        cold = GraphDB.open(db.graph.copy())
+        assert answers(db) == answers(cold)
+        assert cache.stats.misses == 0
+        for batch in TOUCHING:
+            db.update(**batch)
+            cold.update(**batch)
+            assert answers(db) == answers(cold), batch
+        # Watched bodies were repaired row by row; bare entries, lacking
+        # rows, were re-evaluated -- neither counts a miss.
+        assert all(watcher.full_rebuilds == 0 for watcher in db.watchers.values())
+        assert db.watchers["a"].incremental_updates == 1
+        assert cache.stats.misses == 0
+        for name, watcher in db.watchers.items():
+            assert watcher.plus_pairs() == cold.watch(name).plus_pairs()
+        db.close()
+
+    @pytest.mark.parametrize("engine", ["rtc", "full"])
+    def test_other_modes_and_engines_keep_the_watchers(self, data, engine):
+        # Semantic keys differ from the stored syntactic ones: entries are
+        # stale, watchers are re-keyed from their body.
+        db = GraphDB.open(None, storage=data, engine=engine, cache_mode="semantic")
+        in_engine = 3 if engine == "rtc" else 0
+        assert db.warm_stats == {"entries": in_engine, "watchers": 3, "stale": 7}
+        assert len(db.rtc_cache) == 3 and db.rtc_cache.stats.misses == 0
+        cold = GraphDB.open(db.graph.copy(), engine="no")
+        for batch in TOUCHING:
+            db.update(**batch)
+            cold.update(**batch)
+            assert answers(db) == answers(cold), batch
+            for name, watcher in db.watchers.items():
+                assert watcher.plus_pairs() == cold.watch(name).plus_pairs()
+        db.close()
