@@ -20,9 +20,9 @@ to sessions or sockets directly any more -- it talks to one
     The same shard served from a separate OS process: the backend spawns
     one worker (:mod:`repro.cluster.worker`) hosting an
     :class:`InProcessBackend` behind a JSON-lines
-    :class:`~repro.server.QueryServer`, ships the shard graph to it via
-    a :mod:`repro.graph.io` edge-list dump (or a spawn-time loader
-    callable), and fans requests out through a pooled
+    :class:`~repro.server.QueryServer`, ships the shard graph to it as
+    one :mod:`repro.storage.snapshot` document (vertex table plus id
+    rows, the snapshot format), and fans requests out through a pooled
     :class:`~repro.server.ClientPool`.  CPU-bound evaluation then runs
     on the worker's cores, outside the router's GIL -- the piece that
     turns the cluster's scaling story from update isolation into true
@@ -714,8 +714,8 @@ class InProcessBackend(ShardBackend):
 class ProcessBackend(ShardBackend):
     """One shard served by a dedicated worker process.
 
-    ``start`` dumps the shard graph to an edge-list file (or defers to a
-    picklable ``loader`` callable), spawns
+    ``start`` writes the shard graph to a temporary
+    :mod:`repro.storage.snapshot` document, spawns
     :func:`repro.cluster.worker.worker_main` in a fresh ``spawn``
     process, and records the ephemeral address the worker reports back.
     Requests then travel over the ordinary JSON-lines protocol through a
@@ -754,23 +754,21 @@ class ProcessBackend(ShardBackend):
         max_batch: int = 64,
         engine_kwargs: dict | None = None,
         pool_size: int = 8,
-        loader=None,
         log_path: str | None = None,
         data_dir: str | None = None,
         checkpoint_every: int | None = None,
         start: bool = False,
     ) -> None:
-        if graph is None and loader is None and data_dir is None:
+        if graph is None and data_dir is None:
             raise ClusterError(
-                "ProcessBackend needs a shard graph to dump, a loader "
-                "callable, or a data_dir holding recoverable state",
+                "ProcessBackend needs a shard graph to ship or a data_dir "
+                "holding recoverable state",
                 code="cluster.unsupported",
                 shards=(shard_id,),
             )
         self.shard_id = shard_id
         self.engine_name = engine.lower()
         self._graph = graph
-        self._loader = loader
         self._spec_kwargs = {
             "engine": engine,
             "replicas": replicas,
@@ -799,7 +797,7 @@ class ProcessBackend(ShardBackend):
         self._executor: ThreadPoolExecutor | None = None
         self._update_executor: ThreadPoolExecutor | None = None
         self._update_client = None
-        # Best-effort live edge count: seeded from the dumped graph,
+        # Best-effort live edge count: seeded from the shipped graph,
         # adjusted as updates succeed (the authoritative graph lives in
         # the worker; a wire round trip per routing decision would be
         # absurd, and smallest-shard placement only needs a heuristic).
@@ -823,41 +821,31 @@ class ProcessBackend(ShardBackend):
         import tempfile
 
         from repro.cluster.worker import WorkerSpec, worker_main
-        from repro.graph.io import dump_edge_list
+        from repro.storage.snapshot import dump_graph
 
         # A restart against a data dir with committed state needs no
         # graph handoff at all: the worker recovers from disk.  The seed
-        # dump happens only for the first (empty-directory) spawn.
+        # document is written only for the first (empty-directory) spawn.
         recovering = False
         if self._spec_kwargs.get("data_dir") is not None:
             from repro.storage.recovery import has_state
 
             recovering = has_state(self._spec_kwargs["data_dir"])
-        if self._loader is None and self._graph is not None and not recovering:
+        if self._graph is not None and not recovering:
             handle, path = tempfile.mkstemp(
-                prefix=f"repro-shard{self.shard_id}-", suffix=".edges"
+                prefix=f"repro-shard{self.shard_id}-", suffix=".json"
             )
             os.close(handle)
             self._graph_path = path
             try:
-                dump_edge_list(self._graph, path)
+                dump_graph(self._graph, path)
             except BaseException:
                 os.unlink(path)
                 self._graph_path = None
                 raise
-        isolated = []
-        if self._graph is not None:
-            isolated = [
-                vertex
-                for vertex in self._graph.vertices()
-                if not self._graph.out_degree(vertex)
-                and not self._graph.in_degree(vertex)
-            ]
         spec = WorkerSpec(
             shard_id=self.shard_id,
             graph_path=self._graph_path,
-            loader=self._loader,
-            isolated_vertices=isolated,
             log_path=self._log_path,
             **self._spec_kwargs,
         )

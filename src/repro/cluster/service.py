@@ -152,11 +152,6 @@ class ClusterConfig:
     pool_size: int = 8
     #: Process mode: directory for per-shard worker logs (None = no logs).
     worker_log_dir: str | PathLike | None = None
-    #: Process mode: optional picklable ``loader(shard_id) -> graph``
-    #: shipping shard graphs without an edge-list dump (required when the
-    #: graph holds tokens the dump format cannot carry).  The loader must
-    #: reproduce the exact shard subgraphs of this cluster's partition.
-    shard_loader: object | None = None
     #: How :meth:`GraphCluster.open` partitions the graph:
     #: ``"component"`` (whole components, union merge), ``"edge-cut"``
     #: (balanced vertex ranges, boundary join over cut edges) or
@@ -324,11 +319,6 @@ class GraphCluster:
                 checkpoint_every=config.checkpoint_every,
                 **common,
             )
-        loader = None
-        if config.shard_loader is not None:
-            from functools import partial
-
-            loader = partial(config.shard_loader, shard_id)
         log_path = None
         if config.worker_log_dir is not None:
             log_dir = Path(config.worker_log_dir)
@@ -338,7 +328,6 @@ class GraphCluster:
             shard_id,
             shard_graph,
             pool_size=config.pool_size,
-            loader=loader,
             log_path=log_path,
             data_dir=shard_dir,
             checkpoint_every=config.checkpoint_every,

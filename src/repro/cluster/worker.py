@@ -3,10 +3,12 @@
 :func:`worker_main` is the ``spawn`` entry point
 :class:`~repro.cluster.backends.ProcessBackend` launches.  It
 
-1. loads the shard graph -- from the edge-list dump the backend wrote
-   (:mod:`repro.graph.io`) or from a picklable spawn-time ``loader``
-   callable -- and re-adds the isolated vertices an edge-list cannot
-   carry (nullable queries need their reflexive pairs);
+1. loads the shard graph from the :mod:`repro.storage.snapshot`
+   document the backend wrote -- the vertex table (isolated vertices
+   included, so nullable queries keep their reflexive pairs; ``"123"``
+   and ``123`` stay distinct) plus per-label id rows, ids as the router
+   assigned them -- or, when its data directory holds committed state,
+   recovers instead;
 2. builds an :class:`~repro.cluster.backends.InProcessBackend` over it
    (the same replica group, body-affine picking and drain-then-apply
    update broadcast as thread mode -- process mode changes the
@@ -54,14 +56,9 @@ class WorkerSpec:
     """Everything a spawned worker needs (must stay picklable)."""
 
     shard_id: int
-    #: Edge-list dump of the shard graph; ignored when ``loader`` is set.
+    #: The shard graph as a :func:`repro.storage.snapshot.dump_graph`
+    #: document.
     graph_path: str | None = None
-    #: Picklable zero-argument callable returning the shard graph --
-    #: the escape hatch for graphs an edge-list dump cannot carry
-    #: (see :func:`repro.graph.io.format_edge_lines`'s token rules).
-    loader: object | None = None
-    #: Degree-0 vertices of the shard (edge lists only carry edges).
-    isolated_vertices: list = field(default_factory=list)
     engine: str = "rtc"
     replicas: int = 1
     workers: int = 2
@@ -226,20 +223,15 @@ def worker_main(spec: WorkerSpec, ready_conn) -> None:
             logger.info(
                 "shard %d recovering from %s", spec.shard_id, spec.data_dir
             )
-        elif spec.loader is not None:
-            graph = spec.loader()
         elif spec.graph_path is not None:
-            from repro.graph.io import load_edge_list
+            from repro.storage.snapshot import load_graph
 
-            graph = load_edge_list(spec.graph_path)
+            graph = load_graph(spec.graph_path)
         else:
             raise ValueError(
                 f"shard {spec.shard_id}: no graph source and no recoverable "
                 f"state in {spec.data_dir!r}"
             )
-        if graph is not None:
-            for vertex in spec.isolated_vertices:
-                graph.add_vertex(vertex)
         backend = InProcessBackend(
             spec.shard_id,
             graph,

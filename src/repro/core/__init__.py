@@ -39,14 +39,7 @@ from repro.core.reduction import (
     vertex_level_reduce,
 )
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
-from repro.core.serialize import (
-    load_cache,
-    load_rtc,
-    rtc_from_dict,
-    rtc_to_dict,
-    save_cache,
-    save_rtc,
-)
+from repro.core.serialize import rtc_from_dict, rtc_to_dict
 from repro.core.sharing_analysis import SharedBody, SharingReport, analyse_sharing
 from repro.core.stats import ReductionStats, reduction_stats
 from repro.core.timing import (
@@ -94,10 +87,6 @@ __all__ = [
     "reduction_stats",
     "rtc_to_dict",
     "rtc_from_dict",
-    "save_rtc",
-    "load_rtc",
-    "save_cache",
-    "load_cache",
     "SharedBody",
     "SharingReport",
     "analyse_sharing",

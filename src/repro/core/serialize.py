@@ -2,9 +2,9 @@
 
 The whole point of the RTC is to be *shared*; sharing across processes or
 runs needs a stable on-disk form.  This module provides a JSON codec for
-:class:`~repro.core.rtc.ReducedTransitiveClosure` plus warm/save helpers
-for an engine's RTC cache, so a long-lived service can persist the
-expensive structures between restarts.
+:class:`~repro.core.rtc.ReducedTransitiveClosure`; the one persisted form
+that uses it is the RTC store (:mod:`repro.storage.rtc_store`), which
+keeps each cached body's record beside its ``G_R`` rows.
 
 Format (versioned)::
 
@@ -24,23 +24,12 @@ are rejected up front with a clear error.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.core.cache import RTCCache
 from repro.core.rtc import ReducedTransitiveClosure
 from repro.errors import ReproError
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation
 
-__all__ = [
-    "rtc_to_dict",
-    "rtc_from_dict",
-    "save_rtc",
-    "load_rtc",
-    "save_cache",
-    "load_cache",
-]
+__all__ = ["rtc_to_dict", "rtc_from_dict"]
 
 _FORMAT = "repro-rtc"
 _VERSION = 1
@@ -123,42 +112,3 @@ def rtc_from_dict(payload: dict) -> ReducedTransitiveClosure:
         num_gr_vertices=num_gr_vertices,
         num_gr_edges=num_gr_edges,
     )
-
-
-def save_rtc(rtc: ReducedTransitiveClosure, path: str | Path) -> None:
-    """Write one RTC to a JSON file."""
-    Path(path).write_text(json.dumps(rtc_to_dict(rtc)), encoding="utf-8")
-
-
-def load_rtc(path: str | Path) -> ReducedTransitiveClosure:
-    """Read one RTC from a JSON file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise RtcFormatError(f"invalid JSON in {path}: {error}") from error
-    return rtc_from_dict(payload)
-
-
-def save_cache(cache: RTCCache, path: str | Path) -> None:
-    """Persist an engine's whole RTC cache (key -> RTC) to one file."""
-    payload = {
-        "format": f"{_FORMAT}-cache",
-        "version": _VERSION,
-        "mode": cache.mode,
-        "entries": {key: rtc_to_dict(rtc) for key, rtc in cache._entries.items()},
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_cache(path: str | Path) -> RTCCache:
-    """Restore an RTC cache persisted with :func:`save_cache`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise RtcFormatError(f"invalid JSON in {path}: {error}") from error
-    if payload.get("format") != f"{_FORMAT}-cache":
-        raise RtcFormatError("not an RTC cache payload")
-    cache = RTCCache(mode=payload.get("mode", "syntactic"))
-    for key, entry in payload.get("entries", {}).items():
-        cache.store(key, rtc_from_dict(entry))
-    return cache

@@ -22,13 +22,12 @@ such graphs: they raise :class:`~repro.errors.GraphFormatError` for
   (the comment marker), or parse as an integer;
 * labels that are not ``str``, are empty, or contain whitespace.
 
-Graphs carrying such tokens need a richer transport -- e.g. the cluster's
-``shard_loader`` spawn-time callable instead of an edge-list dump.
 Labels are *never* coerced (``"123"`` is a fine label and loads back as
 the string ``"123"``).
 
 This mirrors the plain edge-list dumps the paper's real datasets (Robots,
-Advogato, Youtube) ship as.
+Advogato, Youtube) ship as.  It is the CLI's text format; storage and the
+process backend use the typed :mod:`repro.storage.snapshot` document.
 """
 
 from __future__ import annotations

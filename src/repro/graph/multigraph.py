@@ -314,11 +314,12 @@ class LabeledMultigraph:
         return self._interner
 
     def seed_interner(self, vertices: Iterable[object]) -> None:
-        """Pre-assign ids in the given order (snapshot warm-start path).
+        """Pre-assign ids in the given order (snapshot and copy path).
 
         Must run before edges are loaded so restored bitmaps and caches
         keyed on ids stay meaningful; vertices are added to ``V`` as a
-        side effect, matching how snapshots record isolated vertices.
+        side effect, which is how a snapshot's table carries isolated
+        vertices.
         """
         for vertex in vertices:
             self.add_vertex(vertex)
@@ -362,10 +363,13 @@ class LabeledMultigraph:
         return sub
 
     def copy(self) -> "LabeledMultigraph":
-        """An independent deep copy of the graph."""
+        """An independent deep copy of the graph, in the same id space.
+
+        Every vertex keeps its interner id, so replicas copied from one
+        graph can exchange id-space rows (the RTC store relies on it).
+        """
         duplicate = LabeledMultigraph()
-        for vertex in self._vertices:
-            duplicate.add_vertex(vertex)
+        duplicate.seed_interner(self._interner)
         duplicate.add_edges(self.edges())
         return duplicate
 

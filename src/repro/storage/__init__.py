@@ -8,16 +8,17 @@ session) are in-memory structures; this package makes them *restartable*:
     batches with monotonic log-sequence numbers (LSNs) and a corruption-
     tolerant reader that truncates at the first torn tail record.
 :mod:`repro.storage.snapshot`
-    Periodic full-graph snapshots built on the :mod:`repro.graph.io`
-    edge-list dump (with a JSON-triples fallback for tokens the edge-list
-    format refuses) plus an isolated-vertex sidecar.
+    The one id-space graph format -- the interner table plus per-label
+    rows of ids -- used by full-graph snapshots, the RTC store's ``G_R``
+    rows and the process backend's shard handoff.
 :mod:`repro.storage.manifest`
     The atomically written ``manifest.json`` naming the live snapshot and
     the WAL position it covers, so crash-during-snapshot is safe.
 :mod:`repro.storage.rtc_store`
     Persistence for the expensive shared structures: every cached RTC
-    once, with its ``G_R`` rows and whether it is watched, stamped with
-    the LSN it was valid at, so a restarted replica comes back *hot*.
+    once, with its ``G_R`` rows (ids of the snapshot beside it) and
+    whether it is watched, stamped with the LSN it was valid at, so a
+    restarted replica comes back *hot*.
 :mod:`repro.storage.recovery`
     The :class:`ShardStorage` orchestrator tying the four together:
     ``recover()`` replays snapshot + WAL, ``bind()`` attaches logging to a

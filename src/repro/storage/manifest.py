@@ -11,15 +11,15 @@ Payload::
 
     {
       "format": "repro-storage",
-      "version": 1,
+      "version": 2,
       "lsn": 42,                      # WAL position the snapshot covers
-      "snapshot": {
-        "edges": "snapshot-42.edges",
-        "edge_format": "edge-list",   # or "json-triples"
-        "isolated": "snapshot-42.isolated.json"
-      },
+      "snapshot": {"edges": "snapshot-42.edges"},   # one repro-graph document
       "rtc_store": "rtc-42.json"      # or null when nothing was cached
     }
+
+Version 1 manifests (an edge-list or JSON-triples snapshot with
+``edge_format``, ``isolated`` and ``interner`` sidecars) still load, and
+the checkpoint that supersedes one deletes every file it names.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ __all__ = ["MANIFEST_NAME", "atomic_write_text", "read_manifest", "write_manifes
 
 MANIFEST_NAME = "manifest.json"
 _FORMAT = "repro-storage"
-_VERSION = 1
+_VERSION = 2
+_READABLE = (1, 2)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -76,7 +77,7 @@ def read_manifest(directory: str | Path) -> dict | None:
         raise StorageError(f"corrupt manifest {path}: {error}") from error
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise StorageError(f"{path} is not a {_FORMAT} manifest")
-    if payload.get("version") != _VERSION:
+    if payload.get("version") not in _READABLE:
         raise StorageError(
             f"unsupported manifest version {payload.get('version')!r} in {path}"
         )

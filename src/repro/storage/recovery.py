@@ -12,11 +12,18 @@ The lifecycle a worker (or a standalone session) drives::
     db.update(add=[...])                 # logged + fsync'd before returning
     db.checkpoint()                      # roll snapshot forward, compact WAL
 
-``recover()`` loads the manifest's snapshot, replays every valid WAL
-record on top of it (truncating a torn tail), and keeps the warm RTC
-payload around; ``bind()`` (called by ``GraphDB.open``) attaches the WAL
-for logging and installs the warm payload into the session.  Replica
-siblings of the primary session are warmed with :meth:`install`.
+``recover()`` loads the manifest's snapshot -- seeding the graph's
+interner from the snapshot's vertex table before it adds an edge, so
+every vertex keeps the id the RTC store's rows name -- replays every
+valid WAL record on top of it (truncating a torn tail), and keeps the
+warm RTC payload around; ``bind()`` (called by ``GraphDB.open``)
+attaches the WAL for logging and installs the warm payload into the
+session.  Replica siblings of the primary session (copies of the
+recovered graph, so the same ids) are warmed with :meth:`install`.
+
+A checkpoint deletes every file the manifest it supersedes names and
+the new one does not -- legacy sidecars included, so the first
+checkpoint of a pre-format directory leaves only the new generation.
 
 A directory with existing state refuses a *fresh* bind (a new graph over
 an old log would silently diverge from disk): recover first, or point the
@@ -62,6 +69,13 @@ def has_state(directory: str | Path) -> bool:
     return (Path(directory) / MANIFEST_NAME).exists()
 
 
+def _file_names(manifest: dict) -> set[str]:
+    """Every file ``manifest`` names (``isolated``/``interner``: version 1)."""
+    snapshot = manifest.get("snapshot", {})
+    names = [snapshot.get(key) for key in ("edges", "isolated", "interner")]
+    return {name for name in (*names, manifest.get("rtc_store")) if name}
+
+
 @dataclass
 class RecoveredState:
     """What :meth:`ShardStorage.recover` reconstructed from disk."""
@@ -70,7 +84,6 @@ class RecoveredState:
     lsn: int
     replayed_records: int
     snapshot_lsn: int
-    edge_format: str
     truncated_bytes: int
     rtc_payload: dict | None = field(default=None, repr=False)
 
@@ -138,7 +151,6 @@ class ShardStorage:
             lsn=self._wal.last_lsn,
             replayed_records=len(records),
             snapshot_lsn=snapshot_lsn,
-            edge_format=manifest["snapshot"].get("edge_format", "edge-list"),
             truncated_bytes=self._wal.truncated_bytes,
             rtc_payload=rtc_payload,
         )
@@ -233,30 +245,17 @@ class ShardStorage:
             with ambient_span("snapshot"):
                 snapshot_entry = write_snapshot(db.graph, self.directory, lsn)
             store_name = write_rtc_store(db, self.directory, lsn, extra_sessions)
-            write_manifest(self.directory, lsn, snapshot_entry, store_name)
+            manifest = write_manifest(self.directory, lsn, snapshot_entry, store_name)
             self._wal.reset(lsn)
             self._last_checkpoint_lsn = lsn
             if old_manifest is not None:
-                self._remove_generation(old_manifest, keep_lsn=lsn)
+                for name in _file_names(old_manifest) - _file_names(manifest):
+                    (self.directory / name).unlink(missing_ok=True)
             if span is not None:
                 span.attrs["lsn"] = lsn
         _checkpoints_total.inc()
         _phase_seconds.inc(time.perf_counter() - started, phase="checkpoint")
         return {"lsn": lsn, "snapshot": snapshot_entry, "rtc_store": store_name}
-
-    def _remove_generation(self, manifest: dict, keep_lsn: int) -> None:
-        """Delete a superseded generation's files (same-LSN names survive)."""
-        names = [
-            manifest.get("snapshot", {}).get("edges"),
-            manifest.get("snapshot", {}).get("isolated"),
-            manifest.get("rtc_store"),
-        ]
-        for name in names:
-            if not name or str(keep_lsn) == str(manifest.get("lsn")):
-                continue
-            path = self.directory / name
-            if path.exists():
-                path.unlink()
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -271,7 +270,6 @@ class ShardStorage:
             "recovered": recovered is not None,
             "replayed_records": recovered.replayed_records if recovered else 0,
             "truncated_bytes": recovered.truncated_bytes if recovered else 0,
-            "snapshot_format": recovered.edge_format if recovered else None,
         }
 
     @property

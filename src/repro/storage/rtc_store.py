@@ -9,9 +9,9 @@ serialises, per shard, every entry of the session's RTC cache
 engine's cache, or the session's cache of watched bodies), keyed by the
 cache's canonical body key.
 
-Layout (``version`` 2)::
+Layout (``version`` 3)::
 
-    {"format": "repro-rtc-store", "version": 2, "lsn": 7,
+    {"format": "repro-rtc-store", "version": 3, "lsn": 7,
      "cache_mode": "syntactic", "skipped": 0,
      "entries": {"b.c": {"lsn": 7,
                          "body": "b.c",
@@ -22,21 +22,30 @@ Layout (``version`` 2)::
 ``body`` is the body text, so an entry can be repaired by later updates
 (and re-keyed for another cache mode) however it was keyed; ``watched``
 lists the watch handles on it (pinned when non-empty); ``rows`` is
-``G_R`` as ``[source, [targets]]`` in vertices, not ids -- replica
-sessions of one shard intern in different orders -- or ``null`` for an
-entry that carries none.  Each body is stored once.
+``G_R`` as ``[src_id, [dst_ids]]`` (:func:`repro.storage.snapshot.rows_to_json`)
+in the id space of the snapshot written by the same checkpoint, or
+``null`` for an entry that carries none.  Each body is stored once.
+
+Ids are shared because every replica of a shard is a
+:meth:`~repro.graph.LabeledMultigraph.copy` of one graph (which keeps id
+order) fed the same ordered updates, and recovery seeds the interner
+from the snapshot's table.  A sibling session whose table differs
+anyway is skipped, never written in a foreign id space.
 
 Every entry is **stamped with the LSN it was valid at**, and is
 installed only when its stamp equals the recovered LSN: any update after
 the checkpoint makes it stale (counted, not loaded).  That is coarser
 than the live session, which repairs entries update by update, and safe:
-a stamp names a log position, not the edges logged since.
+a stamp names a log position, not the edges logged since.  An equal
+stamp also means no WAL record was replayed, so the recovered interner
+is exactly the snapshot's table.
 
-Version 1 (entries by key alone, plus ``watchers`` carrying ``gr_edges``
-and an RTC) still loads: its entries install as bare RTCs -- no rows, so
-the first update that touches one re-evaluates it, and one whose body a
-``semantic`` key cannot name is dropped -- and its watchers become
-watched entries with rows.
+Versions 1 and 2 still load.  Version 2 stored rows as
+``[source, [targets]]`` in vertices.  Version 1 stored entries by key
+alone -- they install as bare RTCs without rows, so the first update
+that touches one re-evaluates it, and one whose body a ``semantic`` key
+cannot name is dropped -- plus ``watchers`` carrying ``gr_edges``, which
+become watched entries with rows.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from repro.core.serialize import RtcFormatError, rtc_from_dict, rtc_to_dict
 from repro.errors import ReproError, StorageError
 from repro.regex.parser import parse
 from repro.storage.manifest import atomic_write_text
+from repro.storage.snapshot import rows_from_json, rows_to_json
 
 __all__ = [
     "collect_rtc_state",
@@ -58,8 +68,8 @@ __all__ = [
 ]
 
 _FORMAT = "repro-rtc-store"
-_VERSION = 2
-_READABLE = (1, 2)
+_VERSION = 3
+_READABLE = (1, 2, 3)
 
 
 def _body_text(cache, key: str) -> str | None:
@@ -69,15 +79,8 @@ def _body_text(cache, key: str) -> str | None:
     return None if body is None else body.to_string()
 
 
-def _rows_to_json(rows, interner) -> list | None:
-    if rows is None:
-        return None
-    vertex_of, vertices_of = interner.vertex_of, interner.vertices_of
-    return [[vertex_of(source), list(vertices_of(mask))] for source, mask in rows.items()]
-
-
 def _rows_from_pairs(pairs, interner) -> dict[int, int]:
-    """``G_R`` rows over ``interner`` from ``(source, targets)`` pairs."""
+    """``G_R`` rows over ``interner`` from version-1/2 vertex pairs."""
     rows: dict[int, int] = {}
     for source, targets in pairs:
         source_id = interner.id_of(source)
@@ -95,15 +98,20 @@ def collect_rtc_state(db, lsn: int, extra_sessions: tuple = ()) -> dict:
     ``extra_sessions`` are sibling replicas of the same shard: they saw
     the same ordered update stream, so their caches hold entries for the
     same graph state and can be merged (first writer wins on equal
-    values; the watch lists are united).  Non-serialisable entries
+    values; the watch lists are united).  Rows are ids of ``db``'s
+    graph, so a sibling whose interner table differs is skipped whole,
+    its entries counted in ``skipped``.  Non-serialisable entries
     (exotic vertex types) are skipped rather than failing the checkpoint.
     """
     entries: dict[str, dict] = {}
     skipped = 0
-    mode = None
+    mode = db.rtc_cache.mode
+    table = db.graph.interner.vertices()
     for session in (db, *extra_sessions):
         cache = session.rtc_cache
-        mode = cache.mode if mode is None else mode
+        if session is not db and session.graph.interner.vertices() != table:
+            skipped += len(cache)
+            continue
         watched: dict[str, list[str]] = {}
         for name, watcher in session.watchers.items():
             watched.setdefault(watcher.key, []).append(name)
@@ -116,7 +124,7 @@ def collect_rtc_state(db, lsn: int, extra_sessions: tuple = ()) -> dict:
                         "body": _body_text(cache, key),
                         "watched": [],
                         "rtc": rtc_to_dict(rtc),
-                        "rows": _rows_to_json(rtc.gr_rows, session.graph.interner),
+                        "rows": None if rtc.gr_rows is None else rows_to_json(rtc.gr_rows),
                     }
                 except RtcFormatError:
                     skipped += 1
@@ -164,7 +172,7 @@ def load_rtc_store(directory: str | Path, name: str) -> dict:
 
 
 def _records(payload: dict):
-    """``(key, record)`` in the version-2 shape, whatever the version."""
+    """``(key, record)`` in the version-2/3 shape, whatever the version."""
     yield from payload.get("entries", {}).items()
     if payload.get("version") == 1:
         # Watchers carried the rows as G_R edges and were keyed by body;
@@ -189,14 +197,17 @@ def install_rtc_state(db, payload: dict, lsn: int) -> dict:
     under its stored key when the payload's cache mode is the cache's,
     else -- watched entries only -- under the key of its body text.  An
     unwatched entry the engine's own cache cannot take (another mode, or
-    an engine that keeps no RTC cache) is stale.  Rows are interned into
-    *this* session's graph.
+    an engine that keeps no RTC cache) is stale.  Version-3 rows are ids
+    of *this* session's graph (:class:`StorageError` on one it never
+    assigned); older rows are vertices, interned into it.
     """
     stats = {"entries": 0, "watchers": 0, "stale": 0}
     installed: set[str] = set()
     cache = db.rtc_cache
     engine_owned = cache is getattr(db.engine, "rtc_cache", None)
     mode_matches = payload.get("cache_mode") == cache.mode
+    interner = db.graph.interner
+    id_rows = payload.get("version") == _VERSION
     for key, record in _records(payload):
         watched = record.get("watched") or []
         body = record.get("body")
@@ -209,8 +220,14 @@ def install_rtc_state(db, payload: dict, lsn: int) -> dict:
             if key is None or not mode_matches:
                 key = cache.key_for(parse(body))
             rtc = rtc_from_dict(record["rtc"])
-            if record.get("rows") is not None:
-                rtc = replace(rtc, gr_rows=_rows_from_pairs(record["rows"], db.graph.interner))
+            rows = record.get("rows")
+            if rows is not None:
+                rows = (
+                    rows_from_json(rows, len(interner))
+                    if id_rows
+                    else _rows_from_pairs(rows, interner)
+                )
+                rtc = replace(rtc, gr_rows=rows)
         except StorageError:
             raise
         except (KeyError, TypeError, ValueError, ReproError) as error:

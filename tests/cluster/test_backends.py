@@ -7,8 +7,6 @@ cluster, (b) an in-process (thread) cluster, and (c) a sequential
 Transport must be invisible in the results.
 """
 
-from functools import partial
-
 import pytest
 
 from repro.cluster import (
@@ -19,8 +17,7 @@ from repro.cluster import (
     ProcessBackend,
 )
 from repro.db import GraphDB
-from repro.errors import AdmissionError, GraphFormatError, ServerError
-from repro.graph.io import dump_edge_list, load_edge_list
+from repro.errors import AdmissionError, ServerError
 from repro.server import Client, ServerConfig, ServerThread
 
 from test_cluster import QUERIES
@@ -203,30 +200,21 @@ class TestProcessBackendLifecycle:
 
 
 class TestGraphShipping:
-    def test_int_lookalike_vertices_refuse_to_dump(self, tmp_path):
+    def test_int_lookalike_strings_stay_distinct(self):
+        """"123" and 123 are two vertices on both sides of the handoff."""
         from repro.graph.multigraph import LabeledMultigraph
 
-        graph = LabeledMultigraph.from_edges([("123", "a", "456")])
-        backend = ProcessBackend(0, graph, workers=1)
-        with pytest.raises(GraphFormatError, match="looks like an integer"):
-            backend.start()
-        backend.close()
-
-    def test_loader_callable_ships_any_graph(self, multi_fig1, tmp_path):
-        """A picklable loader bypasses the edge-list dump entirely."""
-        path = tmp_path / "shard.edges"
-        dump_edge_list(multi_fig1, path)
-        backend = ProcessBackend(
-            0,
-            None,
-            workers=1,
-            loader=partial(load_edge_list, str(path)),
-            start=True,
+        graph = LabeledMultigraph.from_edges(
+            [("123", "a", 123), (123, "a", "456"), ("456", "b", "123")]
         )
+        session = GraphDB.open(graph.copy())
+        backend = ProcessBackend(0, graph, workers=1, start=True)
         try:
-            session = GraphDB.open(multi_fig1)
-            pairs, _ = backend.query("d.(b.c)+.c").result(timeout=60)
-            assert pairs == set(session.execute("d.(b.c)+.c"))
+            for query in ("a", "a.a", "a+.b", "(a|b)*"):
+                pairs, _ = backend.query(query).result(timeout=60)
+                assert pairs == set(session.execute(query)), query
+            pairs, _ = backend.query("a").result(timeout=60)
+            assert ("123", 123) in pairs and (123, "123") not in pairs
         finally:
             backend.close()
 

@@ -1,21 +1,9 @@
-"""Tests for RTC serialisation (JSON round-trips, cache persistence)."""
-
-import json
+"""Tests for the RTC codec (JSON round-trips and decode errors)."""
 
 import pytest
 
-from repro.core.cache import RTCCache
 from repro.core.rtc import compute_rtc
-from repro.core.serialize import (
-    RtcFormatError,
-    load_cache,
-    load_rtc,
-    rtc_from_dict,
-    rtc_to_dict,
-    save_cache,
-    save_rtc,
-)
-from repro.rpq.evaluate import eval_rpq
+from repro.core.serialize import RtcFormatError, rtc_from_dict, rtc_to_dict
 
 PAPER_GBC = {(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)}
 
@@ -69,32 +57,16 @@ class TestRoundtrip:
             rtc_to_dict(rtc)
 
 
-class TestFiles:
-    def test_save_load_file(self, tmp_path, fig1):
-        rtc = compute_rtc(eval_rpq(fig1, "b.c"))
-        path = tmp_path / "bc.rtc.json"
-        save_rtc(rtc, path)
-        assert load_rtc(path).expand() == rtc.expand()
-
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(RtcFormatError, match="invalid JSON"):
-            load_rtc(path)
-
-    def test_wrong_format_marker(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something-else"}))
+class TestDecodeErrors:
+    def test_wrong_format_marker(self):
         with pytest.raises(RtcFormatError, match="not a repro-rtc"):
-            load_rtc(path)
+            rtc_from_dict({"format": "something-else"})
 
-    def test_wrong_version(self, tmp_path):
+    def test_wrong_version(self):
         payload = rtc_to_dict(compute_rtc({(0, 1)}))
         payload["version"] = 99
-        path = tmp_path / "v99.json"
-        path.write_text(json.dumps(payload))
         with pytest.raises(RtcFormatError, match="unsupported version"):
-            load_rtc(path)
+            rtc_from_dict(payload)
 
     def test_malformed_payload(self):
         with pytest.raises(RtcFormatError, match="malformed"):
@@ -105,41 +77,3 @@ class TestFiles:
         payload["closure"]["999"] = []
         with pytest.raises(RtcFormatError, match="disagree"):
             rtc_from_dict(payload)
-
-
-class TestCachePersistence:
-    def test_cache_roundtrip(self, tmp_path, fig1):
-        cache = RTCCache()
-        from repro.regex.parser import parse
-
-        for r in ("b.c", "c"):
-            key = cache.key_for(parse(r))
-            cache.store(key, compute_rtc(eval_rpq(fig1, r)))
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
-        restored = load_cache(path)
-        assert len(restored) == 2
-        assert restored.mode == "syntactic"
-        _key, rtc = restored.lookup(parse("b.c"))
-        assert rtc is not None
-        assert rtc.expand() == eval_rpq(fig1, "(b.c)+")
-
-    def test_warm_engine_from_cache(self, tmp_path, fig1):
-        from repro.core.engines import RTCSharingEngine
-
-        warm_source = RTCSharingEngine(fig1)
-        warm_source.evaluate("d.(b.c)+.c")
-        path = tmp_path / "warm.json"
-        save_cache(warm_source.rtc_cache, path)
-
-        engine = RTCSharingEngine(fig1)
-        engine.rtc_cache = load_cache(path)
-        result = engine.evaluate("a.(b.c)+")
-        assert result == RTCSharingEngine(fig1).evaluate("a.(b.c)+")
-        assert engine.rtc_cache.stats.hits >= 1  # served from disk
-
-    def test_cache_file_not_cache(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text(json.dumps({"format": "repro-rtc"}))
-        with pytest.raises(RtcFormatError, match="not an RTC cache"):
-            load_cache(path)

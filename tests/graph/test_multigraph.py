@@ -143,6 +143,18 @@ class TestDerivedGraphs:
         assert duplicate != graph
         assert not graph.has_edge(5, "z", 6)
 
+    def test_copy_keeps_the_id_space(self):
+        # Mixed int/str vertices added out of order, one of them isolated,
+        # and an edge removed after its endpoints were interned.
+        graph = LabeledMultigraph.from_edges([("z", "a", 9), (3, "b", "3"), (9, "a", "m")])
+        graph.add_vertex(-1)
+        graph.remove_edge(9, "a", "m")
+        duplicate = graph.copy()
+        assert duplicate.interner.vertices() == ["z", 9, 3, "3", "m", -1]
+        assert duplicate.interner.vertices() == graph.interner.vertices()
+        assert duplicate.bit_rows("a") == graph.bit_rows("a")
+        assert duplicate.rev_bit_rows("b") == graph.rev_bit_rows("b")
+
     def test_equality_against_other_types(self):
         assert LabeledMultigraph().__eq__(42) is NotImplemented
 

@@ -130,6 +130,17 @@ class TestCheckpoint:
         assert "snapshot-0.edges" not in names
         db.close()
 
+    def test_three_checkpoints_leave_one_generation(self, tmp_path):
+        db = open_fresh(tmp_path)
+        db.execute("x+")
+        for edge in [("c", "x", "d"), ("d", "x", "e"), ("e", "y", "f")]:
+            db.update(add=[edge])
+            db.checkpoint()
+        assert sorted(path.name for path in (tmp_path / "data").iterdir()) == [
+            "manifest.json", "rtc-3.json", "snapshot-3.edges", "wal.jsonl"
+        ]
+        db.close()
+
     def test_manifest_is_the_commit_point(self, tmp_path):
         db = open_fresh(tmp_path)
         db.update(add=[("c", "x", "d")])

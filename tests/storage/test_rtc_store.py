@@ -6,8 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster import InProcessBackend
 from repro.db import GraphDB
+from repro.errors import StorageError
+from repro.graph.multigraph import LabeledMultigraph
 from repro.storage import ShardStorage
+from repro.storage.rtc_store import collect_rtc_state
+from repro.storage.snapshot import rows_to_json
 
 EDGES = [
     (0, "d", 1), (1, "b", 2), (2, "c", 1), (2, "c", 3),
@@ -140,20 +145,20 @@ def answers(db):
     return [set(result) for result in db.execute_many(QUERIES)]
 
 
-class TestVersion2:
-    def test_store_keeps_each_body_once_with_rows_and_text(self, tmp_path):
+class TestVersion3:
+    def test_store_keeps_each_body_once_with_id_rows_and_text(self, tmp_path):
         db = GraphDB.open(list(GRAPH), storage=tmp_path / "data", cache_mode="semantic")
         db.execute_many(QUERIES)
         db.watch("b.c")
         name = db.checkpoint()["rtc_store"]
         payload = json.loads((tmp_path / "data" / name).read_text())
-        assert payload["version"] == 2 and "watchers" not in payload
+        assert payload["version"] == 3 and "watchers" not in payload
         assert len(payload["entries"]) == len(db.engine.rtc_cache)
         for key, record in payload["entries"].items():
             body = db.engine.rtc_cache.body_of(key)
             assert record["body"] == body.to_string()
             assert record["watched"] == (["b.c"] if record["body"] == "b.c" else [])
-            assert record["rows"] is not None
+            assert record["rows"] == rows_to_json(db.engine.rtc_cache.peek(key).gr_rows)
         db.close()
 
     @pytest.mark.parametrize("mode", ["syntactic", "semantic"])
@@ -180,6 +185,105 @@ class TestVersion2:
         assert any(cache.peek(key) is not rtc for key, rtc in installed.items())
         assert warm.watchers["b.c"].plus_pairs() == cold.watch("b.c").plus_pairs()
         warm.close()
+
+
+def checkpointed(tmp_path):
+    """A data dir whose store holds rows for every QUERIES body and b.c."""
+    db = GraphDB.open(list(GRAPH), storage=tmp_path / "data")
+    db.execute_many(QUERIES)
+    db.watch("b.c")
+    db.checkpoint()
+    db.close()
+    return tmp_path / "data"
+
+
+def edit_store(data, change) -> dict:
+    """Rewrite the live RTC store through ``change(payload, vertices)``."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    vertices = json.loads((data / manifest["snapshot"]["edges"]).read_text())["vertices"]
+    path = data / manifest["rtc_store"]
+    payload = json.loads(path.read_text())
+    change(payload, vertices)
+    path.write_text(json.dumps(payload))
+    return payload
+
+
+class TestIdSpace:
+    def test_sibling_in_a_foreign_id_space_is_skipped(self, tmp_path):
+        primary = GraphDB.open(list(GRAPH), storage=tmp_path / "data")
+        primary.execute("a+")
+        foreign = LabeledMultigraph()
+        foreign.seed_interner(reversed(primary.graph.interner.vertices()))
+        foreign.add_edges(GRAPH)
+        sibling = GraphDB.open(foreign)
+        sibling.execute_many(QUERIES)
+        payload = collect_rtc_state(primary, 0, (sibling,))
+        assert list(payload["entries"]) == ["a"]
+        assert payload["skipped"] == len(sibling.rtc_cache)
+        same = GraphDB.open(primary.graph.copy())
+        same.execute_many(QUERIES)
+        payload = collect_rtc_state(primary, 0, (same,))
+        assert payload["skipped"] == 0 and len(payload["entries"]) == len(same.rtc_cache)
+        primary.close()
+
+    def test_row_id_outside_the_graph_raises(self, tmp_path):
+        data = checkpointed(tmp_path)
+
+        def corrupt(payload, vertices):
+            record = next(r for r in payload["entries"].values() if r["rows"])
+            record["rows"][0][1].append(len(vertices))
+
+        edit_store(data, corrupt)
+        storage = ShardStorage(data)
+        with pytest.raises(StorageError, match="outside"):
+            GraphDB.open(storage=storage)
+        storage.close()
+
+    def test_version_2_vertex_rows_still_load(self, tmp_path):
+        data = checkpointed(tmp_path)
+
+        def to_version_2(payload, vertices):
+            payload["version"] = 2
+            for record in payload["entries"].values():
+                if record["rows"] is not None:
+                    record["rows"] = [
+                        [vertices[source], [vertices[t] for t in targets]]
+                        for source, targets in record["rows"]
+                    ]
+
+        payload = edit_store(data, to_version_2)
+        warm = GraphDB.open(storage=data)
+        cache = warm.engine.rtc_cache
+        assert warm.warm_stats == {
+            "entries": len(payload["entries"]), "watchers": 1, "stale": 0
+        }
+        cold = GraphDB.open(list(GRAPH))
+        for batch in TOUCHING:
+            warm.update(**batch)
+            cold.update(**batch)
+            assert answers(warm) == answers(cold), batch
+        assert cache.stats.misses == 0
+        warm.close()
+
+    def test_sibling_replica_installs_id_rows_without_a_miss(self, tmp_path):
+        data = checkpointed(tmp_path)
+        backend = InProcessBackend(0, None, replicas=2, workers=1, storage_dir=str(data))
+        try:
+            primary, sibling = (replica.db for replica in backend.replicas)
+            assert sibling.graph.interner.vertices() == primary.graph.interner.vertices()
+            cache = sibling.engine.rtc_cache
+            assert len(cache) == len(primary.engine.rtc_cache) > 0
+            assert all(rtc.gr_rows is not None for _key, rtc in cache.items())
+            cold = GraphDB.open(list(GRAPH))
+            assert answers(sibling) == answers(cold)
+            for batch in TOUCHING:
+                sibling.update(**batch)
+                cold.update(**batch)
+                assert answers(sibling) == answers(cold), batch
+            assert cache.stats.misses == 0
+            assert cache.stats.repairs["republished"] > 0
+        finally:
+            backend.close()
 
 
 class TestVersion1Fixture:
@@ -238,3 +342,21 @@ class TestVersion1Fixture:
             for name, watcher in db.watchers.items():
                 assert watcher.plus_pairs() == cold.watch(name).plus_pairs()
         db.close()
+
+    def test_first_checkpoint_migrates_and_leaves_one_generation(self, data):
+        db = GraphDB.open(None, storage=data)
+        expected = answers(db)
+        db.checkpoint()
+        db.close()
+        assert sorted(path.name for path in data.iterdir()) == [
+            "manifest.json", "rtc-0.json", "snapshot-0.edges", "wal.jsonl"
+        ]
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        assert manifest["snapshot"] == {"edges": "snapshot-0.edges"}
+        assert json.loads((data / "rtc-0.json").read_text())["version"] == 3
+        warm = GraphDB.open(None, storage=data)
+        assert sorted(warm.watchers) == ["a", "b.c", "c*"]
+        assert answers(warm) == expected
+        assert warm.engine.rtc_cache.stats.misses == 0
+        warm.close()
