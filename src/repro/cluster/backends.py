@@ -14,7 +14,11 @@ to sessions or sockets directly any more -- it talks to one
     canonical closure-body key hashes to one replica, so each replica's
     RTC cache serves a stable subset of bodies), closure-free queries go
     least-loaded, and updates broadcast drain-then-apply to every
-    replica with blocking admission so the copies never diverge.
+    replica with blocking admission so the copies never diverge.  The
+    key and the boundary-join automaton are read off the query's shared
+    :class:`~repro.core.plan.Plan` -- the same object the router routed
+    on and the replica schedulers batch and evaluate -- so no backend
+    keeps a memo of its own.
 
 :class:`ProcessBackend`
     The same shard served from a separate OS process: the backend spawns
@@ -46,15 +50,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cluster.boundary import summary_from_wire
-from repro.core.cache import make_key_function
+from repro.core.plan import Plan, plan_for
 from repro.db.session import GraphDB
 from repro.errors import AdmissionError, ClusterError, ServerError
 from repro.graph.multigraph import LabeledMultigraph
 from repro.obs import activate, get_registry
-from repro.regex.ast import RegexNode
-from repro.regex.parser import parse
 from repro.server.metrics import percentile
-from repro.server.scheduler import SharingScheduler, closure_group_key
+from repro.server.scheduler import SharingScheduler
 
 __all__ = [
     "ShardBackend",
@@ -64,9 +66,6 @@ __all__ = [
     "aggregate_scheduler_stats",
     "merge_futures",
 ]
-
-#: Per-backend bound on the query-key memo (mirrors the router's).
-_KEY_MEMO_LIMIT = 4096
 
 #: When set, process workers without an explicit log path log into this
 #: directory (one file per spawn) -- CI exports it and uploads the
@@ -247,15 +246,15 @@ class ShardBackend:
     def query(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         *,
-        key: str | None = None,
         timeout: float | None = None,
         want_pairs: bool = True,
         trace: tuple | None = None,
     ) -> Future:
         """Admit one query; future of ``(pairs, engine_elapsed)``.
 
+        ``plan`` is the text's shared plan when the caller holds it.
         ``want_pairs=False`` lets a remote backend answer with a bare
         count instead of a pair-set (in-process backends may keep
         returning the set -- it is free); the router's merge accepts
@@ -269,7 +268,7 @@ class ShardBackend:
     def summary(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         *,
         boundary,
         entries=(),
@@ -417,20 +416,15 @@ class InProcessBackend(ShardBackend):
                 start=False,
             )
             self.replicas.append(ShardReplica(shard_id, replica_id, db, scheduler))
-        reference = self.replicas[0].scheduler.shared_cache
-        #: The closure-body key function, derived from the live shared
-        #: cache's actual mode (the router aligns its routing keys with
-        #: this, so affinity hashing and cache keying cannot disagree).
-        self.key_function = make_key_function(
-            reference.mode if reference is not None else "syntactic"
-        )
-        self._lock = threading.Lock()  # in_flight counters + key memo
+        #: The live shared cache's mode: replica affinity hashes the
+        #: plan's group key of this mode, so it cannot disagree with how
+        #: the caches key (the router routes by the same mode).
+        self.cache_mode = self.replicas[0].scheduler.cache_mode
+        self._lock = threading.Lock()  # in_flight counters + executor
         # Replica-consistent update ordering: concurrent updates reach
         # every replica queue in one global order, so the copies of this
         # shard's graph never diverge.
         self._update_lock = threading.Lock()
-        self._key_memo: dict[str, str] = {}
-        self._nfa_memo: dict[str, object] = {}
         self._summary_executor: ThreadPoolExecutor | None = None
         self._started = False
         self._closed = False
@@ -456,7 +450,7 @@ class InProcessBackend(ShardBackend):
         self._closed = True
         # Swap the executor out under the lock (its lazy creation in
         # ``summary`` races with close), but shut it down outside --
-        # in-flight summaries take self._lock for their NFA memo.
+        # in-flight summaries release their replica under self._lock.
         with self._lock:
             executor, self._summary_executor = self._summary_executor, None
         if executor is not None:
@@ -470,22 +464,7 @@ class InProcessBackend(ShardBackend):
         for replica in self.replicas:
             replica.scheduler.drain()
 
-    # -- routing key ------------------------------------------------------
-    def route_key(self, text: str, node: RegexNode | None = None) -> str:
-        """The query's closure-body batching key, memoised by text."""
-        with self._lock:
-            key = self._key_memo.get(text)
-        if key is not None:
-            return key
-        if node is None:
-            node = parse(text)
-        key = closure_group_key(node, self.key_function)
-        with self._lock:
-            if len(self._key_memo) >= _KEY_MEMO_LIMIT:
-                self._key_memo.clear()
-            self._key_memo[text] = key
-        return key
-
+    # -- routing ----------------------------------------------------------
     def _pick_replica(self, key: str) -> ShardReplica:
         """Body-affine replica choice; least-loaded for closure-free keys."""
         group = self.replicas
@@ -507,21 +486,17 @@ class InProcessBackend(ShardBackend):
     def query(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         *,
-        key: str | None = None,
         timeout: float | None = None,
         want_pairs: bool = True,
         trace: tuple | None = None,
     ) -> Future:
         # want_pairs is a wire-cost hint; in-process pair-sets travel by
         # reference, so the set is returned either way.
-        if node is None:
-            node = parse(text)
-        if key is None:
-            key = self.route_key(text, node)
-        replica = self._pick_replica(key)
-        future = replica.scheduler.submit(text, node, timeout=timeout, trace=trace)
+        plan = plan_for(text if plan is None else plan)
+        replica = self._pick_replica(plan.group_key(self.cache_mode))
+        future = replica.scheduler.submit(text, plan, timeout=timeout, trace=trace)
         with self._lock:
             replica.in_flight += 1
         future.add_done_callback(
@@ -529,40 +504,23 @@ class InProcessBackend(ShardBackend):
         )
         return future
 
-    def _compiled_nfa(self, text: str, node: RegexNode | None):
-        """The query automaton, memoised by text (bounded like the keys)."""
-        from repro.regex.nfa import compile_nfa
-
-        with self._lock:
-            nfa = self._nfa_memo.get(text)
-        if nfa is not None:
-            return nfa
-        if node is None:
-            node = parse(text)
-        nfa = compile_nfa(node)
-        with self._lock:
-            if len(self._nfa_memo) >= _KEY_MEMO_LIMIT:
-                self._nfa_memo.clear()
-            self._nfa_memo[text] = nfa
-        return nfa
-
     def summary(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         *,
         boundary,
         entries=(),
         timeout: float | None = None,
         trace: tuple | None = None,
     ) -> Future:
-        # Summaries bypass the scheduler (it batches whole RegexNode
+        # Summaries bypass the scheduler (it batches whole planned
         # queries, not tagged automaton traversals) and run on a small
         # backend executor instead; the session lock inside
         # ``GraphDB.summarise`` still serialises them against updates.
         if self._closed:
             raise ProcessBackend._closed_error()
-        nfa = self._compiled_nfa(text, node)
+        _labels, _nullable, nfa = plan_for(text if plan is None else plan).route()
         boundary = frozenset(boundary)
         entries = tuple(entries)
         with self._lock:
@@ -684,11 +642,11 @@ class InProcessBackend(ShardBackend):
     def submit(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         timeout: float | None = None,
         trace: tuple | None = None,
     ) -> Future:
-        return self.query(text, node, timeout=timeout, trace=trace)
+        return self.query(text, plan, timeout=timeout, trace=trace)
 
     def submit_update(self, add=(), remove=(), trace: tuple | None = None) -> Future:
         return self.update(add=add, remove=remove, trace=trace)
@@ -943,16 +901,15 @@ class ProcessBackend(ShardBackend):
     def query(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         *,
-        key: str | None = None,
         timeout: float | None = None,
         want_pairs: bool = True,
         trace: tuple | None = None,
     ) -> Future:
-        # ``node`` and ``key`` are router-side artifacts; the worker
-        # re-derives both from the text (its own memo makes that O(1)
-        # in the serving steady state).
+        # ``plan`` lives in the router's process; the worker plans the
+        # text from its own plan cache (a hit in the serving steady
+        # state).
         return self._admit(self._remote_query, text, timeout, want_pairs, trace)
 
     def _admit(self, call, *args) -> Future:
@@ -1020,7 +977,7 @@ class ProcessBackend(ShardBackend):
     def summary(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         *,
         boundary,
         entries=(),

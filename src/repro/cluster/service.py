@@ -59,8 +59,11 @@ Routing
   partition's cut relation at the router, atomically with the rest of
   the batch, and the boundary join picks it up on the next query.
 
-The routing decision (closure-key extraction, a DNF walk) is memoised by
-query text, so a serving workload's repeated queries route in O(1).
+A query routes on its shared :class:`~repro.core.plan.Plan`: the
+closure key (a DNF walk), the label set, nullability and the automaton
+are computed once per query text for the whole process -- router,
+backends and their replica schedulers alike -- so a serving workload's
+repeated queries route in O(1).
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from repro.cluster.backends import (
 from repro.bitset import PairBitmap, alphabet_reachable_mask
 from repro.cluster import boundary
 from repro.cluster.partition import GraphPartition, partition_graph
-from repro.core.cache import make_key_function
+from repro.core.plan import Plan, plan_for
 from repro.errors import (
     ClusterError,
     DeadlineExpiredError,
@@ -94,20 +97,13 @@ from repro.errors import (
 from repro.graph.io import load_edge_list
 from repro.graph.multigraph import LabeledMultigraph
 from repro.obs import get_registry
-from repro.regex.ast import RegexNode
-from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse
 from repro.server import protocol
-from repro.server.scheduler import closure_group_key
 from repro.server.service import QueryServer, ServerConfig
 from repro.storage.snapshot import check_persistable_edge
 from repro.storage.wal import WriteAheadLog
 
 __all__ = ["ClusterConfig", "GraphCluster", "ClusterRouter", "ShardReplica"]
-
-#: Routing memo bound: past this many distinct query texts the memo is
-#: dropped wholesale (serving workloads repeat a small query set).
-_ROUTE_MEMO_LIMIT = 4096
 
 #: The shard-backend transports a cluster can be built on.
 BACKENDS = ("thread", "process")
@@ -238,7 +234,7 @@ class GraphCluster:
         self.config = config
         self.replicas = config.replicas
         self.backend_name = config.backend
-        self._lock = threading.Lock()  # label sets, memo, edge estimates
+        self._lock = threading.Lock()  # label sets, edge estimates, join cache
         self._update_lock = threading.Lock()  # replica-consistent ordering
         self._backends: list[ShardBackend] = [
             self._make_backend(shard_id, shard_graph)
@@ -257,19 +253,16 @@ class GraphCluster:
         self._router_wal = None
         if config.data_dir is not None:
             self._recover_router_log(Path(config.data_dir) / "router")
-        # Routing keys must agree with the backends' cache keying, or
-        # body-affine replica picking hashes on different keys than the
-        # caches share on.  Thread backends expose their live cache
-        # mode's key function; process workers derive the same function
+        # The cache mode group keys are read in must agree with the
+        # backends' cache keying, or body-affine replica picking hashes
+        # on different keys than the caches share on.  Thread backends
+        # expose their live cache's mode; process workers derive theirs
         # from the same engine_kwargs, so the kwargs fallback matches.
         first = self._backends[0]
         if isinstance(first, InProcessBackend):
-            self._key_function = first.key_function
+            self.cache_mode = first.cache_mode
         else:
-            self._key_function = make_key_function(
-                config.engine_kwargs.get("cache_mode", "syntactic")
-            )
-        self._route_memo: dict[str, tuple] = {}
+            self.cache_mode = config.engine_kwargs.get("cache_mode", "syntactic")
         # Queries answered at the router because every shard was pruned
         # (no label overlap anywhere); folded into the aggregate stats so
         # served traffic never disappears from the books.
@@ -476,27 +469,6 @@ class GraphCluster:
         return [backend.checkpoint() for backend in self._backends]
 
     # -- routing ---------------------------------------------------------
-    def _route_info(self, text: str, node: RegexNode) -> tuple:
-        """``(closure_key, labels, nullable, nfa)`` of a query, memoised.
-
-        The compiled automaton rides along for the boundary-join path
-        (the router plans entry nodes and hops in the *same* state
-        numbering the shards summarise in --
-        :func:`~repro.regex.nfa.compile_nfa` is deterministic per text).
-        """
-        with self._lock:
-            info = self._route_memo.get(text)
-        if info is not None:
-            return info
-        key = closure_group_key(node, self._key_function)
-        nfa = compile_nfa(node)
-        info = (key, frozenset(nfa.labels), nfa.nullable, nfa)
-        with self._lock:
-            if len(self._route_memo) >= _ROUTE_MEMO_LIMIT:
-                self._route_memo.clear()
-            self._route_memo[text] = info
-        return info
-
     def _target_shards(self, labels: frozenset, nullable: bool) -> list[int]:
         """Shards that can contribute to a query (source selection).
 
@@ -519,7 +491,7 @@ class GraphCluster:
     def submit(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         timeout: float | None = None,
         want_pairs: bool = True,
         trace: tuple | None = None,
@@ -555,15 +527,14 @@ class GraphCluster:
         """
         if self._stopped:
             raise self._closed_error()
-        if node is None:
-            node = parse(text)
-        key, labels, nullable, nfa = self._route_info(text, node)
+        plan = plan_for(text if plan is None else plan)
+        labels, nullable, nfa = plan.route()
 
         if self.partition.has_cuts and any(
             edge[1] in labels for edge in self.partition.cut_relation()
         ):
             return self._submit_boundary_join(
-                text, node, nfa, labels, nullable,
+                text, plan, nfa, labels, nullable,
                 timeout=timeout, want_pairs=want_pairs, trace=trace,
             )
 
@@ -589,8 +560,7 @@ class GraphCluster:
                     child_trace = (tracer, shard_span.span_id)
                 child = self._backends[shard].query(
                     text,
-                    node,
-                    key=key,
+                    plan,
                     timeout=timeout,
                     want_pairs=want_pairs,
                     trace=child_trace,
@@ -658,7 +628,7 @@ class GraphCluster:
     def _submit_boundary_join(
         self,
         text: str,
-        node: RegexNode,
+        plan: Plan,
         nfa,
         labels: frozenset,
         nullable: bool,
@@ -696,7 +666,7 @@ class GraphCluster:
 
         def run():
             pairs, elapsed = self._run_boundary_join(
-                text, node, nfa, labels, nullable, timeout, trace=trace
+                text, plan, nfa, labels, nullable, timeout, trace=trace
             )
             with self._lock:
                 # Cache only results that describe the live graph: an
@@ -714,7 +684,7 @@ class GraphCluster:
     def _run_boundary_join(
         self,
         text: str,
-        node: RegexNode,
+        plan: Plan,
         nfa,
         labels: frozenset,
         nullable: bool,
@@ -771,7 +741,7 @@ class GraphCluster:
             children = {
                 shard: self._backends[shard].summary(
                     text,
-                    node,
+                    plan,
                     boundary=join_plan.boundary_of.get(shard, ()),
                     entries=join_plan.shard_entries(shard),
                     timeout=budget,
@@ -1039,9 +1009,7 @@ class GraphCluster:
         """
         if self.partition.has_cuts:
             closure = f"({body})+"
-            _key, labels, _nullable, _nfa = self._route_info(
-                closure, parse(closure)
-            )
+            labels, _nullable, _nfa = plan_for(closure).route()
             relevant_cuts = [
                 edge
                 for edge in self.partition.cut_relation()
@@ -1270,8 +1238,8 @@ class ClusterRouter(QueryServer):
     The wire protocol, the :class:`~repro.server.Client`, admission
     errors, per-request deadlines and the whole request path are
     inherited unchanged.  What differs: ``stats`` (cluster-wide
-    aggregation plus topology), the routing memo warmed before a query
-    is admitted, pairs-or-counts forwarded at admission, and update
+    aggregation plus topology), the plans' routing fields warmed before
+    a query is admitted, pairs-or-counts forwarded at admission, and update
     admission taken off the event loop.  ``watch`` (broadcast) and
     ``reaches`` (shard-routed) are the cluster's own methods behind the
     base handlers.
@@ -1286,24 +1254,20 @@ class ClusterRouter(QueryServer):
         # ``watch`` / ``reaches`` handlers drive through ``self.db``.
         super().__init__(db=cluster, config=config, scheduler=cluster)
 
-    async def _warm(self, queries) -> None:
-        # _route_info walks the query's DNF and compiles its NFA --
-        # exactly the work the single-node scheduler defers to its
-        # dispatcher thread.  The base handler then routes from the
-        # memo in O(1).
-        await self._warm_off_loop(
-            queries,
-            self.cluster._route_memo,
-            lambda text: self.cluster._route_info(text, parse(text)),
-        )
+    async def _warm(self, plans) -> None:
+        # A plan's first group key walks the query's DNF and its first
+        # route compiles the NFA -- exactly the work the single-node
+        # scheduler defers to its dispatcher thread.  Admission then
+        # routes from the plan in O(1).
+        await self._warm_off_loop(plans, self.cluster.cache_mode, route=True)
 
-    def _submit_query(self, text, node, timeout, include_pairs, trace=None):
+    def _submit_query(self, text, plan, timeout, include_pairs, trace=None):
         # Forward the client's pairs/counts intent: counts-only requests
         # let process shards answer without serialising pair-sets.  The
         # trace rides along so each fan-out target gets a ``shard`` span
         # and remote workers' subtrees stitch back under it.
         return self.cluster.submit(
-            text, node, timeout=timeout, want_pairs=include_pairs, trace=trace
+            text, plan, timeout=timeout, want_pairs=include_pairs, trace=trace
         )
 
     async def _submit_update(self, add, remove, trace):

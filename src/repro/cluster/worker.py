@@ -21,6 +21,11 @@
 Workers optionally log to a per-shard file (``log_path``); CI captures
 those files as an artifact when a process-backend job fails.
 
+Queries arrive as text: the worker plans them through its own
+process's plan cache (:func:`~repro.core.plan.plan_for`), so a repeated
+text costs one lookup there too, and warms a new plan's group key off
+the event loop before admission.
+
 The worker speaks the unchanged wire protocol -- any
 :class:`~repro.server.Client` can talk to a shard worker directly --
 plus two extensions: ``{"op": "stats", "shard": true}`` adds the
@@ -86,7 +91,7 @@ class ShardWorkerServer(QueryServer):
     The base handlers drive the backend directly (``submit`` /
     ``watch`` / ``reaches`` / ``checkpoint``).  What differs: ``stats``
     (shard-document extension), the ``mode: "summary"`` query, the
-    closure-key memo warmed before a query is admitted, and update
+    plans' group keys warmed before a query is admitted, and update
     admission taken off the event loop.
     """
 
@@ -104,12 +109,10 @@ class ShardWorkerServer(QueryServer):
             return await self._op_summary(request_id, request)
         return await super()._op_query(request_id, request)
 
-    async def _warm(self, queries) -> None:
-        # First contact with a query text walks its DNF for the
-        # closure key, which must not stall the socket multiplexer.
-        await self._warm_off_loop(
-            queries, self.backend._key_memo, self.backend.route_key
-        )
+    async def _warm(self, plans) -> None:
+        # A plan's first group key walks its DNF, which must not stall
+        # the socket multiplexer; replica picking reads it at admission.
+        await self._warm_off_loop(plans, self.backend.cache_mode)
 
     async def _op_summary(self, request_id, request) -> dict:
         """The ``mode: "summary"`` query extension (boundary-join path)."""
@@ -139,8 +142,8 @@ class ShardWorkerServer(QueryServer):
         tracer, parent, root_span, echo = self._begin_trace(request)
         started = time.monotonic()
         trace = (tracer, parent) if tracer is not None else None
-        # Admission + NFA compilation happen off the loop (first contact
-        # with a text compiles its automaton), like the key warm-up.
+        # Admission + planning happen off the loop (first contact with
+        # a text parses it and compiles its automaton), like the warm-up.
         future = await self._in_executor(
             lambda: self.backend.summary(
                 text,

@@ -7,6 +7,8 @@ Public surface:
 * the RTC: :class:`ReducedTransitiveClosure`, :func:`compute_rtc`;
 * DNF machinery: :func:`to_dnf`, :class:`ClosureLiteral`,
   :func:`clause_to_regex`, :func:`decompose_clause`, :class:`BatchUnit`;
+* query plans, derived once per query for the whole process:
+  :class:`Plan`, :func:`plan_for`;
 * Algorithm 2: :func:`eval_batch_unit`, :class:`BatchUnitOptions`;
 * engines: :class:`RTCSharingEngine`, :class:`FullSharingEngine`,
   :class:`NoSharingEngine` (built by name through :mod:`repro.db`);
@@ -31,6 +33,7 @@ from repro.core.engines import (
     RPQEngine,
     RTCSharingEngine,
 )
+from repro.core.plan import Plan, plan_for
 from repro.core.planner import PlannedUnit, estimate_cost, plan_order
 from repro.core.reduction import (
     ReductionResult,
@@ -63,6 +66,8 @@ __all__ = [
     "dnf_to_regex",
     "decompose_clause",
     "BatchUnit",
+    "Plan",
+    "plan_for",
     "eval_batch_unit",
     "join_pre_with_rtc",
     "apply_post",

@@ -117,10 +117,14 @@ __all__ = [
 Value = TypeVar("Value")
 
 
+def _syntactic_key(node: RegexNode) -> str:
+    return node.to_string()
+
+
 def make_key_function(mode: str):
     """Return the canonicaliser for ``mode`` (``syntactic``/``semantic``)."""
     if mode == "syntactic":
-        return lambda node: node.to_string()
+        return _syntactic_key
     if mode == "semantic":
         return canonical_key
     raise ValueError(f"unknown cache mode {mode!r}; use 'syntactic' or 'semantic'")
@@ -211,8 +215,13 @@ class SharedDataCache(Generic[Value]):
                 self.stats.hits += 1
         return key, value
 
-    def get_or_compute(self, node: RegexNode, factory) -> tuple[str, Value]:
+    def get_or_compute(
+        self, node: RegexNode, factory, key: str | None = None
+    ) -> tuple[str, Value]:
         """Return ``(key, value)``, computing the value at most once per key.
+
+        ``key`` is ``node``'s key when the caller already holds it (a
+        plan keeps it per body); it must equal :meth:`key_for`.
 
         On a miss the calling thread becomes the key's *owner*: it runs
         ``factory()`` (outside the lock) and publishes the result; any
@@ -234,7 +243,8 @@ class SharedDataCache(Generic[Value]):
         equal value (the legacy lookup/store behaviour, single-threaded
         by construction).
         """
-        key = self.key_for(node)
+        if key is None:
+            key = self.key_for(node)
         current = threading.get_ident()
         while True:
             with self._lock:

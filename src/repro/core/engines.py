@@ -42,8 +42,7 @@ from repro.core.batch_unit import (
     join_pre_with_rtc_bits,
 )
 from repro.core.cache import ClosureCache, RTCCache
-from repro.core.decompose import BatchUnit, decompose_clause
-from repro.core.dnf import to_dnf
+from repro.core.plan import Plan, UnitPlan, plan_for
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
 from repro.core.timing import (
     PHASE_PRE_JOIN,
@@ -59,13 +58,14 @@ from repro.regex.parser import parse
 from repro.rpq.counters import OpCounters
 from repro.rpq.evaluate import check_alphabet, eval_rpq
 from repro.rpq.label_join import eval_label_sequence
-from repro.rpq.restricted import RestrictedEvaluator, as_label_sequence
+from repro.rpq.restricted import as_label_sequence
 
 __all__ = [
     "RPQEngine",
     "NoSharingEngine",
     "FullSharingEngine",
     "RTCSharingEngine",
+    "evaluate_plan",
 ]
 
 Pairs = set | PairBitmap  # one of the two per engine run, never mixed
@@ -75,7 +75,8 @@ class RPQEngine:
     """Common surface of the three evaluation methods.
 
     Subclasses implement :meth:`_evaluate_node`; this base class provides
-    parsing, total-time accounting, batch evaluation and metric reset.
+    planning (:func:`~repro.core.plan.plan_for`), total-time accounting,
+    batch evaluation and metric reset.
 
     ``simplify_queries=True`` runs the language-preserving rewriter of
     :mod:`repro.regex.simplify` on every incoming query before
@@ -102,20 +103,20 @@ class RPQEngine:
         self.queries_evaluated = 0
 
     # -- public API ----------------------------------------------------
-    def evaluate(self, query: str | RegexNode) -> Pairs:
+    def evaluate(self, query: str | RegexNode | Plan) -> Pairs:
         """Evaluate one RPQ; returns its ``(start, end)`` pairs.
 
         A :class:`PairBitmap` (which iterates, compares and tests
         membership like the pair set) or a ``set`` -- see the module
         docstring for which; the type never varies within one run.
         """
-        node = parse(query)
+        plan = plan_for(query)
         if self.simplify_queries:
             from repro.regex.simplify import simplify
 
-            node = simplify(node)
+            plan = plan_for(simplify(plan.node))
         start = time.perf_counter()
-        result = self._evaluate_node(node)
+        result = self._evaluate_plan(plan)
         self.total_time += time.perf_counter() - start
         self.queries_evaluated += 1
         return result
@@ -156,6 +157,10 @@ class RPQEngine:
     # -- to implement ----------------------------------------------------
     def _evaluate_node(self, node: RegexNode) -> Pairs:
         raise NotImplementedError
+
+    def _evaluate_plan(self, plan: Plan) -> Pairs:
+        """Evaluate a planned query; engines that plan nothing read its AST."""
+        return self._evaluate_node(plan.node)
 
     # -- shared leaf -----------------------------------------------------
     @property
@@ -213,16 +218,20 @@ class _SharingEngine(RPQEngine):
 
     # -- shared skeleton (Algorithm 1) -----------------------------------
     def _evaluate_node(self, node: RegexNode) -> Pairs:
+        # R_G on an RTC miss: a closure body's plan, shared like any other.
+        return self._evaluate_plan(plan_for(node))
+
+    def _evaluate_plan(self, plan: Plan) -> Pairs:
         # Every clause of one run has the same type (all bitmaps over
         # the graph's interner, or all sets), so the union is one ``|=``;
         # a DNF has at least one clause.
         result: Pairs | None = None
-        for clause in to_dnf(node, self.max_clauses):
-            unit = decompose_clause(clause)
+        for step in plan.units(self.max_clauses):
+            unit = step.unit
             if unit.type is None:
                 part = self._eval_without_closure(unit.post, unit.post_labels)
             else:
-                part = self._eval_batch_unit(unit)
+                part = self._eval_batch_unit(step)
             if result is None:
                 result = part
             else:
@@ -247,14 +256,14 @@ class _SharingEngine(RPQEngine):
                     )
             return self._eval_automaton(post)
 
-    def _eval_pre(self, unit: BatchUnit) -> Pairs:
+    def _eval_pre(self, step: UnitPlan) -> Pairs:
         """``Pre_G`` -- recursive engine call (Algorithm 1 line 8)."""
-        if isinstance(unit.pre, Epsilon):
+        if step.pre is None:
             with self.timer.measure(PHASE_REMAINDER):
-                return self._identity_pre(unit)
-        return self._evaluate_node(unit.pre)
+                return self._identity_pre(step)
+        return self._evaluate_plan(step.pre)
 
-    def _identity_pre(self, unit: BatchUnit) -> Pairs:
+    def _identity_pre(self, step: UnitPlan) -> Pairs:
         """``Pre = epsilon``: the identity relation driving the closure.
 
         For ``R*`` the zero-repetition case makes *every* graph vertex a
@@ -263,26 +272,21 @@ class _SharingEngine(RPQEngine):
         identity is an engine-side useless-1 elimination that both
         sharing methods apply symmetrically.
         """
-        if unit.type == "*":
+        if step.unit.type == "*":
             vertices = self.graph.vertices()
         else:
-            vertices = self._closure_vertices(unit.r)
+            vertices = self._closure_vertices(step)
         if self._packed:
             interner = self.graph.interner
             return PairBitmap.identity(map(interner.id_of, vertices), interner)
         return {(vertex, vertex) for vertex in vertices}
 
-    def _post_evaluator(self, unit: BatchUnit) -> RestrictedEvaluator | None:
-        if not unit.post_labels:
-            return None
-        return RestrictedEvaluator(unit.post)
-
     # -- to implement ----------------------------------------------------
-    def _eval_batch_unit(self, unit: BatchUnit) -> Pairs:
+    def _eval_batch_unit(self, step: UnitPlan) -> Pairs:
         raise NotImplementedError
 
-    def _closure_vertices(self, r: RegexNode):
-        """Vertices of ``V_R`` (the edge-level reduced graph of ``R``)."""
+    def _closure_vertices(self, step: UnitPlan):
+        """Vertices of ``V_R`` (the edge-level reduced graph of the unit's ``R``)."""
         raise NotImplementedError
 
 
@@ -332,17 +336,23 @@ class RTCSharingEngine(_SharingEngine):
         self.rtc_cache = RTCCache(mode=cache_mode)
         self.options = options
 
-    def rtc_for(self, r: str | RegexNode) -> ReducedTransitiveClosure:
+    def rtc_for(
+        self, r: str | RegexNode, key: str | None = None
+    ) -> ReducedTransitiveClosure:
         """The (cached) RTC of closure body ``R`` (Algorithm 1 lines 9-11).
 
         Goes through the cache's atomic
         :meth:`~repro.core.cache.SharedDataCache.get_or_compute`, so
         concurrent engines (the server's worker pool) missing on the same
         body build the RTC once and count one miss.  Graph updates repair
-        the entry in place (:mod:`repro.core.incremental`).
+        the entry in place (:mod:`repro.core.incremental`).  ``key`` is
+        the body's cache key when the caller already holds it (a plan's
+        :meth:`~repro.core.plan.UnitPlan.body_key`).
         """
         node = parse(r)
-        _key, rtc = self.rtc_cache.get_or_compute(node, lambda: self.build_rtc(node))
+        _key, rtc = self.rtc_cache.get_or_compute(
+            node, lambda: self.build_rtc(node), key=key
+        )
         return rtc
 
     def build_rtc(self, r: str | RegexNode) -> ReducedTransitiveClosure:
@@ -382,13 +392,17 @@ class RTCSharingEngine(_SharingEngine):
         """
         return self.rtc_for(r).reaches(source, target)
 
-    def _closure_vertices(self, r: RegexNode):
-        return self.rtc_for(r).condensation.scc_of.keys()
+    def _unit_rtc(self, step: UnitPlan) -> ReducedTransitiveClosure:
+        return self.rtc_for(step.unit.r, step.body_key(self.rtc_cache.mode))
 
-    def _eval_batch_unit(self, unit: BatchUnit) -> Pairs:
-        rtc = self.rtc_for(unit.r)
-        pre_pairs = self._eval_pre(unit)
-        post = self._post_evaluator(unit)
+    def _closure_vertices(self, step: UnitPlan):
+        return self._unit_rtc(step).condensation.scc_of.keys()
+
+    def _eval_batch_unit(self, step: UnitPlan) -> Pairs:
+        unit = step.unit
+        rtc = self._unit_rtc(step)
+        pre_pairs = self._eval_pre(step)
+        post = step.post
         if self._packed:
             # Bit-parallel pipeline: the waste eliminations are structural,
             # so ablation runs (counters attached) keep the set pipeline.
@@ -450,7 +464,7 @@ class FullSharingEngine(_SharingEngine):
         )
         self.closure_cache = ClosureCache(mode=cache_mode)
 
-    def closure_for(self, r: str | RegexNode) -> dict:
+    def closure_for(self, r: str | RegexNode, key: str | None = None) -> dict:
         """The (cached) materialised ``R+_G`` indexed by start vertex.
 
         Concurrent misses on one body materialise the closure once (the
@@ -463,7 +477,7 @@ class FullSharingEngine(_SharingEngine):
             with self.timer.measure(PHASE_SHARED_DATA):
                 return self._materialise_closure(rg_pairs)
 
-        _key, entry = self.closure_cache.get_or_compute(node, build)
+        _key, entry = self.closure_cache.get_or_compute(node, build, key=key)
         return entry
 
     def _materialise_closure(self, rg_pairs: Pairs) -> dict:
@@ -493,13 +507,17 @@ class FullSharingEngine(_SharingEngine):
             closure[start] = frozenset(seen)
         return closure
 
-    def _closure_vertices(self, r: RegexNode):
-        return self.closure_for(r).keys()
+    def _unit_closure(self, step: UnitPlan) -> dict:
+        return self.closure_for(step.unit.r, step.body_key(self.closure_cache.mode))
 
-    def _eval_batch_unit(self, unit: BatchUnit) -> Pairs:
-        entry = self.closure_for(unit.r)
-        pre_pairs = self._eval_pre(unit)
-        post = self._post_evaluator(unit)
+    def _closure_vertices(self, step: UnitPlan):
+        return self._unit_closure(step).keys()
+
+    def _eval_batch_unit(self, step: UnitPlan) -> Pairs:
+        unit = step.unit
+        entry = self._unit_closure(step)
+        pre_pairs = self._eval_pre(step)
+        post = step.post
         counters = self.counters
         with self.timer.measure(PHASE_PRE_JOIN):
             joined: Pairs = set(pre_pairs) if unit.type == "*" else set()
@@ -526,3 +544,14 @@ class FullSharingEngine(_SharingEngine):
 
     def invalidate_cache(self, labels, vertex_added: bool = False) -> None:
         self.closure_cache.invalidate(labels, vertex_added)
+
+
+def evaluate_plan(engine, plan: Plan) -> Pairs:
+    """``engine.evaluate`` on a plan.
+
+    The engines of this module take the plan itself; an engine at the
+    registry's duck-typed floor (``evaluate(query)`` only) gets its AST.
+    """
+    if isinstance(engine, RPQEngine):
+        return engine.evaluate(plan)
+    return engine.evaluate(plan.node)

@@ -7,8 +7,9 @@ instead of an engine-construction detail:
 * :class:`GraphDB` -- a session owning the graph, the engine and its
   shared caches (``open`` / ``prepare`` / ``execute`` /
   ``execute_many`` / ``update`` / ``close``);
-* :class:`PreparedQuery` -- parse + DNF + batch-unit decomposition done
-  once, executable many times, with an ``explain()`` plan;
+* :class:`PreparedQuery` -- a query's shared plan (parse + DNF +
+  batch-unit decomposition, done once per process), executable many
+  times, with an ``explain()`` plan;
 * :class:`ResultSet` -- result pairs plus per-phase timings,
   shared-structure statistics, lazy evaluation, ``to_json()`` and
   ``to_dot()``;

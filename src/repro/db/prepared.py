@@ -1,28 +1,32 @@
-"""Prepared queries: parse/normalise once, execute many times.
+"""Prepared queries: a session-bound handle on a query's shared plan.
 
-``GraphDB.prepare(q)`` front-loads everything about a query that does not
-depend on the graph's *data*: the parsed AST, the DNF clauses (closures
-as literals, Algorithm 1 line 2), and each clause's ``(Pre, R, Type,
-Post)`` batch-unit decomposition (line 4).  The handle can then be
-executed repeatedly -- each execution reuses the parse and rides the
+``GraphDB.prepare(q)`` binds the query's :class:`~repro.core.plan.Plan`
+-- the parsed AST, the DNF clauses (closures as literals, Algorithm 1
+line 2) and each clause's ``(Pre, R, Type, Post)`` batch unit (line 4),
+none of which depends on the graph -- to a session.  The plan comes from
+the process-wide memo of :func:`~repro.core.plan.plan_for`, so preparing
+a text any session has already run re-derives nothing.  The handle can
+then be executed repeatedly -- each execution evaluates the plan on the
 session engine's shared caches -- and can explain itself without running.
 """
 
 from __future__ import annotations
 
-from repro.core.decompose import BatchUnit, decompose_clause
-from repro.core.dnf import clause_to_regex, to_dnf
+from repro.core.decompose import BatchUnit
+from repro.core.dnf import clause_to_regex
 from repro.core.explain import QueryPlan, explain as build_plan
-from repro.regex.ast import RegexNode
+from repro.core.plan import Plan
 
 __all__ = ["PreparedQuery"]
 
 
 class PreparedQuery:
-    """One RPQ, parsed and decomposed, bound to a :class:`GraphDB` session.
+    """One RPQ's plan, bound to a :class:`GraphDB` session.
 
     Attributes
     ----------
+    plan:
+        The shared :class:`~repro.core.plan.Plan`.
     text:
         Normalised query text (``node.to_string()``).
     node:
@@ -33,18 +37,19 @@ class PreparedQuery:
         One :class:`~repro.core.decompose.BatchUnit` per clause.
     """
 
-    def __init__(self, db, node: RegexNode, max_clauses: int = 4096) -> None:
+    def __init__(self, db, plan: Plan, max_clauses: int = 4096) -> None:
         self._db = db
-        self.node = node
-        self.text = node.to_string()
+        self.plan = plan
+        self.node = plan.node
+        self.text = plan.node.to_string()
         self.max_clauses = max_clauses
-        self._clause_objects = tuple(to_dnf(node, max_clauses))
-        self.clauses: tuple[str, ...] = tuple(
-            clause_to_regex(clause).to_string() for clause in self._clause_objects
-        )
-        self.units: tuple[BatchUnit, ...] = tuple(
-            decompose_clause(clause) for clause in self._clause_objects
-        )
+        # Raises here, at prepare time, for a DNF past max_clauses.
+        self._steps = plan.units(max_clauses)
+        self.units: tuple[BatchUnit, ...] = tuple(step.unit for step in self._steps)
+
+    @property
+    def clauses(self) -> tuple[str, ...]:
+        return tuple(clause_to_regex(step.clause).to_string() for step in self._steps)
 
     @property
     def db(self):

@@ -79,7 +79,9 @@ from collections.abc import Iterable, Sequence
 from functools import partial
 
 from repro.core.cache import RTCCache
+from repro.core.engines import evaluate_plan
 from repro.core.incremental import IncrementalRTC, RTCRepair, build_rtc
+from repro.core.plan import Plan, plan_for
 from repro.db.prepared import PreparedQuery
 from repro.db.registry import create_engine
 from repro.db.resultset import ExecutionStats, ResultSet
@@ -256,10 +258,10 @@ class GraphDB:
 
     # -- querying --------------------------------------------------------
     def prepare(self, query: str | RegexNode) -> PreparedQuery:
-        """Parse and decompose ``query`` into a reusable handle."""
+        """Bind ``query``'s shared plan to this session as a reusable handle."""
         self._check_open()
         max_clauses = getattr(self.engine, "max_clauses", 4096)
-        return PreparedQuery(self, parse(query), max_clauses=max_clauses)
+        return PreparedQuery(self, plan_for(query), max_clauses=max_clauses)
 
     def execute(
         self, query: str | RegexNode | PreparedQuery, *, lazy: bool = False
@@ -271,14 +273,14 @@ class GraphDB:
         """
         self._check_open()
         if isinstance(query, PreparedQuery):
-            text, node = query.text, query.node
+            text, plan = query.text, query.plan
         else:
-            node = parse(query)
-            text, node = node.to_string(), node
+            plan = plan_for(query)
+            text = plan.node.to_string()
 
         def fetch() -> tuple[set, ExecutionStats]:
             self._check_open()
-            return self._run(node)
+            return self._run(plan)
 
         result = ResultSet(text, self.engine_name, fetch=fetch)
         if not lazy:
@@ -298,8 +300,8 @@ class GraphDB:
             query = self.prepare(query)
         return query.explain()
 
-    def _run(self, node: RegexNode) -> tuple[set, ExecutionStats]:
-        """Evaluate ``node`` and attribute timer deltas to this query.
+    def _run(self, plan: Plan) -> tuple[set, ExecutionStats]:
+        """Evaluate ``plan`` and attribute timer deltas to this query.
 
         Holds the session lock for the whole evaluation: queries on one
         session are serialised against each other and against updates.
@@ -310,7 +312,7 @@ class GraphDB:
             before = timer.snapshot() if timer is not None else {}
             with ambient_span("evaluate") as span:
                 started = time.perf_counter()
-                pairs = engine.evaluate(node)
+                pairs = evaluate_plan(engine, plan)
                 elapsed = time.perf_counter() - started
                 after = timer.snapshot() if timer is not None else {}
                 phases = {

@@ -13,7 +13,9 @@ Verbs
     ``{"op": "query", "queries": ["a.(b.c)+"], "timeout": 5.0,
     "pairs": true}`` -- evaluate one or more RPQs.  ``query`` (a single
     string) is accepted as shorthand for a one-element ``queries``.
-    ``pairs: false`` returns only counts (cheaper on the wire).  The
+    ``pairs: false`` returns only counts (cheaper on the wire).
+    ``timeout`` (seconds) must be a finite, non-negative number and
+    ``pairs`` a JSON bool; anything else is a ``bad_request``.  The
     response carries one entry per query, each either a result
     (``count``/``pairs``/``time``) or a per-query ``error``.
 

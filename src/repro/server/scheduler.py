@@ -6,9 +6,14 @@ server notices *which* in-flight queries share a closure body.  This
 scheduler does exactly that:
 
 1.  Every submitted query is keyed by the set of Kleene-closure bodies
-    it contains (:func:`closure_group_key`, the same canonical keys the
-    engine caches use, so ``"syntactic"``/``"semantic"`` cache modes
-    group identically to how they share).
+    it contains (:func:`~repro.core.plan.closure_group_key`, the same
+    canonical keys the engine caches use, so ``"syntactic"``/
+    ``"semantic"`` cache modes group identically to how they share).
+    The key comes from the query's shared
+    :class:`~repro.core.plan.Plan`: the dispatcher reads
+    ``plan.group_key(mode)``, which walks the DNF the first time any
+    thread asks for that text and mode and is a lookup ever after; the
+    workers evaluate the same plan's batch units.
 2.  A dispatcher thread is *work-conserving*: it takes the head job
     plus whatever is already queued, partitions that by group key
     (:func:`group_jobs`) and hands each group to the worker pool as one
@@ -51,15 +56,12 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.core.cache import make_key_function
-from repro.core.decompose import decompose_clause
-from repro.core.dnf import to_dnf
+from repro.core.engines import evaluate_plan
+from repro.core.plan import Plan, closure_group_key, plan_for
 from repro.db.registry import create_engine
 from repro.db.session import GraphDB
-from repro.errors import AdmissionError, DeadlineExpiredError, ReproError, ServerError
+from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
 from repro.obs import activate, get_registry
-from repro.regex.ast import RegexNode, contains_closure
-from repro.regex.parser import parse
 from repro.server.metrics import ServerMetrics
 
 __all__ = [
@@ -75,51 +77,17 @@ __all__ = [
 _STOP = object()
 
 
-def closure_group_key(
-    node: RegexNode, key_function, max_clauses: int = 4096
-) -> str:
-    """The batching key of a query: its sorted closure-body cache keys.
-
-    Walks the DNF/batch-unit decomposition exactly like the engines (and
-    :func:`~repro.core.sharing_analysis.analyse_sharing`) do, collecting
-    the cache key of every closure body, nested ones included.  Queries
-    with equal keys would populate/hit the same shared-cache entries, so
-    they belong in one micro-batch.  Closure-free queries key to ``""``.
-    Queries whose decomposition fails (e.g. DNF blow-up past
-    ``max_clauses``) also key to ``""``; the engine will raise the real
-    error at evaluation time.
-    """
-    keys: set[str] = set()
-
-    def visit(current: RegexNode) -> None:
-        for clause in to_dnf(current, max_clauses):
-            unit = decompose_clause(clause)
-            if unit.r is None:
-                continue
-            keys.add(key_function(unit.r))
-            if contains_closure(unit.pre):
-                visit(unit.pre)
-            if contains_closure(unit.r):
-                visit(unit.r)
-
-    try:
-        visit(node)
-    except ReproError:
-        return ""
-    return "|".join(sorted(keys))
-
-
 @dataclass
 class QueryJob:
     """One admitted query waiting for (or undergoing) evaluation.
 
-    ``group_key`` is ``None`` until the dispatcher computes it -- key
-    extraction walks the query's DNF, which must happen on the
-    dispatcher thread, never on the submitting (event-loop) thread.
+    ``group_key`` is ``None`` until the dispatcher reads it off the plan
+    -- a plan's first key walks the query's DNF, which must happen on
+    the dispatcher thread, never on the submitting (event-loop) thread.
     """
 
     text: str
-    node: RegexNode
+    plan: Plan
     future: Future
     group_key: str | None = None
     deadline: float | None = None  # time.monotonic() deadline, None = none
@@ -233,9 +201,8 @@ class SharingScheduler:
         # `is not None`, not truthiness: the cache defines __len__ and is
         # always empty at construction, so `if cache` would silently key
         # a semantic-mode scheduler syntactically.
-        self._key_function = make_key_function(
-            cache.mode if cache is not None else "syntactic"
-        )
+        #: The cache mode the group keys follow (the shared cache's own).
+        self.cache_mode = cache.mode if cache is not None else "syntactic"
         self.max_queue = max_queue
         # Admitted jobs awaiting dispatch and the micro-batches in flight
         # share one condition: an arrival and a worker finishing are the
@@ -337,27 +304,29 @@ class SharingScheduler:
     def submit(
         self,
         text: str,
-        node: RegexNode | None = None,
+        plan: Plan | None = None,
         timeout: float | None = None,
         trace: tuple | None = None,
     ) -> Future:
         """Admit one query; returns a future of ``(pairs, engine_time)``.
 
-        Raises :class:`~repro.errors.AdmissionError` when the queue is
-        full (backpressure) and :class:`~repro.errors.ServerError` after
+        ``plan`` is the text's :func:`~repro.core.plan.plan_for` plan
+        when the caller already holds it.  Raises
+        :class:`~repro.errors.AdmissionError` when the queue is full
+        (backpressure) and :class:`~repro.errors.ServerError` after
         :meth:`stop`.  Parse errors propagate as
         :class:`~repro.errors.RPQSyntaxError` before admission.  The
-        batching group key is computed later, on the dispatcher thread,
+        batching group key is read later, on the dispatcher thread,
         so a pathological query cannot stall the submitting thread.
         ``trace`` is an optional ``(tracer, parent_span_id)`` pair; the
         worker then records admission-wait / batch-wait / evaluate spans
         for this job.
         """
-        if node is None:
-            node = parse(text)
+        if plan is None:
+            plan = plan_for(text)
         job = QueryJob(
             text=text,
-            node=node,
+            plan=plan,
             future=Future(),
             deadline=(time.monotonic() + timeout) if timeout is not None else None,
             trace=trace,
@@ -412,13 +381,12 @@ class SharingScheduler:
     def _dispatch_loop(self) -> None:
         while True:
             batch, then = self._collect()
-            # Key extraction (DNF walk) runs here, on the dispatcher --
-            # admission threads only parse.
+            # A plan's first key (a DNF walk) runs here, on the
+            # dispatcher -- admission threads only parse; later reads
+            # of the text find it on the plan.
             for job in batch:
                 if job.group_key is None:
-                    job.group_key = closure_group_key(
-                        job.node, self._key_function
-                    )
+                    job.group_key = job.plan.group_key(self.cache_mode)
             for group in group_jobs(batch):
                 self.metrics.record_batch(len(group))
                 future = self._pool.submit(self._run_batch, group)
@@ -575,9 +543,9 @@ class SharingScheduler:
                     started = time.perf_counter()
                     if job.trace is not None:
                         with activate(job.trace[0], eval_span.span_id):
-                            pairs = engine.evaluate(job.node)
+                            pairs = evaluate_plan(engine, job.plan)
                     else:
-                        pairs = engine.evaluate(job.node)
+                        pairs = evaluate_plan(engine, job.plan)
                     elapsed = time.perf_counter() - started
                 except Exception as error:  # noqa: BLE001  # repro: noqa[RPR701] -- evaluation outcome boundary: the error becomes the job future's result, never lost
                     if job.trace is not None:

@@ -7,6 +7,14 @@ to accept and multiplex clients while workers grind.  Responses are
 written back on the connection the request arrived on, tagged with the
 request ``id``.
 
+A query's text is planned on the loop through the process-wide plan
+cache (:func:`~repro.core.plan.plan_for`): a repeated text -- the
+steady state of a serving workload -- is one dict lookup, a new one is
+parsed there and nothing more.  Its DNF, group key and batch units are
+derived from the plan later, on the scheduler's threads.  ``timeout``
+must be a finite, non-negative number and ``pairs`` a bool; anything
+else is a ``bad_request``.
+
 Three entry points:
 
 * :class:`QueryServer` -- the async server proper (``await start()`` /
@@ -21,12 +29,14 @@ Three entry points:
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
 
 from dataclasses import dataclass, field
 
+from repro.core.plan import plan_for
 from repro.db.session import GraphDB
 from repro.errors import (
     AdmissionError,
@@ -353,33 +363,46 @@ class QueryServer:
                 "or 'query' (a string)"
             )
         timeout = request.get("timeout", self.config.default_timeout)
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise ProtocolError("'timeout' must be a number of seconds")
-        include_pairs = bool(request.get("pairs", True))
+        # json.loads accepts NaN and Infinity, and a bool is an int: a
+        # NaN deadline would never expire, ``true`` would mean 1 s.
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not math.isfinite(timeout)
+            or timeout < 0
+        ):
+            raise ProtocolError(
+                "'timeout' must be a finite, non-negative number of seconds"
+            )
+        include_pairs = request.get("pairs", True)
+        if not isinstance(include_pairs, bool):
+            raise ProtocolError("'pairs' must be true or false")
         enc = request.get("enc")
         if enc not in (None, "packed", "list"):
             raise ProtocolError("'enc' must be \"list\" or \"packed\" when present")
 
-        await self._warm(queries)
-        # Parse everything before admitting anything: a syntax error
-        # rejects the request without consuming queue slots.
+        # Plan everything before admitting anything: a syntax error
+        # rejects the request without consuming queue slots.  A plan-cache
+        # hit parses nothing; a miss parses here and leaves the DNF to
+        # the scheduler's threads.
         try:
-            nodes = [parse(text) for text in queries]
+            plans = [plan_for(text) for text in queries]
         except RPQSyntaxError as error:
             return protocol.error_response(request_id, error)
+        await self._warm(plans)
 
         tracer, parent, root_span, echo = self._begin_trace(request)
         started = time.monotonic()
 
         futures = []
         try:
-            for text, node in zip(queries, nodes):
+            for text, plan in zip(queries, plans):
                 trace = None
                 if tracer is not None:
                     query_span = tracer.begin("query", parent=parent, query=text)
                     trace = (tracer, query_span.span_id)
                 future = self._submit_query(
-                    text, node, timeout, include_pairs, trace=trace
+                    text, plan, timeout, include_pairs, trace=trace
                 )
                 if tracer is not None:
                     future.add_done_callback(
@@ -446,40 +469,36 @@ class QueryServer:
                 payload["trace"] = tracer.to_wire()
         return protocol.ok_response(request_id, **payload)
 
-    async def _warm(self, queries: list[str]) -> None:
-        """Hook run before a query request is parsed and admitted.
+    async def _warm(self, plans) -> None:
+        """Hook run between planning a query request and admitting it.
 
-        Front ends whose admission memoises per-text routing work
-        (:meth:`_warm_off_loop`) do it here so it never runs on the
-        event loop; the single-node scheduler defers the same work to
-        its dispatcher thread and needs nothing.
+        Front ends whose admission reads a plan's lazy parts on the
+        event loop fill them here first (:meth:`_warm_off_loop`); the
+        single-node scheduler reads them on its dispatcher thread and
+        needs nothing.
         """
 
-    async def _warm_off_loop(self, queries, memo, warm_one) -> None:
-        """Run ``warm_one(text)`` in the executor for texts not in ``memo``.
+    async def _warm_off_loop(self, plans, mode: str, route: bool = False) -> None:
+        """Fill the group key of ``mode`` (and the route) off the loop.
 
-        Dict membership is GIL-atomic, so peeking at the memo without
-        its owner's lock is safe; a concurrent clear only costs one
-        on-loop recompute.  Already-memoised texts (the steady state of
-        a serving workload) skip the executor hop.
+        Plans already warm -- the steady state of a serving workload,
+        where every text repeats -- skip the executor hop.  A plan is
+        immutable in all but these lazy fields, and filling one races
+        with nobody it could hurt (:mod:`repro.core.plan`).
         """
-        missing = [text for text in queries if text not in memo]
-        if not missing:
+        cold = [plan for plan in plans if not plan.is_warm(mode, route)]
+        if not cold:
             return
 
         def warm() -> None:
-            for text in missing:
-                try:
-                    warm_one(text)
-                except ReproError:
-                    # Warm-up only: admission redoes the step and
-                    # reports the real error to the client.  Genuine
-                    # bugs propagate.
-                    return
+            for plan in cold:
+                plan.group_key(mode)
+                if route:
+                    plan.route()
 
         await self._in_executor(warm)
 
-    def _submit_query(self, text, node, timeout, include_pairs, trace=None):
+    def _submit_query(self, text, plan, timeout, include_pairs, trace=None):
         """Admission hook; subclasses may forward the pairs/counts intent.
 
         The base scheduler always materialises pair-sets in this
@@ -489,7 +508,7 @@ class QueryServer:
         is the ``(tracer, parent_span_id)`` of this query's span, or
         None when the request is untraced.
         """
-        return self.scheduler.submit(text, node, timeout=timeout, trace=trace)
+        return self.scheduler.submit(text, plan, timeout=timeout, trace=trace)
 
     async def _op_stats(self, request_id, request) -> dict:
         # db.stats() takes the session lock; keep the wait off the loop.

@@ -53,6 +53,19 @@ class TestProtocolOverCluster:
             client.query("((")
         assert client.ping() >= 1  # well-framed error: client stays usable
 
+    def test_a_repeated_routed_read_parses_and_walks_nothing(
+        self, served, planning_calls
+    ):
+        client, graph = served
+        query = "a.(b.c)+|routed_plan"
+        expected = set(GraphDB.open(graph).execute(query))
+        for _ in range(2):  # a plan is kept from a text's second sighting
+            assert client.query(query).pairs == expected
+        warm = dict(planning_calls)
+        for _ in range(3):
+            assert client.query(query).pairs == expected
+        assert planning_calls == warm
+
     def test_update_watch_reaches(self, served):
         client, _graph = served
         assert client.watch("b.c") == "b.c"

@@ -43,3 +43,29 @@ def tiny_graph():
             (1, "a", 3),
         ]
     )
+
+
+@pytest.fixture
+def planning_calls(monkeypatch):
+    """Counts real parses (``tokenize``) and plan DNF walks (``to_dnf``).
+
+    A :func:`~repro.core.plan.plan_for` hit does neither; a served read
+    of a repeated text must leave both counts where they were.
+    """
+    import repro.core.plan as plan_module
+    import repro.regex.parser as parser_module
+
+    calls = {"parse": 0, "dnf": 0}
+    tokenize, walk = parser_module.tokenize, plan_module.to_dnf
+
+    def counted_tokenize(text):
+        calls["parse"] += 1
+        return tokenize(text)
+
+    def counted_walk(node, max_clauses=4096):
+        calls["dnf"] += 1
+        return walk(node, max_clauses)
+
+    monkeypatch.setattr(parser_module, "tokenize", counted_tokenize)
+    monkeypatch.setattr(plan_module, "to_dnf", counted_walk)
+    return calls

@@ -8,6 +8,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.core.cache import make_key_function
+from repro.core.plan import plan_for
 from repro.db import GraphDB
 from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
 from repro.regex.parser import parse
@@ -23,11 +24,11 @@ KEY = make_key_function("syntactic")
 
 
 def job(text: str) -> QueryJob:
-    node = parse(text)
+    plan = plan_for(text)
     return QueryJob(
         text=text,
-        node=node,
-        group_key=closure_group_key(node, KEY),
+        plan=plan,
+        group_key=closure_group_key(plan.node, KEY),
         future=Future(),
     )
 
@@ -61,21 +62,23 @@ class TestGroupKey:
 
 class TestKeyFunctionMode:
     def test_semantic_session_batches_by_semantic_keys(self, fig1):
-        """Regression: the scheduler's key function must follow the
+        """Regression: the scheduler's key mode must follow the
         session's cache mode even though the cache is empty (and hence
         falsy -- it defines __len__) at construction time."""
         db = GraphDB.open(fig1, engine="rtc", cache_mode="semantic")
         scheduler = SharingScheduler(db, start=False)
-        assert closure_group_key(
-            parse("(a.b|a.c)+"), scheduler._key_function
-        ) == closure_group_key(parse("(a.(b|c))+"), scheduler._key_function)
+        assert scheduler.cache_mode == "semantic"
+        assert plan_for("(a.b|a.c)+").group_key(scheduler.cache_mode) == plan_for(
+            "(a.(b|c))+"
+        ).group_key(scheduler.cache_mode)
 
     def test_syntactic_session_keeps_syntactic_keys(self, fig1):
         db = GraphDB.open(fig1, engine="rtc")
         scheduler = SharingScheduler(db, start=False)
-        assert closure_group_key(
-            parse("(a.b|a.c)+"), scheduler._key_function
-        ) != closure_group_key(parse("(a.(b|c))+"), scheduler._key_function)
+        assert scheduler.cache_mode == "syntactic"
+        assert plan_for("(a.b|a.c)+").group_key(scheduler.cache_mode) != plan_for(
+            "(a.(b|c))+"
+        ).group_key(scheduler.cache_mode)
 
 
 class TestGrouping:
@@ -98,7 +101,7 @@ class TestGrouping:
         assert len(groups) == 1 and len(groups[0]) == 2
 
     def test_uncomputed_keys_group_with_closure_free(self):
-        pending = QueryJob(text="(b.c)+", node=parse("(b.c)+"), future=Future())
+        pending = QueryJob(text="(b.c)+", plan=plan_for("(b.c)+"), future=Future())
         assert pending.group_key is None
         groups = group_jobs([pending, job("x.y")])
         assert len(groups) == 1
@@ -289,16 +292,17 @@ class Gate:
             scheduler._engines.put(engine)
 
     def _wrap(self, evaluate):
-        def gated(node):
+        def gated(query):
+            text = plan_for(query).node.to_string()
             with self._lock:
                 held = self._hold > 0
                 self._hold -= 1
             if held:
                 self.entered.release()
                 assert self.release.wait(timeout=10)
-            self.log.append(("start", node.to_string()))
-            result = evaluate(node)
-            self.log.append(("end", node.to_string()))
+            self.log.append(("start", text))
+            result = evaluate(query)
+            self.log.append(("end", text))
             return result
 
         return gated

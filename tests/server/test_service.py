@@ -79,6 +79,23 @@ class TestQueryVerb:
             client.query_many([])
 
 
+class TestPlanCache:
+    def test_a_repeated_served_read_parses_and_walks_nothing(
+        self, served, planning_calls
+    ):
+        db, _, client = served
+        queries = ["d.(b.c)+.c|served_plan", "(b.c)+.c.served_plan?"]
+        expected = [set(db.execute(query)) for query in queries]
+        for _ in range(2):  # a plan is kept from a text's second sighting
+            for result, pairs in zip(client.query_many(queries), expected):
+                assert result.pairs == pairs
+        warm = dict(planning_calls)
+        for _ in range(3):
+            for result, pairs in zip(client.query_many(queries), expected):
+                assert result.pairs == pairs
+        assert planning_calls == warm
+
+
 class TestLineLimit:
     def test_oversized_answer_is_refused_by_the_sender(self, monkeypatch):
         db = GraphDB.open(labeled_cycle(30, "a"))  # (a)+ = 900 pairs
@@ -246,6 +263,46 @@ class TestRawProtocol:
         )
         assert response["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            b'"timeout": NaN',
+            b'"timeout": Infinity',
+            b'"timeout": -Infinity',
+            b'"timeout": -1',
+            b'"timeout": true',
+            b'"pairs": "false"',
+            b'"pairs": 0',
+            b'"pairs": null',
+        ],
+    )
+    def test_malformed_query_fields_are_bad_requests(self, served, field):
+        """``json.loads`` takes NaN/Infinity and a bool is an int: a NaN
+        deadline never expired, ``true`` meant 1 s, ``"false"`` shipped
+        pairs.  Each is refused, and the connection stays usable."""
+        _, handle, _ = served
+        query = b'{"op": "query", "queries": ["b.c"], '
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(query + b'"id": 1, ' + field + b"}\n")
+            stream.flush()
+            refused = json.loads(stream.readline())
+            stream.write(query + b'"id": 2, "timeout": 5}\n')
+            stream.flush()
+            after = json.loads(stream.readline())
+        assert refused["ok"] is False and refused["id"] == 1
+        assert refused["error"]["code"] == "bad_request"
+        assert after["ok"] is True and after["results"][0]["count"] == 5
+
+    def test_well_formed_query_fields_are_served(self, served):
+        _, handle, _ = served
+        fields = (b'"timeout": 0.5', b'"timeout": 3', b'"timeout": null', b'"pairs": false')
+        for field in fields:
+            response = self.send_raw(
+                handle.address, b'{"op": "query", "queries": ["b.c"], ' + field + b"}\n"
+            )
+            assert response["ok"] is True, field
+
 
 class TestClientLifecycle:
     def test_connect_parses_address(self, served):
@@ -346,6 +403,60 @@ class TestServerThreadLifecycle:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0
+        assert done.stdout == "stopped\n"
+        assert done.stderr == ""
+
+    def test_stop_with_a_request_in_flight(self):
+        """stop() while a worker evaluates: the client gets its answer (or
+        a ``closed`` error), every admitted job is accounted for, and
+        nothing is logged."""
+        script = (
+            "import threading\n"
+            "from repro import GraphDB\n"
+            "from repro.core.engines import RTCSharingEngine\n"
+            "from repro.errors import ServerError\n"
+            "from repro.graph import paper_figure1_graph\n"
+            "from repro.server import Client, ServerThread\n"
+            "entered, release = threading.Event(), threading.Event()\n"
+            "evaluate = RTCSharingEngine.evaluate\n"
+            "def held(self, query):\n"
+            "    entered.set()\n"
+            "    assert release.wait(10)\n"
+            "    return evaluate(self, query)\n"
+            "RTCSharingEngine.evaluate = held\n"
+            "handle = ServerThread(GraphDB.open(paper_figure1_graph())).start()\n"
+            "scheduler = handle.server.scheduler\n"
+            "client = Client(*handle.address)\n"
+            "outcome = []\n"
+            "def ask():\n"
+            "    try:\n"
+            "        outcome.append(client.query('d.(b.c)+').count)\n"
+            "    except ServerError as error:\n"
+            "        outcome.append(error.code)\n"
+            "reader = threading.Thread(target=ask)\n"
+            "reader.start()\n"
+            "assert entered.wait(10)\n"
+            "stopper = threading.Thread(target=handle.stop)\n"
+            "stopper.start()\n"
+            "stopper.join(0.2)\n"
+            "release.set()\n"
+            "reader.join(10)\n"
+            "stopper.join(30)\n"
+            "assert not reader.is_alive() and not stopper.is_alive()\n"
+            "assert outcome in ([3], ['closed']), outcome\n"
+            "stats = scheduler.metrics.snapshot()\n"
+            "resolved = sum(stats[key] for key in ('completed', 'expired', "
+            "'failed', 'cancelled', 'updates'))\n"
+            "assert stats['admitted'] == resolved == 1, stats\n"
+            "print('stopped')\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=source_root)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
         assert done.stdout == "stopped\n"
         assert done.stderr == ""
 
