@@ -130,10 +130,6 @@ class PairBitmap:
             for target_id in bit_indexes(mask):
                 yield (source_id, target_id)
 
-    def row(self, source_id: int) -> int:
-        """The dst bitmap of one source id (0 when absent)."""
-        return self.rows.get(source_id, 0)
-
     def ends_of(self, vertex: object) -> tuple:
         """The ends paired with start ``vertex`` -- decodes that one row."""
         interner = self.require_interner()

@@ -136,21 +136,22 @@ def join_pre_with_rtc_bits(
 
     Identical relation to :func:`join_pre_with_rtc`, but ``Pre_G``
     arrives as a bitmap over the graph's interner and is joined row by
-    row against the per-SCC reach rows shared on the RTC
-    (:meth:`ReducedTransitiveClosure.masks`).  One source SCC ``s_j``
-    contributes one row-OR, after which every other ``Pre_G`` end inside
-    ``s_j`` or inside anything ``s_j`` reaches is dropped unvisited --
-    its closure row is a subset of the one just added.  So all four of
-    Algorithm 2's waste eliminations are structural, which is why this
-    variant takes no :class:`BatchUnitOptions` or counters -- the
-    instrumented ablations stay on the set join.  The ``R*`` seed is not
-    mixed in here: :func:`apply_post_bits` takes it separately.
+    row against the RTC's own id-space fields and per-SCC reach rows
+    (an RTC over another interner is ``rebased`` onto it once).  One
+    source SCC ``s_j`` contributes one row-OR, after which every other
+    ``Pre_G`` end inside ``s_j`` or inside anything ``s_j`` reaches is
+    dropped unvisited -- its closure row is a subset of the one just
+    added.  So all four of Algorithm 2's waste eliminations are
+    structural, which is why this variant takes no
+    :class:`BatchUnitOptions` or counters -- the instrumented ablations
+    stay on the set join.  The ``R*`` seed is not mixed in here:
+    :func:`apply_post_bits` takes it separately.
     """
-    masks = rtc.masks(pre.require_interner())
-    scc_of_id = masks.scc_of_id
-    members = masks.members
-    reach = masks.reach
-    in_vr = masks.vertices
+    rtc = rtc.rebased(pre.require_interner())
+    scc_of_id = rtc.scc_of_id
+    members = rtc.member_masks
+    reach = rtc.reach
+    in_vr = rtc.vertex_mask
     rows: dict[int, int] = {}
     for start_id, ends in pre.rows.items():
         # An end outside V_R starts no path satisfying R.

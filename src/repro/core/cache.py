@@ -60,7 +60,7 @@ down, and an update applies it in one of two ways:
   nullable.
 
 Either way every entry the rule does not name is still the same object,
-derived :class:`~repro.core.rtc.RTCMasks` included.  An entry whose body
+with every reach row and view it derived.  An entry whose body
 the cache cannot name (stored by key alone under a non-textual key, e.g.
 a ``semantic``-mode reload of a store that kept no body text) cannot be
 repaired and is dropped by every update.  ``clear`` drops everything --
@@ -78,8 +78,9 @@ drain-then-apply updates guarantee.
 
 One exception, and its rule: a cached
 :class:`~repro.core.rtc.ReducedTransitiveClosure` carries derived
-bitmaps (:meth:`~repro.core.rtc.ReducedTransitiveClosure.masks` -- the
-per-SCC member and reach rows the bit-parallel join reads) that are
+values -- the per-SCC reach rows the bit-parallel join reads
+(:meth:`~repro.core.rtc.ReducedTransitiveClosure.reach`), its
+vertex-keyed views and its rebase onto a foreign interner -- that are
 filled in lazily and **without a lock** by whichever worker needs them
 first.  That race is benign by construction and must stay so: every
 derived value is a pure function of the immutable RTC and the graph's

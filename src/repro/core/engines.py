@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Iterable
 
+from repro.bitset.interner import bit_indexes
 from repro.bitset.kernel import eval_label_sequence_bits, eval_rpq_bits
 from repro.bitset.pairbitmap import PairBitmap
 from repro.core.batch_unit import (
@@ -272,21 +274,21 @@ class _SharingEngine(RPQEngine):
         identity is an engine-side useless-1 elimination that both
         sharing methods apply symmetrically.
         """
+        interner = self.graph.interner
         if step.unit.type == "*":
-            vertices = self.graph.vertices()
+            ids = map(interner.id_of, self.graph.vertices())
         else:
-            vertices = self._closure_vertices(step)
+            ids = self._closure_ids(step)
         if self._packed:
-            interner = self.graph.interner
-            return PairBitmap.identity(map(interner.id_of, vertices), interner)
-        return {(vertex, vertex) for vertex in vertices}
+            return PairBitmap.identity(ids, interner)
+        return {(vertex, vertex) for vertex in map(interner.vertex_of, ids)}
 
     # -- to implement ----------------------------------------------------
     def _eval_batch_unit(self, step: UnitPlan) -> Pairs:
         raise NotImplementedError
 
-    def _closure_vertices(self, step: UnitPlan):
-        """Vertices of ``V_R`` (the edge-level reduced graph of the unit's ``R``)."""
+    def _closure_ids(self, step: UnitPlan) -> Iterable[int]:
+        """Graph ids of ``V_R`` (the edge-level reduced graph of the unit's ``R``)."""
         raise NotImplementedError
 
 
@@ -395,8 +397,8 @@ class RTCSharingEngine(_SharingEngine):
     def _unit_rtc(self, step: UnitPlan) -> ReducedTransitiveClosure:
         return self.rtc_for(step.unit.r, step.body_key(self.rtc_cache.mode))
 
-    def _closure_vertices(self, step: UnitPlan):
-        return self._unit_rtc(step).condensation.scc_of.keys()
+    def _closure_ids(self, step: UnitPlan) -> Iterable[int]:
+        return bit_indexes(self._unit_rtc(step).rebased(self.graph.interner).vertex_mask)
 
     def _eval_batch_unit(self, step: UnitPlan) -> Pairs:
         unit = step.unit
@@ -510,8 +512,8 @@ class FullSharingEngine(_SharingEngine):
     def _unit_closure(self, step: UnitPlan) -> dict:
         return self.closure_for(step.unit.r, step.body_key(self.closure_cache.mode))
 
-    def _closure_vertices(self, step: UnitPlan):
-        return self._unit_closure(step).keys()
+    def _closure_ids(self, step: UnitPlan) -> Iterable[int]:
+        return map(self.graph.interner.id_of, self._unit_closure(step))
 
     def _eval_batch_unit(self, step: UnitPlan) -> Pairs:
         unit = step.unit

@@ -35,9 +35,9 @@ One update batch
 2. *Rows.*  After the batch, every row of ``G_R`` in ``S`` is recomputed
    by one forward product BFS on the final graph; all others are reused.
 3. *Publish.*  If no row changed, the entry stays the same object,
-   derived masks included.  Otherwise a new RTC is computed from the rows
-   and published under the same key -- copy-on-write, so a reader still
-   holding the old object keeps a consistent snapshot.
+   derived reach rows included.  Otherwise a new RTC is computed from
+   the rows and published under the same key -- copy-on-write, so a
+   reader still holding the old object keeps a consistent snapshot.
 4. *Large S.*  Re-evaluating ``R_G`` runs at least one traversal per
    source row of ``G_R``, the repair one per vertex of ``S``.  When ``S``
    holds more vertices than ``G_R`` has source rows (or the entry carries

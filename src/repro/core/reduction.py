@@ -72,8 +72,12 @@ class ReductionResult:
     """Everything the two-level reduction of ``G`` for ``R`` produces."""
 
     gr: DiGraph
-    condensation: Condensation
     rtc: ReducedTransitiveClosure
+
+    @property
+    def condensation(self) -> Condensation:
+        """``Ḡ_R`` with its SCC map -- the RTC's vertex-keyed view."""
+        return self.rtc.condensation
 
     @property
     def num_gr_vertices(self) -> int:
@@ -112,5 +116,4 @@ def reduce_graph(
     the same pieces individually so they can time each phase separately.
     """
     gr = edge_level_reduce(graph, query, evaluator)
-    rtc = compute_rtc(gr)
-    return ReductionResult(gr=gr, condensation=rtc.condensation, rtc=rtc)
+    return ReductionResult(gr=gr, rtc=compute_rtc(gr))

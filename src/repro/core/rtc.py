@@ -11,124 +11,197 @@ pairs), share
 
 Theorem 1 reconstructs ``R+_G`` as the union of Cartesian products
 ``s_k x s_l`` over closed SCC pairs ``(v̄_k, v̄_l)``;
-:meth:`ReducedTransitiveClosure.expand` implements it verbatim and the test
+:meth:`ReducedTransitiveClosure.expand` implements it and the test
 suite checks it against four independent closure algorithms.
 
-:func:`compute_rtc` is ``Compute_RTC`` of Algorithm 1 (line 11): build
-``G_R`` from the evaluation result ``R_G`` (which *is* the edge set
-``E_R``), run Tarjan, and close the condensation with the bitset DP.
-Handed ``R_G`` as a :class:`~repro.bitset.PairBitmap` it does all three
-on interned ids and bitmasks, only names vertices in its output, and
-keeps the rows on the result (``gr_rows``) for the update repair.
+An RTC has one representation: both relations as bitmaps over a
+:class:`~repro.bitset.VertexInterner` -- a vertex-id -> SCC-id table and
+one member bitmap per SCC, one bitmap of SCC ids per SCC -- which is all
+the bit-parallel Algorithm 2, the reachability probe and the update
+repair read.  The vertex-keyed ``condensation``, ``closure``, ``scc_of``
+and ``members`` are views derived on first use, for stats, the CLI, the
+relational algebra and the counted set join.
 
-:class:`RTCMasks` is the same structure as bitmaps over a graph's
-interner -- what the bit-parallel Algorithm 2 joins against.  It is
-derived lazily and kept on the RTC, so it is shared exactly as widely
-as the RTC itself.
+:func:`compute_rtc` is ``Compute_RTC`` of Algorithm 1 (line 11): build
+``G_R`` from ``R_G`` (which *is* the edge set ``E_R``), run Tarjan, and
+close the condensation with the bitset DP -- all on interned ids when
+``R_G`` is a :class:`~repro.bitset.PairBitmap`, keeping its rows
+(``gr_rows``) for the update repair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
+from functools import cached_property, reduce
+from operator import or_
 
 from repro.bitset.interner import VertexInterner, bit_indexes
 from repro.bitset.pairbitmap import PairBitmap
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import Condensation, condense
-from repro.graph.transitive_closure import scc_closure
+from repro.graph.transitive_closure import dag_closure_bitsets
 
-__all__ = ["RTCMasks", "ReducedTransitiveClosure", "compute_rtc"]
+__all__ = ["ReducedTransitiveClosure", "compute_rtc"]
 
 
-class RTCMasks:
-    """One RTC's SCC structure as bitmaps over an interner's id space.
+class ReducedTransitiveClosure:
+    """``R̄+_G`` plus the SCC bookkeeping needed to interpret it, in id space.
 
-    ``scc_of_id`` is ``SCC(V, S)`` keyed by vertex id, ``vertices`` the
-    bitmap of ``V_R``, ``members[s]`` the member bitmap of ``s`` and
-    :meth:`reach` the closure row every vertex of ``s`` shares: the
-    union of the member bitmaps of ``closure[s]`` (Theorem 1, one row
-    per SCC instead of one per vertex).  Reach rows are built on first
-    use, so SCCs no query starts from cost nothing.
+    ``scc_of_id[i]`` is the SCC of the vertex with id ``i`` in
+    ``interner`` (``-1``, or past the end, outside ``V_R``);
+    ``vertex_mask`` and ``member_masks[s]`` are the bitmaps of ``V_R``
+    and of the SCC ``s``; ``closure_masks[s]`` holds the SCC ids ``s``
+    reaches in ``TC(Ḡ_R)``, bit ``s`` iff the SCC is cyclic (SCC ids
+    ascend in reverse topological order, as :func:`condense` promises).
+    ``gr_rows`` is ``G_R`` as ``source id -> target bitmap`` rows when
+    the RTC was computed or stored with them (else ``None``): what the
+    update repair of :mod:`repro.core.incremental` reads.
+    ``num_gr_vertices`` / ``num_gr_edges`` are ``|V_R|`` / ``|E_R|``
+    (Figs. 12-13, Table III); ``num_pairs`` counts ``TC(Ḡ_R)``, the
+    shared-data size Fig. 12 plots.
+
+    Never mutated.  Reach rows, the rebase and the vertex-keyed views are
+    filled in lazily and without a lock: the benign race of
+    :mod:`repro.core.cache`.
     """
 
-    __slots__ = ("interner", "scc_of_id", "vertices", "members", "_closure", "_reach")
-
-    def __init__(self, rtc: "ReducedTransitiveClosure", interner: VertexInterner) -> None:
+    def __init__(
+        self,
+        interner: VertexInterner,
+        scc_of_id: list[int],
+        vertex_mask: int,
+        member_masks: list[int],
+        closure_masks: list[int],
+        num_gr_edges: int,
+        gr_rows: dict[int, int] | None = None,
+        condensation: Condensation | None = None,
+    ) -> None:
         self.interner = interner
-        self.scc_of_id: dict[int, int] = {}
-        self.members: dict[int, int] = {}
-        self.vertices = 0
-        intern = interner.intern
-        for scc_id, vertices in rtc.condensation.members.items():
-            mask = 0
-            for vertex in vertices:
-                vertex_id = intern(vertex)
-                mask |= 1 << vertex_id
-                self.scc_of_id[vertex_id] = scc_id
-            self.members[scc_id] = mask
-            self.vertices |= mask
-        self._closure = rtc.closure
+        self.scc_of_id = scc_of_id
+        self.vertex_mask = vertex_mask
+        self.member_masks = member_masks
+        self.closure_masks = closure_masks
+        self.gr_rows = gr_rows
+        self.num_gr_vertices = vertex_mask.bit_count()
+        self.num_gr_edges = num_gr_edges
+        self.num_pairs = sum(mask.bit_count() for mask in closure_masks)
         self._reach: dict[int, int] = {}
+        self._rebased: ReducedTransitiveClosure | None = None
+        if condensation is not None:
+            self.condensation = condensation
+
+    @classmethod
+    def from_members(
+        cls,
+        interner: VertexInterner,
+        members: Iterable[Iterable],
+        closure_masks: list[int],
+        num_gr_edges: int,
+        gr_rows: dict[int, int] | None = None,
+        condensation: Condensation | None = None,
+    ) -> "ReducedTransitiveClosure":
+        """An RTC over ``interner`` from each SCC's members, in SCC id
+        order; every member is interned."""
+        groups = [list(map(interner.intern, vertices)) for vertices in members]
+        member_masks = [reduce(or_, (1 << vertex_id for vertex_id in ids), 0) for ids in groups]
+        vertex_mask = reduce(or_, member_masks, 0)
+        scc_of_id = [-1] * vertex_mask.bit_length()
+        for scc_id, ids in enumerate(groups):
+            for vertex_id in ids:
+                scc_of_id[vertex_id] = scc_id
+        return cls(
+            interner,
+            scc_of_id,
+            vertex_mask,
+            member_masks,
+            closure_masks,
+            num_gr_edges,
+            gr_rows,
+            condensation,
+        )
+
+    def rebased(self, interner: VertexInterner) -> "ReducedTransitiveClosure":
+        """This RTC over ``interner`` (itself if already there): same SCC
+        ids and closure, members interned anew.  The last rebase is kept,
+        so joining an RTC built elsewhere costs one conversion."""
+        if interner is self.interner:
+            return self
+        rebased = self._rebased
+        if rebased is None or rebased.interner is not interner:
+            members = map(self.interner.vertices_of, self.member_masks)
+            rebased = self._rebased = ReducedTransitiveClosure.from_members(
+                interner, members, self.closure_masks, self.num_gr_edges
+            )
+        return rebased
+
+    @property
+    def num_sccs(self) -> int:
+        """``|V̄_R|`` -- vertex count of the two-level reduced graph."""
+        return len(self.member_masks)
+
+    def scc_id_of(self, vertex: object) -> int | None:
+        """The SCC of ``vertex``, or ``None`` outside ``V_R``."""
+        vertex_id = self.interner.id_of(vertex)
+        if vertex_id is None or vertex_id >= len(self.scc_of_id):
+            return None
+        scc_id = self.scc_of_id[vertex_id]
+        return None if scc_id < 0 else scc_id
 
     def reach(self, scc_id: int) -> int:
-        """Bitmap of every vertex ``R+``-reachable from the SCC ``scc_id``."""
-        mask = self._reach.get(scc_id)
-        if mask is None:
-            mask = 0
-            members = self.members
-            for target_id in self._closure[scc_id]:
-                mask |= members[target_id]
-            self._reach[scc_id] = mask
-        return mask
+        """Bitmap of every vertex ``R+``-reachable from the SCC ``scc_id``:
+        the members of its closure (Theorem 1, one row per SCC)."""
+        row = self._reach.get(scc_id)
+        if row is None:
+            members = self.member_masks
+            targets = bit_indexes(self.closure_masks[scc_id])
+            row = self._reach[scc_id] = reduce(or_, map(members.__getitem__, targets), 0)
+        return row
 
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """Iterate the SCC-id pairs of ``TC(Ḡ_R)``."""
+        for source_id, mask in enumerate(self.closure_masks):
+            for target_id in bit_indexes(mask):
+                yield (source_id, target_id)
 
-@dataclass(frozen=True)
-class ReducedTransitiveClosure:
-    """``R̄+_G`` plus the SCC bookkeeping needed to interpret it.
+    def reaches(self, source: object, target: object) -> bool:
+        """Membership test ``(source, target) in R+_G`` without expansion:
+        the RTC as a reachability index over ``G_R`` (Section VI)."""
+        source_id = self.scc_id_of(source)
+        target_id = self.scc_id_of(target)
+        if source_id is None or target_id is None:
+            return False
+        return bool(self.closure_masks[source_id] >> target_id & 1)
 
-    Attributes
-    ----------
-    condensation:
-        The vertex-level reduction of ``G_R`` (SCC map + condensed DAG).
-    closure:
-        ``scc_id -> frozenset(scc_id)``: the transitive closure of
-        ``Ḡ_R``.  ``s`` appears in ``closure[s]`` iff the SCC is cyclic.
-    num_gr_vertices / num_gr_edges:
-        ``|V_R|`` and ``|E_R|`` of the edge-level reduced graph, kept for
-        the statistics of Figs. 12-13 and Table III.
-    gr_rows:
-        ``G_R`` itself as ``source id -> target bitmap`` rows over the
-        graph's interner, when the RTC was computed from rows (``None``
-        otherwise).  Never mutated: the update repair of
-        :mod:`repro.core.incremental` reads them and publishes a new RTC.
-    """
+    def ends_from(self, vertex: object) -> tuple:
+        """All ``w`` with ``(vertex, w) in R+_G`` (one Theorem 1 row)."""
+        scc_id = self.scc_id_of(vertex)
+        return () if scc_id is None else self.interner.vertices_of(self.reach(scc_id))
 
-    condensation: Condensation
-    closure: dict[int, frozenset[int]]
-    num_gr_vertices: int
-    num_gr_edges: int
-    gr_rows: dict[int, int] | None = field(default=None, repr=False, compare=False)
-    _masks: RTCMasks | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def expand(self) -> set[tuple[object, object]]:
+        """Theorem 1: materialise ``R+_G = {(v_i, v_j) | (v̄_k, v̄_l) in
+        TC(Ḡ_R), (v_i, v_j) in s_k x s_l}`` -- each member of ``s_k``
+        gets ``s_k``'s reach row."""
+        rows: dict[int, int] = {}
+        for scc_id, members in enumerate(self.member_masks):
+            if row := self.reach(scc_id):
+                rows.update(dict.fromkeys(bit_indexes(members), row))
+        return PairBitmap(rows, interner=self.interner).to_pairs()
 
-    def masks(self, interner: VertexInterner) -> RTCMasks:
-        """This RTC as bitmaps over ``interner`` (built once, then shared).
+    @property
+    def num_expanded_pairs(self) -> int:
+        """``|R+_G|`` computed without materialising it (sum of products)."""
+        sizes = [members.bit_count() for members in self.member_masks]
+        return sum(
+            size * sum(sizes[target_id] for target_id in bit_indexes(mask))
+            for size, mask in zip(sizes, self.closure_masks)
+        )
 
-        Every engine that reads the RTC from a shared cache gets the
-        same object.  Unsynchronised on purpose: see the benign-race
-        rule in :mod:`repro.core.cache`.
-        """
-        masks = self._masks
-        if masks is None or masks.interner is not interner:
-            masks = RTCMasks(self, interner)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+    # -- vertex-keyed views ----------------------------------------------
+    @cached_property
+    def closure(self) -> dict[int, frozenset[int]]:
+        """``scc_id -> frozenset(scc_id)``: the transitive closure of ``Ḡ_R``."""
+        return {s: frozenset(bit_indexes(mask)) for s, mask in enumerate(self.closure_masks)}
 
-    # ------------------------------------------------------------------
-    # structure accessors
-    # ------------------------------------------------------------------
     @property
     def scc_of(self) -> dict:
         """Vertex of ``G_R`` -> SCC id (the relation ``SCC(V, S)``)."""
@@ -138,98 +211,45 @@ class ReducedTransitiveClosure:
         """Vertices of the SCC ``s_i`` (the set the paper also calls s_i)."""
         return self.condensation.members[scc_id]
 
-    @property
-    def num_sccs(self) -> int:
-        """``|V̄_R|`` -- vertex count of the two-level reduced graph."""
-        return self.condensation.num_sccs
+    @cached_property
+    def condensation(self) -> Condensation:
+        """The vertex-level reduction of ``G_R`` (SCC map + condensed DAG).
 
-    @property
-    def num_pairs(self) -> int:
-        """Size of the shared data: number of pairs in ``TC(Ḡ_R)``.
-
-        This is the quantity Fig. 12 plots for RTCSharing.
+        Members are sorted when orderable, like :func:`condense`'s.  The
+        DAG is exact from ``gr_rows``; an RTC kept without rows gets the
+        smallest DAG with its closure (self-loops on cyclic SCCs, plus
+        each closure edge no longer path implies).
         """
-        return sum(len(targets) for targets in self.closure.values())
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Iterate the SCC-id pairs of ``TC(Ḡ_R)``."""
-        for source_id, targets in self.closure.items():
-            for target_id in targets:
-                yield (source_id, target_id)
-
-    # ------------------------------------------------------------------
-    # semantics
-    # ------------------------------------------------------------------
-    def reaches(self, source: object, target: object) -> bool:
-        """Membership test ``(source, target) in R+_G`` without expansion.
-
-        Two dictionary lookups and one set test -- the RTC doubling as a
-        reachability index over ``G_R`` (related-work Section VI).
-        """
-        scc_of = self.condensation.scc_of
-        source_id = scc_of.get(source)
-        target_id = scc_of.get(target)
-        if source_id is None or target_id is None:
-            return False
-        return target_id in self.closure[source_id]
-
-    def ends_from(self, vertex: object) -> Iterator[object]:
-        """All ``w`` with ``(vertex, w) in R+_G``, lazily (Theorem 1 row)."""
-        scc_id = self.condensation.scc_of.get(vertex)
-        if scc_id is None:
-            return
-        members = self.condensation.members
-        for target_id in self.closure[scc_id]:
-            yield from members[target_id]
-
-    def expand(self) -> set[tuple[object, object]]:
-        """Theorem 1: materialise ``R+_G`` from the RTC.
-
-        ``R+_G = {(v_i, v_j) | (v̄_k, v̄_l) in TC(Ḡ_R), (v_i, v_j) in
-        s_k x s_l}``.
-        """
-        result: set[tuple[object, object]] = set()
-        members = self.condensation.members
-        for source_id, targets in self.closure.items():
-            source_members = members[source_id]
-            for target_id in targets:
-                target_members = members[target_id]
-                for source in source_members:
-                    for target in target_members:
-                        result.add((source, target))
-        return result
-
-    def expand_bits(self, interner: VertexInterner | None = None) -> PairBitmap:
-        """Theorem 1 as a :class:`~repro.bitset.PairBitmap`.
-
-        Same relation as :meth:`expand` but every member of an SCC gets
-        the SCC's shared reach row, never a pair-by-pair product --
-        tuples materialise only if someone iterates the bitmap (the
-        lazy path :class:`repro.db.ResultSet` rides).  ``interner``
-        defaults to a private id space over ``V_R``; pass the graph's
-        to keep the rows composable with its adjacency bitmaps.
-        """
-        if interner is None:
-            masks = RTCMasks(self, VertexInterner())
-        else:
-            masks = self.masks(interner)
-        rows: dict[int, int] = {}
-        for vertex_id, scc_id in masks.scc_of_id.items():
-            row = masks.reach(scc_id)
-            if row:
-                rows[vertex_id] = row
-        return PairBitmap(rows, interner=masks.interner)
-
-    @property
-    def num_expanded_pairs(self) -> int:
-        """``|R+_G|`` computed without materialising it (sum of products)."""
-        members = self.condensation.members
-        total = 0
-        for source_id, targets in self.closure.items():
-            source_size = len(members[source_id])
-            for target_id in targets:
-                total += source_size * len(members[target_id])
-        return total
+        scc_of: dict = {}
+        members: dict = {}
+        for scc_id, mask in enumerate(self.member_masks):
+            vertices = self.interner.vertices_of(mask)
+            try:
+                members[scc_id] = tuple(sorted(vertices))
+            except TypeError:  # mixed/unorderable vertex types
+                members[scc_id] = vertices
+            scc_of.update(dict.fromkeys(vertices, scc_id))
+        dag = DiGraph()
+        closure_masks, rows = self.closure_masks, self.gr_rows
+        for scc_id, mask in enumerate(self.member_masks):
+            dag.add_vertex(scc_id)
+            bit = 1 << scc_id
+            if rows is None:
+                successors = closure_masks[scc_id] & ~bit
+                for target_id in bit_indexes(successors):
+                    successors &= ~closure_masks[target_id] | (1 << target_id)
+                successors |= closure_masks[scc_id] & bit
+            else:
+                neighbours = reduce(or_, (rows.get(member, 0) for member in bit_indexes(mask)), 0)
+                successors = bit if neighbours & mask else 0
+                outside = neighbours & ~mask
+                while outside:
+                    target_id = self.scc_of_id[(outside & -outside).bit_length() - 1]
+                    successors |= 1 << target_id
+                    outside &= ~self.member_masks[target_id]
+            for target_id in bit_indexes(successors):
+                dag.add_edge(scc_id, target_id)
+        return Condensation(scc_of=scc_of, members=members, dag=dag)
 
 
 def compute_rtc(
@@ -238,24 +258,24 @@ def compute_rtc(
     """``Compute_RTC(R_G)`` of Algorithm 1: ``R_G -> G_R -> Ḡ_R -> TC(Ḡ_R)``.
 
     ``rg`` is the evaluation result of ``R`` on ``G`` -- by definition the
-    edge set of the edge-level reduced graph ``G_R`` (Lemma 1's setup) --
-    as an iterable of vertex pairs, an already-built :class:`DiGraph`, or
-    a :class:`~repro.bitset.PairBitmap` carrying its interner (the
-    bit-parallel engine's ``R_G``, reduced without leaving id space; the
-    result keeps its rows as ``gr_rows``, so the caller hands them over).
+    edge set of the edge-level reduced graph ``G_R`` (Lemma 1's setup).
+    As a :class:`~repro.bitset.PairBitmap` (the bit-parallel engine's
+    ``R_G``) it is reduced without leaving its interner's id space, and
+    the result keeps the rows as ``gr_rows`` -- the caller hands them
+    over.  Vertex pairs or a :class:`DiGraph` go through :func:`condense`
+    and the bitset DP; the condensation is kept as the view and ``V_R``
+    gets a private id space.
     """
     if isinstance(rg, PairBitmap):
         return _compute_rtc_from_rows(rg.rows, rg.require_interner())
-    if isinstance(rg, DiGraph):
-        graph = rg
-    else:
-        graph = DiGraph.from_pairs(rg)
+    graph = rg if isinstance(rg, DiGraph) else DiGraph.from_pairs(rg)
     condensation = condense(graph)
-    return ReducedTransitiveClosure(
+    return ReducedTransitiveClosure.from_members(
+        VertexInterner(),
+        condensation.members.values(),
+        list(dag_closure_bitsets(condensation).values()),  # ascending SCC ids
+        graph.num_edges,
         condensation=condensation,
-        closure=scc_closure(condensation),
-        num_gr_vertices=graph.num_vertices,
-        num_gr_edges=graph.num_edges,
     )
 
 
@@ -270,8 +290,7 @@ def _compute_rtc_from_rows(
     are found by peeling whole member bitmaps off the component's
     out-neighbourhood -- one step per condensation edge, not per edge of
     ``G_R``.  SCC ids follow emission order like
-    :func:`~repro.graph.scc.condense`; vertices are named only when the
-    result is assembled.
+    :func:`~repro.graph.scc.condense`.
     """
     vertex_mask = 0
     successors: dict[int, list[int]] = {}
@@ -282,11 +301,9 @@ def _compute_rtc_from_rows(
     size = vertex_mask.bit_length()
     index_of = [0] * size  # 0 = unvisited; discovery indexes start at 1
     lowlink = [0] * size
-    scc_of = [-1] * size  # -1 while on the Tarjan stack
+    scc_of = [-1] * size  # -1 while on the Tarjan stack, and outside V_R
     member_masks: list[int] = []
     closure_masks: list[int] = []  # scc id -> bitmap of reachable scc ids
-    components: list[list[int]] = []
-    dag = DiGraph()
     stack: list[int] = []
     counter = 0
 
@@ -319,54 +336,32 @@ def _compute_rtc_from_rows(
                     lowlink[parent] = lowlink[vertex]
             if lowlink[vertex] != index_of[vertex]:
                 continue
-            scc_id = len(components)
-            component: list[int] = []
+            scc_id = len(member_masks)
             members = neighbours = 0
             while True:
                 member = stack.pop()
                 scc_of[member] = scc_id
-                component.append(member)
                 members |= 1 << member
                 neighbours |= rows.get(member, 0)
                 if member == vertex:
                     break
-            dag.add_vertex(scc_id)
-            reached = 0
-            if neighbours & members:
-                # An edge inside the component: it is cyclic (more than
-                # one member, or a self-loop in G_R) and reaches itself.
-                reached = 1 << scc_id
-                dag.add_edge(scc_id, scc_id)
+            # An edge inside the component: it is cyclic (more than one
+            # member, or a self-loop in G_R) and reaches itself.
+            reached = 1 << scc_id if neighbours & members else 0
             outside = neighbours & ~members
             while outside:
                 target_id = scc_of[(outside & -outside).bit_length() - 1]
-                dag.add_edge(scc_id, target_id)
                 reached |= (1 << target_id) | closure_masks[target_id]
                 outside &= ~member_masks[target_id]
-            components.append(component)
             member_masks.append(members)
             closure_masks.append(reached)
 
-    vertex_of = interner.vertex_of
-    scc_of_vertex: dict = {}
-    members_of: dict = {}
-    for scc_id, component in enumerate(components):
-        vertices = [vertex_of(vertex_id) for vertex_id in component]
-        if len(vertices) > 1:
-            try:
-                vertices.sort()
-            except TypeError:  # mixed/unorderable vertex types
-                pass
-        members_of[scc_id] = tuple(vertices)
-        for vertex in vertices:
-            scc_of_vertex[vertex] = scc_id
     return ReducedTransitiveClosure(
-        condensation=Condensation(scc_of=scc_of_vertex, members=members_of, dag=dag),
-        closure={
-            scc_id: frozenset(bit_indexes(mask))
-            for scc_id, mask in enumerate(closure_masks)
-        },
-        num_gr_vertices=vertex_mask.bit_count(),
-        num_gr_edges=sum(map(len, successors.values())),
+        interner,
+        scc_of,
+        vertex_mask,
+        member_masks,
+        closure_masks,
+        sum(map(len, successors.values())),
         gr_rows=rows,
     )

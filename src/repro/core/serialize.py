@@ -17,6 +17,13 @@ Format (versioned)::
       "closure": {"0": [0, 1], "1": [], "2": [2]}
     }
 
+The payload names vertices, not ids, so it can be decoded into any id
+space: :func:`rtc_from_dict` interns the members straight into the
+interner it is given (the session's graph, for the store) and attaches
+the ``G_R`` rows the caller kept beside the payload.  The condensed DAG
+is not stored; the decoded RTC derives it like any other (from the rows
+when it has them).
+
 Vertices survive round-trips when they are JSON-representable (ints and
 strings -- everything the datasets and examples use); exotic vertex types
 are rejected up front with a clear error.
@@ -24,10 +31,12 @@ are rejected up front with a clear error.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
+from repro.bitset.interner import VertexInterner, bit_indexes
 from repro.core.rtc import ReducedTransitiveClosure
 from repro.errors import ReproError
-from repro.graph.digraph import DiGraph
-from repro.graph.scc import Condensation
 
 __all__ = ["rtc_to_dict", "rtc_from_dict"]
 
@@ -42,8 +51,9 @@ class RtcFormatError(ReproError):
 
 def rtc_to_dict(rtc: ReducedTransitiveClosure) -> dict:
     """Encode an RTC as a JSON-compatible dictionary."""
-    for members in rtc.condensation.members.values():
-        for vertex in members:
+    members = list(map(rtc.interner.vertices_of, rtc.member_masks))
+    for vertices in members:
+        for vertex in vertices:
             if not isinstance(vertex, _JSON_VERTEX_TYPES):
                 raise RtcFormatError(
                     f"vertex {vertex!r} of type {type(vertex).__name__} is "
@@ -55,60 +65,47 @@ def rtc_to_dict(rtc: ReducedTransitiveClosure) -> dict:
         "version": _VERSION,
         "num_gr_vertices": rtc.num_gr_vertices,
         "num_gr_edges": rtc.num_gr_edges,
-        "members": {
-            str(scc_id): list(members)
-            for scc_id, members in rtc.condensation.members.items()
-        },
+        "members": {str(scc_id): list(vertices) for scc_id, vertices in enumerate(members)},
         "closure": {
-            str(scc_id): sorted(targets)
-            for scc_id, targets in rtc.closure.items()
+            str(scc_id): bit_indexes(mask)
+            for scc_id, mask in enumerate(rtc.closure_masks)
         },
     }
 
 
-def rtc_from_dict(payload: dict) -> ReducedTransitiveClosure:
+def rtc_from_dict(
+    payload: dict,
+    interner: VertexInterner | None = None,
+    rows: dict[int, int] | None = None,
+) -> ReducedTransitiveClosure:
     """Decode an RTC from :func:`rtc_to_dict` output.
 
-    Rebuilds the condensation DAG from the closure's direct information:
-    self-loops for self-reaching SCCs are restored, and cross edges are
-    restored conservatively as the full closure relation (reachability-
-    equivalent; the RTC only ever consumes ``closure``, ``members`` and
-    ``scc_of``).
+    The RTC is built over ``interner`` (a private one by default), whose
+    ids its members get, and carries ``rows`` -- ``G_R`` over that same
+    interner, or ``None`` -- as its ``gr_rows``.
     """
     if payload.get("format") != _FORMAT:
         raise RtcFormatError(f"not a {_FORMAT} payload: {payload.get('format')!r}")
     if payload.get("version") != _VERSION:
         raise RtcFormatError(f"unsupported version {payload.get('version')!r}")
     try:
-        members = {
-            int(scc_id): tuple(vertices)
-            for scc_id, vertices in payload["members"].items()
-        }
-        closure = {
-            int(scc_id): frozenset(targets)
-            for scc_id, targets in payload["closure"].items()
-        }
-        num_gr_vertices = int(payload["num_gr_vertices"])
-        num_gr_edges = int(payload["num_gr_edges"])
+        members = payload["members"]
+        closure = payload["closure"]
+        scc_ids = [str(scc_id) for scc_id in range(len(members))]
+        if set(members) != set(closure) or set(members) != set(scc_ids):
+            raise RtcFormatError("members and closure disagree on SCC ids 0..n-1")
+        closure_masks = [
+            reduce(or_, (1 << int(target_id) for target_id in closure[scc_id]), 0)
+            for scc_id in scc_ids
+        ]
+        if any(mask >> len(scc_ids) for mask in closure_masks):
+            raise RtcFormatError("a closure names an SCC id out of range")
+        return ReducedTransitiveClosure.from_members(
+            VertexInterner() if interner is None else interner,
+            [members[scc_id] for scc_id in scc_ids],
+            closure_masks,
+            int(payload["num_gr_edges"]),
+            gr_rows=rows,
+        )
     except (KeyError, TypeError, ValueError) as error:
         raise RtcFormatError(f"malformed RTC payload: {error}") from error
-
-    if set(members) != set(closure):
-        raise RtcFormatError("members and closure disagree on SCC ids")
-
-    scc_of = {
-        vertex: scc_id for scc_id, vertices in members.items() for vertex in vertices
-    }
-    dag = DiGraph()
-    for scc_id in members:
-        dag.add_vertex(scc_id)
-    for scc_id, targets in closure.items():
-        for target in targets:
-            dag.add_edge(scc_id, target)
-    condensation = Condensation(scc_of=scc_of, members=members, dag=dag)
-    return ReducedTransitiveClosure(
-        condensation=condensation,
-        closure=closure,
-        num_gr_vertices=num_gr_vertices,
-        num_gr_edges=num_gr_edges,
-    )

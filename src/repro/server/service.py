@@ -609,6 +609,9 @@ class QueryServer:
             raise ProtocolError("'reaches' op needs 'body' (a closure-body string)")
         if "source" not in request or "target" not in request:
             raise ProtocolError("'reaches' op needs 'source' and 'target'")
+        for field in ("source", "target"):  # the vertex types a stored graph holds
+            if not isinstance(request[field], (str, int)) or isinstance(request[field], bool):
+                raise ProtocolError(f"'reaches' {field!r} must be a string or an integer")
 
         def probe() -> bool:
             # db.reaches holds the session lock, so the probe cannot see

@@ -51,7 +51,6 @@ become watched entries with rows.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from repro.core.serialize import RtcFormatError, rtc_from_dict, rtc_to_dict
@@ -199,7 +198,8 @@ def install_rtc_state(db, payload: dict, lsn: int) -> dict:
     unwatched entry the engine's own cache cannot take (another mode, or
     an engine that keeps no RTC cache) is stale.  Version-3 rows are ids
     of *this* session's graph (:class:`StorageError` on one it never
-    assigned); older rows are vertices, interned into it.
+    assigned); older rows are vertices, mapped onto its ids.  Each RTC
+    is decoded straight into the session's id space, rows attached.
     """
     stats = {"entries": 0, "watchers": 0, "stale": 0}
     installed: set[str] = set()
@@ -219,7 +219,6 @@ def install_rtc_state(db, payload: dict, lsn: int) -> dict:
         try:
             if key is None or not mode_matches:
                 key = cache.key_for(parse(body))
-            rtc = rtc_from_dict(record["rtc"])
             rows = record.get("rows")
             if rows is not None:
                 rows = (
@@ -227,7 +226,7 @@ def install_rtc_state(db, payload: dict, lsn: int) -> dict:
                     if id_rows
                     else _rows_from_pairs(rows, interner)
                 )
-                rtc = replace(rtc, gr_rows=rows)
+            rtc = rtc_from_dict(record["rtc"], interner, rows)
         except StorageError:
             raise
         except (KeyError, TypeError, ValueError, ReproError) as error:

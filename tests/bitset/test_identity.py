@@ -122,19 +122,6 @@ class TestUpdateIdentity:
 
 
 class TestRTCExpansion:
-    @pytest.mark.parametrize("seed", [8, 9])
-    def test_expand_bits_matches_expand(self, seed):
-        graph = rmat(seed, num_edges=200)
-        rtc = compute_rtc(graph.edges_with_label("l0"))
-        expanded = rtc.expand_bits(graph.interner)
-        assert expanded.interner is graph.interner
-        assert expanded.to_pairs() == rtc.expand()
-
-    def test_expand_bits_via_method(self):
-        graph = rmat(10)
-        rtc = compute_rtc(graph.edges_with_label("l1"))
-        assert rtc.expand_bits().pairs == rtc.expand()
-
     @pytest.mark.parametrize("seed", [8, 9, 10])
     @pytest.mark.parametrize("body", ["l0", "l0.l1", "(l0|l1).l2"])
     def test_compute_rtc_inputs_agree(self, seed, body):
@@ -278,7 +265,9 @@ class TestMasksSharedThroughTheCache:
                 assert second.evaluate(query) == expected
             rtc_first = first.rtc_for("l0")
             assert second.rtc_for("l0") is rtc_first
-            assert rtc_first.masks(graph.interner) is rtc_first.masks(graph.interner)
+            # Built over the graph's ids: the join reads it, never a copy.
+            assert rtc_first.interner is graph.interner
+            assert rtc_first.rebased(graph.interner) is rtc_first
             # One build per body: l0 and l0.l1.
             assert first.rtc_cache.snapshot_stats().misses == 2
 
@@ -350,10 +339,10 @@ class TestMasksSharedThroughTheCache:
             assert any("fresh-c" in pair for pair in after)
             fresh_rtc = db.engine.rtc_for("l0")
             assert fresh_rtc is not stale_rtc  # the cache was reset
-            masks = fresh_rtc.masks(graph.interner)
-            assert masks.vertices >> known  # bits beyond the old id space
-            assert masks.scc_of_id[graph.interner.id_of("fresh-a")] == (
-                masks.scc_of_id[graph.interner.id_of(hub)]
+            assert fresh_rtc.interner is graph.interner
+            assert fresh_rtc.vertex_mask >> known  # bits beyond the old id space
+            assert fresh_rtc.scc_of_id[graph.interner.id_of("fresh-a")] == (
+                fresh_rtc.scc_of_id[graph.interner.id_of(hub)]
             )
             db.update(remove=[("fresh-b", "l0", hub)])
             assert db.execute(query) == reference(graph, query)

@@ -6,6 +6,9 @@ by reading ``stats``) whether it talks to one session or to a
 4-shard x 2-replica cluster.
 """
 
+import json
+import socket
+
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster
@@ -46,6 +49,24 @@ class TestProtocolOverCluster:
         result = client.query("(b.c)+", pairs=False)
         assert result.pairs is None
         assert result.count == len(set(GraphDB.open(graph).execute("(b.c)+")))
+
+    @pytest.mark.parametrize("vertex", [b'["0:2"]', b'{"v": "0:2"}', b"false"])
+    def test_reaches_with_a_non_scalar_vertex_is_a_bad_request(self, served, vertex):
+        """The router inherits the server's check: refused, connection kept."""
+        client, _graph = served
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(
+                b'{"op": "reaches", "id": 1, "body": "b.c", "source": '
+                + vertex + b', "target": "0:6"}\n'
+            )
+            stream.flush()
+            refused = json.loads(stream.readline())
+            stream.write(b'{"op": "reaches", "id": 2, "body": "b.c", "source": "0:2", "target": "0:6"}\n')
+            stream.flush()
+            after = json.loads(stream.readline())
+        assert refused["ok"] is False and refused["error"]["code"] == "bad_request"
+        assert after["ok"] is True and after["reaches"] is True
 
     def test_syntax_error_comes_back_typed(self, served):
         client, _graph = served

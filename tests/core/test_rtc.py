@@ -100,6 +100,11 @@ class TestSemantics:
         assert rtc.num_expanded_pairs == 100
 
 
+def views_built(rtc) -> set:
+    """The vertex-keyed views an RTC has derived so far."""
+    return {"condensation", "closure"} & vars(rtc).keys()
+
+
 def bitmap_of(pairs, vertices=()):
     """``pairs`` as a PairBitmap; ``vertices`` fixes the id order first."""
     return PairBitmap.from_pairs(pairs, VertexInterner(vertices))
@@ -199,29 +204,121 @@ class TestBitmapNativeBuild:
         assert cache.stats.misses == 0
 
 
-class TestMasks:
+class TestIdSpace:
     def test_reach_rows_are_theorem1_rows(self):
-        rtc = compute_rtc(PAPER_GBC)
-        interner = VertexInterner(range(8))
-        masks = rtc.masks(interner)
+        rtc = compute_rtc(bitmap_of(PAPER_GBC, range(8)))
+        interner = rtc.interner
+        expanded = rtc.expand()
         for vertex in (2, 3, 4, 5, 6):
-            row = masks.reach(masks.scc_of_id[vertex])
-            assert set(interner.vertices_of(row)) == set(rtc.ends_from(vertex))
-        assert set(interner.vertices_of(masks.vertices)) == {2, 3, 4, 5, 6}
+            row = rtc.reach(rtc.scc_id_of(vertex))
+            assert set(interner.vertices_of(row)) == {
+                target for source, target in expanded if source == vertex
+            }
+        assert set(interner.vertices_of(rtc.vertex_mask)) == {2, 3, 4, 5, 6}
+        assert rtc.scc_id_of(0) is None and rtc.scc_id_of(99) is None
 
-    def test_built_once_per_interner(self):
-        rtc = compute_rtc(PAPER_GBC)
+    def test_rebased_once_per_interner(self):
+        rtc = compute_rtc(PAPER_GBC)  # a private id space
+        assert rtc.rebased(rtc.interner) is rtc
         interner = VertexInterner(range(8))
-        assert rtc.masks(interner) is rtc.masks(interner)
+        rebased = rtc.rebased(interner)
+        assert rebased.interner is interner
+        assert rtc.rebased(interner) is rebased
+        # SCC ids carry over; only the members move to the new ids.
+        assert rebased.closure_masks == rtc.closure_masks
+        assert rebased.expand() == rtc.expand()
+        assert rebased.num_pairs == rtc.num_pairs
         other = VertexInterner(reversed(range(8)))
-        rebuilt = rtc.masks(other)
-        assert rebuilt.interner is other
-        assert rtc.expand_bits(other).to_pairs() == rtc.expand()
-        # A private id space does not evict the shared one.
-        assert rtc.expand_bits().to_pairs() == rtc.expand()
-        assert rtc.masks(other) is rebuilt
+        assert rtc.rebased(other).expand() == rtc.expand()
 
-    def test_not_part_of_rtc_equality(self):
-        left, right = compute_rtc(PAPER_GBC), compute_rtc(PAPER_GBC)
-        left.masks(VertexInterner(range(8)))
-        assert left == right
+    def test_views_are_derived_on_first_use(self):
+        rtc = compute_rtc(bitmap_of(PAPER_GBC))
+        rtc.reaches(2, 6), rtc.expand(), list(rtc.pairs()), rtc.ends_from(2)
+        assert (rtc.num_pairs, rtc.num_expanded_pairs) == (3, 10)
+        assert views_built(rtc) == set()
+        assert rtc.condensation is rtc.condensation
+        assert rtc.closure is rtc.closure
+        # The pairs path already has its condensation: it is the view.
+        graph = DiGraph.from_pairs(PAPER_GBC)
+        from repro.graph.scc import condense
+
+        assert compute_rtc(graph).condensation == condense(graph)
+
+    def test_dag_without_rows_is_the_smallest_with_that_closure(self):
+        from repro.core.serialize import rtc_from_dict, rtc_to_dict
+
+        # 0 -> 1 -> 2 plus the transitive 0 -> 2, and a cycle on 2.
+        native = compute_rtc(bitmap_of({(0, 1), (1, 2), (0, 2), (2, 2)}))
+        decoded = rtc_from_dict(rtc_to_dict(native))
+        assert decoded.gr_rows is None
+        assert decoded.closure == native.closure
+        assert native.condensation.dag.num_edges == 4
+        assert decoded.condensation.dag.edge_set() == (
+            native.condensation.dag.edge_set()
+            - {(native.scc_of[0], native.scc_of[2])}
+        )
+
+    def test_served_reads_and_a_repair_build_no_vertex_keyed_view(self):
+        from repro.db import GraphDB
+        from repro.server import Client, ServerThread
+
+        edges = [(0, "l1", 1), (1, "l0", 2), (2, "l1", 3), (3, "l0", 0)]
+        db = GraphDB.open(edges)
+        cache = db.engine.rtc_cache
+
+        def read(client):
+            # A Pre join, an identity Pre (V_R), a probe, and stats
+            # (the shared-data size).
+            assert client.query("l1.(l0.l1)+").pairs == eval_rpq(db.graph, "l1.(l0.l1)+")
+            assert client.query("(l1.l0)+").pairs == eval_rpq(db.graph, "(l1.l0)+")
+            assert client.reaches("l1.l0", 0, 0)
+            client.stats()
+            return [rtc for _key, rtc in cache.items()]
+
+        with ServerThread(db) as handle, Client(*handle.address) as client:
+            held = read(client)
+            client.update(add=[(1, "l1", 3)])  # 1 -l1-> 3 -l0-> 0: a new row
+            published = read(client)
+        assert cache.stats.repairs.get("republished")
+        assert any(rtc not in held for rtc in published)
+        for rtc in held + published:
+            assert views_built(rtc) == set()
+
+    def test_concurrent_joins_rebase_without_a_lock(self):
+        """Benign race (core/cache.py): threads joining one foreign-space
+        RTC may each rebase it; every answer is still exact."""
+        import sys
+        import threading
+
+        from repro.core.batch_unit import join_pre_with_rtc_bits
+
+        pairs = {(i, (i * 7 + 3) % 40) for i in range(40)} | {(i, i + 1) for i in range(39)}
+        interner = VertexInterner(range(40))
+        pre = PairBitmap.from_pairs({(i, (i * 5) % 40) for i in range(40)}, interner)
+        closure = compute_rtc(pairs).expand()
+        expected = {
+            (start, end) for start, mid in pre.pairs for source, end in closure if source == mid
+        }
+        failures: list = []
+
+        def work(rtc, barrier):
+            barrier.wait(timeout=30)
+            for _ in range(20):
+                if join_pre_with_rtc_bits(pre, rtc).to_pairs() != expected:
+                    failures.append(rtc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                rtc, barrier = compute_rtc(pairs), threading.Barrier(6)
+                threads = [threading.Thread(target=work, args=(rtc, barrier)) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert rtc.rebased(interner).interner is interner
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []

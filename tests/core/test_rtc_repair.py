@@ -59,14 +59,12 @@ class TestCopyOnWrite:
     def test_an_unchanged_delta_keeps_the_object_and_records_no_miss(self):
         db = GraphDB.open(self.EDGES)
         rtc = db.engine.rtc_for("l1.l0")
-        masks = rtc.masks(db.graph.interner)
         cache = db.engine.rtc_cache
         misses = cache.stats.misses
         # An l1 edge into a fresh sink starts no l1.l0 path: G_R is as was.
         db.update(add=[(2, "l1", "sink")])
         db.update(remove=[(2, "l1", "sink")])
         assert db.engine.rtc_for("l1.l0") is rtc
-        assert rtc.masks(db.graph.interner) is masks
         assert cache.stats.misses == misses
         assert cache.stats.repairs == {"kept": 2}
 

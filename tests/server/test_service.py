@@ -294,6 +294,25 @@ class TestRawProtocol:
         assert refused["error"]["code"] == "bad_request"
         assert after["ok"] is True and after["results"][0]["count"] == 5
 
+    @pytest.mark.parametrize("vertex", [b"[1, 2]", b'{"v": 1}', b"true", b"null", b"1.5"])
+    def test_reaches_with_a_non_scalar_vertex_is_a_bad_request(self, served, vertex):
+        """A vertex is a JSON string or integer; a list used to answer
+        ``internal`` (unhashable).  Refused either side, connection kept."""
+        _, handle, _ = served
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            for ends in (b'"source": ' + vertex + b', "target": 6',
+                         b'"source": 2, "target": ' + vertex):
+                stream.write(b'{"op": "reaches", "id": 1, "body": "b.c", ' + ends + b"}\n")
+                stream.flush()
+                refused = json.loads(stream.readline())
+                assert refused["ok"] is False and refused["id"] == 1
+                assert refused["error"]["code"] == "bad_request"
+            stream.write(b'{"op": "reaches", "id": 2, "body": "b.c", "source": 2, "target": 6}\n')
+            stream.flush()
+            after = json.loads(stream.readline())
+        assert after["ok"] is True and after["reaches"] is True
+
     def test_well_formed_query_fields_are_served(self, served):
         _, handle, _ = served
         fields = (b'"timeout": 0.5', b'"timeout": 3', b'"timeout": null', b'"pairs": false')
