@@ -11,17 +11,22 @@ no cluster, threads or sockets, does everything else:
     edge -- and the one-cut-edge relation ``hop(u, s)`` from an exit
     node ``(cut source u, state s)`` to the entries it leads to.  The
     entries a shard owns are the extra traversal sources it is asked to
-    summarise, so the plan exists before any shard is called.
+    summarise, so the plan exists before any shard is called.  The
+    automaton is trim (:func:`~repro.regex.nfa.compile_nfa`), so every
+    entry sits on a live state.  A plan depends on nothing a read
+    changes, so the cluster keeps one per repeated query text until the
+    cut relation changes; that memo and the cluster's answer cache each
+    hold at most :data:`~repro.core.plan.PLAN_MEMO_LIMIT` texts.
 
 :func:`close`
     Turn the summaries into the answer.  Every exit a source reaches
     becomes ``hop`` steps: from a start, the entries its first segment
     leads to; from an entry, entry -> entry edges of the **boundary
-    graph** (at most ``|cuts| x |states|`` nodes).  The accepted ends
-    are then closed over that graph once -- ``image[e]`` is every end
-    accepted from entry ``e`` through any number of further segments
-    and cut edges -- so every start shares one closure: its row is its
-    local ends OR-ed with the images of the entries its exits hit.
+    graph** (at most ``|cuts| x |live states|`` nodes).  The accepted
+    ends are then closed over that graph once -- ``image[e]`` is every
+    end accepted from entry ``e`` through any number of further
+    segments and cut edges -- so every start shares one closure: its row
+    is its local ends OR-ed with the images of the entries its exits hit.
 
 Correctness: cut an accepting path at its cut edges.  The first segment
 runs from a start tag to an exit (or, with no cut edge, to a local
@@ -59,6 +64,8 @@ class BoundaryPlan:
     """What the cut relation and the automaton fix before any shard call."""
 
     nfa: LabelNFA
+    #: The cut edges the plan was built from.
+    cuts: tuple
     #: Entry nodes ``(cut target, state)``; an entry's id is its bit in
     #: every entry mask.
     entries: VertexInterner
@@ -87,6 +94,7 @@ def plan(
     outside the query alphabet contribute nothing); ``shard_of`` maps a
     vertex to its owning shard, or ``None``.
     """
+    cuts = tuple(cuts)
     moves: dict = {}  # label -> [(state, next states)]
     for state, row in nfa.delta.items():
         for label, next_states in row.items():
@@ -109,7 +117,7 @@ def plan(
         shard = shard_of(vertex)
         if shard is not None:
             entries_of.setdefault(shard, []).append(entry)
-    return BoundaryPlan(nfa, entries, hops, entries_of, boundary_of)
+    return BoundaryPlan(nfa, cuts, entries, hops, entries_of, boundary_of)
 
 
 def _distribute(

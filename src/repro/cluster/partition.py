@@ -93,7 +93,9 @@ class GraphPartition:
     shards.  Component-disjoint partitions simply have an empty cut
     relation.  Assignment and cut state are mutable (updates introduce
     vertices and cross-shard edges) and internally locked, so the
-    serving layer may route from multiple threads.
+    serving layer may route from multiple threads.  Every change to the
+    cut relation bumps its version (:meth:`cut_state`), so a reader can
+    keep what it derived from one relation until the version moves.
     """
 
     def __init__(
@@ -110,6 +112,8 @@ class GraphPartition:
         self.shards = shards
         self._shard_of = dict(shard_of)
         self._cut_edges = {tuple(edge) for edge in cut_edges}
+        self._cut_version = 0
+        self._cut_snapshot: frozenset | None = None
         self._lock = threading.Lock()
 
     @property
@@ -122,10 +126,21 @@ class GraphPartition:
         with self._lock:
             return bool(self._cut_edges)
 
+    def cut_state(self) -> tuple[int, frozenset]:
+        """``(cut version, cut relation)``, read together.
+
+        The version counts the changes to the relation.  The relation is
+        copied once per version and shared until the next change, so
+        repeated reads of an unchanged relation are free.
+        """
+        with self._lock:
+            if self._cut_snapshot is None:
+                self._cut_snapshot = frozenset(self._cut_edges)
+            return self._cut_version, self._cut_snapshot
+
     def cut_relation(self) -> frozenset:
         """A snapshot of the cross-shard ``(source, label, target)`` edges."""
-        with self._lock:
-            return frozenset(self._cut_edges)
+        return self.cut_state()[1]
 
     def boundary_vertices(self, shard: int) -> frozenset:
         """The vertices of ``shard`` incident to at least one cut edge."""
@@ -150,6 +165,8 @@ class GraphPartition:
                     f"duplicate cross-shard edge {source!r} -{label}-> {target!r}"
                 )
             self._cut_edges.add(edge)
+            self._cut_version += 1
+            self._cut_snapshot = None
 
     def discard_cut(self, source: object, label: str, target: object) -> bool:
         """Remove one cut edge; returns False when it was not recorded."""
@@ -158,6 +175,8 @@ class GraphPartition:
             if edge not in self._cut_edges:
                 return False
             self._cut_edges.remove(edge)
+            self._cut_version += 1
+            self._cut_snapshot = None
             return True
 
     def has_cut(self, source: object, label: str, target: object) -> bool:

@@ -86,7 +86,7 @@ from repro.cluster.backends import (
 from repro.bitset import PairBitmap, alphabet_reachable_mask
 from repro.cluster import boundary
 from repro.cluster.partition import GraphPartition, partition_graph
-from repro.core.plan import Plan, plan_for
+from repro.core.plan import PLAN_MEMO_LIMIT, Plan, plan_for
 from repro.errors import (
     ClusterError,
     DeadlineExpiredError,
@@ -234,7 +234,7 @@ class GraphCluster:
         self.config = config
         self.replicas = config.replicas
         self.backend_name = config.backend
-        self._lock = threading.Lock()  # label sets, edge estimates, join cache
+        self._lock = threading.Lock()  # label sets, edge estimates, join memos
         self._update_lock = threading.Lock()  # replica-consistent ordering
         self._backends: list[ShardBackend] = [
             self._make_backend(shard_id, shard_graph)
@@ -270,9 +270,14 @@ class GraphCluster:
         # Boundary-join machinery (edge-cut partitions only): the join
         # blocks on its shard round, so it runs on its own small
         # executor; results are cached by query text and invalidated by
-        # the graph version counter every update bumps.
+        # the graph version counter every update bumps.  Join plans are
+        # kept by query text too (from a text's second sighting), stamped
+        # with the cut-relation version they were built from.  The memos
+        # are dropped wholesale past PLAN_MEMO_LIMIT texts.
         self._join_executor: ThreadPoolExecutor | None = None
         self._join_cache: dict[str, tuple[int, PairBitmap, float]] = {}
+        self._join_plans: dict[str, tuple[int, boundary.BoundaryPlan]] = {}
+        self._join_plans_seen: set[str] = set()
         self._graph_version = 0
         # Updates routed but not yet applied by every owning shard.
         # Shard summaries bypass the schedulers' drain barrier, so a
@@ -530,9 +535,7 @@ class GraphCluster:
         plan = plan_for(text if plan is None else plan)
         labels, nullable, nfa = plan.route()
 
-        if self.partition.has_cuts and any(
-            edge[1] in labels for edge in self.partition.cut_relation()
-        ):
+        if self.partition.has_cuts and self._relevant_cuts(text, labels):
             return self._submit_boundary_join(
                 text, plan, nfa, labels, nullable,
                 timeout=timeout, want_pairs=want_pairs, trace=trace,
@@ -674,12 +677,57 @@ class GraphCluster:
                 # still being applied when the join began may not have
                 # reached the shard graphs the summaries read.
                 if quiet and self._graph_version == version:
+                    if len(self._join_cache) >= PLAN_MEMO_LIMIT:
+                        self._join_cache.clear()
                     self._join_cache[text] = (version, pairs, elapsed)
             # The cached bitmap itself goes to the reply path: consumers
             # read it (count, membership, wire rows) and never write.
             return (pairs if want_pairs else pairs.count(), elapsed)
 
         return executor.submit(run)
+
+    def _relevant_cuts(self, text: str, labels: frozenset) -> tuple:
+        """The cut edges carrying a label of ``text``; empty routes the
+        query around the join.
+
+        Read off the kept plan while the cut version matches, else off
+        the partition's per-version snapshot.  No plan is built here:
+        :meth:`submit` runs on the router's event loop.
+        """
+        version, cuts = self.partition.cut_state()
+        kept = self._join_plans.get(text)
+        if kept is not None and kept[0] == version:
+            return kept[1].cuts
+        return tuple(edge for edge in cuts if edge[1] in labels)
+
+    def _join_plan(self, text: str, nfa) -> boundary.BoundaryPlan:
+        """The boundary plan of ``text`` over the current cut relation.
+
+        A plan depends only on the cut relation (cut endpoints never
+        change shards), so it is kept, stamped with the cut version it
+        was read with, until that version moves.  Like
+        :func:`~repro.core.plan.plan_for`, a text's plan is kept from
+        its second sighting: a one-off text leaves only its text behind.
+        """
+        version, cuts = self.partition.cut_state()
+        kept = self._join_plans.get(text)
+        if kept is not None and kept[0] == version:
+            return kept[1]
+        join_plan = boundary.plan(
+            nfa,
+            [edge for edge in cuts if edge[1] in nfa.labels],
+            self.partition.shard_of,
+        )
+        with self._lock:
+            if text in self._join_plans_seen:
+                if len(self._join_plans) >= PLAN_MEMO_LIMIT:
+                    self._join_plans.clear()
+                self._join_plans[text] = (version, join_plan)
+            else:
+                if len(self._join_plans_seen) >= PLAN_MEMO_LIMIT:
+                    self._join_plans_seen.clear()
+                self._join_plans_seen.add(text)
+        return join_plan
 
     def _run_boundary_join(
         self,
@@ -719,10 +767,7 @@ class GraphCluster:
         # The cut relation is read here, after the caller sampled the
         # graph version: a cut edge routed in between fails the version
         # check instead of being cached under a version it predates.
-        cuts = [
-            edge for edge in self.partition.cut_relation() if edge[1] in labels
-        ]
-        join_plan = boundary.plan(nfa, cuts, self.partition.shard_of)
+        join_plan = self._join_plan(text, nfa)
         targets = self._target_shards(labels, nullable)
         budget = remaining()
         round_span = None
@@ -1010,11 +1055,7 @@ class GraphCluster:
         if self.partition.has_cuts:
             closure = f"({body})+"
             labels, _nullable, _nfa = plan_for(closure).route()
-            relevant_cuts = [
-                edge
-                for edge in self.partition.cut_relation()
-                if edge[1] in labels
-            ]
+            relevant_cuts = self._relevant_cuts(closure, labels)
             if relevant_cuts:
                 return self._reaches_with_cuts(
                     body, closure, labels, relevant_cuts, source, target
@@ -1032,7 +1073,7 @@ class GraphCluster:
         body: str,
         closure: str,
         labels: frozenset,
-        cuts: list[tuple],
+        cuts: tuple,
         source: object,
         target: object,
     ) -> bool:

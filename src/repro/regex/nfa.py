@@ -6,9 +6,14 @@ a :class:`~repro.regex.ast.RegexNode` into:
 
 1. an epsilon-NFA via the classic Thompson construction
    (:class:`EpsilonNFA`, one start state, one accept state), then
-2. an epsilon-free :class:`LabelNFA` whose transition function is total on
-   its reachable state set and whose states carry pre-computed epsilon
-   closures -- the representation the product-BFS evaluator consumes.
+2. an epsilon-free, trim :class:`LabelNFA` whose transition function is
+   total on its state set and whose states carry pre-computed epsilon
+   closures -- the representation every product traversal consumes.
+   *Trim* means every state is reachable from ``start`` and reaches an
+   accepting state; moreover only the states with a label transition
+   and the accept state survive closing.  Any other state would only
+   multiply product nodes (one per vertex it is paired with) that
+   never yield an answer.
 
 :class:`LabelNFA` exposes the two facts the evaluator's pruning needs:
 
@@ -145,7 +150,9 @@ class LabelNFA:
 
     ``delta`` maps ``state -> label -> frozenset(states)`` where every
     target set is already epsilon-closed; ``start`` is the epsilon-closed
-    initial state set.  Only states reachable from ``start`` appear.
+    initial state set.  The automaton is trim: every state is reachable
+    from ``start`` and reaches some state of ``accepts``, and every state
+    in ``start``, ``accepts`` and every target set is a key of ``delta``.
     """
 
     start: frozenset[int]
@@ -184,60 +191,43 @@ class LabelNFA:
 
 
 def compile_nfa(node: RegexNode) -> LabelNFA:
-    """Compile an AST into an epsilon-free :class:`LabelNFA`.
+    """Compile an AST into the trim, epsilon-free :class:`LabelNFA`.
 
     The construction closes every transition target over epsilon edges, so
     the simulator never has to chase epsilons at traversal time -- the
     per-edge work during graph traversal is a single dictionary lookup.
+    Closed sets keep only the states that matter after closing: those
+    with a label transition, plus the accept state.  Any other Thompson
+    state just passes epsilons on -- it steps nowhere itself, and its
+    acceptance is carried by the accept state its closure contains -- so
+    a product traversal would only pair it with every vertex for nothing.
+
+    The result is trim.  A regex has no empty-set operator, so every
+    label occurrence lies on some accepted word: each kept state is
+    reachable from ``start`` and reaches the accept state.  States keep
+    their Thompson numbers, so two compilations of one query agree on
+    every state id.
     """
     eps_nfa = thompson(node)
+    accept = eps_nfa.accept
+    kept = set(eps_nfa.transitions) | {accept}
     closures: dict[int, frozenset[int]] = {
-        state: eps_nfa.epsilon_closure({state}) for state in range(eps_nfa.num_states)
+        state: eps_nfa.epsilon_closure({state}) & kept
+        for state in range(eps_nfa.num_states)
     }
-
     start = closures[eps_nfa.start]
-    accept_state = eps_nfa.accept
-
-    # Build closed transitions for states reachable from the start closure.
-    delta: dict[int, dict[str, frozenset[int]]] = {}
-    stack = list(start)
-    reachable: set[int] = set(start)
-    while stack:
-        state = stack.pop()
-        out: dict[str, frozenset[int]] = {}
-        for label, targets in eps_nfa.transitions.get(state, {}).items():
-            closed: set[int] = set()
-            for target in targets:
-                closed.update(closures[target])
-            closed_frozen = frozenset(closed)
-            out[label] = closed_frozen
-            for target in closed_frozen:
-                if target not in reachable:
-                    reachable.add(target)
-                    stack.append(target)
-        delta[state] = out
-    # States reachable only as transition targets still need delta entries.
-    for state in reachable:
-        delta.setdefault(state, {})
-        if not eps_nfa.transitions.get(state):
-            continue
-
-    accepts = frozenset(
-        state for state in delta if accept_state in closures[state] or state == accept_state
-    )
-    nullable = not start.isdisjoint(accepts)
-    first_labels = frozenset(
-        label
-        for state in start
-        for label in delta[state]
-        if delta[state][label]
-    )
-    labels = frozenset(label for out in delta.values() for label in out)
+    delta: dict[int, dict[str, frozenset[int]]] = {
+        state: {
+            label: frozenset().union(*(closures[target] for target in targets))
+            for label, targets in eps_nfa.transitions.get(state, {}).items()
+        }
+        for state in sorted(kept)
+    }
     return LabelNFA(
         start=start,
-        accepts=accepts,
+        accepts=frozenset((accept,)),
         delta=delta,
-        nullable=nullable,
-        first_labels=first_labels,
-        labels=labels,
+        nullable=accept in start,
+        first_labels=frozenset(label for state in start for label in delta[state]),
+        labels=frozenset(label for out in delta.values() for label in out),
     )

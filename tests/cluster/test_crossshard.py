@@ -9,9 +9,11 @@ cross-shard edge lands -- and later leaves -- mid-workload.  The
 boundary join is the only path that can make this pass; any stitching
 bug shows up as a pair-set diff against ground truth.  (The join's pure
 half -- summaries and closure without a cluster -- is covered in
-``test_boundary.py``.)
+``test_boundary.py``.)  The router's memos close the file: one join plan
+per query text and cut-relation version, and a bounded answer cache.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -22,9 +24,11 @@ from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
     GraphCluster,
+    boundary,
     partition_graph,
     weakly_connected_components,
 )
+from repro.cluster import service as cluster_service
 from repro.datasets.rmat import rmat_connected_graph
 from repro.db import GraphDB
 from repro.errors import DeadlineExpiredError
@@ -275,3 +279,210 @@ class TestJoinCacheFreshness:
             assert "(l0)+" in cluster._join_cache
         finally:
             cluster.stop()
+
+
+@pytest.fixture
+def cut_cluster():
+    """Two edge-cut thread shards of one R-MAT component, plus its graph."""
+    graph = single_component_rmat()
+    cluster = GraphCluster(
+        partition_graph(graph.copy(), 2, strategy="edge-cut"),
+        config=ClusterConfig(shards=2, workers=1),
+    )
+    try:
+        cut_labels = {edge[1] for edge in cluster.partition.cut_relation()}
+        assert cut_labels == {"l0", "l1", "l2"}  # every query takes the join
+        yield cluster, graph
+    finally:
+        cluster.stop()
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Every ``boundary.plan`` call, as the query labels it planned for."""
+    calls = []
+    real_plan = boundary.plan
+
+    def counted(nfa, cuts, shard_of):
+        calls.append(nfa.labels)
+        return real_plan(nfa, cuts, shard_of)
+
+    monkeypatch.setattr(boundary, "plan", counted)
+    return calls
+
+
+def cluster_answer(cluster, query):
+    pairs, _elapsed = cluster.submit(query).result(timeout=60)
+    return set(pairs)
+
+
+def live_states(nfa):
+    """The states of ``nfa`` from which an accepting state is reachable."""
+    backward: dict = {}
+    for state, row in nfa.delta.items():
+        for targets in row.values():
+            for target in targets:
+                backward.setdefault(target, set()).add(state)
+    live = set(nfa.accepts)
+    stack = list(live)
+    while stack:
+        for state in backward.get(stack.pop(), ()):
+            if state not in live:
+                live.add(state)
+                stack.append(state)
+    return live
+
+
+def fresh_local_edge(graph, cluster, label="l0"):
+    """An edge from a cut source to a brand-new vertex: the new vertex
+    joins its neighbour's shard, so no cut edge changes."""
+    cut = next(iter(cluster.partition.cut_relation()))
+    return (cut[0], label, max(graph.vertices()) + 1)
+
+
+class TestJoinPlanMemo:
+    def test_plans_once_per_cut_change(self, cut_cluster, plan_calls):
+        """Past its first sighting, a text is planned once per cut-relation
+        version -- an update inside one shard drops the cached answer but
+        keeps the plan -- and each answer is the one-session answer of
+        the moment."""
+        cluster, graph = cut_cluster
+        query = "(l0|l1)+"
+        cut = pick_cross_shard_edge(graph, cluster.partition)
+        local = fresh_local_edge(graph, cluster)
+        session = GraphDB.open(graph.copy())
+
+        def update(**change):
+            cluster.submit_update(**change).result(timeout=60)
+            session.update(**change)
+
+        steps = [
+            (lambda: None, 1),  # first sighting: planned, not kept
+            (lambda: update(add=[cut]), 2),
+            (lambda: update(add=[local]), 2),
+            (lambda: update(remove=[cut]), 3),
+        ]
+        for step, planned in steps:
+            step()
+            expected = set(session.execute(query))
+            for _ in range(3):
+                assert cluster_answer(cluster, query) == expected
+            assert len(plan_calls) == planned
+        assert cluster.partition.cut_state()[0] == 2
+
+    def test_texts_are_planned_twice_across_in_shard_updates(
+        self, cut_cluster, plan_calls
+    ):
+        """Each in-shard update drops every cached answer, so every pass
+        runs the join; a text is planned on its first sighting (not
+        kept) and on its second (kept), never again."""
+        cluster, graph = cut_cluster
+        session = GraphDB.open(graph.copy())
+        versions = {cluster.partition.cut_state()[0]}
+        for _ in range(3):
+            for query in QUERIES:
+                assert cluster_answer(cluster, query) == set(session.execute(query))
+            local = fresh_local_edge(graph, cluster)
+            graph.add_edge(*local)
+            cluster.submit_update(add=[local]).result(timeout=60)
+            session.update(add=[local])
+            versions.add(cluster.partition.cut_state()[0])
+        assert versions == {0}
+        assert len(plan_calls) == 2 * len(QUERIES)
+        assert set(cluster._join_plans) == set(QUERIES)
+
+    def test_one_off_texts_keep_no_plan(self, cut_cluster, plan_calls):
+        cluster, graph = cut_cluster
+        session = GraphDB.open(graph.copy())
+        for query in QUERIES:
+            assert cluster_answer(cluster, query) == set(session.execute(query))
+        assert len(plan_calls) == len(QUERIES)
+        assert cluster._join_plans == {}
+
+    def test_every_entry_sits_on_a_live_state(self, cut_cluster):
+        cluster, graph = cut_cluster
+        for query in QUERIES:
+            cluster_answer(cluster, query)
+        local = fresh_local_edge(graph, cluster)
+        cluster.submit_update(add=[local]).result(timeout=60)
+        for query in QUERIES:
+            cluster_answer(cluster, query)
+        assert set(cluster._join_plans) == set(QUERIES)
+        for _version, join_plan in cluster._join_plans.values():
+            assert len(join_plan.entries) > 0
+            live = live_states(join_plan.nfa)
+            assert all(state in live for _vertex, state in join_plan.entries)
+
+    def test_reads_racing_cut_changes_stay_exact(self, cut_cluster):
+        """Reads on other threads overlap every cut add and remove; each
+        answer read after an update is acked is that update's answer."""
+        cluster, graph = cut_cluster
+        edge = pick_cross_shard_edge(graph, cluster.partition)
+        session = GraphDB.open(graph.copy())
+        queries = ["(l0|l1)+", "l0.l1", "(l1)+"]
+        without = {query: set(session.execute(query)) for query in queries}
+        session.update(add=[edge])
+        with_edge = {query: set(session.execute(query)) for query in queries}
+        assert without != with_edge, "the cut edge must change an answer"
+
+        stop = threading.Event()
+        errors = []
+
+        def reader(offset):
+            index = offset
+            while not stop.is_set():
+                query = queries[index % len(queries)]
+                index += 1
+                try:
+                    pairs = cluster_answer(cluster, query)
+                except Exception as error:  # reported by the main thread
+                    errors.append(error)
+                    return
+                # Overlapping an update, either side is a legal answer.
+                if pairs not in (without[query], with_edge[query]):
+                    errors.append(AssertionError(f"{query}: neither answer"))
+                    return
+
+        readers = [
+            threading.Thread(target=reader, args=(offset,), daemon=True)
+            for offset in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for round_ in range(12):
+                present = round_ % 2 == 0
+                if present:
+                    cluster.submit_update(add=[edge]).result(timeout=60)
+                else:
+                    cluster.submit_update(remove=[edge]).result(timeout=60)
+                expected = with_edge if present else without
+                for query in queries:
+                    assert cluster_answer(cluster, query) == expected[query], (
+                        round_,
+                        query,
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        assert not errors, errors
+
+
+class TestJoinCacheBound:
+    def test_unique_texts_never_outgrow_the_limit(
+        self, cut_cluster, monkeypatch
+    ):
+        """Read-only traffic of ever new texts keeps at most
+        ``PLAN_MEMO_LIMIT`` answers (and plans) at the router."""
+        monkeypatch.setattr(cluster_service, "PLAN_MEMO_LIMIT", 4)
+        cluster, graph = cut_cluster
+        session = GraphDB.open(graph.copy())
+        for query in QUERIES:
+            assert cluster_answer(cluster, query) == set(session.execute(query))
+            assert query in cluster._join_cache
+            assert len(cluster._join_cache) <= 4
+            assert len(cluster._join_plans_seen) <= 4
