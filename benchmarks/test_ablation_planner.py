@@ -11,7 +11,7 @@ import time
 from bench_common import SEED, emit, record_rows
 from repro.bench.formatting import format_seconds, format_table
 from repro.core.engines import RTCSharingEngine
-from repro.core.planner import estimate_cost
+from repro.core.explain import estimate_cost
 from repro.regex.parser import parse
 from repro.workloads.generator import generate_workload
 

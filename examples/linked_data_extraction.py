@@ -10,8 +10,9 @@ SPARQL-property-path-style queries:
 * influence chains between people: ``influenced_by+``
 * co-location discovery:           ``born_in|works_in``
 
-Shows the paper's batch-unit planner ordering the query mix and the
-semantic RTC cache sharing language-equal closure bodies written two ways.
+Shows each query's static evaluation plan (its DNF clauses and batch
+units) and the semantic RTC cache sharing language-equal closure bodies
+written two ways.
 
 Run:  python examples/linked_data_extraction.py
 """
@@ -20,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 from repro import GraphDB
-from repro.core import plan_order
 
 EDGE_LIST = """\
 # A toy slice of a linked-data graph: people, places, classes.
@@ -67,12 +67,10 @@ def main() -> None:
     print(f"knowledge graph: {graph.num_vertices} resources, "
           f"{graph.num_edges} triples, predicates {sorted(graph.labels())}")
 
-    # -- the planner orders the batch (cheap units first, shared grouped) --
-    plan = plan_order(graph, QUERIES)
-    print("\nplanned execution order:")
-    for item in plan:
-        print(f"  cost={item.cost:10.0f}  query#{item.query_index}  "
-              f"unit={item.unit}")
+    # -- each query's batch units, before anything is evaluated ----------
+    print("\nevaluation plans:")
+    for query in QUERIES:
+        print(db.explain(query).describe())
 
     answers = dict(zip(QUERIES, db.execute_many(QUERIES)))
 

@@ -8,12 +8,14 @@ Public surface:
 * DNF machinery: :func:`to_dnf`, :class:`ClosureLiteral`,
   :func:`clause_to_regex`, :func:`decompose_clause`, :class:`BatchUnit`;
 * query plans, derived once per query for the whole process:
-  :class:`Plan`, :func:`plan_for`;
+  :class:`Plan`, :func:`plan_for` (``Plan.bodies`` is the closure
+  bodies a query shares);
 * Algorithm 2: :func:`eval_batch_unit`, :class:`BatchUnitOptions`;
 * engines: :class:`RTCSharingEngine`, :class:`FullSharingEngine`,
   :class:`NoSharingEngine` (built by name through :mod:`repro.db`);
-* caches (:class:`RTCCache`, :class:`ClosureCache`), phase timing, the
-  batch planner and reduction statistics.
+* :func:`explain`, the static rendering of a plan;
+* caches (:class:`RTCCache`, :class:`ClosureCache`), phase timing and
+  reduction statistics.
 """
 
 from repro.core.batch_unit import (
@@ -34,7 +36,6 @@ from repro.core.engines import (
     RTCSharingEngine,
 )
 from repro.core.plan import Plan, plan_for
-from repro.core.planner import PlannedUnit, estimate_cost, plan_order
 from repro.core.reduction import (
     ReductionResult,
     edge_level_reduce,
@@ -43,7 +44,6 @@ from repro.core.reduction import (
 )
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
 from repro.core.serialize import rtc_from_dict, rtc_to_dict
-from repro.core.sharing_analysis import SharedBody, SharingReport, analyse_sharing
 from repro.core.stats import ReductionStats, reduction_stats
 from repro.core.timing import (
     ALL_PHASES,
@@ -85,16 +85,10 @@ __all__ = [
     "PHASE_SHARED_DATA",
     "PHASE_PRE_JOIN",
     "PHASE_REMAINDER",
-    "PlannedUnit",
-    "estimate_cost",
-    "plan_order",
     "ReductionStats",
     "reduction_stats",
     "rtc_to_dict",
     "rtc_from_dict",
-    "SharedBody",
-    "SharingReport",
-    "analyse_sharing",
     "IncrementalRTC",
     "explain",
     "QueryPlan",

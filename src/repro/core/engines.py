@@ -44,6 +44,7 @@ from repro.core.batch_unit import (
     join_pre_with_rtc_bits,
 )
 from repro.core.cache import ClosureCache, RTCCache
+from repro.core.explain import explain
 from repro.core.plan import Plan, UnitPlan, plan_for
 from repro.core.rtc import ReducedTransitiveClosure, compute_rtc
 from repro.core.timing import (
@@ -380,11 +381,7 @@ class RTCSharingEngine(_SharingEngine):
         Returns a :class:`~repro.core.explain.QueryPlan`; nothing is
         evaluated and the cache is not touched.
         """
-        from repro.core.explain import explain
-
-        return explain(
-            self.graph, query, rtc_cache=self.rtc_cache, max_clauses=self.max_clauses
-        )
+        return explain(self.graph, query, self)
 
     def reaches(self, r: str | RegexNode, source: object, target: object) -> bool:
         """Extension: answer ``(source, target) in (R+)_G`` from the RTC.

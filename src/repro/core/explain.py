@@ -5,6 +5,9 @@ clauses, each clause's ``(Pre, R, Type, Post)`` decomposition, the RTC
 cache key and its current hit/miss status, the chosen ``Post`` fast path,
 and the relational-algebra expression of the batch unit (Eq. (6)-(10)).
 
+It renders the query's shared :class:`~repro.core.plan.Plan` -- the same
+units the engines evaluate -- and walks no DNF of its own.
+
 Purely *static*: nothing is evaluated and no RTC is computed, so
 explaining a query is always cheap and side-effect-free (cache stats are
 not touched either).
@@ -14,14 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.decompose import BatchUnit, decompose_clause
-from repro.core.dnf import clause_to_regex, to_dnf
-from repro.core.planner import estimate_cost
+from repro.core.dnf import clause_to_regex
+from repro.core.plan import Plan, UnitPlan, plan_for
 from repro.graph.multigraph import LabeledMultigraph
-from repro.regex.ast import Epsilon, RegexNode
-from repro.regex.parser import parse
+from repro.regex.ast import Epsilon, RegexNode, contains_closure, iter_labels
 
-__all__ = ["ClausePlan", "QueryPlan", "explain"]
+__all__ = ["ClausePlan", "QueryPlan", "estimate_cost", "explain"]
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class ClausePlan:
     r: str | None
     closure_type: str | None
     post: str | None
-    post_strategy: str  # "epsilon" | "label-sequence" | "automaton" | "whole-clause"
+    post_strategy: str  # "epsilon" | "label-sequence" | "automaton"
     rtc_key: str | None
     rtc_cached: bool
     estimated_cost: float
@@ -74,70 +75,61 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def _post_strategy(unit: BatchUnit) -> str:
-    if unit.type is None:
-        if isinstance(unit.post, Epsilon):
-            return "epsilon"
-        if unit.post_labels:
-            return "label-sequence"
-        return "whole-clause"
-    if isinstance(unit.post, Epsilon):
-        return "epsilon"
-    return "label-sequence"
+def estimate_cost(graph: LabeledMultigraph, node: RegexNode) -> float:
+    """A label-statistics cost proxy for evaluating ``node`` on ``graph``.
+
+    The product of per-label edge counts approximates the worst-case
+    intermediate size of the label joins; closures multiply by ``|V|`` to
+    reflect the closure walk.  Only relative order matters.
+    """
+    cost = 1.0
+    for label in iter_labels(node):
+        cost *= max(1, graph.label_count(label))
+    if contains_closure(node):
+        cost *= max(1, graph.num_vertices)
+    return cost
 
 
 def explain(
-    graph: LabeledMultigraph,
-    query: str | RegexNode,
-    rtc_cache=None,
-    cache_key=None,
-    max_clauses: int = 4096,
+    graph: LabeledMultigraph, query: str | RegexNode | Plan, engine=None
 ) -> QueryPlan:
     """Build the static evaluation plan of ``query``.
 
-    ``rtc_cache`` (an :class:`~repro.core.cache.RTCCache`) and its key
-    function are optional; when given, each batch unit reports whether its
-    RTC is already cached.  :meth:`RTCSharingEngine.explain` passes the
-    engine's own cache.
+    With an ``engine``, the plan reads its ``max_clauses``, reports each
+    batch unit's key and hit/miss status in its RTC cache (when it has
+    one), and names the evaluator its ``clause_evaluator`` runs
+    closure-free clauses with.
     """
-    node = parse(query)
-    clause_plans: list[ClausePlan] = []
-    for clause in to_dnf(node, max_clauses):
-        unit = decompose_clause(clause)
-        clause_text = clause_to_regex(clause).to_string()
-        if unit.type is None:
-            clause_plans.append(
-                ClausePlan(
-                    clause=clause_text,
-                    pre=None,
-                    r=None,
-                    closure_type=None,
-                    post=unit.post.to_string(),
-                    post_strategy=_post_strategy(unit),
-                    rtc_key=None,
-                    rtc_cached=False,
-                    estimated_cost=estimate_cost(graph, unit.post),
-                )
-            )
-            continue
-        key = None
-        cached = False
-        if rtc_cache is not None:
-            key = rtc_cache.key_for(unit.r)
-            cached = unit.r in rtc_cache
-        elif cache_key is not None:
-            key = cache_key(unit.r)
-        clause_plans.append(
-            ClausePlan(
-                clause=clause_text,
-                pre=unit.pre.to_string(),
-                r=unit.r.to_string(),
-                closure_type=unit.type,
-                post=unit.post.to_string(),
-                post_strategy=_post_strategy(unit),
-                rtc_key=key,
-                rtc_cached=cached,
-                estimated_cost=estimate_cost(graph, unit.r),
-            )
-        )
-    return QueryPlan(query=node.to_string(), clauses=tuple(clause_plans))
+    plan = plan_for(query)
+    rtc_cache = getattr(engine, "rtc_cache", None)
+    automaton = getattr(engine, "clause_evaluator", "auto") == "automaton"
+    clause_plans = [
+        _clause_plan(graph, step, rtc_cache, automaton)
+        for step in plan.units(getattr(engine, "max_clauses", 4096))
+    ]
+    return QueryPlan(query=plan.node.to_string(), clauses=tuple(clause_plans))
+
+
+def _clause_plan(
+    graph: LabeledMultigraph, step: UnitPlan, rtc_cache, automaton: bool
+) -> ClausePlan:
+    unit = step.unit
+    closure = unit.type is not None
+    if isinstance(unit.post, Epsilon):
+        strategy = "epsilon"
+    elif automaton and not closure:
+        strategy = "automaton"
+    else:
+        strategy = "label-sequence"
+    key = step.body_key(rtc_cache.mode) if closure and rtc_cache is not None else None
+    return ClausePlan(
+        clause=clause_to_regex(step.clause).to_string(),
+        pre=unit.pre.to_string() if closure else None,
+        r=unit.r.to_string() if closure else None,
+        closure_type=unit.type,
+        post=unit.post.to_string(),
+        post_strategy=strategy,
+        rtc_key=key,
+        rtc_cached=key is not None and rtc_cache.peek(key) is not None,
+        estimated_cost=estimate_cost(graph, unit.r if closure else unit.post),
+    )

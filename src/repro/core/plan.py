@@ -13,10 +13,14 @@ on first use and kept on the plan:
 * :meth:`Plan.units` -- the batch units for one ``max_clauses`` bound,
   each a :class:`UnitPlan` with its ``Pre`` sub-plan, its ``Post``
   :class:`~repro.rpq.restricted.RestrictedEvaluator` and its closure
-  body's cache key per mode (the engines);
-* :meth:`Plan.group_key` -- the batching key of a cache mode,
-  :func:`closure_group_key` called once (the scheduler and replica
-  affinity);
+  body's cache key per mode (the engines and EXPLAIN);
+* :meth:`Plan.bodies` -- a generator over the kept units: the cache key
+  of every closure body evaluating the plan builds, nested ones
+  included.  It is the one walker of a plan's units: the group key
+  below is its distinct keys, and how often a query set would reuse
+  each body is ``Counter(plan.bodies(mode))``;
+* :meth:`Plan.group_key` -- the batching key of a cache mode, the sorted
+  distinct :meth:`Plan.bodies` (the scheduler and replica affinity);
 * :meth:`Plan.route` -- ``(labels, nullable, nfa)`` (the cluster router
   and the boundary-join summaries).
 
@@ -44,6 +48,8 @@ small query set.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from repro.core.cache import make_key_function
 from repro.core.decompose import BatchUnit, decompose_clause
@@ -87,14 +93,14 @@ def closure_group_key(
 ) -> str:
     """The batching key of a query: its sorted closure-body cache keys.
 
-    Walks the DNF/batch-unit decomposition exactly like the engines (and
-    :func:`~repro.core.sharing_analysis.analyse_sharing`) do, collecting
-    the cache key of every closure body, nested ones included.  Queries
-    with equal keys would populate/hit the same shared-cache entries, so
-    they belong in one micro-batch.  Closure-free queries key to ``""``.
-    Queries whose decomposition fails (e.g. DNF blow-up past
-    ``max_clauses``) also key to ``""``; the engine will raise the real
-    error at evaluation time.
+    The reference implementation of :meth:`Plan.group_key`, kept for the
+    property tests to compare the plan's walk against: a fresh DNF +
+    decomposition of the query, collecting the cache key of every
+    closure body, nested ones included.  Queries with equal keys would
+    populate/hit the same shared-cache entries, so they belong in one
+    micro-batch.  Closure-free queries key to ``""``.  Queries whose
+    decomposition fails (e.g. DNF blow-up past ``max_clauses``) also key
+    to ``""``; the engine will raise the real error at evaluation time.
     """
     keys: set[str] = set()
 
@@ -166,11 +172,36 @@ class Plan:
             )
         return units
 
+    def bodies(self, mode: str = "syntactic") -> Iterator[str]:
+        """The cache key of every closure unit's body, duplicates kept.
+
+        Recurses like evaluation does: into each ``Pre`` sub-plan, and
+        into :func:`plan_for` ``(R)`` -- the plan ``build_rtc`` evaluates
+        -- when ``R`` nests a closure.  Raises for a DNF past the default
+        ``max_clauses``.
+        """
+        for step in self.units():
+            r = step.unit.r
+            if r is None:
+                continue
+            yield step.body_key(mode)
+            if step.pre is not None:
+                yield from step.pre.bodies(mode)
+            if contains_closure(r):
+                yield from plan_for(r).bodies(mode)
+
     def group_key(self, mode: str = "syntactic") -> str:
-        """:func:`closure_group_key` under cache mode ``mode``."""
+        """The sorted distinct :meth:`bodies` of cache mode ``mode``.
+
+        ``""`` for a closure-free query, and for one whose DNF is past
+        ``max_clauses`` (evaluating it raises the real error).
+        """
         key = self._group_keys.get(mode)
         if key is None:
-            key = closure_group_key(self.node, make_key_function(mode))
+            try:
+                key = "|".join(sorted(set(self.bodies(mode))))
+            except ReproError:
+                key = ""
             self._group_keys[mode] = key
         return key
 

@@ -72,13 +72,7 @@ class PreparedQuery:
         return equal plans (plan stability), and only the per-clause
         ``rtc_cached`` flags may change after executions warm the cache.
         """
-        engine = self._db.engine
-        return build_plan(
-            self._db.graph,
-            self.node,
-            rtc_cache=getattr(engine, "rtc_cache", None),
-            max_clauses=self.max_clauses,
-        )
+        return build_plan(self._db.graph, self.plan, self._db.engine)
 
     def execute(self, *, lazy: bool = False):
         """Run this query through the session; returns a :class:`ResultSet`."""

@@ -16,6 +16,11 @@ tightest: ``|``  <  concatenation  <  postfix ``+ * ?``.
 :func:`parse` returns an immutable :class:`~repro.regex.ast.RegexNode`;
 :class:`~repro.errors.RPQSyntaxError` carries the character offset of the
 first offending token.
+
+Every layer below the parser walks the AST recursively, so a query may
+nest at most :data:`MAX_NESTING` groups and postfix operators around any
+label (``((a)+)*`` nests 4); past that it is a syntax error, raised at
+the ``(`` or operator that crosses the bound.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ from repro.regex.ast import (
     union,
 )
 
-__all__ = ["parse", "tokenize", "Token"]
+__all__ = ["MAX_NESTING", "parse", "tokenize", "Token"]
+
+#: Most groups plus postfix operators a query may nest around one label.
+MAX_NESTING = 100
 
 _SYMBOLS = {".", "·", "|", "+", "*", "?", "(", ")"}
 
@@ -90,6 +98,16 @@ class _Parser:
         self._tokens = tokens
         self._source = source
         self._index = 0
+        self._groups = 0  # currently open '(' groups
+
+    def _nest(self, nesting: int, token: Token) -> int:
+        """``nesting`` inside the open groups; raises past the bound."""
+        if self._groups + nesting > MAX_NESTING:
+            raise RPQSyntaxError(
+                f"query nests deeper than {MAX_NESTING} groups and closures",
+                token.position,
+            )
+        return nesting
 
     def _peek(self) -> Token | None:
         if self._index < len(self._tokens):
@@ -114,7 +132,7 @@ class _Parser:
     def parse(self) -> RegexNode:
         if not self._tokens:
             raise RPQSyntaxError("empty query", 0)
-        node = self._union()
+        node, _nesting = self._union()
         trailing = self._peek()
         if trailing is not None:
             raise RPQSyntaxError(
@@ -123,68 +141,77 @@ class _Parser:
             )
         return node
 
-    def _union(self) -> RegexNode:
-        alternatives = [self._concat()]
+    # Each rule returns its node and the groups plus postfix operators it
+    # nests around its deepest label.
+    def _union(self) -> tuple[RegexNode, int]:
+        node, nesting = self._concat()
+        alternatives = [node]
         while True:
             token = self._peek()
             if token is None or token.kind != "|":
                 break
             self._advance()
-            alternatives.append(self._concat())
+            node, inner = self._concat()
+            alternatives.append(node)
+            nesting = max(nesting, inner)
         if len(alternatives) == 1:
-            return alternatives[0]
-        return union(*alternatives)
+            return alternatives[0], nesting
+        return union(*alternatives), nesting
 
-    def _concat(self) -> RegexNode:
-        parts = [self._postfix()]
+    def _concat(self) -> tuple[RegexNode, int]:
+        node, nesting = self._postfix()
+        parts = [node]
         while True:
             token = self._peek()
             if token is None:
                 break
             if token.kind == ".":
                 self._advance()
-                parts.append(self._postfix())
-                continue
             # Juxtaposition: the next token can begin an atom.
-            if token.kind in ("label", "("):
-                parts.append(self._postfix())
-                continue
-            break
+            elif token.kind not in ("label", "("):
+                break
+            node, inner = self._postfix()
+            parts.append(node)
+            nesting = max(nesting, inner)
         if len(parts) == 1:
-            return parts[0]
-        return concat(*parts)
+            return parts[0], nesting
+        return concat(*parts), nesting
 
-    def _postfix(self) -> RegexNode:
-        node = self._atom()
+    def _postfix(self) -> tuple[RegexNode, int]:
+        node, nesting = self._atom()
         while True:
             token = self._peek()
             if token is None or token.kind not in ("+", "*", "?"):
                 break
             self._advance()
+            nesting = self._nest(nesting + 1, token)
             if token.kind == "+":
                 node = Plus(node)
             elif token.kind == "*":
                 node = Star(node)
             else:
                 node = Optional(node)
-        return node
+        return node, nesting
 
-    def _atom(self) -> RegexNode:
+    def _atom(self) -> tuple[RegexNode, int]:
         token = self._peek()
         if token is None:
             raise RPQSyntaxError("expected a label or '('", len(self._source))
         if token.kind == "label":
             self._advance()
-            return Label(token.text)
+            return Label(token.text), 0
         if token.kind == "(":
             self._advance()
             inner = self._peek()
             if inner is not None and inner.kind == ")":
                 self._advance()
-                return EPSILON
-            node = self._union()
+                return EPSILON, 0
+            self._groups += 1
+            self._nest(0, token)  # bounds the descent before it recurses
+            node, nesting = self._union()
             self._expect(")")
-            return node
+            self._groups -= 1
+            return node, self._nest(nesting + 1, token)
         raise RPQSyntaxError(
             f"expected a label or '(', found {token.text!r}", token.position
         )

@@ -6,14 +6,14 @@ server notices *which* in-flight queries share a closure body.  This
 scheduler does exactly that:
 
 1.  Every submitted query is keyed by the set of Kleene-closure bodies
-    it contains (:func:`~repro.core.plan.closure_group_key`, the same
+    it contains (:meth:`~repro.core.plan.Plan.group_key`, the same
     canonical keys the engine caches use, so ``"syntactic"``/
     ``"semantic"`` cache modes group identically to how they share).
     The key comes from the query's shared
     :class:`~repro.core.plan.Plan`: the dispatcher reads
-    ``plan.group_key(mode)``, which walks the DNF the first time any
-    thread asks for that text and mode and is a lookup ever after; the
-    workers evaluate the same plan's batch units.
+    ``plan.group_key(mode)``, which walks the plan's units the first
+    time any thread asks for that text and mode and is a lookup ever
+    after; the workers evaluate the same plan's batch units.
 2.  A dispatcher thread is *work-conserving*: it takes the head job
     plus whatever is already queued, partitions that by group key
     (:func:`group_jobs`) and hands each group to the worker pool as one
@@ -57,7 +57,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.engines import evaluate_plan
-from repro.core.plan import Plan, closure_group_key, plan_for
+from repro.core.plan import Plan, plan_for
 from repro.db.registry import create_engine
 from repro.db.session import GraphDB
 from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
@@ -68,7 +68,6 @@ __all__ = [
     "QueryJob",
     "UpdateJob",
     "SharingScheduler",
-    "closure_group_key",
     "group_jobs",
     "make_worker_engines",
 ]

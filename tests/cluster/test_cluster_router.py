@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster
 from repro.db import GraphDB
 from repro.errors import RPQSyntaxError
+from repro.regex.parser import MAX_NESTING
 from repro.server import Client, ServerConfig, ServerThread
 
 from test_cluster import QUERIES
@@ -73,6 +74,27 @@ class TestProtocolOverCluster:
         with pytest.raises(RPQSyntaxError):
             client.query("((")
         assert client.ping() >= 1  # well-framed error: client stays usable
+
+    def test_a_query_nested_past_the_bound_is_a_syntax_error(self, served):
+        """The router parses too: ``syntax``, not ``internal``, connection
+        kept, and a query exactly at the bound answers like a session."""
+        client, graph = served
+        at_bound = "(" * (MAX_NESTING // 2) + "b" + ")+" * (MAX_NESTING // 2)
+        texts = ("(" * 600 + "b" + ")" * 600, "b" + "+" * 1000, at_bound)
+        with socket.create_connection((client.host, client.port), timeout=30) as sock:
+            stream = sock.makefile("rwb")
+            responses = []
+            for index, text in enumerate(texts):
+                request = {"op": "query", "id": index, "queries": [text], "pairs": False}
+                stream.write(json.dumps(request).encode() + b"\n")
+                stream.flush()
+                responses.append(json.loads(stream.readline()))
+        for refused in responses[:2]:
+            assert refused["ok"] is False
+            assert refused["error"]["code"] == "syntax"
+        expected = len(set(GraphDB.open(graph, engine="no").execute(at_bound)))
+        assert responses[2]["ok"] is True
+        assert responses[2]["results"][0]["count"] == expected
 
     def test_a_repeated_routed_read_parses_and_walks_nothing(
         self, served, planning_calls

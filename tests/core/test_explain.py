@@ -1,10 +1,206 @@
-"""Tests for the static query planner/explainer."""
+"""Tests for the static query explainer and its cost proxy."""
 
 import pytest
 
 from repro.core.engines import RTCSharingEngine
-from repro.core.explain import explain
-from repro.errors import RPQSyntaxError
+from repro.core.explain import estimate_cost, explain
+from repro.db import GraphDB
+from repro.errors import ReproError, RPQSyntaxError
+from repro.graph.builders import paper_figure1_graph
+from repro.regex.parser import parse
+
+#: Every clause kind in one union: closure-free, ``+`` and ``*`` units, an
+#: epsilon Post, a closure nested in Pre and one nested in R, and an
+#: epsilon clause.
+GOLDEN_QUERY = "b.c|d.(b.c)+.c|d.(b.c)*.c|a.(b.c)+|(a.b)+.c.(b.c)+|d.((b)+.c)+|()"
+
+#: ``describe()`` of :data:`GOLDEN_QUERY` on Fig. 1, byte for byte; "warm"
+#: is after evaluating ``a.(b.c)+``.
+GOLDEN = {
+    "no-cache": """\
+query: b.c|d.(b.c)+.c|d.(b.c)*.c|a.(b.c)+|(a.b)+.c.(b.c)+|d.(b+.c)+|()
+clauses: 7
+  clause 0: b.c
+    EvalRPQwithoutKC via label-sequence (est. cost 30)
+  clause 1: d.(b.c)+.c
+    Pre  = d
+    R    = b.c   [closure +, RTC key miss: None]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 2: d.(b.c)*.c
+    Pre  = d
+    R    = b.c   [closure *, RTC key miss: None]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 3: a.(b.c)+
+    Pre  = a
+    R    = b.c   [closure +, RTC key miss: None]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 4: (a.b)+.c.(b.c)+
+    Pre  = (a.b)+.c
+    R    = b.c   [closure +, RTC key miss: None]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 5: d.(b+.c)+
+    Pre  = d
+    R    = b+.c   [closure +, RTC key miss: None]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 300)
+  clause 6: ()
+    EvalRPQwithoutKC via epsilon (est. cost 1)""",
+    "syntactic-cold": """\
+query: b.c|d.(b.c)+.c|d.(b.c)*.c|a.(b.c)+|(a.b)+.c.(b.c)+|d.(b+.c)+|()
+clauses: 7
+  clause 0: b.c
+    EvalRPQwithoutKC via label-sequence (est. cost 30)
+  clause 1: d.(b.c)+.c
+    Pre  = d
+    R    = b.c   [closure +, RTC key miss: b.c]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 2: d.(b.c)*.c
+    Pre  = d
+    R    = b.c   [closure *, RTC key miss: b.c]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 3: a.(b.c)+
+    Pre  = a
+    R    = b.c   [closure +, RTC key miss: b.c]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 4: (a.b)+.c.(b.c)+
+    Pre  = (a.b)+.c
+    R    = b.c   [closure +, RTC key miss: b.c]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 5: d.(b+.c)+
+    Pre  = d
+    R    = b+.c   [closure +, RTC key miss: b+.c]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 300)
+  clause 6: ()
+    EvalRPQwithoutKC via epsilon (est. cost 1)""",
+    "syntactic-warm": """\
+query: b.c|d.(b.c)+.c|d.(b.c)*.c|a.(b.c)+|(a.b)+.c.(b.c)+|d.(b+.c)+|()
+clauses: 7
+  clause 0: b.c
+    EvalRPQwithoutKC via label-sequence (est. cost 30)
+  clause 1: d.(b.c)+.c
+    Pre  = d
+    R    = b.c   [closure +, RTC key HIT: b.c]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 2: d.(b.c)*.c
+    Pre  = d
+    R    = b.c   [closure *, RTC key HIT: b.c]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 3: a.(b.c)+
+    Pre  = a
+    R    = b.c   [closure +, RTC key HIT: b.c]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 4: (a.b)+.c.(b.c)+
+    Pre  = (a.b)+.c
+    R    = b.c   [closure +, RTC key HIT: b.c]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 5: d.(b+.c)+
+    Pre  = d
+    R    = b+.c   [closure +, RTC key miss: b+.c]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 300)
+  clause 6: ()
+    EvalRPQwithoutKC via epsilon (est. cost 1)""",
+    "semantic-cold": """\
+query: b.c|d.(b.c)+.c|d.(b.c)*.c|a.(b.c)+|(a.b)+.c.(b.c)+|d.(b+.c)+|()
+clauses: 7
+  clause 0: b.c
+    EvalRPQwithoutKC via label-sequence (est. cost 30)
+  clause 1: d.(b.c)+.c
+    Pre  = d
+    R    = b.c   [closure +, RTC key miss: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 2: d.(b.c)*.c
+    Pre  = d
+    R    = b.c   [closure *, RTC key miss: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 3: a.(b.c)+
+    Pre  = a
+    R    = b.c   [closure +, RTC key miss: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 4: (a.b)+.c.(b.c)+
+    Pre  = (a.b)+.c
+    R    = b.c   [closure +, RTC key miss: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 5: d.(b+.c)+
+    Pre  = d
+    R    = b+.c   [closure +, RTC key miss: states=3;accept=[2];delta=0-b->1;1-b->1;1-c->2]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 300)
+  clause 6: ()
+    EvalRPQwithoutKC via epsilon (est. cost 1)""",
+    "semantic-warm": """\
+query: b.c|d.(b.c)+.c|d.(b.c)*.c|a.(b.c)+|(a.b)+.c.(b.c)+|d.(b+.c)+|()
+clauses: 7
+  clause 0: b.c
+    EvalRPQwithoutKC via label-sequence (est. cost 30)
+  clause 1: d.(b.c)+.c
+    Pre  = d
+    R    = b.c   [closure +, RTC key HIT: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 2: d.(b.c)*.c
+    Pre  = d
+    R    = b.c   [closure *, RTC key HIT: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 3: a.(b.c)+
+    Pre  = a
+    R    = b.c   [closure +, RTC key HIT: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 4: (a.b)+.c.(b.c)+
+    Pre  = (a.b)+.c
+    R    = b.c   [closure +, RTC key HIT: states=3;accept=[2];delta=0-b->1;1-c->2]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 5: d.(b+.c)+
+    Pre  = d
+    R    = b+.c   [closure +, RTC key miss: states=3;accept=[2];delta=0-b->1;1-b->1;1-c->2]
+    Post = () via epsilon
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 300)
+  clause 6: ()
+    EvalRPQwithoutKC via epsilon (est. cost 1)""",
+}
+
+
+class TestGolden:
+    def test_without_a_cache(self):
+        assert explain(paper_figure1_graph(), GOLDEN_QUERY).describe() == GOLDEN["no-cache"]
+
+    @pytest.mark.parametrize("mode", ["syntactic", "semantic"])
+    def test_engine_cold_and_warm(self, mode):
+        engine = RTCSharingEngine(paper_figure1_graph(), cache_mode=mode)
+        assert engine.explain(GOLDEN_QUERY).describe() == GOLDEN[f"{mode}-cold"]
+        engine.evaluate("a.(b.c)+")
+        assert engine.explain(GOLDEN_QUERY).describe() == GOLDEN[f"{mode}-warm"]
+
+    def test_session_on_full_sharing_has_no_rtc_keys(self):
+        db = GraphDB.open(paper_figure1_graph(), engine="full")
+        db.execute("a.(b.c)+")
+        assert db.explain(GOLDEN_QUERY).describe() == GOLDEN["no-cache"]
+
+    def test_session_renders_its_prepared_plan(self):
+        db = GraphDB.open(paper_figure1_graph())
+        db.execute("a.(b.c)+")
+        prepared = db.prepare(GOLDEN_QUERY)
+        assert prepared.explain().describe() == GOLDEN["syntactic-warm"]
 
 
 class TestExplainStandalone:
@@ -77,3 +273,44 @@ class TestEngineExplain:
         engine.evaluate("a.(b.c|b.b)+")
         plan = engine.explain("d.(b.(c|b))+")  # language-equal body
         assert plan.clauses[0].rtc_cached is True
+
+    def test_automaton_evaluator_is_named(self, fig1):
+        """Closure-free clauses of the automaton evaluator run the
+        automaton; the epsilon clause and batch-unit Posts are unchanged."""
+        engine = RTCSharingEngine(fig1, clause_evaluator="automaton")
+        assert engine.explain("b.c|a.(b.c)+.c|()").describe() == """\
+query: b.c|a.(b.c)+.c|()
+clauses: 3
+  clause 0: b.c
+    EvalRPQwithoutKC via automaton (est. cost 30)
+  clause 1: a.(b.c)+.c
+    Pre  = a
+    R    = b.c   [closure +, RTC key miss: b.c]
+    Post = c via label-sequence
+    pipeline: Pre_G ⋈ SCC ⋈ R̄+_G ⋈ SCC ⋈ Post_G (Eq. 6-10; est. cost 30)
+  clause 2: ()
+    EvalRPQwithoutKC via epsilon (est. cost 1)"""
+        for evaluator in ("auto", "label-join"):
+            engine = RTCSharingEngine(fig1, clause_evaluator=evaluator)
+            assert engine.explain("b.c").clauses[0].post_strategy == "label-sequence"
+
+    def test_engine_max_clauses_bounds_the_plan(self, fig1):
+        engine = RTCSharingEngine(fig1, max_clauses=2)
+        with pytest.raises(ReproError):
+            engine.explain("(a|b).(c|d)")
+
+
+class TestEstimateCost:
+    def test_rarer_labels_cost_less(self, fig1):
+        assert estimate_cost(fig1, parse("d")) < estimate_cost(fig1, parse("c"))
+
+    def test_closures_cost_more(self, fig1):
+        assert estimate_cost(fig1, parse("b+")) > estimate_cost(fig1, parse("b"))
+
+    def test_concatenation_multiplies(self, fig1):
+        assert estimate_cost(fig1, parse("b.c")) == estimate_cost(
+            fig1, parse("b")
+        ) * estimate_cost(fig1, parse("c"))
+
+    def test_unknown_label_floor(self, fig1):
+        assert estimate_cost(fig1, parse("zz")) == 1.0

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -113,6 +114,48 @@ class TestPlanContents:
         labels, nullable, nfa = plan.route()
         assert labels == frozenset("abcd") and nullable
         assert plan.route()[2] is nfa
+
+
+def body_counts(queries, mode="syntactic") -> Counter:
+    """How many batch units of a query set reuse each closure body."""
+    return Counter(key for query in queries for key in plan_for(query).bodies(mode))
+
+
+class TestBodies:
+    def test_a_body_shared_across_queries(self):
+        assert body_counts(["a.(b.c)+", "d.(b.c)+.c", "c.(c)+"]) == {"b.c": 2, "c": 1}
+        assert body_counts(["a.(b)+", "a.(c)+"]) == {"b": 1, "c": 1}
+
+    def test_closure_free_queries_have_no_bodies(self):
+        assert list(plan_for("a.b|c").bodies()) == []
+        assert plan_for("a.b|c").group_key() == ""
+
+    def test_nested_bodies_in_pre_and_in_r(self):
+        # Pre (a.b)*.b+ holds bodies a.b and b; R a.b+.c nests b again.
+        assert body_counts(["(a.b)*.b+.(a.b+.c)+"]) == {"a.b+.c": 1, "a.b": 1, "b": 2}
+
+    def test_example7_reuses_bodies(self):
+        # The paper's Fig. 7: the third query reuses the RTCs of a.b and b.
+        counts = body_counts(["a", "a.(a.b)+.b", "(a.b)*.b+.(a.b+.c)+"])
+        assert counts["a.b"] == 2 and counts["b"] == 2
+
+    def test_a_union_counts_a_body_once_per_clause(self):
+        assert body_counts(["a.(b)+|c.(b)+"]) == {"b": 2}
+        assert plan_for("a.(b)+|c.(b)+").group_key() == "b"
+
+    def test_semantic_mode_identifies_equal_languages(self):
+        queries = ["a.(b.c|b.b)+", "a.(b.(c|b))+"]
+        assert sorted(body_counts(queries).values()) == [1, 1]
+        assert list(body_counts(queries, "semantic").values()) == [2]
+        first, second = (plan_for(query) for query in queries)
+        assert first.group_key("semantic") == second.group_key("semantic")
+        assert first.group_key("syntactic") != second.group_key("syntactic")
+
+    def test_a_clause_blow_up_raises_and_keys_empty(self):
+        blown = Plan(parse("(a|b)" + ".(c|d)" * 12 + ".(e)+"))  # 8192 clauses
+        with pytest.raises(EvaluationError):
+            list(blown.bodies())
+        assert blown.group_key() == ""
 
 
 class TestSharing:

@@ -62,3 +62,14 @@ def test_a_shared_plan_answers_like_the_oracle(graph, other, node):
         semantic = RTCSharingEngine(target, cache_mode="semantic")
         assert semantic.evaluate(plan) == expected
         assert FullSharingEngine(target).evaluate(plan) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_graphs(), regexes())
+def test_bodies_are_the_rtcs_evaluation_builds(graph, node):
+    plan = plan_for(node.to_string())
+    for mode in ("syntactic", "semantic"):
+        engine = RTCSharingEngine(graph, cache_mode=mode)
+        engine.evaluate(plan)
+        built = "|".join(sorted(key for key, _rtc in engine.rtc_cache.items()))
+        assert "|".join(sorted(set(plan.bodies(mode)))) == built

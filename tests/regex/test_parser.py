@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engines import FullSharingEngine, NoSharingEngine, RTCSharingEngine
 from repro.errors import RPQSyntaxError
 from repro.regex.ast import (
     EPSILON,
@@ -12,7 +13,7 @@ from repro.regex.ast import (
     concat,
     union,
 )
-from repro.regex.parser import parse, tokenize
+from repro.regex.parser import MAX_NESTING, parse, tokenize
 
 
 class TestTokenizer:
@@ -112,3 +113,44 @@ class TestParser:
         with pytest.raises(RPQSyntaxError) as excinfo:
             parse("a . . b")
         assert excinfo.value.position is not None
+
+
+#: One query of each way to nest, at nesting ``n`` (``n`` even).
+NESTED = {
+    "groups": lambda n: "(" * n + "b" + ")" * n,
+    "closed groups": lambda n: "(" * (n // 2) + "b" + ")+" * (n // 2),
+    "postfix": lambda n: "b" + "+" * n,
+    "chain": lambda n: "(b." * n + "c" + ")" * n,
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_past_the_bound_is_a_syntax_error(self, shape):
+        with pytest.raises(RPQSyntaxError, match="nests deeper than 100"):
+            parse(NESTED[shape](MAX_NESTING + 2))
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(" * 600 + "a" + ")" * 600, 100),  # the 101st '('
+            ("b" + "+" * 1000, 101),  # the 101st '+'
+            ("(" * 51 + "b" + ")+" * 51, 151),  # the '+' that makes 101
+            ("(b." * 101 + "c" + ")" * 101, 300),
+        ],
+        ids=["groups", "postfix", "closed groups", "chain"],
+    )
+    def test_the_error_points_at_the_crossing_token(self, text, position):
+        with pytest.raises(RPQSyntaxError) as excinfo:
+            parse(text)
+        assert excinfo.value.position == position
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_at_the_bound_answers_like_the_oracle(self, shape, fig1):
+        text = NESTED[shape](MAX_NESTING)
+        node = parse(text)
+        assert parse(node.to_string()) == node
+        expected = NoSharingEngine(fig1).evaluate(text)
+        for mode in ("syntactic", "semantic"):
+            assert RTCSharingEngine(fig1, cache_mode=mode).evaluate(text) == expected
+        assert FullSharingEngine(fig1).evaluate(text) == expected

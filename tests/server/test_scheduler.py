@@ -8,14 +8,13 @@ from concurrent.futures import Future
 import pytest
 
 from repro.core.cache import make_key_function
-from repro.core.plan import plan_for
+from repro.core.plan import closure_group_key, plan_for
 from repro.db import GraphDB
 from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
 from repro.regex.parser import parse
 from repro.server.scheduler import (
     QueryJob,
     SharingScheduler,
-    closure_group_key,
     group_jobs,
     make_worker_engines,
 )

@@ -21,6 +21,7 @@ from repro.errors import (
 from repro.graph.builders import labeled_cycle
 from repro.graph.multigraph import LabeledMultigraph
 from repro.obs import SlowQueryLog, get_registry
+from repro.regex.parser import MAX_NESTING
 from repro.server import Client, ServerConfig, ServerThread, protocol
 
 
@@ -312,6 +313,28 @@ class TestRawProtocol:
             stream.flush()
             after = json.loads(stream.readline())
         assert after["ok"] is True and after["reaches"] is True
+
+    def test_a_query_nested_past_the_bound_is_a_syntax_error(self, served):
+        """A 600-deep query used to overflow the parser's stack and answer
+        ``internal``: it is ``syntax`` now, the connection stays usable,
+        and a query exactly at the bound answers like the oracle."""
+        db, handle, _ = served
+        at_bound = "b" + "+" * MAX_NESTING
+        texts = ("(" * 600 + "b" + ")" * 600, "b" + "+" * 1000, at_bound)
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            responses = []
+            for index, text in enumerate(texts):
+                request = {"op": "query", "id": index, "queries": [text], "pairs": False}
+                stream.write(json.dumps(request).encode() + b"\n")
+                stream.flush()
+                responses.append(json.loads(stream.readline()))
+        for refused in responses[:2]:
+            assert refused["ok"] is False
+            assert refused["error"]["code"] == "syntax"
+        expected = len(set(GraphDB.open(db.graph, engine="no").execute(at_bound)))
+        assert responses[2]["ok"] is True
+        assert responses[2]["results"][0]["count"] == expected
 
     def test_well_formed_query_fields_are_served(self, served):
         _, handle, _ = served

@@ -33,7 +33,6 @@ UNREACHED = {
     "repro.rpq.dfa_eval": "ablation evaluator: the determinised-automaton reference of benchmarks/test_ablation_automata.py",
     "repro.graph.reachability": "related-work reachability baselines the RTC's reaches() is tested against",
     "repro.graph.builders": "graph constructors of the public API (paper_figure1_graph, paths, cycles, layers) for docs, examples and tests",
-    "repro.core.sharing_analysis": "public pre-flight report of the closure bodies a query set shares; no surface calls it yet",
 }
 
 
