@@ -16,6 +16,7 @@ computes one RTC where the syntactic key computes two.
 from bench_common import NUM_RPQS, SEED, emit, record_rows
 from repro.bench.formatting import format_seconds, format_table
 from repro.core.engines import FullSharingEngine, RTCSharingEngine
+from repro.core.timing import PHASE_PRE_JOIN, PHASE_SHARED_DATA
 from repro.workloads.generator import generate_workload
 
 
@@ -39,8 +40,8 @@ def test_shared_structure_head_to_head(benchmark, rmat3_graph):
             rows.append(
                 {
                     "structure": engine.name,
-                    "build": engine.timer.get("shared_data"),
-                    "join": engine.timer.get("pre_join_rtc"),
+                    "build": engine.timer.get(PHASE_SHARED_DATA),
+                    "join": engine.timer.get(PHASE_PRE_JOIN),
                     "pairs": engine.shared_data_size(),
                 }
             )
@@ -82,7 +83,7 @@ def test_semantic_cache_key_extension(benchmark, rmat3_graph):
             results[name] = {
                 "answers": answers,
                 "entries": engine.rtc_cache.stats.entries,
-                "build": engine.timer.get("shared_data"),
+                "build": engine.timer.get(PHASE_SHARED_DATA),
             }
         assert results["syntactic"]["answers"] == results["semantic"]["answers"]
         return results

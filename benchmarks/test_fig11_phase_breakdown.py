@@ -19,6 +19,7 @@ from repro.bitset.kernel import label_rows_bitmap
 from repro.core.batch_unit import join_pre_with_rtc, join_pre_with_rtc_bits
 from repro.core.engines import FullSharingEngine, RTCSharingEngine
 from repro.core.rtc import compute_rtc
+from repro.core.timing import PHASE_SHARED_DATA
 from repro.datasets.rmat import rmat_n
 
 
@@ -60,7 +61,7 @@ def test_fig11a_synthetic_phases(benchmark, exp1_synthetic_rows, rmat3_graph):
     def shared_data_once():
         engine = RTCSharingEngine(rmat3_graph)
         engine.evaluate("l0.(l1)+.l2")
-        return engine.timer.get("shared_data")
+        return engine.timer.get(PHASE_SHARED_DATA)
 
     benchmark.pedantic(shared_data_once, rounds=1, iterations=1)
 
@@ -80,7 +81,7 @@ def test_fig11b_real_phases(benchmark, exp1_real_rows, advogato_graph):
     def full_shared_data_once():
         engine = FullSharingEngine(advogato_graph)
         engine.evaluate("l0.(l1)+.l2")
-        return engine.timer.get("shared_data")
+        return engine.timer.get(PHASE_SHARED_DATA)
 
     benchmark.pedantic(full_shared_data_once, rounds=1, iterations=1)
 

@@ -7,9 +7,9 @@ introduces :mod:`repro.obs.names` as the declared registry
 (``SPAN_NAMES``, ``METRIC_NAMES``, ``PHASE_KEYS``); ``RPR501`` checks
 every name *literal* at an instrumentation site against it.
 
-Only literals are checked -- a name computed at runtime (e.g. the
-scheduler's ``_PHASE_NAMES`` lookup) is out of static reach and is
-skipped, not guessed at.  The registry is read from a ``names.py``
+Only literals are checked -- a name computed at runtime (e.g. an engine
+timer's phase key passed on by ``evaluate_plan``) is out of static reach
+and is skipped, not guessed at.  The registry is read from a ``names.py``
 module in the linted set when present (fixtures), falling back to the
 shipped :mod:`repro.obs.names`.
 """

@@ -521,7 +521,6 @@ def _cmd_serve(args) -> int:
         batch_window=args.batch_window,
         max_batch=args.max_batch,
         default_timeout=args.timeout if args.timeout > 0 else None,
-        engine_kwargs=engine_kwargs,
         slow_query_log=args.slow_query_log,
         slow_query_threshold=args.slow_query_threshold,
     )

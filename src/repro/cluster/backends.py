@@ -374,7 +374,6 @@ class InProcessBackend(ShardBackend):
             )
         self.shard_id = shard_id
         self.engine_name = engine.lower()
-        engine_kwargs = dict(engine_kwargs or {})
         # Durable shards: the primary replica's session owns the shard's
         # WAL + snapshots; recovery (when the directory holds state)
         # replaces the seed graph *before* any replica is built, so a
@@ -402,7 +401,7 @@ class InProcessBackend(ShardBackend):
                 engine=engine,
                 storage=self._storage if replica_id == 0 else None,
                 checkpoint_every=checkpoint_every if replica_id == 0 else None,
-                **engine_kwargs,
+                **(engine_kwargs or {}),
             )
             if self._storage is not None and replica_id > 0:
                 self._storage.install(db)
@@ -412,7 +411,6 @@ class InProcessBackend(ShardBackend):
                 max_queue=max_queue,
                 batch_window=batch_window,
                 max_batch=max_batch,
-                engine_kwargs=engine_kwargs,
                 start=False,
             )
             self.replicas.append(ShardReplica(shard_id, replica_id, db, scheduler))

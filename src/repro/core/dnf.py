@@ -19,8 +19,8 @@ Conversion rules (language-preserving, checked by property tests):
 
 Clauses are deduplicated while preserving first-occurrence order, so a
 query like ``(a|a).b`` yields one clause.  The number of clauses can grow
-exponentially in pathological queries; :func:`to_dnf` accepts a
-``max_clauses`` guard (default 4096) and raises rather than silently
+exponentially in pathological queries; :func:`to_dnf` raises past
+``max_clauses`` (default :data:`MAX_CLAUSES`) rather than silently
 truncating.
 """
 
@@ -43,7 +43,17 @@ from repro.regex.ast import (
     union,
 )
 
-__all__ = ["ClosureLiteral", "Clause", "to_dnf", "clause_to_regex", "dnf_to_regex"]
+__all__ = [
+    "MAX_CLAUSES",
+    "ClosureLiteral",
+    "Clause",
+    "to_dnf",
+    "clause_to_regex",
+    "dnf_to_regex",
+]
+
+#: The DNF blow-up guard: a query with more clauses is refused.
+MAX_CLAUSES = 4096
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ class ClosureLiteral:
 Clause = tuple
 
 
-def to_dnf(node: RegexNode, max_clauses: int = 4096) -> list[Clause]:
+def to_dnf(node: RegexNode, max_clauses: int = MAX_CLAUSES) -> list[Clause]:
     """Convert an RPQ AST to its closure-literal DNF (list of clauses)."""
 
     def convert(expr: RegexNode) -> list[Clause]:
@@ -100,8 +110,7 @@ def to_dnf(node: RegexNode, max_clauses: int = 4096) -> list[Clause]:
                 ]
                 if len(clauses) > max_clauses:
                     raise EvaluationError(
-                        f"DNF of query exceeds {max_clauses} clauses; "
-                        "rewrite the query or raise max_clauses"
+                        f"DNF of query exceeds {max_clauses} clauses; rewrite the query"
                     )
             return _dedup(clauses)
         raise TypeError(f"unknown regex node {expr!r}")
@@ -109,8 +118,7 @@ def to_dnf(node: RegexNode, max_clauses: int = 4096) -> list[Clause]:
     clauses = convert(node)
     if len(clauses) > max_clauses:
         raise EvaluationError(
-            f"DNF of query exceeds {max_clauses} clauses; "
-            "rewrite the query or raise max_clauses"
+            f"DNF of query exceeds {max_clauses} clauses; rewrite the query"
         )
     return clauses
 

@@ -23,7 +23,9 @@ and return ``set``.  FullSharing, the baseline defined by its pair-by-
 pair join, always returns ``set``.
 
 Engines are bound to one graph; caches persist across ``evaluate`` calls,
-which is what "sharing among multiple RPQs" means operationally.
+which is what "sharing among multiple RPQs" means operationally.  A
+:class:`~repro.db.GraphDB` session is the one place engine options are
+given; the server builds its workers from the session's.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ from repro.core.timing import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.multigraph import LabeledMultigraph
-from repro.regex.ast import Epsilon, RegexNode
+from repro.obs import get_registry
+from repro.regex.ast import RegexNode
 from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse
 from repro.rpq.counters import OpCounters
-from repro.rpq.evaluate import check_alphabet, eval_rpq
+from repro.rpq.evaluate import eval_rpq
 from repro.rpq.label_join import eval_label_sequence
 from repro.rpq.restricted import as_label_sequence
 
@@ -73,35 +76,29 @@ __all__ = [
 
 Pairs = set | PairBitmap  # one of the two per engine run, never mixed
 
+_phase_seconds = get_registry().counter(
+    "repro_phase_seconds_total",
+    "Wall seconds spent per engine/storage phase.",
+    labels=("phase",),
+)
+
 
 class RPQEngine:
     """Common surface of the three evaluation methods.
 
     Subclasses implement :meth:`_evaluate_node`; this base class provides
     planning (:func:`~repro.core.plan.plan_for`), total-time accounting,
-    batch evaluation and metric reset.
-
-    ``simplify_queries=True`` runs the language-preserving rewriter of
-    :mod:`repro.regex.simplify` on every incoming query before
-    evaluation -- an opt-in extension (the paper evaluates queries as
-    given); results are guaranteed unchanged.
+    batch evaluation and metric reset.  Queries are evaluated as given;
+    :func:`repro.regex.simplify.simplify` is the caller's to apply.
     """
 
     #: Short method name used by the benchmark tables ("No", "Full", "RTC").
     name = "base"
 
-    def __init__(
-        self,
-        graph: LabeledMultigraph,
-        collect_counters: bool = False,
-        strict_labels: bool = False,
-        simplify_queries: bool = False,
-    ) -> None:
+    def __init__(self, graph: LabeledMultigraph, collect_counters: bool = False) -> None:
         self.graph = graph
         self.timer = PhaseTimer()
         self.counters: OpCounters | None = OpCounters() if collect_counters else None
-        self.strict_labels = strict_labels
-        self.simplify_queries = simplify_queries
         self.total_time = 0.0
         self.queries_evaluated = 0
 
@@ -114,10 +111,6 @@ class RPQEngine:
         docstring for which; the type never varies within one run.
         """
         plan = plan_for(query)
-        if self.simplify_queries:
-            from repro.regex.simplify import simplify
-
-            plan = plan_for(simplify(plan.node))
         start = time.perf_counter()
         result = self._evaluate_plan(plan)
         self.total_time += time.perf_counter() - start
@@ -174,8 +167,6 @@ class RPQEngine:
     def _eval_automaton(self, node: RegexNode) -> Pairs:
         """Product-automaton evaluation of a whole expression."""
         nfa = compile_nfa(node)
-        if self.strict_labels:
-            check_alphabet(self.graph, nfa)
         if self._packed:
             return eval_rpq_bits(self.graph, nfa)
         return eval_rpq(self.graph, nfa, counters=self.counters)
@@ -204,21 +195,6 @@ class _SharingEngine(RPQEngine):
     ``Pre_G`` with it.
     """
 
-    def __init__(
-        self,
-        graph: LabeledMultigraph,
-        collect_counters: bool = False,
-        strict_labels: bool = False,
-        max_clauses: int = 4096,
-        clause_evaluator: str = "auto",
-        simplify_queries: bool = False,
-    ) -> None:
-        super().__init__(graph, collect_counters, strict_labels, simplify_queries)
-        self.max_clauses = max_clauses
-        if clause_evaluator not in ("auto", "automaton", "label-join"):
-            raise ValueError(f"unknown clause evaluator {clause_evaluator!r}")
-        self.clause_evaluator = clause_evaluator
-
     # -- shared skeleton (Algorithm 1) -----------------------------------
     def _evaluate_node(self, node: RegexNode) -> Pairs:
         # R_G on an RTC miss: a closure body's plan, shared like any other.
@@ -229,10 +205,10 @@ class _SharingEngine(RPQEngine):
         # the graph's interner, or all sets), so the union is one ``|=``;
         # a DNF has at least one clause.
         result: Pairs | None = None
-        for step in plan.units(self.max_clauses):
+        for step in plan.units():
             unit = step.unit
             if unit.type is None:
-                part = self._eval_without_closure(unit.post, unit.post_labels)
+                part = self._eval_without_closure(unit.post)
             else:
                 part = self._eval_batch_unit(step)
             if result is None:
@@ -241,23 +217,21 @@ class _SharingEngine(RPQEngine):
                 result |= part
         return result
 
-    def _eval_without_closure(self, post: RegexNode, labels: tuple) -> Pairs:
-        """``EvalRPQwithoutKC`` (Algorithm 1 line 6)."""
+    def _eval_without_closure(self, post: RegexNode) -> Pairs:
+        """``EvalRPQwithoutKC`` (Algorithm 1 line 6).
+
+        A closure-free clause is a label sequence, joined label by label;
+        only the epsilon clause (no labels) runs the automaton.
+        """
         with self.timer.measure(PHASE_REMAINDER):
-            use_join = self.clause_evaluator == "label-join" or (
-                self.clause_evaluator == "auto" and len(labels) > 0
-            )
-            if use_join and not isinstance(post, Epsilon):
-                sequence = as_label_sequence(post)
-                if sequence:
-                    if self._packed:
-                        # Stays a bitmap: Pre_G and R_G feed the id-space
-                        # join and Compute_RTC without becoming tuples.
-                        return eval_label_sequence_bits(self.graph, sequence)
-                    return eval_label_sequence(
-                        self.graph, sequence, counters=self.counters
-                    )
-            return self._eval_automaton(post)
+            sequence = as_label_sequence(post)
+            if not sequence:
+                return self._eval_automaton(post)
+            if self._packed:
+                # Stays a bitmap: Pre_G and R_G feed the id-space join
+                # and Compute_RTC without becoming tuples.
+                return eval_label_sequence_bits(self.graph, sequence)
+            return eval_label_sequence(self.graph, sequence, counters=self.counters)
 
     def _eval_pre(self, step: UnitPlan) -> Pairs:
         """``Pre_G`` -- recursive engine call (Algorithm 1 line 8)."""
@@ -323,19 +297,8 @@ class RTCSharingEngine(_SharingEngine):
         cache_mode: str = "syntactic",
         options: BatchUnitOptions = DEFAULT_OPTIONS,
         collect_counters: bool = False,
-        strict_labels: bool = False,
-        max_clauses: int = 4096,
-        clause_evaluator: str = "auto",
-        simplify_queries: bool = False,
     ) -> None:
-        super().__init__(
-            graph,
-            collect_counters,
-            strict_labels,
-            max_clauses,
-            clause_evaluator,
-            simplify_queries,
-        )
+        super().__init__(graph, collect_counters)
         self.rtc_cache = RTCCache(mode=cache_mode)
         self.options = options
 
@@ -448,19 +411,8 @@ class FullSharingEngine(_SharingEngine):
         graph: LabeledMultigraph,
         cache_mode: str = "syntactic",
         collect_counters: bool = False,
-        strict_labels: bool = False,
-        max_clauses: int = 4096,
-        clause_evaluator: str = "auto",
-        simplify_queries: bool = False,
     ) -> None:
-        super().__init__(
-            graph,
-            collect_counters,
-            strict_labels,
-            max_clauses,
-            clause_evaluator,
-            simplify_queries,
-        )
+        super().__init__(graph, collect_counters)
         self.closure_cache = ClosureCache(mode=cache_mode)
 
     def closure_for(self, r: str | RegexNode, key: str | None = None) -> dict:
@@ -545,12 +497,29 @@ class FullSharingEngine(_SharingEngine):
         self.closure_cache.invalidate(labels, vertex_added)
 
 
-def evaluate_plan(engine, plan: Plan) -> Pairs:
-    """``engine.evaluate`` on a plan.
+def evaluate_plan(engine, plan: Plan) -> tuple[Pairs, float, dict[str, float]]:
+    """``engine.evaluate`` on a plan, timed: ``(pairs, elapsed, phases)``.
 
-    The engines of this module take the plan itself; an engine at the
-    registry's duck-typed floor (``evaluate(query)`` only) gets its AST.
+    ``phases`` holds the engine-timer phases this evaluation moved; they
+    and ``evaluate`` are added to the ``repro_phase_seconds_total``
+    ledger here, for session and server reads alike.  An engine at the
+    registry's duck-typed floor (``evaluate(query)`` only) gets the AST.
     """
+    timer = getattr(engine, "timer", None)
+    before = timer.snapshot() if timer is not None else {}
+    started = time.perf_counter()
     if isinstance(engine, RPQEngine):
-        return engine.evaluate(plan)
-    return engine.evaluate(plan.node)
+        pairs = engine.evaluate(plan)
+    else:
+        pairs = engine.evaluate(plan.node)
+    elapsed = time.perf_counter() - started
+    phases: dict[str, float] = {}
+    if timer is not None:
+        for phase, total in timer.snapshot().items():
+            seconds = total - before.get(phase, 0.0)
+            if seconds > 0:
+                phases[phase] = seconds
+    _phase_seconds.inc(elapsed, phase="evaluate")
+    for phase, seconds in phases.items():
+        _phase_seconds.inc(seconds, phase=phase)
+    return pairs, elapsed, phases

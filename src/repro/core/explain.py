@@ -34,7 +34,7 @@ class ClausePlan:
     r: str | None
     closure_type: str | None
     post: str | None
-    post_strategy: str  # "epsilon" | "label-sequence" | "automaton"
+    post_strategy: str  # "epsilon" | "label-sequence"
     rtc_key: str | None
     rtc_cached: bool
     estimated_cost: float
@@ -95,32 +95,19 @@ def explain(
 ) -> QueryPlan:
     """Build the static evaluation plan of ``query``.
 
-    With an ``engine``, the plan reads its ``max_clauses``, reports each
-    batch unit's key and hit/miss status in its RTC cache (when it has
-    one), and names the evaluator its ``clause_evaluator`` runs
-    closure-free clauses with.
+    With an ``engine``, the plan reports each batch unit's key and
+    hit/miss status in its RTC cache (when it has one).
     """
     plan = plan_for(query)
     rtc_cache = getattr(engine, "rtc_cache", None)
-    automaton = getattr(engine, "clause_evaluator", "auto") == "automaton"
-    clause_plans = [
-        _clause_plan(graph, step, rtc_cache, automaton)
-        for step in plan.units(getattr(engine, "max_clauses", 4096))
-    ]
+    clause_plans = [_clause_plan(graph, step, rtc_cache) for step in plan.units()]
     return QueryPlan(query=plan.node.to_string(), clauses=tuple(clause_plans))
 
 
-def _clause_plan(
-    graph: LabeledMultigraph, step: UnitPlan, rtc_cache, automaton: bool
-) -> ClausePlan:
+def _clause_plan(graph: LabeledMultigraph, step: UnitPlan, rtc_cache) -> ClausePlan:
     unit = step.unit
     closure = unit.type is not None
-    if isinstance(unit.post, Epsilon):
-        strategy = "epsilon"
-    elif automaton and not closure:
-        strategy = "automaton"
-    else:
-        strategy = "label-sequence"
+    strategy = "epsilon" if isinstance(unit.post, Epsilon) else "label-sequence"
     key = step.body_key(rtc_cache.mode) if closure and rtc_cache is not None else None
     return ClausePlan(
         clause=clause_to_regex(step.clause).to_string(),

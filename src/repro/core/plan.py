@@ -53,7 +53,7 @@ from collections.abc import Iterator
 
 from repro.core.cache import make_key_function
 from repro.core.decompose import BatchUnit, decompose_clause
-from repro.core.dnf import Clause, to_dnf
+from repro.core.dnf import MAX_CLAUSES, Clause, to_dnf
 from repro.errors import ReproError
 from repro.regex.ast import Epsilon, RegexNode, contains_closure
 from repro.regex.nfa import compile_nfa
@@ -89,7 +89,7 @@ def plan_for(query: str | RegexNode | Plan) -> Plan:
 
 
 def closure_group_key(
-    node: RegexNode, key_function, max_clauses: int = 4096
+    node: RegexNode, key_function, max_clauses: int = MAX_CLAUSES
 ) -> str:
     """The batching key of a query: its sorted closure-body cache keys.
 
@@ -163,7 +163,7 @@ class Plan:
         self._group_keys: dict[str, str] = {}
         self._route: tuple | None = None
 
-    def units(self, max_clauses: int = 4096) -> tuple[UnitPlan, ...]:
+    def units(self, max_clauses: int = MAX_CLAUSES) -> tuple[UnitPlan, ...]:
         """One :class:`UnitPlan` per DNF clause, in clause order."""
         units = self._units.get(max_clauses)
         if units is None:
@@ -177,8 +177,8 @@ class Plan:
 
         Recurses like evaluation does: into each ``Pre`` sub-plan, and
         into :func:`plan_for` ``(R)`` -- the plan ``build_rtc`` evaluates
-        -- when ``R`` nests a closure.  Raises for a DNF past the default
-        ``max_clauses``.
+        -- when ``R`` nests a closure.  Raises for a DNF past
+        :data:`~repro.core.dnf.MAX_CLAUSES`.
         """
         for step in self.units():
             r = step.unit.r
@@ -194,7 +194,8 @@ class Plan:
         """The sorted distinct :meth:`bodies` of cache mode ``mode``.
 
         ``""`` for a closure-free query, and for one whose DNF is past
-        ``max_clauses`` (evaluating it raises the real error).
+        :data:`~repro.core.dnf.MAX_CLAUSES` (evaluating it raises the real
+        error).
         """
         key = self._group_keys.get(mode)
         if key is None:

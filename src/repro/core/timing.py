@@ -10,6 +10,8 @@ The evaluation section splits query response time into:
 * ``Remainder``      -- everything the methods do identically: computing
   ``Pre_G`` and ``R_G`` and the ``Post`` join (Eq. (10)).
 
+Their keys below are also the span and ledger phase names.
+
 :class:`PhaseTimer` accumulates wall-clock spans per phase.  Engines time
 **leaf operations only** (never a recursive engine call), so recursion
 attributes every span exactly once and the phase sums equal the total
@@ -29,8 +31,8 @@ __all__ = [
     "ALL_PHASES",
 ]
 
-PHASE_SHARED_DATA = "shared_data"
-PHASE_PRE_JOIN = "pre_join_rtc"
+PHASE_SHARED_DATA = "rtc"
+PHASE_PRE_JOIN = "pre_join"
 PHASE_REMAINDER = "remainder"
 ALL_PHASES = (PHASE_SHARED_DATA, PHASE_PRE_JOIN, PHASE_REMAINDER)
 

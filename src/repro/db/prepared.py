@@ -37,14 +37,13 @@ class PreparedQuery:
         One :class:`~repro.core.decompose.BatchUnit` per clause.
     """
 
-    def __init__(self, db, plan: Plan, max_clauses: int = 4096) -> None:
+    def __init__(self, db, plan: Plan) -> None:
         self._db = db
         self.plan = plan
         self.node = plan.node
         self.text = plan.node.to_string()
-        self.max_clauses = max_clauses
-        # Raises here, at prepare time, for a DNF past max_clauses.
-        self._steps = plan.units(max_clauses)
+        # Raises here, at prepare time, for a DNF past MAX_CLAUSES.
+        self._steps = plan.units()
         self.units: tuple[BatchUnit, ...] = tuple(step.unit for step in self._steps)
 
     @property

@@ -64,15 +64,15 @@ A session may be shared across threads: every stateful operation
 concurrent callers see a consistent graph/watcher/cache state but do
 **not** evaluate in parallel.  For parallel evaluation, run multiple
 engines over the same (thread-safe) shared-data cache -- that is exactly
-what :mod:`repro.server` does with its worker pool, using the session
-only for updates, watchers and statistics.  Lazy result sets capture the
+what :mod:`repro.server` does with its worker pool
+(:meth:`~GraphDB.worker_engine`), using the session only for updates,
+watchers and statistics.  Lazy result sets capture the
 session; forcing them from another thread takes the same lock.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from os import PathLike
 from pathlib import Path
 from collections.abc import Iterable, Sequence
@@ -128,7 +128,9 @@ class GraphDB:
             )
         self.graph = graph
         self.engine_name = engine.lower()
+        self._engine_options = dict(engine_kwargs)
         self.engine = create_engine(self.engine_name, graph, **engine_kwargs)
+        self._workers: list = []  # worker_engine()s, counted by stats()
         # The RTC cache every update repairs: the engine's when it keeps
         # one, else a session-owned one for the watched bodies.
         cache = getattr(self.engine, "rtc_cache", None)
@@ -213,6 +215,26 @@ class GraphDB:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def engine_options(self) -> dict:
+        """The keyword options the session's engine was built with."""
+        return dict(self._engine_options)
+
+    def worker_engine(self):
+        """A new engine built from :attr:`engine_options`, sharing our caches.
+
+        Its timers and counters are its own; :meth:`stats` counts its
+        evaluations.  The server's workers are such engines.
+        """
+        engine = create_engine(self.engine_name, self.graph, **self._engine_options)
+        for attribute in ("rtc_cache", "closure_cache"):
+            shared = getattr(self.engine, attribute, None)
+            if shared is not None and hasattr(engine, attribute):
+                setattr(engine, attribute, shared)
+        with self._lock:
+            self._workers.append(engine)
+        return engine
+
     def close(self) -> None:
         """Drop shared caches and watchers; further queries raise.
 
@@ -260,8 +282,7 @@ class GraphDB:
     def prepare(self, query: str | RegexNode) -> PreparedQuery:
         """Bind ``query``'s shared plan to this session as a reusable handle."""
         self._check_open()
-        max_clauses = getattr(self.engine, "max_clauses", 4096)
-        return PreparedQuery(self, plan_for(query), max_clauses=max_clauses)
+        return PreparedQuery(self, plan_for(query))
 
     def execute(
         self, query: str | RegexNode | PreparedQuery, *, lazy: bool = False
@@ -301,27 +322,18 @@ class GraphDB:
         return query.explain()
 
     def _run(self, plan: Plan) -> tuple[set, ExecutionStats]:
-        """Evaluate ``plan`` and attribute timer deltas to this query.
+        """Evaluate ``plan``; its phase times are this query's own.
 
         Holds the session lock for the whole evaluation: queries on one
         session are serialised against each other and against updates.
         """
         with self._lock:
             engine = self.engine
-            timer = getattr(engine, "timer", None)
-            before = timer.snapshot() if timer is not None else {}
             with ambient_span("evaluate") as span:
-                started = time.perf_counter()
-                pairs = evaluate_plan(engine, plan)
-                elapsed = time.perf_counter() - started
-                after = timer.snapshot() if timer is not None else {}
-                phases = {
-                    phase: after[phase] - before.get(phase, 0.0) for phase in after
-                }
+                pairs, elapsed, phases = evaluate_plan(engine, plan)
                 if span is not None:
                     for phase, seconds in phases.items():
-                        if seconds > 0:
-                            span.attrs[phase] = round(seconds, 6)
+                        span.attrs[phase] = round(seconds, 6)
             shared_size = getattr(engine, "shared_data_size", lambda: 0)()
         return pairs, ExecutionStats(
             total_time=elapsed, phase_times=phases, shared_pairs=shared_size
@@ -553,6 +565,7 @@ class GraphDB:
 
     def _stats_locked(self) -> dict:
         engine = self.engine
+        evaluators = [engine, *self._workers]  # the workers' reads are ours
         document = {
             "engine": self.engine_name,
             "graph": {
@@ -560,8 +573,10 @@ class GraphDB:
                 "edges": self.graph.num_edges,
                 "labels": self.graph.num_labels,
             },
-            "queries_evaluated": getattr(engine, "queries_evaluated", 0),
-            "total_time": getattr(engine, "total_time", 0.0),
+            "queries_evaluated": sum(
+                getattr(each, "queries_evaluated", 0) for each in evaluators
+            ),
+            "total_time": sum(getattr(each, "total_time", 0.0) for each in evaluators),
             "shared_pairs": getattr(engine, "shared_data_size", lambda: 0)(),
             "watchers": sorted(self._watchers),
         }

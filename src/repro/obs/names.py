@@ -42,8 +42,9 @@ SPAN_NAMES = frozenset(
         "wal_append",
         "checkpoint",
         "snapshot",
-        # engine phase children (scheduler._PHASE_NAMES values, recorded
-        # as retroactive children of the evaluate span).
+        # engine phase children (the repro.core.timing PHASE_* keys,
+        # recorded as retroactive children of the evaluate span; also
+        # ResultSet.phase_times keys and ledger phases below).
         "rtc",
         "pre_join",
         "remainder",

@@ -24,15 +24,16 @@ scheduler does exactly that:
     ``max_batch`` jobs; so batches form under saturation, where a read
     would have queued anyway, and nowhere else.
 3.  Workers are plain threads, each holding its own engine handle
-    (engines keep per-thread timers/counters) over the **shared,
-    lock-protected RTC cache** of the session's primary engine.  That
-    cache, not the window, is the sharing mechanism: the first query on
-    a body computes the RTC and every later one -- same batch or not,
-    same worker or not -- hits the cache.  Concurrent first-contact
-    misses on one body across workers are collapsed by the cache's
-    ``get_or_compute`` in-flight latch (see :mod:`repro.core.cache`);
-    grouping a saturated queue by body keeps even the latch wait rare
-    by landing a body's queries on one worker back to back.
+    (engines keep per-thread timers/counters) built from the session's
+    options, over the **shared, lock-protected RTC cache** of the
+    session's primary engine.  That cache, not the window, is the
+    sharing mechanism: the first query on a body computes the RTC and
+    every later one -- same batch or not, same worker or not -- hits
+    the cache.  Concurrent first-contact misses on one body across
+    workers are collapsed by the cache's ``get_or_compute`` in-flight
+    latch (see :mod:`repro.core.cache`); grouping a saturated queue by
+    body keeps even the latch wait rare by landing a body's queries on
+    one worker back to back.
 
 Admission control is a bounded queue (a full one surfaces as
 :class:`~repro.errors.AdmissionError` *before* any work happens) plus a
@@ -58,7 +59,6 @@ from dataclasses import dataclass, field
 
 from repro.core.engines import evaluate_plan
 from repro.core.plan import Plan, plan_for
-from repro.db.registry import create_engine
 from repro.db.session import GraphDB
 from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
 from repro.obs import activate, get_registry
@@ -125,24 +125,16 @@ def group_jobs(jobs: list[QueryJob]) -> list[list[QueryJob]]:
     return list(groups.values())
 
 
-def make_worker_engines(db: GraphDB, count: int, engine_kwargs: dict | None = None):
+def make_worker_engines(db: GraphDB, count: int):
     """``count`` fresh engine handles sharing the session engine's caches.
 
-    Each worker gets its own engine instance (timers and counters are
-    per-engine, hence per-worker), but the shared-data cache objects are
-    replaced by the primary engine's -- the lock-protected caches of
-    :mod:`repro.core.cache` -- so all workers share one RTC store.
+    Each is :meth:`~repro.db.GraphDB.worker_engine`: built from the
+    session's options, with its own timers and counters (hence
+    per-worker) over the primary engine's shared-data caches -- the
+    lock-protected caches of :mod:`repro.core.cache` -- so all workers
+    share one RTC store.  The session's stats count their reads.
     """
-    primary = db.engine
-    engines = []
-    for _ in range(count):
-        engine = create_engine(db.engine_name, db.graph, **(engine_kwargs or {}))
-        for attribute in ("rtc_cache", "closure_cache"):
-            shared = getattr(primary, attribute, None)
-            if shared is not None and hasattr(engine, attribute):
-                setattr(engine, attribute, shared)
-        engines.append(engine)
-    return engines
+    return [db.worker_engine() for _ in range(count)]
 
 
 class SharingScheduler:
@@ -151,8 +143,9 @@ class SharingScheduler:
     Parameters
     ----------
     db:
-        The (thread-safe) session; updates and stats go through it, and
-        its engine's caches are shared by all workers.
+        The (thread-safe) session; updates and stats go through it, the
+        workers' engines are built from its engine options, and its
+        engine's caches are shared by all workers.
     workers:
         Worker threads = concurrent micro-batches = engine handles.
     max_queue:
@@ -164,9 +157,6 @@ class SharingScheduler:
         worker free a batch leaves at once and the window is not used.
     max_batch:
         Upper bound on the jobs of one collection, window or not.
-    engine_kwargs:
-        Forwarded to the per-worker engine constructors (must mirror the
-        session's engine options, e.g. ``cache_mode``).
     start:
         Pass ``False`` to create the scheduler stopped (tests use this
         to fill the queue deterministically), then call :meth:`start`.
@@ -179,7 +169,6 @@ class SharingScheduler:
         max_queue: int = 256,
         batch_window: float = 0.005,
         max_batch: int = 64,
-        engine_kwargs: dict | None = None,
         start: bool = True,
     ) -> None:
         if workers < 1:
@@ -189,8 +178,8 @@ class SharingScheduler:
         self.batch_window = batch_window
         self.max_batch = max(1, max_batch)
         self.metrics = ServerMetrics()
-        # Always-on per-phase wall-time ledger (rtc vs evaluate vs join
-        # vs wal); the bench harness diffs it around each cell.
+        # Always-on per-phase wall-time ledger; evaluations publish
+        # themselves (evaluate_plan), the scheduler adds update_apply.
         self._phase_seconds = get_registry().counter(
             "repro_phase_seconds_total",
             "Wall seconds spent per engine/storage phase.",
@@ -215,7 +204,7 @@ class SharingScheduler:
         self._wake = threading.Condition()
         self._awaiting_worker = 0
         self._engines: queue.SimpleQueue = queue.SimpleQueue()
-        for engine in make_worker_engines(db, workers, engine_kwargs):
+        for engine in make_worker_engines(db, workers):
             self._engines.put(engine)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-worker"
@@ -449,13 +438,6 @@ class SharingScheduler:
             while self._inflight:
                 self._await_worker()
 
-    #: Engine-timer phases -> the public span/metric phase names.
-    _PHASE_NAMES = {
-        "shared_data": "rtc",
-        "pre_join_rtc": "pre_join",
-        "remainder": "remainder",
-    }
-
     def _record_wait_spans(self, job: QueryJob):
         """Retroactive admission/batch-wait spans + the live evaluate span.
 
@@ -484,19 +466,6 @@ class SharingScheduler:
         cache_before = cache.snapshot_stats() if cache is not None else None
         return tracer.begin("evaluate", parent=parent), cache_before
 
-    def _publish_phases(self, timer, timer_before, elapsed: float) -> dict:
-        """Engine-timer deltas -> the always-on phase ledger; returns them."""
-        deltas: dict = {}
-        if timer is not None and timer_before is not None:
-            for phase, total in timer.snapshot().items():
-                delta = total - timer_before.get(phase, 0.0)
-                if delta > 0:
-                    deltas[self._PHASE_NAMES.get(phase, phase)] = delta
-        self._phase_seconds.inc(elapsed, phase="evaluate")
-        for phase, delta in deltas.items():
-            self._phase_seconds.inc(delta, phase=phase)
-        return deltas
-
     def _finish_evaluate_span(self, job, span, phases, cache_before) -> None:
         """Close the evaluate span with phase children and cache deltas."""
         tracer, _ = job.trace
@@ -517,7 +486,6 @@ class SharingScheduler:
     def _run_batch(self, jobs: list[QueryJob]) -> None:
         """Worker body: evaluate one micro-batch on one engine handle."""
         engine = self._engines.get()
-        timer = getattr(engine, "timer", None)
         try:
             for job in jobs:
                 # Claim the future first: once running, a late cancel()
@@ -537,15 +505,12 @@ class SharingScheduler:
                 eval_span = cache_before = None
                 if job.trace is not None:
                     eval_span, cache_before = self._record_wait_spans(job)
-                timer_before = timer.snapshot() if timer is not None else None
                 try:
-                    started = time.perf_counter()
                     if job.trace is not None:
                         with activate(job.trace[0], eval_span.span_id):
-                            pairs = evaluate_plan(engine, job.plan)
+                            pairs, elapsed, phases = evaluate_plan(engine, job.plan)
                     else:
-                        pairs = evaluate_plan(engine, job.plan)
-                    elapsed = time.perf_counter() - started
+                        pairs, elapsed, phases = evaluate_plan(engine, job.plan)
                 except Exception as error:  # noqa: BLE001  # repro: noqa[RPR701] -- evaluation outcome boundary: the error becomes the job future's result, never lost
                     if job.trace is not None:
                         job.trace[0].finish(
@@ -554,7 +519,6 @@ class SharingScheduler:
                     self.metrics.record_failed()
                     job.future.set_exception(error)
                 else:
-                    phases = self._publish_phases(timer, timer_before, elapsed)
                     if job.trace is not None:
                         self._finish_evaluate_span(
                             job, eval_span, phases, cache_before

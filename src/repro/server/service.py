@@ -34,7 +34,7 @@ import signal
 import threading
 import time
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.plan import plan_for
 from repro.db.session import GraphDB
@@ -55,7 +55,10 @@ __all__ = ["ServerConfig", "QueryServer", "ServerThread"]
 
 @dataclass
 class ServerConfig:
-    """Tunables of one :class:`QueryServer` (defaults suit tests/dev)."""
+    """Tunables of one :class:`QueryServer` (defaults suit tests/dev).
+
+    Engine options are the served session's own (its ``engine_options``).
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is in server.address
@@ -69,8 +72,6 @@ class ServerConfig:
     max_batch: int = 64
     #: Per-request deadline in seconds when the client sends none.
     default_timeout: float | None = 30.0
-    #: Forwarded to the per-worker engines (mirror the session's options).
-    engine_kwargs: dict = field(default_factory=dict)
     #: Slow-query forensics: JSONL path for completed trace trees of
     #: requests slower than the threshold (None = off).  Enabling it
     #: traces *every* request server-side (the tree must already exist
@@ -106,7 +107,6 @@ class QueryServer:
             max_queue=self.config.max_queue,
             batch_window=self.config.batch_window,
             max_batch=self.config.max_batch,
-            engine_kwargs=self.config.engine_kwargs,
             start=False,
         )
         self._server: asyncio.AbstractServer | None = None

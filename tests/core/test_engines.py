@@ -8,10 +8,13 @@ from repro.core.engines import (
     NoSharingEngine,
     RTCSharingEngine,
 )
-from repro.db import create_engine
+from repro.bitset.kernel import eval_label_sequence_bits
+from repro.core.timing import PHASE_PRE_JOIN, PHASE_SHARED_DATA
+from repro.db import GraphDB, create_engine
 from repro.errors import RPQSyntaxError, UnknownLabelError
 from repro.graph.builders import labeled_cycle
 from repro.rpq.evaluate import eval_rpq
+from repro.rpq.label_join import eval_label_sequence
 
 ENGINE_CLASSES = [NoSharingEngine, FullSharingEngine, RTCSharingEngine]
 
@@ -145,8 +148,8 @@ class TestMetricsAndErrors:
     def test_phase_times_populated(self, fig1):
         engine = RTCSharingEngine(fig1)
         engine.evaluate("d.(b.c)+.c")
-        assert engine.timer.get("shared_data") > 0
-        assert engine.timer.get("pre_join_rtc") > 0
+        assert engine.timer.get(PHASE_SHARED_DATA) > 0
+        assert engine.timer.get(PHASE_PRE_JOIN) > 0
         assert engine.timer.get("remainder") > 0
 
     def test_counters_opt_in(self, fig1):
@@ -159,9 +162,15 @@ class TestMetricsAndErrors:
         assert counting.counters.total() > 0
 
     def test_strict_labels(self, fig1):
-        engine = NoSharingEngine(fig1, strict_labels=True)
+        # Every engine answers an unknown label with no pairs; refusing it
+        # is eval_rpq's opt-in, not an engine option.
+        for engine_class in ENGINE_CLASSES:
+            with pytest.raises(TypeError):
+                engine_class(fig1, strict_labels=True)
+            assert set(engine_class(fig1).evaluate("qq.a")) == set()
+            assert set(engine_class(fig1).evaluate("zz.a")) == set()
         with pytest.raises(UnknownLabelError):
-            engine.evaluate("qq.a")
+            eval_rpq(fig1, "qq.a", strict_labels=True)
 
     def test_syntax_error_propagates(self, fig1):
         with pytest.raises(RPQSyntaxError):
@@ -210,13 +219,25 @@ class TestMetricsAndErrors:
             assert result == eval_rpq(fig1, query)
 
     def test_invalid_clause_evaluator(self, fig1):
-        with pytest.raises(ValueError):
+        # Closure-free clauses have one evaluator; neither an engine nor
+        # a session accepts a choice of it.
+        with pytest.raises(TypeError):
             RTCSharingEngine(fig1, clause_evaluator="psychic")
+        with pytest.raises(TypeError):
+            GraphDB.open(fig1, engine="rtc", clause_evaluator="automaton")
 
     @pytest.mark.parametrize("evaluator", ["auto", "automaton", "label-join"])
     def test_clause_evaluator_modes_agree(self, fig1, evaluator):
-        engine = RTCSharingEngine(fig1, clause_evaluator=evaluator)
-        assert engine.evaluate("b.c") == {(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)}
+        """The engine's answer for a closure-free clause, the automaton's
+        and the label-sequence join's are the same pairs."""
+        evaluate = {
+            "auto": lambda: RTCSharingEngine(fig1).evaluate("b.c"),
+            "automaton": lambda: eval_rpq(fig1, "b.c"),
+            "label-join": lambda: eval_label_sequence(fig1, ["b", "c"]),
+        }[evaluator]
+        expected = {(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)}
+        assert set(evaluate()) == expected
+        assert eval_label_sequence_bits(fig1, ["b", "c"]) == expected
 
 
 class TestStarIdentitySemantics:

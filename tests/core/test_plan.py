@@ -83,10 +83,11 @@ class TestMemo:
             with pytest.raises(EvaluationError):
                 plan.units(max_clauses=4)
         assert len(plan.units()) == 8
-        db = GraphDB.open(fig1, max_clauses=4)
+        wide = ".".join(["(a|b)"] * 13)  # 8192 clauses > MAX_CLAUSES
+        db = GraphDB.open(fig1)
         for _ in range(2):
             with pytest.raises(EvaluationError):
-                db.execute(text)
+                db.execute(wide)
 
 
 class TestPlanContents:

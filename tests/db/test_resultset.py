@@ -12,6 +12,7 @@ from repro.core.engines import (
 from repro.core.timing import ALL_PHASES
 from repro.db import GraphDB, ResultSet
 from repro.db.resultset import ExecutionStats
+from repro.obs import phase_totals
 
 ENGINES = {
     "no": NoSharingEngine,
@@ -130,6 +131,14 @@ class TestStatistics:
         assert set(result.phase_times) <= set(ALL_PHASES) | {"materialise"}
         assert result.total_time > 0.0
         assert result.shared_pairs == 3
+
+    def test_library_reads_reach_the_phase_ledger(self, fig1):
+        db = GraphDB.open(fig1)
+        before = phase_totals()
+        db.execute("d.(b.c)+.c")
+        after = phase_totals()
+        for phase in ("rtc", "evaluate"):
+            assert after.get(phase, 0.0) > before.get(phase, 0.0), phase
 
     def test_decode_is_timed_as_materialise_phase(self, fig1):
         # The rtc engine hands back a packed bitmap; turning it into

@@ -9,9 +9,11 @@ import pytest
 
 from repro.core.cache import make_key_function
 from repro.core.plan import closure_group_key, plan_for
-from repro.db import GraphDB
+from repro.core.engines import NoSharingEngine
+from repro.db import GraphDB, register_engine, unregister_engine
 from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
 from repro.regex.parser import parse
+from repro.server import Client, ServerConfig, ServerThread
 from repro.server.scheduler import (
     QueryJob,
     SharingScheduler,
@@ -20,6 +22,8 @@ from repro.server.scheduler import (
 )
 
 KEY = make_key_function("syntactic")
+#: 8192 DNF clauses: past MAX_CLAUSES, refused in milliseconds.
+WIDE = ".".join(["(a|b)"] * 13)
 
 
 def job(text: str) -> QueryJob:
@@ -119,6 +123,39 @@ class TestWorkerEngines:
         db = GraphDB.open(fig1, engine="no")
         engines = make_worker_engines(db, 2)
         assert all(not hasattr(engine, "rtc_cache") for engine in engines)
+
+
+class ReversingEngine(NoSharingEngine):
+    """Answers the inverse relation when built with ``reverse=True``."""
+
+    def __init__(self, graph, reverse: bool = False, **options) -> None:
+        super().__init__(graph, **options)
+        self.reverse = reverse
+
+    def _evaluate_node(self, node):
+        pairs = super()._evaluate_node(node)
+        return {(end, start) for start, end in pairs} if self.reverse else pairs
+
+
+class TestServedSessionOptions:
+    @pytest.fixture
+    def reversing(self):
+        register_engine("reversing", ReversingEngine)
+        yield "reversing"
+        unregister_engine("reversing")
+
+    def test_served_session_answers_like_the_session(self, fig1, reversing):
+        db = GraphDB.open(fig1, engine=reversing, reverse=True)
+        expected = set(db.execute("d.(b.c)+.c"))
+        assert expected == {(3, 7), (5, 7)}
+        with ServerThread(db, ServerConfig()) as handle:
+            with Client(*handle.address) as client:
+                assert client.query("d.(b.c)+.c").pairs == expected
+
+    def test_workers_are_built_from_the_session_options(self, fig1, reversing):
+        db = GraphDB.open(fig1, engine=reversing, reverse=True)
+        assert db.engine_options == {"reverse": True}
+        assert all(engine.reverse for engine in make_worker_engines(db, 2))
 
 
 class TestAdmission:
@@ -222,11 +259,8 @@ class TestExecution:
         assert stats["cache"]["hits"] >= 2
 
     def test_evaluation_error_goes_to_future(self, fig1):
-        db = GraphDB.open(fig1, engine="rtc", max_clauses=1)
-        scheduler = SharingScheduler(
-            db, workers=1, engine_kwargs={"max_clauses": 1}
-        )
-        future = scheduler.submit("a|b")
+        scheduler = SharingScheduler(GraphDB.open(fig1, engine="rtc"), workers=1)
+        future = scheduler.submit(WIDE)
         with pytest.raises(Exception, match="clauses"):
             future.result(timeout=10)
         assert scheduler.metrics.failed == 1
@@ -504,17 +538,11 @@ class TestWorkConservingDispatch:
         scheduler.stop()
 
     def test_ledger_balances_after_a_mixed_burst(self, fig1):
-        db = GraphDB.open(fig1, engine="rtc", max_clauses=2)
-        scheduler = SharingScheduler(
-            db,
-            workers=2,
-            batch_window=0.002,
-            engine_kwargs={"max_clauses": 2},
-            start=False,
-        )
+        db = GraphDB.open(fig1, engine="rtc")
+        scheduler = SharingScheduler(db, workers=2, batch_window=0.002, start=False)
         futures = [scheduler.submit("a.(b.c)+") for _ in range(6)]
         futures.append(scheduler.submit("(b.c)+", timeout=0.0))  # expires
-        futures.append(scheduler.submit("a|b|c"))  # fails: 3 clauses
+        futures.append(scheduler.submit(WIDE))  # fails: 8192 clauses
         cancelled = scheduler.submit("b.c")
         assert cancelled.cancel()
         futures.append(scheduler.submit_update(add=[(8, "b", 1)]))

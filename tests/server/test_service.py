@@ -199,6 +199,14 @@ class TestOtherVerbs:
         assert {"p50", "p95", "p99", "mean"} <= set(scheduler["latency"])
         assert scheduler["cache"]["hits"] + scheduler["cache"]["misses"] >= 2
 
+    def test_stats_session_counts_served_reads(self, served):
+        _, _, client = served
+        queries = ["a.(b.c)+", "d.(b.c)+.c", "b.c"] * 2
+        client.query_many(queries)
+        session = client.stats()["session"]
+        assert session["queries_evaluated"] >= len(queries)
+        assert session["total_time"] > 0
+
     def test_update_visible_to_other_clients(self, served):
         db, handle, writer = served
         with Client(*handle.address) as reader:
