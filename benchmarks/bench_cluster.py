@@ -1,59 +1,43 @@
-"""Cluster benchmark: sharded vs single-node and thread vs process QPS.
+"""Cluster benchmark: sharded vs single-node QPS.
 
-Drives the :mod:`repro.cluster` stack (real TCP, real threads, real
-worker processes) with a closure-sharing workload over a multi-component
-R-MAT graph, in two sweeps:
-
-1. **Sharding** -- a 1-shard deployment against an N-shard one at high
-   client concurrency, once read-only (expected: parity;
-   component-disjoint evaluation is work-conserving) and once with
-   streaming updates interleaved (expected: the sharded deployment
-   wins, because an update drains and cache-flushes only its owning
-   shard instead of the whole service).
-2. **Shard transport** -- the N-shard topology once with in-process
-   (thread) shard backends and once with one worker process per shard
-   (``--backend process``), on the CPU-bound read-heavy mix.  On a
-   multi-core machine the process backend should clear 1.5x the thread
-   backend's QPS at 32 clients (the GIL stops time-slicing the
-   evaluation); on a single core the two roughly tie, so the 1.5x gate
-   is only *enforced* when more than one CPU is visible (the recorded
-   ``cpu_count`` says which regime a given JSON was measured in).
+Drives the :mod:`repro.cluster` stack (real TCP, real threads) with a
+closure-sharing workload over a multi-component R-MAT graph.  The main
+sweep puts a 1-shard deployment against an N-shard one at high client
+concurrency, once read-only (expected: parity; component-disjoint
+evaluation is work-conserving) and once with streaming updates
+interleaved (expected: the sharded deployment wins, because an update
+drains and cache-flushes only its owning shard instead of the whole
+service).
 
 Emits ``BENCH_cluster.json`` at the repository root (plus a table under
-``benchmarks/results/``).  The headline gates: the sharded rtc
+``benchmarks/results/``).  The headline gate: the sharded rtc
 deployment's QPS beats the 1-shard deployment's under the mixed
-workload, and (multi-core only) the process backend beats 1.5x the
-thread backend read-only.
+workload.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py
 
-A third sweep covers the **edge-cut** strategy: a single-WCC R-MAT
+A second sweep covers the **edge-cut** strategy: a single-WCC R-MAT
 graph (the shape component partitioning cannot spread) served 1-shard
 vs N-shard edge-cut, every sharded answer going through the router's
 boundary join, both verified against a single session.
 
-A fourth sweep measures durable **restart**: a ``--data-dir``-backed
+A third sweep measures durable **restart**: a ``--data-dir``-backed
 cluster is started cold, checkpointed, and restarted warm over the
 same directory.  The recorded row compares startup and query times,
 but the gate is cache behaviour: the warm replay must serve every
 closure from the persisted RTC store (zero RTC constructions).
 
 Every gate decision is recorded explicitly under ``"gates"`` in the
-JSON -- in particular the multi-core process-vs-thread gate records
-``"skipped (cpu_count=1)"`` on a single-core runner instead of
-silently passing.
+JSON.
 
 Environment overrides: ``REPRO_BENCH_CLUSTER_BLOCKS`` (R-MAT blocks,
 default 8), ``REPRO_BENCH_CLUSTER_SCALE`` (log2 vertices per block,
 default 6), ``REPRO_BENCH_CLUSTER_SHARDS`` (comma list, default
-``1,4``), ``REPRO_BENCH_CLUSTER_REPLICAS`` (default 2),
-``REPRO_BENCH_CLUSTER_CLIENTS`` (default 32),
+``1,4``), ``REPRO_BENCH_CLUSTER_CLIENTS`` (default 32),
 ``REPRO_BENCH_CLUSTER_REQUESTS`` (requests per client, default 16),
 ``REPRO_BENCH_CLUSTER_UPDATE_EVERY`` (default 2),
-``REPRO_BENCH_CLUSTER_BACKENDS`` (comma list, default
-``thread,process``; empty string skips the transport sweep),
 ``REPRO_BENCH_CLUSTER_EDGECUT_SHARDS`` (default 2; 0 skips the
 edge-cut sweep), ``REPRO_BENCH_CLUSTER_EDGECUT_SCALE`` (log2 vertices
 of the single-WCC graph, default 6),
@@ -80,18 +64,10 @@ SHARD_COUNTS = tuple(
     int(value)
     for value in os.environ.get("REPRO_BENCH_CLUSTER_SHARDS", "1,4").split(",")
 )
-REPLICAS = int(os.environ.get("REPRO_BENCH_CLUSTER_REPLICAS", "2"))
 CLIENTS = int(os.environ.get("REPRO_BENCH_CLUSTER_CLIENTS", "32"))
 REQUESTS_PER_CLIENT = int(os.environ.get("REPRO_BENCH_CLUSTER_REQUESTS", "16"))
 UPDATE_EVERY = int(os.environ.get("REPRO_BENCH_CLUSTER_UPDATE_EVERY", "2"))
 WORKERS = int(os.environ.get("REPRO_BENCH_CLUSTER_WORKERS", "2"))
-BACKENDS = tuple(
-    value
-    for value in os.environ.get(
-        "REPRO_BENCH_CLUSTER_BACKENDS", "thread,process"
-    ).split(",")
-    if value
-)
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 EDGECUT_SHARDS = int(os.environ.get("REPRO_BENCH_CLUSTER_EDGECUT_SHARDS", "2"))
 EDGECUT_SCALE = int(os.environ.get("REPRO_BENCH_CLUSTER_EDGECUT_SCALE", "6"))
@@ -142,8 +118,7 @@ def wire_comparison_rows(graph, queries):
     """Packed-vs-list wire bytes on this workload's shard payloads.
 
     Measures the relations the router actually ships: per-query result
-    pair sets (the ``query`` verb's payload, which the process backend
-    always requests with ``enc: "packed"``).
+    pair sets (the ``query`` verb's payload).
     """
     from repro.bench.kernel_bench import run_wire_comparison
     from repro.rpq import eval_rpq
@@ -159,7 +134,6 @@ def main() -> int:
     from repro.bench.cluster_bench import (
         format_cluster_rows,
         format_restart_rows,
-        run_backend_comparison,
         run_cluster_benchmark,
         run_edge_cut_benchmark,
         run_restart_benchmark,
@@ -173,7 +147,7 @@ def main() -> int:
         f"cluster benchmark: {BLOCKS} blocks x 2^{SCALE} vertices "
         f"({graph.num_edges} edges), {len(queries)} queries, "
         f"{CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, "
-        f"shards {SHARD_COUNTS} x {REPLICAS} replicas, "
+        f"shards {SHARD_COUNTS}, "
         f"1 update per {UPDATE_EVERY} requests in the mixed workload, "
         f"{cpu_count} CPUs"
     )
@@ -181,25 +155,12 @@ def main() -> int:
         graph,
         queries,
         shard_counts=SHARD_COUNTS,
-        replicas=REPLICAS,
         num_clients=CLIENTS,
         requests_per_client=REQUESTS_PER_CLIENT,
         workers=WORKERS,
         update_every=UPDATE_EVERY,
     )
 
-    backend_rows = []
-    if BACKENDS:
-        backend_rows = run_backend_comparison(
-            graph,
-            queries,
-            shards=max(SHARD_COUNTS),
-            replicas=REPLICAS,
-            num_clients=CLIENTS,
-            requests_per_client=REQUESTS_PER_CLIENT,
-            workers=WORKERS,
-            backends=BACKENDS,
-        )
     edgecut_rows = []
     edgecut_queries = []
     if EDGECUT_SHARDS > 1:
@@ -233,7 +194,7 @@ def main() -> int:
                 workers=WORKERS,
             )
 
-    table = format_cluster_rows(rows + backend_rows + edgecut_rows)
+    table = format_cluster_rows(rows + edgecut_rows)
     print(table)
     if restart_rows:
         table += "\n" + format_restart_rows(restart_rows)
@@ -265,24 +226,6 @@ def main() -> int:
             "read_only_speedup": qps(shards, 0) / qps(baseline, 0),
         }
 
-    backend_comparison = None
-    if backend_rows:
-        by_backend = {row["backend"]: row for row in backend_rows}
-        thread_qps = by_backend.get("thread", {}).get("qps")
-        process_qps = by_backend.get("process", {}).get("qps")
-        backend_comparison = {
-            "workload": "cpu-bound read-heavy (read-only rtc)",
-            "shards": max(SHARD_COUNTS),
-            "replicas": REPLICAS,
-            "clients": CLIENTS,
-            "cpu_count": cpu_count,
-            "rows": backend_rows,
-        }
-        if thread_qps and process_qps:
-            backend_comparison["thread_qps"] = thread_qps
-            backend_comparison["process_qps"] = process_qps
-            backend_comparison["process_speedup"] = process_qps / thread_qps
-
     edge_cut = None
     if edgecut_rows:
         by_strategy = {row["strategy"]: row for row in edgecut_rows}
@@ -306,7 +249,7 @@ def main() -> int:
         by_phase = {row["phase"]: row for row in restart_rows}
         restart = {
             "workload": (
-                "durable thread cluster: cold start vs checkpointed "
+                "durable cluster: cold start vs checkpointed "
                 "warm restart over the same data directory"
             ),
             "shards": RESTART_SHARDS,
@@ -320,8 +263,7 @@ def main() -> int:
     document = {
         "benchmark": (
             "repro.cluster QPS: sharded vs single-shard "
-            "(read-only and mixed-update workloads), thread vs process "
-            "shard backends (CPU-bound read-heavy workload), and "
+            "(read-only and mixed-update workloads) and "
             "edge-cut boundary-join serving of a single-WCC graph"
         ),
         "environment": environment,
@@ -332,12 +274,10 @@ def main() -> int:
             "labels": graph.num_labels,
             "queries": queries,
             "shard_counts": list(SHARD_COUNTS),
-            "replicas": REPLICAS,
             "clients": CLIENTS,
             "requests_per_client": REQUESTS_PER_CLIENT,
             "update_every": UPDATE_EVERY,
-            "workers_per_replica": WORKERS,
-            "backends": list(BACKENDS),
+            "workers_per_shard": WORKERS,
             "cpu_count": cpu_count,
             "seed": SEED,
             "edgecut_shards": EDGECUT_SHARDS,
@@ -345,7 +285,6 @@ def main() -> int:
         },
         "rows": rows,
         "qps_comparison": comparisons,
-        "backend_comparison": backend_comparison,
         "edge_cut": edge_cut,
         "restart": restart,
         "wire_comparison": wire_rows,
@@ -371,31 +310,6 @@ def main() -> int:
         status = 1
     elif comparisons:
         gates["sharded_mixed"] = "passed: sharded mixed QPS beats 1 shard"
-    if backend_comparison and "process_speedup" in backend_comparison:
-        speedup = backend_comparison["process_speedup"]
-        print(
-            f"process-backend speedup over thread (read-heavy, "
-            f"{CLIENTS} clients): {speedup:.2f}x on {cpu_count} CPUs"
-        )
-        if cpu_count == 1:
-            # One visible CPU cannot show a GIL win; record the skip
-            # explicitly so the JSON says which regime produced it.
-            gates["process_backend"] = "skipped (cpu_count=1)"
-        elif speedup < 1.5:
-            gates["process_backend"] = (
-                f"failed: {speedup:.2f}x < 1.5x on {cpu_count} CPUs"
-            )
-            print(
-                "WARNING: process-backend QPS below 1.5x the thread "
-                f"backend on a {cpu_count}-core machine",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            gates["process_backend"] = (
-                f"passed: {speedup:.2f}x >= 1.5x on {cpu_count} CPUs"
-            )
-        backend_comparison["gate"] = gates["process_backend"]
     if edge_cut is not None:
         # measure_cluster_configuration verifies every cell against a
         # single session; reaching this line means identity held.

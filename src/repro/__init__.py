@@ -31,9 +31,8 @@ surface lives in the subpackages:
 * :mod:`repro.bench`    -- the experiment harness behind ``benchmarks/``;
 * :mod:`repro.server`   -- the concurrent, sharing-aware query server
   (``repro serve`` / ``repro.server.Client``);
-* :mod:`repro.cluster`  -- the sharded, replicated serving layer with
-  thread- or process-based shard backends
-  (``repro serve --shards N --replicas R [--backend process]``).
+* :mod:`repro.cluster`  -- the sharded serving layer, one session per
+  shard behind a router (``repro serve --shards N``).
 """
 
 from repro.core.batch_unit import BatchUnitOptions

@@ -1,9 +1,9 @@
 """RPR3xx -- wire-protocol and error-code registries.
 
 The JSON-lines protocol has two sides that can drift independently:
-clients (``server/client.py``, ``cluster/backends.py``) construct
-``{"op": <verb>}`` requests, and servers (``server/service.py``,
-``cluster/worker.py``) dispatch on ``self._handlers`` dict keys.  A
+the client (``server/client.py``) constructs ``{"op": <verb>}``
+requests, and the server (``server/service.py``, whose handlers the
+cluster router inherits) dispatches on ``self._handlers`` dict keys.  A
 verb added on one side but not the other fails only at runtime, with a
 ``bad_request`` error three hops away from the typo.
 
@@ -17,12 +17,12 @@ raised or assigned on an exception must be declared in the canonical
 client-side ``exception_from_payload`` rehydration is tested against,
 so an undeclared code is an error the client cannot reconstruct.
 
-Files are recognised by basename (``client.py``, ``backends.py``,
-``service.py``, ``worker.py``, ``protocol.py``, ``errors.py``), so the
-rules work on fixture corpora as well as the real tree.  WAL record
-shapes (``storage/recovery.py`` ``{"op": "update"}``, the router log's
-``{"op": "route"}``) are *storage* formats, not wire verbs -- scoping
-senders to client basenames is what keeps them out.
+Files are recognised by basename (``client.py``, ``service.py``,
+``protocol.py``, ``errors.py``), so the rules work on fixture corpora
+as well as the real tree.  WAL record shapes (``storage/recovery.py``
+``{"op": "update"}``, the router log's ``{"op": "route"}``) are
+*storage* formats, not wire verbs -- scoping senders to client
+basenames is what keeps them out.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from repro.analysis.base import Rule, register_rule
 
 __all__ = ["WireVerbRule", "ErrorCodeRule"]
 
-_SENDER_FILES = {"client.py", "backends.py"}
-_HANDLER_FILES = {"service.py", "worker.py"}
+_SENDER_FILES = {"client.py"}
+_HANDLER_FILES = {"service.py"}
 
 
 def _dict_entries(node: ast.Dict):
@@ -139,7 +139,7 @@ class WireVerbRule(Rule):
                         module,
                         node,
                         f"wire verb {verb!r} is constructed here but no "
-                        f"_handlers entry in service.py/worker.py "
+                        f"_handlers entry in service.py "
                         f"dispatches it",
                         verb=verb,
                     )
@@ -151,7 +151,7 @@ class WireVerbRule(Rule):
                         module,
                         node,
                         f"handler for verb {verb!r} is registered here "
-                        f"but no client (client.py/backends.py) ever "
+                        f"but no client (client.py) ever "
                         f"constructs it",
                         verb=verb,
                     )

@@ -17,12 +17,6 @@ owning shard pays, on 1/N of the data, while the other shards keep
 serving from hot caches.  The benchmark's gate is therefore: sharded
 QPS > 1-shard QPS at high client counts under the mixed workload.
 
-The second axis is the shard *transport*: :func:`run_backend_comparison`
-pits ``backend="thread"`` (replica groups in the router's process,
-sharing its GIL) against ``backend="process"`` (one worker process per
-shard) on a CPU-bound read-heavy mix -- the configuration where process
-shards buy true multi-core scale-out rather than just update isolation.
-
 ``benchmarks/bench_cluster.py`` is the command-line driver emitting
 ``BENCH_cluster.json``.
 """
@@ -44,7 +38,6 @@ __all__ = [
     "closure_bodies",
     "measure_cluster_configuration",
     "run_cluster_benchmark",
-    "run_backend_comparison",
     "run_edge_cut_benchmark",
     "run_restart_benchmark",
     "format_cluster_rows",
@@ -93,7 +86,6 @@ def measure_cluster_configuration(
     graph: LabeledMultigraph,
     queries: list[str],
     shards: int,
-    replicas: int,
     num_clients: int,
     requests_per_client: int,
     workers: int = 2,
@@ -102,19 +94,15 @@ def measure_cluster_configuration(
     engine: str = "rtc",
     verify: bool = True,
     watch_bodies: list[str] | None = None,
-    backend: str = "thread",
     partition_strategy: str = "component",
 ) -> dict:
-    """One benchmark cell: a ``shards x replicas`` cluster under load.
+    """One benchmark cell: a ``shards``-shard cluster under load.
 
     When the workload mixes updates in (``update_every > 0``), the cell
     first attaches a watcher per entry of ``watch_bodies`` (default: the
     closure bodies of ``queries``), so every update carries realistic
-    incremental-maintenance cost.  ``backend`` picks the shard transport
-    (``"thread"`` replica groups in-process, ``"process"`` one worker
-    process per shard) -- the exact ``repro serve --backend`` path --
-    and ``partition_strategy`` how the graph splits (``"edge-cut"``
-    engages the router's boundary join).
+    incremental-maintenance cost.  ``partition_strategy`` picks how the
+    graph splits (``"edge-cut"`` engages the router's boundary join).
     """
     if watch_bodies is None:
         watch_bodies = closure_bodies(queries)
@@ -123,12 +111,9 @@ def measure_cluster_configuration(
         engine=engine,
         config=ClusterConfig(
             shards=shards,
-            replicas=replicas,
             workers=workers,
             max_queue=max(4096, num_clients * requests_per_client),
             batch_window=batch_window,
-            backend=backend,
-            pool_size=max(8, num_clients),
             partition_strategy=partition_strategy,
         ),
         start=False,
@@ -218,10 +203,8 @@ def measure_cluster_configuration(
     total_queries = len(latencies)
     row = {
         "shards": shards,
-        "replicas": replicas,
         "clients": num_clients,
         "engine": engine,
-        "backend": backend,
         "strategy": partition_strategy,
         "cut_edges": len(cluster.partition.cut_relation()),
         "update_every": update_every,
@@ -237,10 +220,7 @@ def measure_cluster_configuration(
         "verified": verify,
     }
     # This cell's engine/storage phase breakdown (rtc vs evaluate vs
-    # join vs wal ...) as a delta over the router process's phase
-    # ledger.  Process-backend shards burn their evaluate/wal time in
-    # the worker processes; the router-side ledger still captures the
-    # join rounds it runs itself.
+    # join vs wal ...) as a delta over the process's phase ledger.
     phases_after = phase_totals()
     row["phases"] = {
         phase: round(total - phases_before.get(phase, 0.0), 6)
@@ -254,7 +234,6 @@ def run_cluster_benchmark(
     graph: LabeledMultigraph,
     queries: list[str],
     shard_counts=(1, 4),
-    replicas: int = 2,
     num_clients: int = 32,
     requests_per_client: int = 16,
     workers: int = 2,
@@ -270,7 +249,6 @@ def run_cluster_benchmark(
                     graph,
                     queries,
                     shards=shards,
-                    replicas=replicas,
                     num_clients=num_clients,
                     requests_per_client=requests_per_client,
                     workers=workers,
@@ -282,49 +260,10 @@ def run_cluster_benchmark(
     return rows
 
 
-def run_backend_comparison(
-    graph: LabeledMultigraph,
-    queries: list[str],
-    shards: int = 4,
-    replicas: int = 2,
-    num_clients: int = 32,
-    requests_per_client: int = 16,
-    workers: int = 2,
-    engine: str = "rtc",
-    backends=("thread", "process"),
-) -> list[dict]:
-    """Thread-vs-process shard transport on a CPU-bound read-heavy mix.
-
-    Same topology, same workload, read-only (every request is an RTC
-    evaluation, the CPU-bound path) -- the only variable is whether the
-    shards share the router's GIL or run on their own cores.  On a
-    multi-core machine the process backend's QPS should clear the thread
-    backend's by ~min(cores, shards)x; on one core they tie minus the
-    serialisation overhead.
-    """
-    return [
-        measure_cluster_configuration(
-            graph,
-            queries,
-            shards=shards,
-            replicas=replicas,
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-            workers=workers,
-            update_every=0,
-            engine=engine,
-            verify=True,
-            backend=backend,
-        )
-        for backend in backends
-    ]
-
-
 def run_edge_cut_benchmark(
     graph: LabeledMultigraph,
     queries: list[str],
     shards: int = 2,
-    replicas: int = 1,
     num_clients: int = 8,
     requests_per_client: int = 8,
     workers: int = 2,
@@ -348,7 +287,6 @@ def run_edge_cut_benchmark(
         measure_cluster_configuration(
             graph,
             queries,
-            replicas=replicas,
             num_clients=num_clients,
             requests_per_client=requests_per_client,
             workers=workers,
@@ -366,7 +304,6 @@ def run_restart_benchmark(
     queries: list[str],
     data_dir,
     shards: int = 2,
-    replicas: int = 1,
     workers: int = 2,
     engine: str = "rtc",
 ) -> list[dict]:
@@ -381,20 +318,18 @@ def run_restart_benchmark(
     not wall-clock: the warm replay of the whole workload must add
     zero RTC constructions (``rtc_constructions == 0``).
 
-    Thread backend, ``engine="rtc"`` only (the row counts the rtc
+    ``engine="rtc"`` only (the row counts the rtc
     engine's construction misses).
     """
     rows = []
-    config = ClusterConfig(
-        shards=shards, replicas=replicas, workers=workers, data_dir=data_dir
-    )
+    config = ClusterConfig(shards=shards, workers=workers, data_dir=data_dir)
     for phase in ("cold-start", "warm-restart"):
         started = time.perf_counter()
         cluster = GraphCluster.open(graph.copy(), engine=engine, config=config)
         startup = time.perf_counter() - started
         try:
             caches = [
-                cluster.backend(shard).replicas[0].db.engine.rtc_cache.stats
+                cluster.backend(shard).db.engine.rtc_cache.stats
                 for shard in range(shards)
             ]
             base_misses = sum(cache.misses for cache in caches)
@@ -413,7 +348,6 @@ def run_restart_benchmark(
                 {
                     "phase": phase,
                     "shards": shards,
-                    "replicas": replicas,
                     "queries": len(queries),
                     "startup_seconds": startup,
                     "first_query_seconds": first_query,
@@ -441,8 +375,6 @@ def format_cluster_rows(rows: list[dict]) -> str:
     return format_table(
         [
             "shards",
-            "replicas",
-            "backend",
             "strategy",
             "clients",
             "workload",
@@ -456,8 +388,6 @@ def format_cluster_rows(rows: list[dict]) -> str:
         [
             [
                 row["shards"],
-                row["replicas"],
-                row.get("backend", "thread"),
                 row.get("strategy", "component"),
                 row["clients"],
                 (

@@ -9,13 +9,12 @@ before writing any code; all of them run through the
   ``repro serve`` instance); prints result pairs (or just counts) and
   timing;
 * ``serve``  -- run the concurrent JSON-lines query server of
-  :mod:`repro.server` over an edge-list file; with ``--shards N`` /
-  ``--replicas R`` the graph is partitioned and served by the
-  :mod:`repro.cluster` router instead (same protocol, same clients),
-  ``--backend process`` moves each shard into its own worker process for
-  multi-core scale-out, and ``--strategy edge-cut`` (or ``auto``) shards
-  single-component graphs by recording cross-shard edges in a cut
-  relation the router joins over;
+  :mod:`repro.server` over an edge-list file; with ``--shards N`` the
+  graph is partitioned and served by the :mod:`repro.cluster` router
+  instead (same protocol, same clients, one session per shard), and
+  ``--strategy edge-cut`` (or ``auto``) shards single-component graphs
+  by recording cross-shard edges in a cut relation the router joins
+  over;
 * ``reduce`` -- show the two-level reduction statistics of a closure body
   on a graph (the Fig. 12/13 quantities for your own data);
 * ``stats``  -- Table-IV style statistics of an edge-list file; with
@@ -46,8 +45,7 @@ Examples::
     python -m repro query graph.txt "a.(b.c)+.c" --engine rtc --show-pairs
     python -m repro query graph.txt "b.c" --load my_engines --engine mine
     python -m repro serve graph.txt --port 7687 --workers 4
-    python -m repro serve graph.txt --shards 4 --replicas 2
-    python -m repro serve graph.txt --shards 4 --replicas 2 --backend process
+    python -m repro serve graph.txt --shards 4
     python -m repro serve graph.txt --shards 2 --strategy edge-cut
     python -m repro query --connect 127.0.0.1:7687 "a.(b.c)+.c"
     python -m repro stats --connect 127.0.0.1:7687 --prometheus
@@ -196,28 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
             "cross-shard edges, 'auto' picks per graph (default: "
             "component)"
         ),
-    )
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="read-only replica sessions per shard (default: 1)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help=(
-            "shard transport for a sharded deployment: 'thread' keeps "
-            "replica groups in-process, 'process' spawns one worker "
-            "process per shard for multi-core scale-out (default: thread)"
-        ),
-    )
-    serve.add_argument(
-        "--worker-log-dir",
-        metavar="DIR",
-        default=None,
-        help="write per-shard worker logs here (process backend only)",
     )
     serve.add_argument(
         "--data-dir",
@@ -528,7 +504,7 @@ def _cmd_serve(args) -> int:
         print("error: --checkpoint-every requires --data-dir", file=sys.stderr)
         return 2
 
-    if args.shards > 1 or args.replicas > 1 or args.backend != "thread":
+    if args.shards > 1:
         from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster
 
         cluster = GraphCluster.open(
@@ -536,14 +512,11 @@ def _cmd_serve(args) -> int:
             engine=args.engine,
             config=ClusterConfig(
                 shards=args.shards,
-                replicas=args.replicas,
                 workers=args.workers,
                 max_queue=args.queue_size,
                 batch_window=args.batch_window,
                 max_batch=args.max_batch,
                 engine_kwargs=engine_kwargs,
-                backend=args.backend,
-                worker_log_dir=args.worker_log_dir,
                 partition_strategy=args.strategy,
                 data_dir=args.data_dir,
                 checkpoint_every=args.checkpoint_every,
@@ -564,9 +537,8 @@ def _cmd_serve(args) -> int:
                 f", data-dir={args.data_dir}" if args.data_dir else ""
             )
             print(
-                f"serving {args.graph} as a {args.shards}-shard x "
-                f"{args.replicas}-replica cluster (engine={args.engine}, "
-                f"backend={args.backend}, {config.workers} workers/replica, "
+                f"serving {args.graph} as a {args.shards}-shard cluster "
+                f"(engine={args.engine}, {config.workers} workers/shard, "
                 f"shard edges: [{shard_edges}]{cut_note}{durable_note}) on "
                 f"{host}:{port} -- Ctrl-C to stop",
                 flush=True,

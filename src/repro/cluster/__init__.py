@@ -1,18 +1,14 @@
-"""``repro.cluster`` -- a sharded, replicated RPQ serving layer.
+"""``repro.cluster`` -- a sharded RPQ serving layer.
 
 Scales the single-node :mod:`repro.server` stack out: one graph is
 partitioned into shards (:func:`partition_graph` -- component-disjoint
 by default, or ``strategy="edge-cut"`` for graphs a single giant
 component would otherwise pin to one shard; the router then joins
 per-shard partial paths over the partition's cut-edge relation), each
-shard is served through a
-transport-agnostic :class:`ShardBackend` -- either an in-process group
-of R replicated :class:`~repro.db.GraphDB` sessions with their own
-sharing-aware schedulers (``backend="thread"``), or a dedicated worker
-process per shard for true multi-core scale-out
-(``backend="process"``, :mod:`repro.cluster.worker`) -- and a
-:class:`ClusterRouter` speaks the existing JSON-lines protocol over the
-:class:`GraphCluster` router, so the unchanged
+shard is one :class:`~repro.db.GraphDB` session behind its own
+sharing-aware scheduler (a :class:`Shard`, in the router's
+process), and a :class:`ClusterRouter` speaks the existing JSON-lines
+protocol over the :class:`GraphCluster` router, so the unchanged
 :class:`~repro.server.Client` talks to a cluster exactly as it talks to
 one server.
 
@@ -20,7 +16,7 @@ one server.
 >>> from repro.server import Client, ServerThread
 >>> from repro.graph import paper_figure1_graph
 >>> cluster = GraphCluster.open(
-...     paper_figure1_graph(), config=ClusterConfig(shards=2, replicas=2)
+...     paper_figure1_graph(), config=ClusterConfig(shards=2)
 ... )
 >>> with ServerThread(ClusterRouter(cluster)) as handle:
 ...     with Client(*handle.address) as client:
@@ -28,12 +24,7 @@ one server.
 [(7, 3), (7, 5)]
 """
 
-from repro.cluster.backends import (
-    InProcessBackend,
-    ProcessBackend,
-    ShardBackend,
-    ShardReplica,
-)
+from repro.cluster.backends import Shard
 from repro.cluster.partition import (
     PARTITION_STRATEGIES,
     GraphPartition,
@@ -51,10 +42,7 @@ __all__ = [
     "ClusterRouter",
     "GraphCluster",
     "GraphPartition",
-    "InProcessBackend",
-    "ProcessBackend",
-    "ShardBackend",
-    "ShardReplica",
+    "Shard",
     "partition_graph",
     "weakly_connected_components",
     "PARTITION_STRATEGIES",

@@ -54,8 +54,6 @@ __all__ = [
     "BoundaryPlan",
     "plan",
     "close",
-    "summary_to_wire",
-    "summary_from_wire",
 ]
 
 
@@ -210,31 +208,3 @@ def _close_images(step: list[int], ends: list[int]) -> list[int]:
                 changed = True
         order.reverse()
     return image
-
-
-def summary_to_wire(summary: ShardSummary) -> dict:
-    """A summary as JSON: vertices verbatim, tag masks as hex strings."""
-    return {
-        "starts": list(summary.starts),
-        "exits": [
-            [vertex, state, format(tags, "x")]
-            for (vertex, state), tags in summary.exits.items()
-        ],
-        "ends": [
-            [vertex, format(tags, "x")] for vertex, tags in summary.ends.items()
-        ],
-        "reflexive": list(summary.reflexive),
-    }
-
-
-def summary_from_wire(wire: dict) -> ShardSummary:
-    """The inverse of :func:`summary_to_wire`."""
-    return ShardSummary(
-        starts=wire["starts"],
-        exits={
-            (vertex, state): int(tags, 16)
-            for vertex, state, tags in wire["exits"]
-        },
-        ends={vertex: int(tags, 16) for vertex, tags in wire["ends"]},
-        reflexive=wire["reflexive"],
-    )

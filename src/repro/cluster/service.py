@@ -1,25 +1,17 @@
-"""The cluster router: shards x replicas behind one scheduler-shaped facade.
+"""The cluster router: one session per shard behind one scheduler-shaped facade.
 
-One :class:`GraphCluster` partitions a graph into component-disjoint
-shards (:mod:`repro.cluster.partition`) and serves each through a
-transport-agnostic :class:`~repro.cluster.backends.ShardBackend`
-(:mod:`repro.cluster.backends`):
+One :class:`GraphCluster` partitions a graph into shards
+(:mod:`repro.cluster.partition`) and serves each through one
+:class:`~repro.cluster.backends.Shard`: a
+:class:`~repro.db.GraphDB` session behind a
+:class:`~repro.server.SharingScheduler`, in this process.
 
-* ``backend="thread"`` (the default) keeps every shard's replica group
-  in this process -- R :class:`~repro.db.GraphDB` sessions each behind a
-  :class:`~repro.server.SharingScheduler`, the PR-4 deployment;
-* ``backend="process"`` spawns one worker process per shard
-  (:mod:`repro.cluster.worker`) and fans requests out over the JSON-lines
-  protocol through pooled clients, so CPU-bound RTC evaluation runs on
-  real cores instead of time-slicing one GIL.
-
-On top of the backends the router implements the same *scheduler
+On top of the shards the router implements the same *scheduler
 surface* the :class:`~repro.server.QueryServer` front end drives
 (``start`` / ``stop`` / ``submit`` / ``submit_update`` / ``stats``), so
 :class:`ClusterRouter` is a thin :class:`~repro.server.QueryServer`
 subclass speaking the existing JSON-lines protocol -- the
-:class:`~repro.server.Client` needs no changes at all, and both backends
-serve it identically.
+:class:`~repro.server.Client` needs no changes at all.
 
 Routing
 -------
@@ -43,27 +35,22 @@ Routing
   (:mod:`repro.cluster.boundary`).  Queries whose alphabet misses every
   cut label keep the plain union path: no satisfying path can traverse
   a cut edge, so per-shard answers stay disjoint and complete.
-* **Replica picking is body-affine** and happens *inside* the backend:
-  a query's canonical closure-body key hashes to one replica per shard,
-  so each replica's RTC cache serves a stable subset of closure bodies
-  and stays hot; closure-free queries fall back to the least-loaded
-  replica.  (In process mode the worker's backend does the picking; the
-  affinity property is identical.)
-* **Updates broadcast drain-then-apply.**  An edge change routes to the
-  shard owning its endpoints (new vertices are assigned on first
-  contact) and the owning backend applies it through *every* replica --
-  each drains its in-flight batches, applies on its own graph copy, and
-  drops its caches.  The other shards keep serving with hot caches
-  throughout.  An edge whose endpoints live on two *different* shards
-  belongs to no shard subgraph: it is recorded in (or removed from) the
-  partition's cut relation at the router, atomically with the rest of
-  the batch, and the boundary join picks it up on the next query.
+* **Updates apply drain-then-apply, once per owning shard.**  An edge
+  change routes to the shard owning its endpoints (new vertices are
+  assigned on first contact); that shard's scheduler drains its
+  in-flight batches, the session applies the change and repairs or
+  drops the cached closures whose body reads a label the change
+  carried.  The other shards keep serving with hot caches throughout.
+  An edge whose endpoints live on two *different* shards belongs to no
+  shard subgraph: it is recorded in (or removed from) the partition's
+  cut relation at the router, atomically with the rest of the batch,
+  and the boundary join picks it up on the next query.
 
 A query routes on its shared :class:`~repro.core.plan.Plan`: the
 closure key (a DNF walk), the label set, nullability and the automaton
-are computed once per query text for the whole process -- router,
-backends and their replica schedulers alike -- so a serving workload's
-repeated queries route in O(1).
+are computed once per query text for the whole process -- router and
+shard schedulers alike -- so a serving workload's repeated queries
+route in O(1).
 """
 
 from __future__ import annotations
@@ -76,10 +63,7 @@ from os import PathLike
 from pathlib import Path
 
 from repro.cluster.backends import (
-    InProcessBackend,
-    ProcessBackend,
-    ShardBackend,
-    ShardReplica,
+    Shard,
     aggregate_scheduler_stats,
     merge_futures,
 )
@@ -103,14 +87,11 @@ from repro.server.service import QueryServer, ServerConfig
 from repro.storage.snapshot import check_persistable_edge
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["ClusterConfig", "GraphCluster", "ClusterRouter", "ShardReplica"]
-
-#: The shard-backend transports a cluster can be built on.
-BACKENDS = ("thread", "process")
+__all__ = ["ClusterConfig", "GraphCluster", "ClusterRouter"]
 
 # Router-side observability: the boundary join is the one engine phase
-# that runs *at the router* (everything else is per-shard and publishes
-# from the worker's process), so its metrics live here.
+# that runs *at the router* (everything else runs in a shard's
+# scheduler), so its metrics live here.
 _join_rounds_total = get_registry().counter(
     "repro_join_rounds_total",
     "Boundary joins executed at the router (one shard round each).",
@@ -128,26 +109,24 @@ _phase_seconds = get_registry().counter(
 
 @dataclass
 class ClusterConfig:
-    """Topology, transport and per-replica scheduler tunables."""
+    """Topology and per-shard scheduler tunables."""
 
     shards: int = 4
-    replicas: int = 1
-    #: Worker threads *per replica scheduler*.
+    #: Worker threads *per shard scheduler*.
     workers: int = 2
     max_queue: int = 256
-    #: Per replica scheduler, while all its workers are busy: seconds /
+    #: Per shard scheduler, while all its workers are busy: seconds /
     #: jobs collected into one batch; unused when a worker is free.
     batch_window: float = 0.005
     max_batch: int = 64
     engine_kwargs: dict = field(default_factory=dict)
-    #: Shard transport: ``"thread"`` (in-process replica groups) or
-    #: ``"process"`` (one worker process per shard; see
-    #: :mod:`repro.cluster.backends`).
+    #: ``replicas`` and ``backend`` accept only ``1`` and ``"thread"``
+    #: (a shard is one session in this process); anything else raises
+    #: :class:`~repro.errors.ClusterError`.  They are kept only because
+    #: ``perf/workloads.py`` and ``perf/layers.py`` still pass them: a
+    #: benchmark change drops them there first, then here.
+    replicas: int = 1
     backend: str = "thread"
-    #: Process mode: pooled connections (= concurrent requests) per shard.
-    pool_size: int = 8
-    #: Process mode: directory for per-shard worker logs (None = no logs).
-    worker_log_dir: str | PathLike | None = None
     #: How :meth:`GraphCluster.open` partitions the graph:
     #: ``"component"`` (whole components, union merge), ``"edge-cut"``
     #: (balanced vertex ranges, boundary join over cut edges) or
@@ -173,8 +152,7 @@ class _MergeState:
     Shard answers are component-disjoint, so the merge is a pair-set
     union -- or, in counts-only mode (``want_pairs=False``), a plain
     sum: disjointness makes the sum of per-shard counts exactly the
-    union's cardinality, and process shards can then skip serialising
-    pair-sets nobody asked for.
+    union's cardinality, so no union is built that nobody asked for.
     """
 
     __slots__ = (
@@ -200,14 +178,12 @@ class _MergeState:
 
 
 class GraphCluster:
-    """``shards x replicas`` sessions behind one scheduler-shaped facade.
+    """One session per shard behind one scheduler-shaped facade.
 
     Construct over a ready :class:`~repro.cluster.GraphPartition` (or use
     :meth:`open` to load/partition in one step), then plug into a
     :class:`ClusterRouter` -- or drive ``submit`` / ``submit_update``
-    directly for in-process use.  The shard transport is picked by
-    ``config.backend``; everything above the backends (routing, pruning,
-    merging, accounting) is transport-blind.
+    directly for in-process use.
     """
 
     def __init__(
@@ -218,25 +194,24 @@ class GraphCluster:
         start: bool = True,
     ) -> None:
         config = config or ClusterConfig()
-        if config.replicas < 1:
+        if config.replicas != 1:
             raise ClusterError(
-                f"replicas must be >= 1, got {config.replicas}",
+                f"replicas must be 1 (a shard is one session), got "
+                f"{config.replicas}",
                 code="cluster.topology",
             )
-        if config.backend not in BACKENDS:
+        if config.backend != "thread":
             raise ClusterError(
-                f"unknown backend {config.backend!r}; expected one of "
-                f"{', '.join(BACKENDS)}",
+                f"unknown backend {config.backend!r}; shards run in the "
+                "router's process (backend='thread')",
                 code="cluster.unsupported",
             )
         self.partition = partition
         self.engine_name = engine.lower()
         self.config = config
-        self.replicas = config.replicas
-        self.backend_name = config.backend
-        self._lock = threading.Lock()  # label sets, edge estimates, join memos
-        self._update_lock = threading.Lock()  # replica-consistent ordering
-        self._backends: list[ShardBackend] = [
+        self._lock = threading.Lock()  # label sets, join memos, counters
+        self._update_lock = threading.Lock()  # one global update order
+        self._backends: list[Shard] = [
             self._make_backend(shard_id, shard_graph)
             for shard_id, shard_graph in enumerate(partition.shards)
         ]
@@ -253,16 +228,9 @@ class GraphCluster:
         self._router_wal = None
         if config.data_dir is not None:
             self._recover_router_log(Path(config.data_dir) / "router")
-        # The cache mode group keys are read in must agree with the
-        # backends' cache keying, or body-affine replica picking hashes
-        # on different keys than the caches share on.  Thread backends
-        # expose their live cache's mode; process workers derive theirs
-        # from the same engine_kwargs, so the kwargs fallback matches.
-        first = self._backends[0]
-        if isinstance(first, InProcessBackend):
-            self.cache_mode = first.cache_mode
-        else:
-            self.cache_mode = config.engine_kwargs.get("cache_mode", "syntactic")
+        # The router warms each plan's group key in the mode the shard
+        # caches key by, so the schedulers read it back for free.
+        self.cache_mode = self._backends[0].scheduler.cache_mode
         # Queries answered at the router because every shard was pruned
         # (no label overlap anywhere); folded into the aggregate stats so
         # served traffic never disappears from the books.
@@ -291,45 +259,25 @@ class GraphCluster:
 
     def _make_backend(
         self, shard_id: int, shard_graph: LabeledMultigraph
-    ) -> ShardBackend:
+    ) -> Shard:
         config = self.config
-        common = dict(
+        # Each shard owns <data_dir>/shard<N>; the seed graph is passed
+        # alongside and ignored whenever the directory already holds
+        # committed state (the shard recovers instead).
+        shard_dir = None
+        if config.data_dir is not None:
+            shard_dir = str(Path(config.data_dir) / f"shard{shard_id}")
+        return Shard(
+            shard_id,
+            shard_graph,
             engine=self.engine_name,
-            replicas=config.replicas,
             workers=config.workers,
             max_queue=config.max_queue,
             batch_window=config.batch_window,
             max_batch=config.max_batch,
             engine_kwargs=config.engine_kwargs,
-            start=False,
-        )
-        # Each shard owns <data_dir>/shard<N>; the seed graph is passed
-        # alongside and ignored whenever the directory already holds
-        # committed state (the backend/worker recovers instead).
-        shard_dir = None
-        if config.data_dir is not None:
-            shard_dir = str(Path(config.data_dir) / f"shard{shard_id}")
-        if config.backend == "thread":
-            return InProcessBackend(
-                shard_id,
-                shard_graph,
-                storage_dir=shard_dir,
-                checkpoint_every=config.checkpoint_every,
-                **common,
-            )
-        log_path = None
-        if config.worker_log_dir is not None:
-            log_dir = Path(config.worker_log_dir)
-            log_dir.mkdir(parents=True, exist_ok=True)
-            log_path = str(log_dir / f"shard{shard_id}.log")
-        return ProcessBackend(
-            shard_id,
-            shard_graph,
-            pool_size=config.pool_size,
-            log_path=log_path,
-            data_dir=shard_dir,
+            storage_dir=shard_dir,
             checkpoint_every=config.checkpoint_every,
-            **common,
         )
 
     def _recover_router_log(self, router_dir: Path) -> None:
@@ -398,36 +346,17 @@ class GraphCluster:
     def num_shards(self) -> int:
         return len(self._backends)
 
-    def backend(self, shard: int) -> ShardBackend:
-        """Direct access to one shard backend (tests and diagnostics)."""
+    def backend(self, shard: int) -> Shard:
+        """Direct access to one shard -- its ``db`` and ``scheduler``
+        (tests and diagnostics)."""
         return self._backends[shard]
-
-    def replica(self, shard: int, replica: int = 0) -> ShardReplica:
-        """Direct access to one in-process replica (tests, diagnostics).
-
-        Only meaningful on the thread backend; process-mode replicas
-        live in the worker and are reachable through the protocol only.
-        """
-        backend = self._backends[shard]
-        if not isinstance(backend, InProcessBackend):
-            raise ClusterError(
-                f"shard {shard} runs on the {self.backend_name!r} backend; "
-                "its replicas are not in this process",
-                code="cluster.unsupported",
-                shards=(shard,),
-            )
-        return backend.replicas[replica]
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
-        """Start every shard backend (idempotent).
+        """Start every shard's scheduler (idempotent).
 
-        Process workers spawn concurrently (``start`` is non-blocking)
-        and are then awaited, so an N-shard cluster boots in roughly one
-        worker's start-up time, not N of them.  If any shard fails to
-        come up, every already-started backend is closed before the
-        error propagates -- a failed constructor must not leave orphan
-        worker processes running.
+        If any shard fails to start, every shard is closed before the
+        error propagates.
         """
         if self._started or self._stopped:
             return
@@ -435,8 +364,6 @@ class GraphCluster:
         try:
             for backend in self._backends:
                 backend.start()
-            for backend in self._backends:
-                backend.wait_ready()
         except BaseException:
             self.stop()
             raise
@@ -459,7 +386,7 @@ class GraphCluster:
     def checkpoint(self) -> list[dict]:
         """Commit a checkpoint on every shard backend; per-shard results.
 
-        Each shard drains its replicas, rolls its snapshot + RTC store
+        Each shard drains its scheduler, rolls its snapshot + RTC store
         forward to its current LSN and compacts its WAL (see
         :meth:`repro.storage.ShardStorage.checkpoint`).  Shards
         checkpoint independently -- there is no cross-shard barrier, and
@@ -506,10 +433,9 @@ class GraphCluster:
         Fans out to every contributing shard backend and unions the
         pair-sets; ``elapsed`` is the slowest shard's engine time.
         With ``want_pairs=False`` the future resolves to
-        ``(count, elapsed)`` instead and process shards answer with
-        counts only, skipping the pair-set wire serialisation (the
-        component-disjoint partition makes per-shard counts sum exactly
-        to the union's size).  Admission is all-or-nothing: if any shard
+        ``(count, elapsed)`` instead, the sum of the per-shard counts
+        (the component-disjoint partition makes them sum exactly to the
+        union's size).  Admission is all-or-nothing: if any shard
         rejects, the already-admitted sub-queries are cancelled and the
         :class:`~repro.errors.AdmissionError` propagates.  Any shard
         failure (evaluation error, expired deadline) fails the whole
@@ -527,8 +453,7 @@ class GraphCluster:
         ``trace`` is the ``(tracer, parent_span_id)`` of this query's
         span when the request is traced: the router opens one ``shard``
         span per fan-out target (finished when that shard answers) and
-        propagates the trace into each backend, so remote workers'
-        span subtrees come back stitched under the right parent.
+        hands it to the shard's scheduler, whose spans nest under it.
         """
         if self._stopped:
             raise self._closed_error()
@@ -565,7 +490,6 @@ class GraphCluster:
                     text,
                     plan,
                     timeout=timeout,
-                    want_pairs=want_pairs,
                     trace=child_trace,
                 )
                 if trace is not None:
@@ -608,11 +532,7 @@ class GraphCluster:
                 if elapsed > state.elapsed:
                     state.elapsed = elapsed
             else:
-                # Thread shards still hand over sets (free in-process);
-                # process shards answer with bare counts.
-                state.count += (
-                    payload if isinstance(payload, int) else len(payload)
-                )
+                state.count += len(payload)
                 if elapsed > state.elapsed:
                     state.elapsed = elapsed
             state.done += 1
@@ -817,11 +737,10 @@ class GraphCluster:
         """Admit a streaming edge change; future of ``None``.
 
         Each edge routes to the shard owning its endpoints; the owning
-        backend then applies the change through **every** replica
-        (drain-then-apply on each; each drops the cached closures whose
-        body reads a label the change carried and keeps the rest), so
-        all copies converge before the future resolves.  Unaffected
-        shards keep serving with hot caches.  Edges with brand-new endpoints
+        shard then applies the change once, drain-then-apply, and
+        repairs or drops the cached closures whose body reads a label
+        the change carried.  Unaffected shards keep serving with hot
+        caches.  Edges with brand-new endpoints
         are assigned to the currently smallest shard.  Edges whose
         endpoints live on two *different* shards belong to no shard
         subgraph: an add records the edge in the partition's cut
@@ -841,12 +760,11 @@ class GraphCluster:
         routing state: assignments must commit before the
         (asynchronous) apply so that concurrent updates naming the same
         new vertices route to the same shard -- releasing them on
-        failure could split a component across shards.  Backends admit
-        updates with blocking semantics (replica queues never
-        half-accept an update, which is what keeps the copies
-        identical), so this call can wait for queue slots; drive it
-        from a worker thread (the router runs it in an executor), not
-        from a latency-sensitive loop.
+        failure could split a component across shards.  Shards admit
+        updates with blocking semantics (a committed routing record
+        must reach every owning shard), so this call can wait for queue
+        slots; drive it from a worker thread (the router runs it in an
+        executor), not from a latency-sensitive loop.
         """
         if self._stopped:
             raise self._closed_error()
@@ -942,10 +860,9 @@ class GraphCluster:
 
             # Phase 2: commit routing state (vertex assignments, label
             # supersets, the cut relation), invalidate the boundary-join
-            # cache, then hand each owning backend its slice.  Backends
-            # admit with blocking semantics under this lock, so
-            # concurrent updates reach every replica of every shard in
-            # one global order.
+            # cache, then hand each owning shard its slice.  Shards admit
+            # with blocking semantics under this lock, so concurrent
+            # updates reach every shard in one global order.
             new_assigns = [
                 [vertex, shard]
                 for vertex, shard in pending_assign.items()
@@ -1035,7 +952,7 @@ class GraphCluster:
 
     # -- watchers / reachability -----------------------------------------
     def watch(self, body: str) -> str:
-        """Watch (pin the maintained RTC of) ``body`` on every replica."""
+        """Watch (pin the maintained RTC of) ``body`` on every shard."""
         normalised = parse(body).to_string()
         for backend in self._backends:
             backend.watch(body)
@@ -1088,8 +1005,6 @@ class GraphCluster:
            Both tests are label-union sweeps of the shard graphs'
            bitmap adjacency rows (:func:`alphabet_reachable_mask`) --
            an over-approximation of the RPQ, hence sound to prune on.
-           Prefilters need the live shard graph, so process backends
-           (``shard_graph`` is None) skip them.
         3. Only when neither side rules the pair out does the probe pay
            for the full ``(body)+`` boundary-join evaluation (served
            from the join cache when warm).
@@ -1104,73 +1019,60 @@ class GraphCluster:
         if self._backends[source_shard].reaches(body, source, target):
             return True
         shard_of = self.partition.shard_of
-        graph = self._backends[source_shard].shard_graph
-        if graph is not None:
-            mask = alphabet_reachable_mask(graph, labels, [source])
-            id_of = graph.interner.id_of
-            if not any(
-                cut_id is not None and mask >> cut_id & 1
-                for cut_source, _label, _cut_target in cuts
-                if shard_of(cut_source) == source_shard
-                for cut_id in (id_of(cut_source),)
-            ):
-                # No relevant cut edge is reachable from ``source``: a
-                # satisfying path could never leave the shard, and the
-                # shard itself already said no.
-                return False
-        graph = self._backends[target_shard].shard_graph
-        if graph is not None:
-            mask = alphabet_reachable_mask(
-                graph, labels, [target], reverse=True
+        graph = self._backends[source_shard].db.graph
+        mask = alphabet_reachable_mask(graph, labels, [source])
+        id_of = graph.interner.id_of
+        if not any(
+            cut_id is not None and mask >> cut_id & 1
+            for cut_source, _label, _cut_target in cuts
+            if shard_of(cut_source) == source_shard
+            for cut_id in (id_of(cut_source),)
+        ):
+            # No relevant cut edge is reachable from ``source``: a
+            # satisfying path could never leave the shard, and the
+            # shard itself already said no.
+            return False
+        graph = self._backends[target_shard].db.graph
+        mask = alphabet_reachable_mask(graph, labels, [target], reverse=True)
+        id_of = graph.interner.id_of
+        if not any(
+            cut_id is not None and mask >> cut_id & 1
+            for _cut_source, _label, cut_target in cuts
+            if shard_of(cut_target) == target_shard
+            for cut_id in (id_of(cut_target),)
+        ):
+            # No cut-edge arrival can reach ``target`` in-shard: a
+            # cross-shard path cannot end at it.
+            return (
+                source_shard == target_shard
+                and self._backends[source_shard].reaches(body, source, target)
             )
-            id_of = graph.interner.id_of
-            if not any(
-                cut_id is not None and mask >> cut_id & 1
-                for _cut_source, _label, cut_target in cuts
-                if shard_of(cut_target) == target_shard
-                for cut_id in (id_of(cut_target),)
-            ):
-                # No cut-edge arrival can reach ``target`` in-shard: a
-                # cross-shard path cannot end at it.
-                return (
-                    source_shard == target_shard
-                    and self._backends[source_shard].reaches(
-                        body, source, target
-                    )
-                )
         pairs, _elapsed = self.submit(closure).result()
         return (source, target) in pairs
 
     # -- statistics ------------------------------------------------------
     def _shard_docs(self) -> list[dict]:
-        """One structured stats document per shard backend.
+        """One structured stats document per shard (see
+        :meth:`Shard.stats <repro.cluster.backends.Shard.stats>`).
 
         Fetch once and pass to :meth:`stats` / :meth:`session_stats` /
-        :meth:`describe` when emitting all three -- on the process
-        backend every document is a wire round trip.
+        :meth:`describe` when emitting all three, so the three sections
+        describe the same moment.
         """
         return [backend.stats() for backend in self._backends]
 
     def stats(self, docs: list[dict] | None = None) -> dict:
         """Aggregate scheduler-shaped statistics (QueryServer-compatible).
 
-        Counters sum across all replicas of all shards; latency
-        percentiles are computed over the *pooled* reservoirs (not
-        averaged per-replica percentiles); QPS is the sum of per-replica
-        rates, since the replicas serve concurrently.
+        Counters sum across shards; latency percentiles are computed over
+        the *pooled* reservoirs (not averaged per-shard percentiles); QPS
+        is the sum of per-shard rates, since the shards serve
+        concurrently.
         """
         docs = docs if docs is not None else self._shard_docs()
-        stats_list = [
-            replica["scheduler"] for doc in docs for replica in doc["replicas"]
-        ]
-        latencies = [
-            value for doc in docs for value in doc["latency_values"]
-        ]
-        aggregate = aggregate_scheduler_stats(stats_list, latencies)
-        # Rejections the process backends issued locally (their bound
-        # trips before the worker ever sees the request).
-        aggregate["rejected"] += sum(
-            doc.get("local_rejected", 0) for doc in docs
+        aggregate = aggregate_scheduler_stats(
+            [doc["scheduler"] for doc in docs],
+            [value for doc in docs for value in doc["latency_values"]],
         )
         with self._lock:
             answered = self._answered_without_fanout
@@ -1185,9 +1087,7 @@ class GraphCluster:
     def session_stats(self, docs: list[dict] | None = None) -> dict:
         """Aggregate session statistics (the ``stats`` verb's ``session``)."""
         docs = docs if docs is not None else self._shard_docs()
-        engines = [
-            replica["session"] for doc in docs for replica in doc["replicas"]
-        ]
+        engines = [doc["session"] for doc in docs]
         watchers: set = set()
         for stats in engines:
             watchers.update(stats["watchers"])
@@ -1211,41 +1111,30 @@ class GraphCluster:
         }
 
     def describe(self, docs: list[dict] | None = None) -> dict:
-        """Topology plus per-shard replica summaries (``stats``' cluster doc)."""
+        """Topology plus one flat summary per shard (``stats``' cluster doc)."""
         docs = docs if docs is not None else self._shard_docs()
         shards = []
         for doc in docs:
-            replicas = []
-            for replica_doc in doc["replicas"]:
-                scheduler_stats = replica_doc["scheduler"]
-                summary = {
-                    "replica": replica_doc["replica"],
-                    "completed": scheduler_stats["completed"],
-                    "updates": scheduler_stats["updates"],
-                    "in_flight": scheduler_stats["in_flight"],
-                    "queue_depth": scheduler_stats["queue_depth"],
-                }
-                if "cache" in scheduler_stats:
-                    summary["cache_hits"] = scheduler_stats["cache"]["hits"]
-                    summary["cache_misses"] = scheduler_stats["cache"]["misses"]
-                replicas.append(summary)
+            scheduler_stats = doc["scheduler"]
             entry = {
                 "shard": doc["shard"],
                 "vertices": doc["graph"]["vertices"],
                 "edges": doc["graph"]["edges"],
                 "labels": doc["graph"]["labels"],
-                "replicas": replicas,
+                "completed": scheduler_stats["completed"],
+                "updates": scheduler_stats["updates"],
+                "in_flight": scheduler_stats["in_flight"],
+                "queue_depth": scheduler_stats["queue_depth"],
             }
-            if "worker" in doc:
-                entry["worker"] = doc["worker"]
+            if "cache" in scheduler_stats:
+                entry["cache_hits"] = scheduler_stats["cache"]["hits"]
+                entry["cache_misses"] = scheduler_stats["cache"]["misses"]
             if "storage" in doc:
                 entry["storage"] = doc["storage"]
             shards.append(entry)
         document = {
             "shards": self.num_shards,
-            "replicas": self.replicas,
             "engine": self.engine_name,
-            "backend": self.backend_name,
             "cut_edges": len(self.partition.cut_relation()),
             "per_shard": shards,
         }
@@ -1267,8 +1156,7 @@ class GraphCluster:
         )
         return (
             f"GraphCluster(shards={self.num_shards}, "
-            f"replicas={self.replicas}, engine={self.engine_name!r}, "
-            f"backend={self.backend_name!r}, {state})"
+            f"engine={self.engine_name!r}, {state})"
         )
 
 
@@ -1304,25 +1192,24 @@ class ClusterRouter(QueryServer):
 
     def _submit_query(self, text, plan, timeout, include_pairs, trace=None):
         # Forward the client's pairs/counts intent: counts-only requests
-        # let process shards answer without serialising pair-sets.  The
-        # trace rides along so each fan-out target gets a ``shard`` span
-        # and remote workers' subtrees stitch back under it.
+        # sum per-shard counts instead of building the union.  The trace
+        # rides along so each fan-out target gets a ``shard`` span.
         return self.cluster.submit(
             text, plan, timeout=timeout, want_pairs=include_pairs, trace=trace
         )
 
     async def _submit_update(self, add, remove, trace):
-        # submit_update admits to every replica with blocking semantics
-        # (so the copies never diverge on a full queue) -- keep that
-        # potential wait off the event loop.
+        # submit_update admits to every owning shard with blocking
+        # semantics (a routed update must not be half-admitted) -- keep
+        # that potential wait off the event loop.
         return await self._in_executor(
             lambda: self.cluster.submit_update(add=add, remove=remove, trace=trace)
         )
 
     async def _op_stats(self, request_id, request) -> dict:
         def collect() -> dict:
-            # One stats document per shard, fetched once -- on the
-            # process backend each document is a wire round trip.
+            # One stats document per shard, read once for all three
+            # sections.
             docs = self.cluster._shard_docs()
             return {
                 "scheduler": self.cluster.stats(docs),

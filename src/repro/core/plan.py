@@ -3,7 +3,7 @@
 Algorithm 1 turns an RPQ into DNF clauses (line 2) and every clause into
 a batch unit ``(Pre, R, Type, Post)`` (line 4).  None of that depends on
 the graph, so one :class:`Plan` per query serves every session, engine,
-worker, replica and shard of the process: :func:`plan_for` hands it out
+worker and shard of the process: :func:`plan_for` hands it out
 from one process-wide memo, keyed by the text for strings and by the
 AST for nodes.
 
@@ -20,7 +20,7 @@ on first use and kept on the plan:
   below is its distinct keys, and how often a query set would reuse
   each body is ``Counter(plan.bodies(mode))``;
 * :meth:`Plan.group_key` -- the batching key of a cache mode, the sorted
-  distinct :meth:`Plan.bodies` (the scheduler and replica affinity);
+  distinct :meth:`Plan.bodies` (the scheduler's batching);
 * :meth:`Plan.route` -- ``(labels, nullable, nfa)`` (the cluster router
   and the boundary-join summaries).
 

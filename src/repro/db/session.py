@@ -517,13 +517,11 @@ class GraphDB:
         """
         return dict(self._warm)
 
-    def checkpoint(self, extra_sessions: Sequence["GraphDB"] = ()) -> dict:
+    def checkpoint(self) -> dict:
         """Commit a snapshot + warm RTC store covering the current LSN.
 
         After this returns, recovery replays *no* WAL records and comes
-        back hot for every closure body cached right now (in this session
-        or any of the ``extra_sessions`` -- replica siblings that saw the
-        same update stream).  Raises
+        back hot for every closure body cached right now.  Raises
         :class:`~repro.errors.StorageError` without storage attached.
         """
         from repro.errors import StorageError
@@ -534,7 +532,7 @@ class GraphDB:
                 raise StorageError(
                     "this session has no storage attached; open it with storage="
                 )
-            info = self._storage.checkpoint(self, tuple(extra_sessions))
+            info = self._storage.checkpoint(self)
             self._updates_since_checkpoint = 0
             return info
 

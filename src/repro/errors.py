@@ -36,7 +36,6 @@ ERROR_CODES = {
     "cluster.topology": "the shard topology cannot satisfy the request",
     "cluster.unsupported": "a sharded deployment cannot express this op",
     "cluster.unknown_edge": "edge removal references no known shard/cut",
-    "cluster.worker_start": "a shard worker process failed to start",
 }
 
 
@@ -194,8 +193,7 @@ class ClusterError(ServerError):
 
     ``code``
         ``"cluster"`` or a namespaced sub-code (``"cluster.topology"``,
-        ``"cluster.worker_start"``, ``"cluster.unknown_edge"``,
-        ``"cluster.unsupported"``).  The wire protocol rehydrates any
+        ``"cluster.unknown_edge"``, ``"cluster.unsupported"``).  The wire protocol rehydrates any
         ``cluster``-prefixed code back into this class.
     ``shards``
         The shard ids involved (empty when not shard-specific).

@@ -26,8 +26,8 @@ Labels are *never* coerced (``"123"`` is a fine label and loads back as
 the string ``"123"``).
 
 This mirrors the plain edge-list dumps the paper's real datasets (Robots,
-Advogato, Youtube) ship as.  It is the CLI's text format; storage and the
-process backend use the typed :mod:`repro.storage.snapshot` document.
+Advogato, Youtube) ship as.  It is the CLI's text format; storage uses the typed
+:mod:`repro.storage.snapshot` document.
 """
 
 from __future__ import annotations

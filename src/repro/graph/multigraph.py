@@ -365,8 +365,8 @@ class LabeledMultigraph:
     def copy(self) -> "LabeledMultigraph":
         """An independent deep copy of the graph, in the same id space.
 
-        Every vertex keeps its interner id, so replicas copied from one
-        graph can exchange id-space rows (the RTC store relies on it).
+        Every vertex keeps its interner id, so id-space rows (bitmaps,
+        RTC-store rows) read the same on the copy.
         """
         duplicate = LabeledMultigraph()
         duplicate.seed_interner(self._interner)

@@ -3,8 +3,8 @@
 Three legs, one package:
 
 * :mod:`repro.obs.trace` -- distributed tracing.  A :class:`Span` tree
-  per request, propagated across the router -> backend -> worker process
-  boundary through the wire protocol's optional ``trace`` field, with an
+  per request, asked for through the wire protocol's optional ``trace``
+  field and carried from the router into every shard it fans out to, with an
   *ambient* (thread-local) activation so deep layers -- the WAL, the
   checkpointer -- can record spans without threading handles through
   every signature.  Zero-cost when off: no active tracer means no span

@@ -14,8 +14,7 @@ The module-level default registry (:func:`get_registry`) is what every
 layer publishes into and what the ``metrics`` wire verb renders; tests
 that need isolation construct their own :class:`MetricsRegistry`.
 :func:`parse_prometheus` is the matching reader, used by the CLI's
-``--watch`` table, the bench harness (worker-process phase breakdowns
-come back over the wire as exposition text), and the test suite.
+``--watch`` table, the bench harness, and the test suite.
 """
 
 from __future__ import annotations
@@ -229,7 +228,8 @@ class MetricsRegistry:
     """Names -> instruments; re-registration with the same shape is a no-op.
 
     Idempotent registration matters here: several ``SharingScheduler``
-    replicas (and, in the test suite, many short-lived servers) live in
+    instances -- one per cluster shard, and in the test suite many
+    short-lived servers -- live in
     one process and all call ``counter("repro_requests_total", ...)`` --
     they must share one series, not fight over the name.
     """

@@ -3,15 +3,14 @@
 One :class:`Tracer` collects the spans of one request.  A span is cheap
 on purpose -- ``__slots__``, a wall-clock start, a duration, a parent
 link and a small attribute dict -- because a traced request on a busy
-cluster records dozens of them across several processes.
+cluster records dozens of them.
 
-Cross-process shape
--------------------
-Span ids are globally unique (``<pid hex>-<counter hex>``), so the
-router can absorb a worker's span list verbatim: the worker roots its
-spans under the *parent span id* the router sent in the request's
-``trace`` field, and the merged flat list still assembles into one tree
-(:func:`build_tree`).  The wire form of a whole trace is
+Wire shape
+----------
+Span ids are unique across processes (``<pid hex>-<counter hex>``), so
+traces written by different servers into one slow-query log never
+collide, and a flat span list assembles into one tree by its parent
+links (:func:`build_tree`).  The wire form of a whole trace is
 ``{"id": trace_id, "spans": [{"id", "parent", "name", "start", "dur",
 "attrs"?}, ...]}``.
 
@@ -51,11 +50,10 @@ _SPAN_SEQUENCE = itertools.count(1)
 
 
 def new_span_id() -> str:
-    """A span id unique across every process of one cluster.
+    """A span id unique across processes.
 
-    The pid prefix separates router and worker processes; the counter
-    separates spans within one.  (A recycled pid would need the previous
-    process's spans to still be in flight -- not a trace that exists.)
+    The pid prefix separates servers; the counter separates spans
+    within one.
     """
     return f"{os.getpid():x}-{next(_SPAN_SEQUENCE):x}"
 
@@ -164,14 +162,6 @@ class Tracer:
             yield live
         finally:
             self.finish(live)
-
-    def absorb(self, spans: list | None) -> None:
-        """Merge a remote process's wire spans (worker response subtrees)."""
-        if not spans:
-            return
-        cleaned = [span for span in spans if isinstance(span, dict)]
-        with self._lock:
-            self._spans.extend(cleaned)
 
     # -- reading ---------------------------------------------------------
     def spans(self) -> list[dict]:

@@ -28,13 +28,11 @@ CLI) over one :class:`~repro.db.GraphDB` session, with
 
 from repro.server.client import Client, QueryResult
 from repro.server.metrics import ServerMetrics
-from repro.server.pool import ClientPool
 from repro.server.scheduler import SharingScheduler
 from repro.server.service import QueryServer, ServerConfig, ServerThread
 
 __all__ = [
     "Client",
-    "ClientPool",
     "QueryResult",
     "QueryServer",
     "ServerConfig",

@@ -226,8 +226,8 @@ class Client:
     def call(self, op: str, **fields) -> dict:
         """One generic protocol round trip; returns the raw response.
 
-        The escape hatch for protocol extensions the typed helpers below
-        do not cover (e.g. the shard workers' ``stats`` detail fields).
+        The escape hatch for request fields the typed helpers below do
+        not cover.
         Server-reported failures raise like every other verb.
         """
         return self._call({"op": op, **fields})
@@ -254,7 +254,7 @@ class Client:
         """Evaluate one RPQ with distributed tracing turned on.
 
         Returns ``(result, trace)`` where ``trace`` is the assembled
-        cross-process span tree (``{"id": ..., "spans": [...]}``; render
+        span tree (``{"id": ..., "spans": [...]}``; render
         it with :func:`repro.obs.render_trace`).
         """
         results, response = self.query_call(
@@ -287,10 +287,8 @@ class Client:
     ) -> tuple[list[QueryResult], dict]:
         """The raw query round trip: ``(results, full_response)``.
 
-        ``trace`` goes out verbatim as the request's ``trace`` field --
-        ``True`` to originate a trace, an ``{"id", "parent"}`` dict to
-        join one (how the cluster router propagates to shard workers).
-        The caller reads the assembled span tree off
+        ``trace=True`` asks the server to trace the request; the caller
+        reads the assembled span tree off
         ``response.get("trace")``.  ``enc="list"`` / ``"packed"`` force
         one pair encoding (unset, the server picks the smaller).  A
         pairs payload that does not parse, or
@@ -342,6 +340,14 @@ class Client:
         if trace is not None:
             payload["trace"] = trace
         return self._call(payload)
+
+    def checkpoint(self):
+        """Commit the server's durable checkpoint; returns its info.
+
+        One ``{"lsn", "snapshot", "rtc_store"}`` document from a single
+        server, a list of them (one per shard) from a cluster router.
+        """
+        return self._call({"op": "checkpoint"})["checkpoint"]
 
     def watch(self, body: str) -> str:
         """Pin a closure body's maintained RTC; returns the normalised body."""

@@ -19,15 +19,6 @@ Verbs
     response carries one entry per query, each either a result
     (``count``/``pairs``/``time``) or a per-query ``error``.
 
-    Shard workers additionally accept ``mode: "summary"`` with a
-    ``boundary`` vertex list and the ``entries`` (``[vertex, state]``
-    pairs) the router planned for them: the worker summarises its shard
-    subgraph for the boundary join and responds with a ``summary``
-    object (``starts``, ``exits``, ``ends``, ``reflexive``, ``time``;
-    tag masks as hex strings, see :mod:`repro.cluster.boundary`)
-    instead of ``results``.  Router-facing servers do not expose this
-    mode.
-
     Pair payloads travel as **packed rows** (protocol version 2):
     ``{"enc": "packed", "support": "<hex>", "vertices": [...], "rows":
     {"<id>": "<hex>", ...}}`` -- the answer's bitmap as it is, in the
@@ -69,13 +60,11 @@ Tracing
 ``"trace": true`` (client-originated) asks the server to record a
 distributed trace for this request; the response then carries
 ``"trace": {"id": ..., "spans": [...]}`` -- the flat span list of the
-assembled tree (see :mod:`repro.obs.trace`).  Routers propagate by
-sending ``"trace": {"id": trace_id, "parent": span_id}`` to shard
-workers, whose response spans are absorbed into the router's tree with
-parent links intact (span ids are pid-prefixed, hence unique across
-the cluster's processes).  Requests without a ``trace`` field are
-served exactly as before -- no span objects are allocated and the
-response is unchanged.
+assembled tree (see :mod:`repro.obs.trace`); on a cluster router the
+shards' spans nest under the router's per-shard ``shard`` spans.  Any
+other ``trace`` value is a ``bad_request``.  Requests without a
+``trace`` field are served exactly as before -- no span objects are
+allocated and the response is unchanged.
 
 Line limit
 ----------
@@ -99,7 +88,7 @@ Error codes
 ``syntax`` (RPQ parse error), ``rejected`` (admission control: queue
 full), ``deadline`` (request expired before evaluation), ``cluster``
 and its namespaced sub-codes (``cluster.topology``,
-``cluster.worker_start``, ``cluster.unknown_edge``,
+``cluster.unknown_edge``,
 ``cluster.unsupported`` -- any code with the ``cluster`` prefix
 rehydrates to :class:`~repro.errors.ClusterError`), ``closed`` (server
 shutting down), ``evaluation`` and ``internal``.  Cluster errors may

@@ -329,8 +329,8 @@ class SharingScheduler:
 
         ``block=True`` waits for a queue slot instead of raising
         :class:`~repro.errors.AdmissionError` when the queue is full --
-        the admission mode the cluster's replica broadcast uses, where a
-        half-admitted update would leave replica copies diverged.  Never
+        the admission mode the cluster's shards use, where the router has
+        already committed the update's routing state.  Never
         call it from a latency-sensitive thread (it can wait for a whole
         batch to drain).
         """

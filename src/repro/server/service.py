@@ -163,13 +163,12 @@ class QueryServer:
         )
 
     def run(self, ready_callback=None, handle_signals: bool = True) -> None:
-        """Blocking entry point (the CLI and the cluster's shard workers).
+        """Blocking entry point (``repro serve``).
 
         Serves until interrupted.  When ``handle_signals`` is true and we
         are on the main thread, ``SIGTERM`` and ``SIGINT`` trigger a
         *graceful* shutdown: the listener closes, the scheduler drains
-        its in-flight work, and the call returns -- this is how cluster
-        worker processes die cleanly when their backend terminates them.
+        its in-flight work, and the call returns.
         """
 
         async def main() -> None:
@@ -189,7 +188,7 @@ class QueryServer:
                     installed.append(signum)
             # Announce only once the graceful-shutdown handlers are in
             # place: a supervisor may SIGTERM the instant it learns the
-            # address (the cluster's process backend does in tests).
+            # address.
             if ready_callback is not None:
                 ready_callback(self.address)
             serve_task = asyncio.ensure_future(self._server.serve_forever())
@@ -209,7 +208,7 @@ class QueryServer:
                     loop.remove_signal_handler(signum)
                 await self.stop()
             # A listener crash is a crash, not a shutdown: re-raise it
-            # (after cleanup) so callers -- the CLI, worker_main --
+            # (after cleanup) so callers -- the CLI --
             # exit loudly instead of reporting a clean stop.
             serve_outcome = outcomes[0]
             if isinstance(serve_outcome, BaseException) and not isinstance(
@@ -283,45 +282,32 @@ class QueryServer:
 
     # -- tracing ---------------------------------------------------------
     def _begin_trace(self, request):
-        """Start (or join) this request's distributed trace.
+        """Start this request's trace.
 
-        Returns ``(tracer, parent_span_id, root_span, echo)``:
+        Returns ``(tracer, root_span, echo)``:
 
         * no ``trace`` field and no slow-query log -> all ``None``/False
           -- the zero-cost path; nothing below allocates a span.
         * ``"trace": true`` -- a client-originated trace: fresh tracer,
           a ``request`` root span, and ``echo=True`` (the assembled tree
           goes back in the response).
-        * ``"trace": {"id", "parent"}`` -- propagated by a router: join
-          the existing trace under the router's span; our spans ship
-          back for the router to absorb (``echo=True``), but we own no
-          root.
         * slow-query log configured, client silent -> trace server-side
           only (``echo=False``): the tree feeds forensics, the response
           stays byte-identical.
         """
         wire = request.get("trace")
         if wire is None and self._slow_log is None:
-            return None, None, None, False
-        if isinstance(wire, dict):
-            trace_id = wire.get("id")
-            tracer = Tracer(str(trace_id) if trace_id else None)
-            parent = wire.get("parent")
-            return tracer, parent if isinstance(parent, str) else None, None, True
+            return None, None, False
         if wire is not None and wire is not True:
-            raise ProtocolError(
-                "'trace' must be true or an {'id', 'parent'} object"
-            )
+            raise ProtocolError("'trace' must be true")
         tracer = Tracer()
-        root = tracer.begin("request")
-        return tracer, root.span_id, root, wire is True
+        return tracer, tracer.begin("request"), wire is True
 
     async def _finish_trace(self, tracer, root_span, queries, started) -> None:
         """Close the root span and feed the slow-query log (off-loop)."""
-        if root_span is not None:
-            tracer.finish(root_span)
+        tracer.finish(root_span)
         slow_log = self._slow_log
-        if slow_log is None or root_span is None:
+        if slow_log is None:
             return
         elapsed = time.monotonic() - started
         if elapsed < slow_log.threshold:
@@ -391,7 +377,7 @@ class QueryServer:
             return protocol.error_response(request_id, error)
         await self._warm(plans)
 
-        tracer, parent, root_span, echo = self._begin_trace(request)
+        tracer, root_span, echo = self._begin_trace(request)
         started = time.monotonic()
 
         futures = []
@@ -399,7 +385,9 @@ class QueryServer:
             for text, plan in zip(queries, plans):
                 trace = None
                 if tracer is not None:
-                    query_span = tracer.begin("query", parent=parent, query=text)
+                    query_span = tracer.begin(
+                        "query", parent=root_span.span_id, query=text
+                    )
                     trace = (tracer, query_span.span_id)
                 future = self._submit_query(
                     text, plan, timeout, include_pairs, trace=trace
@@ -443,7 +431,11 @@ class QueryServer:
                 return protocol.too_large_response(
                     {"id": request_id, "results": results}, floor
                 )
-            span = None if tracer is None else tracer.begin("encode", parent=parent)
+            span = (
+                None
+                if tracer is None
+                else tracer.begin("encode", parent=root_span.span_id)
+            )
             for entry, pairs in answers:
                 entry["pairs"] = protocol.pairs_to_wire(pairs, enc=enc)
             if span is not None:
@@ -546,9 +538,9 @@ class QueryServer:
         remove = self._edge_list(request.get("remove", ()), "remove")
         if not add and not remove:
             raise ProtocolError("'update' op needs 'add' and/or 'remove' edges")
-        tracer, parent, root_span, echo = self._begin_trace(request)
+        tracer, root_span, echo = self._begin_trace(request)
         started = time.monotonic()
-        trace = (tracer, parent) if tracer is not None else None
+        trace = (tracer, root_span.span_id) if tracer is not None else None
         future = await self._submit_update(add, remove, trace)
         await asyncio.wrap_future(future)
         return await self._reply(
@@ -564,8 +556,9 @@ class QueryServer:
         """Admission hook for updates; returns the apply future.
 
         The single-node scheduler admits without blocking; front ends
-        whose admission can wait (a full replica queue) override this
-        to take that wait off the event loop.
+        whose admission can wait (the cluster router's, for a full
+        shard queue) override this to take that wait off the event
+        loop.
         """
         return self.scheduler.submit_update(add=add, remove=remove, trace=trace)
 

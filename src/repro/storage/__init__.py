@@ -9,8 +9,8 @@ session) are in-memory structures; this package makes them *restartable*:
     tolerant reader that truncates at the first torn tail record.
 :mod:`repro.storage.snapshot`
     The one id-space graph format -- the interner table plus per-label
-    rows of ids -- used by full-graph snapshots, the RTC store's ``G_R``
-    rows and the process backend's shard handoff.
+    rows of ids -- used by full-graph snapshots and the RTC store's
+    ``G_R`` rows.
 :mod:`repro.storage.manifest`
     The atomically written ``manifest.json`` naming the live snapshot and
     the WAL position it covers, so crash-during-snapshot is safe.
@@ -18,7 +18,7 @@ session) are in-memory structures; this package makes them *restartable*:
     Persistence for the expensive shared structures: every cached RTC
     once, with its ``G_R`` rows (ids of the snapshot beside it) and
     whether it is watched, stamped with the LSN it was valid at, so a
-    restarted replica comes back *hot*.
+    restarted shard comes back *hot*.
 :mod:`repro.storage.recovery`
     The :class:`ShardStorage` orchestrator tying the four together:
     ``recover()`` replays snapshot + WAL, ``bind()`` attaches logging to a

@@ -1,6 +1,6 @@
 """:class:`ShardStorage` -- one shard's durable state, end to end.
 
-The lifecycle a worker (or a standalone session) drives::
+The lifecycle a cluster shard (or a standalone session) drives::
 
     storage = ShardStorage(data_dir)
     if storage.has_state():
@@ -18,8 +18,7 @@ every vertex keeps the id the RTC store's rows name -- replays every
 valid WAL record on top of it (truncating a torn tail), and keeps the
 warm RTC payload around; ``bind()`` (called by ``GraphDB.open``)
 attaches the WAL for logging and installs the warm payload into the
-session.  Replica siblings of the primary session (copies of the
-recovered graph, so the same ids) are warmed with :meth:`install`.
+session.
 
 A checkpoint deletes every file the manifest it supersedes names and
 the new one does not -- legacy sidecars included, so the first
@@ -63,8 +62,8 @@ def has_state(directory: str | Path) -> bool:
     """Whether ``directory`` holds a committed storage generation.
 
     The manifest is the commit point, so its existence *is* the test --
-    cheap enough for a spawning parent to decide "seed or recover"
-    without opening any handle.
+    cheap enough to decide "seed or recover" without opening any
+    handle.
     """
     return (Path(directory) / MANIFEST_NAME).exists()
 
@@ -160,7 +159,7 @@ class ShardStorage:
     # binding and logging
     # ------------------------------------------------------------------
     def bind(self, db) -> dict:
-        """Attach this storage to its primary session; returns warm stats.
+        """Attach this storage to its session; returns warm stats.
 
         Fresh directory: writes the initial checkpoint (snapshot of the
         seed graph at LSN 0) so the manifest exists from the first
@@ -177,7 +176,10 @@ class ShardStorage:
                     "session graph is not the recovered graph; pass "
                     "storage.recover().graph (or the storage itself) to GraphDB.open"
                 )
-            return self.install(db)
+            payload = self._recovered.rtc_payload
+            if payload is None:
+                return {"entries": 0, "watchers": 0, "stale": 0}
+            return install_rtc_state(db, payload, self._recovered.lsn)
         if self.has_state():
             raise StorageError(
                 f"{self.directory} already holds state; call recover() "
@@ -185,15 +187,8 @@ class ShardStorage:
             )
         self._wal = WriteAheadLog(self.directory / WAL_NAME, start_lsn=0)
         self._wal.reset(0)
-        self._checkpoint_locked(db, ())
+        self._checkpoint_locked(db)
         return {"entries": 0, "watchers": 0, "stale": 0}
-
-    def install(self, db) -> dict:
-        """Warm one session (primary or replica sibling) from the store."""
-        self._check_open()
-        if self._recovered is None or self._recovered.rtc_payload is None:
-            return {"entries": 0, "watchers": 0, "stale": 0}
-        return install_rtc_state(db, self._recovered.rtc_payload, self._recovered.lsn)
 
     def validate_edges(self, edges) -> None:
         """Refuse non-persistable edges *before* the session applies them."""
@@ -224,7 +219,7 @@ class ShardStorage:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self, db, extra_sessions: tuple = ()) -> dict:
+    def checkpoint(self, db) -> dict:
         """Roll the snapshot forward to the current LSN and compact the WAL.
 
         Order matters for crash safety: snapshot files and the RTC store
@@ -235,16 +230,16 @@ class ShardStorage:
         self._check_open()
         if self._wal is None:
             raise StorageError("storage is not bound to a session yet")
-        return self._checkpoint_locked(db, tuple(extra_sessions))
+        return self._checkpoint_locked(db)
 
-    def _checkpoint_locked(self, db, extra_sessions: tuple) -> dict:
+    def _checkpoint_locked(self, db) -> dict:
         lsn = self._wal.last_lsn
         started = time.perf_counter()
         with ambient_span("checkpoint") as span:
             old_manifest = read_manifest(self.directory)
             with ambient_span("snapshot"):
                 snapshot_entry = write_snapshot(db.graph, self.directory, lsn)
-            store_name = write_rtc_store(db, self.directory, lsn, extra_sessions)
+            store_name = write_rtc_store(db, self.directory, lsn)
             manifest = write_manifest(self.directory, lsn, snapshot_entry, store_name)
             self._wal.reset(lsn)
             self._last_checkpoint_lsn = lsn

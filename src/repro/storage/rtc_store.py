@@ -3,7 +3,7 @@
 The whole value of the paper's pipeline is the *shared data* -- the RTC
 built once per closure body and reused across queries.  Losing it on
 restart means every body pays its construction cost again, which is the
-difference between a warm replica and a cold one.  This module
+difference between a warm restart and a cold one.  This module
 serialises, per shard, every entry of the session's RTC cache
 (:attr:`GraphDB.rtc_cache <repro.db.GraphDB.rtc_cache>`: the ``rtc``
 engine's cache, or the session's cache of watched bodies), keyed by the
@@ -26,11 +26,8 @@ lists the watch handles on it (pinned when non-empty); ``rows`` is
 in the id space of the snapshot written by the same checkpoint, or
 ``null`` for an entry that carries none.  Each body is stored once.
 
-Ids are shared because every replica of a shard is a
-:meth:`~repro.graph.LabeledMultigraph.copy` of one graph (which keeps id
-order) fed the same ordered updates, and recovery seeds the interner
-from the snapshot's table.  A sibling session whose table differs
-anyway is skipped, never written in a foreign id space.
+Ids survive the restart because recovery seeds the interner from the
+snapshot's vertex table before it adds an edge.
 
 Every entry is **stamped with the LSN it was valid at**, and is
 installed only when its stamp equals the recovered LSN: any update after
@@ -60,7 +57,6 @@ from repro.storage.manifest import atomic_write_text
 from repro.storage.snapshot import rows_from_json, rows_to_json
 
 __all__ = [
-    "collect_rtc_state",
     "install_rtc_state",
     "load_rtc_store",
     "write_rtc_store",
@@ -91,62 +87,46 @@ def _rows_from_pairs(pairs, interner) -> dict[int, int]:
     return rows
 
 
-def collect_rtc_state(db, lsn: int, extra_sessions: tuple = ()) -> dict:
-    """Gather the store payload from a session (plus replica sessions).
+def _collect(db, lsn: int) -> dict:
+    """The store payload of a session's RTC cache at ``lsn``.
 
-    ``extra_sessions`` are sibling replicas of the same shard: they saw
-    the same ordered update stream, so their caches hold entries for the
-    same graph state and can be merged (first writer wins on equal
-    values; the watch lists are united).  Rows are ids of ``db``'s
-    graph, so a sibling whose interner table differs is skipped whole,
-    its entries counted in ``skipped``.  Non-serialisable entries
-    (exotic vertex types) are skipped rather than failing the checkpoint.
+    Non-serialisable entries (exotic vertex types) are counted in
+    ``skipped`` rather than failing the checkpoint.
     """
     entries: dict[str, dict] = {}
     skipped = 0
-    mode = db.rtc_cache.mode
-    table = db.graph.interner.vertices()
-    for session in (db, *extra_sessions):
-        cache = session.rtc_cache
-        if session is not db and session.graph.interner.vertices() != table:
-            skipped += len(cache)
-            continue
-        watched: dict[str, list[str]] = {}
-        for name, watcher in session.watchers.items():
-            watched.setdefault(watcher.key, []).append(name)
-        for key, rtc in cache.items():
-            record = entries.get(key)
-            if record is None:
-                try:
-                    record = {
-                        "lsn": int(lsn),
-                        "body": _body_text(cache, key),
-                        "watched": [],
-                        "rtc": rtc_to_dict(rtc),
-                        "rows": None if rtc.gr_rows is None else rows_to_json(rtc.gr_rows),
-                    }
-                except RtcFormatError:
-                    skipped += 1
-                    continue
-                entries[key] = record
-            record["watched"] = sorted({*record["watched"], *watched.get(key, ())})
+    cache = db.rtc_cache
+    watched: dict[str, list[str]] = {}
+    for name, watcher in db.watchers.items():
+        watched.setdefault(watcher.key, []).append(name)
+    for key, rtc in cache.items():
+        try:
+            entries[key] = {
+                "lsn": int(lsn),
+                "body": _body_text(cache, key),
+                "watched": sorted(watched.get(key, ())),
+                "rtc": rtc_to_dict(rtc),
+                "rows": None if rtc.gr_rows is None else rows_to_json(rtc.gr_rows),
+            }
+        except RtcFormatError:
+            skipped += 1
     return {
         "format": _FORMAT,
         "version": _VERSION,
         "lsn": int(lsn),
-        "cache_mode": mode,
+        "cache_mode": cache.mode,
         "entries": entries,
         "skipped": skipped,
     }
 
 
-def write_rtc_store(db, directory: str | Path, lsn: int, extra_sessions: tuple = ()) -> str | None:
+def write_rtc_store(db, directory: str | Path, lsn: int) -> str | None:
     """Write the RTC store file for ``lsn``; returns its name, or ``None``.
 
     Nothing is written when there is nothing warm to keep (empty cache)
     -- the manifest then records ``rtc_store: null``.
     """
-    payload = collect_rtc_state(db, lsn, extra_sessions)
+    payload = _collect(db, lsn)
     if not payload["entries"]:
         return None
     name = f"rtc-{int(lsn)}.json"

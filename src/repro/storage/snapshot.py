@@ -1,4 +1,4 @@
-"""The one id-space graph format: snapshots, RTC-store rows, shard handoff.
+"""The one id-space graph format: snapshots and RTC-store rows.
 
 A graph at rest is one self-describing JSON document::
 
@@ -19,16 +19,13 @@ sparse).  The same row shape, :func:`rows_to_json` /
 :mod:`repro.storage.rtc_store` -- in the id space of the snapshot
 written beside it.
 
-Three users share this codec:
+Two users share this codec:
 
 ``snapshot-<lsn>.edges``
     The checkpoint's graph (:func:`write_snapshot` / :func:`read_snapshot`);
     the name predates the format and is kept.
 :mod:`repro.storage.rtc_store`
     ``G_R`` rows as ids (store version 3).
-:class:`~repro.cluster.ProcessBackend`
-    The spawn-time handoff of a shard graph to its worker
-    (:func:`dump_graph` / :func:`load_graph`).
 
 Only ``int`` (not ``bool``) and ``str`` vertices and ``str`` labels can be
 written; anything else raises :class:`~repro.errors.StorageError` before
@@ -56,10 +53,8 @@ from repro.storage.manifest import atomic_write_text
 __all__ = [
     "check_persistable_edge",
     "check_persistable_vertex",
-    "dump_graph",
     "graph_from_json",
     "graph_to_json",
-    "load_graph",
     "read_snapshot",
     "rows_from_json",
     "rows_to_json",
@@ -179,17 +174,6 @@ def graph_from_json(document: object) -> LabeledMultigraph:
     return graph
 
 
-def dump_graph(graph: LabeledMultigraph, path: str | Path) -> None:
-    """Atomically write ``graph`` as one document (nothing on refusal)."""
-    text = json.dumps(graph_to_json(graph), separators=_COMPACT)
-    atomic_write_text(path, text + "\n")
-
-
-def load_graph(path: str | Path) -> LabeledMultigraph:
-    """Read a document written by :func:`dump_graph`."""
-    return _decode(Path(path).read_text(encoding="utf-8"), path)
-
-
 def _decode(text: str, path) -> LabeledMultigraph:
     try:
         document = json.loads(text)
@@ -199,9 +183,14 @@ def _decode(text: str, path) -> LabeledMultigraph:
 
 
 def write_snapshot(graph: LabeledMultigraph, directory: str | Path, lsn: int) -> dict:
-    """Write the snapshot of ``graph`` at ``lsn``; returns the manifest entry."""
+    """Write the snapshot of ``graph`` at ``lsn``; returns the manifest entry.
+
+    The write is atomic, and nothing is written when ``graph`` holds a
+    vertex or label the format refuses.
+    """
     name = f"snapshot-{int(lsn)}.edges"
-    dump_graph(graph, Path(directory) / name)
+    text = json.dumps(graph_to_json(graph), separators=_COMPACT)
+    atomic_write_text(Path(directory) / name, text + "\n")
     return {"edges": name}
 
 

@@ -40,7 +40,6 @@ def test_registry_shape():
         "syntax", "storage", "evaluation", "internal", "rejected",
         "deadline", "closed", "poisoned", "bad_request", "cluster",
         "cluster.topology", "cluster.unsupported", "cluster.unknown_edge",
-        "cluster.worker_start",
     } <= set(ERROR_CODES)
 
 

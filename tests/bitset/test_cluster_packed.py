@@ -1,4 +1,4 @@
-"""Cluster identity over the packed wire: thread and process backends.
+"""Cluster identity over the packed wire.
 
 Packed rows are the wire's only production encoding, so these are
 end-to-end identity gates for it: an edge-cut cluster
@@ -29,11 +29,11 @@ def build_graph():
     return rmat_connected_graph(5, 96, 3, seed=11)
 
 
-@pytest.fixture(params=["thread", "process"])
-def cluster(request):
+@pytest.fixture
+def cluster():
     cluster = GraphCluster(
         partition_graph(build_graph(), 2, strategy="edge-cut"),
-        config=ClusterConfig(shards=2, workers=1, backend=request.param),
+        config=ClusterConfig(shards=2, workers=1),
     )
     assert cluster.partition.has_cuts
     yield cluster
@@ -116,12 +116,10 @@ class TestServedPairsIdentity:
         assert first == expected
         assert second == expected
 
-    def test_router_to_worker_read_matches_execute_many(self):
+    def test_component_cluster_read_matches_execute_many(self):
         graph = two_component_graph()
         expected = [set(r) for r in GraphDB.open(graph).execute_many(QUERIES)]
-        cluster = GraphCluster.open(
-            graph, config=ClusterConfig(shards=2, workers=1, backend="process")
-        )
+        cluster = GraphCluster.open(graph, config=ClusterConfig(shards=2, workers=1))
         assert not cluster.partition.has_cuts
         first, second = self.served_twice(cluster, QUERIES)
         assert first == expected

@@ -1,11 +1,12 @@
-"""Shard backends: the thread/process identity gate and worker lifecycle.
+"""Shard backends: the cluster-vs-session identity gate.
 
-The headline satellite test: the *same* multi-component workload -- with
-a streaming update in the middle -- answered by (a) a process-backend
-cluster, (b) an in-process (thread) cluster, and (c) a sequential
-``execute_many`` over one session must produce identical pair-sets.
-Transport must be invisible in the results.
+The same multi-component workload -- with a streaming update in the
+middle -- answered by (a) a cluster behind its router and (b) a
+sequential ``execute_many`` over one session must produce identical
+pair-sets.  Sharding must be invisible in the results.
 """
+
+from concurrent.futures import CancelledError, Future
 
 import pytest
 
@@ -13,11 +14,15 @@ from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
     GraphCluster,
-    InProcessBackend,
-    ProcessBackend,
+    Shard,
 )
+from repro.cluster.backends import merge_futures
 from repro.db import GraphDB
-from repro.errors import AdmissionError, ServerError
+from repro.errors import AdmissionError, ClusterError, ServerError
+from repro.graph.multigraph import LabeledMultigraph
+from repro.regex.nfa import compile_nfa
+from repro.regex.parser import parse
+from repro.rpq import summarise_shard
 from repro.server import Client, ServerConfig, ServerThread
 
 from test_cluster import QUERIES
@@ -29,7 +34,7 @@ MID_UPDATE = ("1:1", "b", "1:777")
 def run_workload_with_update(answer, update):
     """First half of QUERIES, the update, second half; -> {query: pairs}.
 
-    ``answer(query) -> set`` and ``update()`` abstract over the three
+    ``answer(query) -> set`` and ``update()`` abstract over the
     deployments under test.
     """
     half = len(QUERIES) // 2
@@ -56,12 +61,10 @@ def session_reference(graph):
     return run_workload_with_update(answer, update)
 
 
-def cluster_workload(graph, backend):
+def cluster_workload(graph):
     cluster = GraphCluster.open(
         graph.copy(),
-        config=ClusterConfig(
-            shards=2, replicas=2, workers=1, backend=backend
-        ),
+        config=ClusterConfig(shards=2, workers=1),
         start=False,
     )
     router = ClusterRouter(cluster, ServerConfig(batch_window=0.002))
@@ -78,44 +81,28 @@ def cluster_workload(graph, backend):
 
 
 class TestBackendIdentity:
-    def test_process_vs_thread_vs_session(self, multi_fig1):
-        """The satellite gate: three deployments, one answer set."""
-        expected = session_reference(multi_fig1)
-        thread_results = cluster_workload(multi_fig1, "thread")
-        process_results = cluster_workload(multi_fig1, "process")
-        assert thread_results == expected
-        assert process_results == expected
+    def test_thread_vs_session(self, multi_fig1):
+        """A served cluster and one session, one answer set."""
+        assert cluster_workload(multi_fig1) == session_reference(multi_fig1)
 
     def test_direct_backend_identity(self, multi_fig1):
-        """InProcessBackend vs ProcessBackend over one whole-graph shard."""
+        """One whole-graph Shard answers like the session."""
         session = GraphDB.open(multi_fig1.copy())
-        in_process = InProcessBackend(
-            0, multi_fig1.copy(), replicas=2, workers=1, start=True
-        )
-        process = ProcessBackend(
-            0, multi_fig1.copy(), replicas=2, workers=1, start=True
-        )
+        backend = Shard(0, multi_fig1.copy(), workers=1, start=True)
         try:
             for query in QUERIES:
-                expected = set(session.execute(query))
-                thread_pairs, _ = in_process.query(query).result(timeout=30)
-                process_pairs, _ = process.query(query).result(timeout=60)
-                assert thread_pairs == expected, query
-                assert process_pairs == expected, query
+                pairs, _ = backend.query(query).result(timeout=30)
+                assert pairs == set(session.execute(query)), query
         finally:
-            in_process.close()
-            process.close()
+            backend.close()
 
 
 class TestCountsOnlyFanOut:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_counts_match_pairs_across_shards(self, multi_fig1, backend):
+    def test_counts_match_pairs_across_shards(self, multi_fig1):
         """pairs=False answers: per-shard counts sum to the union size."""
         cluster = GraphCluster.open(
             multi_fig1,
-            config=ClusterConfig(
-                shards=2, replicas=2, workers=1, backend=backend
-            ),
+            config=ClusterConfig(shards=2, workers=1),
             start=False,
         )
         with ServerThread(ClusterRouter(cluster)) as handle:
@@ -139,128 +126,235 @@ class TestCountsOnlyFanOut:
             cluster.stop()
 
 
-class TestProcessBackendLifecycle:
-    def test_worker_dies_cleanly_on_close(self, multi_fig1):
-        backend = ProcessBackend(0, multi_fig1, workers=1, start=True)
-        process = backend._process
-        assert process.is_alive()
-        backend.query("b.c").result(timeout=60)
-        backend.drain()
-        backend.close()
-        # close() sends SIGTERM; the worker's graceful shutdown path
-        # exits 0 -- a kill would show a negative exit code.
-        assert process.exitcode == 0
+class TestShardLifecycle:
+    """One shard's own surface: lifecycle, admission, stats, updates."""
+
+    def test_close_stops_the_scheduler_and_is_idempotent(self, multi_fig1):
+        shard = Shard(0, multi_fig1, workers=1, start=True)
+        assert repr(shard) == "Shard(shard=0, running)"
+        dispatcher = shard.scheduler._dispatcher
+        assert dispatcher.is_alive()
+        shard.query("b.c").result(timeout=30)
+        shard.drain()
+        shard.close()
+        assert not dispatcher.is_alive()
+        assert repr(shard) == "Shard(shard=0, closed)"
+        shard.close()  # idempotent
+        shard.start()  # a closed shard stays closed
+        assert repr(shard) == "Shard(shard=0, closed)"
 
     def test_stats_document_shape(self, multi_fig1):
-        backend = ProcessBackend(0, multi_fig1, replicas=2, workers=1, start=True)
+        """One flat document: no replica list, no worker process."""
+        shard = Shard(0, multi_fig1, workers=1, start=True)
         try:
-            backend.query("b.c").result(timeout=60)
-            doc = backend.stats()
-            assert doc["backend"] == "process"
-            assert doc["worker"]["pid"] == backend.pid
+            shard.query("b.c").result(timeout=30)
+            shard.drain()
+            doc = shard.stats()
+            assert set(doc) == {
+                "shard", "graph", "scheduler", "session", "latency_values",
+            }
+            assert doc["shard"] == 0
             assert doc["graph"]["edges"] == multi_fig1.num_edges
-            assert [r["replica"] for r in doc["replicas"]] == [0, 1]
-            assert sum(
-                r["scheduler"]["completed"] for r in doc["replicas"]
-            ) == 1
+            assert doc["graph"]["vertices"] == multi_fig1.num_vertices
+            assert doc["scheduler"]["completed"] == 1
             assert isinstance(doc["latency_values"], list)
+            assert len(doc["latency_values"]) == 1
         finally:
-            backend.close()
+            shard.close()
 
     def test_local_admission_bound(self, multi_fig1):
-        backend = ProcessBackend(0, multi_fig1, workers=1, start=False)
-        backend._max_pending = 0  # force the local bound
-        backend.start()
-        backend.wait_ready()
+        """A full shard queue rejects a query before any work happens."""
+        shard = Shard(0, multi_fig1, workers=1, max_queue=1, start=False)
         try:
+            first = shard.query("b.c")
             with pytest.raises(AdmissionError):
-                backend.query("b.c")
+                shard.query("b.c")
+            assert shard.scheduler.stats()["rejected"] == 1
+            shard.start()
+            pairs, _ = first.result(timeout=30)
+            assert pairs
         finally:
-            backend.close()
+            shard.close()
 
-    def test_update_converges_and_edge_estimate_tracks(self, multi_fig1):
-        backend = ProcessBackend(0, multi_fig1, replicas=2, workers=1, start=True)
+    def test_update_is_applied_once_and_edge_count_tracks(self, multi_fig1):
+        shard = Shard(0, multi_fig1, workers=1, start=True)
         try:
-            before = backend.edge_count()
-            backend.update(add=[("0:1", "b", "0:555")]).result(timeout=60)
-            backend.drain()
-            assert backend.edge_count() == before + 1
-            pairs, _ = backend.query("b").result(timeout=60)
+            before = shard.edge_count()
+            shard.update(add=[("0:1", "b", "0:555")]).result(timeout=30)
+            shard.drain()
+            assert shard.edge_count() == before + 1
+            assert shard.scheduler.stats()["updates"] == 1
+            pairs, _ = shard.query("b").result(timeout=30)
             assert ("0:1", "0:555") in pairs
         finally:
-            backend.close()
+            shard.close()
 
-    def test_closed_backend_refuses_queries(self, multi_fig1):
-        backend = ProcessBackend(0, multi_fig1, workers=1, start=True)
-        backend.close()
-        with pytest.raises(ServerError) as excinfo:
-            backend.query("b.c")
-        assert excinfo.value.code == "closed"
-        backend.close()  # idempotent
+    def test_closed_shard_refuses_work(self, multi_fig1):
+        shard = Shard(0, multi_fig1, workers=1, start=True)
+        shard.close()
+        for submit in (
+            lambda: shard.query("b.c"),
+            lambda: shard.summary("b.c", boundary=()),
+            lambda: shard.update(add=[("0:1", "b", "0:2")]),
+        ):
+            with pytest.raises(ServerError) as excinfo:
+                submit()
+            assert excinfo.value.code == "closed"
+
+    def test_checkpoint_without_storage_is_unsupported(self, multi_fig1):
+        shard = Shard(3, multi_fig1, workers=1)
+        try:
+            with pytest.raises(ClusterError) as excinfo:
+                shard.checkpoint()
+            assert excinfo.value.code == "cluster.unsupported"
+            assert list(excinfo.value.shards) == [3]
+        finally:
+            shard.close()
+
+    def test_needs_a_graph_or_recoverable_state(self, tmp_path):
+        for storage_dir in (None, str(tmp_path / "empty")):
+            with pytest.raises(ClusterError) as excinfo:
+                Shard(1, None, workers=1, storage_dir=storage_dir)
+            assert excinfo.value.code == "cluster.topology"
+
+    def test_summary_matches_summarise_shard(self):
+        """The summary a shard hands the router is the pure function's."""
+        graph = LabeledMultigraph.from_edges(
+            [("x", "a", "y"), ("y", "a", "x"), ("y", "b", 7)]
+        )
+        nfa = compile_nfa(parse("(a)*.b"))
+        entries = [("x", next(iter(nfa.start)))]
+        shard = Shard(0, graph.copy(), workers=1, start=True)
+        try:
+            summary, elapsed = shard.summary(
+                "(a)*.b", boundary={"y"}, entries=entries
+            ).result(timeout=30)
+        finally:
+            shard.close()
+        assert summary == summarise_shard(graph, nfa, {"y"}, entries=entries)
+        assert elapsed >= 0.0
+
+    def test_watch_and_reaches_match_the_session(self, multi_fig1):
+        session = GraphDB.open(multi_fig1.copy())
+        shard = Shard(0, multi_fig1.copy(), workers=1, start=True)
+        try:
+            session.watch("b.c")
+            shard.watch("b.c")
+            vertices = sorted(multi_fig1.vertices(), key=str)[:12]
+            for source in vertices:
+                for target in vertices:
+                    assert shard.reaches("b.c", source, target) == (
+                        session.reaches("b.c", source, target)
+                    ), (source, target)
+        finally:
+            shard.close()
+
+    def test_drain_waits_for_admitted_work(self, multi_fig1):
+        shard = Shard(0, multi_fig1, workers=1, start=True)
+        try:
+            futures = [shard.query(query) for query in QUERIES]
+            shard.drain()
+            assert all(future.done() for future in futures)
+            assert shard.scheduler.stats()["in_flight"] == 0
+        finally:
+            shard.close()
+
+    def test_durable_shard_checkpoints_and_reports_storage(
+        self, multi_fig1, tmp_path
+    ):
+        shard = Shard(
+            0, multi_fig1, workers=1, storage_dir=str(tmp_path), start=True
+        )
+        try:
+            shard.update(add=[("0:1", "b", "0:555")]).result(timeout=30)
+            shard.checkpoint()
+            doc = shard.stats()
+            assert "storage" in doc
+            assert doc["storage"] == doc["session"]["storage"]
+        finally:
+            shard.close()
 
 
-class TestGraphShipping:
-    def test_int_lookalike_strings_stay_distinct(self):
-        """"123" and 123 are two vertices on both sides of the handoff."""
-        from repro.graph.multigraph import LabeledMultigraph
+def restarted_shard(graph, storage_dir):
+    """Checkpoint ``graph`` on a durable shard, close it, and reopen the
+    directory without a seed graph: the shard serves what it recovered."""
+    shard = Shard(0, graph, workers=1, storage_dir=storage_dir, start=True)
+    shard.checkpoint()
+    shard.close()
+    return Shard(0, None, workers=1, storage_dir=storage_dir, start=True)
 
+
+class TestDurableShardGraph:
+    """The shard's graph leaves the process only through its snapshot:
+    what comes back must be the same graph."""
+
+    def test_int_lookalike_strings_stay_distinct(self, tmp_path):
+        """"123" and 123 are two vertices on both sides of a restart."""
         graph = LabeledMultigraph.from_edges(
             [("123", "a", 123), (123, "a", "456"), ("456", "b", "123")]
         )
         session = GraphDB.open(graph.copy())
-        backend = ProcessBackend(0, graph, workers=1, start=True)
+        shard = restarted_shard(graph, str(tmp_path))
         try:
             for query in ("a", "a.a", "a+.b", "(a|b)*"):
-                pairs, _ = backend.query(query).result(timeout=60)
+                pairs, _ = shard.query(query).result(timeout=30)
                 assert pairs == set(session.execute(query)), query
-            pairs, _ = backend.query("a").result(timeout=60)
+            pairs, _ = shard.query("a").result(timeout=30)
             assert ("123", 123) in pairs and (123, "123") not in pairs
         finally:
-            backend.close()
+            shard.close()
 
-    def test_isolated_vertices_survive_the_dump(self):
-        """Edge lists carry no degree-0 vertices; the spec ships them."""
-        from repro.graph.multigraph import LabeledMultigraph
-
+    def test_isolated_vertices_survive_the_restart(self, tmp_path):
+        """Edge lists carry no degree-0 vertices; the snapshot keeps them."""
         graph = LabeledMultigraph.from_edges([("a", "x", "b")])
         graph.add_vertex("lonely")
-        backend = ProcessBackend(0, graph, workers=1, start=True)
+        shard = restarted_shard(graph, str(tmp_path))
         try:
             # A nullable query contributes (v, v) for *every* vertex,
             # isolated ones included.
-            pairs, _ = backend.query("x*").result(timeout=60)
+            pairs, _ = shard.query("x*").result(timeout=30)
             assert ("lonely", "lonely") in pairs
         finally:
-            backend.close()
+            shard.close()
 
 
-class TestWorkerLogging:
-    def test_worker_logs_to_file(self, multi_fig1, tmp_path):
-        cluster = GraphCluster.open(
-            multi_fig1,
-            config=ClusterConfig(
-                shards=2,
-                workers=1,
-                backend="process",
-                worker_log_dir=tmp_path / "logs",
-            ),
-        )
-        try:
-            pairs, _ = cluster.submit("b.c").result(timeout=60)
-            assert pairs
-        finally:
-            cluster.stop()
-        for shard in range(2):
-            log = (tmp_path / "logs" / f"shard{shard}.log").read_text()
-            assert f"serving shard {shard}" in log
-            assert "shut down cleanly" in log
+def resolved(result=None, error=None) -> Future:
+    future: Future = Future()
+    future.set_running_or_notify_cancel()
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(result)
+    return future
 
-    def test_env_log_dir_fallback(self, multi_fig1, tmp_path, monkeypatch):
-        """REPRO_CLUSTER_LOG_DIR captures workers without explicit config
-        (the CI artifact hook)."""
-        monkeypatch.setenv("REPRO_CLUSTER_LOG_DIR", str(tmp_path / "ci-logs"))
-        backend = ProcessBackend(3, multi_fig1, workers=1, start=True)
-        backend.close()
-        logs = list((tmp_path / "ci-logs").glob("shard3-*.log"))
-        assert len(logs) == 1
-        assert "shut down cleanly" in logs[0].read_text()
+
+class TestMergeFutures:
+    """The router's fan-in of one update's per-shard futures."""
+
+    def test_no_children_resolve_at_once(self):
+        assert merge_futures([]).result(timeout=1) is None
+
+    def test_resolves_only_after_every_child(self):
+        children = [Future(), Future()]
+        parent = merge_futures(children)
+        children[0].set_result("ignored")
+        assert not parent.done()
+        children[1].set_result("ignored")
+        assert parent.result(timeout=1) is None
+
+    def test_first_error_waits_for_the_rest(self):
+        children = [Future(), Future(), Future()]
+        parent = merge_futures(children)
+        first, second = ValueError("first"), KeyError("second")
+        children[1].set_exception(first)
+        children[0].set_exception(second)
+        assert not parent.done()
+        children[2].set_result(None)
+        assert parent.exception(timeout=1) is first
+
+    def test_cancelled_child_fails_the_merge(self):
+        cancelled = Future()
+        assert cancelled.cancel()
+        parent = merge_futures([resolved(), cancelled])
+        with pytest.raises(CancelledError):
+            parent.result(timeout=1)

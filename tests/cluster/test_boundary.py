@@ -8,7 +8,6 @@ answer.  The named cases pin the path shapes the router has to get
 right without a shard's help; the seeded differential covers the rest.
 """
 
-import json
 import random
 
 import pytest
@@ -36,7 +35,7 @@ def hand_partition(edges, shard_of, num_shards=2):
     return GraphPartition(shards, shard_of, cuts)
 
 
-def boundary_answer(partition, text, over_wire=False):
+def boundary_answer(partition, text):
     """The boundary join of ``text`` over ``partition``, router rules included.
 
     Mirrors ``GraphCluster._run_boundary_join``: only cut edges of the
@@ -50,17 +49,12 @@ def boundary_answer(partition, text, over_wire=False):
     for shard, graph in enumerate(partition.shards):
         if not nfa.nullable and nfa.labels.isdisjoint(graph.labels()):
             continue
-        summary = summarise_shard(
+        summaries[shard] = summarise_shard(
             graph,
             nfa,
             join_plan.boundary_of.get(shard, ()),
             join_plan.shard_entries(shard),
         )
-        if over_wire:
-            summary = boundary.summary_from_wire(
-                json.loads(json.dumps(boundary.summary_to_wire(summary)))
-            )
-        summaries[shard] = summary
     return boundary.close(join_plan, summaries)
 
 
@@ -191,17 +185,6 @@ class TestShardSummary:
         # entry 0 names a vertex this shard does not hold.
         assert summary.ends[1] >> n_real == 0b110
 
-    def test_summary_survives_the_wire(self):
-        graph = LabeledMultigraph.from_edges(
-            [("x", "a", "y"), ("y", "a", "x"), ("y", "b", 7)]
-        )
-        nfa = compile_nfa(parse("(a)*.b"))
-        summary = summarise_shard(
-            graph, nfa, {"y"}, entries=[("x", next(iter(nfa.start)))]
-        )
-        wire = json.loads(json.dumps(boundary.summary_to_wire(summary)))
-        assert boundary.summary_from_wire(wire) == summary
-
 
 REGEXES = [
     "a", "a.b", "a+", "a*", "(a.b)*", "(a.b)+", "(a|b)*.c", "(a+.b)+",
@@ -212,7 +195,7 @@ REGEXES = [
 class TestDifferential:
     def test_random_graphs_match_a_no_sharing_session(self):
         """30 graphs x 12 regexes x {2, 3} shards = 360 seeded cases, pairs
-        and counts, half of them through the summary wire form."""
+        and counts."""
         cases = 0
         for seed in range(30):
             rng = random.Random(seed)
@@ -230,7 +213,7 @@ class TestDifferential:
             for text in REGEXES:
                 shards = rng.choice([2, 3])
                 partition = partition_graph(graph.copy(), shards, strategy="edge-cut")
-                got = boundary_answer(partition, text, over_wire=seed % 2 == 0)
+                got = boundary_answer(partition, text)
                 expected = reference.execute(text)
                 assert got.pairs == set(expected), (seed, text, shards)
                 assert got.count() == len(expected), (seed, text, shards)

@@ -1,8 +1,9 @@
-"""GraphCluster unit tests: fan-out, pruning, replicas, updates, stats."""
+"""GraphCluster unit tests: topology, fan-out, pruning, updates, stats."""
 
 import pytest
 
 from repro.cluster import ClusterConfig, GraphCluster, partition_graph
+from repro.core.plan import plan_for
 from repro.db import GraphDB
 from repro.errors import AdmissionError, ClusterError, ServerError
 
@@ -26,11 +27,10 @@ def cluster_answer(cluster: GraphCluster, query: str) -> set:
 
 
 class TestQueryFanOut:
-    @pytest.mark.parametrize("shards,replicas", [(1, 1), (2, 2), (4, 2)])
-    def test_matches_single_session(self, multi_fig1, shards, replicas):
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_matches_single_session(self, multi_fig1, shards):
         cluster = GraphCluster.open(
-            multi_fig1,
-            config=ClusterConfig(shards=shards, replicas=replicas, workers=1),
+            multi_fig1, config=ClusterConfig(shards=shards, workers=1)
         )
         session = GraphDB.open(multi_fig1)
         try:
@@ -94,7 +94,7 @@ class TestShardPruning:
             # Only the x/y shard evaluated "x.x"; the p/q shard saw one
             # query ("p.q") and nothing else.
             completed = [
-                cluster.replica(shard).scheduler.stats()["completed"]
+                cluster.backend(shard).scheduler.stats()["completed"]
                 for shard in range(2)
             ]
             assert sorted(completed) == [1, 1]
@@ -115,51 +115,71 @@ class TestShardPruning:
             cluster.stop()
 
 
-class TestReplicas:
-    def test_body_affinity_pins_bodies_to_replicas(self, multi_fig1):
-        cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=1, replicas=2, workers=1)
-        )
-        try:
-            for _ in range(6):
-                cluster_answer(cluster, "a.(b.c)+")
-            constructions = [
-                cluster.replica(0, replica)
-                .scheduler.shared_cache.snapshot_stats()
-                .misses
-                for replica in range(2)
-            ]
-            # One replica owns the body and computed its RTC once; the
-            # other never saw it.
-            assert sorted(constructions) == [0, 1]
-        finally:
-            cluster.stop()
+class TestTopology:
+    @pytest.mark.parametrize(
+        "option,code",
+        [
+            ({"replicas": 2}, "cluster.topology"),
+            ({"replicas": 0}, "cluster.topology"),
+            ({"backend": "process"}, "cluster.unsupported"),
+        ],
+    )
+    def test_one_session_per_shard_only(self, multi_fig1, option, code):
+        """``replicas`` accepts only 1 and ``backend`` only "thread"."""
+        with pytest.raises(ClusterError) as info:
+            GraphCluster.open(
+                multi_fig1, config=ClusterConfig(shards=2, workers=1, **option)
+            )
+        assert info.value.code == code
 
-    def test_closure_free_queries_spread_by_load(self, multi_fig1):
+    def test_update_is_applied_once(self, multi_fig1):
         cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=1, replicas=2, workers=1)
-        )
-        try:
-            for _ in range(8):
-                cluster_answer(cluster, "b.c")
-            served = [
-                cluster.replica(0, replica).scheduler.stats()["completed"]
-                for replica in range(2)
-            ]
-            assert sum(served) == 8
-        finally:
-            cluster.stop()
-
-    def test_replicas_converge_after_update(self, multi_fig1):
-        cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=2, replicas=2, workers=1)
+            multi_fig1,
+            config=ClusterConfig(shards=2, replicas=1, backend="thread", workers=1),
         )
         try:
             cluster.submit_update(add=[("0:1", "b", "0:99")]).result(timeout=30)
             shard = cluster.partition.shard_of("0:1")
-            for replica in range(2):
-                graph = cluster.replica(shard, replica).db.graph
-                assert graph.has_edge("0:1", "b", "0:99")
+            assert cluster.backend(shard).db.graph.has_edge("0:1", "b", "0:99")
+            assert cluster.stats()["updates"] == 1
+        finally:
+            cluster.stop()
+
+
+    def test_cache_mode_reaches_every_shard(self, multi_fig1):
+        """The engine options configure each shard's one session, and
+        its scheduler batches by that session's cache mode."""
+        cluster = GraphCluster.open(
+            multi_fig1,
+            config=ClusterConfig(
+                shards=2, workers=1, engine_kwargs={"cache_mode": "semantic"}
+            ),
+        )
+        try:
+            assert cluster.cache_mode == "semantic"
+            for shard in range(2):
+                assert cluster.backend(shard).scheduler.cache_mode == "semantic"
+            cluster_answer(cluster, "(b.c)+")
+            assert cluster.stats()["cache"]["mode"] == "semantic"
+        finally:
+            cluster.stop()
+
+    def test_each_closure_body_is_built_once_per_shard(self, multi_fig1):
+        """Every batch unit naming a body shares the shard's one RTC."""
+        bodies = {
+            body for query in QUERIES for body in plan_for(query).bodies("syntactic")
+        }
+        cluster = GraphCluster.open(
+            multi_fig1, config=ClusterConfig(shards=2, workers=1)
+        )
+        try:
+            for _round in range(3):
+                for query in QUERIES:
+                    cluster_answer(cluster, query)
+            for shard in range(2):
+                cache = cluster.backend(shard).scheduler.stats()["cache"]
+                assert cache["misses"] == len(bodies), shard
+                assert cache["hits"] > 0
         finally:
             cluster.stop()
 
@@ -172,7 +192,7 @@ class TestUpdates:
         try:
             cluster.submit_update(add=[("2:1", "b", "2:99")]).result(timeout=30)
             updates = [
-                cluster.replica(shard).scheduler.stats()["updates"]
+                cluster.backend(shard).scheduler.stats()["updates"]
                 for shard in range(4)
             ]
             assert sorted(updates) == [0, 0, 0, 1]
@@ -224,7 +244,7 @@ class TestUpdates:
         try:
             cluster.submit_update(add=[("new1", "x", "new2")]).result(timeout=30)
             shard = cluster.partition.shard_of("new1")
-            assert cluster.replica(shard).db.graph.num_edges == 1  # was empty
+            assert cluster.backend(shard).db.graph.num_edges == 1  # was empty
             assert cluster.partition.shard_of("new2") == shard
             assert cluster_answer(cluster, "x") >= {("new1", "new2")}
         finally:
@@ -245,7 +265,7 @@ class TestUpdates:
             assert cluster.partition.shard_of("brand-new-a") is None
             assert cluster.partition.shard_of("brand-new-b") is None
             for shard in range(4):
-                assert not cluster.replica(shard).db.graph.has_vertex(
+                assert not cluster.backend(shard).db.graph.has_vertex(
                     "brand-new-a"
                 )
         finally:
@@ -267,11 +287,11 @@ class TestUpdates:
         finally:
             cluster.stop()
 
-    def test_full_replica_queue_never_splits_an_update(self, multi_fig1):
-        """Blocking admission: broadcasts apply on every replica copy."""
+    def test_full_shard_queue_never_rejects_an_update(self, multi_fig1):
+        """Blocking admission: a routed update waits for a queue slot."""
         cluster = GraphCluster.open(
             multi_fig1,
-            config=ClusterConfig(shards=2, replicas=2, workers=1, max_queue=1),
+            config=ClusterConfig(shards=2, workers=1, max_queue=1),
         )
         try:
             futures = [
@@ -280,11 +300,9 @@ class TestUpdates:
             ]
             for future in futures:
                 future.result(timeout=60)
-            shard = cluster.partition.shard_of("0:1")
-            for replica in range(2):
-                graph = cluster.replica(shard, replica).db.graph
-                for i in range(6):
-                    assert graph.has_edge("0:1", "f", f"0:{400 + i}")
+            graph = cluster.backend(cluster.partition.shard_of("0:1")).db.graph
+            for i in range(6):
+                assert graph.has_edge("0:1", "f", f"0:{400 + i}")
         finally:
             cluster.stop()
 
@@ -300,7 +318,7 @@ class TestUpdates:
 
     def test_query_after_update_sees_new_state(self, multi_fig1):
         cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=4, replicas=2, workers=1)
+            multi_fig1, config=ClusterConfig(shards=4, workers=1)
         )
         try:
             before = cluster_answer(cluster, "(b)+")
@@ -318,7 +336,7 @@ class TestUpdates:
 class TestWatchAndReaches:
     def test_watch_broadcasts_and_reaches_routes(self, multi_fig1):
         cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=4, replicas=2, workers=1)
+            multi_fig1, config=ClusterConfig(shards=4, workers=1)
         )
         try:
             assert cluster.watch("b.c") == "b.c"
@@ -369,7 +387,7 @@ class TestShardPruningAccounting:
 class TestStats:
     def test_aggregate_counters_and_sessions(self, multi_fig1):
         cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=4, replicas=2, workers=1)
+            multi_fig1, config=ClusterConfig(shards=4, workers=1)
         )
         try:
             for query in QUERIES:
@@ -377,7 +395,7 @@ class TestStats:
             cluster.submit_update(add=[("0:1", "b", "0:99")]).result(timeout=30)
             scheduler_stats = cluster.stats()
             assert scheduler_stats["completed"] >= len(QUERIES)
-            assert scheduler_stats["updates"] == 2  # both replicas applied
+            assert scheduler_stats["updates"] == 1  # applied once
             assert scheduler_stats["in_flight"] == 0
             assert scheduler_stats["latency"]["p95"] >= 0.0
             assert scheduler_stats["cache"]["hits"] >= 0
@@ -390,10 +408,13 @@ class TestStats:
 
             topology = cluster.describe()
             assert topology["shards"] == 4
-            assert topology["replicas"] == 2
             assert len(topology["per_shard"]) == 4
-            assert all(
-                len(shard["replicas"]) == 2 for shard in topology["per_shard"]
-            )
+            for shard in topology["per_shard"]:
+                assert "replicas" not in shard and "worker" not in shard
+                assert {"completed", "updates", "cache_hits", "cache_misses"} <= set(shard)
+            assert sum(shard["updates"] for shard in topology["per_shard"]) == 1
+            assert sum(
+                shard["completed"] for shard in topology["per_shard"]
+            ) == scheduler_stats["completed"] - scheduler_stats["answered_without_fanout"]
         finally:
             cluster.stop()

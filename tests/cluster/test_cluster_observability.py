@@ -1,6 +1,5 @@
-"""Cluster-wide observability: cross-process trace assembly through the
-router, pooled latency percentiles, join-round tracing, and the worker
-``metrics`` path."""
+"""Cluster-wide observability: trace assembly through the router, pooled
+latency percentiles, join-round tracing, and the ``metrics`` verb."""
 
 import json
 import socket
@@ -29,12 +28,29 @@ def _disjoint_chains(copies: int = 8) -> LabeledMultigraph:
     return graph
 
 
+#: Spans the router records itself; every other span of a traced
+#: request is recorded inside a shard.
+ROUTER_SPANS = {"request", "query", "shard", "shard_update", "encode"}
+
+
+def _ancestors(span, by_id):
+    """The spans above ``span``, nearest first."""
+    while span.get("parent"):
+        span = by_id[span["parent"]]
+        yield span
+
+
+def _enclosing(span, by_id, name: str):
+    """The nearest ancestor of ``span`` called ``name``, or None."""
+    return next((up for up in _ancestors(span, by_id) if up["name"] == name), None)
+
+
 @pytest.fixture(scope="module")
-def process_router():
-    """A 2-shard process-backend cluster behind a live ClusterRouter."""
+def router():
+    """A 2-shard cluster behind a live ClusterRouter."""
     cluster = GraphCluster.open(
         _disjoint_chains(),
-        config=ClusterConfig(shards=2, workers=1, backend="process"),
+        config=ClusterConfig(shards=2, workers=1),
     )
     router = ClusterRouter(cluster, ServerConfig(batch_window=0.002))
     with ServerThread(router) as handle:
@@ -57,7 +73,7 @@ def _raw_roundtrip(address, payload: dict) -> bytes:
 
 class TestPooledPercentiles:
     """Cluster-wide latency quantiles must come from pooled reservoirs,
-    not from averaging per-replica percentiles."""
+    not from averaging per-shard percentiles."""
 
     @staticmethod
     def _stats_doc(qps=1.0, batches=1, mean_batch=1.0):
@@ -87,7 +103,7 @@ class TestPooledPercentiles:
         return doc
 
     def test_uneven_reservoirs_pool_correctly(self):
-        # One replica saw 1 slow request, the other 99 fast ones.  An
+        # One shard saw 1 slow request, the other 99 fast ones.  An
         # average-of-percentiles would report ~0.5s at p50; the pooled
         # truth is the 50th value of the merged reservoir.
         slow = [1.0]
@@ -104,7 +120,7 @@ class TestPooledPercentiles:
         assert latency["mean"] == pytest.approx(sum(pooled) / 100)
 
     def test_permutation_invariance(self):
-        # Pooling is order-free: shuffling which replica held which
+        # Pooling is order-free: shuffling which shard held which
         # values cannot move any quantile.
         lat_a = [0.002, 0.4, 0.009]
         lat_b = [0.001] * 10
@@ -125,11 +141,11 @@ class TestPooledPercentiles:
 
 
 class TestTracePropagation:
-    """Satellite 3 + the tentpole acceptance gate: one assembled trace
-    tree spanning router and both process-backend workers."""
+    """One assembled trace tree through the router: each shard's spans
+    nest under the router's ``shard`` span for that shard."""
 
-    def test_single_tree_across_processes(self, process_router):
-        _, _, client = process_router
+    def test_single_tree_across_shards(self, router):
+        _, _, client = router
         result, trace = client.query_traced("b.c")
         assert result.count == 8
         spans = trace["spans"]
@@ -145,12 +161,8 @@ class TestTracePropagation:
         roots = build_tree(trace)
         assert len(roots) == 1
         assert roots[0]["name"] == "request"
-        # Three processes contributed spans: router + two shard workers
-        # (span ids are pid-prefixed).
-        pids = {span["id"].split("-")[0] for span in spans}
-        assert len(pids) >= 3
         # At least five distinct phase span types, including the fan-out
-        # and the workers' scheduler/engine phases.
+        # and the shards' scheduler/engine phases.
         names = {span["name"] for span in spans}
         assert len(names) >= 5
         assert {"request", "shard", "evaluate"} <= names
@@ -162,31 +174,21 @@ class TestTracePropagation:
         }
         assert shard_attrs == {0, 1}
 
-    def test_worker_spans_nest_under_their_shard_span(self, process_router):
-        _, _, client = process_router
+    def test_shard_spans_nest_under_their_shard_span(self, router):
+        _, _, client = router
         _, trace = client.query_traced("b.c")
         by_id = {span["id"]: span for span in trace["spans"]}
-        router_pid = next(
-            span["id"].split("-")[0]
-            for span in trace["spans"]
-            if span["name"] == "request"
-        )
-        worker_spans = [
-            span
-            for span in trace["spans"]
-            if span["id"].split("-")[0] != router_pid
+        shard_side = [
+            span for span in trace["spans"] if span["name"] not in ROUTER_SPANS
         ]
-        assert worker_spans
-        for span in worker_spans:
-            # Walk up: every worker span reaches a router-side "shard"
-            # span, which is how the tree stitches across the wire.
-            node = span
-            while node["id"].split("-")[0] != router_pid:
-                node = by_id[node["parent"]]
-            assert node["name"] == "shard"
+        assert shard_side
+        enclosing = [_enclosing(span, by_id, "shard") for span in shard_side]
+        assert None not in enclosing
+        # Both shards' spans are there, each under its own shard span.
+        assert {shard["attrs"]["shard"] for shard in enclosing} == {0, 1}
 
-    def test_untraced_response_is_trace_free_and_stable(self, process_router):
-        _, handle, _ = process_router
+    def test_untraced_response_is_trace_free_and_stable(self, router):
+        _, handle, _ = router
         payload = {"id": 1, "op": "query", "queries": ["b.c"], "pairs": True}
         first = json.loads(_raw_roundtrip(handle.address, payload))
         second = json.loads(_raw_roundtrip(handle.address, payload))
@@ -198,8 +200,8 @@ class TestTracePropagation:
             second, sort_keys=True
         )
 
-    def test_traced_update_spans_both_shards(self, process_router):
-        _, _, client = process_router
+    def test_traced_update_spans_both_shards(self, router):
+        _, _, client = router
         # One new-vertex edge anchored in every chain, so the update
         # routes to both shards; the label stays out of every query.
         response = client.update(
@@ -215,23 +217,27 @@ class TestTracePropagation:
             if span["name"] == "shard_update"
         }
         assert shard_attrs == {0, 1}
-        pids = {span["id"].split("-")[0] for span in spans}
-        assert len(pids) >= 3  # router plus both shards' workers
+        # Both shards' drain/apply spans hang under their shard_update.
+        by_id = {span["id"]: span for span in spans}
+        enclosing = [
+            _enclosing(span, by_id, "shard_update")
+            for span in spans
+            if span["name"] in {"update_apply", "update_drain"}
+        ]
+        assert enclosing and None not in enclosing
+        assert {update["attrs"]["shard"] for update in enclosing} == {0, 1}
 
-    def test_metrics_verbs_router_and_worker(self, process_router):
-        cluster, _, client = process_router
+    def test_metrics_verb_serves_router_and_shard_counters(self, router):
+        _, _, client = router
         client.query("b.c")
         client.query("b.c")
-        # The router process serves its own registry: join/phase
-        # counters are registered (exposition text is well-formed) even
-        # when this disjoint cluster never runs a boundary join.
         text = client.metrics()
+        # The router's join/phase counters are registered (exposition
+        # text is well-formed) even when this disjoint cluster never
+        # runs a boundary join.
         assert "# TYPE repro_join_rounds_total counter" in text
-        # The worker path: metrics_text() leases a wire client to the
-        # shard worker process and returns ITS registry, where the
-        # scheduler counters actually live.
-        worker = parse_prometheus(cluster._backends[0].metrics_text())
-        admitted = worker["repro_requests_total"][
+        # The shards' schedulers publish into the same registry.
+        admitted = parse_prometheus(text)["repro_requests_total"][
             frozenset({("outcome", "admitted")})
         ]
         assert admitted >= 2

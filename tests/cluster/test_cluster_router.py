@@ -1,9 +1,9 @@
 """ClusterRouter end-to-end: the unchanged Client against a cluster.
 
-Everything here goes over real TCP through the PR-3 wire protocol --
-the point being that a :class:`~repro.server.Client` cannot tell (except
-by reading ``stats``) whether it talks to one session or to a
-4-shard x 2-replica cluster.
+Everything here goes over real TCP through the JSON-lines wire
+protocol -- the point being that a :class:`~repro.server.Client` cannot
+tell (except by reading ``stats``) whether it talks to one session or to
+a 4-shard cluster.
 """
 
 import json
@@ -11,9 +11,10 @@ import socket
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster
+from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster, partition_graph
 from repro.db import GraphDB
-from repro.errors import RPQSyntaxError
+from repro.errors import ProtocolError, RPQSyntaxError
+from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.parser import MAX_NESTING
 from repro.server import Client, ServerConfig, ServerThread
 
@@ -24,7 +25,7 @@ from test_cluster import QUERIES
 def served(multi_fig1):
     cluster = GraphCluster.open(
         multi_fig1,
-        config=ClusterConfig(shards=4, replicas=2, workers=1),
+        config=ClusterConfig(shards=4, workers=1),
         start=False,
     )
     router = ClusterRouter(cluster, ServerConfig(batch_window=0.002))
@@ -143,10 +144,69 @@ class TestProtocolOverCluster:
         assert stats["session"]["graph"]["edges"] == graph.num_edges
         cluster_doc = stats["cluster"]
         assert cluster_doc["shards"] == 4
-        assert cluster_doc["replicas"] == 2
         per_shard_completed = sum(
-            replica["completed"]
-            for shard in cluster_doc["per_shard"]
-            for replica in shard["replicas"]
+            shard["completed"] for shard in cluster_doc["per_shard"]
         )
         assert per_shard_completed == stats["scheduler"]["completed"]
+
+    def test_scheduler_stats_carry_the_serving_counters(self, served):
+        """The counters a served benchmark reads off ``stats()["scheduler"]``
+        (``perf/workloads.py``'s ``Served.counters``) stay in place."""
+        client, _graph = served
+        client.query_many(QUERIES)
+        client.query_many(QUERIES)
+        scheduler = client.stats()["scheduler"]
+        assert scheduler["batches"] >= 1
+        assert scheduler["mean_batch_size"] >= 1.0
+        assert scheduler["rejected"] == 0
+        assert scheduler["cache"]["misses"] >= 1
+        assert scheduler["cache"]["hits"] >= 1
+
+    def test_propagated_trace_form_is_a_bad_request(self, served):
+        """Nothing ships spans between processes any more: a request's
+        ``trace`` is ``true`` or absent, never a remote parent."""
+        client, _graph = served
+        with pytest.raises(ProtocolError, match="'trace' must be true"):
+            client.query_call(["b.c"], trace={"id": "t", "parent": "p"})
+        assert client.ping() >= 1
+
+
+#: The keys of one ``stats()["cluster"]["per_shard"]`` entry.
+PER_SHARD_KEYS = {
+    "shard", "vertices", "edges", "labels", "completed", "updates",
+    "in_flight", "queue_depth", "cache_hits", "cache_misses",
+}
+
+
+@pytest.mark.parametrize("strategy", ["component", "edge-cut"])
+def test_per_shard_entries_are_flat(strategy):
+    """One session per shard: each entry is that shard's own counters,
+    with no replica list and no worker process, on either partitioner."""
+    from test_crossshard import single_component_rmat
+
+    graph = single_component_rmat()
+    if strategy == "component":
+        # Two disjoint copies: one component per shard, no cut edge.
+        graph = LabeledMultigraph.from_edges(
+            (f"{copy}:{source}", label, f"{copy}:{target}")
+            for copy in range(2)
+            for source, label, target in graph.edges()
+        )
+    cluster = GraphCluster(
+        partition_graph(graph.copy(), 2, strategy=strategy),
+        config=ClusterConfig(shards=2, workers=1),
+    )
+    assert cluster.partition.has_cuts == (strategy == "edge-cut")
+    router = ClusterRouter(cluster, ServerConfig(batch_window=0.002))
+    with ServerThread(router) as handle, Client(*handle.address) as client:
+        client.query_many(["(l0)+", "l0.l1"])
+        client.update(add=[("fresh", "l2", sorted(graph.vertices(), key=str)[0])])
+        stats = client.stats()
+    per_shard = stats["cluster"]["per_shard"]
+    assert [entry["shard"] for entry in per_shard] == [0, 1]
+    for entry in per_shard:
+        assert set(entry) == PER_SHARD_KEYS
+    assert sum(entry["updates"] for entry in per_shard) == 1
+    assert sum(entry["edges"] for entry in per_shard) + stats["cluster"][
+        "cut_edges"
+    ] == graph.num_edges + 1

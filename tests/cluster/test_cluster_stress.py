@@ -1,13 +1,12 @@
 """Cluster stress: exactness under concurrency (the acceptance gate).
 
-The headline criterion: a 4-shard x 2-replica cluster serves the same
+The headline criterion: a 4-shard cluster serves the same
 closure-sharing stress workload as the single-node suite
 (:mod:`tests.server.test_stress`) and every client's answers are
 *identical* to a sequential ``execute_many`` on one session over the
-unpartitioned graph -- sharding, replication, routing, pruning and
-merging must be invisible in the results.  A second gate interleaves
-writers and readers and checks the final converged state on every
-replica.
+unpartitioned graph -- sharding, routing, pruning and merging must be
+invisible in the results.  A second gate interleaves writers and
+readers and checks the final state of every shard.
 """
 
 import threading
@@ -48,11 +47,11 @@ def run_clients(address, num_clients: int, queries_per_client):
 
 
 class TestClusterExactness:
-    def test_4x2_cluster_matches_execute_many(self, multi_fig1):
-        """The acceptance gate: 4 shards x 2 replicas == one session."""
+    def test_4_shard_cluster_matches_execute_many(self, multi_fig1):
+        """The acceptance gate: 4 shards == one session."""
         cluster = GraphCluster.open(
             multi_fig1,
-            config=ClusterConfig(shards=4, replicas=2, workers=2),
+            config=ClusterConfig(shards=4, workers=2),
             start=False,
         )
         router = ClusterRouter(cluster, ServerConfig(batch_window=0.002))
@@ -69,7 +68,7 @@ class TestClusterExactness:
 
     def test_interleaved_disjoint_workloads(self, multi_fig1):
         cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=4, replicas=2, workers=1),
+            multi_fig1, config=ClusterConfig(shards=4, workers=1),
             start=False,
         )
         with ServerThread(ClusterRouter(cluster)) as handle:
@@ -87,7 +86,7 @@ class TestClusterUnderWrites:
     def test_concurrent_updates_and_queries_converge(self, multi_fig1):
         cluster = GraphCluster.open(
             multi_fig1,
-            config=ClusterConfig(shards=4, replicas=2, workers=2),
+            config=ClusterConfig(shards=4, workers=2),
             start=False,
         )
         new_edges = [(f"{i % 4}:1", "b", f"{i % 4}:{200 + i}") for i in range(12)]
@@ -116,16 +115,10 @@ class TestClusterUnderWrites:
                 final = client.query("(b.c)+").pairs
 
         assert not reader_errors
-        # Every replica of every shard converged to the same graph.
+        # The shards together hold exactly the updated graph.
         merged_edges = set()
         for shard in range(4):
-            reference = set(cluster.replica(shard, 0).db.graph.edges())
-            for replica in range(1, 2):
-                assert (
-                    set(cluster.replica(shard, replica).db.graph.edges())
-                    == reference
-                )
-            merged_edges |= reference
+            merged_edges |= set(cluster.backend(shard).db.graph.edges())
         expected_graph = multi_fig1.copy()
         for source, label, target in new_edges:
             expected_graph.add_edge(source, label, target)
@@ -136,7 +129,7 @@ class TestClusterUnderWrites:
         """After a mixed storm drains, the aggregate accounting closes."""
         cluster = GraphCluster.open(
             multi_fig1,
-            config=ClusterConfig(shards=4, replicas=2, workers=1),
+            config=ClusterConfig(shards=4, workers=1),
             start=False,
         )
         with ServerThread(ClusterRouter(cluster)) as handle:

@@ -2,12 +2,14 @@
 
 The tentpole's correctness oracle: a graph that is one weakly-connected
 component -- the shape component-disjoint partitioning cannot shard at
-all -- is edge-cut partitioned across 2 and 4 shards, on both the
-thread and the process backend, and must answer the full query workload
+all -- is edge-cut partitioned across 2 and 4 shards, in-process and
+behind the router, and must answer the full query workload
 *identically* to a single ``GraphDB`` session, including after a
 cross-shard edge lands -- and later leaves -- mid-workload.  The
 boundary join is the only path that can make this pass; any stitching
-bug shows up as a pair-set diff against ground truth.  (The join's pure
+bug shows up as a pair-set diff against ground truth.  The same gate
+runs on the component partitioner over disjoint copies, where the
+mid-run add is the cluster's first cut edge.  (The join's pure
 half -- summaries and closure without a cluster -- is covered in
 ``test_boundary.py``.)  The router's memos close the file: one join plan
 per query text and cut-relation version, and a bounded answer cache.
@@ -32,6 +34,7 @@ from repro.cluster import service as cluster_service
 from repro.datasets.rmat import rmat_connected_graph
 from repro.db import GraphDB
 from repro.errors import DeadlineExpiredError
+from repro.graph.multigraph import LabeledMultigraph
 from repro.server import Client, ServerConfig, ServerThread
 
 #: The full workload over the R-MAT alphabet (l0..l2): concatenations,
@@ -98,18 +101,13 @@ def session_reference(graph, update_edge):
 
 class TestEdgeCutIdentity:
     @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_matches_single_session_with_crossshard_update(
-        self, shards, backend
-    ):
+    def test_matches_single_session_with_crossshard_update(self, shards):
         """The acceptance gate: edge-cut cluster == one session, mid-run
         cross-shard update included."""
         graph = single_component_rmat()
         cluster = GraphCluster(
             partition_graph(graph.copy(), shards, strategy="edge-cut"),
-            config=ClusterConfig(
-                shards=shards, workers=1, backend=backend
-            ),
+            config=ClusterConfig(shards=shards, workers=1),
         )
         try:
             assert cluster.partition.has_cuts
@@ -139,7 +137,7 @@ class TestEdgeCutIdentity:
         graph = single_component_rmat()
         cluster = GraphCluster(
             partition_graph(graph.copy(), 2, strategy="edge-cut"),
-            config=ClusterConfig(shards=2, workers=1, backend="process"),
+            config=ClusterConfig(shards=2, workers=1),
             start=False,
         )
         update_edge = pick_cross_shard_edge(graph, cluster.partition)
@@ -215,6 +213,73 @@ class TestEdgeCutIdentity:
             assert pairs == set(GraphDB.open(graph.copy()).execute("(l0)+"))
         finally:
             cluster.stop()
+
+
+def disjoint_rmat_copies(copies=4):
+    """``copies`` relabeled single-component R-MAT graphs in one graph."""
+    graph = LabeledMultigraph()
+    for copy in range(copies):
+        for source, label, target in single_component_rmat(
+            scale=4, num_edges=48, seed=7 + copy
+        ).edges():
+            graph.add_edge(f"{copy}:{source}", label, f"{copy}:{target}")
+    assert len(weakly_connected_components(graph)) == copies
+    return graph
+
+
+class TestComponentIdentity:
+    """The same gate on the component partitioner: shards start with no
+    cut edge, and the mid-run cross-shard add is the first one."""
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_matches_single_session_with_crossshard_update(self, shards):
+        graph = disjoint_rmat_copies()
+        cluster = GraphCluster(
+            partition_graph(graph.copy(), shards, strategy="component"),
+            config=ClusterConfig(shards=shards, workers=1),
+        )
+        try:
+            assert not cluster.partition.has_cuts
+            update_edge = pick_cross_shard_edge(graph, cluster.partition)
+            expected = session_reference(graph, update_edge)
+
+            def answer(query):
+                pairs, _elapsed = cluster.submit(query).result(timeout=120)
+                return pairs
+
+            def add():
+                cluster.submit_update(add=[update_edge]).result(timeout=120)
+                assert cluster.partition.has_cut(*update_edge)
+
+            def remove():
+                cluster.submit_update(remove=[update_edge]).result(timeout=120)
+
+            results = run_workload(answer, add, remove)
+            for key in expected:
+                assert results[key] == expected[key], key
+            assert not cluster.partition.has_cuts
+        finally:
+            cluster.stop()
+
+    def test_identity_over_the_wire(self):
+        graph = disjoint_rmat_copies()
+        cluster = GraphCluster(
+            partition_graph(graph.copy(), 2, strategy="component"),
+            config=ClusterConfig(shards=2, workers=1),
+            start=False,
+        )
+        update_edge = pick_cross_shard_edge(graph, cluster.partition)
+        expected = session_reference(graph, update_edge)
+        router = ClusterRouter(cluster, ServerConfig(batch_window=0.002))
+        with ServerThread(router) as handle:
+            with Client(*handle.address) as client:
+                results = run_workload(
+                    lambda query: client.query(query).pairs,
+                    lambda: client.update(add=[list(update_edge)]),
+                    lambda: client.update(remove=[list(update_edge)]),
+                )
+        for key in expected:
+            assert results[key] == expected[key], key
 
 
 class TestJoinCacheFreshness:

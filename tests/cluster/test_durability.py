@@ -1,24 +1,30 @@
 """Crash durability gates: kill -9, restart from disk, answer identity.
 
-The storage subsystem's cluster-level oracle: a process-backend cluster
-whose workers are SIGKILLed *after* updates were acked must, restarted
-over the same data directory, answer the full workload identically to a
-single unbroken ``GraphDB`` session that applied the same updates.  A
-checkpointed thread cluster must come back *warm* -- cached closures
-served without recompute.
+The storage subsystem's cluster-level oracle: a ``repro serve --shards``
+process SIGKILLed *after* updates were acked -- router log and shards
+die together -- must, restarted over the same data directory, answer
+the full workload identically to a single unbroken ``GraphDB`` session
+that applied the same updates.  A checkpointed cluster must come back
+*warm* -- cached closures served without recompute.
 """
 
 import os
 import re
+import select
 import shutil
 import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster, partition_graph
 from repro.db import GraphDB
 from repro.errors import ClusterError
+from repro.graph.io import dump_edge_list, load_edge_list
 from repro.server import Client, ServerConfig, ServerThread
 from test_crossshard import QUERIES, pick_cross_shard_edge, single_component_rmat
 
@@ -63,41 +69,83 @@ def reference_answers(graph, update_edges):
     return {query: set(db.execute(query)) for query in QUERIES}
 
 
+def start_serving(graph_path, data_dir):
+    """``repro serve`` over ``graph_path`` as a child process; returns
+    ``(process, (host, port))`` once its banner names the address."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", str(graph_path),
+            "--port", "0", "--shards", "2", "--strategy", "edge-cut",
+            "--workers", "1", "--data-dir", str(data_dir),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+        text=True,
+    )
+    deadline = time.monotonic() + 120
+    output = []
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([process.stdout], [], [], 1.0)
+        if not ready:
+            continue
+        line = process.stdout.readline()
+        if not line:
+            break  # the server exited before announcing itself
+        output.append(line)
+        match = re.search(r" on ([\d.]+):(\d+) -- Ctrl-C to stop", line)
+        if match:
+            return process, (match.group(1), int(match.group(2)))
+    process.kill()
+    process.wait(timeout=30)
+    raise AssertionError(f"repro serve did not start: {''.join(output)}")
+
+
 class TestKillNineRestart:
-    def test_restart_matches_unbroken_session(self, data_dir):
-        """The acceptance gate: SIGKILL both workers after acked updates,
-        restart over the same data directory, identical answers."""
-        graph = single_component_rmat()
-        config = ClusterConfig(
-            shards=2, workers=1, backend="process", data_dir=data_dir
-        )
-        cluster = GraphCluster(
-            partition_graph(graph.copy(), 2, strategy="edge-cut"),
-            config=config,
-        )
+    def test_restart_matches_unbroken_session(self, tmp_path, data_dir):
+        """The acceptance gate: SIGKILL the serving process after acked
+        updates, restart over the same data directory, identical answers."""
+        graph_path = tmp_path / "graph.txt"
+        dump_edge_list(single_component_rmat(), graph_path)
+        graph = load_edge_list(graph_path)
+        # The server partitions the same file the same way.
+        partition = partition_graph(graph.copy(), 2, strategy="edge-cut")
+        # One acked update of each routing kind: same-shard, a cut edge
+        # crossing shards, and a brand-new vertex the router must
+        # re-assign identically on replay.
+        cut_edge = pick_cross_shard_edge(graph, partition)
+        same_edge = pick_same_shard_edge(graph, partition)
+        new_edge = ("fresh-vertex", "l0", sorted(graph.vertices(), key=str)[0])
+        updates = [same_edge, cut_edge, new_edge]
+
+        process, address = start_serving(graph_path, data_dir)
         try:
-            # One acked update of each routing kind: same-shard, a cut
-            # edge crossing shards, and a brand-new vertex the router
-            # must re-assign identically on replay.
-            cut_edge = pick_cross_shard_edge(graph, cluster.partition)
-            same_edge = pick_same_shard_edge(graph, cluster.partition)
-            new_edge = ("fresh-vertex", "l0", sorted(graph.vertices(), key=str)[0])
-            updates = [same_edge, cut_edge, new_edge]
-
-            for query in QUERIES[:3]:  # mid-workload: traffic, then crash
-                cluster.submit(query).result(timeout=120)
-            for edge in updates:
-                cluster.submit_update(add=[edge]).result(timeout=120)
-
-            for shard in range(2):
-                os.kill(cluster.backend(shard).pid, signal.SIGKILL)
+            with Client(*address) as client:
+                for query in QUERIES[:3]:  # mid-workload: traffic, then crash
+                    client.query(query)
+                for edge in updates:
+                    client.update(add=[edge])
+            os.kill(process.pid, signal.SIGKILL)
+            assert process.wait(timeout=30) == -signal.SIGKILL
         finally:
-            cluster.stop()
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
+            process.stdout.close()
 
         expected = reference_answers(graph, updates)
-        restarted = GraphCluster(
-            partition_graph(graph.copy(), 2, strategy="edge-cut"),
-            config=config,
+        restarted = GraphCluster.open(
+            graph_path,
+            config=ClusterConfig(
+                shards=2,
+                workers=1,
+                partition_strategy="edge-cut",
+                data_dir=data_dir,
+            ),
         )
         try:
             assert restarted.partition.has_cut(*cut_edge)
@@ -136,7 +184,7 @@ class TestWarmRestart:
             assert document["storage"]["data_dir"] == str(data_dir)
 
             caches = [
-                restarted.backend(shard).replicas[0].db.engine.rtc_cache.stats
+                restarted.backend(shard).db.engine.rtc_cache.stats
                 for shard in range(2)
             ]
             misses = [cache.misses for cache in caches]
@@ -148,12 +196,11 @@ class TestWarmRestart:
         finally:
             restarted.stop()
 
-    def test_restarted_replicas_repair_by_label(self, multi_fig1, data_dir):
-        """Both replicas of a restarted shard see one update stream and
-        repair the same store-installed closures in place: by label, on
-        the owning shard only, with no cache miss anywhere -- and every
-        answer equals one session's."""
-        config = ClusterConfig(shards=2, replicas=2, workers=1, data_dir=data_dir)
+    def test_restarted_shards_repair_by_label(self, multi_fig1, data_dir):
+        """A restarted shard's session repairs its store-installed
+        closures in place: by label, on the owning shard only, with no
+        cache miss anywhere -- and every answer equals one session's."""
+        config = ClusterConfig(shards=2, workers=1, data_dir=data_dir)
         queries = [CLOSURE_QUERY, "a.(b.c)+", "(e.f)+.e"]
         cluster = GraphCluster(
             partition_graph(multi_fig1.copy(), 2), config=config
@@ -170,11 +217,7 @@ class TestWarmRestart:
         )
         reference = GraphDB.open(multi_fig1.copy())
         try:
-            sessions = {
-                (shard, replica): restarted.replica(shard, replica).db
-                for shard in range(2)
-                for replica in range(2)
-            }
+            sessions = {shard: restarted.backend(shard).db for shard in range(2)}
             assert all(len(db.engine.rtc_cache) >= 2 for db in sessions.values())
             warm = {
                 where: {body: db.engine.rtc_for(body) for body in ("b.c", "e.f")}
@@ -190,7 +233,7 @@ class TestWarmRestart:
                 return sessions[where].engine.rtc_for(body) is warm[where][body]
 
             def check_answers() -> None:
-                for query in queries * 2:  # round-robin reaches both replicas
+                for query in queries:
                     pairs, _elapsed = restarted.submit(query).result(timeout=120)
                     assert set(pairs) == set(reference.execute(query)), query
 
@@ -204,18 +247,18 @@ class TestWarmRestart:
             check_answers()
 
             # ``f`` on a copy-0 vertex adds the e.f pair (8, 7): ``e.f`` is
-            # republished on both replicas of the owning shard only.
+            # republished on the owning shard only.
             owner = restarted.partition.shard_of("0:9")
             apply(add=[("0:9", "f", "0:7")])
             for where in sessions:
                 assert kept(where, "b.c")
-                assert kept(where, "e.f") == (where[0] != owner)
+                assert kept(where, "e.f") == (where != owner)
             check_answers()
 
             # Removing ``b`` edge 2 -> 5 takes (2, 4) and (2, 6) out of b.c.
             apply(remove=[("0:2", "b", "0:5")])
             for where in sessions:
-                assert kept(where, "b.c") == (where[0] != owner)
+                assert kept(where, "b.c") == (where != owner)
             check_answers()
             assert misses() == {0}  # repaired in place, never rebuilt
         finally:

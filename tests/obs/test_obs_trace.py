@@ -62,19 +62,6 @@ class TestTracer:
         assert wire["dur"] == 0.0
         assert wire["attrs"] == {"pairs": 3}
 
-    def test_absorb_merges_remote_spans_and_skips_junk(self):
-        tracer = Tracer()
-        tracer.finish(tracer.begin("request"))
-        remote = [
-            {"id": "abc-1", "parent": None, "name": "evaluate", "start": 1.0, "dur": 0.2},
-            "not-a-span",
-            None,
-        ]
-        tracer.absorb(remote)
-        names = [span["name"] for span in tracer.spans()]
-        assert names == ["request", "evaluate"]
-        assert len(tracer) == 2
-
     def test_span_context_manager(self):
         tracer = Tracer()
         with tracer.span("checkpoint", shard=2):

@@ -17,6 +17,7 @@ from repro.errors import (
     ResultTooLargeError,
     RPQSyntaxError,
     ServerError,
+    StorageError,
 )
 from repro.graph.builders import labeled_cycle
 from repro.graph.multigraph import LabeledMultigraph
@@ -229,6 +230,25 @@ class TestOtherVerbs:
         assert client.reaches("b.c", 5, 2) is False
         client.update(add=[(5, "b", 0), (0, "c", 2)])
         assert client.reaches("b.c", 5, 2) is True
+
+    def test_checkpoint(self, fig1, tmp_path):
+        with ServerThread(GraphDB.open(fig1, storage=tmp_path / "data")) as handle:
+            with Client(*handle.address) as client:
+                client.update(add=[(8, "b", 1)])
+                info = client.checkpoint()
+        assert info["lsn"] == 1
+        assert (tmp_path / "data" / info["snapshot"]["edges"]).exists()
+
+    def test_checkpoint_without_storage_is_an_error(self, served):
+        _, _, client = served
+        with pytest.raises(StorageError, match="no storage"):
+            client.checkpoint()
+        assert client.ping() >= 1
+
+    def test_trace_must_be_true(self, served):
+        _, _, client = served
+        with pytest.raises(ProtocolError, match="'trace' must be true"):
+            client.query_call(["b.c"], trace={"id": "t", "parent": "p"})
 
 
 class TestRawProtocol:

@@ -6,12 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import InProcessBackend
 from repro.db import GraphDB
 from repro.errors import StorageError
-from repro.graph.multigraph import LabeledMultigraph
 from repro.storage import ShardStorage
-from repro.storage.rtc_store import collect_rtc_state
 from repro.storage.snapshot import rows_to_json
 
 EDGES = [
@@ -101,38 +98,6 @@ class TestWarmWatchers:
         db.close()
 
 
-class TestReplicaMerge:
-    def test_extra_sessions_fold_their_caches_into_the_store(self, tmp_path):
-        primary = GraphDB.open(list(EDGES), storage=tmp_path / "data")
-        replica = GraphDB.open(primary.graph.copy())
-        replica.execute(CLOSURE_QUERY)  # cached only on the replica
-        primary.checkpoint(extra_sessions=[replica])
-        primary.close()
-        replica.close()
-
-        db = GraphDB.open(storage=tmp_path / "data")
-        assert db.warm_stats["entries"] == 1
-        db.close()
-
-    def test_install_warms_a_sibling_session(self, tmp_path):
-        db = GraphDB.open(list(EDGES), storage=tmp_path / "data")
-        db.execute(CLOSURE_QUERY)
-        db.checkpoint()
-        db.close()
-
-        storage = ShardStorage(tmp_path / "data")
-        state = storage.recover()
-        primary = GraphDB.open(state.graph, storage=storage)
-        sibling = GraphDB.open(state.graph.copy())
-        warm = storage.install(sibling)
-        assert warm["entries"] == 1
-        misses = sibling.engine.rtc_cache.stats.misses
-        sibling.execute(CLOSURE_QUERY)
-        assert sibling.engine.rtc_cache.stats.misses == misses
-        primary.close()
-        sibling.close()
-
-
 # A graph and workload where every closure body is touched by the two
 # updates below, nullable and nested bodies included.
 GRAPH = [(0, "a", 1), (1, "a", 2), (1, "b", 2), (2, "c", 0), (2, "b", 3), (3, "c", 4)]
@@ -209,23 +174,6 @@ def edit_store(data, change) -> dict:
 
 
 class TestIdSpace:
-    def test_sibling_in_a_foreign_id_space_is_skipped(self, tmp_path):
-        primary = GraphDB.open(list(GRAPH), storage=tmp_path / "data")
-        primary.execute("a+")
-        foreign = LabeledMultigraph()
-        foreign.seed_interner(reversed(primary.graph.interner.vertices()))
-        foreign.add_edges(GRAPH)
-        sibling = GraphDB.open(foreign)
-        sibling.execute_many(QUERIES)
-        payload = collect_rtc_state(primary, 0, (sibling,))
-        assert list(payload["entries"]) == ["a"]
-        assert payload["skipped"] == len(sibling.rtc_cache)
-        same = GraphDB.open(primary.graph.copy())
-        same.execute_many(QUERIES)
-        payload = collect_rtc_state(primary, 0, (same,))
-        assert payload["skipped"] == 0 and len(payload["entries"]) == len(same.rtc_cache)
-        primary.close()
-
     def test_row_id_outside_the_graph_raises(self, tmp_path):
         data = checkpointed(tmp_path)
 
@@ -264,26 +212,6 @@ class TestIdSpace:
             assert answers(warm) == answers(cold), batch
         assert cache.stats.misses == 0
         warm.close()
-
-    def test_sibling_replica_installs_id_rows_without_a_miss(self, tmp_path):
-        data = checkpointed(tmp_path)
-        backend = InProcessBackend(0, None, replicas=2, workers=1, storage_dir=str(data))
-        try:
-            primary, sibling = (replica.db for replica in backend.replicas)
-            assert sibling.graph.interner.vertices() == primary.graph.interner.vertices()
-            cache = sibling.engine.rtc_cache
-            assert len(cache) == len(primary.engine.rtc_cache) > 0
-            assert all(rtc.gr_rows is not None for _key, rtc in cache.items())
-            cold = GraphDB.open(list(GRAPH))
-            assert answers(sibling) == answers(cold)
-            for batch in TOUCHING:
-                sibling.update(**batch)
-                cold.update(**batch)
-                assert answers(sibling) == answers(cold), batch
-            assert cache.stats.misses == 0
-            assert cache.stats.repairs["republished"] > 0
-        finally:
-            backend.close()
 
 
 class TestVersion1Fixture:

@@ -192,3 +192,38 @@ class TestParser:
         help_text = query_parser.format_help()
         for name in ("no", "full", "rtc"):
             assert name in help_text
+
+
+class TestServeParser:
+    def test_cluster_flags_parse(self):
+        args = build_parser().parse_args(
+            [
+                "serve", "g.txt", "--shards", "2", "--strategy", "edge-cut",
+                "--workers", "1", "--data-dir", "d", "--checkpoint-every", "8",
+            ]
+        )
+        assert (args.shards, args.strategy, args.workers) == (2, "edge-cut", 1)
+        assert (args.data_dir, args.checkpoint_every) == ("d", 8)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--replicas", "2"],
+            ["--backend", "process"],
+            ["--worker-log-dir", "logs"],
+        ],
+    )
+    def test_one_session_per_shard_has_no_topology_flags(self, flag, capsys):
+        """A shard is one in-process session: no replica count, no
+        transport choice, no worker logs."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "g.txt", "--shards", "2", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_checkpoint_every_needs_a_data_dir(self, graph_file, capsys):
+        code = main(
+            ["serve", graph_file, "--shards", "2", "--checkpoint-every", "4"]
+        )
+        assert code == 2
+        assert "--checkpoint-every requires --data-dir" in capsys.readouterr().err
