@@ -19,21 +19,28 @@ Verbs
     response carries one entry per query, each either a result
     (``count``/``pairs``/``time``) or a per-query ``error``.
 
-    Pair payloads travel as **packed rows** (protocol version 2):
+    Pair payloads travel as **packed rows** (protocol version 3; version 2
+    sent one hex mask per source):
     ``{"enc": "packed", "support": "<hex>", "vertices": [...], "rows":
-    {"<id>": "<hex>", ...}}`` -- the answer's bitmap as it is, in the
-    *server's* id space, never decoded to tuples.  ``rows`` maps a
-    source id to the bitmap of its target ids; ``support`` is the
-    bitmap of every id named (row keys and set bits) and ``vertices``
+    {"<mask hex>": [<source id>, ...], ...}}`` -- the answer's bitmap
+    as it is, in the *server's* id space, never decoded to tuples.
+    ``rows`` maps each distinct row -- the bitmap of a source's target
+    ids -- to the ascending ids of the sources that carry it, groups in
+    the order of their lowest source id; the closure answers of the
+    paper repeat one row for every start behind one SCC (Theorem 1:
+    R+ is a union of SCC-member products), so a row is formatted, sent
+    and parsed once however many starts share it.  ``support`` is the
+    bitmap of every id named (sources and set bits) and ``vertices``
     their vertices in ascending id order, so the table covers what the
     answer touches, not the graph.  One hex digit carries four pairs,
     but a row costs a quarter of its highest target id in bytes however
     few bits it sets; so a relation that is sparse over a big id space
-    -- its pairs listed (sorted 2-lists, about 6 bytes each) would be
+    -- its pairs listed (sorted 2-lists, about 12 bytes each) would be
     smaller than its rows -- travels as that list instead.  The server
-    decides per answer from the bitmap; ``"enc": "list"`` (the debug
-    form) or ``"enc": "packed"`` in the request forces one encoding.
-    :func:`wire_to_pairs` decodes both and validates what it parses.
+    decides per answer from the bitmap (:func:`wire_encoding`);
+    ``"enc": "list"`` (the debug form) or ``"enc": "packed"`` in the
+    request forces one encoding.  :func:`wire_to_pairs` decodes both and
+    validates what it parses.
 ``stats``
     Live server metrics (QPS, latency percentiles, batch sizes, queue
     depth, shared-cache hits) merged with the session's graph/engine
@@ -78,8 +85,8 @@ payload carries ``counts``, each query's pair count in request order
 read off the bitmaps (:func:`wire_floor`) before any payload is built,
 and again, exactly, on the encoded line.  The connection stays usable;
 the same query fits with ``"pairs": false``.  With ``enc`` unset the
-bound is the smaller of the two encodings'; a forced ``enc`` is held to
-its own.
+bound is that of the encoding the server will pick; a forced ``enc`` is
+held to its own.
 
 Error codes
 -----------
@@ -124,14 +131,16 @@ __all__ = [
     "error_response",
     "error_payload",
     "too_large_response",
+    "wire_encoding",
     "wire_floor",
+    "as_bitmap",
     "pairs_to_wire",
     "wire_to_pairs",
     "exception_from_payload",
 ]
 
 #: Bumped on incompatible wire changes; echoed by ``ping``.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Hard cap on one request/response line (also the asyncio read limit).
 MAX_LINE_BYTES = 4 * 1024 * 1024
@@ -295,74 +304,127 @@ def _intern_pairs(pairs) -> PairBitmap:
     return PairBitmap({id_of(s): mask for s, mask in masks.items()}, interner)
 
 
-def wire_floor(pairs, enc: str | None = None) -> int:
-    """A cheap lower bound on the bytes ``pairs_to_wire(pairs, enc)``
-    puts on the line: the rows' hex digits (packed), 6 bytes
-    (``[0,1],``) per pair (list), the smaller of the two when ``enc`` is
-    left to the server.  What ``too_large`` is decided from before any
-    payload is built."""
+def _packed_floor(bitmap: PairBitmap) -> int:
+    """A lower bound on a bitmap's packed ``rows``: each distinct mask
+    once (its hex digits plus ``"":[``), each source id at least one
+    digit and a separator."""
+    masks = [mask for mask in bitmap.rows.values() if mask]
+    return sum((mask.bit_length() + 3) // 4 + 4 for mask in set(masks)) + 2 * len(masks)
+
+
+def wire_encoding(pairs, enc: str | None = None) -> tuple[str, int]:
+    """``(encoding, floor)``: the form ``pairs_to_wire(pairs, enc)`` puts
+    on the line and a cheap lower bound on its bytes.
+
+    A list's floor is 6 bytes (``[0,1],``) per pair; a packed answer's
+    is :func:`_packed_floor` of its bitmap (a tuple set is interned
+    first).  With ``enc`` unset the pick compares the packed floor with
+    what a list really costs -- about twice its floor (``[12,200],``,
+    ``["ann","bob"],``) -- and the floor returned is the picked form's,
+    so the ``too_large`` check and the pick read the same estimate: an
+    answer that passes the check is not then listed past the limit
+    while its packed form would fit.
+    """
     listed = 6 * len(pairs)
     if enc == "list":
-        return listed
-    if isinstance(pairs, PairBitmap):
-        packed = sum((mask.bit_length() + 3) // 4 for mask in pairs.rows.values())
-    else:
-        packed = len(pairs) // 4  # one hex digit carries at most four pairs
-    return packed if enc == "packed" else min(packed, listed)
+        return "list", listed
+    packed = _packed_floor(as_bitmap(pairs))
+    if enc == "packed" or packed <= 2 * listed:
+        return "packed", packed
+    return "list", listed
+
+
+def wire_floor(pairs, enc: str | None = None) -> int:
+    """The floor of :func:`wire_encoding`: what ``too_large`` is decided
+    from before any payload is built."""
+    return wire_encoding(pairs, enc)[1]
+
+
+def as_bitmap(pairs) -> PairBitmap:
+    """``pairs`` as a :class:`~repro.bitset.PairBitmap` (a tuple set is
+    interned over a fresh, sorted table)."""
+    return pairs if isinstance(pairs, PairBitmap) else _intern_pairs(pairs)
 
 
 def pairs_to_wire(pairs, enc: str | None = None) -> dict | list:
     """Result pairs for the wire: packed rows, or sorted 2-lists.
 
-    A :class:`~repro.bitset.PairBitmap` is shipped as it is -- one
-    ``format(mask, "x")`` per row plus the vertices of the support: no
-    tuple, no sort of pairs, no re-interning.  A tuple set is interned
-    once and takes the same path.  Rows go out in ascending id order,
-    so one relation over one table is one byte string.  A row costs its
-    highest target id / 4 bytes however few bits it sets, so with
-    ``enc`` unset a relation whose rows would outweigh its pairs listed
-    (6 bytes each: sparse, over a big id space) goes out as the list
-    instead; ``enc="packed"`` / ``"list"`` force one form.
+    A :class:`~repro.bitset.PairBitmap` is shipped as it is, grouped by
+    row: ``rows`` maps each distinct target mask (hex) to the ascending
+    source ids that carry it, so a mask shared by every start of one
+    SCC -- the common case, R+ being a union of SCC-member products --
+    is formatted, sent and parsed once.  No tuple, no sort of pairs, no
+    re-interning; a tuple set is interned once and takes the same path.
+    Groups go out in the order of their lowest source id, so one
+    relation over one table is one byte string.  ``enc`` unset picks
+    the form by :func:`wire_encoding`; ``enc="packed"`` / ``"list"``
+    force one.
     """
     if enc != "list":
-        bitmap = pairs if isinstance(pairs, PairBitmap) else _intern_pairs(pairs)
-        if enc == "packed" or wire_floor(bitmap, "packed") <= 6 * len(bitmap):
-            rows = sorted(row for row in bitmap.rows.items() if row[1])
-            support = 0
-            for source_id, mask in rows:
-                support |= mask | 1 << source_id
-            return {
-                "enc": "packed",
-                "support": format(support, "x"),
-                "vertices": list(bitmap.require_interner().vertices_of(support)),
-                "rows": {str(source_id): format(mask, "x") for source_id, mask in rows},
-            }
-    ordered = sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))
-    return [list(pair) for pair in ordered]
+        pairs = as_bitmap(pairs)
+        if enc is None:
+            enc = wire_encoding(pairs)[0]
+    if enc == "list":
+        ordered = sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))
+        return [list(pair) for pair in ordered]
+    rows = pairs.rows
+    groups: dict[int, list[int]] = {}
+    support = 0
+    for source_id in sorted(rows):
+        mask = rows[source_id]
+        if not mask:
+            continue
+        support |= 1 << source_id
+        sources = groups.get(mask)
+        if sources is None:
+            groups[mask] = [source_id]
+            support |= mask
+        else:
+            sources.append(source_id)
+    return {
+        "enc": "packed",
+        "support": format(support, "x"),
+        "vertices": list(pairs.require_interner().vertices_of(support)),
+        "rows": {format(mask, "x"): sources for mask, sources in groups.items()},
+    }
 
 
 def wire_to_pairs(wire: dict | list) -> PairBitmap:
     """The client-side inverse of :func:`pairs_to_wire` (both encodings).
 
     A :class:`~repro.bitset.PairBitmap` over the payload's vertex table
-    (one ``int(hex, 16)`` per row, no tuple); it compares equal to the
-    tuple set it denotes.  Validated here in full, so nothing read off
-    it later can fail: :class:`~repro.errors.ProtocolError` for a
-    missing field, a row key or mask bit outside the support, a non-hex
-    mask, or a table that does not match the support's bit count.
+    (one ``int(hex, 16)`` per distinct row, no tuple); it compares equal
+    to the tuple set it denotes.  Validated here in full, so nothing
+    read off it later can fail: :class:`~repro.errors.ProtocolError` for
+    a missing field, a mask that is not positive hex or has a bit
+    outside the support, a source id that is not an int, lies outside
+    the support or appears twice, or a table that does not match the
+    support's bit count.
     """
     try:
         if isinstance(wire, list):
             return PairBitmap.from_pairs(map(tuple, wire), VertexInterner())
         support = int(wire["support"], 16)
-        rows = {int(key): int(mask, 16) for key, mask in wire["rows"].items()}
         if support < 0:
             raise ValueError("negative support")
+        rows: dict[int, int] = {}
+        named = 0
+        for key, sources in wire["rows"].items():
+            mask = int(key, 16)
+            # Zero is no row; a negative mask fails the AND.
+            if mask <= 0 or mask & ~support:
+                raise ValueError(f"row mask {key!r} leaves the vertex table")
+            if type(sources) is not list or not sources:
+                raise ValueError(f"row {key!r} names no list of sources")
+            for source_id in sources:
+                # Not a bool or a float; a negative id fails the shift.
+                if type(source_id) is not int or not support >> source_id & 1:
+                    raise ValueError(f"source {source_id!r} leaves the vertex table")
+                rows[source_id] = mask
+            named += len(sources)
+        if len(rows) != named:
+            raise ValueError("a source id is named twice")
         interner = VertexInterner.from_support(support, wire["vertices"])
-        for source_id, mask in rows.items():
-            # A negative key fails the shift, a negative mask the AND.
-            if mask & ~support or not support >> source_id & 1:
-                raise ValueError(f"row {source_id} leaves the vertex table")
     except (AttributeError, KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"malformed pairs payload: {error!r}") from None
     return PairBitmap(rows, interner)

@@ -35,6 +35,22 @@ scheduler does exactly that:
     body keeps even the latch wait rare by landing a body's queries on
     one worker back to back.
 
+4.  A warm read skips all of the above.  Evaluation is pure-Python
+    work that holds the GIL, so at serving size the hop to a worker and
+    back costs more than the read itself.  :meth:`SharingScheduler.submit`
+    therefore evaluates a read on the calling thread -- the event loop,
+    for a served read -- on a worker engine handle, when every closure
+    body of its plan is in the shared cache (``Plan.bodies`` +
+    ``peek``), nothing is queued, in flight or being applied, and the
+    text's last evaluation here took less than
+    :func:`sys.getswitchinterval` (the slice a worker thread would have
+    run before yielding anyway).  Such a read is admitted, counted as a
+    batch of one, deadline checked, traced under the same span names
+    (zero-length ``admission_wait`` / ``batch_wait``) and registered in
+    the in-flight set, so an update still drains it first.  Cold
+    bodies, a busy scheduler, pending updates and slow or never-timed
+    texts take the pool as before.
+
 Admission control is a bounded queue (a full one surfaces as
 :class:`~repro.errors.AdmissionError` *before* any work happens) plus a
 per-request deadline: workers drop expired jobs with
@@ -51,6 +67,7 @@ and only then resumes query dispatch.
 from __future__ import annotations
 
 import queue
+import sys
 import threading
 import time
 from collections import deque
@@ -58,9 +75,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.engines import evaluate_plan
-from repro.core.plan import Plan, plan_for
+from repro.core.plan import PLAN_MEMO_LIMIT, Plan, plan_for
 from repro.db.session import GraphDB
-from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
+from repro.errors import AdmissionError, DeadlineExpiredError, ReproError, ServerError
 from repro.obs import activate, get_registry
 from repro.server.metrics import ServerMetrics
 
@@ -94,7 +111,9 @@ class QueryJob:
     # ``(tracer, parent_span_id)`` when the request is traced; None (the
     # overwhelmingly common case) costs nothing anywhere below.
     trace: tuple | None = None
-    dequeued_at: float | None = None  # set by the dispatcher on pop
+    # Set by the dispatcher on pop; stays None for a read evaluated
+    # inline, which never queues.
+    dequeued_at: float | None = None
 
     @property
     def expired(self) -> bool:
@@ -203,6 +222,13 @@ class SharingScheduler:
         self._inflight: set[Future] = set()
         self._wake = threading.Condition()
         self._awaiting_worker = 0
+        # True from the moment the dispatcher pops work until that work
+        # is in ``_inflight`` (an update: until it is applied) -- the
+        # window in which neither the queue nor ``_inflight`` shows it.
+        self._dispatching = False
+        # Query text -> (engine seconds of its last evaluation here, the
+        # distinct closure-body keys of its plan): the inline gate.
+        self._timings: dict[str, tuple[float, tuple[str, ...]]] = {}
         self._engines: queue.SimpleQueue = queue.SimpleQueue()
         for engine in make_worker_engines(db, workers):
             self._engines.put(engine)
@@ -244,6 +270,7 @@ class SharingScheduler:
                 self._wake.notify_all()
             self._dispatcher.join()
         self._pool.shutdown(wait=True)
+        self._drain_inflight()  # an inline read admitted before the flip
         # Jobs still queued (submitted before _stopped flipped but never
         # dispatched) are failed loudly rather than silently dropped.
         # Nothing else touches the queue any more.
@@ -298,8 +325,11 @@ class SharingScheduler:
     ) -> Future:
         """Admit one query; returns a future of ``(pairs, engine_time)``.
 
-        ``plan`` is the text's :func:`~repro.core.plan.plan_for` plan
-        when the caller already holds it.  Raises
+        A warm read on an idle scheduler is evaluated here, on the
+        calling thread, and its future is resolved on return
+        (:meth:`_evaluate_inline`); every other read is queued for the
+        pool.  ``plan`` is the text's :func:`~repro.core.plan.plan_for`
+        plan when the caller already holds it.  Raises
         :class:`~repro.errors.AdmissionError` when the queue is full
         (backpressure) and :class:`~repro.errors.ServerError` after
         :meth:`stop`.  Parse errors propagate as
@@ -319,8 +349,42 @@ class SharingScheduler:
             deadline=(time.monotonic() + timeout) if timeout is not None else None,
             trace=trace,
         )
-        self._admit(job)
+        if not self._evaluate_inline(job):
+            self._admit(job)
         return job.future
+
+    def _evaluate_inline(self, job: QueryJob) -> bool:
+        """The inline lane (item 4 of the module docstring): evaluate
+        ``job`` on the calling thread and return True when its gate
+        passes, else return False for the caller to queue it.  A longer
+        evaluation would stall the caller (the event loop) past the
+        slice a worker thread would have yielded at."""
+        timing = self._timings.get(job.text)
+        if timing is None or timing[0] >= sys.getswitchinterval():
+            return False
+        if timing[1]:
+            cache = self.shared_cache
+            if cache is None or any(cache.peek(key) is None for key in timing[1]):
+                return False
+        with self._admission_lock:
+            if self._stopped:
+                raise self._closed_error()
+            with self._wake:
+                if self._jobs or self._inflight or self._dispatching:
+                    return False
+                try:  # nothing in flight: every handle is back
+                    engine = self._engines.get_nowait()
+                except queue.Empty:
+                    return False
+                self._inflight.add(job.future)
+                self.metrics.record_admitted()
+        self.metrics.record_batch(1)
+        try:
+            self._run_job(engine, job)
+        finally:
+            self._engines.put(engine)
+            self._forget_inflight(job.future)
+        return True
 
     def submit_update(
         self, add=(), remove=(), block: bool = False, trace: tuple | None = None
@@ -375,16 +439,23 @@ class SharingScheduler:
             for job in batch:
                 if job.group_key is None:
                     job.group_key = job.plan.group_key(self.cache_mode)
+            futures = []
             for group in group_jobs(batch):
                 self.metrics.record_batch(len(group))
-                future = self._pool.submit(self._run_batch, group)
-                with self._wake:
-                    self._inflight.add(future)
+                futures.append(self._pool.submit(self._run_batch, group))
+            with self._wake:
+                self._inflight.update(futures)
+                self._dispatching = then is not None and then is not _STOP
+            for future in futures:
                 future.add_done_callback(self._forget_inflight)
             if then is _STOP:
                 return
             if then is not None:
-                self._execute_update(then)
+                try:
+                    self._execute_update(then)
+                finally:
+                    with self._wake:
+                        self._dispatching = False
 
     def _collect(self) -> tuple[list[QueryJob], object]:
         """The next queries to dispatch and what follows them.
@@ -403,6 +474,7 @@ class SharingScheduler:
             while True:
                 while self._jobs and len(batch) < self.max_batch:
                     item = self._jobs.popleft()
+                    self._dispatching = True
                     if item is _STOP or isinstance(item, UpdateJob):
                         return batch, item
                     item.dequeued_at = time.monotonic()
@@ -449,19 +521,16 @@ class SharingScheduler:
         tracer, parent = job.trace
         now_mono = time.monotonic()
         now_wall = time.time()  # repro: noqa[RPR601] -- reconstructs wall-clock span starts by offsetting monotonic ages; waits themselves are monotonic
-        dequeued = job.dequeued_at if job.dequeued_at is not None else now_mono
-        tracer.record(
-            "admission_wait",
-            parent,
-            now_wall - (now_mono - job.enqueued_at),
-            dequeued - job.enqueued_at,
-        )
-        tracer.record(
-            "batch_wait",
-            parent,
-            now_wall - (now_mono - dequeued),
-            now_mono - dequeued,
-        )
+        if job.dequeued_at is None:  # evaluated inline: it never waited
+            waits = ((now_wall, 0.0), (now_wall, 0.0))
+        else:
+            dequeued = job.dequeued_at
+            waits = (
+                (now_wall - (now_mono - job.enqueued_at), dequeued - job.enqueued_at),
+                (now_wall - (now_mono - dequeued), now_mono - dequeued),
+            )
+        for name, (start, duration) in zip(("admission_wait", "batch_wait"), waits):
+            tracer.record(name, parent, start, duration)
         cache = self.shared_cache
         cache_before = cache.snapshot_stats() if cache is not None else None
         return tracer.begin("evaluate", parent=parent), cache_before
@@ -488,47 +557,58 @@ class SharingScheduler:
         engine = self._engines.get()
         try:
             for job in jobs:
-                # Claim the future first: once running, a late cancel()
-                # (e.g. all-or-nothing admission rollback) cannot race
-                # our set_result/set_exception below.
-                if not job.future.set_running_or_notify_cancel():
-                    self.metrics.record_cancelled()
-                    continue
-                if job.expired:
-                    self.metrics.record_expired()
-                    job.future.set_exception(
-                        DeadlineExpiredError(
-                            f"deadline expired before evaluating {job.text!r}"
-                        )
-                    )
-                    continue
-                eval_span = cache_before = None
-                if job.trace is not None:
-                    eval_span, cache_before = self._record_wait_spans(job)
-                try:
-                    if job.trace is not None:
-                        with activate(job.trace[0], eval_span.span_id):
-                            pairs, elapsed, phases = evaluate_plan(engine, job.plan)
-                    else:
-                        pairs, elapsed, phases = evaluate_plan(engine, job.plan)
-                except Exception as error:  # noqa: BLE001  # repro: noqa[RPR701] -- evaluation outcome boundary: the error becomes the job future's result, never lost
-                    if job.trace is not None:
-                        job.trace[0].finish(
-                            eval_span, error=type(error).__name__
-                        )
-                    self.metrics.record_failed()
-                    job.future.set_exception(error)
-                else:
-                    if job.trace is not None:
-                        self._finish_evaluate_span(
-                            job, eval_span, phases, cache_before
-                        )
-                    self.metrics.record_completed(
-                        time.monotonic() - job.enqueued_at
-                    )
-                    job.future.set_result((pairs, elapsed))
+                self._run_job(engine, job)
         finally:
             self._engines.put(engine)
+
+    def _run_job(self, engine, job: QueryJob) -> None:
+        """Evaluate one admitted job and resolve its future."""
+        # Claim the future first: once running, a late cancel() (e.g.
+        # all-or-nothing admission rollback) cannot race our
+        # set_result/set_exception below.
+        if not job.future.set_running_or_notify_cancel():
+            self.metrics.record_cancelled()
+            return
+        if job.expired:
+            self.metrics.record_expired()
+            job.future.set_exception(
+                DeadlineExpiredError(f"deadline expired before evaluating {job.text!r}")
+            )
+            return
+        eval_span = cache_before = None
+        if job.trace is not None:
+            eval_span, cache_before = self._record_wait_spans(job)
+        try:
+            if job.trace is not None:
+                with activate(job.trace[0], eval_span.span_id):
+                    pairs, elapsed, phases = evaluate_plan(engine, job.plan)
+            else:
+                pairs, elapsed, phases = evaluate_plan(engine, job.plan)
+        except Exception as error:  # noqa: BLE001  # repro: noqa[RPR701] -- evaluation outcome boundary: the error becomes the job future's result, never lost
+            if job.trace is not None:
+                job.trace[0].finish(eval_span, error=type(error).__name__)
+            self.metrics.record_failed()
+            job.future.set_exception(error)
+            return
+        if job.trace is not None:
+            self._finish_evaluate_span(job, eval_span, phases, cache_before)
+        self._note_timing(job, elapsed)
+        self.metrics.record_completed(time.monotonic() - job.enqueued_at)
+        job.future.set_result((pairs, elapsed))
+
+    def _note_timing(self, job: QueryJob, elapsed: float) -> None:
+        """Remember what the inline gate reads about ``job``'s text."""
+        timing = self._timings.get(job.text)
+        if timing is not None:
+            self._timings[job.text] = (elapsed, timing[1])
+            return
+        try:
+            bodies = tuple(set(job.plan.bodies(self.cache_mode)))
+        except ReproError:  # a DNF past the bound: never inline
+            return
+        if len(self._timings) >= PLAN_MEMO_LIMIT:
+            self._timings.clear()
+        self._timings[job.text] = (elapsed, bodies)
 
     def _execute_update(self, job: UpdateJob) -> None:
         """Apply one update exclusively: drain workers first."""

@@ -1,11 +1,14 @@
 """The asyncio JSON-lines TCP server fronting one :class:`GraphDB`.
 
-The event loop owns the sockets only: requests are decoded, validated
-and handed to the :class:`~repro.server.scheduler.SharingScheduler`,
-whose worker threads do the CPU-bound evaluation -- the loop stays free
-to accept and multiplex clients while workers grind.  Responses are
-written back on the connection the request arrived on, tagged with the
-request ``id``.
+The event loop owns the sockets: requests are decoded, validated and
+handed to the :class:`~repro.server.scheduler.SharingScheduler`.  A
+warm read -- its closure bodies cached, the scheduler idle, its last
+evaluation shorter than one interpreter switch interval -- is evaluated
+right there on the loop and answered without a thread hop; cold reads,
+slow ones and updates go to the scheduler's worker threads, and the
+loop stays free to accept and multiplex clients while they grind.
+Responses are written back on the connection the request arrived on,
+tagged with the request ``id``.
 
 A query's text is planned on the loop through the process-wide plan
 cache (:func:`~repro.core.plan.plan_for`): a repeated text -- the
@@ -408,7 +411,13 @@ class QueryServer:
         for text, future in zip(queries, futures):
             entry: dict = {"query": text}
             try:
-                payload, elapsed = await asyncio.wrap_future(future)
+                # A read evaluated inline is resolved already: take its
+                # result without a trip through the loop.
+                payload, elapsed = (
+                    future.result()
+                    if future.done()
+                    else await asyncio.wrap_future(future)
+                )
             except Exception as error:  # noqa: BLE001  # repro: noqa[RPR701] -- per-query outcome: each query's failure is its own response entry; the batch must not die
                 entry["error"] = protocol.error_payload(error)
             else:
@@ -420,11 +429,15 @@ class QueryServer:
                 )
                 entry["time"] = elapsed
                 if include_pairs:
+                    if enc != "list":  # a tuple set is interned once, here
+                        payload = protocol.as_bitmap(payload)
                     answers.append((entry, payload))
             results.append(entry)
         if answers:
-            # Refuse an answer that cannot fit before paying for it.
-            floor = sum(protocol.wire_floor(pairs, enc) for _, pairs in answers)
+            # Refuse an answer that cannot fit before paying for it; the
+            # floor is that of the encoding each answer will go out in.
+            forms = [protocol.wire_encoding(pairs, enc) for _, pairs in answers]
+            floor = sum(form_floor for _, form_floor in forms)
             if floor > protocol.MAX_LINE_BYTES:
                 if tracer is not None:  # oversized reads belong in the slow log
                     await self._finish_trace(tracer, root_span, queries, started)
@@ -436,11 +449,15 @@ class QueryServer:
                 if tracer is None
                 else tracer.begin("encode", parent=root_span.span_id)
             )
-            for entry, pairs in answers:
-                entry["pairs"] = protocol.pairs_to_wire(pairs, enc=enc)
+            for (entry, pairs), (form, _) in zip(answers, forms):
+                entry["pairs"] = protocol.pairs_to_wire(pairs, enc=form)
             if span is not None:
+                # Start rows; a listed answer counts its pairs.
                 wires = [entry["pairs"] for entry, _ in answers]
-                rows = sum(len(w if isinstance(w, list) else w["rows"]) for w in wires)
+                rows = sum(
+                    len(w) if isinstance(w, list) else sum(map(len, w["rows"].values()))
+                    for w in wires
+                )
                 tracer.finish(span, floor_bytes=floor, rows=rows)
         return await self._reply(
             request_id, (tracer, root_span, echo), queries, started, results=results

@@ -6,6 +6,7 @@ sequential ``execute_many`` over one session must produce identical
 pair-sets.  Sharding must be invisible in the results.
 """
 
+import time
 from concurrent.futures import CancelledError, Future
 
 import pytest
@@ -358,3 +359,27 @@ class TestMergeFutures:
         parent = merge_futures([resolved(), cancelled])
         with pytest.raises(CancelledError):
             parent.result(timeout=1)
+
+
+class TestShardInlineReads:
+    def test_a_warm_component_read_is_evaluated_on_every_shard_inline(self, multi_fig1):
+        """A read-only fan-out pays no scheduler round trip per shard."""
+        cluster = GraphCluster.open(multi_fig1, config=ClusterConfig(shards=4, workers=1))
+        try:
+            shards = [cluster.backend(i).scheduler for i in range(4)]
+            # The first read builds the RTCs; the second is timed warm.
+            for _ in range(2):
+                expected = set(cluster.submit("(b.c)+").result(timeout=10)[0])
+                for scheduler in shards:
+                    scheduler.drain()
+                    while scheduler._inflight:  # the pool's batch leaving
+                        time.sleep(0.001)
+            batches = [scheduler.metrics.batches for scheduler in shards]
+            future = cluster.submit("(b.c)+")
+            assert future.done()  # every shard answered before submit returned
+            assert set(future.result()[0]) == expected
+            assert [scheduler.metrics.batches for scheduler in shards] == [
+                count + 1 for count in batches
+            ]
+        finally:
+            cluster.stop()

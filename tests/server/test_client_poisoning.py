@@ -148,17 +148,23 @@ class TestServerReportedErrorsDoNotPoison:
                 client.ping()
 
 
-GOOD = {"enc": "packed", "support": "7", "vertices": ["a", "b", "c"], "rows": {"0": "6"}}
+GOOD = {"enc": "packed", "support": "7", "vertices": ["a", "b", "c"], "rows": {"6": [0]}}
 
 MALFORMED = {
-    "row key not an int": {**GOOD, "rows": {"a": "6"}},
-    "row key outside the table": {**GOOD, "rows": {"3": "6"}},
-    "negative row key": {**GOOD, "rows": {"-1": "6"}},
-    "non-hex mask": {**GOOD, "rows": {"0": "zz"}},
-    "truncated to nothing": {**GOOD, "rows": {"0": ""}},
-    "mask is not a string": {**GOOD, "rows": {"0": 6}},
-    "bit outside the support": {**GOOD, "rows": {"0": "e"}},
-    "negative mask": {**GOOD, "rows": {"0": "-6"}},
+    "source id not an int": {**GOOD, "rows": {"6": ["0"]}},
+    "source id is a bool": {**GOOD, "rows": {"6": [True]}},
+    "source id is a float": {**GOOD, "rows": {"6": [0.0]}},
+    "source id outside the table": {**GOOD, "rows": {"6": [3]}},
+    "negative source id": {**GOOD, "rows": {"6": [-1]}},
+    "source id under two masks": {**GOOD, "rows": {"6": [0], "2": [0]}},
+    "sources not a list": {**GOOD, "rows": {"6": 0}},
+    "no sources": {**GOOD, "rows": {"6": []}},
+    "non-hex mask": {**GOOD, "rows": {"zz": [0]}},
+    "truncated to nothing": {**GOOD, "rows": {"": [0]}},
+    "mask is not a string": {**GOOD, "rows": {6: [0]}},
+    "mask zero": {**GOOD, "rows": {"0": [0]}},
+    "bit outside the support": {**GOOD, "rows": {"e": [0]}},
+    "negative mask": {**GOOD, "rows": {"-6": [0]}},
     "table shorter than the support": {**GOOD, "vertices": ["a", "b"]},
     "table longer than the support": {**GOOD, "vertices": ["a", "b", "c", "d"]},
     "repeated vertex": {**GOOD, "vertices": ["a", "b", "a"]},
@@ -166,7 +172,7 @@ MALFORMED = {
     "non-hex support": {**GOOD, "support": "0xg"},
     "negative support": {**GOOD, "support": "-7"},
     "missing support": {"enc": "packed", "vertices": [], "rows": {}},
-    "rows is a list": {**GOOD, "rows": [["0", "6"]]},
+    "rows is a list": {**GOOD, "rows": [["6", [0]]]},
     "no payload at all": None,
     "list entry is not a pair": [[1, 2], [3]],
     "list entry is a scalar": [1, 2],
@@ -195,7 +201,7 @@ class TestMalformedPairsPayload:
             ({"count": 2, "pairs": MALFORMED["non-hex mask"]}, "malformed"),
             ({"count": 2, "pairs": MALFORMED["bit outside the support"]}, "malformed"),
             # A mask cut short is still hex; the count gives it away.
-            ({"count": 2, "pairs": {**GOOD, "rows": {"0": "2"}}}, "count says 2"),
+            ({"count": 2, "pairs": {**GOOD, "rows": {"2": [0]}}}, "count says 2"),
         ],
     )
     def test_client_raises_at_parse_time_and_stays_usable(self, entry, message):

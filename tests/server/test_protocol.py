@@ -115,18 +115,35 @@ class TestPairs:
     def test_the_smaller_encoding_is_picked_from_the_bitmap(self):
         table = VertexInterner(range(4001))
         sparse = PairBitmap({0: 1 << 4000, 9: 1 << 3999}, table)  # 1001 + 1000 digits
-        dense = PairBitmap({0: (1 << 400) - 1, 9: (1 << 400) - 1}, table)
-        assert protocol.wire_floor(sparse, "packed") == 2001
+        dense = PairBitmap({0: (1 << 400) - 1, 9: (1 << 400) - 1}, table)  # one row, twice
+        # A distinct row costs its digits plus '"":[', a start two bytes.
+        assert protocol.wire_floor(sparse, "packed") == 1005 + 1004 + 2 * 2
         assert protocol.wire_floor(sparse, "list") == protocol.wire_floor(sparse) == 12
-        assert protocol.wire_floor(dense) == protocol.wire_floor(dense, "packed") == 200
+        assert protocol.wire_floor(dense) == protocol.wire_floor(dense, "packed") == 104 + 2 * 2
         assert protocol.wire_floor(dense, "list") == 4800
         assert protocol.pairs_to_wire(sparse) == [[0, 4000], [9, 3999]]
-        assert protocol.pairs_to_wire(sparse, enc="packed")["rows"].keys() == {"0", "9"}
+        assert sorted(protocol.pairs_to_wire(sparse, enc="packed")["rows"].values()) == [[0], [9]]
         assert protocol.pairs_to_wire(dense)["enc"] == "packed"
+        assert protocol.pairs_to_wire(dense)["rows"] == {"f" * 100: [0, 9]}
         for bitmap in (sparse, dense):
             for enc in (None, "packed", "list"):
                 wire = json.loads(json.dumps(protocol.pairs_to_wire(bitmap, enc=enc)))
                 assert protocol.wire_to_pairs(wire) == bitmap.to_pairs()
+
+    def test_the_pick_prices_a_list_at_its_real_cost(self):
+        # 20 starts with two ends each among ids 20-39, no row repeated:
+        # the list's floor undercuts the packed floor, but a listed pair
+        # really costs about twice its 6-byte floor.
+        table = VertexInterner(range(40))
+        bitmap = PairBitmap(
+            {i: 1 << 20 + i | 1 << 20 + (i + 1) % 20 for i in range(20)}, table
+        )
+        packed = protocol.wire_floor(bitmap, "packed")
+        listed = protocol.wire_floor(bitmap, "list")
+        assert listed < packed <= 2 * listed
+        assert protocol.wire_encoding(bitmap) == ("packed", packed)
+        assert protocol.wire_floor(bitmap) == packed
+        assert protocol.pairs_to_wire(bitmap)["enc"] == "packed"
 
 
 class TestClusterErrorWire:

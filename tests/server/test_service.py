@@ -19,7 +19,7 @@ from repro.errors import (
     ServerError,
     StorageError,
 )
-from repro.graph.builders import labeled_cycle
+from repro.graph.builders import labeled_cycle, labeled_path
 from repro.graph.multigraph import LabeledMultigraph
 from repro.obs import SlowQueryLog, get_registry
 from repro.regex.parser import MAX_NESTING
@@ -121,11 +121,13 @@ class TestLineLimit:
     def test_too_large_is_decided_before_a_payload_is_built(
         self, monkeypatch, tmp_path, enc
     ):
-        db = GraphDB.open(labeled_cycle(100, "a"))  # 100 rows x 25 hex digits
+        # a+: 100 rows x 26 hex digits, no two alike (a cycle's rows
+        # would all be one row, sent once).
+        db = GraphDB.open(labeled_path(100, "a"))
         log_path = tmp_path / "slow.jsonl"
         config = ServerConfig(slow_query_log=str(log_path), slow_query_threshold=0.0)
         with ServerThread(db, config) as handle, Client(*handle.address) as client:
-            assert client.query("a+").count == 10_000
+            assert client.query("a+").count == 5050
             monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 2000)
 
             def refuse(*_args, **_kwargs):  # would surface as an "internal" error
@@ -139,14 +141,14 @@ class TestLineLimit:
             )
             with pytest.raises(ResultTooLargeError) as info:
                 client.query_call(["a+", "a"], enc=enc)
-            assert info.value.counts == [10_000, 100]
+            assert info.value.counts == [5050, 100]
             # Only the request and the refusal ever went on the wire.
             assert [
                 message.get("op", message.get("ok"))
                 for message in dumped
                 if "op" in message or "ok" in message
             ] == ["query", False]
-            assert client.query("a+", pairs=False).count == 10_000
+            assert client.query("a+", pairs=False).count == 5050
         # The refused read still closed its trace into the slow-query log.
         refused = [
             entry
@@ -170,6 +172,30 @@ class TestLineLimit:
                 client.query_call(["a"], enc="packed")
             assert info.value.counts == [6000]
 
+    def test_the_pick_and_the_check_read_one_estimate(self, monkeypatch):
+        # 20 starts with two ends each, no row repeated, long names: the
+        # list's 6-byte floor undercuts the packed floor, but the list
+        # itself -- two names a pair -- does not fit where the packed
+        # form, each name once, does.
+        names = ["v" * 40 + str(i) for i in range(40)]
+        graph = LabeledMultigraph()
+        for name in names:
+            graph.add_vertex(name)
+        graph.add_edges(
+            (names[i], "a", names[20 + (i + step) % 20])
+            for i in range(20)
+            for step in (0, 1)
+        )
+        with ServerThread(GraphDB.open(graph)) as handle, Client(*handle.address) as client:
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 3000)
+            results, response = client.query_call(["a"])
+            assert response["results"][0]["pairs"]["enc"] == "packed"
+            assert results[0].count == 40 and (names[0], names[21]) in results[0]
+            # Forced, the list passes its floor and the backstop refuses it.
+            with pytest.raises(ResultTooLargeError):
+                client.query_call(["a"], enc="list")
+            assert not client.broken
+
     def test_backstop_still_catches_what_the_floor_lets_through(self, monkeypatch):
         db = GraphDB.open(LabeledMultigraph.from_edges(
             [("v" * 40 + str(i), "a", "w" * 40 + str(i)) for i in range(30)]
@@ -186,7 +212,7 @@ class TestLineLimit:
 class TestOtherVerbs:
     def test_ping(self, served):
         _, _, client = served
-        assert client.ping() == protocol.PROTOCOL_VERSION == 2
+        assert client.ping() == protocol.PROTOCOL_VERSION == 3
 
     def test_stats_document(self, served):
         _, _, client = served
@@ -379,7 +405,7 @@ class TestClientLifecycle:
         _, handle, _ = served
         host, port = handle.address
         with Client.connect(f"{host}:{port}") as client:
-            assert client.ping() == protocol.PROTOCOL_VERSION == 2
+            assert client.ping() == protocol.PROTOCOL_VERSION == 3
 
     def test_connect_rejects_bad_address(self):
         with pytest.raises(ServerError, match="host:port"):

@@ -124,11 +124,15 @@ class TestSharingUnderLoad:
         """Under simultaneous load some micro-batches exceed size 1."""
         db = GraphDB.open(fig1, engine="rtc")
         # One worker and a generous window forces queueing, so the
-        # dispatcher has something to group.
+        # dispatcher has something to group.  Every text is new to the
+        # scheduler (one per client, one closure body for all), so no
+        # read is evaluated inline: they all take the pool.
         config = ServerConfig(workers=1, batch_window=0.05, max_queue=2048)
         with ServerThread(db, config) as handle:
             run_clients(
-                handle.address, 16, lambda index: ["a.(b.c)+", "d.(b.c)+.c"]
+                handle.address,
+                16,
+                lambda index: [f"a.(b.c)+|x{index}", f"d.(b.c)+.c|x{index}"],
             )
             with Client(*handle.address) as client:
                 scheduler = client.stats()["scheduler"]

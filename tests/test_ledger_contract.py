@@ -77,7 +77,9 @@ def test_traced_edge_cut_read_feeds_every_cluster_ledger_row():
     (request,) = [span for span in spans if span["name"] == "request"]
     (encode,) = [span for span in spans if span["name"] == "encode"]
     assert encode["parent"] == request["id"] and encode["dur"] > 0
-    assert encode["attrs"] == {"rows": 4, "floor_bytes": 4}  # four one-digit rows
+    # Four starts sharing one one-digit row: the row once ('"f":[' is
+    # 1 + 4 bytes) and two bytes a start.
+    assert encode["attrs"] == {"rows": 4, "floor_bytes": 1 + 4 + 2 * 4}
     rounds = [span for span in spans if span["name"] == "join_round"]
     assert len(rounds) == 1  # one shard round per executed join
     assert rounds[0]["attrs"]["round"] == 0
