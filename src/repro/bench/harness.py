@@ -24,8 +24,10 @@ average query response time").
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.core.timing import PHASE_PRE_JOIN, PHASE_REMAINDER, PHASE_SHARED_DATA
 from repro.db import GraphDB
@@ -38,6 +40,27 @@ __all__ = ["MethodMeasurement", "SetMeasurement", "run_rpq_set", "run_workload",
 METHODS = ("No", "Full", "RTC")
 
 _ENGINE_NAMES = {"No": "no", "Full": "full", "RTC": "rtc"}
+
+
+@contextmanager
+def _gc_quiet() -> Iterator[None]:
+    """Hold the cyclic collector off for one timed method.
+
+    A full collection walks every tracked object of the process, so its
+    pause grows with whatever else the interpreter holds (other graphs,
+    earlier results) and lands on whichever method happens to cross the
+    threshold -- tens of milliseconds against a sub-100 ms method on a
+    sparse graph.  Like :mod:`timeit`, each method is timed with the
+    collector off; the collections its allocations are due run once it
+    returns, outside the timed region.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass
@@ -88,8 +111,9 @@ def run_rpq_set(
     """Evaluate one multiple-RPQ set with each method and measure it.
 
     Each method runs on a fresh :class:`~repro.db.GraphDB` session (so
-    the measurement includes the one-time shared-data construction); the
-    measurement rows are aggregated from the sessions' engines.
+    the measurement includes the one-time shared-data construction) with
+    the cyclic collector held off (:func:`_gc_quiet`); the measurement
+    rows are aggregated from the sessions' engines.
     """
     per_method: dict[str, MethodMeasurement] = {}
     reference_results: list[frozenset] | None = None
@@ -97,9 +121,10 @@ def run_rpq_set(
         kwargs = dict(engine_kwargs or {})
         if collect_counters:
             kwargs["collect_counters"] = True
-        db = GraphDB.open(graph, engine=_ENGINE_NAMES[method], **kwargs)
-        result_sets = db.execute_many(list(queries))
-        results = [result.pairs for result in result_sets]
+        with _gc_quiet():
+            db = GraphDB.open(graph, engine=_ENGINE_NAMES[method], **kwargs)
+            result_sets = db.execute_many(list(queries))
+            results = [result.pairs for result in result_sets]
         if check_equal:
             if reference_results is None:
                 reference_results = results

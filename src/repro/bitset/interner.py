@@ -48,11 +48,14 @@ def bit_indexes(mask: int) -> list[int]:
     """
     if _is_dense(mask):
         return list(compress(range(mask.bit_length()), _bit_flags(mask)))
+    # Peel from the top: ``bit_length`` is O(1) and each step shrinks
+    # the mask; peeling the low bit rebuilds the full-width mask each step.
     indexes = []
     while mask:
-        low = mask & -mask
-        indexes.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        indexes.append(top)
+        mask ^= 1 << top
+    indexes.reverse()
     return indexes
 
 

@@ -53,6 +53,16 @@ __all__ = [
 PARTITION_STRATEGIES = ("component", "edge-cut", "auto")
 
 
+def _neighbour_masks(graph: LabeledMultigraph) -> list[int]:
+    """Per vertex id, the bitmap of the vertices one edge away, either way."""
+    masks = [0] * len(graph.interner)
+    for label in graph.labels():
+        for rows in (graph.bit_rows(label), graph.rev_bit_rows(label)):
+            for vertex_id, mask in rows.items():
+                masks[vertex_id] |= mask
+    return masks
+
+
 def weakly_connected_components(graph: LabeledMultigraph) -> list[list]:
     """The weakly-connected components of ``graph`` (isolated vertices too).
 
@@ -60,6 +70,8 @@ def weakly_connected_components(graph: LabeledMultigraph) -> list[list]:
     deterministic order (sorted by string form of their representative)
     so partitioning is reproducible across processes and hash seeds.
     """
+    interner = graph.interner
+    neighbours = _neighbour_masks(graph)
     seen: set = set()
     components: list[list] = []
     for root in sorted(graph.vertices(), key=str):
@@ -70,16 +82,11 @@ def weakly_connected_components(graph: LabeledMultigraph) -> list[list]:
         stack = [root]
         while stack:
             vertex = stack.pop()
-            for _label, target in graph.out_edges(vertex):
-                if target not in seen:
-                    seen.add(target)
-                    component.append(target)
-                    stack.append(target)
-            for _label, source in graph.in_edges(vertex):
-                if source not in seen:
-                    seen.add(source)
-                    component.append(source)
-                    stack.append(source)
+            for other in interner.vertices_of(neighbours[interner.id_of(vertex)]):
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+                    stack.append(other)
         components.append(component)
     return components
 
@@ -267,6 +274,8 @@ def _bfs_vertex_order(graph: LabeledMultigraph) -> list:
     sliced into ranges, which is what makes naive range assignment a
     reasonable edge-cut partitioner.
     """
+    interner = graph.interner
+    neighbours = _neighbour_masks(graph)
     seen: set = set()
     order: list = []
     for root in sorted(graph.vertices(), key=str):
@@ -277,11 +286,8 @@ def _bfs_vertex_order(graph: LabeledMultigraph) -> list:
         while queue:
             vertex = queue.popleft()
             order.append(vertex)
-            neighbours = {target for _label, target in graph.out_edges(vertex)}
-            neighbours.update(
-                source for _label, source in graph.in_edges(vertex)
-            )
-            for neighbour in sorted(neighbours, key=str):
+            adjacent = interner.vertices_of(neighbours[interner.id_of(vertex)])
+            for neighbour in sorted(adjacent, key=str):
                 if neighbour not in seen:
                     seen.add(neighbour)
                     queue.append(neighbour)

@@ -244,14 +244,14 @@ class _SharingEngine(RPQEngine):
         """``Pre = epsilon``: the identity relation driving the closure.
 
         For ``R*`` the zero-repetition case makes *every* graph vertex a
-        result start, so the identity spans ``V``.  For ``R+`` only
-        vertices of ``V_R`` can start a satisfying path; the smaller
-        identity is an engine-side useless-1 elimination that both
-        sharing methods apply symmetrically.
+        result start, so the identity spans ``V``, the interner's whole id
+        range.  For ``R+`` only vertices of ``V_R`` can start a satisfying
+        path; the smaller identity is an engine-side useless-1 elimination
+        that both sharing methods apply symmetrically.
         """
         interner = self.graph.interner
         if step.unit.type == "*":
-            ids = map(interner.id_of, self.graph.vertices())
+            ids = range(len(interner))
         else:
             ids = self._closure_ids(step)
         if self._packed:

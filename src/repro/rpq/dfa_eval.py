@@ -52,15 +52,8 @@ def eval_dfa_from(
         vertex, state = queue.popleft()
         if counters is not None:
             counters.states_expanded += 1
-        row = delta[state]
-        if not row:
-            continue
-        out_map = graph.out_map(vertex)
-        if not out_map:
-            continue
-        for label in row.keys() & out_map.keys():
-            next_state = row[label]
-            for target in out_map[label]:
+        for label, next_state in delta[state].items():
+            for target in graph.targets(vertex, label):
                 if counters is not None:
                     counters.edges_scanned += 1
                 pair = (target, next_state)

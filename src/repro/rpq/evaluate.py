@@ -13,8 +13,8 @@ compares against, are applied:
 
 * start vertices are restricted to those with at least one out-edge whose
   label can begin a match (``first_labels`` of the NFA);
-* per (vertex, state) pair, only the labels present in both the automaton's
-  transition row and the vertex's out-edges are followed.
+* per (vertex, state) pair, only the labels of the automaton's transition
+  row are looked up in the graph (one decoded label row each).
 
 This module is the *counted reference*: the tuple-set traversal runs
 when an :class:`OpCounters` is attached (the ablation figures tally its
@@ -100,16 +100,8 @@ def eval_rpq_from(
         vertex, state = queue.popleft()
         if counters is not None:
             counters.states_expanded += 1
-        row = delta[state]
-        if not row:
-            continue
-        out_map = graph.out_map(vertex)
-        if not out_map:
-            continue
-        # Iterate only labels present on both sides of the product.
-        for label in row.keys() & out_map.keys():
-            next_states = row[label]
-            for target in out_map[label]:
+        for label, next_states in delta[state].items():
+            for target in graph.targets(vertex, label):
                 if counters is not None:
                     counters.edges_scanned += 1
                 for next_state in next_states:

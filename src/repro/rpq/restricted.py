@@ -93,8 +93,21 @@ class RestrictedEvaluator:
         """End vertices of satisfying paths from ``start`` (incl. zero-length).
 
         Matches Algorithm 2's use: returns ``{v_l | (v_k, v_l) found}``;
-        includes ``start`` itself when the query is nullable.
+        includes ``start`` itself when the query is nullable.  Without
+        ``counters`` the walk runs on id-space rows (as :meth:`ends_mask`
+        does) and is decoded once; the counted reference walks tuple sets.
         """
+        if counters is None:
+            start_id = graph.interner.id_of(start)
+            if start_id is not None:
+                if self._labels:
+                    # The first step is the start's own row: no sweep.
+                    ends = graph.bit_rows(self._labels[0]).get(start_id, 0)
+                    for label in self._labels[1:]:
+                        ends = sweep(graph.bit_rows(label), ends)
+                else:
+                    ends = self.ends_mask(graph, 1 << start_id)
+                return set(graph.interner.vertices_of(ends))
         if self._labels is not None:
             ends = eval_labels_from(graph, self._labels, start, counters)
         else:

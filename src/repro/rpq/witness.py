@@ -45,15 +45,8 @@ def _witness_from(
     found: dict[object, tuple[object, int]] = {}
     while queue:
         vertex, state = queue.popleft()
-        row = nfa.delta[state]
-        if not row:
-            continue
-        out_map = graph.out_map(vertex)
-        if not out_map:
-            continue
-        for label in row.keys() & out_map.keys():
-            next_states = row[label]
-            for target in out_map[label]:
+        for label, next_states in nfa.delta[state].items():
+            for target in graph.targets(vertex, label):
                 for next_state in next_states:
                     pair = (target, next_state)
                     if pair in parents:

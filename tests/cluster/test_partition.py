@@ -198,3 +198,49 @@ class TestEdgeCut:
         with pytest.raises(ClusterError, match="unknown partition strategy") as info:
             partition_graph(multi_fig1, 2, strategy="metis")
         assert info.value.code == "cluster.unsupported"
+
+
+class TestPinnedAssignments:
+    """Both partitioners on one fixed R-MAT graph, pinned vertex by vertex.
+
+    Five 16-vertex R-MAT blocks (25 weakly-connected components with the
+    isolated vertices) on three shards: the component packer's weight
+    and tie-break order and the edge-cut BFS order all show in the maps.
+    A change to how the partitioner reads the graph must reproduce them.
+    """
+
+    # shard_of(v) for v = 0 .. 79, one digit each
+    COMPONENT = (
+        "11111112111112222222222222222222000200020000000200000020020200221111121112112122"
+    )
+    EDGE_CUT = (
+        "00000002000000000000001100010001111111111111111112111121221222222222222222222222"
+    )
+    CUTS = {
+        (49, "l0", 50),
+        (49, "l0", 52),
+        (49, "l0", 55),
+        (50, "l1", 56),
+        (56, "l2", 50),
+        (58, "l1", 60),
+        (61, "l2", 51),
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        from repro.datasets.rmat import rmat_component_graph
+
+        return rmat_component_graph(5, scale=4, edges_per_component=20, seed=2)
+
+    @pytest.mark.parametrize("strategy", ["component", "edge-cut"])
+    def test_assignment_and_cuts_are_pinned(self, graph, strategy):
+        partition = partition_graph(graph, 3, strategy=strategy)
+        expected = self.COMPONENT if strategy == "component" else self.EDGE_CUT
+        assert graph.num_vertices == len(expected)
+        assert "".join(str(partition.shard_of(v)) for v in range(len(expected))) == (
+            expected
+        )
+        assert set(partition.cut_relation()) == (
+            self.CUTS if strategy == "edge-cut" else set()
+        )
+        assert len(weakly_connected_components(graph)) == 25

@@ -1,9 +1,17 @@
 """Unit tests for the edge-labeled multigraph data model (Section II-A)."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.cluster import partition_graph
+from repro.db import GraphDB
 from repro.errors import GraphError, VertexNotFoundError
+from repro.graph.builders import paper_figure1_graph
 from repro.graph.multigraph import LabeledMultigraph
+from repro.rpq import OpCounters, eval_rpq
+from repro.server import Client, ServerThread
 
 
 def build_small() -> LabeledMultigraph:
@@ -86,13 +94,6 @@ class TestAccessors:
         assert sorted(graph.out_edges(0)) == [("a", 1), ("b", 1)]
         assert sorted(graph.in_edges(1)) == [("a", 0), ("b", 0)]
 
-    def test_out_map_is_label_indexed(self):
-        graph = build_small()
-        out = graph.out_map(0)
-        assert set(out) == {"a", "b"}
-        assert out["a"] == {1}
-        assert graph.out_map(12345) == {}
-
     def test_degrees(self):
         graph = build_small()
         assert graph.out_degree(0) == 2
@@ -172,3 +173,77 @@ class TestIteration:
     def test_vertices_iteration(self):
         graph = build_small()
         assert sorted(graph.vertices()) == [0, 1, 2]
+
+
+class TestDecodedViews:
+    """The rows are the store; decoded vertex-keyed views are a read-side memo."""
+
+    def test_production_paths_leave_the_memo_empty(self):
+        # Two disjoint copies of Fig. 1, so both partitioners have work.
+        graph = paper_figure1_graph()
+        graph.add_edges([(s + 100, l, t + 100) for s, l, t in list(graph.edges())])
+        queries = ["d.(b.c)+.c", "(a|b)*", "b.c", "c+"]
+        db = GraphDB.open(graph)
+        assert db.graph is graph
+        for query in queries:
+            db.execute(query)
+        removed = next(iter(graph.edges()))
+        db.update(add=[(1000, "b", 1), (2, "c", 1000)], remove=[removed])
+        with ServerThread(db) as handle, Client(*handle.address) as client:
+            assert client.query("d.(b.c)+.c").count == len(db.execute("d.(b.c)+.c"))
+        # ``full`` is the paper's tuple-set baseline: like the counted
+        # reference, it reads the decoded views by design.
+        no_sharing = GraphDB.open(graph, engine="no")
+        for query in queries:
+            no_sharing.execute(query)
+        for strategy in ("component", "edge-cut"):
+            partition_graph(graph, 2, strategy=strategy)
+        assert graph._decoded == {}
+
+    def test_a_mutation_drops_the_memo(self):
+        graph = build_small()
+        counted = eval_rpq(graph, "a.a", counters=OpCounters())
+        assert counted == {(0, 2)} and graph._decoded
+        assert graph.targets(1, "a") == frozenset({2})
+        graph.add_edge(1, "a", 0)
+        assert graph._decoded == {}
+        assert graph.targets(1, "a") == frozenset({0, 2})
+        graph.remove_edge(1, "a", 2)
+        assert graph._decoded == {}
+        assert eval_rpq(graph, "a.a", counters=OpCounters()) == {(0, 0), (1, 1)}
+
+    def test_the_copy_starts_without_decoded_views(self):
+        graph = build_small()
+        graph.edges_with_label("a")
+        assert graph._decoded and graph.copy()._decoded == {}
+
+    def test_concurrent_readers_share_one_memo(self):
+        graph = paper_figure1_graph()
+        expected = {
+            (vertex, label): frozenset(
+                t for s, l, t in graph.edges() if s == vertex and l == label
+            )
+            for vertex in graph.vertices()
+            for label in graph.labels()
+        }
+        wrong: list = []
+
+        def read() -> None:
+            for _ in range(30):
+                for (vertex, label), targets in expected.items():
+                    if graph.targets(vertex, label) != targets:
+                        wrong.append((vertex, label))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(8)]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert wrong == []
+        assert len(graph._decoded) == len(expected)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.rpq.counters import OpCounters
 from repro.rpq.evaluate import eval_rpq
 from repro.rpq.restricted import RestrictedEvaluator, as_label_sequence
 from repro.regex.parser import parse
@@ -60,3 +61,19 @@ class TestRestrictedEvaluator:
             for start in fig1.vertices():
                 expected = {end for (s, end) in reference if s == start}
                 assert evaluator.ends_from(fig1, start) == expected, (query, start)
+
+    def test_counted_reference_matches_row_walk(self, fig1):
+        # Counters select the tuple-set walk; without them ends_from
+        # walks id-space rows.  Both must name the same ends.
+        counters = OpCounters()
+        for query in ["()", "c", "b.c", "b|c", "c?", "c.c?"]:
+            evaluator = RestrictedEvaluator(query)
+            for start in fig1.vertices():
+                assert evaluator.ends_from(fig1, start, counters) == evaluator.ends_from(
+                    fig1, start
+                ), (query, start)
+        assert counters.edges_scanned > 0
+
+    def test_start_outside_graph(self, fig1):
+        assert RestrictedEvaluator("c").ends_from(fig1, "absent") == set()
+        assert RestrictedEvaluator("()").ends_from(fig1, "absent") == {"absent"}
