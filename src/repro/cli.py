@@ -444,10 +444,9 @@ def _query_remote(args) -> int:
     if not queries:
         print("error: no queries given", file=sys.stderr)
         return 2
-    want_pairs = args.show_pairs or args.json
     with Client.connect(args.connect) as client:
         results = client.query_many(
-            queries, timeout=args.timeout, pairs=want_pairs
+            queries, timeout=args.timeout, pairs=args.show_pairs or args.json
         )
         if args.json:
             print(

@@ -6,30 +6,30 @@ The router (:class:`~repro.cluster.GraphCluster`) talks to one
 :class:`~repro.server.SharingScheduler`: the shard's graph exists once,
 its reduced transitive closures are built once per closure body and
 shared by every batch unit that names them, and every update is applied
-once.  The surface is small -- ``query`` / ``summary`` / ``update`` /
-``watch`` / ``reaches`` / ``checkpoint`` / ``stats`` / ``drain`` /
-``close`` -- and the query's shared :class:`~repro.core.plan.Plan`
-travels with it, so the scheduler batches on the same object the router
-routed on.
+once.  The surface is small -- ``query`` / ``update`` / ``watch`` /
+``reaches`` / ``checkpoint`` / ``stats`` / ``drain`` / ``close`` -- and
+the query's shared :class:`~repro.core.plan.Plan` travels with it, so
+the scheduler batches on the same object the router routed on.  The
+boundary join's shard summaries are not a shard verb: the router calls
+:meth:`GraphDB.summarise <repro.db.GraphDB.summarise>` on ``db``
+directly, on its join thread.
 
 The module also holds the two merges the router needs across shards:
 :func:`aggregate_scheduler_stats` (per-shard scheduler statistics into
 one scheduler-shaped document) and :func:`merge_futures` (per-shard
-update futures into one).
+futures into one, through an optional combine step).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from collections.abc import Callable
+from concurrent.futures import CancelledError, Future
 
-from repro.core.plan import Plan, plan_for
+from repro.core.plan import Plan
 from repro.db.session import GraphDB
-from repro.errors import ClusterError, ServerError
+from repro.errors import ClusterError
 from repro.graph.multigraph import LabeledMultigraph
-from repro.obs import activate
 from repro.server.metrics import percentile
 from repro.server.scheduler import SharingScheduler
 
@@ -108,17 +108,22 @@ def aggregate_scheduler_stats(stats_list: list[dict], latencies: list[float]) ->
     return aggregate
 
 
-def merge_futures(children: list[Future]) -> Future:
-    """One parent future resolving when every child has (None result).
+def merge_futures(
+    children: list[Future], combine: Callable[[list], object] | None = None
+) -> Future:
+    """One parent future resolving when every child has.
 
-    The first child error (or cancellation) becomes the parent's
-    exception once all children are accounted for -- how the router
-    merges one update's per-shard futures.
+    The parent's result is ``combine`` applied to the children's
+    results in ``children`` order (``None`` without ``combine``).  The
+    first child error (or cancellation) -- or an error ``combine``
+    raises -- becomes the parent's exception once all children are
+    accounted for.  This is how the router merges one update's
+    per-shard futures and one query's per-shard answers.
     """
     parent: Future = Future()
     if not children:
         parent.set_running_or_notify_cancel()
-        parent.set_result(None)
+        parent.set_result(None if combine is None else combine([]))
         return parent
     lock = threading.Lock()
     state = {"done": 0, "error": None}
@@ -141,8 +146,15 @@ def merge_futures(children: list[Future]) -> Future:
             return
         if state["error"] is not None:
             parent.set_exception(state["error"])
-        else:
+        elif combine is None:
             parent.set_result(None)
+        else:
+            try:
+                result = combine([child.result() for child in children])
+            except Exception as error:  # noqa: BLE001  # repro: noqa[RPR701] -- fan-in callback: a failed combine is delivered through the merged future
+                parent.set_exception(error)
+            else:
+                parent.set_result(result)
 
     for child in children:
         child.add_done_callback(on_done)
@@ -206,8 +218,6 @@ class Shard:
             max_batch=max_batch,
             start=False,
         )
-        self._lock = threading.Lock()  # the summary executor's lazy creation
-        self._summary_executor: ThreadPoolExecutor | None = None
         self._started = False
         self._closed = False
         if start:
@@ -225,12 +235,6 @@ class Shard:
         if self._closed:
             return
         self._closed = True
-        # Swap the executor out under the lock (its lazy creation in
-        # ``summary`` races with close), but shut it down outside.
-        with self._lock:
-            executor, self._summary_executor = self._summary_executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
         self.scheduler.stop()
         self.db.close()
 
@@ -253,57 +257,6 @@ class Shard:
         request is traced; the scheduler records its spans under it.
         """
         return self.scheduler.submit(text, plan, timeout=timeout, trace=trace)
-
-    def summary(
-        self,
-        text: str,
-        plan: Plan | None = None,
-        *,
-        boundary,
-        entries=(),
-        timeout: float | None = None,
-        trace: tuple | None = None,
-    ) -> Future:
-        """Admit one shard summary (edge-cut path).
-
-        Future of ``(summary, elapsed)``: the
-        :class:`~repro.rpq.partial.ShardSummary` of the shard's own
-        candidate starts plus the router-planned ``entries`` it owns --
-        which exits on ``boundary`` and which accepted ends each reaches
-        locally -- and the shard's evaluation time.  One call per shard
-        per join; see :func:`repro.rpq.partial.summarise_shard`.
-
-        Summaries bypass the scheduler (it batches whole planned
-        queries, not tagged automaton traversals) and run on a small
-        executor instead; the session lock inside
-        :meth:`GraphDB.summarise <repro.db.GraphDB.summarise>` still
-        serialises them against updates.  ``timeout`` is enforced by
-        the router, which waits on the future with it.
-        """
-        if self._closed:
-            error = ServerError("shard is closed")
-            error.code = "closed"
-            raise error
-        _labels, _nullable, nfa = plan_for(text if plan is None else plan).route()
-        boundary = frozenset(boundary)
-        entries = tuple(entries)
-        with self._lock:
-            if self._summary_executor is None:
-                self._summary_executor = ThreadPoolExecutor(
-                    max_workers=2,
-                    thread_name_prefix=f"repro-summary{self.shard_id}",
-                )
-            executor = self._summary_executor
-
-        def evaluate():
-            started = time.perf_counter()
-            # The session's ``partial`` ambient span records into the
-            # router's tracer under the join-round span.
-            with activate(*trace) if trace is not None else nullcontext():
-                summary = self.db.summarise(nfa, boundary, entries)
-            return summary, time.perf_counter() - started
-
-        return executor.submit(evaluate)
 
     def update(self, add=(), remove=(), trace: tuple | None = None) -> Future:
         """Admit one edge change drain-then-apply; future of ``None``.

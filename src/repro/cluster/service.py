@@ -15,9 +15,14 @@ subclass speaking the existing JSON-lines protocol -- the
 
 Routing
 -------
-* **Queries fan out to shards and the pair-sets union.**  Over a
-  component-disjoint partition the per-shard answers are disjoint and
-  their union is exactly the single-session answer.  Shards whose label
+* **Queries fan out to shards and the answers merge as bitmap rows.**
+  Over a component-disjoint partition the per-shard answers are
+  disjoint and their union is exactly the single-session answer.  The
+  router answers in one *cluster id space*: the shard graphs'
+  interners laid end to end in shard order, so shard ``s``'s id ``i``
+  is ``base[s] + i``.  Each shard's bitmap rows are shifted by its base
+  into one :class:`~repro.bitset.PairBitmap` -- no vertex tuple is built
+  -- and a counts-only request counts that bitmap.  Shards whose label
   alphabet is disjoint from the query's are pruned
   (federated-SPARQL-style source selection); nullable queries are never
   pruned, because every shard contributes its reflexive pairs.
@@ -33,8 +38,8 @@ Routing
   the resulting entry -> entry relation over the cut edges and reads
   every start's row off that one shared closure
   (:mod:`repro.cluster.boundary`).  Queries whose alphabet misses every
-  cut label keep the plain union path: no satisfying path can traverse
-  a cut edge, so per-shard answers stay disjoint and complete.
+  cut label keep the plain merge: no satisfying path can traverse a cut
+  edge, so per-shard answers stay disjoint and complete.
 * **Updates apply drain-then-apply, once per owning shard.**  An edge
   change routes to the shard owning its endpoints (new vertices are
   assigned on first contact); that shard's scheduler drains its
@@ -57,7 +62,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from os import PathLike
 from pathlib import Path
@@ -67,7 +73,7 @@ from repro.cluster.backends import (
     aggregate_scheduler_stats,
     merge_futures,
 )
-from repro.bitset import PairBitmap, alphabet_reachable_mask
+from repro.bitset import PairBitmap, VertexInterner, alphabet_reachable_mask
 from repro.cluster import boundary
 from repro.cluster.partition import GraphPartition, partition_graph
 from repro.core.plan import PLAN_MEMO_LIMIT, Plan, plan_for
@@ -80,7 +86,7 @@ from repro.errors import (
 )
 from repro.graph.io import load_edge_list
 from repro.graph.multigraph import LabeledMultigraph
-from repro.obs import get_registry
+from repro.obs import activate, get_registry
 from repro.regex.parser import parse
 from repro.server import protocol
 from repro.server.service import QueryServer, ServerConfig
@@ -146,37 +152,6 @@ class ClusterConfig:
     checkpoint_every: int | None = None
 
 
-class _MergeState:
-    """Accumulator for one query's per-shard sub-futures.
-
-    Shard answers are component-disjoint, so the merge is a pair-set
-    union -- or, in counts-only mode (``want_pairs=False``), a plain
-    sum: disjointness makes the sum of per-shard counts exactly the
-    union's cardinality, so no union is built that nobody asked for.
-    """
-
-    __slots__ = (
-        "lock",
-        "expected",
-        "done",
-        "pairs",
-        "count",
-        "want_pairs",
-        "elapsed",
-        "error",
-    )
-
-    def __init__(self, expected: int, want_pairs: bool = True) -> None:
-        self.lock = threading.Lock()
-        self.expected = expected
-        self.done = 0
-        self.pairs: set = set()
-        self.count = 0
-        self.want_pairs = want_pairs
-        self.elapsed = 0.0
-        self.error: BaseException | None = None
-
-
 class GraphCluster:
     """One session per shard behind one scheduler-shaped facade.
 
@@ -235,6 +210,9 @@ class GraphCluster:
         # (no label overlap anywhere); folded into the aggregate stats so
         # served traffic never disappears from the books.
         self._answered_without_fanout = 0
+        # The cluster id space: (shard interner lengths, the
+        # concatenated interner, per-shard bases); see _cluster_space.
+        self._space: tuple = ((), None, [])
         # Boundary-join machinery (edge-cut partitions only): the join
         # blocks on its shard round, so it runs on its own small
         # executor; results are cached by query text and invalidated by
@@ -425,30 +403,26 @@ class GraphCluster:
         text: str,
         plan: Plan | None = None,
         timeout: float | None = None,
-        want_pairs: bool = True,
         trace: tuple | None = None,
     ) -> Future:
         """Admit one query cluster-wide; future of ``(pairs, elapsed)``.
 
-        Fans out to every contributing shard backend and unions the
-        pair-sets; ``elapsed`` is the slowest shard's engine time.
-        With ``want_pairs=False`` the future resolves to
-        ``(count, elapsed)`` instead, the sum of the per-shard counts
-        (the component-disjoint partition makes them sum exactly to the
-        union's size).  Admission is all-or-nothing: if any shard
-        rejects, the already-admitted sub-queries are cancelled and the
+        ``pairs`` is always a read-only
+        :class:`~repro.bitset.PairBitmap` carrying its interner.  The
+        plain path fans out to every contributing shard and merges the
+        shard answers into the cluster id space (:meth:`_merge`);
+        ``elapsed`` is the slowest shard's engine time.  Admission is
+        all-or-nothing: if any shard rejects, the already-admitted
+        sub-queries are cancelled and the
         :class:`~repro.errors.AdmissionError` propagates.  Any shard
         failure (evaluation error, expired deadline) fails the whole
         query with that error.
 
         When the partition's cut relation holds an edge whose label is
         in the query alphabet, the union is not the answer and the
-        boundary-join path runs instead (see the module docstring); it
-        builds the full answer at the router as a
-        :class:`~repro.bitset.PairBitmap` and resolves to that bitmap --
-        the join cache's own object, which callers must not mutate --
-        so counts-only requests are answered as its ``count()``:
-        per-shard counts may overlap across a cut and must not be summed.
+        boundary-join path runs instead (see the module docstring): its
+        bitmap is built at the router over the join's own interner and
+        is the join cache's object, which callers must not mutate.
 
         ``trace`` is the ``(tracer, parent_span_id)`` of this query's
         span when the request is traced: the router opens one ``shard``
@@ -462,19 +436,13 @@ class GraphCluster:
 
         if self.partition.has_cuts and self._relevant_cuts(text, labels):
             return self._submit_boundary_join(
-                text, plan, nfa, labels, nullable,
-                timeout=timeout, want_pairs=want_pairs, trace=trace,
+                text, nfa, labels, nullable, timeout=timeout, trace=trace
             )
 
         targets = self._target_shards(labels, nullable)
-
-        parent: Future = Future()
         if not targets:
             with self._lock:
                 self._answered_without_fanout += 1
-            parent.set_running_or_notify_cancel()
-            parent.set_result((set() if want_pairs else 0, 0.0))
-            return parent
 
         children: list[Future] = []
         try:
@@ -504,63 +472,73 @@ class GraphCluster:
             for child in children:
                 child.cancel()
             raise
+        return merge_futures(
+            children, lambda answers: self._merge(targets, answers)
+        )
 
-        state = _MergeState(expected=len(children), want_pairs=want_pairs)
-        for child in children:
-            child.add_done_callback(
-                lambda future, state=state, parent=parent: self._merge_child(
-                    state, parent, future
+    def _merge(self, targets: list[int], answers: list) -> tuple[PairBitmap, float]:
+        """Shard answers as one bitmap over the cluster id space.
+
+        The bases are read here, after every answer is in: a shard's
+        interner only grows, so each answer's ids are below the length
+        read now.  A bitmap row is shifted by its shard's base; a tuple
+        set (the ``full`` engine, counted runs) is mapped through the
+        shard interner's read-only ``id_of``.
+        """
+        interner, bases = self._cluster_space()
+        merged = PairBitmap(interner=interner)
+        rows = merged.rows
+        elapsed = 0.0
+        for shard, (pairs, shard_elapsed) in zip(targets, answers):
+            base = bases[shard]
+            if isinstance(pairs, PairBitmap):
+                rows.update(
+                    {base + source: mask << base for source, mask in pairs.rows.items()}
+                    if base
+                    else pairs.rows
                 )
-            )
-        return parent
-
-    def _merge_child(
-        self, state: _MergeState, parent: Future, child: Future
-    ) -> None:
-        try:
-            payload, elapsed = child.result()
-        except (CancelledError, Exception) as error:  # noqa: BLE001  # repro: noqa[RPR701] -- fan-in callback: the first failure is stashed and delivered through the join future
-            outcome: BaseException | None = error
-        else:
-            outcome = None
-        with state.lock:
-            if outcome is not None:
-                if state.error is None:
-                    state.error = outcome
-            elif state.want_pairs:
-                state.pairs |= payload
-                if elapsed > state.elapsed:
-                    state.elapsed = elapsed
             else:
-                state.count += len(payload)
-                if elapsed > state.elapsed:
-                    state.elapsed = elapsed
-            state.done += 1
-            finished = state.done == state.expected
-        if not finished:
-            return
-        if not parent.set_running_or_notify_cancel():
-            return  # the caller cancelled the aggregate; drop the result
-        if state.error is not None:
-            parent.set_exception(state.error)
-        else:
-            result = state.pairs if state.want_pairs else state.count
-            parent.set_result((result, state.elapsed))
+                id_of = self._backends[shard].db.graph.interner.id_of
+                for source, target in pairs:
+                    source_id = base + id_of(source)
+                    rows[source_id] = rows.get(source_id, 0) | 1 << (
+                        base + id_of(target)
+                    )
+            elapsed = max(elapsed, shard_elapsed)
+        return merged, elapsed
+
+    def _cluster_space(self) -> tuple[VertexInterner, list[int]]:
+        """The cluster interner and each shard's base in it.
+
+        The shard interners laid end to end in shard order (each vertex
+        lives on exactly one shard).  Rebuilt only when a shard's
+        interner has grown; one already handed out stays valid for the
+        answers that carry it, since ids are never reused.
+        """
+        interners = [backend.db.graph.interner for backend in self._backends]
+        lengths = tuple(len(interner) for interner in interners)
+        space = self._space
+        if space[0] != lengths:
+            vertices: list = []
+            bases = []
+            for interner, length in zip(interners, lengths):
+                bases.append(len(vertices))
+                vertices += interner.vertices()[:length]
+            space = self._space = (lengths, VertexInterner(vertices), bases)
+        return space[1], space[2]
 
     # -- boundary join (edge-cut partitions) -----------------------------
     def _submit_boundary_join(
         self,
         text: str,
-        plan: Plan,
         nfa,
         labels: frozenset,
         nullable: bool,
         timeout: float | None,
-        want_pairs: bool,
         trace: tuple | None = None,
     ) -> Future:
         """Admit one query on the boundary-join path; future of the
-        same ``(pairs-or-count, elapsed)`` shape as :meth:`submit`."""
+        same ``(pairs, elapsed)`` shape as :meth:`submit`."""
         with self._lock:
             cached = self._join_cache.get(text)
             version = self._graph_version
@@ -578,7 +556,7 @@ class GraphCluster:
                     )
                 parent: Future = Future()
                 parent.set_running_or_notify_cancel()
-                parent.set_result((pairs if want_pairs else pairs.count(), elapsed))
+                parent.set_result((pairs, elapsed))
                 return parent
             if self._join_executor is None:
                 self._join_executor = ThreadPoolExecutor(
@@ -589,7 +567,7 @@ class GraphCluster:
 
         def run():
             pairs, elapsed = self._run_boundary_join(
-                text, plan, nfa, labels, nullable, timeout, trace=trace
+                text, nfa, labels, nullable, timeout, trace=trace
             )
             with self._lock:
                 # Cache only results that describe the live graph: an
@@ -602,7 +580,7 @@ class GraphCluster:
                     self._join_cache[text] = (version, pairs, elapsed)
             # The cached bitmap itself goes to the reply path: consumers
             # read it (count, membership, wire rows) and never write.
-            return (pairs if want_pairs else pairs.count(), elapsed)
+            return pairs, elapsed
 
         return executor.submit(run)
 
@@ -652,7 +630,6 @@ class GraphCluster:
     def _run_boundary_join(
         self,
         text: str,
-        plan: Plan,
         nfa,
         labels: frozenset,
         nullable: bool,
@@ -663,33 +640,30 @@ class GraphCluster:
 
         The cut edges and the automaton fix the entry nodes up front
         (:func:`repro.cluster.boundary.plan`), so every contributing
-        shard is asked once -- all calls in flight together -- for the
-        start-independent summary of its own candidate starts and the
-        entries it owns; :func:`repro.cluster.boundary.close` turns the
-        summaries into the answer without asking again.  Shards sharing
-        no label with a non-nullable query are not called: no local
-        segment can run there, and what their entries contribute needs
-        no shard.  ``elapsed`` is the slowest shard's evaluation time.
+        shard is asked once, on this thread and one after another, for
+        the start-independent summary of its own candidate starts and
+        the entries it owns (:meth:`GraphDB.summarise
+        <repro.db.GraphDB.summarise>`, under the shard session's lock);
+        :func:`repro.cluster.boundary.close` turns the summaries into the
+        answer without asking again.  Shards sharing no label with a
+        non-nullable query are not called: no local segment can run
+        there, and what their entries contribute needs no shard.
+        ``elapsed`` is the summaries' total evaluation time.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
 
-        def remaining() -> float | None:
-            if deadline is None:
-                return None
-            left = deadline - time.monotonic()
-            if left <= 0:
+        def remaining() -> None:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExpiredError(
                     f"boundary join for {text!r} exceeded its {timeout}s "
                     "deadline"
                 )
-            return left
 
         # The cut relation is read here, after the caller sampled the
         # graph version: a cut edge routed in between fails the version
         # check instead of being cached under a version it predates.
         join_plan = self._join_plan(text, nfa)
         targets = self._target_shards(labels, nullable)
-        budget = remaining()
         round_span = None
         child_trace = None
         if trace is not None:
@@ -703,22 +677,22 @@ class GraphCluster:
             child_trace = (trace[0], round_span.span_id)
         started = time.monotonic()
         try:
-            children = {
-                shard: self._backends[shard].summary(
-                    text,
-                    plan,
-                    boundary=join_plan.boundary_of.get(shard, ()),
-                    entries=join_plan.shard_entries(shard),
-                    timeout=budget,
-                    trace=child_trace,
-                )
-                for shard in targets
-            }
             summaries = {}
             elapsed = 0.0
-            for shard, child in children.items():
-                summaries[shard], shard_elapsed = child.result(timeout=budget)
-                elapsed = max(elapsed, shard_elapsed)
+            for shard in targets:
+                remaining()
+                db = self._backends[shard].db
+                if db.closed:
+                    raise self._closed_error()
+                shard_started = time.perf_counter()
+                # The session's ``partial`` span nests under the round.
+                with activate(*child_trace) if child_trace else nullcontext():
+                    summaries[shard] = db.summarise(
+                        nfa,
+                        join_plan.boundary_of.get(shard, ()),
+                        join_plan.shard_entries(shard),
+                    )
+                elapsed += time.perf_counter() - shard_started
             remaining()  # an overrun shard round must not buy a closure
             pairs = boundary.close(join_plan, summaries)
         except BaseException as error:
@@ -1168,8 +1142,7 @@ class ClusterRouter(QueryServer):
     errors, per-request deadlines and the whole request path are
     inherited unchanged.  What differs: ``stats`` (cluster-wide
     aggregation plus topology), the plans' routing fields warmed before
-    a query is admitted, pairs-or-counts forwarded at admission, and update
-    admission taken off the event loop.  ``watch`` (broadcast) and
+    a query is admitted, and update admission taken off the event loop.  ``watch`` (broadcast) and
     ``reaches`` (shard-routed) are the cluster's own methods behind the
     base handlers.
     """
@@ -1189,14 +1162,6 @@ class ClusterRouter(QueryServer):
         # scheduler defers to its dispatcher thread.  Admission then
         # routes from the plan in O(1).
         await self._warm_off_loop(plans, self.cluster.cache_mode, route=True)
-
-    def _submit_query(self, text, plan, timeout, include_pairs, trace=None):
-        # Forward the client's pairs/counts intent: counts-only requests
-        # sum per-shard counts instead of building the union.  The trace
-        # rides along so each fan-out target gets a ``shard`` span.
-        return self.cluster.submit(
-            text, plan, timeout=timeout, want_pairs=include_pairs, trace=trace
-        )
 
     async def _submit_update(self, add, remove, trace):
         # submit_update admits to every owning shard with blocking

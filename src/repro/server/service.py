@@ -91,9 +91,9 @@ class QueryServer:
     ``stop`` / ``submit`` / ``submit_update`` / ``stats``) re-targets the
     same protocol front end -- that is how
     :class:`~repro.cluster.ClusterRouter` serves a sharded deployment.
-    There is one request path; front ends differ only in the three
-    admission hooks :meth:`_warm`, :meth:`_submit_query` and
-    :meth:`_submit_update`.
+    There is one request path; front ends differ only in the two
+    admission hooks :meth:`_warm` and :meth:`_submit_update`, and every
+    scheduler's ``submit`` resolves to ``(pairs, elapsed)``.
     """
 
     def __init__(
@@ -392,8 +392,8 @@ class QueryServer:
                         "query", parent=root_span.span_id, query=text
                     )
                     trace = (tracer, query_span.span_id)
-                future = self._submit_query(
-                    text, plan, timeout, include_pairs, trace=trace
+                future = self.scheduler.submit(
+                    text, plan, timeout=timeout, trace=trace
                 )
                 if tracer is not None:
                     future.add_done_callback(
@@ -421,12 +421,7 @@ class QueryServer:
             except Exception as error:  # noqa: BLE001  # repro: noqa[RPR701] -- per-query outcome: each query's failure is its own response entry; the batch must not die
                 entry["error"] = protocol.error_payload(error)
             else:
-                # A counts-aware scheduler (the cluster, when the client
-                # asked for counts only) may resolve to a bare int
-                # instead of a pair-set.
-                entry["count"] = (
-                    payload if isinstance(payload, int) else len(payload)
-                )
+                entry["count"] = len(payload)
                 entry["time"] = elapsed
                 if include_pairs:
                     if enc != "list":  # a tuple set is interned once, here
@@ -506,18 +501,6 @@ class QueryServer:
                     plan.route()
 
         await self._in_executor(warm)
-
-    def _submit_query(self, text, plan, timeout, include_pairs, trace=None):
-        """Admission hook; subclasses may forward the pairs/counts intent.
-
-        The base scheduler always materialises pair-sets in this
-        process (returning them is free), so ``include_pairs`` is
-        irrelevant here -- the cluster router forwards it so process
-        shards can skip serialising pairs nobody asked for.  ``trace``
-        is the ``(tracer, parent_span_id)`` of this query's span, or
-        None when the request is untraced.
-        """
-        return self.scheduler.submit(text, plan, timeout=timeout, trace=trace)
 
     async def _op_stats(self, request_id, request) -> dict:
         # db.stats() takes the session lock; keep the wait off the loop.

@@ -1,8 +1,11 @@
 """VertexInterner units: dense ids, stability, graph integration."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bitset import VertexInterner
+from repro.bitset.interner import bit_indexes
 from repro.graph.multigraph import LabeledMultigraph
 
 
@@ -40,6 +43,38 @@ class TestVertexInterner:
         interner = VertexInterner()
         interner.intern("a"), interner.intern("b"), interner.intern("c")
         assert interner.mask_of(["a", "c"]) == (1 << 0) | (1 << 2)
+
+
+def _naive_indexes(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+#: Masks of every density: a few ids anywhere in a space of up to 60 000
+#: (the sparse rows of a large graph), dense runs, and mixes of both.
+_masks = st.one_of(
+    st.lists(st.integers(0, 60_000), max_size=6).map(
+        lambda ids: sum({1 << i for i in ids})
+    ),
+    st.integers(0, 1 << 600),
+    st.tuples(st.integers(0, 1 << 300), st.integers(0, 60_000)).map(
+        lambda parts: parts[0] | (parts[0] << parts[1])
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_masks)
+@example(0)
+@example((1 << 5) | (1 << 20_000) | (1 << 53_999))
+@example((1 << 54_000) - 1)
+@example(((1 << 64) - 1) << 50_000 | 1)
+def test_decodes_equal_a_naive_scan(mask):
+    """The top peel plus dense scan lists exactly the set bits, whatever
+    the mask's density -- ``bit_indexes`` and ``vertices_of`` alike."""
+    expected = _naive_indexes(mask)
+    assert bit_indexes(mask) == expected
+    interner = VertexInterner(f"v{i}" for i in range(mask.bit_length()))
+    assert interner.vertices_of(mask) == tuple(f"v{i}" for i in expected)
 
 
 class TestGraphIntegration:

@@ -16,6 +16,7 @@ from repro.cluster import (
     ClusterRouter,
     GraphCluster,
     Shard,
+    partition_graph,
 )
 from repro.cluster.backends import merge_futures
 from repro.db import GraphDB
@@ -114,17 +115,24 @@ class TestCountsOnlyFanOut:
                     assert counted.pairs is None
                     assert counted.count == len(full.pairs), query
 
-    def test_direct_counts_only_submit(self, multi_fig1):
+    @pytest.mark.parametrize("enc", ["list", "packed"])
+    def test_wire_counts_equal_the_answer(self, multi_fig1, enc):
+        """A ``pairs: false`` count is the length of the ``pairs: true``
+        answer, in either forced encoding; both read one merged bitmap."""
         cluster = GraphCluster.open(
-            multi_fig1, config=ClusterConfig(shards=2, workers=1)
+            multi_fig1, config=ClusterConfig(shards=2, workers=1), start=False
         )
-        try:
-            pairs, _ = cluster.submit("b.c").result(timeout=30)
-            count, _ = cluster.submit("b.c", want_pairs=False).result(timeout=30)
-            assert count == len(pairs)
-            assert isinstance(count, int)
-        finally:
-            cluster.stop()
+        session = GraphDB.open(multi_fig1.copy())
+        with ServerThread(ClusterRouter(cluster)) as handle:
+            with Client(*handle.address) as client:
+                for query in ["b.c", "(b.c)*", "d.(b.c)+.c"]:
+                    (full,), _ = client.query_call([query], enc=enc)
+                    (counted,), _ = client.query_call(
+                        [query], pairs=False, enc=enc
+                    )
+                    assert counted.pairs is None
+                    assert counted.count == len(full.pairs), query
+                    assert set(full.pairs) == set(session.execute(query)), query
 
 
 class TestShardLifecycle:
@@ -195,12 +203,30 @@ class TestShardLifecycle:
         shard.close()
         for submit in (
             lambda: shard.query("b.c"),
-            lambda: shard.summary("b.c", boundary=()),
             lambda: shard.update(add=[("0:1", "b", "0:2")]),
         ):
             with pytest.raises(ServerError) as excinfo:
                 submit()
             assert excinfo.value.code == "closed"
+
+    def test_closed_shard_fails_the_join(self):
+        """The router summarises on its join thread; a closed shard
+        fails the join with the ``closed`` error, not a session one."""
+        graph = LabeledMultigraph.from_edges(
+            [("x", "a", "y"), ("y", "a", "z"), ("z", "a", "x")]
+        )
+        cluster = GraphCluster(
+            partition_graph(graph, 2, strategy="edge-cut"),
+            config=ClusterConfig(shards=2, workers=1),
+        )
+        try:
+            assert cluster.partition.has_cuts
+            cluster.backend(0).close()
+            with pytest.raises(ServerError) as excinfo:
+                cluster.submit("(a)+").result(timeout=30)
+            assert excinfo.value.code == "closed"
+        finally:
+            cluster.stop()
 
     def test_checkpoint_without_storage_is_unsupported(self, multi_fig1):
         shard = Shard(3, multi_fig1, workers=1)
@@ -219,7 +245,8 @@ class TestShardLifecycle:
             assert excinfo.value.code == "cluster.topology"
 
     def test_summary_matches_summarise_shard(self):
-        """The summary a shard hands the router is the pure function's."""
+        """The summary the router reads off a shard's session is the
+        pure function's."""
         graph = LabeledMultigraph.from_edges(
             [("x", "a", "y"), ("y", "a", "x"), ("y", "b", 7)]
         )
@@ -227,13 +254,10 @@ class TestShardLifecycle:
         entries = [("x", next(iter(nfa.start)))]
         shard = Shard(0, graph.copy(), workers=1, start=True)
         try:
-            summary, elapsed = shard.summary(
-                "(a)*.b", boundary={"y"}, entries=entries
-            ).result(timeout=30)
+            summary = shard.db.summarise(nfa, {"y"}, entries)
         finally:
             shard.close()
         assert summary == summarise_shard(graph, nfa, {"y"}, entries=entries)
-        assert elapsed >= 0.0
 
     def test_watch_and_reaches_match_the_session(self, multi_fig1):
         session = GraphDB.open(multi_fig1.copy())
@@ -358,6 +382,19 @@ class TestMergeFutures:
         assert cancelled.cancel()
         parent = merge_futures([resolved(), cancelled])
         with pytest.raises(CancelledError):
+            parent.result(timeout=1)
+
+    def test_combine_reads_the_results_in_child_order(self):
+        children = [Future(), Future()]
+        parent = merge_futures(children, combine=lambda results: results)
+        children[1].set_result("second")
+        children[0].set_result("first")
+        assert parent.result(timeout=1) == ["first", "second"]
+        assert merge_futures([], combine=len).result(timeout=1) == 0
+
+    def test_a_failing_combine_fails_the_merge(self):
+        parent = merge_futures([resolved()], combine=lambda results: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
             parent.result(timeout=1)
 
 

@@ -157,22 +157,25 @@ class TestEdgeCutIdentity:
         for key in expected:
             assert results[key] == expected[key], key
 
-    def test_counts_only_never_double_counts(self):
-        """Partial answers overlap across shards; counts must not sum them."""
+    @pytest.mark.parametrize("enc", ["list", "packed"])
+    def test_counts_only_never_double_counts(self, enc):
+        """Partial answers overlap across shards; a ``pairs: false``
+        count over the wire is the ``pairs: true`` answer's length."""
         graph = single_component_rmat()
         cluster = GraphCluster(
             partition_graph(graph.copy(), 2, strategy="edge-cut"),
             config=ClusterConfig(shards=2, workers=1),
+            start=False,
         )
-        try:
-            for query in QUERIES[:4]:
-                pairs, _ = cluster.submit(query).result(timeout=120)
-                count, _ = cluster.submit(query, want_pairs=False).result(
-                    timeout=120
-                )
-                assert count == len(pairs), query
-        finally:
-            cluster.stop()
+        with ServerThread(ClusterRouter(cluster)) as handle:
+            with Client(*handle.address) as client:
+                for query in QUERIES[:4]:
+                    (full,), _ = client.query_call([query], enc=enc)
+                    (counted,), _ = client.query_call(
+                        [query], pairs=False, enc=enc
+                    )
+                    assert counted.pairs is None
+                    assert counted.count == len(full.pairs), query
 
     def test_reaches_crosses_cuts(self):
         graph = single_component_rmat()
