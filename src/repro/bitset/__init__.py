@@ -25,7 +25,6 @@ the ``tests/bitset`` identity suite compares this package against.
 from repro.bitset.interner import VertexInterner, bit_indexes
 from repro.bitset.pairbitmap import PairBitmap
 from repro.bitset.kernel import (
-    alphabet_reachable_mask,
     eval_label_sequence_bits,
     eval_rpq_bits,
 )
@@ -33,7 +32,6 @@ from repro.bitset.kernel import (
 __all__ = [
     "VertexInterner",
     "PairBitmap",
-    "alphabet_reachable_mask",
     "bit_indexes",
     "eval_label_sequence_bits",
     "eval_rpq_bits",

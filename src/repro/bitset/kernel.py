@@ -22,7 +22,6 @@ from collections.abc import Iterable, Sequence
 from repro.bitset.pairbitmap import PairBitmap
 
 __all__ = [
-    "alphabet_reachable_mask",
     "bfs_mask",
     "eval_label_sequence_bits",
     "eval_rpq_bits",
@@ -198,33 +197,3 @@ def eval_label_sequence_bits(
             bitmap = _extend_right_bits(graph, bitmap, labels[right])
             right += 1
     return bitmap
-
-
-def alphabet_reachable_mask(
-    graph,
-    labels: Iterable[str],
-    sources: Iterable,
-    reverse: bool = False,
-) -> int:
-    """Vertices reachable from ``sources`` via edges labeled in ``labels``.
-
-    A label-order-blind BFS over the union of the given labels' rows --
-    an *over*-approximation of any RPQ over that alphabet, which makes
-    it a sound pruning filter: a vertex outside the mask cannot end any
-    matching path.  ``reverse=True`` sweeps the reverse adjacency rows
-    instead, answering "which vertices can reach ``sources``" -- the
-    membership prefilter of the cluster's cut-relevant ``reaches`` fast
-    path.  Source bits are included in the returned mask.
-    """
-    rows_of = graph.rev_bit_rows if reverse else graph.bit_rows
-    label_rows = [rows_of(label) for label in labels]
-    label_rows = [rows for rows in label_rows if rows]
-    seen = graph.interner.mask_of(sources)
-    frontier = seen
-    while frontier:
-        reached = 0
-        for rows in label_rows:
-            reached |= sweep(rows, frontier)
-        frontier = reached & ~seen
-        seen |= frontier
-    return seen

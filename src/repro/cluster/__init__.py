@@ -6,8 +6,9 @@ by default, or ``strategy="edge-cut"`` for graphs a single giant
 component would otherwise pin to one shard; the router then joins
 per-shard partial paths over the partition's cut-edge relation), each
 shard is one :class:`~repro.db.GraphDB` session behind its own
-sharing-aware scheduler (a :class:`Shard`, in the router's
-process), and a :class:`ClusterRouter` speaks the existing JSON-lines
+:class:`~repro.server.SharingScheduler` in the router's process
+(``GraphCluster.backend(i)`` is shard ``i``'s scheduler, ``.db`` its
+session), and a :class:`ClusterRouter` speaks the existing JSON-lines
 protocol over the :class:`GraphCluster` router, so the unchanged
 :class:`~repro.server.Client` talks to a cluster exactly as it talks to
 one server.
@@ -24,7 +25,6 @@ one server.
 [(7, 3), (7, 5)]
 """
 
-from repro.cluster.backends import Shard
 from repro.cluster.partition import (
     PARTITION_STRATEGIES,
     GraphPartition,
@@ -42,7 +42,6 @@ __all__ = [
     "ClusterRouter",
     "GraphCluster",
     "GraphPartition",
-    "Shard",
     "partition_graph",
     "weakly_connected_components",
     "PARTITION_STRATEGIES",

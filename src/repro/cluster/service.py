@@ -2,9 +2,11 @@
 
 One :class:`GraphCluster` partitions a graph into shards
 (:mod:`repro.cluster.partition`) and serves each through one
-:class:`~repro.cluster.backends.Shard`: a
-:class:`~repro.db.GraphDB` session behind a
-:class:`~repro.server.SharingScheduler`, in this process.
+:class:`~repro.server.SharingScheduler` over one
+:class:`~repro.db.GraphDB` session, in this process.  The session is
+opened with :meth:`GraphDB.open <repro.db.GraphDB.open>` (over
+``<data_dir>/shard<N>`` on a durable cluster), which is the one place a
+shard recovers.
 
 On top of the shards the router implements the same *scheduler
 surface* the :class:`~repro.server.QueryServer` front end drives
@@ -68,15 +70,12 @@ from dataclasses import dataclass, field
 from os import PathLike
 from pathlib import Path
 
-from repro.cluster.backends import (
-    Shard,
-    aggregate_scheduler_stats,
-    merge_futures,
-)
-from repro.bitset import PairBitmap, VertexInterner, alphabet_reachable_mask
+from repro.cluster.backends import aggregate_scheduler_stats, merge_futures
+from repro.bitset import PairBitmap, VertexInterner
 from repro.cluster import boundary
 from repro.cluster.partition import GraphPartition, partition_graph
 from repro.core.plan import PLAN_MEMO_LIMIT, Plan, plan_for
+from repro.db.session import GraphDB
 from repro.errors import (
     ClusterError,
     DeadlineExpiredError,
@@ -89,6 +88,7 @@ from repro.graph.multigraph import LabeledMultigraph
 from repro.obs import activate, get_registry
 from repro.regex.parser import parse
 from repro.server import protocol
+from repro.server.scheduler import SharingScheduler
 from repro.server.service import QueryServer, ServerConfig
 from repro.storage.snapshot import check_persistable_edge
 from repro.storage.wal import WriteAheadLog
@@ -115,7 +115,13 @@ _phase_seconds = get_registry().counter(
 
 @dataclass
 class ClusterConfig:
-    """Topology and per-shard scheduler tunables."""
+    """Topology and per-shard tunables.
+
+    Each shard is one :class:`~repro.db.GraphDB` (``engine_kwargs``,
+    ``data_dir``, ``checkpoint_every``) behind one
+    :class:`~repro.server.SharingScheduler` (``workers``, ``max_queue``,
+    ``batch_window``, ``max_batch``).
+    """
 
     shards: int = 4
     #: Worker threads *per shard scheduler*.
@@ -158,7 +164,10 @@ class GraphCluster:
     Construct over a ready :class:`~repro.cluster.GraphPartition` (or use
     :meth:`open` to load/partition in one step), then plug into a
     :class:`ClusterRouter` -- or drive ``submit`` / ``submit_update``
-    directly for in-process use.
+    directly for in-process use.  Each shard is a
+    :class:`~repro.server.SharingScheduler` over the shard's
+    :class:`~repro.db.GraphDB` session; :meth:`backend` hands out the
+    scheduler, and its ``db`` is the session.
     """
 
     def __init__(
@@ -186,7 +195,7 @@ class GraphCluster:
         self.config = config
         self._lock = threading.Lock()  # label sets, join memos, counters
         self._update_lock = threading.Lock()  # one global update order
-        self._backends: list[Shard] = [
+        self._backends: list[SharingScheduler] = [
             self._make_backend(shard_id, shard_graph)
             for shard_id, shard_graph in enumerate(partition.shards)
         ]
@@ -205,7 +214,7 @@ class GraphCluster:
             self._recover_router_log(Path(config.data_dir) / "router")
         # The router warms each plan's group key in the mode the shard
         # caches key by, so the schedulers read it back for free.
-        self.cache_mode = self._backends[0].scheduler.cache_mode
+        self.cache_mode = self._backends[0].cache_mode
         # Queries answered at the router because every shard was pruned
         # (no label overlap anywhere); folded into the aggregate stats so
         # served traffic never disappears from the books.
@@ -237,25 +246,28 @@ class GraphCluster:
 
     def _make_backend(
         self, shard_id: int, shard_graph: LabeledMultigraph
-    ) -> Shard:
+    ) -> SharingScheduler:
         config = self.config
-        # Each shard owns <data_dir>/shard<N>; the seed graph is passed
-        # alongside and ignored whenever the directory already holds
-        # committed state (the shard recovers instead).
+        # Each shard owns <data_dir>/shard<N>; GraphDB.open ignores the
+        # seed graph whenever the directory already holds committed
+        # state (the shard recovers instead).
         shard_dir = None
         if config.data_dir is not None:
-            shard_dir = str(Path(config.data_dir) / f"shard{shard_id}")
-        return Shard(
-            shard_id,
+            shard_dir = Path(config.data_dir) / f"shard{shard_id}"
+        db = GraphDB.open(
             shard_graph,
             engine=self.engine_name,
+            storage=shard_dir,
+            checkpoint_every=config.checkpoint_every,
+            **config.engine_kwargs,
+        )
+        return SharingScheduler(
+            db,
             workers=config.workers,
             max_queue=config.max_queue,
             batch_window=config.batch_window,
             max_batch=config.max_batch,
-            engine_kwargs=config.engine_kwargs,
-            storage_dir=shard_dir,
-            checkpoint_every=config.checkpoint_every,
+            start=False,
         )
 
     def _recover_router_log(self, router_dir: Path) -> None:
@@ -324,8 +336,8 @@ class GraphCluster:
     def num_shards(self) -> int:
         return len(self._backends)
 
-    def backend(self, shard: int) -> Shard:
-        """Direct access to one shard -- its ``db`` and ``scheduler``
+    def backend(self, shard: int) -> SharingScheduler:
+        """Shard ``shard``'s scheduler; its ``db`` is the shard's session
         (tests and diagnostics)."""
         return self._backends[shard]
 
@@ -347,7 +359,7 @@ class GraphCluster:
             raise
 
     def stop(self) -> None:
-        """Drain and close every shard backend."""
+        """Stop every shard's scheduler, then close its session."""
         if self._stopped:
             return
         self._stopped = True
@@ -357,15 +369,17 @@ class GraphCluster:
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
         for backend in self._backends:
-            backend.close()
+            backend.stop()
+            backend.db.close()
         if self._router_wal is not None:
             self._router_wal.close()
 
     def checkpoint(self) -> list[dict]:
-        """Commit a checkpoint on every shard backend; per-shard results.
+        """Commit a checkpoint on every shard; per-shard results.
 
-        Each shard drains its scheduler, rolls its snapshot + RTC store
-        forward to its current LSN and compacts its WAL (see
+        Each shard drains its scheduler (so the snapshot reflects every
+        acked update), rolls its snapshot + RTC store forward to its
+        current LSN and compacts its WAL (see
         :meth:`repro.storage.ShardStorage.checkpoint`).  Shards
         checkpoint independently -- there is no cross-shard barrier, and
         none is needed: each shard's manifest covers exactly its own
@@ -376,7 +390,17 @@ class GraphCluster:
         """
         if self._stopped:
             raise self._closed_error()
-        return [backend.checkpoint() for backend in self._backends]
+        results = []
+        for shard, backend in enumerate(self._backends):
+            if backend.db.storage is None:
+                raise ClusterError(
+                    f"shard {shard} has no storage attached",
+                    code="cluster.unsupported",
+                    shards=(shard,),
+                )
+            backend.drain()
+            results.append(backend.db.checkpoint())
+        return results
 
     # -- routing ---------------------------------------------------------
     def _target_shards(self, labels: frozenset, nullable: bool) -> list[int]:
@@ -454,11 +478,8 @@ class GraphCluster:
                         "shard", parent=parent_id, shard=shard
                     )
                     child_trace = (tracer, shard_span.span_id)
-                child = self._backends[shard].query(
-                    text,
-                    plan,
-                    timeout=timeout,
-                    trace=child_trace,
+                child = self._backends[shard].submit(
+                    text, plan, timeout=timeout, trace=child_trace
                 )
                 if trace is not None:
                     child.add_done_callback(
@@ -887,8 +908,10 @@ class GraphCluster:
                             remove=len(removes),
                         )
                         child_trace = (tracer, shard_span.span_id)
-                    child = self._backends[shard].update(
-                        add=adds, remove=removes, trace=child_trace
+                    # Blocking admission: the routing state is already
+                    # committed, so every owning shard must take its slice.
+                    child = self._backends[shard].submit_update(
+                        add=adds, remove=removes, block=True, trace=child_trace
                     )
                     if trace is not None:
                         child.add_done_callback(
@@ -915,7 +938,7 @@ class GraphCluster:
             self._updates_in_flight -= 1
 
     def _smallest_shard(self) -> int:
-        sizes = [backend.edge_count() for backend in self._backends]
+        sizes = [backend.db.graph.num_edges for backend in self._backends]
         return sizes.index(min(sizes))
 
     @staticmethod
@@ -929,111 +952,64 @@ class GraphCluster:
         """Watch (pin the maintained RTC of) ``body`` on every shard."""
         normalised = parse(body).to_string()
         for backend in self._backends:
-            backend.watch(body)
+            backend.db.watch(body)
         return normalised
 
     def reaches(self, body: str, source: object, target: object) -> bool:
         """Streaming reachability probe: ``(source, target) in (body+)_G``.
 
-        Over a component-disjoint partition only ``source``'s shard can
-        contain a path, so the probe routes there; unknown sources probe
-        every shard (and come back False when the vertex exists
-        nowhere).  When a cut edge carries one of the body's labels a
-        path may cross shards; :meth:`_reaches_with_cuts` answers that
-        case with shard-local probes and bitmap prefilters before
-        resorting to any fan-out.
+        When no cut edge carries a label of the body, a path never leaves
+        its shard: the probe routes to ``source``'s shard (unknown
+        sources probe every shard and come back False when the vertex
+        exists nowhere).  Otherwise a path may cross shards, and the
+        answer is a membership test on the ``(body)+`` read
+        :meth:`submit` serves (from the join cache when warm).
         """
+        closure = f"({body})+"
         if self.partition.has_cuts:
-            closure = f"({body})+"
-            labels, _nullable, _nfa = plan_for(closure).route()
-            relevant_cuts = self._relevant_cuts(closure, labels)
-            if relevant_cuts:
-                return self._reaches_with_cuts(
-                    body, closure, labels, relevant_cuts, source, target
-                )
+            labels = plan_for(closure).route()[0]
+            if self._relevant_cuts(closure, labels):
+                pairs, _elapsed = self.submit(closure).result()
+                return (source, target) in pairs
         shard = self.partition.shard_of(source)
         if shard is not None:
-            return self._backends[shard].reaches(body, source, target)
+            return self._backends[shard].db.reaches(body, source, target)
         return any(
-            backend.reaches(body, source, target)
+            backend.db.reaches(body, source, target)
             for backend in self._backends
         )
 
-    def _reaches_with_cuts(
-        self,
-        body: str,
-        closure: str,
-        labels: frozenset,
-        cuts: tuple,
-        source: object,
-        target: object,
-    ) -> bool:
-        """The cut-relevant membership probe, cheapest evidence first.
-
-        1. A shard subgraph is a subgraph of ``G``, so ``source``'s own
-           shard answering yes settles it without any fan-out.
-        2. A cross-shard path must *leave* through a cut edge whose
-           source is forward-reachable from ``source`` inside its shard,
-           and *arrive* through one whose target reaches ``target``
-           inside its shard (re-entries always land on cut targets).
-           Both tests are label-union sweeps of the shard graphs'
-           bitmap adjacency rows (:func:`alphabet_reachable_mask`) --
-           an over-approximation of the RPQ, hence sound to prune on.
-        3. Only when neither side rules the pair out does the probe pay
-           for the full ``(body)+`` boundary-join evaluation (served
-           from the join cache when warm).
-        """
-        source_shard = self.partition.shard_of(source)
-        target_shard = self.partition.shard_of(target)
-        if source_shard is None or target_shard is None:
-            # Unknown endpoints: nothing can reach them; stay faithful
-            # to the membership semantics via the closure itself.
-            pairs, _elapsed = self.submit(closure).result()
-            return (source, target) in pairs
-        if self._backends[source_shard].reaches(body, source, target):
-            return True
-        shard_of = self.partition.shard_of
-        graph = self._backends[source_shard].db.graph
-        mask = alphabet_reachable_mask(graph, labels, [source])
-        id_of = graph.interner.id_of
-        if not any(
-            cut_id is not None and mask >> cut_id & 1
-            for cut_source, _label, _cut_target in cuts
-            if shard_of(cut_source) == source_shard
-            for cut_id in (id_of(cut_source),)
-        ):
-            # No relevant cut edge is reachable from ``source``: a
-            # satisfying path could never leave the shard, and the
-            # shard itself already said no.
-            return False
-        graph = self._backends[target_shard].db.graph
-        mask = alphabet_reachable_mask(graph, labels, [target], reverse=True)
-        id_of = graph.interner.id_of
-        if not any(
-            cut_id is not None and mask >> cut_id & 1
-            for _cut_source, _label, cut_target in cuts
-            if shard_of(cut_target) == target_shard
-            for cut_id in (id_of(cut_target),)
-        ):
-            # No cut-edge arrival can reach ``target`` in-shard: a
-            # cross-shard path cannot end at it.
-            return (
-                source_shard == target_shard
-                and self._backends[source_shard].reaches(body, source, target)
-            )
-        pairs, _elapsed = self.submit(closure).result()
-        return (source, target) in pairs
-
     # -- statistics ------------------------------------------------------
     def _shard_docs(self) -> list[dict]:
-        """One structured stats document per shard (see
-        :meth:`Shard.stats <repro.cluster.backends.Shard.stats>`).
+        """One structured stats document per shard.
 
+        ``graph`` holds live counts, ``scheduler`` and ``session`` the
+        two components' own statistics, ``latency_values`` the raw
+        latency reservoir (so cluster-wide percentiles pool values), and
+        ``storage`` -- on durable shards -- the recovery/LSN state.
         Fetch once and pass to :meth:`stats` / :meth:`session_stats` /
         :meth:`describe` when emitting all three, so the three sections
         describe the same moment.
         """
-        return [backend.stats() for backend in self._backends]
+        docs = []
+        for shard, backend in enumerate(self._backends):
+            graph = backend.db.graph
+            session = backend.db.stats()
+            doc = {
+                "shard": shard,
+                "graph": {
+                    "vertices": graph.num_vertices,
+                    "edges": graph.num_edges,
+                    "labels": graph.num_labels,
+                },
+                "scheduler": backend.stats(),
+                "session": session,
+                "latency_values": backend.metrics.latency_values(),
+            }
+            if "storage" in session:
+                doc["storage"] = session["storage"]
+            docs.append(doc)
+        return docs
 
     def stats(self, docs: list[dict] | None = None) -> dict:
         """Aggregate scheduler-shaped statistics (QueryServer-compatible).
@@ -1142,9 +1118,10 @@ class ClusterRouter(QueryServer):
     errors, per-request deadlines and the whole request path are
     inherited unchanged.  What differs: ``stats`` (cluster-wide
     aggregation plus topology), the plans' routing fields warmed before
-    a query is admitted, and update admission taken off the event loop.  ``watch`` (broadcast) and
-    ``reaches`` (shard-routed) are the cluster's own methods behind the
-    base handlers.
+    a query is admitted, and update admission taken off the event loop.
+    ``watch`` (broadcast) and ``reaches`` (shard-routed, or a closure
+    read when a cut carries the body's labels) are the cluster's own
+    methods behind the base handlers.
     """
 
     def __init__(

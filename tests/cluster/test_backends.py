@@ -1,4 +1,5 @@
-"""Shard backends: the cluster-vs-session identity gate.
+"""Shard backends -- one scheduler over one session each -- and the
+cluster-vs-session identity gate.
 
 The same multi-component workload -- with a streaming update in the
 middle -- answered by (a) a cluster behind its router and (b) a
@@ -15,7 +16,6 @@ from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
     GraphCluster,
-    Shard,
     partition_graph,
 )
 from repro.cluster.backends import merge_futures
@@ -82,21 +82,38 @@ def cluster_workload(graph):
             return run_workload_with_update(answer, update)
 
 
+def one_shard(graph, **config) -> GraphCluster:
+    """A one-shard cluster over ``graph`` (started unless
+    ``start=False``): shard 0 is the whole graph, one session behind one
+    scheduler."""
+    start = config.pop("start", True)
+    config.setdefault("workers", 1)
+    return GraphCluster(
+        partition_graph(graph, 1),
+        config=ClusterConfig(shards=1, **config),
+        start=start,
+    )
+
+
 class TestBackendIdentity:
     def test_thread_vs_session(self, multi_fig1):
         """A served cluster and one session, one answer set."""
         assert cluster_workload(multi_fig1) == session_reference(multi_fig1)
 
     def test_direct_backend_identity(self, multi_fig1):
-        """One whole-graph Shard answers like the session."""
+        """One whole-graph shard answers like the session, read through
+        the router and through the shard's scheduler."""
         session = GraphDB.open(multi_fig1.copy())
-        backend = Shard(0, multi_fig1.copy(), workers=1, start=True)
+        cluster = one_shard(multi_fig1.copy())
         try:
             for query in QUERIES:
-                pairs, _ = backend.query(query).result(timeout=30)
-                assert pairs == set(session.execute(query)), query
+                expected = set(session.execute(query))
+                pairs, _ = cluster.submit(query).result(timeout=30)
+                assert set(pairs) == expected, query
+                pairs, _ = cluster.backend(0).submit(query).result(timeout=30)
+                assert pairs == expected, query
         finally:
-            backend.close()
+            cluster.stop()
 
 
 class TestCountsOnlyFanOut:
@@ -136,29 +153,33 @@ class TestCountsOnlyFanOut:
 
 
 class TestShardLifecycle:
-    """One shard's own surface: lifecycle, admission, stats, updates."""
+    """One shard's surface as the router drives it: lifecycle,
+    admission, stats, updates."""
 
-    def test_close_stops_the_scheduler_and_is_idempotent(self, multi_fig1):
-        shard = Shard(0, multi_fig1, workers=1, start=True)
-        assert repr(shard) == "Shard(shard=0, running)"
-        dispatcher = shard.scheduler._dispatcher
+    def test_stop_stops_the_scheduler_and_is_idempotent(self, multi_fig1):
+        cluster = one_shard(multi_fig1)
+        assert repr(cluster).endswith("running)")
+        scheduler = cluster.backend(0)
+        dispatcher = scheduler._dispatcher
         assert dispatcher.is_alive()
-        shard.query("b.c").result(timeout=30)
-        shard.drain()
-        shard.close()
+        cluster.submit("b.c").result(timeout=30)
+        scheduler.drain()
+        cluster.stop()
         assert not dispatcher.is_alive()
-        assert repr(shard) == "Shard(shard=0, closed)"
-        shard.close()  # idempotent
-        shard.start()  # a closed shard stays closed
-        assert repr(shard) == "Shard(shard=0, closed)"
+        assert scheduler.db.closed
+        assert repr(cluster).endswith("stopped)")
+        cluster.stop()  # idempotent
+        cluster.start()  # a stopped cluster stays stopped
+        assert repr(cluster).endswith("stopped)")
 
     def test_stats_document_shape(self, multi_fig1):
-        """One flat document: no replica list, no worker process."""
-        shard = Shard(0, multi_fig1, workers=1, start=True)
+        """One flat document per shard: no replica list, no worker
+        process."""
+        cluster = one_shard(multi_fig1)
         try:
-            shard.query("b.c").result(timeout=30)
-            shard.drain()
-            doc = shard.stats()
+            cluster.submit("b.c").result(timeout=30)
+            cluster.backend(0).drain()
+            (doc,) = cluster._shard_docs()
             assert set(doc) == {
                 "shard", "graph", "scheduler", "session", "latency_values",
             }
@@ -169,41 +190,45 @@ class TestShardLifecycle:
             assert isinstance(doc["latency_values"], list)
             assert len(doc["latency_values"]) == 1
         finally:
-            shard.close()
+            cluster.stop()
 
     def test_local_admission_bound(self, multi_fig1):
         """A full shard queue rejects a query before any work happens."""
-        shard = Shard(0, multi_fig1, workers=1, max_queue=1, start=False)
+        cluster = one_shard(multi_fig1, max_queue=1, start=False)
         try:
-            first = shard.query("b.c")
+            first = cluster.submit("b.c")
             with pytest.raises(AdmissionError):
-                shard.query("b.c")
-            assert shard.scheduler.stats()["rejected"] == 1
-            shard.start()
+                cluster.submit("b.c")
+            assert cluster.backend(0).stats()["rejected"] == 1
+            cluster.start()
             pairs, _ = first.result(timeout=30)
             assert pairs
         finally:
-            shard.close()
+            cluster.stop()
 
-    def test_update_is_applied_once_and_edge_count_tracks(self, multi_fig1):
-        shard = Shard(0, multi_fig1, workers=1, start=True)
+    def test_update_is_applied_once(self, multi_fig1):
+        cluster = one_shard(multi_fig1)
         try:
-            before = shard.edge_count()
-            shard.update(add=[("0:1", "b", "0:555")]).result(timeout=30)
-            shard.drain()
-            assert shard.edge_count() == before + 1
-            assert shard.scheduler.stats()["updates"] == 1
-            pairs, _ = shard.query("b").result(timeout=30)
+            scheduler = cluster.backend(0)
+            before = scheduler.db.graph.num_edges
+            cluster.submit_update(add=[("0:1", "b", "0:555")]).result(timeout=30)
+            scheduler.drain()
+            assert scheduler.db.graph.num_edges == before + 1
+            assert scheduler.stats()["updates"] == 1
+            pairs, _ = cluster.submit("b").result(timeout=30)
             assert ("0:1", "0:555") in pairs
         finally:
-            shard.close()
+            cluster.stop()
 
-    def test_closed_shard_refuses_work(self, multi_fig1):
-        shard = Shard(0, multi_fig1, workers=1, start=True)
-        shard.close()
+    def test_stopped_shard_refuses_work(self, multi_fig1):
+        cluster = one_shard(multi_fig1)
+        scheduler = cluster.backend(0)
+        cluster.stop()
         for submit in (
-            lambda: shard.query("b.c"),
-            lambda: shard.update(add=[("0:1", "b", "0:2")]),
+            lambda: cluster.submit("b.c"),
+            lambda: cluster.submit_update(add=[("0:1", "b", "0:2")]),
+            lambda: scheduler.submit("b.c"),
+            lambda: scheduler.submit_update(add=[("0:1", "b", "0:2")]),
         ):
             with pytest.raises(ServerError) as excinfo:
                 submit()
@@ -221,7 +246,8 @@ class TestShardLifecycle:
         )
         try:
             assert cluster.partition.has_cuts
-            cluster.backend(0).close()
+            cluster.backend(0).stop()
+            cluster.backend(0).db.close()
             with pytest.raises(ServerError) as excinfo:
                 cluster.submit("(a)+").result(timeout=30)
             assert excinfo.value.code == "closed"
@@ -229,20 +255,14 @@ class TestShardLifecycle:
             cluster.stop()
 
     def test_checkpoint_without_storage_is_unsupported(self, multi_fig1):
-        shard = Shard(3, multi_fig1, workers=1)
+        cluster = one_shard(multi_fig1)
         try:
             with pytest.raises(ClusterError) as excinfo:
-                shard.checkpoint()
+                cluster.checkpoint()
             assert excinfo.value.code == "cluster.unsupported"
-            assert list(excinfo.value.shards) == [3]
+            assert list(excinfo.value.shards) == [0]
         finally:
-            shard.close()
-
-    def test_needs_a_graph_or_recoverable_state(self, tmp_path):
-        for storage_dir in (None, str(tmp_path / "empty")):
-            with pytest.raises(ClusterError) as excinfo:
-                Shard(1, None, workers=1, storage_dir=storage_dir)
-            assert excinfo.value.code == "cluster.topology"
+            cluster.stop()
 
     def test_summary_matches_summarise_shard(self):
         """The summary the router reads off a shard's session is the
@@ -252,95 +272,58 @@ class TestShardLifecycle:
         )
         nfa = compile_nfa(parse("(a)*.b"))
         entries = [("x", next(iter(nfa.start)))]
-        shard = Shard(0, graph.copy(), workers=1, start=True)
+        cluster = one_shard(graph)
         try:
-            summary = shard.db.summarise(nfa, {"y"}, entries)
+            summary = cluster.backend(0).db.summarise(nfa, {"y"}, entries)
+            shard_graph = cluster.partition.shards[0]
         finally:
-            shard.close()
-        assert summary == summarise_shard(graph, nfa, {"y"}, entries=entries)
+            cluster.stop()
+        assert summary == summarise_shard(
+            shard_graph, nfa, {"y"}, entries=entries
+        )
 
     def test_watch_and_reaches_match_the_session(self, multi_fig1):
         session = GraphDB.open(multi_fig1.copy())
-        shard = Shard(0, multi_fig1.copy(), workers=1, start=True)
+        cluster = one_shard(multi_fig1.copy())
         try:
             session.watch("b.c")
-            shard.watch("b.c")
+            cluster.watch("b.c")
+            assert cluster.backend(0).db.stats()["watchers"] == ["b.c"]
             vertices = sorted(multi_fig1.vertices(), key=str)[:12]
             for source in vertices:
                 for target in vertices:
-                    assert shard.reaches("b.c", source, target) == (
+                    assert cluster.reaches("b.c", source, target) == (
                         session.reaches("b.c", source, target)
                     ), (source, target)
         finally:
-            shard.close()
+            cluster.stop()
 
     def test_drain_waits_for_admitted_work(self, multi_fig1):
-        shard = Shard(0, multi_fig1, workers=1, start=True)
+        cluster = one_shard(multi_fig1)
         try:
-            futures = [shard.query(query) for query in QUERIES]
-            shard.drain()
+            scheduler = cluster.backend(0)
+            futures = [scheduler.submit(query) for query in QUERIES]
+            scheduler.drain()
             assert all(future.done() for future in futures)
-            assert shard.scheduler.stats()["in_flight"] == 0
+            assert scheduler.stats()["in_flight"] == 0
         finally:
-            shard.close()
+            cluster.stop()
 
     def test_durable_shard_checkpoints_and_reports_storage(
         self, multi_fig1, tmp_path
     ):
-        shard = Shard(
-            0, multi_fig1, workers=1, storage_dir=str(tmp_path), start=True
-        )
+        cluster = one_shard(multi_fig1, data_dir=tmp_path)
         try:
-            shard.update(add=[("0:1", "b", "0:555")]).result(timeout=30)
-            shard.checkpoint()
-            doc = shard.stats()
+            cluster.submit_update(add=[("0:1", "b", "0:555")]).result(timeout=30)
+            (result,) = cluster.checkpoint()
+            assert result["lsn"] == 1
+            (doc,) = cluster._shard_docs()
             assert "storage" in doc
             assert doc["storage"] == doc["session"]["storage"]
+            (entry,) = cluster.describe()["per_shard"]
+            assert entry["storage"] == doc["storage"]
         finally:
-            shard.close()
-
-
-def restarted_shard(graph, storage_dir):
-    """Checkpoint ``graph`` on a durable shard, close it, and reopen the
-    directory without a seed graph: the shard serves what it recovered."""
-    shard = Shard(0, graph, workers=1, storage_dir=storage_dir, start=True)
-    shard.checkpoint()
-    shard.close()
-    return Shard(0, None, workers=1, storage_dir=storage_dir, start=True)
-
-
-class TestDurableShardGraph:
-    """The shard's graph leaves the process only through its snapshot:
-    what comes back must be the same graph."""
-
-    def test_int_lookalike_strings_stay_distinct(self, tmp_path):
-        """"123" and 123 are two vertices on both sides of a restart."""
-        graph = LabeledMultigraph.from_edges(
-            [("123", "a", 123), (123, "a", "456"), ("456", "b", "123")]
-        )
-        session = GraphDB.open(graph.copy())
-        shard = restarted_shard(graph, str(tmp_path))
-        try:
-            for query in ("a", "a.a", "a+.b", "(a|b)*"):
-                pairs, _ = shard.query(query).result(timeout=30)
-                assert pairs == set(session.execute(query)), query
-            pairs, _ = shard.query("a").result(timeout=30)
-            assert ("123", 123) in pairs and (123, "123") not in pairs
-        finally:
-            shard.close()
-
-    def test_isolated_vertices_survive_the_restart(self, tmp_path):
-        """Edge lists carry no degree-0 vertices; the snapshot keeps them."""
-        graph = LabeledMultigraph.from_edges([("a", "x", "b")])
-        graph.add_vertex("lonely")
-        shard = restarted_shard(graph, str(tmp_path))
-        try:
-            # A nullable query contributes (v, v) for *every* vertex,
-            # isolated ones included.
-            pairs, _ = shard.query("x*").result(timeout=30)
-            assert ("lonely", "lonely") in pairs
-        finally:
-            shard.close()
+            cluster.stop()
 
 
 def resolved(result=None, error=None) -> Future:
@@ -403,7 +386,7 @@ class TestShardInlineReads:
         """A read-only fan-out pays no scheduler round trip per shard."""
         cluster = GraphCluster.open(multi_fig1, config=ClusterConfig(shards=4, workers=1))
         try:
-            shards = [cluster.backend(i).scheduler for i in range(4)]
+            shards = [cluster.backend(i) for i in range(4)]
             # The first read builds the RTCs; the second is timed warm.
             for _ in range(2):
                 expected = set(cluster.submit("(b.c)+").result(timeout=10)[0])

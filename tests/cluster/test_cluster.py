@@ -94,7 +94,7 @@ class TestShardPruning:
             # Only the x/y shard evaluated "x.x"; the p/q shard saw one
             # query ("p.q") and nothing else.
             completed = [
-                cluster.backend(shard).scheduler.stats()["completed"]
+                cluster.backend(shard).stats()["completed"]
                 for shard in range(2)
             ]
             assert sorted(completed) == [1, 1]
@@ -158,7 +158,7 @@ class TestTopology:
         try:
             assert cluster.cache_mode == "semantic"
             for shard in range(2):
-                assert cluster.backend(shard).scheduler.cache_mode == "semantic"
+                assert cluster.backend(shard).cache_mode == "semantic"
             cluster_answer(cluster, "(b.c)+")
             assert cluster.stats()["cache"]["mode"] == "semantic"
         finally:
@@ -177,7 +177,7 @@ class TestTopology:
                 for query in QUERIES:
                     cluster_answer(cluster, query)
             for shard in range(2):
-                cache = cluster.backend(shard).scheduler.stats()["cache"]
+                cache = cluster.backend(shard).stats()["cache"]
                 assert cache["misses"] == len(bodies), shard
                 assert cache["hits"] > 0
         finally:
@@ -192,7 +192,7 @@ class TestUpdates:
         try:
             cluster.submit_update(add=[("2:1", "b", "2:99")]).result(timeout=30)
             updates = [
-                cluster.backend(shard).scheduler.stats()["updates"]
+                cluster.backend(shard).stats()["updates"]
                 for shard in range(4)
             ]
             assert sorted(updates) == [0, 0, 0, 1]

@@ -311,17 +311,17 @@ class TestJoinCacheFreshness:
             # (version bumped, cache cleared) but not yet on the shard.
             backend = cluster.backend(partition.shard_of(edge[0]))
             apply_now = threading.Event()
-            real_update = backend.update
+            real_update = backend.submit_update
 
-            def delayed_update(add=(), remove=(), trace=None):
+            def delayed_update(add=(), remove=(), block=False, trace=None):
                 outcome: Future = Future()
 
                 def run():
                     apply_now.wait(timeout=60)
                     try:
-                        real_update(add=add, remove=remove, trace=trace).result(
-                            timeout=60
-                        )
+                        real_update(
+                            add=add, remove=remove, block=block, trace=trace
+                        ).result(timeout=60)
                     except Exception as error:  # delivered through the future
                         outcome.set_exception(error)
                     else:
@@ -330,7 +330,7 @@ class TestJoinCacheFreshness:
                 threading.Thread(target=run, daemon=True).start()
                 return outcome
 
-            backend.update = delayed_update
+            backend.submit_update = delayed_update
             acked = cluster.submit_update(add=[edge])
             in_window, _ = cluster.submit("(l0)+").result(timeout=120)
             assert in_window == before  # not acked yet: the old answer is legal

@@ -25,7 +25,8 @@ from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster, partition_
 from repro.db import GraphDB
 from repro.errors import ClusterError
 from repro.graph.io import dump_edge_list, load_edge_list
-from repro.server import Client, ServerConfig, ServerThread
+from repro.graph.multigraph import LabeledMultigraph
+from repro.server import Client, ServerConfig, ServerThread, SharingScheduler
 from test_crossshard import QUERIES, pick_cross_shard_edge, single_component_rmat
 
 #: Fig. 1's Example 2 query -- a closure body the RTC store persists.
@@ -293,3 +294,49 @@ class TestCheckpointVerb:
                 assert len(infos) == 2
                 assert all("lsn" in info for info in infos)
                 assert max(info["lsn"] for info in infos) >= 1
+
+
+def restarted_shard(graph, storage_dir):
+    """Checkpoint ``graph`` on a durable shard session, close it, and
+    reopen the directory without a seed graph: the scheduler over the
+    reopened session serves what it recovered."""
+    db = GraphDB.open(graph, storage=storage_dir)
+    db.checkpoint()
+    db.close()
+    return SharingScheduler(GraphDB.open(None, storage=storage_dir), workers=1)
+
+
+class TestDurableShardGraph:
+    """The shard's graph leaves the process only through its snapshot:
+    what comes back must be the same graph."""
+
+    def test_int_lookalike_strings_stay_distinct(self, tmp_path):
+        """"123" and 123 are two vertices on both sides of a restart."""
+        graph = LabeledMultigraph.from_edges(
+            [("123", "a", 123), (123, "a", "456"), ("456", "b", "123")]
+        )
+        session = GraphDB.open(graph.copy())
+        shard = restarted_shard(graph, str(tmp_path))
+        try:
+            for query in ("a", "a.a", "a+.b", "(a|b)*"):
+                pairs, _ = shard.submit(query).result(timeout=30)
+                assert pairs == set(session.execute(query)), query
+            pairs, _ = shard.submit("a").result(timeout=30)
+            assert ("123", 123) in pairs and (123, "123") not in pairs
+        finally:
+            shard.stop()
+            shard.db.close()
+
+    def test_isolated_vertices_survive_the_restart(self, tmp_path):
+        """Edge lists carry no degree-0 vertices; the snapshot keeps them."""
+        graph = LabeledMultigraph.from_edges([("a", "x", "b")])
+        graph.add_vertex("lonely")
+        shard = restarted_shard(graph, str(tmp_path))
+        try:
+            # A nullable query contributes (v, v) for *every* vertex,
+            # isolated ones included.
+            pairs, _ = shard.submit("x*").result(timeout=30)
+            assert ("lonely", "lonely") in pairs
+        finally:
+            shard.stop()
+            shard.db.close()

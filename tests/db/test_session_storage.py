@@ -27,6 +27,12 @@ class TestOpenSignature:
                 list(EDGES), storage=tmp_path / "data", checkpoint_every=0
             )
 
+    def test_recover_only_open_needs_recoverable_state(self, tmp_path):
+        """Without a seed graph, an open needs a directory holding state."""
+        for storage in (None, tmp_path / "empty"):
+            with pytest.raises(TypeError, match="needs a source graph"):
+                GraphDB.open(None, storage=storage)
+
     def test_storage_less_session_has_no_durability_surface(self):
         db = GraphDB.open(list(EDGES))
         assert db.storage is None

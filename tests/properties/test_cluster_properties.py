@@ -9,6 +9,10 @@ merged from shard answers is over the cluster id space -- shard 0's
 vertices, then shard 1's, and so on -- and an update that interns a
 vertex on shard 0 shifts every later base without changing what an
 answer already handed out decodes to.
+
+A ``reaches`` probe answers like one session's, whether the body's
+labels touch no cut edge (the probe routes to the source's shard) or
+one (the probe reads the closure the boundary join serves).
 """
 
 from hypothesis import given, settings
@@ -87,5 +91,59 @@ def test_every_read_is_one_sessions_bitmap(graph, extra, strategy, shards, engin
             old_pairs, old_expected = before[query]
             assert set(old_pairs) == old_expected, query
             assert set(read(cluster, query)) == set(session.execute(query)), query
+    finally:
+        cluster.stop()
+
+
+#: A vertex no graph of :func:`labeled_graphs` holds (they are ints).
+GHOST = "ghost"
+
+
+def assert_reaches_agree(cluster: GraphCluster, session: GraphDB, body: str):
+    vertices = list(session.graph.vertices()) + [GHOST]
+    for source in vertices:
+        for target in vertices:
+            assert cluster.reaches(body, source, target) == session.reaches(
+                body, source, target
+            ), (body, source, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=labeled_graphs(max_vertices=7, max_edges=14),
+    body=regexes(max_depth=2),
+    strategy=st.sampled_from(["component", "edge-cut"]),
+    shards=st.integers(1, 3),
+    data=st.data(),
+)
+def test_reaches_is_one_sessions_reaches(graph, body, strategy, shards, data):
+    body = body.to_string()
+    session = GraphDB.open(graph.copy())
+    cluster = GraphCluster(
+        partition_graph(graph.copy(), shards, strategy=strategy),
+        config=ClusterConfig(shards=shards, workers=1),
+    )
+    try:
+        assert_reaches_agree(cluster, session, body)
+
+        # A new cut edge carrying one of the body's labels: from now on
+        # a path may leave its shard through it.
+        label = data.draw(
+            st.sampled_from(sorted(plan_for(f"({body})+").route()[0]) or ["a"])
+        )
+        shard_of = cluster.partition.shard_of
+        crossing = [
+            (source, label, target)
+            for source in graph.vertices()
+            for target in graph.vertices()
+            if shard_of(source) != shard_of(target)
+            and not session.graph.has_edge(source, label, target)
+        ]
+        if crossing:
+            edge = data.draw(st.sampled_from(crossing))
+            cluster.submit_update(add=[edge]).result(timeout=60)
+            session.update(add=[edge])
+            assert cluster.partition.has_cut(*edge)
+            assert_reaches_agree(cluster, session, body)
     finally:
         cluster.stop()
