@@ -13,11 +13,24 @@ language-equal closure bodies spelled differently, the semantic key
 computes one RTC where the syntactic key computes two.
 """
 
+from collections import Counter
+
 from bench_common import NUM_RPQS, SEED, emit, record_rows
 from repro.bench.formatting import format_seconds, format_table
-from repro.core.engines import FullSharingEngine, RTCSharingEngine
+from repro.core.engines import FullSharingEngine, RTCSharingEngine, evaluate_plan
+from repro.core.plan import plan_for
 from repro.core.timing import PHASE_PRE_JOIN, PHASE_SHARED_DATA
 from repro.workloads.generator import generate_workload
+
+
+def evaluate_timed(engine, queries):
+    """``queries``' answers on ``engine`` and their phase seconds, summed."""
+    answers, phases = [], Counter()
+    for query in queries:
+        pairs, _elapsed, call_phases = evaluate_plan(engine, plan_for(query))
+        answers.append(pairs)
+        phases.update(call_phases)
+    return answers, phases
 
 
 def test_shared_structure_head_to_head(benchmark, rmat3_graph):
@@ -33,15 +46,15 @@ def test_shared_structure_head_to_head(benchmark, rmat3_graph):
             FullSharingEngine(rmat3_graph),
             RTCSharingEngine(rmat3_graph),
         ):
-            results = engine.evaluate_many(queries)
+            results, phases = evaluate_timed(engine, queries)
             if reference is None:
                 reference = results
             assert results == reference
             rows.append(
                 {
                     "structure": engine.name,
-                    "build": engine.timer.get(PHASE_SHARED_DATA),
-                    "join": engine.timer.get(PHASE_PRE_JOIN),
+                    "build": phases[PHASE_SHARED_DATA],
+                    "join": phases[PHASE_PRE_JOIN],
                     "pairs": engine.shared_data_size(),
                 }
             )
@@ -79,11 +92,11 @@ def test_semantic_cache_key_extension(benchmark, rmat3_graph):
         semantic = RTCSharingEngine(rmat3_graph, cache_mode="semantic")
         results = {}
         for name, engine in (("syntactic", syntactic), ("semantic", semantic)):
-            answers = [engine.evaluate(query) for query in spellings]
+            answers, phases = evaluate_timed(engine, spellings)
             results[name] = {
                 "answers": answers,
                 "entries": engine.rtc_cache.stats.entries,
-                "build": engine.timer.get(PHASE_SHARED_DATA),
+                "build": phases[PHASE_SHARED_DATA],
             }
         assert results["syntactic"]["answers"] == results["semantic"]["answers"]
         return results

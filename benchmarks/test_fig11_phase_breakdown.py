@@ -17,7 +17,8 @@ from bench_common import SCALE, SEED, emit, record_rows
 from repro.bench.formatting import format_ratio, format_seconds, format_table
 from repro.bitset.kernel import label_rows_bitmap
 from repro.core.batch_unit import join_pre_with_rtc, join_pre_with_rtc_bits
-from repro.core.engines import FullSharingEngine, RTCSharingEngine
+from repro.core.engines import FullSharingEngine, RTCSharingEngine, evaluate_plan
+from repro.core.plan import plan_for
 from repro.core.rtc import compute_rtc
 from repro.core.timing import PHASE_SHARED_DATA
 from repro.datasets.rmat import rmat_n
@@ -60,8 +61,8 @@ def test_fig11a_synthetic_phases(benchmark, exp1_synthetic_rows, rmat3_graph):
     # quantity this figure is about.
     def shared_data_once():
         engine = RTCSharingEngine(rmat3_graph)
-        engine.evaluate("l0.(l1)+.l2")
-        return engine.timer.get(PHASE_SHARED_DATA)
+        _pairs, _elapsed, phases = evaluate_plan(engine, plan_for("l0.(l1)+.l2"))
+        return phases[PHASE_SHARED_DATA]
 
     benchmark.pedantic(shared_data_once, rounds=1, iterations=1)
 
@@ -80,8 +81,8 @@ def test_fig11b_real_phases(benchmark, exp1_real_rows, advogato_graph):
 
     def full_shared_data_once():
         engine = FullSharingEngine(advogato_graph)
-        engine.evaluate("l0.(l1)+.l2")
-        return engine.timer.get(PHASE_SHARED_DATA)
+        _pairs, _elapsed, phases = evaluate_plan(engine, plan_for("l0.(l1)+.l2"))
+        return phases[PHASE_SHARED_DATA]
 
     benchmark.pedantic(full_shared_data_once, rounds=1, iterations=1)
 

@@ -70,7 +70,7 @@ from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.parser import parse
 from repro.rpq.evaluate import eval_rpq
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "GraphDB",

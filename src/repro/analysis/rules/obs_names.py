@@ -8,7 +8,7 @@ introduces :mod:`repro.obs.names` as the declared registry
 every name *literal* at an instrumentation site against it.
 
 Only literals are checked -- a name computed at runtime (e.g. an engine
-timer's phase key passed on by ``evaluate_plan``) is out of static reach
+phase key passed on by ``evaluate_plan``) is out of static reach
 and is skipped, not guessed at.  The registry is read from a ``names.py``
 module in the linted set when present (fixtures), falling back to the
 shipped :mod:`repro.obs.names`.

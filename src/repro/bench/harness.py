@@ -134,12 +134,16 @@ def run_rpq_set(
                     f"queries {list(queries)}"
                 )
         engine = db.engine
+
+        def phase_total(phase: str) -> float:
+            return sum(result.phase_times.get(phase, 0.0) for result in result_sets)
+
         per_method[method] = MethodMeasurement(
             method=method,
             total_time=sum(result.total_time for result in result_sets),
-            shared_data_time=engine.timer.get(PHASE_SHARED_DATA),
-            pre_join_time=engine.timer.get(PHASE_PRE_JOIN),
-            remainder_time=engine.timer.get(PHASE_REMAINDER),
+            shared_data_time=phase_total(PHASE_SHARED_DATA),
+            pre_join_time=phase_total(PHASE_PRE_JOIN),
+            remainder_time=phase_total(PHASE_REMAINDER),
             shared_pairs=engine.shared_data_size(),
             result_pairs=sum(len(result) for result in results),
             counters=(

@@ -15,7 +15,7 @@ import threading
 from collections.abc import Callable
 from concurrent.futures import CancelledError, Future
 
-from repro.server.metrics import percentile
+from repro.server.metrics import latency_summary
 
 __all__ = ["aggregate_scheduler_stats", "merge_futures"]
 
@@ -47,13 +47,7 @@ def aggregate_scheduler_stats(stats_list: list[dict], latencies: list[float]) ->
     quantiles rather than raising -- the same null-safety contract as
     an idle :meth:`~repro.server.metrics.ServerMetrics.snapshot`.
     """
-    latency = {
-        "window": len(latencies),
-        "mean": sum(latencies) / len(latencies) if latencies else None,
-        "p50": percentile(latencies, 0.50),
-        "p95": percentile(latencies, 0.95),
-        "p99": percentile(latencies, 0.99),
-    }
+    latency = latency_summary(latencies)
     if not stats_list:
         return {
             "uptime": 0.0,

@@ -50,7 +50,6 @@ from repro.core.timing import (
     PHASE_PRE_JOIN,
     PHASE_REMAINDER,
     PHASE_SHARED_DATA,
-    PhaseTimer,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "ClosureCache",
     "SharedDataCache",
     "CacheStats",
-    "PhaseTimer",
     "ALL_PHASES",
     "PHASE_SHARED_DATA",
     "PHASE_PRE_JOIN",

@@ -23,8 +23,8 @@ Hit/miss statistics feed the Experiment-2 analysis (amortisation of
 
 Concurrency contract
 --------------------
-Caches are shared between the per-worker engines of
-:mod:`repro.server`, so every public operation (``lookup`` / ``peek`` /
+Caches are read by every worker thread of :mod:`repro.server` (all of
+them evaluating on one engine), so every public operation (``lookup`` / ``peek`` /
 ``store`` / ``discard`` / ``get_or_compute`` / ``clear`` / ``items`` /
 ``total_shared_pairs`` / ``len`` / ``in``) is individually atomic: an
 internal :class:`threading.RLock` serialises them, and the hit/miss

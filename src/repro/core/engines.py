@@ -12,9 +12,14 @@ All engines evaluate the same queries to the same result sets (cross-
 checked by the test suite and asserted by the benchmark harness) and
 expose the same metrics surface:
 
-* ``timer``   -- per-phase wall-clock (:mod:`repro.core.timing`);
-* ``counters``-- optional operation tallies (:mod:`repro.rpq.counters`);
+* ``total_time`` / ``queries_evaluated`` -- exact under concurrent calls;
+* ``counters``-- optional operation tallies (:mod:`repro.rpq.counters`),
+  exact when one thread evaluates at a time;
 * ``shared_data_size()`` -- pairs held in the shared structure (Fig. 12).
+
+Per-phase wall-clock is per call: :func:`evaluate_plan` returns each
+evaluation's phases (:mod:`repro.core.timing`), so an engine keeps no
+per-call timing state and one engine serves several threads at once.
 
 One engine run has one result type.  RTCSharing and NoSharing evaluate
 in id space and return a :class:`~repro.bitset.PairBitmap` from every
@@ -25,11 +30,12 @@ pair join, always returns ``set``.
 Engines are bound to one graph; caches persist across ``evaluate`` calls,
 which is what "sharing among multiple RPQs" means operationally.  A
 :class:`~repro.db.GraphDB` session is the one place engine options are
-given; the server builds its workers from the session's.
+given, and its one engine serves every read, the server's pool included.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from collections.abc import Iterable
@@ -53,7 +59,8 @@ from repro.core.timing import (
     PHASE_PRE_JOIN,
     PHASE_REMAINDER,
     PHASE_SHARED_DATA,
-    PhaseTimer,
+    call_phases,
+    measure,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.multigraph import LabeledMultigraph
@@ -97,10 +104,11 @@ class RPQEngine:
 
     def __init__(self, graph: LabeledMultigraph, collect_counters: bool = False) -> None:
         self.graph = graph
-        self.timer = PhaseTimer()
         self.counters: OpCounters | None = OpCounters() if collect_counters else None
         self.total_time = 0.0
         self.queries_evaluated = 0
+        # Guards the two totals: several threads evaluate on one engine.
+        self._totals_lock = threading.Lock()
 
     # -- public API ----------------------------------------------------
     def evaluate(self, query: str | RegexNode | Plan) -> Pairs:
@@ -113,8 +121,10 @@ class RPQEngine:
         plan = plan_for(query)
         start = time.perf_counter()
         result = self._evaluate_plan(plan)
-        self.total_time += time.perf_counter() - start
-        self.queries_evaluated += 1
+        elapsed = time.perf_counter() - start
+        with self._totals_lock:
+            self.total_time += elapsed
+            self.queries_evaluated += 1
         return result
 
     def evaluate_many(self, queries) -> list[Pairs]:
@@ -126,10 +136,10 @@ class RPQEngine:
         return 0
 
     def reset_metrics(self) -> None:
-        """Zero timers/counters (caches are kept; use ``reset_cache``)."""
-        self.timer.reset()
-        self.total_time = 0.0
-        self.queries_evaluated = 0
+        """Zero totals/counters (caches are kept; use ``reset_cache``)."""
+        with self._totals_lock:
+            self.total_time = 0.0
+            self.queries_evaluated = 0
         if self.counters is not None:
             self.counters = OpCounters()
 
@@ -182,7 +192,7 @@ class NoSharingEngine(RPQEngine):
     name = "No"
 
     def _evaluate_node(self, node: RegexNode) -> Pairs:
-        with self.timer.measure(PHASE_REMAINDER):
+        with measure(PHASE_REMAINDER):
             return self._eval_automaton(node)
 
 
@@ -223,7 +233,7 @@ class _SharingEngine(RPQEngine):
         A closure-free clause is a label sequence, joined label by label;
         only the epsilon clause (no labels) runs the automaton.
         """
-        with self.timer.measure(PHASE_REMAINDER):
+        with measure(PHASE_REMAINDER):
             sequence = as_label_sequence(post)
             if not sequence:
                 return self._eval_automaton(post)
@@ -236,7 +246,7 @@ class _SharingEngine(RPQEngine):
     def _eval_pre(self, step: UnitPlan) -> Pairs:
         """``Pre_G`` -- recursive engine call (Algorithm 1 line 8)."""
         if step.pre is None:
-            with self.timer.measure(PHASE_REMAINDER):
+            with measure(PHASE_REMAINDER):
                 return self._identity_pre(step)
         return self._evaluate_plan(step.pre)
 
@@ -309,7 +319,7 @@ class RTCSharingEngine(_SharingEngine):
 
         Goes through the cache's atomic
         :meth:`~repro.core.cache.SharedDataCache.get_or_compute`, so
-        concurrent engines (the server's worker pool) missing on the same
+        concurrent callers (the server's worker pool) missing on the same
         body build the RTC once and count one miss.  Graph updates repair
         the entry in place (:mod:`repro.core.incremental`).  ``key`` is
         the body's cache key when the caller already holds it (a plan's
@@ -333,7 +343,7 @@ class RTCSharingEngine(_SharingEngine):
         # PairBitmap unless counters are attached.
         rg = self._evaluate_node(node)
         # Line 11: Compute_RTC (time -> Shared_Data), reduced in id space.
-        with self.timer.measure(PHASE_SHARED_DATA):
+        with measure(PHASE_SHARED_DATA):
             if not isinstance(rg, PairBitmap):
                 rg = PairBitmap.from_pairs(rg, self.graph.interner)
             return compute_rtc(rg)
@@ -368,13 +378,13 @@ class RTCSharingEngine(_SharingEngine):
         if self._packed:
             # Bit-parallel pipeline: the waste eliminations are structural,
             # so ablation runs (counters attached) keep the set pipeline.
-            with self.timer.measure(PHASE_PRE_JOIN):
+            with measure(PHASE_PRE_JOIN):
                 joined = join_pre_with_rtc_bits(pre_pairs, rtc)
-            with self.timer.measure(PHASE_REMAINDER):
+            with measure(PHASE_REMAINDER):
                 seed = pre_pairs if unit.type == "*" else None
                 return apply_post_bits(self.graph, joined, post, seed)
         seed = pre_pairs if unit.type == "*" else ()
-        with self.timer.measure(PHASE_PRE_JOIN):
+        with measure(PHASE_PRE_JOIN):
             joined_set = join_pre_with_rtc(
                 pre_pairs,
                 rtc,
@@ -382,7 +392,7 @@ class RTCSharingEngine(_SharingEngine):
                 options=self.options,
                 counters=self.counters,
             )
-        with self.timer.measure(PHASE_REMAINDER):
+        with measure(PHASE_REMAINDER):
             return apply_post(self.graph, joined_set, post, self.counters)
 
     def shared_data_size(self) -> int:
@@ -425,7 +435,7 @@ class FullSharingEngine(_SharingEngine):
 
         def build() -> dict:
             rg_pairs = self._evaluate_node(node)  # R_G: Remainder
-            with self.timer.measure(PHASE_SHARED_DATA):
+            with measure(PHASE_SHARED_DATA):
                 return self._materialise_closure(rg_pairs)
 
         _key, entry = self.closure_cache.get_or_compute(node, build, key=key)
@@ -470,7 +480,7 @@ class FullSharingEngine(_SharingEngine):
         pre_pairs = self._eval_pre(step)
         post = step.post
         counters = self.counters
-        with self.timer.measure(PHASE_PRE_JOIN):
+        with measure(PHASE_PRE_JOIN):
             joined: Pairs = set(pre_pairs) if unit.type == "*" else set()
             for vi, vj in pre_pairs:
                 if counters is not None:
@@ -484,7 +494,7 @@ class FullSharingEngine(_SharingEngine):
                     counters.dup_checks += len(ends)
                 for vk in ends:
                     joined.add((vi, vk))
-        with self.timer.measure(PHASE_REMAINDER):
+        with measure(PHASE_REMAINDER):
             return apply_post(self.graph, joined, post, counters)
 
     def shared_data_size(self) -> int:
@@ -500,25 +510,20 @@ class FullSharingEngine(_SharingEngine):
 def evaluate_plan(engine, plan: Plan) -> tuple[Pairs, float, dict[str, float]]:
     """``engine.evaluate`` on a plan, timed: ``(pairs, elapsed, phases)``.
 
-    ``phases`` holds the engine-timer phases this evaluation moved; they
-    and ``evaluate`` are added to the ``repro_phase_seconds_total``
-    ledger here, for session and server reads alike.  An engine at the
+    ``phases`` holds the seconds this call spent per phase, measured on
+    the calling thread only (:func:`~repro.core.timing.call_phases`), so
+    concurrent calls on one engine never see each other's work; they and
+    ``evaluate`` are added to the ``repro_phase_seconds_total`` ledger
+    here, for session and server reads alike.  An engine at the
     registry's duck-typed floor (``evaluate(query)`` only) gets the AST.
     """
-    timer = getattr(engine, "timer", None)
-    before = timer.snapshot() if timer is not None else {}
-    started = time.perf_counter()
-    if isinstance(engine, RPQEngine):
-        pairs = engine.evaluate(plan)
-    else:
-        pairs = engine.evaluate(plan.node)
-    elapsed = time.perf_counter() - started
-    phases: dict[str, float] = {}
-    if timer is not None:
-        for phase, total in timer.snapshot().items():
-            seconds = total - before.get(phase, 0.0)
-            if seconds > 0:
-                phases[phase] = seconds
+    with call_phases() as phases:
+        started = time.perf_counter()
+        if isinstance(engine, RPQEngine):
+            pairs = engine.evaluate(plan)
+        else:
+            pairs = engine.evaluate(plan.node)
+        elapsed = time.perf_counter() - started
     _phase_seconds.inc(elapsed, phase="evaluate")
     for phase, seconds in phases.items():
         _phase_seconds.inc(seconds, phase=phase)

@@ -12,19 +12,25 @@ The evaluation section splits query response time into:
 
 Their keys below are also the span and ledger phase names.
 
-:class:`PhaseTimer` accumulates wall-clock spans per phase.  Engines time
-**leaf operations only** (never a recursive engine call), so recursion
+Phases are per call: :func:`call_phases` opens a dict for the calling
+thread (``evaluate_plan`` opens one per evaluation), and :func:`measure`
+adds each timed span to the dict open on its own thread -- so engines
+shared by several threads attribute every span to the call that ran it.
+A ``measure`` with no dict open records nothing.  Engines time **leaf
+operations only** (never a recursive engine call), so recursion
 attributes every span exactly once and the phase sums equal the total
 evaluation time up to unattributed glue.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 
 __all__ = [
-    "PhaseTimer",
+    "call_phases",
+    "measure",
     "PHASE_SHARED_DATA",
     "PHASE_PRE_JOIN",
     "PHASE_REMAINDER",
@@ -36,35 +42,33 @@ PHASE_PRE_JOIN = "pre_join"
 PHASE_REMAINDER = "remainder"
 ALL_PHASES = (PHASE_SHARED_DATA, PHASE_PRE_JOIN, PHASE_REMAINDER)
 
+# The calling thread's open phase dict (``phases``), if any.
+_open = threading.local()
 
-class PhaseTimer:
-    """Accumulates wall-clock seconds per named phase."""
 
-    def __init__(self) -> None:
-        self.times: dict[str, float] = {}
+@contextmanager
+def call_phases():
+    """Open a fresh phase dict for this thread; yields it.
 
-    @contextmanager
-    def measure(self, phase: str):
-        """Context manager adding the elapsed span to ``phase``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.times[phase] = self.times.get(phase, 0.0) + elapsed
+    Every :func:`measure` on this thread until the block ends adds to
+    it; any dict open outside the block is restored when it ends.
+    """
+    outer = getattr(_open, "phases", None)
+    phases: dict[str, float] = {}
+    _open.phases = phases
+    try:
+        yield phases
+    finally:
+        _open.phases = outer
 
-    def get(self, phase: str) -> float:
-        """Accumulated seconds of ``phase`` (0.0 when never measured)."""
-        return self.times.get(phase, 0.0)
 
-    def total(self) -> float:
-        """Sum over all phases."""
-        return sum(self.times.values())
-
-    def reset(self) -> None:
-        """Zero all accumulators."""
-        self.times.clear()
-
-    def snapshot(self) -> dict[str, float]:
-        """A copy of the per-phase totals."""
-        return dict(self.times)
+@contextmanager
+def measure(phase: str):
+    """Add the block's wall-clock seconds to ``phase`` of the open dict."""
+    phases = getattr(_open, "phases", None)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if phases is not None:
+            phases[phase] = phases.get(phase, 0.0) + time.perf_counter() - start

@@ -21,6 +21,12 @@ to be constructible as ``EngineClass(graph, **kwargs)`` and expose
 ``evaluate(query) -> set[pair]``; subclassing
 :class:`~repro.core.engines.RPQEngine` additionally lights up the timing
 and shared-data columns of :class:`~repro.db.ResultSet`.
+
+A session builds one engine.  Served, that engine's ``evaluate`` is
+called from several threads at once (the server's worker pool and its
+event loop), between updates, which the server applies only once every
+read in flight has finished: keep per-call state in locals, not on the
+engine, or guard it with a lock.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ _phase_seconds = get_registry().counter(
 class ExecutionStats:
     """Measurements of one query execution.
 
-    ``phase_times`` holds the engine's per-phase deltas for this query
+    ``phase_times`` holds this query's own per-phase seconds
     (the paper's Shared_Data / PreG_join_RTC / Remainder breakdown) plus,
     once a packed result has been decoded, the ``materialise`` phase --
     which ``total_time`` then includes; ``shared_pairs`` is the

@@ -62,12 +62,15 @@ A session may be shared across threads: every stateful operation
 (``execute``'s evaluation step, ``update``, ``watch``, ``stats``,
 ``close``) is serialised by one internal :class:`threading.RLock`, so
 concurrent callers see a consistent graph/watcher/cache state but do
-**not** evaluate in parallel.  For parallel evaluation, run multiple
-engines over the same (thread-safe) shared-data cache -- that is exactly
-what :mod:`repro.server` does with its worker pool
-(:meth:`~GraphDB.worker_engine`), using the session only for updates,
-watchers and statistics.  Lazy result sets capture the
-session; forcing them from another thread takes the same lock.
+**not** evaluate in parallel.  The session's one :attr:`~GraphDB.engine`
+may itself be called from several threads at once: it keeps no per-call
+state (phases are per call, :func:`~repro.core.engines.evaluate_plan`),
+its totals are updated under a lock and its shared-data cache is
+thread-safe.  That is what :mod:`repro.server` does -- its worker pool
+evaluates on ``db.engine`` outside the session lock, between updates it
+has drained, and uses the session only for updates, watchers and
+statistics.  Lazy result sets capture the session; forcing them from
+another thread takes the same lock.
 """
 
 from __future__ import annotations
@@ -128,9 +131,7 @@ class GraphDB:
             )
         self.graph = graph
         self.engine_name = engine.lower()
-        self._engine_options = dict(engine_kwargs)
         self.engine = create_engine(self.engine_name, graph, **engine_kwargs)
-        self._workers: list = []  # worker_engine()s, counted by stats()
         # The RTC cache every update repairs: the engine's when it keeps
         # one, else a session-owned one for the watched bodies.
         cache = getattr(self.engine, "rtc_cache", None)
@@ -214,26 +215,6 @@ class GraphDB:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def engine_options(self) -> dict:
-        """The keyword options the session's engine was built with."""
-        return dict(self._engine_options)
-
-    def worker_engine(self):
-        """A new engine built from :attr:`engine_options`, sharing our caches.
-
-        Its timers and counters are its own; :meth:`stats` counts its
-        evaluations.  The server's workers are such engines.
-        """
-        engine = create_engine(self.engine_name, self.graph, **self._engine_options)
-        for attribute in ("rtc_cache", "closure_cache"):
-            shared = getattr(self.engine, attribute, None)
-            if shared is not None and hasattr(engine, attribute):
-                setattr(engine, attribute, shared)
-        with self._lock:
-            self._workers.append(engine)
-        return engine
 
     def close(self) -> None:
         """Drop shared caches and watchers; further queries raise.
@@ -563,7 +544,6 @@ class GraphDB:
 
     def _stats_locked(self) -> dict:
         engine = self.engine
-        evaluators = [engine, *self._workers]  # the workers' reads are ours
         document = {
             "engine": self.engine_name,
             "graph": {
@@ -571,10 +551,8 @@ class GraphDB:
                 "edges": self.graph.num_edges,
                 "labels": self.graph.num_labels,
             },
-            "queries_evaluated": sum(
-                getattr(each, "queries_evaluated", 0) for each in evaluators
-            ),
-            "total_time": sum(getattr(each, "total_time", 0.0) for each in evaluators),
+            "queries_evaluated": getattr(engine, "queries_evaluated", 0),
+            "total_time": getattr(engine, "total_time", 0.0),
             "shared_pairs": getattr(engine, "shared_data_size", lambda: 0)(),
             "watchers": sorted(self._watchers),
         }

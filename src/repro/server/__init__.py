@@ -8,8 +8,8 @@ CLI) over one :class:`~repro.db.GraphDB` session, with
   micro-batches in-flight queries by common Kleene-closure body, so
   concurrent clients amortise one reduced transitive closure exactly
   like the paper's multiple-RPQ sets do;
-* a **worker pool** of per-thread engine handles over the session's
-  lock-protected shared-data cache;
+* a **worker pool** of threads that all evaluate on the session's one
+  engine and its lock-protected shared-data cache;
 * **admission control**: a bounded queue (backpressure as
   :class:`~repro.errors.AdmissionError`), per-request deadlines
   (:class:`~repro.errors.DeadlineExpiredError`), exclusive updates;

@@ -26,7 +26,7 @@ from collections import deque
 
 from repro.obs import get_registry
 
-__all__ = ["ServerMetrics", "percentile"]
+__all__ = ["ServerMetrics", "latency_summary", "percentile"]
 
 
 def percentile(values: list[float], fraction: float) -> float | None:
@@ -41,11 +41,27 @@ def percentile(values: list[float], fraction: float) -> float | None:
     serialises as ``null``) so a freshly started or idle server's stats
     are distinguishable from a genuinely-zero latency.
     """
-    if not values:
+    return _nearest_rank(sorted(values), fraction)
+
+
+def _nearest_rank(ordered: list[float], fraction: float) -> float | None:
+    if not ordered:
         return None
-    ordered = sorted(values)
     rank = math.ceil(fraction * len(ordered)) - 1
     return ordered[min(len(ordered) - 1, max(0, rank))]
+
+
+def latency_summary(values: list[float]) -> dict:
+    """The ``stats`` latency section of a reservoir, sorting it once:
+    its size, mean and :func:`percentile` p50 / p95 / p99."""
+    ordered = sorted(values)
+    return {
+        "window": len(ordered),
+        "mean": sum(values) / len(values) if values else None,
+        "p50": _nearest_rank(ordered, 0.50),
+        "p95": _nearest_rank(ordered, 0.95),
+        "p99": _nearest_rank(ordered, 0.99),
+    }
 
 
 class ServerMetrics:
@@ -79,7 +95,7 @@ class ServerMetrics:
             "repro_updates_total", "Graph updates applied by the scheduler."
         )
         self._batches_total = registry.counter(
-            "repro_batches_total", "Micro-batches dispatched to worker engines."
+            "repro_batches_total", "Micro-batches dispatched to the worker pool."
         )
         self._batched_queries_total = registry.counter(
             "repro_batched_queries_total",
@@ -146,22 +162,30 @@ class ServerMetrics:
         with self._lock:
             return list(self._latencies)
 
+    def in_flight(self) -> int:
+        """Admitted jobs not yet resolved: ``admitted`` minus the five
+        outcome counts, read together under the lock."""
+        with self._lock:
+            return self._in_flight_locked()
+
+    def _in_flight_locked(self) -> int:
+        # Admission counts queries and updates; each leaves in-flight
+        # through exactly one of the five outcome counters.
+        return (
+            self.admitted
+            - self.completed
+            - self.expired
+            - self.failed
+            - self.cancelled
+            - self.updates
+        )
+
     def snapshot(self) -> dict:
         """A point-in-time metrics dict (the ``stats`` verb's core)."""
         with self._lock:
             latencies = list(self._latencies)
             uptime = time.monotonic() - self._started
             completed = self.completed
-            # Admission counts queries and updates; each leaves in-flight
-            # through exactly one of the five outcome counters below.
-            in_flight = (
-                self.admitted
-                - completed
-                - self.expired
-                - self.failed
-                - self.cancelled
-                - self.updates
-            )
             snapshot = {
                 "uptime": uptime,
                 "admitted": self.admitted,
@@ -171,7 +195,7 @@ class ServerMetrics:
                 "cancelled": self.cancelled,
                 "completed": completed,
                 "updates": self.updates,
-                "in_flight": in_flight,
+                "in_flight": self._in_flight_locked(),
                 "qps": completed / uptime if uptime > 0 else 0.0,
                 "batches": self.batches,
                 "mean_batch_size": (
@@ -179,11 +203,5 @@ class ServerMetrics:
                 ),
                 "max_batch_size": self.max_batch_size,
             }
-        snapshot["latency"] = {
-            "window": len(latencies),
-            "mean": sum(latencies) / len(latencies) if latencies else None,
-            "p50": percentile(latencies, 0.50),
-            "p95": percentile(latencies, 0.95),
-            "p99": percentile(latencies, 0.99),
-        }
+        snapshot["latency"] = latency_summary(latencies)
         return snapshot

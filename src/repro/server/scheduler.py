@@ -23,23 +23,23 @@ scheduler does exactly that:
     worker finishing, for at most ``batch_window`` seconds and
     ``max_batch`` jobs; so batches form under saturation, where a read
     would have queued anyway, and nowhere else.
-3.  Workers are plain threads, each holding its own engine handle
-    (engines keep per-thread timers/counters) built from the session's
-    options, over the **shared, lock-protected RTC cache** of the
-    session's primary engine.  That cache, not the window, is the
-    sharing mechanism: the first query on a body computes the RTC and
-    every later one -- same batch or not, same worker or not -- hits
-    the cache.  Concurrent first-contact misses on one body across
-    workers are collapsed by the cache's ``get_or_compute`` in-flight
-    latch (see :mod:`repro.core.cache`); grouping a saturated queue by
-    body keeps even the latch wait rare by landing a body's queries on
-    one worker back to back.
+3.  Workers are plain threads that all evaluate on the session's one
+    engine (``db.engine``): an engine keeps no per-call state -- each
+    call's phases are its own (:func:`~repro.core.engines.evaluate_plan`)
+    -- and reads the **shared, lock-protected RTC cache**.  That cache,
+    not the window, is the sharing mechanism: the first query on a body
+    computes the RTC and every later one -- same batch or not, same
+    worker or not -- hits the cache.  Concurrent first-contact misses
+    on one body across workers are collapsed by the cache's
+    ``get_or_compute`` in-flight latch (see :mod:`repro.core.cache`);
+    grouping a saturated queue by body keeps even the latch wait rare
+    by landing a body's queries on one worker back to back.
 
 4.  A warm read skips all of the above.  Evaluation is pure-Python
     work that holds the GIL, so at serving size the hop to a worker and
     back costs more than the read itself.  :meth:`SharingScheduler.submit`
     therefore evaluates a read on the calling thread -- the event loop,
-    for a served read -- on a worker engine handle, when every closure
+    for a served read -- on the same engine, when every closure
     body of its plan is in the shared cache (``Plan.bodies`` +
     ``peek``), nothing is queued, in flight or being applied, and the
     text's last evaluation here took less than
@@ -66,7 +66,6 @@ and only then resumes query dispatch.
 
 from __future__ import annotations
 
-import queue
 import sys
 import threading
 import time
@@ -86,7 +85,6 @@ __all__ = [
     "UpdateJob",
     "SharingScheduler",
     "group_jobs",
-    "make_worker_engines",
 ]
 
 #: Sentinel telling the dispatcher thread to exit.
@@ -144,29 +142,16 @@ def group_jobs(jobs: list[QueryJob]) -> list[list[QueryJob]]:
     return list(groups.values())
 
 
-def make_worker_engines(db: GraphDB, count: int):
-    """``count`` fresh engine handles sharing the session engine's caches.
-
-    Each is :meth:`~repro.db.GraphDB.worker_engine`: built from the
-    session's options, with its own timers and counters (hence
-    per-worker) over the primary engine's shared-data caches -- the
-    lock-protected caches of :mod:`repro.core.cache` -- so all workers
-    share one RTC store.  The session's stats count their reads.
-    """
-    return [db.worker_engine() for _ in range(count)]
-
-
 class SharingScheduler:
     """Bounded-queue admission + sharing-aware micro-batch dispatch.
 
     Parameters
     ----------
     db:
-        The (thread-safe) session; updates and stats go through it, the
-        workers' engines are built from its engine options, and its
-        engine's caches are shared by all workers.
+        The (thread-safe) session; updates and stats go through it, and
+        every read, inline or pooled, evaluates on its engine.
     workers:
-        Worker threads = concurrent micro-batches = engine handles.
+        Worker threads = concurrent micro-batches.
     max_queue:
         Admission bound: jobs waiting for dispatch beyond the in-flight
         batches.  Full queue -> :class:`~repro.errors.AdmissionError`.
@@ -229,9 +214,6 @@ class SharingScheduler:
         # Query text -> (engine seconds of its last evaluation here, the
         # distinct closure-body keys of its plan): the inline gate.
         self._timings: dict[str, tuple[float, tuple[str, ...]]] = {}
-        self._engines: queue.SimpleQueue = queue.SimpleQueue()
-        for engine in make_worker_engines(db, workers):
-            self._engines.put(engine)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-worker"
         )
@@ -295,17 +277,7 @@ class SharingScheduler:
         new work: jobs admitted *while* draining extend the wait.  Used
         by the cluster backends for graceful close and by tests.
         """
-        while self._running:
-            stats = self.metrics.snapshot()
-            resolved = (
-                stats["completed"]
-                + stats["expired"]
-                + stats["failed"]
-                + stats["cancelled"]
-                + stats["updates"]
-            )
-            if stats["admitted"] == resolved:
-                break
+        while self._running and self.metrics.in_flight():
             time.sleep(0.001)
         self._drain_inflight()
 
@@ -372,17 +344,12 @@ class SharingScheduler:
             with self._wake:
                 if self._jobs or self._inflight or self._dispatching:
                     return False
-                try:  # nothing in flight: every handle is back
-                    engine = self._engines.get_nowait()
-                except queue.Empty:
-                    return False
                 self._inflight.add(job.future)
                 self.metrics.record_admitted()
         self.metrics.record_batch(1)
         try:
-            self._run_job(engine, job)
+            self._run_job(job)
         finally:
-            self._engines.put(engine)
             self._forget_inflight(job.future)
         return True
 
@@ -540,8 +507,8 @@ class SharingScheduler:
         tracer, _ = job.trace
         offset = span.start
         for phase, seconds in phases.items():
-            # Phase children are laid out sequentially from the timer
-            # totals (the timer keeps sums, not intervals).
+            # Phase children are laid out sequentially from the call's
+            # per-phase sums (phases keep sums, not intervals).
             tracer.record(phase, span.span_id, offset, seconds)
             offset += seconds
         attrs: dict = {"query": job.text}
@@ -553,15 +520,11 @@ class SharingScheduler:
         tracer.finish(span, **attrs)
 
     def _run_batch(self, jobs: list[QueryJob]) -> None:
-        """Worker body: evaluate one micro-batch on one engine handle."""
-        engine = self._engines.get()
-        try:
-            for job in jobs:
-                self._run_job(engine, job)
-        finally:
-            self._engines.put(engine)
+        """Worker body: evaluate one micro-batch, job by job."""
+        for job in jobs:
+            self._run_job(job)
 
-    def _run_job(self, engine, job: QueryJob) -> None:
+    def _run_job(self, job: QueryJob) -> None:
         """Evaluate one admitted job and resolve its future."""
         # Claim the future first: once running, a late cancel() (e.g.
         # all-or-nothing admission rollback) cannot race our
@@ -578,6 +541,7 @@ class SharingScheduler:
         eval_span = cache_before = None
         if job.trace is not None:
             eval_span, cache_before = self._record_wait_spans(job)
+        engine = self.db.engine
         try:
             if job.trace is not None:
                 with activate(job.trace[0], eval_span.span_id):
@@ -653,7 +617,7 @@ class SharingScheduler:
     # -- introspection ---------------------------------------------------
     @property
     def shared_cache(self):
-        """The primary engine's shared-data cache (None for ``no``).
+        """The session engine's shared-data cache (None for ``no``).
 
         Checked against None explicitly: an *empty* cache is falsy (it
         has ``__len__``), and an idle engine's cache is exactly that.

@@ -60,7 +60,8 @@ __all__ = ["ServerConfig", "QueryServer", "ServerThread"]
 class ServerConfig:
     """Tunables of one :class:`QueryServer` (defaults suit tests/dev).
 
-    Engine options are the served session's own (its ``engine_options``).
+    Engine options are the served session's own: every read evaluates
+    on the session's engine.
     """
 
     host: str = "127.0.0.1"

@@ -239,7 +239,7 @@ class TestBitIndexes:
 
 
 class TestMasksSharedThroughTheCache:
-    """The per-SCC bitmaps live on the cached RTC: every worker engine
+    """The per-SCC bitmaps live on the cached RTC: every worker thread
     that hits the cache reads (and lazily fills) the same object."""
 
     QUERIES = [
@@ -251,25 +251,34 @@ class TestMasksSharedThroughTheCache:
         "l2.(l0.l1)+.l0",
     ]
 
-    def test_two_worker_engines_share_one_rtcs_masks(self):
+    def test_two_threads_on_one_engine_share_one_rtcs_masks(self):
+        import threading
+
         from repro.db import GraphDB
-        from repro.server.scheduler import make_worker_engines
 
         graph = rmat(12, num_edges=160)
         with GraphDB.open(graph, engine="rtc") as db:
-            first, second = make_worker_engines(db, 2)
-            assert first.rtc_cache is second.rtc_cache
-            for query in self.QUERIES:
-                expected = reference(graph, query)
-                assert first.evaluate(query) == expected
-                assert second.evaluate(query) == expected
-            rtc_first = first.rtc_for("l0")
-            assert second.rtc_for("l0") is rtc_first
+            engine = db.engine
+            answers: dict = {}
+
+            def work(name):
+                answers[name] = [engine.evaluate(query) for query in self.QUERIES]
+                answers[name, "rtc"] = engine.rtc_for("l0")
+
+            for name in ("first", "second"):  # one after the other
+                thread = threading.Thread(target=work, args=(name,))
+                thread.start()
+                thread.join(timeout=60)
+            expected = [reference(graph, query) for query in self.QUERIES]
+            assert answers["first"] == expected
+            assert answers["second"] == expected
+            rtc_first = answers["first", "rtc"]
+            assert answers["second", "rtc"] is rtc_first
             # Built over the graph's ids: the join reads it, never a copy.
             assert rtc_first.interner is graph.interner
             assert rtc_first.rebased(graph.interner) is rtc_first
             # One build per body: l0 and l0.l1.
-            assert first.rtc_cache.snapshot_stats().misses == 2
+            assert engine.rtc_cache.snapshot_stats().misses == 2
 
     def test_concurrent_workers_fill_the_masks_without_a_lock(self):
         """Benign race (core/cache.py): more threads than cores, a tiny
@@ -278,7 +287,6 @@ class TestMasksSharedThroughTheCache:
         import threading
 
         from repro.db import GraphDB
-        from repro.server.scheduler import make_worker_engines
 
         graph = rmat(13, num_edges=200)
         expected = {q: reference(graph, q) for q in self.QUERIES}
@@ -287,10 +295,11 @@ class TestMasksSharedThroughTheCache:
         sys.setswitchinterval(1e-6)
         try:
             with GraphDB.open(graph, engine="rtc") as db:
-                engines = make_worker_engines(db, 6)
-                barrier = threading.Barrier(len(engines))
+                engine = db.engine
+                workers = 6
+                barrier = threading.Barrier(workers)
 
-                def work(engine, offset):
+                def work(offset):
                     barrier.wait(timeout=30)
                     for round_number in range(4):
                         for index in range(len(self.QUERIES)):
@@ -299,8 +308,8 @@ class TestMasksSharedThroughTheCache:
                                 failures.append((offset, round_number, query))
 
                 threads = [
-                    threading.Thread(target=work, args=(engine, offset))
-                    for offset, engine in enumerate(engines)
+                    threading.Thread(target=work, args=(offset,))
+                    for offset in range(workers)
                 ]
                 for thread in threads:
                     thread.start()
@@ -308,6 +317,8 @@ class TestMasksSharedThroughTheCache:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 assert db.engine.rtc_cache.snapshot_stats().misses == 2
+                # Every call counted once, though all six share the engine.
+                assert engine.queries_evaluated == workers * 4 * len(self.QUERIES)
         finally:
             sys.setswitchinterval(interval)
         assert failures == []

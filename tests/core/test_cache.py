@@ -219,32 +219,27 @@ class TestGetOrComputeReentrancy:
 
 
 class TestEnginesComputeOnce:
-    def test_worker_engines_share_one_rtc_construction(self, fig1):
-        """Two engines over one cache, racing the same body: one miss."""
+    def test_worker_threads_share_one_rtc_construction(self, fig1):
+        """Two threads on one engine, racing the same body: one miss."""
         import threading
 
         from repro.core.engines import RTCSharingEngine
 
-        primary = RTCSharingEngine(fig1)
-        secondary = RTCSharingEngine(fig1)
-        secondary.rtc_cache = primary.rtc_cache  # the server's worker setup
+        engine = RTCSharingEngine(fig1)  # the server's workers share it
         barrier = threading.Barrier(2)
         results = []
 
-        def run(engine) -> None:
+        def run() -> None:
             barrier.wait()
             results.append(engine.evaluate("a.(b.c)+"))
 
-        threads = [
-            threading.Thread(target=run, args=(engine,))
-            for engine in (primary, secondary)
-        ]
+        threads = [threading.Thread(target=run) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert results[0] == results[1]
-        assert primary.rtc_cache.snapshot_stats().misses == 1
+        assert engine.rtc_cache.snapshot_stats().misses == 1
 
 
 class TestThreadSafety:

@@ -7,8 +7,10 @@ from repro.core.engines import (
     FullSharingEngine,
     NoSharingEngine,
     RTCSharingEngine,
+    evaluate_plan,
 )
 from repro.bitset.kernel import eval_label_sequence_bits
+from repro.core.plan import plan_for
 from repro.core.timing import PHASE_PRE_JOIN, PHASE_SHARED_DATA
 from repro.db import GraphDB, create_engine
 from repro.errors import RPQSyntaxError, UnknownLabelError
@@ -147,10 +149,10 @@ class TestMetricsAndErrors:
 
     def test_phase_times_populated(self, fig1):
         engine = RTCSharingEngine(fig1)
-        engine.evaluate("d.(b.c)+.c")
-        assert engine.timer.get(PHASE_SHARED_DATA) > 0
-        assert engine.timer.get(PHASE_PRE_JOIN) > 0
-        assert engine.timer.get("remainder") > 0
+        _pairs, _elapsed, phases = evaluate_plan(engine, plan_for("d.(b.c)+.c"))
+        assert phases[PHASE_SHARED_DATA] > 0
+        assert phases[PHASE_PRE_JOIN] > 0
+        assert phases["remainder"] > 0
 
     def test_counters_opt_in(self, fig1):
         silent = RTCSharingEngine(fig1)

@@ -24,7 +24,7 @@ WARM = "a.(b.c)+"
 
 
 class Lanes:
-    """Logs the thread every evaluation of a scheduler's engines runs on.
+    """Logs the thread every evaluation of a scheduler's engine runs on.
 
     ``hold`` makes the next evaluation block inside the engine until
     ``release`` is set (``entered`` is released once it is held);
@@ -37,10 +37,8 @@ class Lanes:
         self.slow = False
         self.entered = threading.Semaphore(0)
         self.release = threading.Event()
-        engines = [scheduler._engines.get() for _ in range(scheduler.workers)]
-        for engine in engines:
-            engine.evaluate = self._wrap(engine.evaluate)
-            scheduler._engines.put(engine)
+        engine = scheduler.db.engine
+        engine.evaluate = self._wrap(engine.evaluate)
 
     def _wrap(self, evaluate):
         def logged(query):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.cache import make_key_function
 from repro.core.plan import closure_group_key, plan_for
-from repro.core.engines import NoSharingEngine
+from repro.core.engines import NoSharingEngine, RTCSharingEngine
 from repro.db import GraphDB, register_engine, unregister_engine
 from repro.errors import AdmissionError, DeadlineExpiredError, ServerError
 from repro.regex.parser import parse
@@ -18,7 +18,6 @@ from repro.server.scheduler import (
     QueryJob,
     SharingScheduler,
     group_jobs,
-    make_worker_engines,
 )
 
 KEY = make_key_function("syntactic")
@@ -110,21 +109,6 @@ class TestGrouping:
         assert len(groups) == 1
 
 
-class TestWorkerEngines:
-    def test_engines_share_primary_cache(self, fig1):
-        db = GraphDB.open(fig1, engine="rtc")
-        engines = make_worker_engines(db, 3)
-        assert len(engines) == 3
-        for engine in engines:
-            assert engine is not db.engine
-            assert engine.rtc_cache is db.engine.rtc_cache
-
-    def test_no_engine_has_no_cache_to_share(self, fig1):
-        db = GraphDB.open(fig1, engine="no")
-        engines = make_worker_engines(db, 2)
-        assert all(not hasattr(engine, "rtc_cache") for engine in engines)
-
-
 class ReversingEngine(NoSharingEngine):
     """Answers the inverse relation when built with ``reverse=True``."""
 
@@ -152,10 +136,27 @@ class TestServedSessionOptions:
             with Client(*handle.address) as client:
                 assert client.query("d.(b.c)+.c").pairs == expected
 
-    def test_workers_are_built_from_the_session_options(self, fig1, reversing):
-        db = GraphDB.open(fig1, engine=reversing, reverse=True)
-        assert db.engine_options == {"reverse": True}
-        assert all(engine.reverse for engine in make_worker_engines(db, 2))
+    def test_a_served_session_builds_one_engine(self, fig1):
+        built = []
+
+        class Counting(RTCSharingEngine):
+            def __init__(self, graph, **options) -> None:
+                super().__init__(graph, **options)
+                built.append(self)
+
+        register_engine("counting", Counting)
+        try:
+            db = GraphDB.open(fig1, engine="counting")
+            with ServerThread(db, ServerConfig(workers=3)) as handle:
+                with Client(*handle.address) as client:
+                    for _ in range(4):  # cold reads take the pool, warm ones not
+                        client.query("a.(b.c)+")
+                stats = handle.server.scheduler.stats()
+            assert built == [db.engine]
+            assert db.stats()["queries_evaluated"] == 4
+            assert stats["completed"] == 4
+        finally:
+            unregister_engine("counting")
 
 
 class TestAdmission:
@@ -309,7 +310,7 @@ class TestUpdates:
 class Gate:
     """Holds the scheduler's workers inside ``evaluate`` until released.
 
-    Wraps every worker engine of a (not yet started) scheduler: the first
+    Wraps the session engine of a (not yet started) scheduler: the first
     ``hold`` evaluations block on the gate, every evaluation is logged.
     """
 
@@ -319,10 +320,8 @@ class Gate:
         self.log: list[tuple] = []
         self._hold = hold
         self._lock = threading.Lock()
-        engines = [scheduler._engines.get() for _ in range(scheduler.workers)]
-        for engine in engines:
-            engine.evaluate = self._wrap(engine.evaluate)
-            scheduler._engines.put(engine)
+        engine = scheduler.db.engine
+        engine.evaluate = self._wrap(engine.evaluate)
 
     def _wrap(self, evaluate):
         def gated(query):
