@@ -64,7 +64,7 @@ A session may be shared across threads: every stateful operation
 concurrent callers see a consistent graph/watcher/cache state but do
 **not** evaluate in parallel.  The session's one :attr:`~GraphDB.engine`
 may itself be called from several threads at once: it keeps no per-call
-state (phases are per call, :func:`~repro.core.engines.evaluate_plan`),
+timing state (phases are per call, :func:`~repro.core.engines.evaluate_plan`),
 its totals are updated under a lock and its shared-data cache is
 thread-safe.  That is what :mod:`repro.server` does -- its worker pool
 evaluates on ``db.engine`` outside the session lock, between updates it

@@ -24,9 +24,10 @@ scheduler does exactly that:
     ``max_batch`` jobs; so batches form under saturation, where a read
     would have queued anyway, and nowhere else.
 3.  Workers are plain threads that all evaluate on the session's one
-    engine (``db.engine``): an engine keeps no per-call state -- each
-    call's phases are its own (:func:`~repro.core.engines.evaluate_plan`)
-    -- and reads the **shared, lock-protected RTC cache**.  That cache,
+    engine (``db.engine``): an engine keeps no per-call timing state --
+    each call's phases are its own
+    (:func:`~repro.core.engines.evaluate_plan`) -- and reads the
+    **shared, lock-protected RTC cache**.  That cache,
     not the window, is the sharing mechanism: the first query on a body
     computes the RTC and every later one -- same batch or not, same
     worker or not -- hits the cache.  Concurrent first-contact misses
