@@ -120,7 +120,7 @@ def wire_comparison_rows(graph, queries):
     Measures the relations the router actually ships: per-query result
     pair sets (the ``query`` verb's payload).
     """
-    from repro.bench.kernel_bench import run_wire_comparison
+    from kernel_bench import run_wire_comparison
     from repro.rpq import eval_rpq
 
     subset = [query for query in queries if "+" in query or "*" in query][:4]
@@ -131,14 +131,14 @@ def wire_comparison_rows(graph, queries):
 
 def main() -> int:
     from bench_common import environment_metadata
-    from repro.bench.cluster_bench import (
+    from cluster_bench import (
         format_cluster_rows,
         format_restart_rows,
         run_cluster_benchmark,
         run_edge_cut_benchmark,
         run_restart_benchmark,
     )
-    from repro.bench.kernel_bench import format_wire_rows
+    from kernel_bench import format_wire_rows
 
     environment = environment_metadata()
     cpu_count = environment["cpu_count"]

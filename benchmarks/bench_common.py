@@ -69,6 +69,19 @@ SET_SIZES = tuple(
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 
 
+def format_ratio(ratio: float) -> str:
+    """A ratio like ``12.3x`` (``inf`` guarded)."""
+    if ratio == float("inf"):
+        return "inf"
+    return f"{ratio:.2f}x"
+
+
+def banner(title: str) -> str:
+    """A section banner for benchmark stdout."""
+    rule = "=" * max(8, len(title))
+    return f"\n{rule}\n{title}\n{rule}"
+
+
 def emit(name: str, text: str) -> None:
     """Print a result table and persist it under benchmarks/results/."""
     print(text)

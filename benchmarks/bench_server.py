@@ -70,7 +70,7 @@ def kernel_and_wire_rows(graph, queries):
     payloads the query verb ships when a client negotiates
     ``enc: "packed"``.
     """
-    from repro.bench.kernel_bench import run_kernel_comparison, run_wire_comparison
+    from kernel_bench import run_kernel_comparison, run_wire_comparison
     from repro.rpq import eval_rpq
 
     subset = [query for query in queries if "+" in query or "*" in query][:4]
@@ -82,8 +82,8 @@ def kernel_and_wire_rows(graph, queries):
 
 def main() -> int:
     from bench_common import environment_metadata
-    from repro.bench.kernel_bench import format_kernel_rows, format_wire_rows
-    from repro.bench.server_bench import format_benchmark_rows, run_server_benchmark
+    from kernel_bench import format_kernel_rows, format_wire_rows
+    from server_bench import format_benchmark_rows, run_server_benchmark
 
     graph, queries = build_workload()
     print(

@@ -26,12 +26,12 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.bench.formatting import format_seconds, format_table
 from repro.cluster import ClusterConfig, ClusterRouter, GraphCluster
 from repro.db import GraphDB
+from repro.formatting import format_seconds, format_table
 from repro.graph.multigraph import LabeledMultigraph
-from repro.server import Client, ServerConfig, ServerThread
 from repro.obs import phase_totals
+from repro.server import Client, ServerConfig, ServerThread
 from repro.server.metrics import percentile
 
 __all__ = [

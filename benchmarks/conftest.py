@@ -9,11 +9,19 @@ the shared sweep.
 Result tables and rows go to a pytest tmp dir, so running the suite
 leaves the tracked files under ``benchmarks/results/`` alone; pass
 ``--record-results`` to regenerate them in place.
+
+``tests/`` goes on ``sys.path`` because ``test_ablation_automata.py``
+reads the DFA evaluator the unit tests keep there (``tests/dfa_eval.py``).
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 import bench_common
 from bench_common import (
@@ -26,13 +34,14 @@ from bench_common import (
     SET_SIZES,
     real_fractions,
 )
-from repro.bench.experiments import (
+from experiments import (
     experiment1_real,
     experiment1_synthetic,
     experiment2,
 )
 from repro.datasets.rmat import rmat_n
 from repro.datasets.standins import load_standin
+from repro.graph.builders import paper_figure1_graph
 
 
 def pytest_addoption(parser):
@@ -52,6 +61,12 @@ def results_dir(request, tmp_path_factory):
         bench_common.RESULTS_DIR = tmp_path_factory.mktemp("bench-results")
     yield bench_common.RESULTS_DIR
     bench_common.RESULTS_DIR = tracked
+
+
+@pytest.fixture
+def fig1():
+    """The paper's Fig. 1 running-example graph (the harness unit tests)."""
+    return paper_figure1_graph()
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.bench.harness import METHODS, run_workload
+from harness import METHODS, run_workload
 from repro.core.stats import reduction_stats
 from repro.datasets.rmat import rmat_n
 from repro.datasets.standins import load_standin

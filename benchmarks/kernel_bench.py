@@ -21,6 +21,8 @@ import json
 import time
 from collections.abc import Sequence
 
+from bench_common import format_ratio
+from repro.formatting import format_seconds, format_table
 from repro.graph.multigraph import LabeledMultigraph
 from repro.rpq import OpCounters, eval_rpq
 from repro.server import protocol
@@ -99,8 +101,6 @@ def run_wire_comparison(relations: dict[str, set]) -> list[dict]:
 
 
 def format_kernel_rows(rows: list[dict]) -> str:
-    from repro.bench.formatting import format_ratio, format_seconds, format_table
-
     headers = ["query", "closure", "pairs", "sets", "bits", "speedup"]
     body = [
         [
@@ -117,8 +117,6 @@ def format_kernel_rows(rows: list[dict]) -> str:
 
 
 def format_wire_rows(rows: list[dict]) -> str:
-    from repro.bench.formatting import format_ratio, format_table
-
     headers = ["relation", "pairs", "list bytes", "packed bytes", "reduction"]
     body = [
         [

@@ -18,8 +18,8 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.bench.formatting import format_seconds, format_table
 from repro.db import GraphDB
+from repro.formatting import format_seconds, format_table
 from repro.graph.multigraph import LabeledMultigraph
 from repro.obs import phase_totals
 from repro.server import Client, ServerConfig, ServerThread

@@ -10,9 +10,9 @@ product-pair counts are recorded.
 import pytest
 
 from bench_common import NUM_RPQS, SEED, emit, record_rows
-from repro.bench.formatting import format_table
+from dfa_eval import eval_rpq_dfa
+from repro.formatting import format_table
 from repro.rpq.counters import OpCounters
-from repro.rpq.dfa_eval import eval_rpq_dfa
 from repro.rpq.evaluate import eval_rpq
 from repro.workloads.generator import generate_workload
 

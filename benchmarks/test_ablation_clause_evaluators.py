@@ -8,8 +8,8 @@ same closure-free label-sequence workload; results are asserted equal.
 import pytest
 
 from bench_common import SCALE, SEED, emit
-from repro.bench.formatting import format_table
 from repro.datasets.rmat import rmat_n
+from repro.formatting import format_table
 from repro.rpq.evaluate import eval_rpq
 from repro.rpq.label_join import eval_label_sequence
 

@@ -14,9 +14,9 @@ contrast (it performs the useless-1 walks the RTC join never starts).
 """
 
 from bench_common import NUM_RPQS, SEED, emit, record_rows
-from repro.bench.formatting import format_table
 from repro.core.batch_unit import BatchUnitOptions
 from repro.core.engines import FullSharingEngine, RTCSharingEngine
+from repro.formatting import format_table
 from repro.workloads.generator import generate_workload
 
 VARIANTS = {

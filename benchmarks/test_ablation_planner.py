@@ -9,9 +9,9 @@ work is identical (the RTC cache guarantees it); the scheduling win is in
 import time
 
 from bench_common import SEED, emit, record_rows
-from repro.bench.formatting import format_seconds, format_table
 from repro.core.engines import RTCSharingEngine
 from repro.core.explain import estimate_cost
+from repro.formatting import format_seconds, format_table
 from repro.regex.parser import parse
 from repro.workloads.generator import generate_workload
 

@@ -10,10 +10,10 @@ shrink) with scale -- extrapolating toward the paper's magnitudes.
 
 import statistics
 
-from bench_common import NUM_RPQS, SEED, emit, record_rows
-from repro.bench.formatting import format_ratio, format_seconds, format_table
-from repro.bench.harness import run_workload
+from bench_common import NUM_RPQS, SEED, emit, format_ratio, record_rows
+from harness import run_workload
 from repro.datasets.rmat import rmat_n
+from repro.formatting import format_seconds, format_table
 from repro.workloads.generator import generate_workload
 
 SCALES = (7, 8, 9)

@@ -16,10 +16,10 @@ computes one RTC where the syntactic key computes two.
 from collections import Counter
 
 from bench_common import NUM_RPQS, SEED, emit, record_rows
-from repro.bench.formatting import format_seconds, format_table
 from repro.core.engines import FullSharingEngine, RTCSharingEngine, evaluate_plan
 from repro.core.plan import plan_for
 from repro.core.timing import PHASE_PRE_JOIN, PHASE_SHARED_DATA
+from repro.formatting import format_seconds, format_table
 from repro.workloads.generator import generate_workload
 
 

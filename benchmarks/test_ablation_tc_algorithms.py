@@ -10,9 +10,9 @@ units are small).
 import pytest
 
 from bench_common import SCALE, SEED, emit
-from repro.bench.formatting import format_table
 from repro.core.reduction import edge_level_reduce
 from repro.datasets.rmat import rmat_n
+from repro.formatting import format_table
 from repro.graph.transitive_closure import tc_bfs, tc_nuutila, tc_purdom
 
 ALGORITHMS = {

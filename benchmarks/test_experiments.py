@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import (
+from experiments import (
     DEFAULT_FRACTIONS,
     experiment1_real,
     experiment1_synthetic,

@@ -20,12 +20,20 @@ repeatable unit while the full sweep lives in session fixtures.
 
 import statistics
 
-from bench_common import NUM_RPQS, NUM_SETS, SCALE, SEED, emit, record_rows
-from repro.bench.experiments import experiment1_synthetic
-from repro.bench.formatting import format_ratio, format_seconds, format_table
-from repro.bench.harness import run_rpq_set
-from repro.bench.kernel_bench import format_kernel_rows, run_kernel_comparison
+from bench_common import (
+    NUM_RPQS,
+    NUM_SETS,
+    SCALE,
+    SEED,
+    emit,
+    format_ratio,
+    record_rows,
+)
+from experiments import experiment1_synthetic
+from harness import run_rpq_set
+from kernel_bench import format_kernel_rows, run_kernel_comparison
 from repro.datasets.rmat import rmat_n
+from repro.formatting import format_seconds, format_table
 from repro.workloads.generator import generate_workload
 
 METHODS = ("No", "Full", "RTC")

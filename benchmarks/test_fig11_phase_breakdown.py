@@ -13,8 +13,7 @@ Shapes asserted:
 
 import time
 
-from bench_common import SCALE, SEED, emit, record_rows
-from repro.bench.formatting import format_ratio, format_seconds, format_table
+from bench_common import SCALE, SEED, emit, format_ratio, record_rows
 from repro.bitset.kernel import label_rows_bitmap
 from repro.core.batch_unit import join_pre_with_rtc, join_pre_with_rtc_bits
 from repro.core.engines import FullSharingEngine, RTCSharingEngine, evaluate_plan
@@ -22,6 +21,7 @@ from repro.core.plan import plan_for
 from repro.core.rtc import compute_rtc
 from repro.core.timing import PHASE_SHARED_DATA
 from repro.datasets.rmat import rmat_n
+from repro.formatting import format_seconds, format_table
 
 
 def _phase_table(rows, title):

@@ -9,11 +9,11 @@ because SCCs swallow the growth.  Shapes asserted:
   ratio at the bottom (paper: 2.61x -> 54.94x).
 """
 
-from bench_common import NUM_SETS, SEED, real_fractions, emit, record_rows
-from repro.bench.experiments import sharing_statistics
-from repro.bench.formatting import format_ratio, format_table
+from bench_common import NUM_SETS, SEED, real_fractions, emit, format_ratio, record_rows
+from experiments import sharing_statistics
 from repro.datasets.rmat import rmat_n
 from repro.datasets.standins import load_standin
+from repro.formatting import format_table
 from bench_common import MAX_N, SCALE
 
 

@@ -10,10 +10,11 @@ keeps growing.  Shapes asserted:
 """
 
 from bench_common import MAX_N, NUM_SETS, SCALE, SEED, real_fractions, emit, record_rows
-from repro.bench.experiments import sharing_statistics
-from repro.bench.formatting import format_ratio, format_table
+from bench_common import format_ratio
+from experiments import sharing_statistics
 from repro.datasets.rmat import rmat_n
 from repro.datasets.standins import load_standin
+from repro.formatting import format_table
 
 
 def _aggregate(rows):

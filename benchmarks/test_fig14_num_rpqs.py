@@ -9,8 +9,8 @@ The amortisation story asserted:
   one-time closure cost amortises across more RPQs.
 """
 
-from bench_common import emit, record_rows
-from repro.bench.formatting import format_ratio, format_seconds, format_table
+from bench_common import emit, format_ratio, record_rows
+from repro.formatting import format_seconds, format_table
 
 
 def _table(rows, title):

@@ -11,7 +11,7 @@ is already tiny).  Shapes asserted:
 """
 
 from bench_common import emit, record_rows
-from repro.bench.formatting import format_seconds, format_table
+from repro.formatting import format_seconds, format_table
 
 
 def _table(rows, title):

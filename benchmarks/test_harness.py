@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench.experiments import dataset_statistics, sharing_statistics
-from repro.bench.formatting import banner, format_ratio, format_seconds, format_table
-from repro.bench.harness import METHODS, run_rpq_set, run_workload
+from bench_common import banner, format_ratio
+from experiments import dataset_statistics, sharing_statistics
+from harness import METHODS, run_rpq_set, run_workload
 from repro.workloads.generator import generate_workload
 
 
@@ -78,20 +78,9 @@ class TestExperimentHelpers:
 
 
 class TestFormatting:
-    def test_format_seconds_scales(self):
-        assert format_seconds(0.0000005).endswith("us")
-        assert format_seconds(0.005).endswith("ms")
-        assert format_seconds(2.5) == "2.500s"
-
     def test_format_ratio(self):
         assert format_ratio(2.0) == "2.00x"
         assert format_ratio(float("inf")) == "inf"
-
-    def test_format_table_alignment(self):
-        table = format_table(["name", "n"], [["abc", 1], ["x", 22]])
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert len(set(len(line) for line in lines)) == 1  # aligned
 
     def test_banner(self):
         assert "Results" in banner("Results")

@@ -13,10 +13,10 @@ degree is high.
 import time
 
 from bench_common import MAX_N, SCALE, SEED, emit, record_rows
-from repro.bench.formatting import format_seconds, format_table
 from repro.core.reduction import edge_level_reduce
 from repro.core.rtc import compute_rtc
 from repro.datasets.rmat import rmat_n
+from repro.formatting import format_seconds, format_table
 from repro.graph.transitive_closure import tc_bfs
 
 

@@ -9,10 +9,10 @@ fraction (1.0 = published size; see bench_common / DESIGN.md).
 import pytest
 
 from bench_common import MAX_N, SCALE, SEED, real_fractions, emit, record_rows
-from repro.bench.experiments import dataset_statistics
-from repro.bench.formatting import format_table
+from experiments import dataset_statistics
 from repro.datasets.rmat import rmat_n
 from repro.datasets.standins import TABLE4_SPECS, load_standin
+from repro.formatting import format_table
 
 PUBLISHED_DEGREES = {
     "yago2s": 0.02,

@@ -28,7 +28,6 @@ surface lives in the subpackages:
 * :mod:`repro.relalg`   -- the paper's relational-algebra expressions;
 * :mod:`repro.datasets` -- R-MAT and Table-IV dataset stand-ins;
 * :mod:`repro.workloads`-- the Section V-A multiple-RPQ-set generator;
-* :mod:`repro.bench`    -- the experiment harness behind ``benchmarks/``;
 * :mod:`repro.server`   -- the concurrent, sharing-aware query server
   (``repro serve`` / ``repro.server.Client``);
 * :mod:`repro.cluster`  -- the sharded serving layer, one session per
@@ -70,7 +69,7 @@ from repro.graph.multigraph import LabeledMultigraph
 from repro.regex.parser import parse
 from repro.rpq.evaluate import eval_rpq
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "GraphDB",

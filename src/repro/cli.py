@@ -65,11 +65,11 @@ import importlib
 import json
 import sys
 
-from repro.bench.formatting import format_seconds, format_table
 from repro.core.reduction import reduce_graph
 from repro.core.stats import reduction_stats
 from repro.db import GraphDB, available_engines
 from repro.errors import ReproError
+from repro.formatting import format_seconds, format_table
 from repro.graph.io import load_edge_list
 from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse as parse_query
@@ -229,13 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="longest a batch keeps collecting while every worker is busy; "
         "an idle worker is handed a read at once (default: 0.005)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="most jobs collected into one batch while every worker is busy "
-        "(default: 64)",
     )
     serve.add_argument(
         "--timeout",
@@ -494,7 +487,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         max_queue=args.queue_size,
         batch_window=args.batch_window,
-        max_batch=args.max_batch,
         default_timeout=args.timeout if args.timeout > 0 else None,
         slow_query_log=args.slow_query_log,
         slow_query_threshold=args.slow_query_threshold,
@@ -514,7 +506,6 @@ def _cmd_serve(args) -> int:
                 workers=args.workers,
                 max_queue=args.queue_size,
                 batch_window=args.batch_window,
-                max_batch=args.max_batch,
                 engine_kwargs=engine_kwargs,
                 partition_strategy=args.strategy,
                 data_dir=args.data_dir,

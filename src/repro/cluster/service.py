@@ -120,17 +120,16 @@ class ClusterConfig:
     Each shard is one :class:`~repro.db.GraphDB` (``engine_kwargs``,
     ``data_dir``, ``checkpoint_every``) behind one
     :class:`~repro.server.SharingScheduler` (``workers``, ``max_queue``,
-    ``batch_window``, ``max_batch``).
+    ``batch_window``).
     """
 
     shards: int = 4
     #: Worker threads *per shard scheduler*.
     workers: int = 2
     max_queue: int = 256
-    #: Per shard scheduler, while all its workers are busy: seconds /
-    #: jobs collected into one batch; unused when a worker is free.
+    #: Per shard scheduler, while all its workers are busy: seconds
+    #: collected into one batch; unused when a worker is free.
     batch_window: float = 0.005
-    max_batch: int = 64
     engine_kwargs: dict = field(default_factory=dict)
     #: ``replicas`` and ``backend`` accept only ``1`` and ``"thread"``
     #: (a shard is one session in this process); anything else raises
@@ -266,7 +265,6 @@ class GraphCluster:
             workers=config.workers,
             max_queue=config.max_queue,
             batch_window=config.batch_window,
-            max_batch=config.max_batch,
             start=False,
         )
 

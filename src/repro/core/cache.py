@@ -24,7 +24,7 @@ Hit/miss statistics feed the Experiment-2 analysis (amortisation of
 Concurrency contract
 --------------------
 Caches are read by every worker thread of :mod:`repro.server` (all of
-them evaluating on one engine), so every public operation (``lookup`` / ``peek`` /
+them evaluating on one engine), so every public operation (``peek`` /
 ``store`` / ``discard`` / ``get_or_compute`` / ``clear`` / ``items`` /
 ``total_shared_pairs`` / ``len`` / ``in``) is individually atomic: an
 internal :class:`threading.RLock` serialises them, and the hit/miss
@@ -33,12 +33,7 @@ statistics are updated under the same lock.
 Engines populate the cache through :meth:`SharedDataCache.get_or_compute`,
 which holds a per-key in-flight latch: concurrent misses on one key
 compute the value **once** (one miss recorded), with the other threads
-blocking on the latch and then taking a hit.  The raw *lookup-then-store*
-sequence is still available and still not atomic -- two threads using it
-may both compute the value and store it twice; that legacy race is benign
-(both compute equal values for the same immutable graph; the second
-``store`` overwrites with an equivalent entry) but it double-counts
-misses, which is why the engines moved off it.  Cached values are
+blocking on the latch and then taking a hit.  Cached values are
 treated as immutable by all engines.
 
 Updates: repair or drop
@@ -199,23 +194,6 @@ class SharedDataCache(Generic[Value]):
         """The cache key of a closure body."""
         return self._key_function(node)
 
-    def lookup(self, node: RegexNode) -> tuple[str, Value | None]:
-        """Return ``(key, value-or-None)`` and record the hit/miss.
-
-        Atomic; but a miss followed by :meth:`store` is not, so
-        concurrent threads may each compute the missing value once
-        (benign -- see the module concurrency contract).
-        """
-        key = self.key_for(node)
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.stats.misses += 1
-                self._bodies[key] = node
-            else:
-                self.stats.hits += 1
-        return key, value
-
     def get_or_compute(
         self, node: RegexNode, factory, key: str | None = None
     ) -> tuple[str, Value]:
@@ -241,8 +219,7 @@ class SharedDataCache(Generic[Value]):
         enclosing body, so their canonical keys collide.  The re-entrant
         call must not wait on its own latch; it computes directly and
         the enclosing computation later overwrites the entry with an
-        equal value (the legacy lookup/store behaviour, single-threaded
-        by construction).
+        equal value (single-threaded by construction, so harmless).
         """
         if key is None:
             key = self.key_for(node)

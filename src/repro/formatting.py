@@ -1,15 +1,10 @@
-"""Plain-text tables for the benchmark output.
-
-The benchmarks regenerate the paper's figures as *printed series* (the
-environment has no plotting stack); these helpers keep the output aligned
-and consistent so EXPERIMENTS.md can quote it directly.
-"""
+"""Plain-text tables for the CLI's human-readable output."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["format_table", "format_seconds", "format_ratio", "banner"]
+__all__ = ["format_table", "format_seconds"]
 
 
 def format_seconds(seconds: float | None) -> str:
@@ -24,13 +19,6 @@ def format_seconds(seconds: float | None) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.2f}ms"
     return f"{seconds:.3f}s"
-
-
-def format_ratio(ratio: float) -> str:
-    """A ratio like ``12.3x`` (``inf`` guarded)."""
-    if ratio == float("inf"):
-        return "inf"
-    return f"{ratio:.2f}x"
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -49,9 +37,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     body = [line(headers), separator]
     body.extend(line(row) for row in text_rows)
     return "\n".join(body)
-
-
-def banner(title: str) -> str:
-    """A section banner for benchmark stdout."""
-    rule = "=" * max(8, len(title))
-    return f"\n{rule}\n{title}\n{rule}"

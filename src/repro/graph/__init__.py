@@ -11,7 +11,6 @@ Public surface:
 * transitive-closure algorithms (:func:`tc_bfs`, :func:`tc_warshall`,
   :func:`tc_purdom`, :func:`tc_nuutila`, :func:`transitive_closure_pairs`,
   :func:`scc_closure`, :func:`dag_closure_bitsets`);
-* reachability oracles (:class:`OnlineBfsOracle`, :class:`SccIntervalOracle`);
 * edge-list IO (:func:`load_edge_list`, :func:`dump_edge_list`);
 * deterministic builders (:func:`paper_figure1_graph`, ...).
 """
@@ -28,7 +27,6 @@ from repro.graph.builders import (
 from repro.graph.digraph import DiGraph
 from repro.graph.io import dump_edge_list, load_edge_list
 from repro.graph.multigraph import LabeledMultigraph
-from repro.graph.reachability import OnlineBfsOracle, SccIntervalOracle
 from repro.graph.scc import Condensation, condense, kosaraju_scc, tarjan_scc
 from repro.graph.transitive_closure import (
     dag_closure_bitsets,
@@ -54,8 +52,6 @@ __all__ = [
     "transitive_closure_pairs",
     "scc_closure",
     "dag_closure_bitsets",
-    "OnlineBfsOracle",
-    "SccIntervalOracle",
     "load_edge_list",
     "dump_edge_list",
     "paper_figure1_graph",

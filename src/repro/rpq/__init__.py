@@ -15,7 +15,6 @@ Public surface:
 """
 
 from repro.rpq.counters import OpCounters
-from repro.rpq.dfa_eval import eval_dfa_from, eval_rpq_dfa
 from repro.rpq.evaluate import candidate_starts, check_alphabet, eval_rpq, eval_rpq_from
 from repro.rpq.label_join import eval_label_sequence, eval_labels_from
 from repro.rpq.partial import ShardSummary, summarise_shard
@@ -24,8 +23,6 @@ from repro.rpq.witness import Witness, eval_rpq_with_witness
 
 __all__ = [
     "OpCounters",
-    "eval_rpq_dfa",
-    "eval_dfa_from",
     "eval_rpq",
     "eval_rpq_from",
     "candidate_starts",

@@ -21,7 +21,7 @@ scheduler does exactly that:
     are in flight -- an idle server adds no wait.  Only while every
     worker is busy does it keep collecting, woken by an arrival or by a
     worker finishing, for at most ``batch_window`` seconds and
-    ``max_batch`` jobs; so batches form under saturation, where a read
+    :data:`MAX_BATCH` jobs; so batches form under saturation, where a read
     would have queued anyway, and nowhere else.
 3.  Workers are plain threads that all evaluate on the session's one
     engine (``db.engine``): an engine keeps no per-call timing state --
@@ -90,6 +90,9 @@ __all__ = [
 
 #: Sentinel telling the dispatcher thread to exit.
 _STOP = object()
+
+#: Upper bound on the jobs of one collection, window or not.
+MAX_BATCH = 64
 
 
 @dataclass
@@ -160,8 +163,6 @@ class SharingScheduler:
         While every worker is busy: the longest the dispatcher keeps
         collecting after the first job of a batch (seconds).  With a
         worker free a batch leaves at once and the window is not used.
-    max_batch:
-        Upper bound on the jobs of one collection, window or not.
     start:
         Pass ``False`` to create the scheduler stopped (tests use this
         to fill the queue deterministically), then call :meth:`start`.
@@ -173,7 +174,6 @@ class SharingScheduler:
         workers: int = 4,
         max_queue: int = 256,
         batch_window: float = 0.005,
-        max_batch: int = 64,
         start: bool = True,
     ) -> None:
         if workers < 1:
@@ -181,7 +181,6 @@ class SharingScheduler:
         self.db = db
         self.workers = workers
         self.batch_window = batch_window
-        self.max_batch = max(1, max_batch)
         self.metrics = ServerMetrics()
         # Always-on per-phase wall-time ledger; evaluations publish
         # themselves (evaluate_plan), the scheduler adds update_apply.
@@ -431,7 +430,7 @@ class SharingScheduler:
         Blocks for a first item, then takes what is already queued.  With
         a worker free that is the batch; only while all ``workers`` are
         busy does it wait -- for an arrival or a worker finishing, at
-        most ``batch_window`` seconds and ``max_batch`` jobs.  An update
+        most ``batch_window`` seconds and :data:`MAX_BATCH` jobs.  An update
         or the stop sentinel ends the collection and is returned as the
         second element (``None`` otherwise) for the caller to act on
         *after* dispatching the batch.
@@ -440,7 +439,7 @@ class SharingScheduler:
         window_end = None
         with self._wake:
             while True:
-                while self._jobs and len(batch) < self.max_batch:
+                while self._jobs and len(batch) < MAX_BATCH:
                     item = self._jobs.popleft()
                     self._dispatching = True
                     if item is _STOP or isinstance(item, UpdateJob):
@@ -450,7 +449,7 @@ class SharingScheduler:
                 if not batch:
                     self._wake.wait()
                     continue
-                if len(batch) >= self.max_batch or len(self._inflight) < self.workers:
+                if len(batch) >= MAX_BATCH or len(self._inflight) < self.workers:
                     return batch, None
                 if window_end is None:
                     window_end = batch[0].dequeued_at + self.batch_window

@@ -68,12 +68,11 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral; the bound port is in server.address
     workers: int = 4
     max_queue: int = 256
-    #: While every worker is busy: how long (seconds) and how many jobs
-    #: the dispatcher collects into one batch.  With a worker free a
-    #: read is dispatched on arrival and neither is consulted
-    #: (:mod:`repro.server.scheduler`).
+    #: While every worker is busy: how long (seconds) the dispatcher
+    #: collects into one batch (at most ``scheduler.MAX_BATCH`` jobs).
+    #: With a worker free a read is dispatched on arrival and the window
+    #: is not consulted (:mod:`repro.server.scheduler`).
     batch_window: float = 0.005
-    max_batch: int = 64
     #: Per-request deadline in seconds when the client sends none.
     default_timeout: float | None = 30.0
     #: Slow-query forensics: JSONL path for completed trace trees of
@@ -110,7 +109,6 @@ class QueryServer:
             workers=self.config.workers,
             max_queue=self.config.max_queue,
             batch_window=self.config.batch_window,
-            max_batch=self.config.max_batch,
             start=False,
         )
         self._server: asyncio.AbstractServer | None = None

@@ -13,12 +13,12 @@ import random
 
 import pytest
 
+from dfa_eval import eval_rpq_dfa
 from repro.bitset import PairBitmap, VertexInterner, bit_indexes
 from repro.core.rtc import compute_rtc
 from repro.datasets.rmat import rmat_graph
 from repro.graph.digraph import DiGraph
 from repro.rpq import OpCounters, eval_rpq
-from repro.rpq.dfa_eval import eval_rpq_dfa
 from repro.rpq.label_join import eval_label_sequence
 from repro.workloads import generate_workload
 

@@ -42,17 +42,21 @@ class TestCacheStats:
 
 
 class TestRTCCache:
-    def test_lookup_store_cycle(self):
+    def test_miss_compute_then_hit_cycle(self):
         cache = RTCCache()
         node = parse("a.b")
-        key, value = cache.lookup(node)
-        assert value is None
-        assert cache.stats.misses == 1
+        key = cache.key_for(node)
+        assert cache.peek(key) is None
         rtc = compute_rtc({(0, 1), (1, 0)})
-        cache.store(key, rtc)
+        assert cache.get_or_compute(node, lambda: rtc) == (key, rtc)
+        assert cache.stats.misses == 1
         assert cache.stats.entries == 1
         assert node in cache
-        _key, again = cache.lookup(node)
+
+        def recompute():
+            raise AssertionError("a hit must not call the factory")
+
+        _key, again = cache.get_or_compute(node, recompute)
         assert again is rtc
         assert cache.stats.hits == 1
 
@@ -65,7 +69,7 @@ class TestRTCCache:
     def test_clear_keeps_stats(self):
         cache = RTCCache()
         cache.store("k", compute_rtc({(0, 1)}))
-        cache.lookup(parse("a"))
+        cache.get_or_compute(parse("a"), lambda: compute_rtc({(1, 2)}))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.entries == 0
@@ -248,13 +252,13 @@ class TestThreadSafety:
     def test_snapshot_stats_is_a_copy(self):
         cache = RTCCache()
         node = parse("a")
-        cache.lookup(node)
+        cache.get_or_compute(node, object)
         snapshot = cache.snapshot_stats()
-        cache.lookup(node)
-        assert snapshot.misses == 1
-        assert cache.stats.misses == 2
+        cache.get_or_compute(node, object)
+        assert (snapshot.misses, snapshot.hits) == (1, 0)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
 
-    def test_concurrent_lookup_store_counts_consistently(self):
+    def test_concurrent_compute_peek_store_counts_consistently(self):
         import threading
 
         cache = RTCCache()
@@ -264,9 +268,9 @@ class TestThreadSafety:
 
         def hammer() -> None:
             for _ in range(rounds):
-                key, value = cache.lookup(node)
-                if value is None:
-                    cache.store(key, rtc)
+                key, value = cache.get_or_compute(node, lambda: rtc)
+                cache.store(key, value)
+                cache.peek(key)
                 cache.total_shared_pairs()
 
         threads = [threading.Thread(target=hammer) for _ in range(workers)]
@@ -276,9 +280,9 @@ class TestThreadSafety:
             thread.join()
         stats = cache.snapshot_stats()
         assert stats.hits + stats.misses == workers * rounds
+        assert stats.misses == 1
         assert stats.entries == 1
-        _key, value = cache.lookup(node)
-        assert value is rtc
+        assert cache.peek(cache.key_for(node)) is rtc
 
 
 class TestInvalidate:
@@ -338,11 +342,12 @@ class TestInvalidate:
         syntactic.store("((not a regex", "rtc")
         assert syntactic.invalidate({"z"}) == 1
 
-    def test_legacy_lookup_then_store_knows_its_body(self):
+    def test_store_with_its_body_knows_its_body(self):
         cache = RTCCache(mode="semantic")
-        key, value = cache.lookup(parse("a.b"))
-        assert value is None
-        cache.store(key, "rtc")
+        node = parse("a.b")
+        key = cache.key_for(node)
+        assert cache.peek(key) is None
+        cache.store(key, "rtc", body=node)
         assert cache.invalidate({"c"}) == 0
         assert cache.invalidate({"a"}) == 1
 

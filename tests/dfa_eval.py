@@ -12,7 +12,9 @@ paper's workloads.
 
 Semantics are identical to :func:`repro.rpq.evaluate.eval_rpq` and the
 test suite asserts equality on random graph/query pairs.  This is an
-ablation evaluator: it always walks tuple sets, counted or not.
+ablation evaluator, not library code: it always walks tuple sets,
+counted or not, and only the tests and that benchmark import it (this
+directory is on ``sys.path`` for both; see ``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ graph ``G_R``.  This module provides two oracles over a :class:`DiGraph`:
 
 Both answer *positive-length* reachability (``u`` reaches ``v`` via a path
 of >= 1 edge), consistent with Kleene-plus semantics everywhere else in the
-library.  They are used by the extension API
-:meth:`repro.core.engines.RTCSharingEngine.exists` and by ablation benches.
+library.  They are related-work baselines, not library code: only
+``test_reachability.py`` beside this module imports them.
 """
 
 from __future__ import annotations

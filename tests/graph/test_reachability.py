@@ -2,9 +2,9 @@
 
 import pytest
 
+from reachability import OnlineBfsOracle, SccIntervalOracle
 from repro.graph.builders import digraph_cycle, digraph_path
 from repro.graph.digraph import DiGraph
-from repro.graph.reachability import OnlineBfsOracle, SccIntervalOracle
 from repro.graph.transitive_closure import tc_bfs
 
 ORACLES = [OnlineBfsOracle, SccIntervalOracle]

@@ -2,11 +2,11 @@
 
 import pytest
 
+from dfa_eval import eval_dfa_from, eval_rpq_dfa
 from repro.regex.dfa import determinize
 from repro.regex.nfa import compile_nfa
 from repro.regex.parser import parse
 from repro.rpq.counters import OpCounters
-from repro.rpq.dfa_eval import eval_dfa_from, eval_rpq_dfa
 from repro.rpq.evaluate import eval_rpq
 
 QUERIES = [

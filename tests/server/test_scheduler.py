@@ -7,6 +7,7 @@ from concurrent.futures import Future
 
 import pytest
 
+import repro.server.scheduler as scheduler_module
 from repro.core.cache import make_key_function
 from repro.core.plan import closure_group_key, plan_for
 from repro.core.engines import NoSharingEngine, RTCSharingEngine
@@ -470,10 +471,9 @@ class TestWorkConservingDispatch:
         future.result(timeout=5)
         scheduler.stop()
 
-    def test_max_batch_bounds_a_saturated_collection(self, fig1):
-        scheduler, gate, blockers = busy_scheduler(
-            fig1, batch_window=5.0, max_batch=2
-        )
+    def test_max_batch_bounds_a_saturated_collection(self, fig1, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "MAX_BATCH", 2)
+        scheduler, gate, blockers = busy_scheduler(fig1, batch_window=5.0)
         futures = [scheduler.submit("a.(b.c)+") for _ in range(4)]
         # Two full collections leave without waiting for the window.
         assert wait_until(lambda: len(scheduler._inflight) == 3)
@@ -583,7 +583,7 @@ class TestWorkConservingDispatch:
         entry would let an update overlap a read or unbalance the ledger."""
         db = GraphDB.open(fig1)
         scheduler = SharingScheduler(
-            db, workers=3, max_queue=4096, batch_window=0.001, max_batch=4
+            db, workers=3, max_queue=4096, batch_window=0.001
         )
         queries = ["a.(b.c)+", "d.(b.c)+.c", "(b.c)+.c", "(a|b)+", "b.c"]
         futures: list[Future] = []

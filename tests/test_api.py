@@ -32,10 +32,10 @@ PACKAGES = [
     "repro.relalg",
     "repro.datasets",
     "repro.workloads",
-    "repro.bench",
     "repro.server",
     "repro.cluster",
     "repro.storage",
+    "repro.obs",
 ]
 
 
@@ -48,7 +48,7 @@ class TestExports:
             assert hasattr(package, name), f"{package_name}.{name}"
 
     def test_version(self):
-        assert repro.__version__ == "1.15.0"
+        assert repro.__version__ == "1.16.0"
 
     def test_top_level_quickstart_names(self):
         for name in (

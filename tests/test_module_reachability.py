@@ -25,13 +25,10 @@ SURFACE_MODULES = ("repro.cli", "repro.__main__")
 
 #: module (or package prefix ending in ``.``) -> why it ships unreached.
 UNREACHED = {
-    "repro.bench.": "the paper-figure harness: a library for the scripts in benchmarks/",
-    "repro.datasets.": "R-MAT and stand-in graph generators: the inputs of benchmarks/, perf/ and the tests",
-    "repro.workloads.": "the paper's multiple-RPQ set generator, same consumers as repro.datasets",
-    "repro.relalg.": "the paper's relational-algebra expressions (Eq. 6-10) as an executable spec the engines are tested against",
-    "repro.rpq.witness": "path-witness extension of the public API (examples/); no serving surface returns paths yet",
-    "repro.rpq.dfa_eval": "ablation evaluator: the determinised-automaton reference of benchmarks/test_ablation_automata.py",
-    "repro.graph.reachability": "related-work reachability baselines the RTC's reaches() is tested against",
+    "repro.datasets.": "R-MAT and stand-in graph generators (the one numpy importer): the inputs of benchmarks/ and the tests; perf/ builds its own graphs",
+    "repro.workloads.": "the paper's multiple-RPQ set generator (Section V-A): read by benchmarks/ and the tests; perf/ writes its own query mixes",
+    "repro.relalg.": "the paper's relational-algebra expressions (Eq. 6-10): an executable spec the engines are tested against, printed by examples/protein_signaling.py",
+    "repro.rpq.witness": "path-witness extension of the public API (repro.rpq.eval_rpq_with_witness); no serving surface returns paths yet",
     "repro.graph.builders": "graph constructors of the public API (paper_figure1_graph, paths, cycles, layers) for docs, examples and tests",
 }
 
@@ -136,8 +133,7 @@ def test_the_list_names_only_unreached_modules_that_exist():
             and (name == entry or (entry.endswith(".") and name.startswith(entry)))
         ]
         assert covered, f"{entry} matches no module under src/repro"
-        # A prefix stays listed while any module under it is unreached
-        # (repro.bench.formatting is the CLI's table printer).
+        # A prefix stays listed while any module under it is unreached.
         assert not all(name in reached for name in covered), (
             f"{entry} is reached by a surface now; drop it from the list"
         )
